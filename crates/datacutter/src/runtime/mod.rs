@@ -321,6 +321,7 @@ impl Run {
             "channel capacities must be at least 1"
         );
         silence_sentinel_panics();
+        keep_large_buffers_out_of_thread_arenas();
         let graph = Arc::new(self.graph);
         let fault_ctl: Option<Arc<FaultCtl>> = self.faults.as_ref().map(FaultCtl::new);
         match self.executor {
@@ -580,6 +581,42 @@ fn silence_sentinel_panics() {
             }
         }));
     });
+}
+
+/// Pin glibc malloc's mmap threshold at its documented default (128 KiB),
+/// once per process.
+///
+/// Every run spawns a fresh thread per filter copy, and glibc hands each
+/// thread one of `8 × cores` malloc arenas. A merge copy's z-buffer and
+/// images (~10 MB per ten 512² frames) are freed into whichever arena its
+/// thread drew, and an arena only gives memory back from its very top, past
+/// a trim threshold — so run after run the process creeps up by that much
+/// per arena until each has hosted the merge once: +150 MB on a two-core
+/// box with nothing more live. Buffers that large are meant to be
+/// `mmap`ped and unmapped on free, but the threshold *drifts* up to the
+/// size of the largest block ever freed (a 29 MB field, say) and from then
+/// on they are carved from arenas. Setting it explicitly stops the drift:
+/// resident memory then tracks what is live, whatever the run count. The
+/// price is a page-fault pass over each large buffer when it is first
+/// written, under 1 % of a 512² frame.
+fn keep_large_buffers_out_of_thread_arenas() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_MMAP_THRESHOLD: c_int = -3;
+        static PIN: std::sync::Once = std::sync::Once::new();
+        PIN.call_once(|| {
+            // SAFETY: `mallopt` takes two integers, locks the allocator
+            // itself and may run concurrently with any allocation; a
+            // rejected value (return 0) leaves malloc as it was.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+            }
+        });
+    }
 }
 
 // ---- deprecated compatibility wrappers -----------------------------------

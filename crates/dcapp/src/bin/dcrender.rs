@@ -219,6 +219,11 @@ fn main() {
         }
     };
 
+    if let Err(e) = cfg.validate_for(spec.algorithm) {
+        eprintln!("{e}");
+        exit(2);
+    }
+
     println!(
         "rendering {}^3 cells at {}x{} on {} nodes: {} + {} + {} [{}]",
         args.grid,

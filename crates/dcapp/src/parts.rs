@@ -296,6 +296,7 @@ impl ExtractStage {
 pub(crate) enum RasterStage {
     Zb {
         zb: ZBuffer,
+        proj: isosurf::Projector,
         scissor: Option<(u32, u32)>,
         /// Band buffers for end-of-work shipping, recycled by the merge.
         dpool: BufferPool<f32>,
@@ -303,6 +304,7 @@ pub(crate) enum RasterStage {
     },
     Ap {
         ap: ActivePixelBuffer,
+        proj: isosurf::Projector,
         scissor: Option<(u32, u32)>,
         /// WPA batch buffers: recycled ones are re-supplied to `ap` before
         /// each feed, so steady-state flushes allocate nothing.
@@ -317,15 +319,18 @@ impl RasterStage {
 
     /// A stage that only owns image rows `[scissor.0, scissor.1)`.
     pub fn with_scissor(alg: Algorithm, cfg: &SharedConfig, scissor: Option<(u32, u32)>) -> Self {
+        let proj = cfg.camera.projector();
         match alg {
             Algorithm::ZBuffer => RasterStage::Zb {
                 zb: ZBuffer::new(cfg.camera.width, cfg.camera.height),
+                proj,
                 scissor,
                 dpool: BufferPool::new(),
                 cpool: BufferPool::new(),
             },
             Algorithm::ActivePixel => RasterStage::Ap {
                 ap: ActivePixelBuffer::new(cfg.camera.width, cfg.wpa_capacity),
+                proj,
                 scissor,
                 pool: BufferPool::new(),
             },
@@ -342,15 +347,16 @@ impl RasterStage {
         batch: TriBatch,
         mut sink: impl FnMut(&mut FilterCtx, RaOut),
     ) {
-        let proj = cfg.camera.projector();
         let (w, h) = (cfg.camera.width, cfg.camera.height);
         let mut pixels = 0u64;
         match self {
-            RasterStage::Zb { zb, scissor, .. } => {
+            RasterStage::Zb {
+                zb, proj, scissor, ..
+            } => {
                 let band = scissor.unwrap_or((0, h));
                 for t in batch.tris.iter() {
                     if let Some(p) =
-                        raster_triangle(&proj, w, h, &cfg.material, t, |x, y, d, rgb| {
+                        raster_triangle(proj, w, h, &cfg.material, t, |x, y, d, rgb| {
                             if y >= band.0 && y < band.1 {
                                 zb.plot(x, y, d, rgb);
                             }
@@ -361,7 +367,12 @@ impl RasterStage {
                 }
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
             }
-            RasterStage::Ap { ap, scissor, pool } => {
+            RasterStage::Ap {
+                ap,
+                proj,
+                scissor,
+                pool,
+            } => {
                 // Re-arm the active-pixel buffer with every batch buffer the
                 // merge has recycled since the last feed: flushes then reuse
                 // them instead of allocating.
@@ -374,7 +385,7 @@ impl RasterStage {
                     let mut on_flush = |b: Vec<WinningPixel>| flushed.push(b);
                     for t in batch.tris.iter() {
                         if let Some(p) =
-                            raster_triangle(&proj, w, h, &cfg.material, t, |x, y, d, rgb| {
+                            raster_triangle(proj, w, h, &cfg.material, t, |x, y, d, rgb| {
                                 if y >= band.0 && y < band.1 {
                                     ap.plot(x, y, d, rgb, &mut on_flush);
                                 }
@@ -407,6 +418,7 @@ impl RasterStage {
                 scissor,
                 dpool,
                 cpool,
+                ..
             } => {
                 // Only this stage's owned rows travel to the merge — the
                 // whole image under replication, just the band under

@@ -121,13 +121,14 @@ pub fn build_pipeline(cfg: &SharedConfig, spec: &PipelineSpec) -> Pipeline {
 
 /// [`build_pipeline`] with construction-time config validation: every
 /// sizing knob is checked before any filter factory runs, so a zero-sized
-/// batch or empty storage set is a structured [`ConfigError`] here rather
-/// than a panic or hang mid-run.
+/// batch, an empty storage set or an image too large for the chosen
+/// algorithm is a structured [`ConfigError`] here rather than a panic, a
+/// hang or a wrong picture mid-run.
 pub fn try_build_pipeline(
     cfg: &SharedConfig,
     spec: &PipelineSpec,
 ) -> Result<Pipeline, crate::config::ConfigError> {
-    cfg.validate()?;
+    cfg.validate_for(spec.algorithm)?;
     let image: ImageSlot = ImageSlot::default();
     let storage = Placement::one_per_host(&cfg.storage_hosts);
     let mut g = GraphBuilder::new();

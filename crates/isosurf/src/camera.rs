@@ -92,6 +92,7 @@ pub struct Projector {
 
 impl Projector {
     /// Project a world-space point; `None` when at/behind the near plane.
+    #[inline]
     pub fn project(&self, p: Vec3) -> Option<ScreenVertex> {
         let v = self.view.transform_point(p);
         let depth = -v.z; // camera looks down -z in view space

@@ -148,6 +148,7 @@ impl Mat4 {
 
     /// Transform a point (w = 1), returning the xyz of the result (no
     /// perspective divide — use for affine matrices).
+    #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec3 {
         let c = &self.cols;
         vec3(

@@ -41,6 +41,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// `ALLOCS` is process-wide and libtest runs this file's tests on parallel
+/// threads, so a sibling's set-up would land in whichever measured window
+/// is open. Every test holds this lock for its whole body: one of them
+/// allocates at a time, and what a run counts is its own.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    // A sibling that failed poisons the lock; that verdict is its own.
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn topology_n(n: usize) -> (hetsim::Topology, Vec<HostId>) {
     let mut b = TopologyBuilder::new();
     let c = b.add_cluster(ClusterSpec {
@@ -153,11 +164,13 @@ fn assert_zero_marginal_allocs(policy: WritePolicy) {
 
 #[test]
 fn round_robin_delivery_steady_state_is_allocation_free() {
+    let _alone = measuring();
     assert_zero_marginal_allocs(WritePolicy::RoundRobin);
 }
 
 #[test]
 fn demand_driven_delivery_steady_state_is_allocation_free() {
+    let _alone = measuring();
     assert_zero_marginal_allocs(WritePolicy::demand_driven());
 }
 
@@ -218,6 +231,7 @@ fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
 /// 1800 extra buffers, well inside the same sliver budget.
 #[test]
 fn lossless_retention_steady_state_is_allocation_free() {
+    let _alone = measuring();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
@@ -307,6 +321,7 @@ fn run_once_tiled(n: u32) -> (u64, u64) {
 /// allocating per fragment.
 #[test]
 fn tile_hash_delivery_steady_state_is_allocation_free() {
+    let _alone = measuring();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     let _ = run_once_tiled(SMALL);
@@ -356,24 +371,30 @@ fn warm_cache(n: u32) -> Arc<ChunkCache> {
 /// docs' claim.
 #[test]
 fn warm_cache_hits_are_strictly_allocation_free() {
+    let _alone = measuring();
     let cache = warm_cache(8);
     // Warm the lock and the counter cachelines.
     for c in 0..8 {
         assert!(cache.get(cache_key(c)).is_some());
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut touched = 0u64;
-    for i in 0..10_000u32 {
-        let g = cache.get(cache_key(i % 8)).expect("warm entry");
-        touched = touched.wrapping_add(g.data[0] as u64);
+    // The lock keeps siblings out, not libtest's own thread, which may
+    // still be reporting the previous test: a hit that allocates does so
+    // in every window, a stray report in at most one.
+    let mut fewest = u64::MAX;
+    for _ in 0..3 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let mut touched = 0u64;
+        for i in 0..10_000u32 {
+            let g = cache.get(cache_key(i % 8)).expect("warm entry");
+            touched = touched.wrapping_add(g.data[0] as u64);
+        }
+        fewest = fewest.min(ALLOCS.load(Ordering::Relaxed) - before);
+        assert_eq!(touched, 10_000 / 8 * (0..8).sum::<u64>());
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
-        after - before,
-        0,
+        fewest, 0,
         "10,000 cache hits allocated — an Arc clone must not touch the heap"
     );
-    assert_eq!(touched, 10_000 / 8 * (0..8).sum::<u64>());
 }
 
 /// Source that serves every buffer from a warm [`ChunkCache`]: the
@@ -449,6 +470,7 @@ fn expected_cached_sum(n: u32) -> u64 {
 /// per-chunk heap traffic on top of it.
 #[test]
 fn warm_cache_delivery_steady_state_is_allocation_free() {
+    let _alone = measuring();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {

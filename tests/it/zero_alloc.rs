@@ -8,14 +8,23 @@
 //! The loop below mirrors what `dcapp`'s stages do per unit of work,
 //! driven through the same public APIs (`BufferPool`, `TriBatch`,
 //! `RaOut`, `ActivePixelBuffer::supply`, `merge_batch`,
-//! `extract_serial`); the filter wrappers themselves only add the
-//! emulation context, which is not part of the per-buffer hot path.
+//! `extract_serial`, `raster_triangle`); the filter wrappers themselves
+//! only add the emulation context, which is not part of the per-buffer
+//! hot path. The extract and raster kernels skip empty space and dead
+//! pixels without per-call scratch, so they sit inside the same proof.
+//!
+//! The counter is process-wide. This file holds one test, so nothing else
+//! allocates while it measures; a second test here must share a lock with
+//! it, as `delivery_zero_alloc.rs` does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dcapp::{BufferPool, RaOut, TriBatch};
-use isosurf::{extract_serial, merge_batch, ActivePixelBuffer, Triangle, WinningPixel, ZBuffer};
+use isosurf::{
+    extract_serial, merge_batch, raster_triangle, ActivePixelBuffer, Camera, Material, Projector,
+    Triangle, WinningPixel, ZBuffer,
+};
 use volume::{Dims, RectGrid};
 
 struct CountingAlloc;
@@ -46,6 +55,8 @@ const BATCH: usize = 256;
 
 struct Harness {
     grid: RectGrid,
+    proj: Projector,
+    material: Material,
     pending: Vec<Triangle>,
     tri_pool: BufferPool<Triangle>,
     wpa_pool: BufferPool<WinningPixel>,
@@ -74,6 +85,8 @@ impl Harness {
             src.plot(i % IMG, i / IMG, (i % 9) as f32, [i as u8, 0, 0]);
         }
         Harness {
+            proj: Camera::framing(grid.dims, IMG, IMG).projector(),
+            material: Material::default(),
             grid,
             pending: Vec::new(),
             tri_pool: BufferPool::new(),
@@ -92,6 +105,8 @@ impl Harness {
 fn pass(h: &mut Harness) {
     let Harness {
         grid,
+        proj,
+        material,
         pending,
         tri_pool,
         wpa_pool,
@@ -118,11 +133,9 @@ fn pass(h: &mut Harness) {
             ap.supply(v);
         }
         for t in batch.tris.iter() {
-            for v in &t.v {
-                let x = (v.x.abs() as u32) % IMG;
-                let y = (v.y.abs() as u32) % IMG;
-                ap.plot(x, y, v.z, [9, 9, 9], &mut |b| flushed.push(b));
-            }
+            let _ = raster_triangle(proj, IMG, IMG, material, t, |x, y, d, rgb| {
+                ap.plot(x, y, d, rgb, &mut |b| flushed.push(b));
+            });
         }
 
         // M: merge each flushed batch; dropping the payload recycles it.
@@ -205,5 +218,10 @@ fn steady_state_pipeline_performs_zero_allocations() {
     // Sanity: the harness actually exercised the path (the warm-up made
     // pool misses, extraction produced triangles, merging plotted pixels).
     assert!(h.tri_pool.allocated() > 0);
-    assert!(!h.zb.depth.is_empty());
+    let wpa_entries = h.ap.plotted - h.ap.dedup_hits;
+    assert!(
+        wpa_entries > 19 * 512,
+        "{wpa_entries} entries: the WPA never filled mid-pass"
+    );
+    assert!(h.zb.depth.iter().any(|d| d.is_finite()), "nothing plotted");
 }
