@@ -22,7 +22,7 @@
 //!
 //! - **baseline** — budgeted, checksummed spill frames (the default);
 //! - **no-checksum** — the same run with `checksum_spills = false`,
-//!   isolating what the FNV trailer costs;
+//!   isolating what the checksum trailer costs;
 //! - **chaos** — seeded transient disk-error windows on every host,
 //!   healed by the retry/backoff ladder; must finish with `lost == 0`
 //!   and the exact baseline image, so CI gates the storage contract the

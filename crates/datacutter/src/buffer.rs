@@ -200,7 +200,7 @@ impl DataBuffer {
     }
 
     /// The parked payload's spill frame: the codec's encoding, sealed
-    /// with the FNV-1a checksum trailer when `checksum` is set. `None` on
+    /// with the checksum trailer when `checksum` is set. `None` on
     /// non-spillable or already-spilled buffers. Encoding is separated
     /// from the ring write so the storage ladder can retry a failing
     /// write against the same frame without re-encoding.

@@ -108,6 +108,5 @@ pub use runtime::{
     DEFAULT_OUTBOX_CAPACITY, DEFAULT_RETRANSMIT_DELAY,
 };
 pub use storage::{
-    fnv64, open_frame, seal_frame, StorageCtl, StorageError, StorageEvent,
-    DEFAULT_STORAGE_RETRY_BUDGET,
+    open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,
 };

@@ -93,7 +93,7 @@ pub(crate) struct Tuning {
     /// Retries granted to a failing spill write or fault-in read before
     /// the degradation ladder takes over.
     pub storage_retry_budget: u32,
-    /// Seal every spill frame with an FNV-64 checksum verified on
+    /// Seal every spill frame with a 64-bit checksum verified on
     /// fault-in (8 bytes per frame; detects any single-bit corruption).
     pub checksum_spills: bool,
 }
@@ -304,7 +304,7 @@ impl Run {
         self
     }
 
-    /// Seal every spill frame with an FNV-64 checksum verified on
+    /// Seal every spill frame with a 64-bit checksum verified on
     /// fault-in (default `true`). Costs 8 bytes per spilled frame and a
     /// linear scan each way; guarantees any single-bit corruption of a
     /// parked frame is detected rather than silently decoded.

@@ -111,36 +111,48 @@ impl RaOut {
 // ---------------------------------------------------------------------------
 // Spill encodings. Plain little-endian layouts with a leading field count
 // where the length is not implied; `f32` bits travel via `to_le_bytes`, so
-// a spill → fault round trip is bit-exact. Decoded `PoolVec`s are homeless
-// (they free on drop instead of recycling) — a faulted-in buffer already
-// paid a disk round trip, so the extra allocation is noise.
+// a spill → fault round trip is bit-exact. Element runs are converted in
+// one pass over fixed-size records (`put_records` / `take_records`), which
+// the compiler turns into a copy. Decoded `PoolVec`s are homeless (they
+// free on drop instead of recycling) — a faulted-in buffer already paid a
+// disk round trip, so the extra allocation is noise.
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append `items` as consecutive `N`-byte records.
+fn put_records<T, const N: usize>(out: &mut Vec<u8>, items: &[T], enc: impl Fn(&T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + items.len() * N, 0);
+    for (dst, item) in out[at..].chunks_exact_mut(N).zip(items) {
+        dst.copy_from_slice(&enc(item));
+    }
 }
 
-/// Cursor-style reader over a spill slice; every `take_*` returns `None`
+/// Cursor-style reader over a spill slice; every read returns `None`
 /// on underrun so corrupt ring data surfaces as a decode failure, not a
-/// panic.
+/// panic — and never allocates for more than the bytes that are there.
 struct Rd<'a>(&'a [u8]);
 
 impl Rd<'_> {
-    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.0.split_at_checked(N)?;
-        self.0 = rest;
-        head.try_into().ok()
-    }
-
     fn u32(&mut self) -> Option<u32> {
-        self.take::<4>().map(u32::from_le_bytes)
+        let (head, rest) = self.0.split_first_chunk::<4>()?;
+        self.0 = rest;
+        Some(u32::from_le_bytes(*head))
     }
 
-    fn f32(&mut self) -> Option<f32> {
-        self.take::<4>().map(f32::from_le_bytes)
+    /// The next `n` records of `N` bytes each. The claimed count is
+    /// checked against the bytes remaining *before* anything is
+    /// allocated, so a corrupt count cannot ask for terabytes.
+    fn take_records<T, const N: usize>(
+        &mut self,
+        n: usize,
+        dec: impl Fn(&[u8; N]) -> T,
+    ) -> Option<Vec<T>> {
+        let (head, rest) = self.0.split_at_checked(n.checked_mul(N)?)?;
+        self.0 = rest;
+        Some(head.as_chunks::<N>().0.iter().map(dec).collect())
     }
 
     fn done(&self) -> bool {
@@ -150,16 +162,14 @@ impl Rd<'_> {
 
 impl SpillCodec for ChunkPayload {
     fn spill_encode(&self, out: &mut Vec<u8>) {
+        out.reserve(24 + self.grid.data.len() * 4);
         put_u32(out, self.origin.0);
         put_u32(out, self.origin.1);
         put_u32(out, self.origin.2);
         put_u32(out, self.grid.dims.nx);
         put_u32(out, self.grid.dims.ny);
         put_u32(out, self.grid.dims.nz);
-        out.reserve(self.grid.data.len() * 4);
-        for &v in &self.grid.data {
-            put_f32(out, v);
-        }
+        put_records(out, &self.grid.data, |v| v.to_le_bytes());
     }
 
     fn spill_decode(bytes: &[u8]) -> Option<Self> {
@@ -173,54 +183,79 @@ impl SpillCodec for ChunkPayload {
         let n = (dims.nx as usize)
             .checked_mul(dims.ny as usize)?
             .checked_mul(dims.nz as usize)?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
-        if !r.done() {
-            return None;
-        }
-        Some(ChunkPayload {
+        let data = r.take_records(n, |b| f32::from_le_bytes(*b))?;
+        r.done().then_some(ChunkPayload {
             origin,
             grid: RectGrid { dims, data },
         })
     }
 }
 
+const TRIANGLE_RECORD: usize = TRIANGLE_WIRE_BYTES as usize;
+
+/// A triangle's spill record: `v[0]`, `v[1]`, `v[2]`, `normal`, each as
+/// `x`, `y`, `z`.
+fn triangle_record(t: &Triangle) -> [u8; TRIANGLE_RECORD] {
+    let [a, b, c] = t.v;
+    let n = t.normal;
+    let floats = [a.x, a.y, a.z, b.x, b.y, b.z, c.x, c.y, c.z, n.x, n.y, n.z];
+    let mut rec = [0u8; TRIANGLE_RECORD];
+    for (dst, f) in rec.as_chunks_mut::<4>().0.iter_mut().zip(floats) {
+        *dst = f.to_le_bytes();
+    }
+    rec
+}
+
+fn triangle_from_record(rec: &[u8; TRIANGLE_RECORD]) -> Triangle {
+    let f = rec.as_chunks::<4>().0;
+    let v = |i: usize| {
+        isosurf::vec3(
+            f32::from_le_bytes(f[i]),
+            f32::from_le_bytes(f[i + 1]),
+            f32::from_le_bytes(f[i + 2]),
+        )
+    };
+    Triangle {
+        v: [v(0), v(3), v(6)],
+        normal: v(9),
+    }
+}
+
 impl SpillCodec for TriBatch {
     fn spill_encode(&self, out: &mut Vec<u8>) {
-        out.reserve(self.tris.len() * TRIANGLE_WIRE_BYTES as usize);
-        for t in self.tris.iter() {
-            for v in t.v.iter().chain(std::iter::once(&t.normal)) {
-                put_f32(out, v.x);
-                put_f32(out, v.y);
-                put_f32(out, v.z);
-            }
-        }
+        put_records(out, &self.tris, triangle_record);
     }
 
     fn spill_decode(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(TRIANGLE_WIRE_BYTES as usize) {
-            return None;
-        }
         let mut r = Rd(bytes);
-        let mut tris = Vec::with_capacity(bytes.len() / TRIANGLE_WIRE_BYTES as usize);
-        while !r.done() {
-            let mut vs = [isosurf::Vec3::ZERO; 4];
-            for v in &mut vs {
-                *v = isosurf::vec3(r.f32()?, r.f32()?, r.f32()?);
-            }
-            tris.push(Triangle {
-                v: [vs[0], vs[1], vs[2]],
-                normal: vs[3],
-            });
-        }
-        Some(TriBatch { tris: tris.into() })
+        let tris = r.take_records(bytes.len() / TRIANGLE_RECORD, triangle_from_record)?;
+        r.done().then_some(TriBatch { tris: tris.into() })
     }
 }
 
 const RAOUT_BAND_TAG: u8 = 0;
 const RAOUT_WPA_TAG: u8 = 1;
+
+/// Spill bytes per winning pixel: `x`, `y`, `depth`, `rgb`, unpadded.
+const WPA_RECORD: usize = 11;
+
+fn wpa_record(p: &WinningPixel) -> [u8; WPA_RECORD] {
+    let mut rec = [0u8; WPA_RECORD];
+    rec[0..2].copy_from_slice(&p.x.to_le_bytes());
+    rec[2..4].copy_from_slice(&p.y.to_le_bytes());
+    rec[4..8].copy_from_slice(&p.depth.to_le_bytes());
+    rec[8..11].copy_from_slice(&p.rgb);
+    rec
+}
+
+fn wpa_from_record(r: &[u8; WPA_RECORD]) -> WinningPixel {
+    WinningPixel {
+        x: u16::from_le_bytes([r[0], r[1]]),
+        y: u16::from_le_bytes([r[2], r[3]]),
+        depth: f32::from_le_bytes([r[4], r[5], r[6], r[7]]),
+        rgb: [r[8], r[9], r[10]],
+    }
+}
 
 impl SpillCodec for RaOut {
     fn spill_encode(&self, out: &mut Vec<u8>) {
@@ -231,28 +266,19 @@ impl SpillCodec for RaOut {
                 depth,
                 color,
             } => {
+                out.reserve(13 + depth.len() * 4 + color.len() * 3);
                 out.push(RAOUT_BAND_TAG);
                 put_u32(out, *y0);
                 put_u32(out, *width);
                 put_u32(out, depth.len() as u32);
-                out.reserve(depth.len() * 7);
-                for &d in depth.iter() {
-                    put_f32(out, d);
-                }
-                for rgb in color.iter() {
-                    out.extend_from_slice(rgb);
-                }
+                put_records(out, depth, |d| d.to_le_bytes());
+                out.extend_from_slice(color.as_flattened());
             }
             RaOut::Wpa(batch) => {
+                out.reserve(5 + batch.len() * WPA_RECORD);
                 out.push(RAOUT_WPA_TAG);
                 put_u32(out, batch.len() as u32);
-                out.reserve(batch.len() * 11);
-                for p in batch.iter() {
-                    out.extend_from_slice(&p.x.to_le_bytes());
-                    out.extend_from_slice(&p.y.to_le_bytes());
-                    put_f32(out, p.depth);
-                    out.extend_from_slice(&p.rgb);
-                }
+                put_records(out, batch, wpa_record);
             }
         }
     }
@@ -260,54 +286,32 @@ impl SpillCodec for RaOut {
     fn spill_decode(bytes: &[u8]) -> Option<Self> {
         let (&tag, rest) = bytes.split_first()?;
         let mut r = Rd(rest);
-        match tag {
+        let decoded = match tag {
             RAOUT_BAND_TAG => {
                 let y0 = r.u32()?;
                 let width = r.u32()?;
                 let n = r.u32()? as usize;
-                let mut depth = Vec::with_capacity(n);
-                for _ in 0..n {
-                    depth.push(r.f32()?);
-                }
-                let mut color = Vec::with_capacity(n);
-                for _ in 0..n {
-                    color.push(r.take::<3>()?);
-                }
-                if !r.done() {
-                    return None;
-                }
-                Some(RaOut::Band {
+                RaOut::Band {
                     y0,
                     width,
-                    depth: depth.into(),
-                    color: color.into(),
-                })
+                    depth: r.take_records(n, |b| f32::from_le_bytes(*b))?.into(),
+                    color: r.take_records(n, |rgb: &[u8; 3]| *rgb)?.into(),
+                }
             }
             RAOUT_WPA_TAG => {
                 let n = r.u32()? as usize;
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    batch.push(WinningPixel {
-                        x: u16::from_le_bytes(r.take::<2>()?),
-                        y: u16::from_le_bytes(r.take::<2>()?),
-                        depth: r.f32()?,
-                        rgb: r.take::<3>()?,
-                    });
-                }
-                if !r.done() {
-                    return None;
-                }
-                Some(RaOut::Wpa(batch.into()))
+                RaOut::Wpa(r.take_records(n, wpa_from_record)?.into())
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        r.done().then_some(decoded)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use volume::Dims;
+    use proptest::prelude::*;
 
     #[test]
     fn chunk_wire_bytes() {
@@ -439,5 +443,238 @@ mod tests {
         assert!(TriBatch::spill_decode(&[0; 47]).is_none());
         assert!(RaOut::spill_decode(&[7]).is_none(), "unknown tag");
         assert!(RaOut::spill_decode(&[]).is_none());
+    }
+
+    /// A corrupt count or dims field claims more elements than the frame
+    /// holds: the decoders must answer `None` from the lengths alone.
+    /// (They used to `Vec::with_capacity` the claimed count first — one
+    /// flipped bit in `nx` aborted the process on a 2.4 TB allocation.
+    /// `TriBatch` carries no count: its length is the frame's.)
+    #[test]
+    fn corrupt_counts_fail_to_decode_without_allocating() {
+        let mut chunk = Vec::new();
+        ChunkPayload {
+            origin: (0, 0, 0),
+            grid: RectGrid::filled(Dims::new(17, 17, 17), 1.0),
+        }
+        .spill_encode(&mut chunk);
+        for (field, bit) in [(12, 31), (16, 31), (20, 31), (12, 0), (20, 4)] {
+            let mut bad = chunk.clone();
+            bad[field + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                ChunkPayload::spill_decode(&bad).is_none(),
+                "dims byte {field} bit {bit}"
+            );
+        }
+        let mut bad = chunk.clone();
+        for dim in [12, 16, 20] {
+            bad[dim..dim + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        assert!(
+            ChunkPayload::spill_decode(&bad).is_none(),
+            "overflowing dims"
+        );
+
+        let mut band = Vec::new();
+        RaOut::Band {
+            y0: 0,
+            width: 4,
+            depth: vec![0.5; 8].into(),
+            color: vec![[1, 2, 3]; 8].into(),
+        }
+        .spill_encode(&mut band);
+        let mut wpa = Vec::new();
+        RaOut::Wpa(vec![wpa_from_record(&[7; WPA_RECORD]); 8].into()).spill_encode(&mut wpa);
+        for (frame, count_at) in [(&band, 9), (&wpa, 1)] {
+            for claimed in [u32::MAX, 0x8000_0008, 9, 7] {
+                let mut bad = frame.clone();
+                bad[count_at..count_at + 4].copy_from_slice(&claimed.to_le_bytes());
+                assert!(
+                    RaOut::spill_decode(&bad).is_none(),
+                    "tag {} claiming {claimed} entries",
+                    frame[0]
+                );
+            }
+        }
+    }
+
+    // The per-element encoders the bulk ones replaced, kept verbatim as
+    // the byte-for-byte oracle: frame bytes and lengths feed the simulated
+    // disk charge, the spill counters and the seeded corrupt-bit index, so
+    // the new encoders may not move one of them.
+
+    fn put_f32(out: &mut Vec<u8>, v: f32) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn reference_chunk_encode(p: &ChunkPayload, out: &mut Vec<u8>) {
+        put_u32(out, p.origin.0);
+        put_u32(out, p.origin.1);
+        put_u32(out, p.origin.2);
+        put_u32(out, p.grid.dims.nx);
+        put_u32(out, p.grid.dims.ny);
+        put_u32(out, p.grid.dims.nz);
+        out.reserve(p.grid.data.len() * 4);
+        for &v in &p.grid.data {
+            put_f32(out, v);
+        }
+    }
+
+    fn reference_tri_encode(b: &TriBatch, out: &mut Vec<u8>) {
+        out.reserve(b.tris.len() * TRIANGLE_WIRE_BYTES as usize);
+        for t in b.tris.iter() {
+            for v in t.v.iter().chain(std::iter::once(&t.normal)) {
+                put_f32(out, v.x);
+                put_f32(out, v.y);
+                put_f32(out, v.z);
+            }
+        }
+    }
+
+    fn reference_raout_encode(r: &RaOut, out: &mut Vec<u8>) {
+        match r {
+            RaOut::Band {
+                y0,
+                width,
+                depth,
+                color,
+            } => {
+                out.push(RAOUT_BAND_TAG);
+                put_u32(out, *y0);
+                put_u32(out, *width);
+                put_u32(out, depth.len() as u32);
+                out.reserve(depth.len() * 7);
+                for &d in depth.iter() {
+                    put_f32(out, d);
+                }
+                for rgb in color.iter() {
+                    out.extend_from_slice(rgb);
+                }
+            }
+            RaOut::Wpa(batch) => {
+                out.push(RAOUT_WPA_TAG);
+                put_u32(out, batch.len() as u32);
+                out.reserve(batch.len() * 11);
+                for p in batch.iter() {
+                    out.extend_from_slice(&p.x.to_le_bytes());
+                    out.extend_from_slice(&p.y.to_le_bytes());
+                    put_f32(out, p.depth);
+                    out.extend_from_slice(&p.rgb);
+                }
+            }
+        }
+    }
+
+    /// An `f32` from raw bits, steered onto the awkward values — ±0, ±∞,
+    /// quiet and signalling NaNs with payloads, a subnormal — one draw in
+    /// four, since uniform bits almost never land on them.
+    fn float(bits: u64) -> f32 {
+        const AWKWARD: [u32; 8] = [
+            0x0000_0000,
+            0x8000_0000,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7FC0_0001,
+            0xFFFF_FFFF,
+            0x7F80_0001,
+            0x0000_0001,
+        ];
+        match (bits >> 32) as usize % 32 {
+            i if i < AWKWARD.len() => f32::from_bits(AWKWARD[i]),
+            _ => f32::from_bits(bits as u32),
+        }
+    }
+
+    /// The bulk encoder appends exactly the oracle's bytes — into an empty
+    /// `Vec` and after a prefix — and decoding them gives back a payload
+    /// that encodes to the same bytes (so every bit survived).
+    fn check_against_oracle<T: SpillCodec>(
+        payload: &T,
+        oracle: fn(&T, &mut Vec<u8>),
+    ) -> Result<(), String> {
+        let mut want = Vec::new();
+        oracle(payload, &mut want);
+        let mut got = Vec::new();
+        payload.spill_encode(&mut got);
+        prop_assert_eq!(&got, &want, "into an empty Vec");
+        let mut prefixed = vec![0xA5, 0x5A, 0xFF];
+        payload.spill_encode(&mut prefixed);
+        prop_assert_eq!(&prefixed[..3], &[0xA5, 0x5A, 0xFF], "prefix kept");
+        prop_assert_eq!(&prefixed[3..], &want[..], "after a prefix");
+        let Some(back) = T::spill_decode(&got) else {
+            return Err("decode of a clean encoding failed".into());
+        };
+        let mut again = Vec::new();
+        oracle(&back, &mut again);
+        prop_assert_eq!(&again, &want, "decode(encode(x)) is not x, bit for bit");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chunk_codec_matches_the_per_element_oracle(
+            dims in (0u32..5, 0u32..5, 0u32..5),
+            origin in (any::<u32>(), any::<u32>(), any::<u32>()),
+            bits in prop::collection::vec(any::<u64>(), 64..65),
+        ) {
+            let dims = Dims::new(dims.0, dims.1, dims.2);
+            let p = ChunkPayload {
+                origin,
+                grid: RectGrid {
+                    dims,
+                    data: bits.iter().cycle().take(dims.points() as usize).map(|&b| float(b)).collect(),
+                },
+            };
+            check_against_oracle(&p, reference_chunk_encode)?;
+        }
+
+        #[test]
+        fn tri_codec_matches_the_per_element_oracle(
+            bits in prop::collection::vec(any::<[u64; 12]>(), 0..6),
+        ) {
+            let tris: Vec<Triangle> = bits
+                .iter()
+                .map(|b| {
+                    let v = |i: usize| isosurf::vec3(float(b[i]), float(b[i + 1]), float(b[i + 2]));
+                    Triangle { v: [v(0), v(3), v(6)], normal: v(9) }
+                })
+                .collect();
+            check_against_oracle(&TriBatch { tris: tris.into() }, reference_tri_encode)?;
+        }
+
+        #[test]
+        fn raout_codec_matches_the_per_element_oracle(
+            band in any::<bool>(),
+            header in (any::<u32>(), any::<u32>()),
+            bits in prop::collection::vec(any::<u64>(), 0..9),
+        ) {
+            let r = if band {
+                RaOut::Band {
+                    y0: header.0,
+                    width: header.1,
+                    depth: bits.iter().map(|&b| float(b)).collect::<Vec<_>>().into(),
+                    color: bits
+                        .iter()
+                        .map(|&b| [b as u8, (b >> 8) as u8, (b >> 16) as u8])
+                        .collect::<Vec<_>>()
+                        .into(),
+                }
+            } else {
+                RaOut::Wpa(
+                    bits.iter()
+                        .map(|&b| WinningPixel {
+                            x: b as u16,
+                            y: (b >> 16) as u16,
+                            depth: float(b.rotate_left(17)),
+                            rgb: [(b >> 40) as u8, (b >> 48) as u8, (b >> 56) as u8],
+                        })
+                        .collect::<Vec<_>>()
+                        .into(),
+                )
+            };
+            check_against_oracle(&r, reference_raout_encode)?;
+        }
     }
 }

@@ -107,24 +107,15 @@ impl ParSSim {
         self.params.dims
     }
 
-    /// Concentration field of `species` at `timestep`.
-    ///
-    /// Values are roughly in `[0, ~1.5]`; isovalues around `0.35..0.6`
-    /// produce rich surfaces.
-    pub fn field(&self, species: u32, timestep: u32) -> RectGrid {
+    /// The species' plumes advected to `timestep`.
+    fn snapshot(&self, species: u32, timestep: u32) -> Vec<Plume> {
         assert!(species < SPECIES_COUNT, "species out of range");
-        let d = self.params.dims;
-        let plumes = &self.plumes[species as usize];
         let t = timestep as f32;
-        let noise_amp = self.params.noise;
-        let ph = self.phase;
-
-        // Advected plume snapshot at this timestep.
-        let snap: Vec<Plume> = plumes
+        self.plumes[species as usize]
             .iter()
             .map(|p| {
                 // Swirl: drift rotates slowly around z as time advances.
-                let ang = 0.18 * t + ph[0];
+                let ang = 0.18 * t + self.phase[0];
                 let (s, c) = ang.sin_cos();
                 let dx = p.drift[0] * c - p.drift[1] * s;
                 let dy = p.drift[0] * s + p.drift[1] * c;
@@ -140,7 +131,98 @@ impl ParSSim {
                     growth: p.growth,
                 }
             })
+            .collect()
+    }
+
+    /// Concentration field of `species` at `timestep`.
+    ///
+    /// Values are roughly in `[0, ~1.5]`; isovalues around `0.35..0.6`
+    /// produce rich surfaces.
+    ///
+    /// Every term of a sample — a plume's squared periodic distance along
+    /// one axis, one factor of the background texture — depends on a
+    /// single coordinate, so each is tabulated once per axis and a sample
+    /// only combines table entries (in exactly the order
+    /// `field_reference` evaluates them: the result is bit-identical).
+    pub fn field(&self, species: u32, timestep: u32) -> RectGrid {
+        let d = self.params.dims;
+        let snap = self.snapshot(species, timestep);
+        let t = timestep as f32;
+        let ph = self.phase;
+
+        let axis = |n: u32| {
+            let inv = 1.0 / (n.max(2) - 1) as f32;
+            (0..n).map(move |i| i as f32 * inv)
+        };
+        // Squared periodic distance to plume `pl`'s centre along `a`
+        // (plumes wrap at the domain edge).
+        let dist2 = |n: u32, a: usize, pl: &Plume| -> Vec<f32> {
+            axis(n)
+                .map(|p| {
+                    let mut dd = (p - pl.center[a]).abs();
+                    if dd > 0.5 {
+                        dd = 1.0 - dd;
+                    }
+                    dd * dd
+                })
+                .collect()
+        };
+        let texture = |n: u32, freq: f32, phase: f32| -> Vec<f32> {
+            axis(n).map(|p| (p * freq + phase).sin()).collect()
+        };
+        let tex = [
+            texture(d.nx, 9.2, ph[1]),
+            texture(d.ny, 7.7, ph[2]),
+            // Not `texture(.., ph[3] + 0.11 * t)`: that would reassociate
+            // the sum and move the last bit.
+            axis(d.nz)
+                .map(|p| (p * 8.4 + ph[3] + 0.11 * t).sin())
+                .collect(),
+        ];
+        let tables: Vec<_> = snap
+            .iter()
+            .map(|pl| {
+                let s2 = pl.sigma * pl.sigma;
+                let d2 = [dist2(d.nx, 0, pl), dist2(d.ny, 1, pl), dist2(d.nz, 2, pl)];
+                (d2, 9.0 * s2, 2.0 * s2, pl.amplitude)
+            })
             .collect();
+
+        let mut data = vec![0.0f32; d.points() as usize];
+        for (r, row) in data.chunks_exact_mut(d.nx.max(1) as usize).enumerate() {
+            let (y, z) = (r % d.ny as usize, r / d.ny as usize);
+            for ([dx, dy, dz], cutoff, two_s2, amplitude) in &tables {
+                let (ay, az) = (dy[y], dz[z]);
+                // The whole row is out of reach: `ax >= 0` and rounding is
+                // monotone, so `(ax + ay) + az >= ay + az` for every x.
+                if ay + az >= *cutoff {
+                    continue;
+                }
+                for (v, ax) in row.iter_mut().zip(dx) {
+                    let r2 = ax + ay + az;
+                    if r2 < *cutoff {
+                        *v += amplitude * (-r2 / two_s2).exp();
+                    }
+                }
+            }
+            // Smooth deterministic background texture.
+            let (sy, sz) = (tex[1][y], tex[2][z]);
+            for (v, sx) in row.iter_mut().zip(&tex[0]) {
+                *v += self.params.noise * (sx * sy * sz).abs();
+            }
+        }
+        RectGrid { dims: d, data }
+    }
+
+    /// `field` as first written, one closure call per point: the oracle
+    /// the tabulated version must match bit for bit.
+    #[cfg(test)]
+    fn field_reference(&self, species: u32, timestep: u32) -> RectGrid {
+        let d = self.params.dims;
+        let t = timestep as f32;
+        let noise_amp = self.params.noise;
+        let ph = self.phase;
+        let snap = self.snapshot(species, timestep);
 
         let inv = [
             1.0 / (d.nx.max(2) - 1) as f32,
@@ -234,6 +316,32 @@ mod tests {
         let iso = 0.5;
         let above = f.data.iter().filter(|&&v| v > iso).count();
         assert!(above > 0 && above < f.data.len());
+    }
+
+    /// The tabulated `field` against the per-point original, whole fields
+    /// by `to_bits()`: cubes and a lopsided box, a one-point axis, every
+    /// species, early / middle / late timesteps.
+    #[test]
+    fn tabulated_field_is_bit_identical_to_the_per_point_original() {
+        for (nx, ny, nz) in [
+            (2, 2, 2),
+            (17, 17, 17),
+            (33, 9, 21),
+            (5, 1, 3),
+            (65, 65, 65),
+        ] {
+            let sim = ParSSim::new(SimParams::new(Dims::new(nx, ny, nz), 2002 + nx as u64));
+            for species in 0..SPECIES_COUNT {
+                for timestep in [0, 3, 9] {
+                    let bits = |g: RectGrid| g.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(sim.field(species, timestep)),
+                        bits(sim.field_reference(species, timestep)),
+                        "{nx}x{ny}x{nz} species {species} timestep {timestep}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

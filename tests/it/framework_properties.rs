@@ -571,12 +571,13 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Self-healing storage plane properties: every spill frame the budgeted
-// pipeline parks is sealed with an 8-byte FNV-1a trailer. The contract the
-// recovery ladder leans on is that *any* single bit flip anywhere in a
-// sealed frame — payload or trailer — is detected at fault-in (FNV-1a's
-// xor-then-odd-multiply step is injective, so one changed byte can never
-// cancel out), and that sealing is stable under re-spill: fault a frame
-// in, decode it, encode and seal it again, and the bytes are identical.
+// pipeline parks is sealed with an 8-byte checksum trailer. The contract
+// the recovery ladder leans on is that *any* single bit flip anywhere in a
+// sealed frame — payload or trailer — is detected at fault-in (every
+// checksum step is injective in the word it absorbs, so one changed word
+// can never cancel out), and that sealing is stable under re-spill: fault
+// a frame in, decode it, encode and seal it again, and the bytes are
+// identical.
 
 use datacutter::{open_frame, seal_frame};
 use dcapp::{ChunkPayload, RaOut, TriBatch};
