@@ -96,55 +96,60 @@ fn parse_args() -> Args {
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[*i - 1]);
-            exit(2);
-        })
-    };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--nodes" => a.nodes = next(&mut i).parse().expect("--nodes"),
-            "--grid" => a.grid = next(&mut i).parse().expect("--grid"),
-            "--image" => a.image = next(&mut i).parse().expect("--image"),
-            "--iso" => a.iso = next(&mut i).parse().expect("--iso"),
-            "--species" => a.species = next(&mut i).parse().expect("--species"),
-            "--timestep" => a.timestep = next(&mut i).parse().expect("--timestep"),
-            "--seed" => a.seed = next(&mut i).parse().expect("--seed"),
-            "--grouping" => a.grouping = next(&mut i),
-            "--policy" => a.policy = next(&mut i),
-            "--algorithm" => a.algorithm = next(&mut i),
-            "--executor" => a.executor = next(&mut i),
-            "--workers" => a.workers = next(&mut i).parse().expect("--workers"),
-            "--memory-budget" => a.memory_budget = next(&mut i).parse().expect("--memory-budget"),
-            "--cache-capacity" => {
-                a.cache_capacity = next(&mut i).parse().expect("--cache-capacity")
-            }
-            "--prefetch-depth" => {
-                a.prefetch_depth = next(&mut i).parse().expect("--prefetch-depth")
-            }
-            "--storage-faults" => {
-                a.storage_faults = Some(next(&mut i).parse().expect("--storage-faults"))
-            }
-            "--storage-retries" => {
-                a.storage_retries = Some(next(&mut i).parse().expect("--storage-retries"))
-            }
-            "--out" => a.out = next(&mut i),
+            "--nodes" => a.nodes = number(&argv, &mut i),
+            "--grid" => a.grid = number(&argv, &mut i),
+            "--image" => a.image = number(&argv, &mut i),
+            "--iso" => a.iso = number(&argv, &mut i),
+            "--species" => a.species = number(&argv, &mut i),
+            "--timestep" => a.timestep = number(&argv, &mut i),
+            "--seed" => a.seed = number(&argv, &mut i),
+            "--grouping" => a.grouping = value(&argv, &mut i).into(),
+            "--policy" => a.policy = value(&argv, &mut i).into(),
+            "--algorithm" => a.algorithm = value(&argv, &mut i).into(),
+            "--executor" => a.executor = value(&argv, &mut i).into(),
+            "--workers" => a.workers = number(&argv, &mut i),
+            "--memory-budget" => a.memory_budget = number(&argv, &mut i),
+            "--cache-capacity" => a.cache_capacity = number(&argv, &mut i),
+            "--prefetch-depth" => a.prefetch_depth = number(&argv, &mut i),
+            "--storage-faults" => a.storage_faults = Some(number(&argv, &mut i)),
+            "--storage-retries" => a.storage_retries = Some(number(&argv, &mut i)),
+            "--out" => a.out = value(&argv, &mut i).into(),
             "--plan" => a.plan = true,
             "--verbose" => a.verbose = true,
             "--help" | "-h" => {
                 println!("{HELP}");
                 exit(0);
             }
-            other => {
-                eprintln!("unknown flag {other}\n\n{HELP}");
-                exit(2);
-            }
+            other => usage_error(format_args!("unknown flag {other}")),
         }
         i += 1;
     }
     a
+}
+
+/// Reject the command line: one line saying what is wrong, the usage
+/// line, exit status 2.
+fn usage_error(what: std::fmt::Arguments) -> ! {
+    eprintln!("dcrender: {what}\nUSAGE: dcrender [FLAGS]   (--help lists them)");
+    exit(2);
+}
+
+/// The value following the flag at `argv[*i]`; advances `i` onto it.
+fn value<'a>(argv: &'a [String], i: &mut usize) -> &'a str {
+    *i += 1;
+    match argv.get(*i) {
+        Some(v) => v,
+        None => usage_error(format_args!("{}: missing value", argv[*i - 1])),
+    }
+}
+
+/// As [`value`], parsed as a number.
+fn number<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
+    let v = value(argv, i);
+    v.parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{}: invalid value '{v}'", argv[*i - 1])))
 }
 
 fn main() {

@@ -17,8 +17,8 @@
 //!
 //! # The fast data plane
 //!
-//! Two structural choices keep the per-event cost low without changing the
-//! dispatch order by a single event:
+//! Three structural choices keep the per-event cost low without changing
+//! the dispatch order by a single event:
 //!
 //! * **Slab event queue.** An event is a packed `u128` key —
 //!   `(time: 64 | seq: 40 | slot: 24)` — ordered in a `BinaryHeap`, with
@@ -42,6 +42,31 @@
 //!   a different thread, so runs stay bit-for-bit identical. Throttled
 //!   runs ([`Simulation::run_throttled`]) keep the centralized loop, which
 //!   is the natural place to sleep on the wall clock between events.
+//!
+//! * **Inline timer chains.** A resource model that would sleep through a
+//!   run of back-to-back `delay`s (a CPU's sixteen scheduling quanta)
+//!   leaves a *step function* with the engine instead
+//!   (`Env::delay_chain`, crate-private). `dispatch_next`, on popping that
+//!   process's event, runs the step on whichever thread is dispatching:
+//!   `Some(d)` is the next `delay(d)` — the event `(now + d, same pid,
+//!   next epoch)` is pushed and dispatch simply continues — and `None`
+//!   grants the process within that same event. A chain of `n` delays
+//!   costs one thread hand-off instead of `n`, yet stays event for event
+//!   what the thread did: every step is still one dispatched event,
+//!   pushed at the same point of the dispatch order (nothing else can run
+//!   between a pop and the push that follows it, on either path) and so
+//!   with the same `(time, seq)`; a delay that rounds to zero schedules no
+//!   event, as `Env::delay` returns at once when `now >= target`; and a
+//!   stray [`Env::wake`] mid-delay (a stale waiter registration can
+//!   deliver one) is counted, bumps the epoch and re-arms the timer at its
+//!   `due` time, exactly as the woken thread re-arms when it finds
+//!   `now < target`. Steps run under the core lock on *another process's*
+//!   thread, so they never touch [`Env`] (`now` is an argument), take
+//!   locks only in the order core → resource state, and a panic in one is
+//!   caught and reported against the chained process. Processes are the
+//!   rule — filters, senders, couriers, load generators all block on
+//!   channels and read shared state between events; steps are only for
+//!   logic that is a pure function of resource state between two timers.
 //!
 //! # Example
 //!
@@ -119,6 +144,16 @@ pub struct RunStats {
     pub events: u64,
     /// Number of processes that ran to completion.
     pub processes: u32,
+    /// Events granted to a process parked on another thread: one condvar
+    /// notify plus one park — the expensive kind of event.
+    pub handoffs: u64,
+    /// Events granted to the very process that was dispatching (its own
+    /// timer was next): no context switch.
+    pub self_grants: u64,
+    /// Events consumed inside the event loop without granting anyone:
+    /// timer-chain steps and re-armed stray wakes. Always
+    /// `events == handoffs + self_grants + inline_steps`.
+    pub inline_steps: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +175,34 @@ struct Proc {
     status: Status,
     epoch: Epoch,
     cv: Arc<Condvar>,
+    /// Set while the process sleeps through an inline timer chain.
+    chain: Option<Chain>,
+}
+
+/// The step function of an inline timer chain: called with the current
+/// virtual time, returns the next delay or `None` when the chain is done.
+/// Runs under the core lock, possibly on another process's thread, so it
+/// must not call into [`Env`] and should not panic.
+type ChainStep = dyn FnMut(SimTime) -> Option<SimDuration> + Send;
+
+/// A blocked process's pending chain: the step and the instant its
+/// current timer fires. A fresh event for the process before `due` is a
+/// stray wake, not the timer.
+struct Chain {
+    due: SimTime,
+    step: Box<ChainStep>,
+}
+
+/// The instant the chain's next timer fires, or `None` when the chain is
+/// done. A delay too short to move the clock schedules nothing and the
+/// step is asked again — [`Env::delay`]'s `now >= target` early return.
+fn next_due(step: &mut ChainStep, now: SimTime) -> Option<SimTime> {
+    loop {
+        let due = now + step(now)?;
+        if due > now {
+            return Some(due);
+        }
+    }
 }
 
 /// Slab payload of one scheduled event; the wake target and the blocking
@@ -197,6 +260,9 @@ struct Core {
     running: Option<ProcessId>,
     live: usize,
     dispatched: u64,
+    handoffs: u64,
+    self_grants: u64,
+    inline_steps: u64,
     completed: u32,
     panic: Option<(String, String)>,
     /// Terminal outcome produced by whichever thread drained the queue;
@@ -255,10 +321,18 @@ impl Core {
 
     /// Terminal statistics once the queue has drained.
     fn stats(&self) -> RunStats {
+        debug_assert_eq!(
+            self.dispatched,
+            self.handoffs + self.self_grants + self.inline_steps,
+            "every dispatched event is a hand-off, a self-grant or an inline step"
+        );
         RunStats {
             end_time: self.now,
             events: self.dispatched,
             processes: self.completed,
+            handoffs: self.handoffs,
+            self_grants: self.self_grants,
+            inline_steps: self.inline_steps,
         }
     }
 
@@ -280,10 +354,12 @@ struct Shared {
 
 /// Pop-and-grant the next fresh event: the single dispatch algorithm, run
 /// by whichever thread reaches a dispatch point (a blocking process under
-/// direct handoff, the engine thread in centralized mode). Returns `true`
-/// when the granted process is `granting` itself — the caller keeps the
-/// CPU with no context switch at all. When the queue drains, records the
-/// terminal result and wakes the engine.
+/// direct handoff, the engine thread in centralized mode). An event whose
+/// process sleeps through a timer chain is consumed right here — the step
+/// runs inline and the loop carries on — so only the chain's last event
+/// grants. Returns `true` when the granted process is `granting` itself —
+/// the caller keeps the CPU with no context switch at all. When the queue
+/// drains, records the terminal result and wakes the engine.
 fn dispatch_next(shared: &Shared, core: &mut Core, granting: Option<ProcessId>) -> bool {
     loop {
         let Some((key, rec)) = core.pop_event() else {
@@ -307,17 +383,63 @@ fn dispatch_next(shared: &Shared, core: &mut Core, granting: Option<ProcessId>) 
         if !fresh {
             continue;
         }
-        core.now = key_time(key);
+        let now = key_time(key);
+        core.now = now;
         core.dispatched += 1;
-        core.procs[idx].status = Status::Running;
-        core.procs[idx].epoch += 1;
+        let proc = &mut core.procs[idx];
+        proc.epoch += 1;
+        if let Some(chain) = proc.chain.as_mut() {
+            let due = if now < chain.due {
+                // A stray wake mid-delay: re-arm, as the woken thread would.
+                Some(chain.due)
+            } else {
+                let step = &mut *chain.step;
+                match catch_unwind(AssertUnwindSafe(|| next_due(step, now))) {
+                    Ok(due) => due,
+                    Err(payload) => {
+                        // The step panicked on a thread that is not its
+                        // process's: report it here, against its process.
+                        let failed = (proc.name.clone(), panic_message(&*payload));
+                        core.panic.get_or_insert(failed);
+                        core.halted = true;
+                        shared.engine_cv.notify_one();
+                        return false;
+                    }
+                }
+            };
+            if let Some(due) = due {
+                chain.due = due;
+                let epoch = proc.epoch;
+                proc.status = Status::Blocked(epoch);
+                core.push_event(due, rec.pid, epoch);
+                core.inline_steps += 1;
+                if core.centralized {
+                    // One event per call: the throttle sleeps between them.
+                    return false;
+                }
+                continue;
+            }
+            proc.chain = None;
+        }
+        proc.status = Status::Running;
         core.running = Some(rec.pid);
         if granting == Some(rec.pid) {
+            core.self_grants += 1;
             return true;
         }
+        core.handoffs += 1;
         core.procs[idx].cv.notify_one();
         return false;
     }
+}
+
+/// The message of a caught panic payload, when it is a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
 /// Sentinel panic payload used to unwind cancelled process threads without
@@ -360,6 +482,30 @@ impl Env {
             self.schedule_self(&mut core, target);
             self.yield_blocked(core);
         }
+    }
+
+    /// Sleep through a chain of delays without waking between them: each
+    /// `Some(d)` that `step` returns is one `self.delay(d)`, and `None`
+    /// ends the chain. Virtual time, event count and event order are those
+    /// of the `delay` loop; the first step runs here, every later one
+    /// inside the event loop on whichever thread pops this process's timer
+    /// (see "Inline timer chains" in the module docs), so `step` must not
+    /// call into [`Env`] and may lock only state that is never held across
+    /// an `Env` call.
+    pub(crate) fn delay_chain(
+        &self,
+        mut step: impl FnMut(SimTime) -> Option<SimDuration> + Send + 'static,
+    ) {
+        let mut core = self.shared.core.lock();
+        let Some(due) = next_due(&mut step, core.now) else {
+            return;
+        };
+        core.procs[self.pid.0 as usize].chain = Some(Chain {
+            due,
+            step: Box::new(step),
+        });
+        self.schedule_self(&mut core, due);
+        self.yield_blocked(core);
     }
 
     /// Yield to any other process scheduled at the current instant, then
@@ -494,6 +640,7 @@ where
         status: Status::Created,
         epoch: 0,
         cv,
+        chain: None,
     });
     core.live += 1;
     // First wake, at the current instant.
@@ -534,12 +681,7 @@ where
                     if payload.downcast_ref::<CancelToken>().is_some() {
                         None
                     } else {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                        Some(msg)
+                        Some(panic_message(&*payload))
                     }
                 }
             };
@@ -604,6 +746,9 @@ impl Simulation {
                     running: None,
                     live: 0,
                     dispatched: 0,
+                    handoffs: 0,
+                    self_grants: 0,
+                    inline_steps: 0,
                     completed: 0,
                     panic: None,
                     result: None,
@@ -736,6 +881,8 @@ impl Simulation {
         let mut core = self.shared.core.lock();
         core.halted = true;
         for p in core.procs.iter_mut() {
+            // A pending step is dropped, never run.
+            p.chain = None;
             match p.status {
                 Status::Finished => {}
                 _ => {
@@ -990,6 +1137,269 @@ mod tests {
         sim.run().unwrap();
         // One process delaying in a loop needs only a couple of slots.
         assert!(sim.shared.core.lock().slab.len() < 8);
+    }
+
+    // -- inline timer chains ------------------------------------------------
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The definition a chain must match: one `Env::delay` per entry.
+    fn delay_each(env: &Env, nanos: &[u64]) {
+        for &ns in nanos {
+            env.delay(SimDuration::from_nanos(ns));
+        }
+    }
+
+    /// The same delays as an inline timer chain; `calls` counts the steps.
+    fn chain_each(env: &Env, nanos: &[u64], calls: &Arc<AtomicU64>) {
+        let mut rest: VecDeque<u64> = nanos.iter().copied().collect();
+        let calls = calls.clone();
+        env.delay_chain(move |_now| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            rest.pop_front().map(SimDuration::from_nanos)
+        });
+    }
+
+    /// Grant exactly one event from the test thread, as the throttled
+    /// engine loop does, and wait for the granted process to block again.
+    fn step_centralized(sim: &Simulation) {
+        let mut core = sim.shared.core.lock();
+        core.centralized = true;
+        dispatch_next(&sim.shared, &mut core, None);
+        while core.running.is_some() {
+            sim.shared.engine_cv.wait(&mut core);
+        }
+    }
+
+    #[test]
+    fn chain_is_a_delay_loop_with_one_handoff() {
+        const NANOS: [u64; 7] = [3_000, 0, 5_000, 0, 0, 2_000, 0];
+        let run = |chained: bool| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let mut sim = Simulation::new();
+            // A peer whose timers interleave with the chain's, so the
+            // delay loop has to hand off to and fro.
+            sim.spawn("peer", |env| delay_each(&env, &[1_000; 12]));
+            let c = calls.clone();
+            sim.spawn("sleeper", move |env| {
+                if chained {
+                    chain_each(&env, &NANOS, &c);
+                } else {
+                    delay_each(&env, &NANOS);
+                }
+                assert_eq!(env.now().as_nanos(), 10_000);
+            });
+            (sim.run().unwrap(), calls.load(Ordering::Relaxed))
+        };
+        let (reference, _) = run(false);
+        let (chained, calls) = run(true);
+        assert_eq!(chained.end_time, reference.end_time);
+        assert_eq!(chained.events, reference.events);
+        assert_eq!(chained.processes, reference.processes);
+        // Zero-length delays schedule no event on either path: 2 starts,
+        // 12 peer timers, 3 sleeper timers.
+        assert_eq!(chained.events, 17);
+        // One step per delay plus the `None` that ends the chain.
+        assert_eq!(calls, NANOS.len() as u64 + 1);
+        assert_eq!(reference.inline_steps, 0);
+        assert_eq!(chained.inline_steps, 2);
+        assert!(
+            chained.handoffs < reference.handoffs,
+            "{chained:?} vs {reference:?}"
+        );
+        for s in [reference, chained] {
+            assert_eq!(s.events, s.handoffs + s.self_grants + s.inline_steps);
+        }
+    }
+
+    #[test]
+    fn a_lone_process_never_hands_off() {
+        let mut sim = Simulation::new();
+        sim.spawn("looper", |env| {
+            for _ in 0..1_000_000 {
+                env.delay(SimDuration::from_nanos(5));
+            }
+        });
+        let stats = sim.run().unwrap();
+        // The start is the engine waking the thread; every delay after it
+        // is the process popping its own timer.
+        assert_eq!(stats.handoffs, 1);
+        assert_eq!(stats.self_grants, 1_000_000);
+        assert_eq!(stats.inline_steps, 0);
+        assert_eq!(stats.events, 1_000_001);
+    }
+
+    #[test]
+    fn stray_wake_mid_chain_rearms_the_timer() {
+        let run = |chained: bool| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let mut sim = Simulation::new();
+            let c = calls.clone();
+            let sleeper = sim.spawn("sleeper", move |env| {
+                if chained {
+                    chain_each(&env, &[4_000, 4_000], &c);
+                } else {
+                    delay_each(&env, &[4_000, 4_000]);
+                }
+                // The full duration elapsed despite three stray wakes.
+                assert_eq!(env.now().as_nanos(), 8_000);
+            });
+            let c = calls.clone();
+            sim.spawn("noisy", move |env| {
+                for expect_calls in [1, 1, 2] {
+                    env.delay(SimDuration::from_nanos(1_500));
+                    if chained {
+                        // A stray wake re-arms; it never runs the step.
+                        assert_eq!(c.load(Ordering::Relaxed), expect_calls);
+                    }
+                    assert!(env.wake(sleeper), "sleeper is blocked mid-delay");
+                }
+            });
+            sim.run().unwrap()
+        };
+        let (reference, chained) = (run(false), run(true));
+        assert_eq!(chained.end_time, reference.end_time);
+        assert_eq!(chained.events, reference.events);
+        // 2 starts + 3 noisy timers + 3 stray wakes + 2 sleeper timers.
+        assert_eq!(chained.events, 10);
+        // Three re-arms and the first timer; the second one grants.
+        assert_eq!(chained.inline_steps, 4);
+    }
+
+    #[test]
+    fn peer_panic_mid_chain_names_the_peer_and_joins_everyone() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut sim = Simulation::new();
+        let c = calls.clone();
+        sim.spawn("computing", move |env| {
+            chain_each(&env, &[1_000; 8], &c);
+        });
+        sim.spawn("bad", |env| {
+            env.delay(SimDuration::from_nanos(2_500));
+            panic!("boom");
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "bad");
+                assert!(message.contains("boom"));
+            }
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        // Teardown joined both threads and freed the pending step (the
+        // step closure holds the only other reference to `calls`).
+        assert!(sim.shared.handles.lock().is_empty());
+        assert_eq!(Arc::strong_count(&calls), 1);
+        // First step on its own thread, then the timers at 1 and 2 µs.
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn panicking_step_is_reported_against_its_own_process() {
+        let mut sim = Simulation::new();
+        // The bystander's timers make it the thread that pops the chained
+        // process's second timer and runs the panicking step.
+        sim.spawn("bystander", |env| delay_each(&env, &[300; 10]));
+        sim.spawn("chained", |env| {
+            let mut n = 0;
+            env.delay_chain(move |_now| {
+                n += 1;
+                assert!(n < 3, "step {n} exploded");
+                Some(SimDuration::from_nanos(1_000))
+            });
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "chained");
+                assert!(message.contains("step 3 exploded"), "{message}");
+            }
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        assert!(sim.shared.handles.lock().is_empty());
+    }
+
+    #[test]
+    fn drop_mid_chain_frees_the_step_without_running_it() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut sim = Simulation::new();
+        // Outlives the simulation, as a channel endpoint held outside it
+        // does: the core is not freed by the drop, the step must be.
+        let _waker = sim.waker();
+        let c = calls.clone();
+        sim.spawn("computing", move |env| {
+            chain_each(&env, &[1_000; 8], &c);
+            unreachable!("the simulation is dropped mid-chain");
+        });
+        step_centralized(&sim); // start: first step, first timer armed
+        step_centralized(&sim); // first timer: second step, inline
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(sim.now().as_nanos(), 1_000);
+        drop(sim);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "a step ran at teardown");
+        assert_eq!(Arc::strong_count(&calls), 1, "the step was not freed");
+    }
+
+    #[test]
+    fn throttled_run_sleeps_between_chain_steps() {
+        // 16 timers 1 ms of virtual time apart at one wall-second per
+        // virtual second: the throttle owes a sleep before each of them.
+        // (Were the steps to run on inside one `dispatch_next` call, only
+        // the first millisecond would be slept.)
+        let run = |scale: Option<f64>| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let mut sim = Simulation::new();
+            sim.spawn("computing", move |env| {
+                chain_each(&env, &[1_000_000; 16], &calls);
+            });
+            let started = std::time::Instant::now();
+            let stats = match scale {
+                Some(s) => sim.run_throttled(s).unwrap(),
+                None => sim.run().unwrap(),
+            };
+            (stats, started.elapsed())
+        };
+        let (direct, _) = run(None);
+        let (throttled, wall) = run(Some(1.0));
+        assert!(
+            wall >= std::time::Duration::from_millis(16),
+            "slept only {wall:?}"
+        );
+        assert_eq!(throttled.end_time, direct.end_time);
+        assert_eq!(throttled.events, direct.events);
+        assert_eq!(throttled.inline_steps, direct.inline_steps);
+        assert_eq!(throttled.inline_steps, 15);
+    }
+
+    #[test]
+    fn deadlock_report_lists_a_chained_process_only_if_it_is_stuck() {
+        let run = |block_after: bool| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let mut sim = Simulation::new();
+            sim.spawn("stuck-a", |env| env.block());
+            sim.spawn("computing", move |env| {
+                chain_each(&env, &[1_000; 4], &calls);
+                if block_after {
+                    env.block();
+                }
+            });
+            sim.spawn("stuck-b", |env| env.block());
+            match sim.run() {
+                Err(SimError::Deadlock(names)) => (names, sim.now().as_nanos()),
+                other => panic!("expected deadlock, got {other:?}"),
+            }
+        };
+        // The deadlock of the others is found only once the chain has run
+        // out (its timers keep the queue non-empty), and does not name it.
+        assert_eq!(
+            run(false),
+            (vec!["stuck-a".into(), "stuck-b".into()], 4_000)
+        );
+        assert_eq!(
+            run(true),
+            (
+                vec!["stuck-a".into(), "computing".into(), "stuck-b".into()],
+                4_000
+            )
+        );
     }
 
     #[test]

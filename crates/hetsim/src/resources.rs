@@ -79,7 +79,46 @@ impl Cpu {
 
     /// Execute `work` seconds of reference-speed computation, blocking the
     /// calling process for the contention- and speed-adjusted elapsed time.
+    ///
+    /// The quanta are an inline timer chain (`Env::delay_chain`): the
+    /// step below is the body of a `while remaining > 0 { delay(elapsed) }`
+    /// loop, run by the event loop between quanta instead of by this
+    /// process's thread, which is woken once, after the last one.
     pub fn compute(&self, env: &Env, work: SimDuration) {
+        if work.is_zero() {
+            return;
+        }
+        {
+            let mut st = self.inner.lock();
+            st.active += 1;
+            st.work_done += work;
+        }
+        let quantum = std::cmp::max(work.as_nanos() / CPU_QUANTA, 1);
+        let inner = self.inner.clone();
+        let mut remaining = work.as_nanos();
+        // The quantum just slept through: nothing before the first step.
+        let mut slice = 0;
+        let mut elapsed = SimDuration::ZERO;
+        env.delay_chain(move |_now| {
+            let mut st = inner.lock();
+            st.busy += elapsed;
+            remaining -= slice;
+            if remaining == 0 {
+                return None;
+            }
+            slice = remaining.min(quantum);
+            let demand = (st.active + st.bg_jobs) as f64 / st.cores as f64;
+            elapsed = SimDuration::from_nanos(slice).mul_f64(demand.max(1.0) / st.speed);
+            Some(elapsed)
+        });
+        self.inner.lock().active -= 1;
+    }
+
+    /// [`compute`](Self::compute) as a plain loop of `Env::delay`s on the
+    /// calling process's own thread — the definition the chained version
+    /// must match event for event.
+    #[cfg(test)]
+    fn compute_reference(&self, env: &Env, work: SimDuration) {
         if work.is_zero() {
             return;
         }
@@ -366,7 +405,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulation;
+    use crate::engine::{RunStats, Simulation};
 
     #[test]
     fn cpu_uncontended_runs_at_speed() {
@@ -429,6 +468,225 @@ mod tests {
             assert!((3.9..=4.1).contains(&env.now().as_secs_f64()));
         });
         sim.run().unwrap();
+    }
+
+    #[test]
+    fn computes_on_idle_hosts_cost_one_handoff_each() {
+        const N: u64 = 8;
+        let mut sim = Simulation::new();
+        for i in 0..N {
+            let cpu = Cpu::new(1, 1.0 + i as f64 / 4.0);
+            sim.spawn(format!("t{i}"), move |env| {
+                cpu.compute(&env, SimDuration::from_secs(1));
+            });
+        }
+        let stats = sim.run().unwrap();
+        // Sixteen quanta each, fifteen of them consumed by the event loop:
+        // a compute wakes its thread once, at the end, not sixteen times.
+        assert_eq!(stats.events, N + 16 * N);
+        assert_eq!(stats.inline_steps, 15 * N);
+        // One start and one finish each. (The fastest host's finish is a
+        // self-grant: it blocked last, so it is the one dispatching.)
+        assert_eq!(stats.handoffs + stats.self_grants, N + N);
+        assert_eq!(stats.self_grants, 1);
+    }
+
+    #[test]
+    fn quanta_that_round_to_zero_schedule_no_event() {
+        let mut sim = Simulation::new();
+        let cpu = Cpu::new(1, 4.0);
+        let c2 = cpu.clone();
+        sim.spawn("t", move |env| {
+            // Sixteen 1 ns quanta at 4x speed: 0.25 ns each, no time at all.
+            c2.compute(&env, SimDuration::from_nanos(16));
+            assert_eq!(env.now(), crate::time::SimTime::ZERO);
+            // 5 ns quanta take 1.25 ns, truncated to 1 ns.
+            c2.compute(&env, SimDuration::from_nanos(80));
+            assert_eq!(env.now().as_nanos(), 16);
+        });
+        let stats = sim.run().unwrap();
+        assert_eq!(stats.events, 1 + 16);
+        assert_eq!(cpu.busy_time().as_nanos(), 16);
+        assert_eq!(cpu.work_done().as_nanos(), 96);
+    }
+
+    // -- oracle: the chained `compute` against the delay loop ---------------
+
+    use crate::sync::channel;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+
+    type ComputeFn = fn(&Cpu, &Env, SimDuration);
+
+    enum Op {
+        Compute { cpu: usize, work: u64 },
+        Send,
+        Nap(u64),
+    }
+
+    /// Everything observable about one scenario run.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        end_time: u64,
+        events: u64,
+        processes: u32,
+        /// Finish time of each worker, then of the drain process.
+        finishes: Vec<u64>,
+        /// `(busy_time, work_done)` of each CPU at the end.
+        cpus: Vec<(u64, u64)>,
+        /// The timer's readings: `(now, busy_time of every CPU)` per tick.
+        samples: Vec<(u64, Vec<u64>)>,
+        /// Wakes the timer landed on a worker that was inside `compute`.
+        stray_wakes: u64,
+        /// Non-zero computes that took no virtual time at all.
+        timeless_computes: u64,
+    }
+
+    /// A work size: from nothing through single nanoseconds (quanta of
+    /// 1 ns, which fast hosts round to zero) to seconds.
+    fn draw_work(rng: &mut SmallRng) -> u64 {
+        match rng.gen_range(0u32..6) {
+            0 => 0,
+            1 => rng.gen_range(1u64..40),
+            2 => rng.gen_range(40u64..5_000),
+            3 => rng.gen_range(5_000u64..5_000_000),
+            4 => rng.gen_range(5_000_000u64..500_000_000),
+            _ => rng.gen_range(500_000_000u64..3_000_000_000),
+        }
+    }
+
+    /// 2-12 workers over 1-4 CPUs mixing computes, sends on a bounded
+    /// channel and `block_until` naps; a drain process that computes per
+    /// item; a timer that changes `bg_jobs`, reads `busy_time` and wakes
+    /// workers that are napping or mid-compute. (Not one blocked in `send`:
+    /// a channel burns its next wake on the stale registration that
+    /// leaves behind and strands a real waiter — on either `compute`.)
+    fn run_scenario(seed: u64, compute: ComputeFn) -> (Outcome, RunStats) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cpus: Vec<Cpu> = (0..rng.gen_range(1usize..5))
+            .map(|_| Cpu::new(rng.gen_range(1u32..5), rng.gen_range(0.25f64..4.0)))
+            .collect();
+        let workers = rng.gen_range(2usize..13);
+        let scripts: Vec<Vec<Op>> = (0..workers)
+            .map(|_| {
+                (0..rng.gen_range(1usize..6))
+                    .map(|_| match rng.gen_range(0u32..5) {
+                        0 => Op::Send,
+                        1 => Op::Nap(rng.gen_range(0u64..2_000_000)),
+                        _ => Op::Compute {
+                            cpu: rng.gen_range(0usize..cpus.len()),
+                            work: draw_work(&mut rng),
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        let ticks: Vec<(u64, usize, u32, usize)> = (0..rng.gen_range(1usize..24))
+            .map(|_| {
+                (
+                    draw_work(&mut rng) / 8,
+                    rng.gen_range(0usize..cpus.len()),
+                    rng.gen_range(0u32..7),
+                    rng.gen_range(0usize..workers),
+                )
+            })
+            .collect();
+        let drain_cpu = cpus[rng.gen_range(0usize..cpus.len())].clone();
+        let drain_work = draw_work(&mut rng) / 64;
+
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u32>(sim.waker(), 2);
+        let finishes = Arc::new(Mutex::new(vec![0u64; workers + 1]));
+        const IN_COMPUTE: u8 = 1;
+        const IN_NAP: u8 = 2;
+        let state: Arc<Vec<AtomicU8>> = Arc::new((0..workers).map(|_| AtomicU8::new(0)).collect());
+        let timeless = Arc::new(AtomicU64::new(0));
+        let mut pids = Vec::new();
+        for (w, script) in scripts.into_iter().enumerate() {
+            let (cpus, tx) = (cpus.clone(), tx.clone());
+            let (finishes, state, timeless) = (finishes.clone(), state.clone(), timeless.clone());
+            pids.push(sim.spawn(format!("w{w}"), move |env| {
+                for op in script {
+                    match op {
+                        Op::Compute { cpu, work } => {
+                            let before = env.now();
+                            state[w].store(IN_COMPUTE, Ordering::Relaxed);
+                            compute(&cpus[cpu], &env, SimDuration::from_nanos(work));
+                            state[w].store(0, Ordering::Relaxed);
+                            if work > 0 && env.now() == before {
+                                timeless.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Op::Send => tx.send(&env, w as u32).expect("drain outlives senders"),
+                        Op::Nap(ns) => {
+                            state[w].store(IN_NAP, Ordering::Relaxed);
+                            env.block_until(env.now() + SimDuration::from_nanos(ns));
+                            state[w].store(0, Ordering::Relaxed);
+                        }
+                    }
+                }
+                finishes.lock()[w] = env.now().as_nanos();
+            }));
+        }
+        drop(tx);
+        let f = finishes.clone();
+        sim.spawn("drain", move |env| {
+            while rx.recv(&env).is_some() {
+                compute(&drain_cpu, &env, SimDuration::from_nanos(drain_work));
+            }
+            f.lock()[workers] = env.now().as_nanos();
+        });
+        let samples = Arc::new(Mutex::new(Vec::new()));
+        let stray = Arc::new(AtomicU64::new(0));
+        let (c, smp, st) = (cpus.clone(), samples.clone(), stray.clone());
+        sim.spawn("timer", move |env| {
+            for (gap, cpu, jobs, victim) in ticks {
+                env.delay(SimDuration::from_nanos(gap));
+                c[cpu].set_bg_jobs(jobs);
+                let busy = c.iter().map(|c| c.busy_time().as_nanos()).collect();
+                smp.lock().push((env.now().as_nanos(), busy));
+                let doing = state[victim].load(Ordering::Relaxed);
+                if doing != 0 && env.wake(pids[victim]) && doing == IN_COMPUTE {
+                    st.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        let stats = sim.run().expect("scenario runs to completion");
+        let outcome = Outcome {
+            end_time: stats.end_time.as_nanos(),
+            events: stats.events,
+            processes: stats.processes,
+            finishes: finishes.lock().clone(),
+            cpus: cpus
+                .iter()
+                .map(|c| (c.busy_time().as_nanos(), c.work_done().as_nanos()))
+                .collect(),
+            samples: samples.lock().clone(),
+            stray_wakes: stray.load(Ordering::Relaxed),
+            timeless_computes: timeless.load(Ordering::Relaxed),
+        };
+        (outcome, stats)
+    }
+
+    #[test]
+    fn chained_compute_matches_the_delay_loop_reference() {
+        let (mut stray_wakes, mut timeless, mut inline, mut saved) = (0, 0, 0, 0);
+        for seed in 0..96u64 {
+            let (reference, ref_stats) = run_scenario(seed, Cpu::compute_reference);
+            let (chained, stats) = run_scenario(seed, Cpu::compute);
+            assert_eq!(chained, reference, "seed {seed}");
+            assert_eq!(ref_stats.inline_steps, 0, "seed {seed}");
+            assert!(stats.handoffs <= ref_stats.handoffs, "seed {seed}");
+            stray_wakes += chained.stray_wakes;
+            timeless += chained.timeless_computes;
+            inline += stats.inline_steps;
+            saved += ref_stats.handoffs - stats.handoffs;
+        }
+        // The generator reaches the cases the chain exists for.
+        assert!(stray_wakes >= 10, "stray wakes mid-compute: {stray_wakes}");
+        assert!(timeless >= 10, "all-zero-quanta computes: {timeless}");
+        assert!(inline >= 1_000 && saved >= 1_000, "{inline} / {saved}");
     }
 
     #[test]
