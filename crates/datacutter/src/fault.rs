@@ -761,12 +761,6 @@ pub struct RestartEvent {
     /// Restart attempt number (1-based; compare against the policy's
     /// `max_restarts` budget).
     pub attempt: u32,
-    /// Worker substrate the restarted incarnation runs on: `"proc"` (sim
-    /// process), `"thread"` (native OS thread) or `"task"` (waker-parked
-    /// task). Restarts re-instantiate the filter on the same worker —
-    /// the label says what kind of worker that is, instead of the old
-    /// assumption that it is always an OS thread.
-    pub worker: &'static str,
     /// Backoff waited before re-instantiating the copy.
     pub backoff: SimDuration,
     /// Run-axis time at which the panic was contained.

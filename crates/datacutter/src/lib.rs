@@ -100,12 +100,11 @@ pub use graph::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, DEFAULT_Q
 pub use hetsim::DiskFaultKind;
 pub use metrics::{CopyCounters, CopyReport, FaultReport, OocReport, RunReport, StreamReport};
 pub use policy::{CopySetInfo, DemandState, WritePolicy};
-#[allow(deprecated)]
-pub use runtime::{run_app, run_app_faulted, run_app_traced, run_app_uows, run_app_with};
+pub use runtime::native::TaskedExecutor;
 pub use runtime::{
     Clock, ExecEnv, ExecStats, Executor, ExecutorChoice, NativeExecutor, Run, SimExecutor,
-    TaskedExecutor, Transport, DEFAULT_COURIER_CAPACITY, DEFAULT_COURIER_DEADLINE,
-    DEFAULT_OUTBOX_CAPACITY, DEFAULT_RETRANSMIT_DELAY,
+    Transport, DEFAULT_COURIER_CAPACITY, DEFAULT_COURIER_DEADLINE, DEFAULT_OUTBOX_CAPACITY,
+    DEFAULT_RETRANSMIT_DELAY,
 };
 pub use storage::{
     open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,

@@ -226,13 +226,12 @@ impl std::fmt::Display for FaultReport {
             for e in &self.restart_events {
                 write!(
                     f,
-                    "\n  {:>9.3}s  {}[{}]@host{} uow {}: {} attempt {} after {:.3}s backoff",
+                    "\n  {:>9.3}s  {}[{}]@host{} uow {}: restart attempt {} after {:.3}s backoff",
                     e.at.as_secs_f64(),
                     e.filter,
                     e.copy,
                     e.host.0,
                     e.uow,
-                    e.worker,
                     e.attempt,
                     e.backoff.as_secs_f64(),
                 )?;
@@ -278,9 +277,11 @@ pub struct RunReport {
     pub elapsed: SimDuration,
     /// Wake events the engine dispatched (run-size indicator).
     pub events: u64,
-    /// Tasked-substrate notifications delivered as deferred admission
-    /// hand-offs instead of immediate wakes — each one a carrier wakeup
-    /// the pool was too saturated to use (0 on other executors).
+    /// Always 0. Counted the admission scheduler's deferred hand-offs
+    /// until the pooled executor was removed (PR 22); the field survives
+    /// only because `dcbench/src/workloads.rs` reads it and could not be
+    /// edited by that PR. It goes when a `benchmark` PR retires
+    /// `datacutter.deferred_wakes_per_frame`.
     pub deferred_wakes: u64,
     /// Virtual times at which each inter-UOW barrier released (length =
     /// `uows - 1`; empty for single-UOW runs).

@@ -22,12 +22,11 @@
 use std::sync::{Arc, Weak};
 
 use hetsim::{HostId, ProcessId};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultCtl;
 use crate::runtime::native::{CancelScope, CancelWake};
-use crate::runtime::park::{ParkSite, Parking};
 use crate::runtime::ExecEnv;
 
 /// Policy selector carried in stream specs.
@@ -252,11 +251,7 @@ pub struct DemandState {
     inner: Mutex<DemandInner>,
     /// Native producers blocked on window credit wait here (the sim path
     /// uses the engine's wake list in `DemandInner::waiters` instead).
-    /// A [`ParkSite`] rather than a bare condvar so the same code blocks
-    /// correctly on both wall-clock substrates — thread-parked under the
-    /// native executor, waker-parked (slot-releasing) under the tasked
-    /// one. The site kind follows the run's cancel scope.
-    credit: ParkSite,
+    credit: Condvar,
     producer_host: HostId,
     faults: Option<Arc<FaultCtl>>,
     /// Cancellation scope of a native run, so blocked producers unblock
@@ -311,11 +306,7 @@ impl DemandState {
                 cursor: 0,
                 dead_scratch: Vec::with_capacity(sets.len()),
             }),
-            credit: cancel
-                .as_ref()
-                .map(|c| c.parking())
-                .unwrap_or(Parking::Thread)
-                .site(),
+            credit: Condvar::new(),
             producer_host,
             faults,
             cancel,

@@ -63,17 +63,6 @@ impl ExecEnv {
         }
     }
 
-    /// Label of the worker substrate this environment runs on — `"proc"`
-    /// (sim process), `"thread"` (native OS thread) or `"task"`
-    /// (waker-parked task) — used for human-facing incarnation ids in
-    /// restart timelines.
-    pub fn worker_label(&self) -> &'static str {
-        match self {
-            ExecEnv::Sim(_) => "proc",
-            ExecEnv::Native(e) => e.worker_label(),
-        }
-    }
-
     /// The underlying simulation environment, when running on the
     /// virtual-time substrate.
     pub fn sim(&self) -> Option<&Env> {
@@ -331,36 +320,15 @@ pub struct ExecStats {
     pub events: u64,
     /// Number of processes run.
     pub processes: u32,
-    /// Notifications the admission scheduler delivered as deferred slot
-    /// hand-offs instead of immediate wakes (tasked substrate only; each
-    /// one is a saved futile carrier wakeup — see `runtime/park.rs`).
-    pub deferred_wakes: u64,
 }
 
 /// A boxed process body handed to [`Executor::spawn`].
 pub type SpawnBody = Box<dyn FnOnce(ExecEnv) + Send + 'static>;
 
-/// Which class of process a spawn registers — the worker-substrate seam.
-///
-/// Pipeline workers (filter copies, outbox senders, ack couriers,
-/// reapers) go through whatever scheduling model the substrate uses for
-/// bulk work; control processes (the heartbeat supervisor) must stay
-/// responsive even when every worker is runnable, so substrates with
-/// admission gating (the tasked executor) run them outside the pool.
-/// Substrates without that distinction treat both identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpawnRole {
-    /// Bulk pipeline work, scheduled by the substrate's worker model.
-    Worker,
-    /// Supervision/control work that must not queue behind workers.
-    Control,
-}
-
 /// An execution substrate: spawns the runtime's processes and runs them to
 /// completion. Implementations: [`SimExecutor`] (hetsim virtual time,
-/// deterministic), [`super::native::NativeExecutor`] (OS threads,
-/// wall-clock), and [`super::tasked::TaskedExecutor`] (cooperative
-/// waker-parked tasks over a worker pool, wall-clock).
+/// deterministic) and [`super::native::NativeExecutor`] (one OS thread
+/// per process, wall-clock).
 pub trait Executor {
     /// The transport whose channels/barriers this executor's processes use.
     type Transport: Transport;
@@ -372,13 +340,6 @@ pub trait Executor {
     /// called; registration order is significant on deterministic
     /// substrates (it fixes process identity and event order).
     fn spawn(&mut self, name: String, body: SpawnBody);
-
-    /// As [`Executor::spawn`], declaring the process's [`SpawnRole`].
-    /// Substrates that schedule workers and control differently override
-    /// this; the default ignores the role.
-    fn spawn_role(&mut self, _role: SpawnRole, name: String, body: SpawnBody) {
-        self.spawn(name, body);
-    }
 
     /// Run every spawned process to completion.
     fn run(&mut self) -> Result<ExecStats, SimError>;
@@ -448,7 +409,6 @@ impl Executor for SimExecutor {
             end_time: s.end_time,
             events: s.events,
             processes: s.processes,
-            deferred_wakes: 0,
         })
     }
 }

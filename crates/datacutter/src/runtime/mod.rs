@@ -3,11 +3,8 @@
 //!
 //! * [`exec`] — the `Clock` / `Transport` / `Executor` trait family and
 //!   the virtual-time [`SimExecutor`],
-//! * [`native`] — the wall-clock [`NativeExecutor`] (real OS threads),
-//! * [`park`] — the parking seam: how a runtime process blocks
-//!   (condvar-parked thread vs waker-parked task),
-//! * [`tasked`] — the cooperative [`TaskedExecutor`] (waker-parked tasks
-//!   multiplexed over a worker pool, for 4096-copy graphs on one machine),
+//! * [`native`] — the wall-clock [`NativeExecutor`] (one OS thread per
+//!   process, condvar blocking),
 //! * [`spawn`] — copy instantiation and stream wiring,
 //! * [`delivery`] — outbox senders, ack couriers, retransmission,
 //! * [`eow`] — end-of-work gates (UOW cycle separation),
@@ -34,12 +31,10 @@ pub mod delivery;
 pub mod eow;
 pub mod exec;
 pub mod native;
-pub mod park;
 pub mod reaper;
 pub mod retain;
 pub mod spawn;
 pub mod supervisor;
-pub mod tasked;
 
 use std::sync::Arc;
 
@@ -51,7 +46,6 @@ pub use exec::{
     Transport,
 };
 pub use native::{CancelScope, NativeEnv, NativeExecutor, NativeTransport};
-pub use tasked::TaskedExecutor;
 
 use crate::fault::{ErrorCell, FaultCtl, FaultOptions, KilledMarker, RunError};
 use crate::graph::AppGraph;
@@ -120,9 +114,6 @@ pub enum ExecutorChoice {
     Sim(SimExecutor),
     /// Wall-clock execution on real OS threads, one per copy.
     Native(NativeExecutor),
-    /// Wall-clock execution on waker-parked tasks multiplexed over a
-    /// small worker pool (the massive fan-out substrate).
-    Tasked(TaskedExecutor),
 }
 
 impl From<SimExecutor> for ExecutorChoice {
@@ -137,19 +128,12 @@ impl From<NativeExecutor> for ExecutorChoice {
     }
 }
 
-impl From<TaskedExecutor> for ExecutorChoice {
-    fn from(e: TaskedExecutor) -> Self {
-        ExecutorChoice::Tasked(e)
-    }
-}
-
 /// A deferred simulation-setup hook (the `Run::setup` option).
 type SetupFn = Box<dyn FnOnce(&mut Simulation)>;
 
-/// Builder for one pipeline run. Replaces the former `run_app` /
-/// `run_app_uows` / `run_app_traced` / `run_app_with` / `run_app_faulted`
-/// free functions with one composable entry point — every option can be
-/// combined (e.g. trace + faults + custom setup in the same run).
+/// Builder for one pipeline run: one composable entry point — every
+/// option can be combined (e.g. trace + faults + custom setup in the same
+/// run).
 ///
 /// Defaults: one unit of work, the virtual-time [`SimExecutor`], no trace,
 /// no faults, and the documented default capacities.
@@ -366,44 +350,6 @@ impl Run {
                     self.tuning,
                 )
             }
-            ExecutorChoice::Tasked(mut exec) => {
-                // Same wall-clock semantics as Native; only the blocking
-                // substrate differs (waker-parked tasks over a pool).
-                if self.setup.is_some() {
-                    return Err(RunError::Unsupported {
-                        what: "simulation setup hooks require the virtual-time SimExecutor".into(),
-                    });
-                }
-                if let Some(cap) = exec.task_cap() {
-                    let copies: usize = graph
-                        .filters
-                        .iter()
-                        .map(|f| f.placement.total_copies() as usize)
-                        .sum();
-                    if copies > cap {
-                        return Err(RunError::Unsupported {
-                            what: format!(
-                                "graph places {copies} filter copies, max_task_copies is {cap}"
-                            ),
-                        });
-                    }
-                    // The knob is measured in *filter copies*; the wiring
-                    // below also registers per-stream senders, couriers and
-                    // reapers, so the raw task-count guard in
-                    // `Executor::run` (meant for direct executor users)
-                    // must not re-count those against the same cap.
-                    exec.clear_task_cap();
-                }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
-            }
         }
     }
 }
@@ -547,7 +493,7 @@ fn drive<E: Executor>(
     Ok(RunReport {
         elapsed: stats.end_time - SimTime::ZERO,
         events: stats.events,
-        deferred_wakes: stats.deferred_wakes,
+        deferred_wakes: 0,
         uow_boundaries: boundaries,
         copies,
         streams,
@@ -617,60 +563,4 @@ fn keep_large_buffers_out_of_thread_arenas() {
             }
         });
     }
-}
-
-// ---- deprecated compatibility wrappers -----------------------------------
-
-/// Execute one unit of work of `graph` on `topo`.
-#[deprecated(since = "0.2.0", note = "use `Run::new(graph).go(topo)`")]
-pub fn run_app(topo: &Topology, graph: AppGraph) -> Result<RunReport, RunError> {
-    Run::new(graph).go(topo)
-}
-
-/// Execute `uows` consecutive units of work.
-#[deprecated(since = "0.2.0", note = "use `Run::new(graph).uows(n).go(topo)`")]
-pub fn run_app_uows(topo: &Topology, graph: AppGraph, uows: u32) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).go(topo)
-}
-
-/// Execute `uows` units of work, recording spans into `trace`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).trace(t).go(topo)`"
-)]
-pub fn run_app_traced(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    trace: hetsim::Trace,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).trace(trace).go(topo)
-}
-
-/// Execute `uows` units of work after running `setup` on the simulation.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).setup(f).go(topo)`"
-)]
-pub fn run_app_with(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    setup: impl FnOnce(&mut Simulation) + 'static,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).setup(setup).go(topo)
-}
-
-/// Execute `uows` units of work under the fault plan in `opts`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).faults(opts).go(topo)`"
-)]
-pub fn run_app_faulted(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    opts: FaultOptions,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).faults(opts).go(topo)
 }

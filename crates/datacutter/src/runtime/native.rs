@@ -16,16 +16,13 @@
 //! operations fall through (sends discard, receives report closed, barrier
 //! waits return) so every thread can unwind and join.
 //!
-//! Since the parking refactor, no primitive here blocks on a condvar
-//! directly: every blocking edge is a [`super::park::ParkSite`] built
-//! from the transport's [`Parking`] mode. Under [`NativeExecutor`] the
-//! sites wrap condvars and behave exactly as before; under
-//! [`super::tasked::TaskedExecutor`] the same channels, barriers and
-//! completion ledger park carrier threads on waker queues and recycle
-//! their admission slots, which is what makes 4096-copy graphs viable.
-//! The executor skeleton itself ([`ExecCore`]) is shared by both
-//! substrates — only the worker mode (thread-per-copy vs admission-gated
-//! carriers) differs.
+//! Blocking is a `parking_lot::Condvar` at every edge — the MPMC channel's
+//! not-full/not-empty sides, the SPSC ring's Dekker park, the barrier, the
+//! run-completion ledger (and `policy.rs`'s demand-driven credit window) —
+//! and a delay is an OS sleep. This is the only wall-clock substrate: a
+//! pooled executor that multiplexed the same copies over an admission
+//! scheduler was removed because it bought nothing measurable over
+//! thread-per-copy up to 4 096 copies (DESIGN.md §14).
 
 use std::cell::UnsafeCell;
 use std::collections::{HashSet, VecDeque};
@@ -36,13 +33,11 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use hetsim::{DeadlineRecv, SendError, SimDuration, SimError, SimTime};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use super::exec::{
-    ChanRx, ChanTx, DeadlineSend, ExecBarrier, ExecEnv, ExecStats, Executor, SpawnBody, SpawnRole,
-    Transport,
+    ChanRx, ChanTx, DeadlineSend, ExecBarrier, ExecEnv, ExecStats, Executor, SpawnBody, Transport,
 };
-use super::park::{self, ParkSite, Parking, Scheduler};
 
 /// Take the value a send loop is still holding. The loops below place the
 /// value in an `Option` so it can be returned on channel closure; inside
@@ -59,7 +54,6 @@ fn held<T>(slot: &mut Option<T>) -> T {
 #[derive(Clone, Copy)]
 pub struct NativeEnv {
     start: Instant,
-    parking: Parking,
 }
 
 impl NativeEnv {
@@ -68,19 +62,9 @@ impl NativeEnv {
         SimTime::ZERO + SimDuration::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Really sleep for `d` — through the parking seam, so a sleeping
-    /// task on the cooperative substrate yields its admission slot.
+    /// Really sleep for `d`.
     pub fn sleep(&self, d: SimDuration) {
-        self.parking.sleep(Duration::from_nanos(d.as_nanos()));
-    }
-
-    /// Label of the worker substrate this environment runs on, for
-    /// human-facing incarnation ids (restart timelines).
-    pub(crate) fn worker_label(&self) -> &'static str {
-        match self.parking {
-            Parking::Thread => "thread",
-            Parking::Tasked => "task",
-        }
+        std::thread::sleep(Duration::from_nanos(d.as_nanos()));
     }
 }
 
@@ -106,32 +90,15 @@ pub(crate) trait CancelWake: Send + Sync {
 pub struct CancelScope {
     cancelled: AtomicBool,
     wakees: Mutex<Vec<Weak<dyn CancelWake>>>,
-    /// Parking mode of the run this scope tears down. The scope is the
-    /// one teardown/wakeup handle every blocking primitive already
-    /// threads through, so it doubles as the carrier of the park seam:
-    /// primitives derive their [`ParkSite`]s from it.
-    parking: Parking,
 }
 
 impl CancelScope {
-    /// A thread-parking scope (only primitive unit tests build scopes
-    /// directly; run scopes come from the executors via `with_parking`).
-    #[cfg(test)]
+    /// A fresh, uncancelled scope with no primitives registered.
     pub(crate) fn new() -> Arc<Self> {
-        Self::with_parking(Parking::Thread)
-    }
-
-    pub(crate) fn with_parking(parking: Parking) -> Arc<Self> {
         Arc::new(CancelScope {
             cancelled: AtomicBool::new(false),
             wakees: Mutex::new(Vec::new()),
-            parking,
         })
-    }
-
-    /// The parking mode primitives registered with this scope must use.
-    pub(crate) fn parking(&self) -> Parking {
-        self.parking
     }
 
     /// True once the run has been cancelled (a thread panicked).
@@ -170,13 +137,13 @@ struct NChanState<T> {
 }
 
 /// Shared core of a native channel: a bounded deque guarded by one mutex,
-/// with separate not-full / not-empty park sites (the crossbeam
-/// array-channel shape, simplified, behind the parking seam).
+/// with separate not-full / not-empty condvars (the crossbeam
+/// array-channel shape, simplified).
 struct NChan<T> {
     st: Mutex<NChanState<T>>,
     capacity: usize,
-    not_full: ParkSite,
-    not_empty: ParkSite,
+    not_full: Condvar,
+    not_empty: Condvar,
     cancel: Arc<CancelScope>,
 }
 
@@ -220,8 +187,8 @@ struct Spsc<T> {
     rx_alive: AtomicBool,
     waiting: AtomicU8,
     park: Mutex<()>,
-    not_empty: ParkSite,
-    not_full: ParkSite,
+    not_empty: Condvar,
+    not_full: Condvar,
     cancel: Arc<CancelScope>,
 }
 
@@ -392,7 +359,6 @@ pub(crate) fn native_channel<T: Send + 'static>(
     cancel: &Arc<CancelScope>,
 ) -> (NativeTx<T>, NativeRx<T>) {
     assert!(capacity >= 1, "channel capacity must be at least 1");
-    let parking = cancel.parking();
     let ch = Arc::new(NChan {
         st: Mutex::new(NChanState {
             queue: VecDeque::new(),
@@ -402,8 +368,8 @@ pub(crate) fn native_channel<T: Send + 'static>(
             recv_waiting: 0,
         }),
         capacity,
-        not_full: parking.site(),
-        not_empty: parking.site(),
+        not_full: Condvar::new(),
+        not_empty: Condvar::new(),
         cancel: cancel.clone(),
     });
     cancel.register(Arc::downgrade(&ch) as Weak<dyn CancelWake>);
@@ -437,8 +403,8 @@ pub(crate) fn native_spsc_channel<T: Send + 'static>(
         rx_alive: AtomicBool::new(true),
         waiting: AtomicU8::new(0),
         park: Mutex::new(()),
-        not_empty: cancel.parking().site(),
-        not_full: cancel.parking().site(),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
         cancel: cancel.clone(),
     });
     cancel.register(Arc::downgrade(&ch) as Weak<dyn CancelWake>);
@@ -705,7 +671,7 @@ struct NBarState {
 
 struct NBarInner {
     st: Mutex<NBarState>,
-    cv: ParkSite,
+    cv: Condvar,
     cancel: Arc<CancelScope>,
 }
 
@@ -729,7 +695,7 @@ pub(crate) fn native_barrier(participants: usize, cancel: &Arc<CancelScope>) -> 
             arrived: 0,
             generation: 0,
         }),
-        cv: cancel.parking().site(),
+        cv: Condvar::new(),
         cancel: cancel.clone(),
     });
     cancel.register(Arc::downgrade(&inner) as Weak<dyn CancelWake>);
@@ -787,7 +753,7 @@ impl NativeBarrier {
 /// or the other, joins the finished and detaches the abandoned.
 struct RunWaiters {
     st: Mutex<RunWaitState>,
-    cv: ParkSite,
+    cv: Condvar,
 }
 
 struct RunWaitState {
@@ -796,22 +762,18 @@ struct RunWaitState {
     /// Threads not yet finished. Lets a completing thread decide in O(1)
     /// whether the run's waiter could be releasable: with no abandonment
     /// in play only the *last* completion notifies, instead of every one
-    /// of thousands of finishing tasks waking the waiter to re-scan.
+    /// of thousands of finishing threads waking the waiter to re-scan.
     remaining: usize,
     /// Thread names declared abandoned via [`Transport::abandon`].
     abandoned: HashSet<String>,
 }
 
 /// Transport building native channels and barriers, all registered with
-/// the run's [`CancelScope`] (which also carries the parking mode they
-/// inherit). Shared verbatim by the thread-per-copy and tasked
-/// executors; `sched` is present only on the latter, so `abandon` can
-/// replace the admission slot a wedged task occupies.
+/// the run's [`CancelScope`].
 #[derive(Clone)]
 pub struct NativeTransport {
     cancel: Arc<CancelScope>,
     waiters: Arc<RunWaiters>,
-    sched: Option<Arc<Scheduler>>,
 }
 
 impl Transport for NativeTransport {
@@ -838,137 +800,103 @@ impl Transport for NativeTransport {
         st.abandoned.insert(name.to_string());
         drop(st);
         self.waiters.cv.notify_all();
-        // A wedged task never parks, so it never gives its admission slot
-        // back — replace it or the pool shrinks for the rest of the run.
-        if let Some(s) = &self.sched {
-            s.forfeit_wedged();
-        }
     }
 }
 
-/// How a spawned process gets its CPU time — the worker-substrate seam
-/// behind both wall-clock executors.
-pub(crate) enum WorkerMode {
-    /// One free-running OS thread per process (the classic native model).
-    Thread,
-    /// One *carrier* OS thread per process, but with a small stack and an
-    /// admission [`Scheduler`] gating how many run at once. Workers park
-    /// through waker queues (see [`super::park`]); control processes run
-    /// unadmitted so supervision stays responsive under full load.
-    Tasked {
-        sched: Arc<Scheduler>,
-        /// Carrier stack size in bytes (thousands of carriers make the
-        /// default 8 MiB reservation per thread needlessly extravagant).
-        stack: usize,
-    },
-}
-
-impl WorkerMode {
-    fn parking(&self) -> Parking {
-        match self {
-            WorkerMode::Thread => Parking::Thread,
-            WorkerMode::Tasked { .. } => Parking::Tasked,
-        }
-    }
-}
-
-/// The shared wall-clock executor skeleton: deferred spawning (wiring
-/// happens before any thread starts, mirroring the simulation), per-
-/// process panic containment, the completion/abandonment ledger, and
-/// join-or-detach teardown. [`NativeExecutor`] and
-/// [`super::tasked::TaskedExecutor`] are both thin shells over this —
-/// the only difference is the [`WorkerMode`].
-pub(crate) struct ExecCore {
+/// The wall-clock executor: runs each registered process on its own OS
+/// thread, with per-process panic containment, a completion/abandonment
+/// ledger, and join-or-detach teardown. Spawning is deferred to
+/// [`Executor::run`] so wiring happens before any thread starts
+/// (mirroring the simulation, where nothing runs until
+/// `Simulation::run`).
+pub struct NativeExecutor {
     start: Instant,
     transport: NativeTransport,
-    pending: Vec<(SpawnRole, String, SpawnBody)>,
+    pending: Vec<(String, SpawnBody)>,
     first_panic: Arc<Mutex<Option<(String, String)>>>,
-    mode: WorkerMode,
+    /// Test hook: the spawn at this index is refused, as `pthread_create`
+    /// refuses under `EAGAIN`.
+    #[cfg(test)]
+    refuse_spawn_at: Option<usize>,
 }
 
-impl ExecCore {
-    pub fn new(mode: WorkerMode) -> Self {
-        let parking = mode.parking();
-        let sched = match &mode {
-            WorkerMode::Tasked { sched, .. } => Some(sched.clone()),
-            WorkerMode::Thread => None,
-        };
-        ExecCore {
+/// The one name left of the pooled executor that used to sit beside
+/// [`NativeExecutor`] (waker-parked carriers behind an admission
+/// scheduler; removed in PR 22 — DESIGN.md §14 has the numbers).
+/// `dcbench/src/workloads.rs` builds its `fanout_tasked` workload with
+/// `TaskedExecutor::new().into()` and may not be edited by the PR that
+/// removed the executor, so the name stays as an alias until a
+/// `benchmark` PR retires that workload.
+pub type TaskedExecutor = NativeExecutor;
+
+impl NativeExecutor {
+    /// A fresh native executor with its own cancellation scope.
+    pub fn new() -> Self {
+        NativeExecutor {
             start: Instant::now(),
             transport: NativeTransport {
-                cancel: CancelScope::with_parking(parking),
+                cancel: CancelScope::new(),
                 waiters: Arc::new(RunWaiters {
                     st: Mutex::new(RunWaitState {
                         done: Vec::new(),
                         remaining: 0,
                         abandoned: HashSet::new(),
                     }),
-                    cv: parking.site(),
+                    cv: Condvar::new(),
                 }),
-                sched,
             },
             pending: Vec::new(),
             first_panic: Arc::new(Mutex::new(None)),
-            mode,
+            #[cfg(test)]
+            refuse_spawn_at: None,
         }
     }
 
-    pub fn transport(&self) -> NativeTransport {
+    fn spawn_refused(&self, _index: usize) -> bool {
+        #[cfg(test)]
+        return self.refuse_spawn_at == Some(_index);
+        #[cfg(not(test))]
+        false
+    }
+}
+
+impl Default for NativeExecutor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Executor for NativeExecutor {
+    type Transport = NativeTransport;
+
+    fn transport(&self) -> NativeTransport {
         self.transport.clone()
     }
 
-    pub fn spawn(&mut self, role: SpawnRole, name: String, body: SpawnBody) {
-        self.pending.push((role, name, body));
+    fn spawn(&mut self, name: String, body: SpawnBody) {
+        self.pending.push((name, body));
     }
 
-    /// Processes registered so far (the tasked executor bounds this).
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    pub fn run(&mut self) -> Result<ExecStats, SimError> {
-        let env = NativeEnv {
-            start: self.start,
-            parking: self.mode.parking(),
-        };
-        let processes = self.pending.len() as u32;
+    fn run(&mut self) -> Result<ExecStats, SimError> {
+        let env = NativeEnv { start: self.start };
+        let processes = self.pending.len();
         let waiters = self.transport.waiters.clone();
         {
             let mut st = waiters.st.lock();
-            st.done = vec![false; self.pending.len()];
-            st.remaining = self.pending.len();
+            st.done = vec![false; processes];
+            st.remaining = processes;
         }
-        let mut handles = Vec::with_capacity(self.pending.len());
-        let mut names = Vec::with_capacity(self.pending.len());
-        for (index, (role, name, body)) in self.pending.drain(..).enumerate() {
+        let mut handles = Vec::with_capacity(processes);
+        let mut names = Vec::with_capacity(processes);
+        for (index, (name, body)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
             let cancel = self.transport.cancel.clone();
             let first_panic = self.first_panic.clone();
             let thread_name = name.clone();
             let w = waiters.clone();
-            // Worker processes on the tasked substrate are admission-
-            // gated; control processes (and everything on the thread
-            // substrate) run free.
-            let admission = match (&self.mode, role) {
-                (WorkerMode::Tasked { sched, .. }, SpawnRole::Worker) => Some(sched.clone()),
-                _ => None,
-            };
-            let mut builder = std::thread::Builder::new().name(name.clone());
-            if let WorkerMode::Tasked { stack, .. } = &self.mode {
-                builder = builder.stack_size(*stack);
-            }
-            let spawned = builder.spawn(move || {
-                if let Some(s) = &admission {
-                    park::enter_admission(s.clone());
-                    s.acquire_slot(&park::current_cell());
-                }
+            let process = move || {
                 let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
                     body(ExecEnv::Native(env));
                 }));
-                // Give the slot back before the (lock-taking) bookkeeping
-                // below, so a finishing task never stalls the pool.
-                if let Some(s) = &admission {
-                    s.release_slot();
-                }
                 if let Err(payload) = result {
                     let message = payload
                         .downcast_ref::<&str>()
@@ -990,13 +918,33 @@ impl ExecCore {
                 if releasable {
                     w.cv.notify_all();
                 }
-            });
-            let handle = match spawned {
-                Ok(h) => h,
-                Err(e) => panic!("spawn native executor thread: {e}"),
             };
-            handles.push(handle);
-            names.push(name);
+            let spawned = if self.spawn_refused(index) {
+                Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
+            } else {
+                std::thread::Builder::new()
+                    .name(name.clone())
+                    .spawn(process)
+            };
+            match spawned {
+                Ok(h) => {
+                    handles.push(h);
+                    names.push(name);
+                }
+                Err(e) => {
+                    // The OS refused a thread (`EAGAIN` at thousands of
+                    // copies): fail the run, not the process. Cancel so
+                    // the threads already started fall through their
+                    // blocking calls, and strike the processes that never
+                    // started off the ledger so the last started thread's
+                    // completion still releases the wait below.
+                    let message = format!("spawn native executor thread: {e}");
+                    self.first_panic.lock().get_or_insert((name, message));
+                    self.transport.cancel.cancel();
+                    waiters.st.lock().remaining -= processes - index;
+                    break;
+                }
+            }
         }
         // Wait until every thread has either finished or been declared
         // abandoned (wedged) by the supervisor; then join the finished and
@@ -1029,55 +977,8 @@ impl ExecCore {
         Ok(ExecStats {
             end_time,
             events: 0,
-            processes,
-            deferred_wakes: match &self.mode {
-                WorkerMode::Tasked { sched, .. } => sched.deferred_wakes(),
-                WorkerMode::Thread => 0,
-            },
+            processes: processes as u32,
         })
-    }
-}
-
-/// The wall-clock executor: runs each registered process on its own OS
-/// thread. Spawning is deferred to [`Executor::run`] so wiring happens
-/// before any thread starts (mirroring the simulation, where nothing runs
-/// until `Simulation::run`).
-pub struct NativeExecutor {
-    core: ExecCore,
-}
-
-impl NativeExecutor {
-    /// A fresh native executor with its own cancellation scope.
-    pub fn new() -> Self {
-        NativeExecutor {
-            core: ExecCore::new(WorkerMode::Thread),
-        }
-    }
-}
-
-impl Default for NativeExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Executor for NativeExecutor {
-    type Transport = NativeTransport;
-
-    fn transport(&self) -> NativeTransport {
-        self.core.transport()
-    }
-
-    fn spawn(&mut self, name: String, body: SpawnBody) {
-        self.core.spawn(SpawnRole::Worker, name, body);
-    }
-
-    fn spawn_role(&mut self, role: SpawnRole, name: String, body: SpawnBody) {
-        self.core.spawn(role, name, body);
-    }
-
-    fn run(&mut self) -> Result<ExecStats, SimError> {
-        self.core.run()
     }
 }
 
@@ -1242,5 +1143,69 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*leaders.lock(), 1);
+    }
+
+    /// A panicking process cancels the run and surfaces as ProcessPanic,
+    /// with every blocked process unwound.
+    #[test]
+    fn panic_cancels_and_reports() {
+        let mut exec = NativeExecutor::new();
+        let (tx, rx) = exec.transport().channel::<u32>(1);
+        exec.spawn(
+            "stuck-consumer".to_string(),
+            Box::new(move |env| {
+                // Blocks forever unless cancellation wakes it.
+                let _ = rx.recv(&env);
+            }),
+        );
+        exec.spawn(
+            "bomb".to_string(),
+            Box::new(move |_env| {
+                let _keep_open = &tx;
+                panic!("boom in process");
+            }),
+        );
+        match exec.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "bomb");
+                assert!(message.contains("boom in process"));
+            }
+            other => panic!("expected ProcessPanic, got {other:?}"),
+        }
+    }
+
+    /// The OS refusing a thread part-way through the spawn loop fails the
+    /// run with an error: the threads already started (here blocked on a
+    /// channel whose sender never starts) are cancelled and joined.
+    #[test]
+    fn refused_spawn_cancels_started_threads_and_returns_error() {
+        let mut exec = NativeExecutor::new();
+        exec.refuse_spawn_at = Some(2);
+        let (tx, rx) = exec.transport().channel::<u32>(1);
+        let unwound = Arc::new(AtomicUsize::new(0));
+        for i in 0..2 {
+            let (rx, tx, unwound) = (rx.clone(), tx.clone(), unwound.clone());
+            exec.spawn(
+                format!("consumer-{i}"),
+                Box::new(move |env| {
+                    let _keep_open = &tx;
+                    let _ = rx.recv(&env);
+                    unwound.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        exec.spawn("refused".to_string(), Box::new(|_| {}));
+        exec.spawn("never-reached".to_string(), Box::new(|_| {}));
+        match exec.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "refused");
+                assert!(
+                    message.contains("spawn native executor thread"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a spawn error, got {other:?}"),
+        }
+        assert_eq!(unwound.load(Ordering::SeqCst), 2, "started threads joined");
     }
 }

@@ -42,7 +42,7 @@ use parking_lot::Mutex;
 
 use super::delivery::{self, CourierMsg, Envelope, SenderCfg};
 use super::eow::{ProducerRef, UowGate};
-use super::exec::{ChanRx, ChanTx, ExecEnv, Executor, SpawnRole, Transport};
+use super::exec::{ChanRx, ChanTx, ExecEnv, Executor, Transport};
 use super::reaper::Reaper;
 use super::retain::{Dedup, StreamRetention};
 use super::supervisor::{copy_retired, CopyRecord, Supervisor};
@@ -495,7 +495,6 @@ pub(crate) fn build<E: Executor>(
                                                             host,
                                                             uow,
                                                             attempt: restarts_used,
-                                                            worker: ctx.env.worker_label(),
                                                             backoff,
                                                             at: ctx.env.now(),
                                                         });
@@ -603,11 +602,7 @@ pub(crate) fn build<E: Executor>(
                 transport: transport.clone(),
                 cancel: cancel.clone(),
             };
-            // Control role: the supervisor must observe wedged workers, so
-            // on the tasked substrate it runs outside the admission pool
-            // (a wedged worker holding every slot must not starve it).
-            exec.spawn_role(
-                SpawnRole::Control,
+            exec.spawn(
                 "supervisor".to_string(),
                 Box::new(move |env: ExecEnv| sup.run(env)),
             );

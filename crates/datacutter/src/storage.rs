@@ -15,7 +15,7 @@
 //! 2. **Injection** — [`StorageCtl`] interprets the fault plan's seeded
 //!    disk events (`disk_error`, `corrupt_read`, `degrade_disk`) at the
 //!    real `SpillRing` call sites, so the same plan replays on the
-//!    virtual-time simulator and the wall-clock executors.
+//!    virtual-time simulator and the wall-clock executor.
 //! 3. **Recovery bookkeeping** — the control block owns the lazily
 //!    created (and once-recreatable) spill ring, the bounded
 //!    seeded-backoff retry budget, and the ladder tallies

@@ -29,7 +29,6 @@ struct Args {
     policy: String,
     algorithm: String,
     executor: String,
-    workers: usize,
     memory_budget: u64,
     cache_capacity: u64,
     prefetch_depth: u32,
@@ -44,18 +43,17 @@ const HELP: &str = "dcrender — isosurface rendering on an emulated heterogeneo
 
 USAGE: dcrender [FLAGS]
 
-  --nodes N        cluster size (default 4)
-  --grid N         volume cells per axis (default 64)
-  --image N        output image width=height (default 512)
-  --iso V          isosurface value (default 0.5)
+  --nodes N        cluster size, 1..=256 (default 4)
+  --grid N         volume cells per axis, 1..=1024 (default 64)
+  --image N        output image width=height, 1..=65536 (default 512)
+  --iso V          isosurface value, finite (default 0.5)
   --species N      chemical species 0..3 (default 0)
   --timestep N     stored timestep 0..9 (default 0)
   --seed N         dataset seed (default 42)
   --grouping G     rera-m | re-ra-m | r-era-m | part (default re-ra-m)
   --policy P       rr | wrr | dd (default dd)
   --algorithm A    zb | ap (default ap)
-  --executor E     sim | native | tasked (default sim)
-  --workers N      tasked worker-pool size, 0 = core count (default 0)
+  --executor E     sim | native (default sim; tasked = native)
   --memory-budget B   in-flight stream-buffer byte budget; over-budget
                       streams spill to a temp-file ring, 0 = off (default 0)
   --cache-capacity B  shared decoded-chunk cache bytes, 0 = off (default 0)
@@ -84,7 +82,6 @@ fn parse_args() -> Args {
         policy: "dd".into(),
         algorithm: "ap".into(),
         executor: "sim".into(),
-        workers: 0,
         memory_budget: 0,
         cache_capacity: 0,
         prefetch_depth: 0,
@@ -98,10 +95,10 @@ fn parse_args() -> Args {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--nodes" => a.nodes = number(&argv, &mut i),
-            "--grid" => a.grid = number(&argv, &mut i),
-            "--image" => a.image = number(&argv, &mut i),
-            "--iso" => a.iso = number(&argv, &mut i),
+            "--nodes" => a.nodes = ranged(&argv, &mut i, |n| (1..=256).contains(n)),
+            "--grid" => a.grid = ranged(&argv, &mut i, |n| (1..=1024).contains(n)),
+            "--image" => a.image = ranged(&argv, &mut i, |n| (1..=65536).contains(n)),
+            "--iso" => a.iso = ranged(&argv, &mut i, |v: &f32| v.is_finite()),
             "--species" => a.species = number(&argv, &mut i),
             "--timestep" => a.timestep = number(&argv, &mut i),
             "--seed" => a.seed = number(&argv, &mut i),
@@ -109,7 +106,6 @@ fn parse_args() -> Args {
             "--policy" => a.policy = value(&argv, &mut i).into(),
             "--algorithm" => a.algorithm = value(&argv, &mut i).into(),
             "--executor" => a.executor = value(&argv, &mut i).into(),
-            "--workers" => a.workers = number(&argv, &mut i),
             "--memory-budget" => a.memory_budget = number(&argv, &mut i),
             "--cache-capacity" => a.cache_capacity = number(&argv, &mut i),
             "--prefetch-depth" => a.prefetch_depth = number(&argv, &mut i),
@@ -152,6 +148,24 @@ fn number<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
         .unwrap_or_else(|_| usage_error(format_args!("{}: invalid value '{v}'", argv[*i - 1])))
 }
 
+/// As [`number`], refusing a value `ok` rejects: every flag whose
+/// parseable values include ones the set-up code cannot take (`--nodes 0`
+/// trips `rogue_cluster`'s declustering, `--grid 4294967295` overflows
+/// `Dims::new`) is checked here, before either is reached. The other
+/// numeric flags accept their whole type or are range-checked by
+/// `AppConfig::validate`.
+fn ranged<T: std::str::FromStr>(argv: &[String], i: &mut usize, ok: impl Fn(&T) -> bool) -> T {
+    let n = number(argv, i);
+    if !ok(&n) {
+        usage_error(format_args!(
+            "{}: out of range '{}'",
+            argv[*i - 1],
+            argv[*i]
+        ));
+    }
+    n
+}
+
 fn main() {
     let args = parse_args();
     let (topo, hosts) = rogue_cluster(args.nodes);
@@ -173,7 +187,6 @@ fn main() {
         eprintln!("{e}");
         exit(2);
     });
-    cfg.worker_threads = args.workers;
     cfg.memory_budget_bytes = args.memory_budget;
     cfg.cache_capacity = args.cache_capacity;
     cfg.prefetch_depth = args.prefetch_depth;

@@ -8,22 +8,11 @@ use crate::config::{AppConfig, ExecutorKind, SharedConfig};
 use crate::pipeline::{build_pipeline, Pipeline, PipelineSpec};
 
 /// Build the executor a config asks for: `sim` (deterministic virtual
-/// time), `native` (one OS thread per copy) or `tasked` (waker-parked
-/// tasks over a pool of `worker_threads` carriers, capped at
-/// `max_task_copies` registered copies). Call [`AppConfig::validate`]
-/// first — the knobs are range-checked there, not here.
+/// time) or `native` (wall-clock, one OS thread per copy).
 pub fn executor_for(cfg: &AppConfig) -> ExecutorChoice {
     match cfg.executor {
         ExecutorKind::Sim => datacutter::SimExecutor::new().into(),
         ExecutorKind::Native => datacutter::NativeExecutor::new().into(),
-        ExecutorKind::Tasked => {
-            let e = if cfg.worker_threads > 0 {
-                datacutter::TaskedExecutor::with_workers(cfg.worker_threads)
-            } else {
-                datacutter::TaskedExecutor::new()
-            };
-            e.max_tasks(cfg.max_task_copies).into()
-        }
     }
 }
 
@@ -264,8 +253,6 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         merge_copies: cfg.merge_copies,
         retention_depth: cfg.retention_depth,
         executor: cfg.executor,
-        worker_threads: cfg.worker_threads,
-        max_task_copies: cfg.max_task_copies,
         memory_budget_bytes: cfg.memory_budget_bytes,
         storage_retry_budget: cfg.storage_retry_budget,
         checksum_spills: cfg.checksum_spills,

@@ -5,7 +5,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -17,6 +17,14 @@ fn bad_arguments_are_usage_errors_not_panics() {
         ),
         (&["--image"], "dcrender: --image: missing value"),
         (&["--frobnicate"], "dcrender: unknown flag --frobnicate"),
+        // Values that parse but that the set-up code cannot take.
+        (&["--nodes", "0"], "dcrender: --nodes: out of range '0'"),
+        (
+            &["--grid", "4294967295"],
+            "dcrender: --grid: out of range '4294967295'",
+        ),
+        // The pooled executor's size flag went with the executor.
+        (&["--workers", "1"], "dcrender: unknown flag --workers"),
     ];
     for (args, expected) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
@@ -30,4 +38,33 @@ fn bad_arguments_are_usage_errors_not_panics() {
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing was rendered");
     }
+}
+
+/// `tasked` named a second wall-clock executor that was folded into the
+/// native one; the spelling is still accepted and renders the same bytes.
+#[test]
+fn executor_tasked_is_an_alias_of_native() {
+    let dir = std::env::temp_dir();
+    let render = |executor: &str| {
+        let path = dir.join(format!(
+            "dcrender-cli-{}-{executor}.ppm",
+            std::process::id()
+        ));
+        let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
+            .args(["--grid", "16", "--image", "64", "--executor", executor])
+            .arg("--out")
+            .arg(&path)
+            .output()
+            .expect("dcrender starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{executor}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("[native]"), "{executor}: {stdout}");
+        let bytes = std::fs::read(&path).expect("image written");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let native = render("native");
+    assert!(!native.is_empty());
+    assert_eq!(render("tasked"), native);
 }

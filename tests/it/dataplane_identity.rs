@@ -129,15 +129,12 @@ fn demand_driven_fault_run_matches_pinned_digests() {
     check("dd_fault", &r);
 }
 
-/// Directed check for the parking seam: the thread-parking
-/// implementation behind the wall-clock executors (condvar-backed
-/// `ParkSite::Thread`) must leave the rendered pixels byte-identical to
-/// the digests pinned before the Park/Unpark abstraction existed.
-/// Background-load setup is simulator-only (it shapes the virtual clock,
-/// never the pixels), so the wall-clock runs compare against the pinned
-/// *image* digests; the metrics digests — including the virtual
-/// timeline — are covered by the sim tests above, which exercise the
-/// same refactored channel/barrier/credit code paths.
+/// Directed check for the wall-clock executor's condvar blocking: it
+/// must leave the rendered pixels byte-identical to the digests pinned on
+/// the simulator. Background-load setup is simulator-only (it shapes the
+/// virtual clock, never the pixels), so the wall-clock runs compare
+/// against the pinned *image* digests; the metrics digests — including
+/// the virtual timeline — are covered by the sim tests above.
 #[test]
 fn thread_parking_native_runs_match_pinned_image_digests() {
     let (topo, rogues, blues) = fig5_setting();
@@ -157,33 +154,6 @@ fn thread_parking_native_runs_match_pinned_image_digests() {
             image_digest(&r.image),
             want_img,
             "{label}: thread-parking native pixels diverged from the pinned digest"
-        );
-    }
-}
-
-/// The same pin for the waker-parking implementation (`ParkSite::Tasked`
-/// under a two-worker admission pool): oversubscribed cooperative
-/// scheduling must not perturb a single pixel.
-#[test]
-fn waker_parking_tasked_runs_match_pinned_image_digests() {
-    let (topo, rogues, blues) = fig5_setting();
-    let mut hosts = rogues.clone();
-    hosts.extend(&blues);
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
-    for (label, policy) in [
-        ("rr", WritePolicy::RoundRobin),
-        ("wrr", WritePolicy::WeightedRoundRobin),
-        ("dd", WritePolicy::demand_driven()),
-    ] {
-        let s = fig5_spec(&hosts, policy, blues[0]);
-        let r =
-            dcapp::run_pipeline_exec(&topo, &cfg, &s, datacutter::TaskedExecutor::with_workers(2))
-                .expect("fig5 tasked run failed");
-        let (want_img, _) = pinned(label);
-        assert_eq!(
-            image_digest(&r.image),
-            want_img,
-            "{label}: waker-parking tasked pixels diverged from the pinned digest"
         );
     }
 }

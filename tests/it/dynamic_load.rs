@@ -4,10 +4,6 @@
 //! load *while the pipeline runs* and check that demand-driven scheduling
 //! adapts — per unit of work, and even within one.
 
-// Deliberately exercises the deprecated `run_app_with` compatibility
-// wrapper.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
@@ -138,17 +134,19 @@ fn dd_beats_rr_under_a_mid_run_load_storm() {
         );
         g.connect(s, w, policy);
         let storm_cpu = topo.host(hosts[1]).cpu.clone();
-        let report = datacutter::run_app_with(&topo, g.build(), 1, move |sim| {
-            // Calm for 50ms, then 15 jobs for 200ms, then calm again.
-            let profile = LoadProfile {
-                steps: vec![
-                    (SimDuration::from_millis(50), 0),
-                    (SimDuration::from_millis(200), 15),
-                ],
-            };
-            spawn_load_generator(sim, "storm", storm_cpu, profile);
-        })
-        .unwrap();
+        let report = datacutter::Run::new(g.build())
+            .setup(move |sim| {
+                // Calm for 50ms, then 15 jobs for 200ms, then calm again.
+                let profile = LoadProfile {
+                    steps: vec![
+                        (SimDuration::from_millis(50), 0),
+                        (SimDuration::from_millis(200), 15),
+                    ],
+                };
+                spawn_load_generator(sim, "storm", storm_cpu, profile);
+            })
+            .go(&topo)
+            .unwrap();
         report.elapsed.as_secs_f64()
     };
     let rr = run(WritePolicy::RoundRobin);

@@ -2,17 +2,14 @@
 //! message integrity, FIFO ordering, policy accounting, and determinism
 //! under randomized workloads.
 
-// Deliberately exercises the deprecated `run_app*` compatibility wrappers.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use datacutter::{
-    run_app, run_app_faulted, DataBuffer, FaultOptions, Filter, FilterCtx, FilterError,
-    GraphBuilder, Placement, WritePolicy,
+    DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run,
+    WritePolicy,
 };
 use hetsim::{
     channel, ClusterSpec, FaultPlan, HostId, HostSpec, SimDuration, SimTime, Simulation,
@@ -123,7 +120,7 @@ proptest! {
         });
         g.connect(src, relay, policy);
         g.connect(relay, sink, WritePolicy::RoundRobin);
-        run_app(&topo, g.build()).unwrap();
+        Run::new(g.build()).go(&topo).unwrap();
         let mut got = out.lock().clone();
         got.sort_unstable();
         let want: Vec<u32> = (0..n_items).collect();
@@ -151,7 +148,7 @@ proptest! {
         });
         g.connect(src, sink, WritePolicy::RoundRobin);
         let _ = work;
-        run_app(&topo, g.build()).unwrap();
+        Run::new(g.build()).go(&topo).unwrap();
         let got = out.lock().clone();
         let want: Vec<u32> = (0..n_items).collect();
         prop_assert_eq!(got, want); // in order, not just same multiset
@@ -185,7 +182,7 @@ proptest! {
             });
             g.connect(src, relay, WritePolicy::demand_driven());
             g.connect(relay, sink, WritePolicy::RoundRobin);
-            let report = run_app(&topo, g.build()).unwrap();
+            let report = Run::new(g.build()).go(&topo).unwrap();
             let collected = out.lock().clone();
             (report.elapsed.as_nanos(), report.events, collected)
         };
@@ -307,7 +304,7 @@ proptest! {
         let plan = FaultPlan::new()
             .crash_host(victim, SimTime::ZERO + SimDuration::from_millis(crash_ms));
         let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(10));
-        let report = match run_app_faulted(&topo, g.build(), 1, opts) {
+        let report = match Run::new(g.build()).faults(opts).go(&topo) {
             Ok(r) => r,
             Err(e) => return Err(format!("faulted run did not complete: {e}")),
         };

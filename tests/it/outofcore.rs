@@ -6,8 +6,7 @@
 //! - bit-identical pixels and per-stream delivery totals on the
 //!   virtual-time simulator under RR, WRR, DD, and the tile-hash merge
 //!   grouping;
-//! - bit-identical pixels on the wall-clock `NativeExecutor` and the
-//!   cooperative `TaskedExecutor`;
+//! - bit-identical pixels on the wall-clock `NativeExecutor`;
 //! - bit-identical pixels with a seeded mid-run host crash recovered by
 //!   `Recovery::Lossless` while the run is actively spilling;
 //! - and the shared chunk cache must at least halve the disk-model read
@@ -15,7 +14,7 @@
 
 use std::sync::Arc;
 
-use datacutter::{FaultOptions, NativeExecutor, Placement, TaskedExecutor, WritePolicy};
+use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
 use dcapp::{
     clone_config, lossless_options, run_pipeline, run_pipeline_exec, run_pipeline_faulted,
     Algorithm, Grouping, PipelineSpec, SharedConfig,
@@ -127,11 +126,11 @@ fn budget_1_16_is_bit_identical_on_sim_all_policies() {
     }
 }
 
-/// Wall-clock identity: the budgeted run on the thread-per-copy and the
-/// cooperative executors renders the same pixels as the simulator's
-/// unbudgeted reference, with real spill traffic on both.
+/// Wall-clock identity: the budgeted run on the thread-per-copy executor
+/// renders the same pixels as the simulator's unbudgeted reference, with
+/// real spill traffic.
 #[test]
-fn budget_1_16_is_bit_identical_on_native_and_tasked() {
+fn budget_1_16_is_bit_identical_on_native() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     for (label, spec) in [
@@ -148,14 +147,6 @@ fn budget_1_16_is_bit_identical_on_native_and_tasked() {
             image_digest(&native.image),
             want,
             "native/{label}: budgeted wall-clock pixels diverged"
-        );
-        let tasked = run_pipeline_exec(&topo, &tight_cfg, &spec, TaskedExecutor::with_workers(2))
-            .expect("budgeted tasked run");
-        assert_spilled(&format!("tasked/{label}"), &tasked);
-        assert_eq!(
-            image_digest(&tasked.image),
-            want,
-            "tasked/{label}: budgeted cooperative pixels diverged"
         );
     }
 }

@@ -1,7 +1,5 @@
-//! The [`datacutter::Run`] builder: option composition the former
-//! `run_app_*` free functions could not express (trace + faults + setup in
-//! one run), the promoted tuning knobs, and equivalence of the deprecated
-//! compatibility wrappers.
+//! The [`datacutter::Run`] builder: option composition (trace + faults +
+//! setup in one run) and the promoted tuning knobs.
 
 use std::sync::Arc;
 
@@ -73,10 +71,8 @@ fn workload(
     (g.build(), out)
 }
 
-/// Regression for the entry-point drift the former free functions forced:
-/// one run combining a trace, an injected host crash, AND a custom setup
-/// hook (a mid-run CPU storm) — a combination `run_app_traced` /
-/// `run_app_faulted` / `run_app_with` could only offer one at a time.
+/// One run combining a trace, an injected host crash, AND a custom setup
+/// hook (a mid-run CPU storm).
 #[test]
 fn trace_faults_and_setup_combine_in_one_run() {
     let (topo, hosts) = cluster(3);
@@ -147,26 +143,4 @@ fn outbox_capacity_is_tunable() {
     assert_eq!(n_small, 30);
     assert_eq!(n_big, 30);
     assert!(big.elapsed <= small.elapsed);
-}
-
-/// The deprecated free functions are thin wrappers over the builder:
-/// virtual-time determinism makes the equivalence exact.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_match_builder() {
-    let run_builder = || {
-        let (topo, hosts) = cluster(3);
-        let (graph, _) = workload(&topo, &hosts, 25);
-        Run::new(graph).uows(2).go(&topo).unwrap()
-    };
-    let run_wrapper = || {
-        let (topo, hosts) = cluster(3);
-        let (graph, _) = workload(&topo, &hosts, 25);
-        datacutter::run_app_uows(&topo, graph, 2).unwrap()
-    };
-    let a = run_builder();
-    let b = run_wrapper();
-    assert_eq!(a.elapsed, b.elapsed);
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.uow_boundaries, b.uow_boundaries);
 }

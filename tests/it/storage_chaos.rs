@@ -6,7 +6,7 @@
 //!   seeded backoff ladder until they heal: the run finishes bit-identical
 //!   to the fault-free budgeted run with zero loss, on the simulator
 //!   across RR, WRR, DD and the tile-hash merge grouping, and on the
-//!   wall-clock `NativeExecutor` / cooperative `TaskedExecutor`.
+//!   wall-clock `NativeExecutor`.
 //! - A persistent write-error window (rate 1.0, outliving the retry
 //!   budget and the one ring re-creation) *denies* spills: payloads stay
 //!   resident over budget, the denial is tallied, and the output is
@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use datacutter::{FaultOptions, NativeExecutor, Placement, TaskedExecutor, WritePolicy};
+use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
 use dcapp::{
     clone_config, run_pipeline, run_pipeline_faulted, run_pipeline_faulted_exec, Algorithm,
     Grouping, PipelineResult, PipelineSpec, SharedConfig,
@@ -169,12 +169,11 @@ fn transient_disk_errors_heal_to_bit_identical_on_sim() {
     }
 }
 
-/// The same transient windows on the wall-clock thread-per-copy and
-/// cooperative executors: the storage verdicts replay from the same
-/// seeded oracle, and the rendered pixels must match the simulator's
-/// budgeted fault-free reference.
+/// The same transient windows on the wall-clock executor: the storage
+/// verdicts replay from the same seeded oracle, and the rendered pixels
+/// must match the simulator's budgeted fault-free reference.
 #[test]
-fn transient_disk_errors_heal_on_native_and_tasked() {
+fn transient_disk_errors_heal_on_native() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     let tight = budgeted(&cfg, 16);
@@ -189,7 +188,7 @@ fn transient_disk_errors_heal_on_native_and_tasked() {
             &topo,
             &tight,
             &spec,
-            FaultOptions::new(plan.clone()),
+            FaultOptions::new(plan),
             NativeExecutor::new(),
         )
         .expect("native chaos run completes");
@@ -202,23 +201,6 @@ fn transient_disk_errors_heal_on_native_and_tasked() {
             "native/{label}: chaos pixels diverged"
         );
         assert_conservation(&format!("native/{label}"), &native);
-        let tasked = run_pipeline_faulted_exec(
-            &topo,
-            &tight,
-            &spec,
-            FaultOptions::new(plan),
-            TaskedExecutor::with_workers(2),
-        )
-        .expect("tasked chaos run completes");
-        let f = &tasked.report.faults;
-        assert!(f.disk_errors_injected > 0, "tasked/{label}: {f:?}");
-        assert_eq!(f.buffers_lost, 0, "tasked/{label}: {f:?}");
-        assert_eq!(
-            image_digest(&tasked.image),
-            want,
-            "tasked/{label}: chaos pixels diverged"
-        );
-        assert_conservation(&format!("tasked/{label}"), &tasked);
     }
 }
 
