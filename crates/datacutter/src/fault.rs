@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hetsim::{FaultPlan, HostId, SimDuration, SimError, SimTime};
+use hetsim::{splitmix64, FaultPlan, HostId, SimDuration, SimError, SimTime};
 use parking_lot::Mutex;
 
 use crate::graph::FilterId;
@@ -326,15 +326,6 @@ pub fn backoff_delay(
     SimDuration::from_nanos((exp_ns as f64 * jitter) as u64)
 }
 
-/// splitmix64 finalizer (same construction the fault plan's seeded drops
-/// use) — a cheap, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// How far the runtime goes to repair fault-induced data loss.
 ///
 /// Under `Degraded` (the PR 5 contract and the default), buffers stranded
@@ -367,168 +358,24 @@ pub enum Recovery {
 /// guarantee for the bound.
 pub const DEFAULT_RETENTION_DEPTH: usize = 4096;
 
-/// Chaos configuration for wall-clock runs: the shared [`FaultPlan`]
-/// (crashes, stalls, seeded drops and delays — interpreted on the native
-/// transport's wall-clock axis) plus the native supervision knobs. The
-/// same plan handed to a sim run injects the same faults at the same
-/// times, which is what makes sim-vs-native fault reports comparable.
+/// Fault-injection options for `Run::faults`: the [`FaultPlan`] shared by
+/// every executor (the simulator reads it on virtual time, the native
+/// executor on wall-clock nanoseconds since run start, so one plan injects
+/// the same faults at the same times on both) plus the recovery and
+/// supervision knobs.
 ///
 /// ```ignore
-/// let chaos = NativeFaultPlan::new()
+/// let plan = FaultPlan::new()
 ///     .crash_host(h2, SimTime::ZERO + SimDuration::from_millis(2))
-///     .drop_messages(0xBEEF, 0.05)
-///     .supervise(SupervisorPolicy::new().max_restarts(3));
+///     .drop_messages(0xBEEF, 0.05);
+/// let chaos = FaultOptions::new(plan)
+///     .supervised(SupervisorPolicy::new().max_restarts(3))
+///     .lossless();
 /// let report = Run::new(graph)
 ///     .executor(NativeExecutor::new())
 ///     .faults(chaos)
 ///     .go(&topo)?;
 /// ```
-#[derive(Clone)]
-pub struct NativeFaultPlan {
-    /// The time-indexed fault schedule shared with the simulator.
-    pub plan: FaultPlan,
-    /// Supervision (restarts, heartbeats); `None` = fail-stop only.
-    pub supervisor: Option<SupervisorPolicy>,
-    /// Recovery contract (see [`Recovery`]); `Degraded` by default.
-    pub recovery: Recovery,
-    /// Retention ring capacity under [`Recovery::Lossless`].
-    pub retention_depth: usize,
-}
-
-impl Default for NativeFaultPlan {
-    fn default() -> Self {
-        NativeFaultPlan {
-            plan: FaultPlan::new(),
-            supervisor: None,
-            recovery: Recovery::Degraded,
-            retention_depth: DEFAULT_RETENTION_DEPTH,
-        }
-    }
-}
-
-impl NativeFaultPlan {
-    /// An empty chaos plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wrap an existing shared plan.
-    pub fn from_plan(plan: FaultPlan) -> Self {
-        NativeFaultPlan {
-            plan,
-            ..Self::default()
-        }
-    }
-
-    /// Schedule a fail-stop crash of every filter copy on `host` at `at`
-    /// (wall-clock nanoseconds since run start on the native executor).
-    /// This is the chaos layer's "forced copy-thread crash": the copies'
-    /// threads unwind at their next failure boundary.
-    pub fn crash_host(mut self, host: HostId, at: SimTime) -> Self {
-        self.plan = self.plan.crash_host(host, at);
-        self
-    }
-
-    /// Schedule a transient stall (freeze) of `host`.
-    pub fn stall_host(mut self, host: HostId, at: SimTime, dur: SimDuration) -> Self {
-        self.plan = self.plan.stall_host(host, at, dur);
-        self
-    }
-
-    /// Drop each cross-host message with probability `rate` (seeded).
-    pub fn drop_messages(mut self, seed: u64, rate: f64) -> Self {
-        self.plan = self.plan.drop_messages(seed, rate);
-        self
-    }
-
-    /// Delay each cross-host message by `dur` with probability `rate`
-    /// (seeded).
-    pub fn delay_messages(mut self, seed: u64, rate: f64, dur: SimDuration) -> Self {
-        self.plan = self.plan.delay_messages(seed, rate, dur);
-        self
-    }
-
-    /// Slow `host`'s disk to `factor` of its healthy throughput inside
-    /// `[at, at + dur)`. A virtual-time timing effect (the wall-clock
-    /// executors have no disk model to stretch); error and corruption
-    /// windows below replay on every substrate.
-    pub fn degrade_disk(
-        mut self,
-        host: HostId,
-        at: SimTime,
-        dur: SimDuration,
-        factor: f64,
-    ) -> Self {
-        self.plan = self.plan.degrade_disk(host, at, dur, factor);
-        self
-    }
-
-    /// Fail each disk operation of `kind` on `host` with probability
-    /// `rate` inside `[at, at + dur)` (seeded, re-rolled per retry
-    /// attempt — see [`hetsim::FaultPlan::disk_error`]).
-    pub fn disk_error(
-        mut self,
-        host: HostId,
-        at: SimTime,
-        dur: SimDuration,
-        rate: f64,
-        kind: hetsim::DiskFaultKind,
-    ) -> Self {
-        self.plan = self.plan.disk_error(host, at, dur, rate, kind);
-        self
-    }
-
-    /// Flip one seeded bit in each disk read on `host` with probability
-    /// `rate` inside `[at, at + dur)` — what the checksummed spill frames
-    /// are there to catch.
-    pub fn corrupt_read(mut self, host: HostId, at: SimTime, dur: SimDuration, rate: f64) -> Self {
-        self.plan = self.plan.corrupt_read(host, at, dur, rate);
-        self
-    }
-
-    /// Seed for every storage verdict of the plan's disk events.
-    pub fn storage_seed(mut self, seed: u64) -> Self {
-        self.plan = self.plan.storage_seed(seed);
-        self
-    }
-
-    /// Supervise filter copies: contain panics and restart crashed copies
-    /// under `policy`.
-    pub fn supervise(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervisor = Some(policy);
-        self
-    }
-
-    /// Demand lossless recovery (see [`Recovery::Lossless`]).
-    pub fn lossless(mut self) -> Self {
-        self.recovery = Recovery::Lossless;
-        self
-    }
-
-    /// Override the retention ring capacity used under lossless recovery.
-    pub fn retention_depth(mut self, depth: usize) -> Self {
-        self.retention_depth = depth;
-        self
-    }
-
-    /// Convert into the [`FaultOptions`] the [`Run`](crate::runtime::Run)
-    /// builder accepts.
-    pub fn options(self) -> FaultOptions {
-        let mut opts = FaultOptions::new(self.plan);
-        opts.supervisor = self.supervisor;
-        opts.recovery = self.recovery;
-        opts.retention_depth = self.retention_depth;
-        opts
-    }
-}
-
-impl From<NativeFaultPlan> for FaultOptions {
-    fn from(p: NativeFaultPlan) -> Self {
-        p.options()
-    }
-}
-
-/// Fault-injection options for `Run::faults`.
 #[derive(Clone)]
 pub struct FaultOptions {
     /// The scheduled faults (see [`hetsim::fault::FaultPlan`]).
@@ -961,13 +808,12 @@ mod tests {
     }
 
     #[test]
-    fn native_fault_plan_builds_options() {
-        let opts: FaultOptions = NativeFaultPlan::new()
+    fn fault_options_carry_plan_and_supervisor() {
+        let plan = FaultPlan::new()
             .crash_host(HostId(2), SimTime::ZERO + ms(2))
             .drop_messages(0xBEEF, 0.05)
-            .delay_messages(0xF00D, 0.1, ms(1))
-            .supervise(SupervisorPolicy::new().max_restarts(3))
-            .into();
+            .delay_messages(0xF00D, 0.1, ms(1));
+        let opts = FaultOptions::new(plan).supervised(SupervisorPolicy::new().max_restarts(3));
         assert!(opts.plan.has_crashes());
         assert!(opts.plan.has_drops());
         assert!(opts.plan.has_delays());

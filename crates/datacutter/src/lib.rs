@@ -92,8 +92,8 @@ pub use budget::{MemoryBudget, SpillRing, SpillTicket, StreamOoc};
 pub use buffer::{BufferSlab, DataBuffer, SpillCodec, ACK_WIRE_BYTES, BUFFER_OVERHEAD_BYTES};
 pub use context::FilterCtx;
 pub use fault::{
-    backoff_delay, FaultOptions, NativeFaultPlan, Recovery, RestartEvent, RunError,
-    SupervisorPolicy, DEFAULT_RETENTION_DEPTH,
+    backoff_delay, FaultOptions, Recovery, RestartEvent, RunError, SupervisorPolicy,
+    DEFAULT_RETENTION_DEPTH,
 };
 pub use filter::{CopyInfo, Filter, FilterError, FilterFactory};
 pub use graph::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, DEFAULT_QUEUE_CAPACITY};

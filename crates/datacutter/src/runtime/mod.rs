@@ -189,8 +189,7 @@ impl Run {
     ///
     /// Works on both substrates: the same plan runs bit-reproducibly on
     /// the virtual-time executor and in wall-clock time on the native
-    /// executor (use [`crate::fault::NativeFaultPlan`] to build options
-    /// for the latter). NIC degradation (`degrade_nic`) uses the
+    /// executor. NIC degradation (`degrade_nic`) uses the
     /// simulation's bandwidth drivers under virtual time; the native
     /// executor emulates the same windows by stalling senders for the
     /// degraded fraction of each message's serialization time.

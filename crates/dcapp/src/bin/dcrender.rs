@@ -258,7 +258,7 @@ fn main() {
         // whole run window; the storage ladder retries through them, so the
         // image stays bit-identical to a fault-free run.
         let window = hetsim::SimDuration::from_secs(3600);
-        let mut chaos = datacutter::NativeFaultPlan::new().storage_seed(seed);
+        let mut chaos = hetsim::FaultPlan::new().storage_seed(seed);
         for &h in &hosts {
             chaos = chaos
                 .disk_error(
@@ -280,7 +280,7 @@ fn main() {
             &topo,
             &cfg,
             &spec,
-            chaos.options(),
+            datacutter::FaultOptions::new(chaos),
             dcapp::executor_for(&cfg),
         )
     } else {

@@ -1,6 +1,6 @@
 //! Running pipelines and validating their output.
 
-use datacutter::{ExecutorChoice, FaultOptions, Run, RunError, RunReport};
+use datacutter::{AppGraph, ExecutorChoice, FaultOptions, Run, RunError, RunReport};
 use hetsim::{SimDuration, Topology};
 use isosurf::Image;
 
@@ -52,6 +52,30 @@ pub fn run_pipeline_exec(
     spec: &PipelineSpec,
     exec: impl Into<ExecutorChoice>,
 ) -> Result<PipelineResult, RunError> {
+    run_once(topo, cfg, spec, None, exec.into())
+}
+
+/// The [`Run`] every entry point below starts from: `graph` under the
+/// out-of-core knobs of `cfg`, with `faults` injected when given.
+fn configured_run(graph: AppGraph, cfg: &AppConfig, faults: Option<FaultOptions>) -> Run {
+    let run = Run::new(graph)
+        .memory_budget(cfg.memory_budget_bytes)
+        .storage_retries(cfg.storage_retry_budget)
+        .checksum_spills(cfg.checksum_spills);
+    match faults {
+        Some(opts) => run.faults(opts),
+        None => run,
+    }
+}
+
+/// One single-UOW run of `spec` and its one deposited image.
+fn run_once(
+    topo: &Topology,
+    cfg: &SharedConfig,
+    spec: &PipelineSpec,
+    faults: Option<FaultOptions>,
+    exec: ExecutorChoice,
+) -> Result<PipelineResult, RunError> {
     let Pipeline {
         graph,
         image,
@@ -59,12 +83,7 @@ pub fn run_pipeline_exec(
         to_merge,
         filters,
     } = build_pipeline(cfg, spec);
-    let report = Run::new(graph)
-        .memory_budget(cfg.memory_budget_bytes)
-        .storage_retries(cfg.storage_retry_budget)
-        .checksum_spills(cfg.checksum_spills)
-        .executor(exec)
-        .go(topo)?;
+    let report = configured_run(graph, cfg, faults).executor(exec).go(topo)?;
     let mut images = std::mem::take(&mut *image.lock());
     assert_eq!(images.len(), 1, "single-UOW run deposits exactly one image");
     Ok(PipelineResult {
@@ -100,8 +119,7 @@ pub fn run_pipeline_faulted(
 /// [`run_pipeline_faulted`] on an explicit execution substrate: the same
 /// fault plan drives either the deterministic virtual-time run or a
 /// wall-clock chaos run on real OS threads
-/// ([`datacutter::NativeExecutor`]; build the options with
-/// [`datacutter::NativeFaultPlan`]). On the native substrate the plan's
+/// ([`datacutter::NativeExecutor`]). On the native substrate the plan's
 /// times are wall-clock nanoseconds since run start, so crash/stall
 /// instants should be scaled to real pipeline durations.
 pub fn run_pipeline_faulted_exec(
@@ -111,30 +129,7 @@ pub fn run_pipeline_faulted_exec(
     opts: FaultOptions,
     exec: impl Into<ExecutorChoice>,
 ) -> Result<PipelineResult, RunError> {
-    let Pipeline {
-        graph,
-        image,
-        to_raster,
-        to_merge,
-        filters,
-    } = build_pipeline(cfg, spec);
-    let report = Run::new(graph)
-        .memory_budget(cfg.memory_budget_bytes)
-        .storage_retries(cfg.storage_retry_budget)
-        .checksum_spills(cfg.checksum_spills)
-        .faults(opts)
-        .executor(exec)
-        .go(topo)?;
-    let mut images = std::mem::take(&mut *image.lock());
-    assert_eq!(images.len(), 1, "single-UOW run deposits exactly one image");
-    Ok(PipelineResult {
-        elapsed: report.elapsed,
-        report,
-        image: images.pop().expect("one image"),
-        to_raster,
-        to_merge,
-        filters,
-    })
+    run_once(topo, cfg, spec, Some(opts), exec.into())
 }
 
 /// Upgrade fault options to [`Recovery::Lossless`](datacutter::Recovery)
@@ -169,12 +164,7 @@ pub fn run_pipeline_uows(
     uows: u32,
 ) -> Result<MultiUowResult, RunError> {
     let Pipeline { graph, image, .. } = build_pipeline(cfg, spec);
-    let report = Run::new(graph)
-        .memory_budget(cfg.memory_budget_bytes)
-        .storage_retries(cfg.storage_retry_budget)
-        .checksum_spills(cfg.checksum_spills)
-        .uows(uows)
-        .go(topo)?;
+    let report = configured_run(graph, cfg, None).uows(uows).go(topo)?;
     let images = std::mem::take(&mut *image.lock());
     assert_eq!(images.len(), uows as usize, "one image per unit of work");
     let uow_elapsed = report.uow_elapsed();
@@ -250,7 +240,6 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         wpa_capacity: cfg.wpa_capacity,
         zb_band_bytes: cfg.zb_band_bytes,
         tile_size: cfg.tile_size,
-        merge_copies: cfg.merge_copies,
         retention_depth: cfg.retention_depth,
         executor: cfg.executor,
         memory_budget_bytes: cfg.memory_budget_bytes,

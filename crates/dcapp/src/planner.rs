@@ -43,6 +43,10 @@ pub struct WorkEstimate {
 /// bounding the scaling error well inside the model's 3x tolerance.
 const PROBE_CHUNKS: u32 = 16;
 
+/// Merge copy sets the tile-composite upgrade spreads the fold over (one
+/// set per host, on the most capable hosts; fewer when fewer exist).
+const TILE_MERGE_SETS: usize = 4;
+
 /// Probe the dataset: extract a few representative chunks and scale.
 pub fn estimate_work(cfg: &SharedConfig) -> WorkEstimate {
     let selected: Vec<ChunkId> = {
@@ -269,15 +273,14 @@ pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Pl
     // funnels through one host, so once that fold is a material fraction
     // of the modeled makespan the merge stage serializes the graph. Split
     // it into a tile-owned merge group (one copy set per host, tiles
-    // routed by tile-hash) when the config allows more than one merge
-    // copy and there are hosts to spread over.
+    // routed by tile-hash) when there are hosts to spread over.
     let merge_secs = cost.merge_cost(est.pixels).as_secs_f64() / capacity(topo, merge_host);
     let mut tile_note = String::new();
-    if cfg.merge_copies > 1 && compute_hosts.len() >= 2 && merge_secs > 0.25 * secs {
+    if compute_hosts.len() >= 2 && merge_secs > 0.25 * secs {
         if let Grouping::RERaSplit { raster } = &grouping {
             let mut by_cap = compute_hosts.to_vec();
             by_cap.sort_by(|&a, &b| capacity(topo, b).total_cmp(&capacity(topo, a)));
-            by_cap.truncate(cfg.merge_copies);
+            by_cap.truncate(TILE_MERGE_SETS);
             grouping = Grouping::TileComposite {
                 raster: raster.clone(),
                 merge: Placement::one_per_host(&by_cap),
@@ -403,7 +406,7 @@ mod tests {
         let p = plan(&topo, &cfg, &hosts);
         assert_eq!(p.spec.grouping.label(), "RE-Ra-Mt-A", "{}", p.rationale);
         if let Grouping::TileComposite { merge, .. } = &p.spec.grouping {
-            assert_eq!(merge.per_host.len(), cfg.merge_copies);
+            assert_eq!(merge.per_host.len(), TILE_MERGE_SETS);
         }
         let r = crate::run_pipeline(&topo, &cfg, &p.spec).unwrap();
         assert_eq!(r.image.diff_pixels(&crate::reference_image(&cfg)), 0);

@@ -33,7 +33,7 @@ pub mod topology;
 pub mod trace;
 
 pub use engine::{Env, ProcessId, RunStats, SimError, Simulation, Waker};
-pub use fault::{DiskFaultKind, FaultPlan};
+pub use fault::{splitmix64, DiskFaultKind, FaultPlan};
 pub use load::{drive_load, spawn_load_generator, LoadProfile};
 pub use resources::{Cpu, Disk, Link};
 pub use sync::{channel, Barrier, DeadlineRecv, Receiver, Semaphore, SendError, Sender};

@@ -58,41 +58,14 @@ fn corner_offset(i: usize) -> (u32, u32, u32) {
     ((i & 1) as u32, ((i >> 1) & 1) as u32, ((i >> 2) & 1) as u32)
 }
 
-/// Cells below which [`extract`] stays serial: slab fan-out costs more
-/// than it saves on small grids (a pipeline chunk is typically 16³ = 4096
-/// cells).
-const PAR_MIN_CELLS: u64 = 16 * 1024;
-
 /// Extract the isosurface of `grid` at `iso`, with the grid's point
 /// `(0,0,0)` located at world position `origin` (chunks pass their global
 /// cell origin so surfaces from different chunks line up). Triangles are
 /// appended to `out`; returns scan statistics.
 ///
-/// With the default-on `parallel` feature, large grids are decomposed
-/// into z-slabs extracted on the [global pool](crate::par::ThreadPool::global)
-/// and spliced back in slab order, which is bit-identical to
-/// [`extract_serial`]. Use [`extract_with`] to control the pool and reuse
-/// slab scratch buffers across calls.
+/// One serial scan: a pipeline extracts many chunks at once by running
+/// many extract-filter copies, not by splitting one chunk.
 pub fn extract(
-    grid: &RectGrid,
-    origin: (u32, u32, u32),
-    iso: f32,
-    out: &mut Vec<Triangle>,
-) -> ExtractStats {
-    #[cfg(feature = "parallel")]
-    {
-        let pool = crate::par::ThreadPool::global();
-        if pool.threads() > 1 && grid.dims.cells() >= PAR_MIN_CELLS {
-            let mut scratch = ExtractScratch::default();
-            return extract_with(pool, &mut scratch, grid, origin, iso, out);
-        }
-    }
-    extract_serial(grid, origin, iso, out)
-}
-
-/// Serial reference extraction; always available, bit-identical to the
-/// parallel path.
-pub fn extract_serial(
     grid: &RectGrid,
     origin: (u32, u32, u32),
     iso: f32,
@@ -103,69 +76,6 @@ pub fn extract_serial(
         return ExtractStats::default();
     }
     extract_slab(grid, origin, iso, 0..d.nz - 1, out)
-}
-
-/// Reusable per-slab output buffers for [`extract_with`]: hold one across
-/// calls (e.g. per extract-filter copy) and the steady state allocates
-/// nothing.
-#[derive(Default)]
-pub struct ExtractScratch {
-    slabs: Vec<std::sync::Mutex<(Vec<Triangle>, ExtractStats)>>,
-}
-
-/// [`extract`] with an explicit pool and reusable slab scratch. Slabs are
-/// claimed work-stealing style (density varies across z), but results are
-/// spliced in slab index order, so output order — and every triangle bit —
-/// matches [`extract_serial`].
-pub fn extract_with(
-    pool: &crate::par::ThreadPool,
-    scratch: &mut ExtractScratch,
-    grid: &RectGrid,
-    origin: (u32, u32, u32),
-    iso: f32,
-    out: &mut Vec<Triangle>,
-) -> ExtractStats {
-    let d = grid.dims;
-    if d.nx < 2 || d.ny < 2 || d.nz < 2 {
-        return ExtractStats::default();
-    }
-    let z_cells = (d.nz - 1) as usize;
-    let threads = pool.threads();
-    if threads <= 1 || grid.dims.cells() < PAR_MIN_CELLS || z_cells < 2 {
-        return extract_slab(grid, origin, iso, 0..d.nz - 1, out);
-    }
-    // More slabs than lanes smooths out the load imbalance from uneven
-    // triangle density; ×4 is plenty without fragmenting the splice.
-    let n_slabs = z_cells.min(threads * 4);
-    if scratch.slabs.len() < n_slabs {
-        scratch.slabs.resize_with(n_slabs, Default::default);
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slabs = &scratch.slabs;
-    pool.broadcast(&|_| loop {
-        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if i >= n_slabs {
-            break;
-        }
-        let band = crate::par::band_of(z_cells, n_slabs, i);
-        let mut slot = slabs[i].lock().expect("slab slot");
-        slot.0.clear();
-        slot.1 = extract_slab(
-            grid,
-            origin,
-            iso,
-            band.start as u32..band.end as u32,
-            &mut slot.0,
-        );
-    });
-    let mut stats = ExtractStats::default();
-    for slab in &scratch.slabs[..n_slabs] {
-        let slot = slab.lock().expect("slab slot");
-        stats.cells += slot.1.cells;
-        stats.triangles += slot.1.triangles;
-        out.extend_from_slice(&slot.0);
-    }
-    stats
 }
 
 /// Which sides of the isovalue a set of samples touches. A NaN touches
@@ -211,7 +121,7 @@ fn sides_of(samples: &[f32], iso: f32) -> Sides {
     s
 }
 
-/// Scan cells with `z` in `z_range` (the serial kernel over one slab).
+/// Scan cells with `z` in `z_range` (the kernel behind [`extract`]).
 ///
 /// Cost follows the surface, not the volume. A cell yields triangles only
 /// if its corners [cross](Sides::crosses) the isovalue, and so does
@@ -644,30 +554,6 @@ mod tests {
         assert_eq!(stats.cells, 8 * 8 * 8);
     }
 
-    #[test]
-    fn parallel_extract_is_bit_identical_to_serial() {
-        // 32³ cells — above PAR_MIN_CELLS so the slab path really runs.
-        let g = sphere_grid(33, 10.0);
-        let mut serial = Vec::new();
-        let s_stats = extract_serial(&g, (5, 6, 7), 0.0, &mut serial);
-        for threads in [1usize, 2, 3, 4] {
-            let pool = crate::par::ThreadPool::new(threads);
-            let mut scratch = ExtractScratch::default();
-            let mut par_out = Vec::new();
-            let p_stats = extract_with(&pool, &mut scratch, &g, (5, 6, 7), 0.0, &mut par_out);
-            assert_eq!(s_stats, p_stats, "{threads} threads");
-            assert_eq!(serial.len(), par_out.len(), "{threads} threads");
-            assert!(
-                serial.iter().zip(&par_out).all(|(a, b)| a == b),
-                "{threads} threads: triangle mismatch"
-            );
-            // Scratch reuse must not change the result.
-            let mut again = Vec::new();
-            extract_with(&pool, &mut scratch, &g, (5, 6, 7), 0.0, &mut again);
-            assert!(serial.iter().zip(&again).all(|(a, b)| a == b));
-        }
-    }
-
     /// The kernel this crate shipped before empty-space skipping: visit
     /// every cell, gather eight corners through `RectGrid::at`, quick-reject
     /// per cell. Kept verbatim as the oracle [`extract_slab`] must match
@@ -791,14 +677,14 @@ mod tests {
             assert_eq!(got_stats, want_stats, "case {case}");
             assert_eq!(triangle_bits(&got), triangle_bits(&want), "case {case}");
 
-            // The public entry points route the whole grid through the
+            // The public entry point routes the whole grid through the
             // same kernel.
-            let (mut whole, mut serial) = (Vec::new(), Vec::new());
+            let (mut whole, mut public) = (Vec::new(), Vec::new());
             let whole_stats =
                 extract_slab_reference(&grid, origin, iso, 0..grid.dims.nz - 1, &mut whole);
-            let serial_stats = extract_serial(&grid, origin, iso, &mut serial);
-            assert_eq!(serial_stats, whole_stats, "case {case}");
-            assert_eq!(triangle_bits(&serial), triangle_bits(&whole), "case {case}");
+            let public_stats = extract(&grid, origin, iso, &mut public);
+            assert_eq!(public_stats, whole_stats, "case {case}");
+            assert_eq!(triangle_bits(&public), triangle_bits(&whole), "case {case}");
 
             if want.is_empty() {
                 without += 1;

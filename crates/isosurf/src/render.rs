@@ -60,50 +60,6 @@ pub fn render_active_pixel(
     target.to_image(BACKGROUND)
 }
 
-/// [`render_zbuffer`] on an explicit pool: extraction is slab-parallel,
-/// rasterization splits the triangle stream into contiguous per-lane
-/// ranges landing in per-lane z-buffers, and the partial buffers
-/// composite through the index-ordered tree reduction
-/// ([`crate::zbuf::merge_many_with`]). Every depth test is a strict `<`
-/// that keeps the earlier candidate, and lane ranges / reduction order
-/// follow triangle stream order, so ties resolve exactly as in the
-/// sequential renderer: the image is bit-identical.
-pub fn render_zbuffer_with(
-    pool: &crate::par::ThreadPool,
-    field: &RectGrid,
-    camera: &Camera,
-    iso: f32,
-    material: &Material,
-) -> Image {
-    let mut scratch = crate::mc::ExtractScratch::default();
-    let mut tris = Vec::new();
-    crate::mc::extract_with(pool, &mut scratch, field, (0, 0, 0), iso, &mut tris);
-    let mut bufs: Vec<ZBuffer> = (0..pool.threads())
-        .map(|_| ZBuffer::new(camera.width, camera.height))
-        .collect();
-    let proj = camera.projector();
-    let ptr = crate::par::SendPtr::new(bufs.as_mut_ptr());
-    crate::par::for_each_band(pool, tris.len(), &|lane, range| {
-        // SAFETY: lane indices are distinct per broadcast, so each lane
-        // writes only its own buffer.
-        let zb = unsafe { &mut *ptr.get().add(lane) };
-        for t in &tris[range] {
-            let _ = raster_triangle(
-                &proj,
-                camera.width,
-                camera.height,
-                material,
-                t,
-                |x, y, d, rgb| {
-                    zb.plot(x, y, d, rgb);
-                },
-            );
-        }
-    });
-    crate::zbuf::merge_many_with(pool, &mut bufs);
-    bufs[0].to_image(BACKGROUND)
-}
-
 /// Rasterize a triangle batch into an existing z-buffer (the z-buffer
 /// raster filter's inner loop). Returns pixels generated.
 pub fn raster_into_zbuffer(
@@ -167,19 +123,6 @@ mod tests {
         for cap in [7usize, 64, 4096] {
             let ai = render_active_pixel(&f, &cam, 0.0, &m, cap);
             assert_eq!(zi.diff_pixels(&ai), 0, "wpa capacity {cap}");
-        }
-    }
-
-    #[test]
-    fn parallel_render_is_bit_identical_to_sequential() {
-        let f = sphere(21, 6.5);
-        let cam = Camera::framing(f.dims, 80, 80);
-        let m = Material::default();
-        let seq = render_zbuffer(&f, &cam, 0.0, &m);
-        for threads in [1usize, 2, 3, 4] {
-            let pool = crate::par::ThreadPool::new(threads);
-            let par = render_zbuffer_with(&pool, &f, &cam, 0.0, &m);
-            assert_eq!(seq.diff_pixels(&par), 0, "{threads} threads");
         }
     }
 

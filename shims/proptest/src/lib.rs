@@ -245,10 +245,18 @@ macro_rules! __proptest_items {
                 match __run() {
                     Ok(()) => {}
                     Err(__msg) if __msg == $crate::ASSUME_REJECT => {}
-                    Err(__msg) => panic!(
-                        "property failed at case {}/{}: {}",
-                        __case, __cfg.cases, __msg
-                    ),
+                    Err(__msg) => {
+                        // The body may have consumed its arguments: draw
+                        // the case again to name the counter-example.
+                        let mut __rng = $crate::TestRng::for_case(__name, __case);
+                        $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
+                        let __args: ::std::vec::Vec<::std::string::String> =
+                            vec![$(format!("{} = {:?}", stringify!($arg), $arg)),*];
+                        panic!(
+                            "property failed at case {}/{}: {}\n  with {}",
+                            __case, __cfg.cases, __msg, __args.join(", ")
+                        )
+                    }
                 }
             }
         }
@@ -368,5 +376,20 @@ mod tests {
             }
         }
         always_fails();
+    }
+
+    /// The failure names every generated argument, so the case can be
+    /// replayed as a directed test — also when the body consumed them.
+    #[test]
+    #[should_panic(expected = "with n = 7, v = [7, 7]")]
+    fn failure_message_prints_the_generated_arguments() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1))]
+            fn fails(n in 7u32..8, v in prop::collection::vec(7u8..8, 2..3)) {
+                drop(v);
+                prop_assert!(n != 7, "boom");
+            }
+        }
+        fails();
     }
 }

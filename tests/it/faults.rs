@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use datacutter::{
-    FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor, NativeFaultPlan,
-    Placement, Run, RunError, SimExecutor, SupervisorPolicy, WritePolicy,
+    FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor, Placement, Run,
+    RunError, SimExecutor, SupervisorPolicy, WritePolicy,
 };
 use dcapp::{Algorithm, Grouping, PipelineSpec};
 use hetsim::{FaultPlan, SimDuration, SimTime};
@@ -397,14 +397,14 @@ fn native_drops_and_delays_preserve_output() {
     let clean =
         dcapp::run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new()).expect("clean run");
 
-    let chaos = NativeFaultPlan::new()
+    let chaos = FaultPlan::new()
         .drop_messages(0xD00D, 0.08)
         .delay_messages(0xD1A7, 0.10, us(200));
     let lossy = dcapp::run_pipeline_faulted_exec(
         &topo,
         &cfg,
         &spec,
-        chaos.options().liveness_timeout(ms(2)),
+        FaultOptions::new(chaos).liveness_timeout(ms(2)),
         NativeExecutor::new(),
     )
     .expect("lossy native run");
@@ -558,9 +558,8 @@ fn native_supervised_panic_restarts_and_completes() {
     let report = Run::new(cg.graph)
         .executor(NativeExecutor::new())
         .faults(
-            NativeFaultPlan::new()
-                .supervise(policy)
-                .options()
+            FaultOptions::new(FaultPlan::new())
+                .supervised(policy)
                 .liveness_timeout(ms(2)),
         )
         .go(&topo)
@@ -589,7 +588,7 @@ fn supervised_restart_is_deterministic_on_sim() {
             .max_restarts(2)
             .backoff(ms(1), ms(10));
         let report = Run::new(cg.graph)
-            .faults(NativeFaultPlan::new().supervise(policy).options())
+            .faults(FaultOptions::new(FaultPlan::new()).supervised(policy))
             .go(&topo)
             .expect("supervised sim run completes");
         (
@@ -619,9 +618,8 @@ fn native_restart_budget_exhausted_dies_and_replays_to_survivor() {
     let report = Run::new(cg.graph)
         .executor(NativeExecutor::new())
         .faults(
-            NativeFaultPlan::new()
-                .supervise(policy)
-                .options()
+            FaultOptions::new(FaultPlan::new())
+                .supervised(policy)
                 .liveness_timeout(ms(2)),
         )
         .go(&topo)
@@ -654,9 +652,8 @@ fn native_wedge_detection_completes_degraded() {
     let report = Run::new(cg.graph)
         .executor(NativeExecutor::new())
         .faults(
-            NativeFaultPlan::new()
-                .supervise(policy)
-                .options()
+            FaultOptions::new(FaultPlan::new())
+                .supervised(policy)
                 .liveness_timeout(ms(2)),
         )
         .go(&topo)
@@ -733,9 +730,8 @@ fn lossless_restart_replays_journal_and_rebuilds_state() {
         }
         let report = run
             .faults(
-                NativeFaultPlan::new()
-                    .supervise(policy)
-                    .options()
+                FaultOptions::new(FaultPlan::new())
+                    .supervised(policy)
                     .lossless()
                     .liveness_timeout(ms(2)),
             )
@@ -812,9 +808,8 @@ fn retention_overflow_degrades_with_eviction_accounting() {
         .backoff(ms(1), ms(10));
     let report = Run::new(cg.graph)
         .faults(
-            NativeFaultPlan::new()
-                .supervise(policy)
-                .options()
+            FaultOptions::new(FaultPlan::new())
+                .supervised(policy)
                 .lossless()
                 .retention_depth(2)
                 .liveness_timeout(ms(2)),
@@ -844,9 +839,8 @@ fn lossless_budget_exhausted_falls_back_to_degraded_completion() {
         .backoff(us(50), ms(1));
     let report = Run::new(cg.graph)
         .faults(
-            NativeFaultPlan::new()
-                .supervise(policy)
-                .options()
+            FaultOptions::new(FaultPlan::new())
+                .supervised(policy)
                 .lossless()
                 .liveness_timeout(ms(2)),
         )

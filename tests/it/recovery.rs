@@ -28,7 +28,9 @@ use std::sync::Arc;
 use datacutter::{FaultOptions, NativeExecutor, Placement, SimExecutor, WritePolicy};
 use dcapp::{lossless_options, Algorithm, Grouping, PipelineSpec};
 use hetsim::{FaultPlan, SimDuration, SimTime};
-use integration_tests::{cluster, recovery_digest, stream_totals_digest, test_cfg, test_dataset};
+use integration_tests::{
+    cluster, recovery_digest, small_dataset, stream_totals_digest, test_cfg, test_dataset,
+};
 
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
@@ -234,6 +236,62 @@ fn lossless_mid_run_tile_merge_crash_rebuilds_dead_tiles() {
     let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
         .expect("lossless tiled mid-run crash completes");
     assert_lossless("sim-midrun/tile-hash", &clean, &faulted, false, false);
+}
+
+/// The retired `ablation_faults` bin's geometry, now a gate (ROADMAP
+/// item 0 names the recovered arm): `small_dataset` on two Blue nodes
+/// with half of node 0's files moved to node 1 (the fig-7 skew), extract
+/// on two Rogue nodes, Z-buffer raster and merge back on Blue; one
+/// extract host crashes at 5 % of the clean run — early, because the
+/// R→E stream is only busy during the opening of the run. Under
+/// `Recovery::Lossless` every policy recovers exactly; in the default
+/// loss-accounted mode DD replays its acknowledgment window and loses
+/// nothing, while RR/WRR have no acks and tally the four buffers that
+/// were in flight to the dead host.
+#[test]
+fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
+    let (topo, rogues, blues) = hetsim::presets::rogue_blue_mix(2);
+    let mut cfg = dcapp::AppConfig::new(small_dataset(), blues.clone(), 2, 512, 512);
+    cfg.iso = 0.5;
+    cfg.placement = volume::FilePlacement::skewed(64, 2, 2, &[0], &[1], 50);
+    let cfg = Arc::new(cfg);
+    let reference = dcapp::reference_image(&cfg);
+    for (policy, degraded_lost) in [
+        (WritePolicy::RoundRobin, 4),
+        (WritePolicy::WeightedRoundRobin, 4),
+        (WritePolicy::demand_driven(), 0),
+    ] {
+        let label = policy.label();
+        let spec = PipelineSpec {
+            grouping: Grouping::FourStage {
+                extract: Placement::one_per_host(&rogues),
+                raster: Placement::on_host(blues[1], 1),
+            },
+            algorithm: Algorithm::ZBuffer,
+            policy,
+            merge_host: blues[0],
+        };
+        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("clean run");
+        assert_eq!(clean.image.diff_pixels(&reference), 0, "{label}: clean");
+        let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
+        let plan = || FaultPlan::new().crash_host(rogues[1], crash_at);
+
+        let recovered = dcapp::run_pipeline_faulted(
+            &topo,
+            &cfg,
+            &spec,
+            lossless_options(&cfg, FaultOptions::new(plan())),
+        )
+        .expect("recovered run");
+        assert_lossless(&format!("skewed/{label}"), &clean, &recovered, false, false);
+
+        let degraded = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan()))
+            .expect("degraded run");
+        let f = &degraded.report.faults;
+        assert_eq!(f.copies_killed, 1, "{label}: {f}");
+        assert_eq!(f.buffers_lost, degraded_lost, "{label}: {f}");
+        assert_eq!(f.degraded, degraded_lost > 0, "{label}: {f}");
+    }
 }
 
 /// Randomized acceptance: seeded datasets, any writer policy, either

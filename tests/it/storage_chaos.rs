@@ -26,7 +26,7 @@ use dcapp::{
     Grouping, PipelineResult, PipelineSpec, SharedConfig,
 };
 use hetsim::{DiskFaultKind, FaultPlan, HostId, SimDuration, SimTime};
-use integration_tests::{cluster, image_digest, test_cfg, test_dataset};
+use integration_tests::{cluster, image_digest, small_dataset, test_cfg, test_dataset};
 
 /// One window covering any run on either time axis (virtual seconds on
 /// the simulator, wall-clock seconds on the native executors).
@@ -202,6 +202,37 @@ fn transient_disk_errors_heal_on_native() {
         );
         assert_conservation(&format!("native/{label}"), &native);
     }
+}
+
+/// What sealing a spill frame costs, pinned from the retired
+/// `ablation_faults` storage arm: `small_dataset` on two Blue nodes,
+/// extract on two Rogue nodes, Z-buffer raster and merge on Blue, DD,
+/// 512×512, 1/16 budget. `checksum_spills = false` drops the 8-byte
+/// trailer from each of the 134 frames and nothing else: same spills,
+/// same pixels.
+#[test]
+fn unsealed_spills_save_exactly_the_trailer_never_bits() {
+    let (topo, rogues, blues) = hetsim::presets::rogue_blue_mix(2);
+    let sealed = budgeted(&test_cfg(small_dataset(), blues.clone(), 512), 16);
+    let mut unsealed = clone_config(&sealed);
+    unsealed.checksum_spills = false;
+    let unsealed: SharedConfig = Arc::new(unsealed);
+    let spec = PipelineSpec {
+        grouping: Grouping::FourStage {
+            extract: Placement::one_per_host(&rogues),
+            raster: Placement::on_host(blues[1], 1),
+        },
+        algorithm: Algorithm::ZBuffer,
+        policy: WritePolicy::demand_driven(),
+        merge_host: blues[0],
+    };
+    let with = run_pipeline(&topo, &sealed, &spec).expect("sealed run");
+    let without = run_pipeline(&topo, &unsealed, &spec).expect("unsealed run");
+    assert_eq!(without.image.diff_pixels(&with.image), 0);
+    assert_eq!(with.report.ooc.spills, 134);
+    assert_eq!(without.report.ooc.spills, 134);
+    assert_eq!(with.report.ooc.spill_bytes, 4_658_801);
+    assert_eq!(without.report.ooc.spill_bytes, 4_658_801 - 8 * 134);
 }
 
 /// A write-error window that outlives the retry budget *and* the one

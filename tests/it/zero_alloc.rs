@@ -8,7 +8,7 @@
 //! The loop below mirrors what `dcapp`'s stages do per unit of work,
 //! driven through the same public APIs (`BufferPool`, `TriBatch`,
 //! `RaOut`, `ActivePixelBuffer::supply`, `merge_batch`,
-//! `extract_serial`, `raster_triangle`); the filter wrappers themselves
+//! `extract`, `raster_triangle`); the filter wrappers themselves
 //! only add the emulation context, which is not part of the per-buffer
 //! hot path. The extract and raster kernels skip empty space and dead
 //! pixels without per-call scratch, so they sit inside the same proof.
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dcapp::{BufferPool, RaOut, TriBatch};
 use isosurf::{
-    extract_serial, merge_batch, raster_triangle, ActivePixelBuffer, Camera, Material, Projector,
+    extract, merge_batch, raster_triangle, ActivePixelBuffer, Camera, Material, Projector,
     Triangle, WinningPixel, ZBuffer,
 };
 use volume::{Dims, RectGrid};
@@ -120,7 +120,7 @@ fn pass(h: &mut Harness) {
 
     // E: extract into the warmed pending vector, drain into pooled batches.
     pending.clear();
-    extract_serial(grid, (0, 0, 0), 0.5, pending);
+    extract(grid, (0, 0, 0), 0.5, pending);
     while !pending.is_empty() {
         let n = pending.len().min(BATCH);
         let mut tris = tri_pool.take(BATCH);

@@ -11,6 +11,10 @@ pub fn test_dataset(seed: u64) -> Dataset {
     Dataset::generate(Dims::new(25, 25, 49), (3, 3, 4), 16, seed)
 }
 
+/// The dataset the retired sweep bins ran on (and the paper bins' small
+/// one), for the tests that pin those bins' deterministic counters.
+pub use bench::small_dataset;
+
 /// Standard test configuration over the given hosts.
 pub fn test_cfg(dataset: Dataset, hosts: Vec<HostId>, image: u32) -> SharedConfig {
     let mut cfg = AppConfig::new(dataset, hosts, 2, image, image);
@@ -26,8 +30,8 @@ pub fn cluster(n: usize) -> (Topology, Vec<HostId>) {
 /// FNV-1a, folded incrementally so the digest covers heterogeneous data.
 ///
 /// Shared by the bit-identity suites (`dataplane_identity`,
-/// `compositing_identity`) and the compositing bench's digest-drift gate,
-/// so every pin in the tree is computed by the same fold.
+/// `compositing_identity`), so every pin in the tree is computed by the
+/// same fold.
 pub struct Fnv(pub u64);
 
 impl Default for Fnv {
