@@ -318,6 +318,7 @@ impl StreamOoc {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -27,8 +27,9 @@ pub const EOW_WIRE_BYTES: u64 = 32;
 
 /// Monomorphized replicator attached to replicable buffers: clones the
 /// erased payload into a slab-recycled box so the lossless-recovery layer
-/// can retain a replica without knowing the concrete type.
-type ReplicateFn = fn(&(dyn Any + Send), &BufferSlab, u64) -> DataBuffer;
+/// can retain a replica without knowing the concrete type. `None` if the
+/// payload is not the type the replicator was made for.
+type ReplicateFn = fn(&(dyn Any + Send), &BufferSlab, u64) -> Option<DataBuffer>;
 
 /// Serialization contract a payload must offer before the out-of-core
 /// layer may spill it to the [`SpillRing`] and fault it back in.
@@ -56,8 +57,9 @@ impl SpillCodec for Vec<u8> {
     }
 }
 
-/// Monomorphized encoder: appends the erased payload's spill bytes.
-type SpillEncodeFn = fn(&(dyn Any + Send), &mut Vec<u8>);
+/// Monomorphized encoder: appends the erased payload's spill bytes;
+/// `false` if the payload is not the type the encoder was made for.
+type SpillEncodeFn = fn(&(dyn Any + Send), &mut Vec<u8>) -> bool;
 
 /// Monomorphized decoder: rebuilds an equally spillable buffer from ring
 /// bytes (box supplied by the slab), or `None` on corrupt input.
@@ -143,7 +145,7 @@ impl DataBuffer {
     /// second fault needs the same data again.
     pub fn replicate(&self, slab: &BufferSlab) -> Option<DataBuffer> {
         self.replicate
-            .map(|f| f(self.payload.as_ref(), slab, self.wire_bytes))
+            .and_then(|f| f(self.payload.as_ref(), slab, self.wire_bytes))
     }
 
     /// True when [`replicate`](Self::replicate) would succeed.
@@ -210,7 +212,9 @@ impl DataBuffer {
             return None;
         }
         let mut bytes = Vec::new();
-        (fns.encode)(self.payload.as_ref(), &mut bytes);
+        if !(fns.encode)(self.payload.as_ref(), &mut bytes) {
+            return None;
+        }
         if checksum {
             crate::storage::seal_frame(&mut bytes);
         }
@@ -343,15 +347,14 @@ impl BufferSlab {
             .lock()
             .get_mut(&TypeId::of::<T>())
             .and_then(Vec::pop);
-        let payload: Box<dyn Any + Send> = match recycled {
-            Some(bx) => {
-                let mut bx = bx
-                    .downcast::<T>()
-                    .expect("slab free list keyed by TypeId holds matching boxes");
+        // The free list is keyed by `TypeId`, so a recycled box always
+        // downcasts; were it ever not to, it is dropped as a miss.
+        let payload: Box<dyn Any + Send> = match recycled.map(|bx| bx.downcast::<T>()) {
+            Some(Ok(mut bx)) => {
                 *bx = payload;
                 bx
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Box::new(payload)
             }
@@ -380,12 +383,9 @@ impl BufferSlab {
             payload: &(dyn Any + Send),
             slab: &BufferSlab,
             wire_bytes: u64,
-        ) -> DataBuffer {
-            let payload = payload
-                .downcast_ref::<T>()
-                .expect("replicator is monomorphized for its buffer's payload type")
-                .clone();
-            slab.make_replicable(payload, wire_bytes)
+        ) -> Option<DataBuffer> {
+            let payload = payload.downcast_ref::<T>()?.clone();
+            Some(slab.make_replicable(payload, wire_bytes))
         }
         let mut buf = self.make(payload, wire_bytes);
         buf.replicate = Some(replicate_impl::<T>);
@@ -406,18 +406,18 @@ impl BufferSlab {
             payload: &(dyn Any + Send),
             slab: &BufferSlab,
             wire_bytes: u64,
-        ) -> DataBuffer {
-            let payload = payload
-                .downcast_ref::<T>()
-                .expect("replicator is monomorphized for its buffer's payload type")
-                .clone();
-            slab.make_spillable(payload, wire_bytes)
+        ) -> Option<DataBuffer> {
+            let payload = payload.downcast_ref::<T>()?.clone();
+            Some(slab.make_spillable(payload, wire_bytes))
         }
-        fn encode_impl<T: Any + Send + SpillCodec>(payload: &(dyn Any + Send), out: &mut Vec<u8>) {
+        fn encode_impl<T: Any + Send + SpillCodec>(
+            payload: &(dyn Any + Send),
+            out: &mut Vec<u8>,
+        ) -> bool {
             payload
                 .downcast_ref::<T>()
-                .expect("spill encoder is monomorphized for its buffer's payload type")
-                .spill_encode(out);
+                .map(|p| p.spill_encode(out))
+                .is_some()
         }
         fn decode_impl<T: Any + Send + Clone + SpillCodec>(
             bytes: &[u8],
@@ -498,6 +498,7 @@ impl std::fmt::Debug for BufferSlab {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

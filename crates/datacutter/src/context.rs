@@ -2,9 +2,9 @@
 //! CPU work, and disk I/O, all charged to the emulated cluster when the
 //! run executes on the virtual-time simulator. On the native wall-clock
 //! executor the same interface applies — reads and writes move real data
-//! through real channels — but cost-charging operations (`compute`,
-//! `disk_read`) only tally metrics, since there is no emulated hardware
-//! to occupy.
+//! through real channels, delivered and acknowledged in the copy's own
+//! thread — but cost-charging operations (`compute`, `disk_read`) only
+//! tally metrics, since there is no emulated hardware to occupy.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,16 +18,17 @@ use crate::fault::{abort_run, raise_killed, CopyHealth, ErrorCell, FaultCtl, Run
 use crate::filter::CopyInfo;
 use crate::metrics::CopyCell;
 use crate::policy::{AckHandle, CopySetInfo, WriterState};
-use crate::runtime::delivery::{CourierMsg, Envelope, OutMsg};
+use crate::runtime::delivery::{Closed, CourierMsg, Delivery, Envelope, OutMsg};
 use crate::runtime::eow::UowGate;
-use crate::runtime::exec::DeadlineSend;
 use crate::runtime::retain::{Dedup, Provenance, StreamRetention};
 use crate::runtime::{ChanRx, ChanTx, ExecEnv};
 
 pub(crate) struct InputPort {
     pub rx: ChanRx<Envelope>,
     pub inject_tx: ChanTx<Envelope>,
-    pub courier_tx: ChanTx<CourierMsg>,
+    /// The copy set's ack courier under virtual time; `None` when this
+    /// copy credits demand windows and settles retention itself.
+    pub courier_tx: Option<ChanTx<CourierMsg>>,
     pub gate: Arc<Mutex<UowGate>>,
     /// Gates of the *other* copy sets on this stream, with their set
     /// descriptions. When a peer set is dead its reaper may still be
@@ -43,8 +44,8 @@ pub(crate) struct InputPort {
     /// Lossless recovery: the stream's retention, for re-fetching this
     /// copy's consumed-but-unflushed buffers after a supervised restart.
     pub retention: Option<Arc<StreamRetention>>,
-    /// Provenances this copy consumed in the current UOW. Settled over
-    /// the courier at clean end-of-work; harvested by
+    /// Provenances this copy consumed in the current UOW. Settled at
+    /// clean end-of-work; harvested by
     /// [`FilterCtx::prepare_restart_replay`] when the copy restarts
     /// mid-UOW instead.
     pub journal: Vec<Provenance>,
@@ -62,7 +63,7 @@ pub(crate) struct InputPort {
 
 pub(crate) struct OutputPort {
     pub writer: WriterState,
-    pub outbox_tx: ChanTx<OutMsg>,
+    pub outbox: Outbox,
     /// Number of consumer copy sets (valid `write_to` targets).
     pub targets: usize,
     /// Lossless recovery: the stream's retention — every replicable
@@ -72,6 +73,23 @@ pub(crate) struct OutputPort {
     /// Out-of-core state of this stream (`None` ⇒ no memory budget; the
     /// write path never touches the ledger or ring).
     pub ooc: Option<Arc<StreamOoc>>,
+}
+
+/// Where an output port's messages go: to the copy's outbox sender
+/// process under virtual time, or straight through [`Delivery`] in the
+/// copy's own thread (see [`crate::Executor::RELAYS`]).
+pub(crate) enum Outbox {
+    Sender(ChanTx<OutMsg>),
+    Inline(Delivery),
+}
+
+impl OutputPort {
+    fn send(&mut self, env: &ExecEnv, msg: OutMsg) -> Result<(), Closed> {
+        match &mut self.outbox {
+            Outbox::Sender(tx) => tx.send(env, msg).map_err(|_| Closed),
+            Outbox::Inline(d) => d.deliver(env, msg),
+        }
+    }
 }
 
 /// Execution context of one filter copy. Provides the stream interface
@@ -98,9 +116,6 @@ pub struct FilterCtx {
     pub(crate) name: Arc<str>,
     /// Shared cell for the run's first structured error.
     pub(crate) errors: ErrorCell,
-    /// Deadline for handing an acknowledgment to the courier queue; a
-    /// full queue past this is a [`RunError::CourierStall`].
-    pub(crate) courier_deadline: SimDuration,
     /// Heartbeat record scanned by the supervisor (supervised runs only).
     pub(crate) health: Option<Arc<CopyHealth>>,
     /// Per-port latch: `true` once `read` returned end-of-work for the
@@ -152,20 +167,25 @@ impl FilterCtx {
 
     /// Settle input `port`'s journal: report the provenances this copy
     /// consumed (and whose effects are now flushed) to the stream's
-    /// retention over the courier reverse path, releasing the retained
-    /// replicas. No-op in degraded mode or when nothing was journaled; a
-    /// full courier queue past the deadline only postpones the GC to run
-    /// teardown, so the result is ignored.
+    /// retention — over the courier's reverse path under virtual time —
+    /// releasing the retained replicas. No-op in degraded mode or when
+    /// nothing was journaled.
     pub(crate) fn settle_port(&mut self, port: usize) {
         let input = &mut self.inputs[port];
         if input.dedup.is_none() || input.journal.is_empty() {
             return;
         }
         let items = std::mem::take(&mut input.journal);
-        let deadline = self.env.now() + self.courier_deadline;
-        let _ = input
-            .courier_tx
-            .send_deadline(&self.env, CourierMsg::Settle { items }, deadline);
+        match &input.courier_tx {
+            Some(tx) => {
+                let _ = tx.send(&self.env, CourierMsg::Settle { items });
+            }
+            None => {
+                if let Some(r) = &input.retention {
+                    r.settle(&items);
+                }
+            }
+        }
     }
 
     /// Rebuild a supervised restart's lost input state: the crashed
@@ -647,31 +667,15 @@ impl FilterCtx {
             match got {
                 Some(Envelope::Data { mut buf, ack, prov }) => {
                     if let Some(ack) = ack {
-                        // Hand to the ack courier; the courier pays the
-                        // reverse network path so this copy keeps working.
-                        // The handoff is bounded: a courier queue full past
-                        // the deadline means the courier is wedged, and
-                        // blocking indefinitely would wedge this copy too.
                         // Credited even for a duplicate about to be
                         // suppressed — the buffer was dequeued either way.
-                        let deadline = self.env.now() + self.courier_deadline;
-                        match self.inputs[port].courier_tx.send_deadline(
-                            &self.env,
-                            CourierMsg::Ack(ack),
-                            deadline,
-                        ) {
-                            DeadlineSend::Sent | DeadlineSend::Closed => {}
-                            DeadlineSend::TimedOut => {
-                                abort_run(
-                                    &self.errors,
-                                    RunError::CourierStall {
-                                        filter: self.name.to_string(),
-                                        copy: self.info.copy_index,
-                                        host: self.info.host,
-                                        waited: self.courier_deadline,
-                                    },
-                                );
+                        // Under virtual time the courier pays the reverse
+                        // network path so this copy keeps working.
+                        match &self.inputs[port].courier_tx {
+                            Some(tx) => {
+                                let _ = tx.send(&self.env, CourierMsg::Ack(ack));
                             }
+                            None => ack.state.ack(&self.env, ack.copyset_idx),
                         }
                     }
                     let claimed = match (self.inputs[port].dedup.as_ref(), prov) {
@@ -760,8 +764,12 @@ impl FilterCtx {
     }
 
     /// Write `buf` to output `port`. The writer policy picks the consumer
-    /// copy set (demand-driven writers may block here for window credit);
-    /// the transfer itself is overlapped via a per-copy outbox.
+    /// copy set (demand-driven writers may block here for window credit).
+    /// Under virtual time the transfer is overlapped via a per-copy
+    /// outbox; on the native executor this copy delivers the buffer
+    /// itself, so a full consumer queue — or a fault plan's drop, delay or
+    /// NIC-degrade stall — is waited out here, as a blocking socket send
+    /// would be.
     ///
     /// Deliberately *no* crash check here: failure is fail-stop at the
     /// read boundary. A demand-driven buffer is acknowledged when it is
@@ -769,50 +777,16 @@ impl FilterCtx {
     /// between dequeue and write would lose acknowledged work that replay
     /// can never restore. Letting the in-flight unit flush keeps a
     /// demand-driven run bit-identical after recovery.
-    pub fn write(&mut self, port: usize, mut buf: DataBuffer) {
+    pub fn write(&mut self, port: usize, buf: DataBuffer) {
         self.beat();
         let t0 = self.env.now();
-        let copy = self.info.copy_index;
         let out = &mut self.outputs[port];
         let idx = out.writer.select(&self.env);
         let ack = out.writer.demand_state().map(|state| AckHandle {
             state,
             copyset_idx: idx,
         });
-        let prov = out
-            .retention
-            .as_ref()
-            .and_then(|r| r.stamp(copy, idx, &buf));
-        let bytes = buf.wire_bytes();
-        let (spill_bytes, spill_elapsed) = self.ooc_outgoing(port, &mut buf);
-        if self.outputs[port]
-            .outbox_tx
-            .send(
-                &self.env,
-                OutMsg::Data {
-                    copyset_idx: idx,
-                    envelope: Envelope::Data { buf, ack, prov },
-                },
-            )
-            .is_err()
-        {
-            abort_run(
-                &self.errors,
-                RunError::ChannelClosed {
-                    filter: self.name.to_string(),
-                    copy: self.info.copy_index,
-                    host: self.info.host,
-                    what: "outbox",
-                },
-            );
-        }
-        let waited = self.env.now() - t0 - spill_elapsed;
-        let mut m = self.metrics.lock();
-        m.buffers_out += 1;
-        m.bytes_out += bytes;
-        m.write_wait += waited;
-        m.disk_bytes += spill_bytes;
-        m.disk_elapsed += spill_elapsed;
+        self.send_data(port, idx, ack, buf, t0);
     }
 
     /// Write `buf` to output `port` addressed to a *specific* consumer
@@ -820,39 +794,41 @@ impl FilterCtx {
     /// policy. Used for content-based routing — e.g. image-partitioned
     /// rendering, where a triangle must go to the raster copy set owning
     /// its screen region. No demand-driven acknowledgment is generated.
-    pub fn write_to(&mut self, port: usize, copyset_idx: usize, mut buf: DataBuffer) {
+    pub fn write_to(&mut self, port: usize, copyset_idx: usize, buf: DataBuffer) {
         self.beat();
         let t0 = self.env.now();
-        let copy = self.info.copy_index;
-        let out = &mut self.outputs[port];
-        let prov = out
+        self.send_data(port, copyset_idx, None, buf, t0);
+    }
+
+    /// The shared tail of every write: stamp the retention provenance,
+    /// take the out-of-core step, hand the envelope to delivery and
+    /// account the time since `t0` as write wait (spill time apart).
+    fn send_data(
+        &mut self,
+        port: usize,
+        copyset_idx: usize,
+        ack: Option<AckHandle>,
+        mut buf: DataBuffer,
+        t0: SimTime,
+    ) {
+        let prov = self.outputs[port]
             .retention
             .as_ref()
-            .and_then(|r| r.stamp(copy, copyset_idx, &buf));
+            .and_then(|r| r.stamp(self.info.copy_index, copyset_idx, &buf));
         let bytes = buf.wire_bytes();
         let (spill_bytes, spill_elapsed) = self.ooc_outgoing(port, &mut buf);
-        if self.outputs[port]
-            .outbox_tx
-            .send(
-                &self.env,
-                OutMsg::Data {
-                    copyset_idx,
-                    envelope: Envelope::Data {
-                        buf,
-                        ack: None,
-                        prov,
-                    },
-                },
-            )
-            .is_err()
-        {
+        let msg = OutMsg::Data {
+            copyset_idx,
+            envelope: Envelope::Data { buf, ack, prov },
+        };
+        if self.outputs[port].send(&self.env, msg).is_err() {
             abort_run(
                 &self.errors,
                 RunError::ChannelClosed {
                     filter: self.name.to_string(),
                     copy: self.info.copy_index,
                     host: self.info.host,
-                    what: "outbox",
+                    what: "stream",
                 },
             );
         }
@@ -889,7 +865,7 @@ impl FilterCtx {
     /// the end of each work cycle).
     pub(crate) fn emit_eow(&mut self) {
         for out in &mut self.outputs {
-            let _ = out.outbox_tx.send(&self.env, OutMsg::Eow);
+            let _ = out.send(&self.env, OutMsg::Eow);
         }
     }
 

@@ -74,23 +74,9 @@ pub enum RunError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A consumer's acknowledgment courier queue stayed full past the
-    /// configured deadline (`Run::courier_deadline`): the courier is
-    /// stuck, wedged, or drowned, and blocking longer would stall the
-    /// consumer indefinitely.
-    CourierStall {
-        /// Name of the filter whose ack could not be handed off.
-        filter: String,
-        /// Which transparent copy stalled.
-        copy: usize,
-        /// Host the copy runs on.
-        host: HostId,
-        /// How long the copy waited for courier-queue room.
-        waited: SimDuration,
-    },
-    /// A runtime channel closed while a filter copy still needed it (its
-    /// sender process died early) — the typed replacement for the former
-    /// "outbox closed" panic.
+    /// A runtime channel closed while a filter copy still needed it (every
+    /// consumer of a stream it writes hung up) — the typed replacement for
+    /// the former "outbox closed" panic.
     ChannelClosed {
         /// Name of the filter left holding the dead endpoint.
         filter: String,
@@ -98,7 +84,7 @@ pub enum RunError {
         copy: usize,
         /// Host the copy runs on.
         host: HostId,
-        /// What the channel carried (e.g. "outbox").
+        /// What the channel carried (e.g. "stream").
         what: &'static str,
     },
     /// Every copy set of a stream's consumer died and the run was not
@@ -151,18 +137,6 @@ impl std::fmt::Display for RunError {
             } => write!(
                 f,
                 "filter '{filter}' copy {copy} on host{} panicked in uow {uow}: {message}",
-                host.0
-            ),
-            RunError::CourierStall {
-                filter,
-                copy,
-                host,
-                waited,
-            } => write!(
-                f,
-                "ack courier queue full for {:.3}s: filter '{filter}' copy {copy} on host{} \
-                 cannot hand off acknowledgments",
-                waited.as_secs_f64(),
                 host.0
             ),
             RunError::ChannelClosed {
@@ -746,6 +720,7 @@ impl FaultCtl {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

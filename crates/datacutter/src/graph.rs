@@ -215,6 +215,7 @@ impl GraphBuilder {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::context::FilterCtx;

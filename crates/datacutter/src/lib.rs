@@ -69,6 +69,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// The whole crate hosts the delivery path and the panic-containment and
+// supervision machinery it runs under; an `unwrap`/`expect` anywhere here
+// is an uncontained panic path, so the banned-method list in the
+// workspace `clippy.toml` is an error (test modules opt out).
+#![deny(clippy::disallowed_methods)]
 
 pub mod budget;
 pub mod buffer;
@@ -78,14 +83,7 @@ pub mod filter;
 pub mod graph;
 pub mod metrics;
 pub mod policy;
-// The runtime hosts the panic-containment and supervision machinery; an
-// `unwrap`/`expect` here is an uncontained panic path, so the banned-method
-// list in the workspace `clippy.toml` is enforced as an error.
-#[deny(clippy::disallowed_methods)]
 pub mod runtime;
-// The storage plane is the self-healing layer under the spill path; a
-// panic here would defeat the degradation ladder it exists to provide.
-#[deny(clippy::disallowed_methods)]
 pub mod storage;
 
 pub use budget::{MemoryBudget, SpillRing, SpillTicket, StreamOoc};
@@ -103,8 +101,7 @@ pub use policy::{CopySetInfo, DemandState, WritePolicy};
 pub use runtime::native::TaskedExecutor;
 pub use runtime::{
     Clock, ExecEnv, ExecStats, Executor, ExecutorChoice, NativeExecutor, Run, SimExecutor,
-    Transport, DEFAULT_COURIER_CAPACITY, DEFAULT_COURIER_DEADLINE, DEFAULT_OUTBOX_CAPACITY,
-    DEFAULT_RETRANSMIT_DELAY,
+    Transport, DEFAULT_COURIER_CAPACITY, DEFAULT_OUTBOX_CAPACITY, DEFAULT_RETRANSMIT_DELAY,
 };
 pub use storage::{
     open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,

@@ -510,6 +510,7 @@ pub struct AckHandle {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hetsim::Simulation;

@@ -1,11 +1,17 @@
-//! The delivery layer: the envelope types that move on copy-set queues,
-//! the per-copy **outbox sender** processes (so communication overlaps
-//! computation), and the per-copy-set **ack courier** processes (so
-//! demand-driven acknowledgments travel the reverse network path without
-//! blocking the consumer). Retransmission of fault-plan-dropped messages
-//! also lives here, as does settlement of retained replicas under
-//! lossless recovery (the courier carries `Settle` batches upstream over
-//! the same reverse path as demand acks).
+//! The delivery layer: the envelope types that move on copy-set queues and
+//! `Delivery::deliver`, the one function that puts a producer copy's
+//! message on a consumer queue — seeded drop and retransmit, injected
+//! message delay, the native NIC-degrade stall, the send itself and the
+//! end-of-work broadcast.
+//!
+//! Who calls it is the executor's choice ([`Executor::RELAYS`]). Under
+//! virtual time a per-copy **outbox sender** process calls it, so the
+//! modelled wire transfer overlaps the copy's computation, and a
+//! per-copy-set **ack courier** process pays the reverse path for demand
+//! acknowledgments and lossless-recovery `Settle` batches. On the native
+//! executor there is no modelled wire: the writing copy delivers in its
+//! own thread, and the reading copy credits the producer's window (and
+//! settles retention) directly.
 
 use std::sync::Arc;
 
@@ -14,7 +20,7 @@ use hetsim::{HostId, SimDuration, Topology};
 use super::exec::{charge_transfer, ChanRx, ChanTx, ExecEnv, Executor};
 use super::retain::{Provenance, StreamRetention};
 use crate::buffer::{DataBuffer, ACK_WIRE_BYTES, EOW_WIRE_BYTES};
-use crate::fault::FaultCtl;
+use crate::fault::{CopyHealth, FaultCtl};
 use crate::policy::{AckHandle, CopySetInfo};
 
 /// A message on a copy-set queue.
@@ -36,7 +42,7 @@ pub(crate) enum Envelope {
     UowDone,
 }
 
-/// Message from a filter copy to its per-stream outbox sender process.
+/// What a producer copy hands to delivery on one output stream.
 pub(crate) enum OutMsg {
     /// Route one data envelope to the chosen copy set.
     Data {
@@ -47,7 +53,8 @@ pub(crate) enum OutMsg {
     Eow,
 }
 
-/// Reverse-path message from a consumer copy set to the producers.
+/// Reverse-path message from a consumer copy set to the producers
+/// (simulator only: the courier's queue).
 pub(crate) enum CourierMsg {
     /// Demand-driven window credit for one delivered buffer.
     Ack(AckHandle),
@@ -56,10 +63,13 @@ pub(crate) enum CourierMsg {
     Settle { items: Vec<Provenance> },
 }
 
-/// Spawn the ack courier for one consumer copy set: it pays the reverse
-/// network path for each acknowledgment (and each settlement batch), then
-/// credits the producer's demand window or garbage-collects the stream's
-/// retention ring.
+/// Every receiver of the addressed copy-set queue is gone.
+pub(crate) struct Closed;
+
+/// Spawn the ack courier for one consumer copy set (simulator only): it
+/// pays the reverse network path for each acknowledgment (and each
+/// settlement batch), then credits the producer's demand window or
+/// garbage-collects the stream's retention ring.
 pub(crate) fn spawn_courier<E: Executor>(
     exec: &mut E,
     stream_name: &str,
@@ -109,10 +119,10 @@ pub(crate) fn spawn_courier<E: Executor>(
     );
 }
 
-/// Static configuration of one outbox sender process.
-pub(crate) struct SenderCfg {
-    pub stream_name: String,
-    /// Seeded-drop key base: the stream id (combined with the copy index).
+/// One (producer copy, output stream) pair's delivery state: where its
+/// copy sets live, the queues that reach them, and the per-pair sequence
+/// number the fault plan's seeded drops and delays are keyed on.
+pub(crate) struct Delivery {
     pub stream_id: u32,
     pub copy_index: usize,
     pub host: HostId,
@@ -121,110 +131,123 @@ pub(crate) struct SenderCfg {
     pub topo: Topology,
     pub faults: Option<Arc<FaultCtl>>,
     pub retransmit_delay: SimDuration,
+    /// Data messages delivered so far (0 when wired).
+    pub seq: u64,
+    /// The writing copy's heartbeat when it delivers in its own thread
+    /// under supervision, so waiting out a retransmit or a stall does not
+    /// read as a wedge; `None` for a sender process.
+    pub health: Option<Arc<CopyHealth>>,
 }
 
-/// Spawn the outbox sender for one (producer copy, output stream) pair: it
-/// drains the copy's outbox, charges wire transfers, applies the fault
-/// plan's message drops (paying and retrying each dropped transmission),
-/// emulates NIC degradation with serialization-time delays on the native
-/// substrate, and broadcasts end-of-work markers.
-pub(crate) fn spawn_sender<E: Executor>(exec: &mut E, cfg: SenderCfg, outbox_rx: ChanRx<OutMsg>) {
-    let SenderCfg {
-        stream_name,
-        stream_id,
-        copy_index,
-        host,
-        sets,
-        targets,
-        topo,
-        faults,
-        retransmit_delay,
-    } = cfg;
-    // Seeded-drop key: unique per (stream, producer copy).
-    let drop_key = ((stream_id as u64) << 32) | copy_index as u64;
-    exec.spawn(
-        format!("sender:{stream_name}#{copy_index}@h{}", host.0),
-        Box::new(move |env: ExecEnv| {
-            let mut seq: u64 = 0;
-            while let Some(msg) = outbox_rx.recv(&env) {
-                match msg {
-                    OutMsg::Data {
-                        copyset_idx,
-                        envelope,
-                    } => {
-                        let bytes = match &envelope {
-                            Envelope::Data { buf, .. } => buf.transport_bytes(),
-                            _ => EOW_WIRE_BYTES,
-                        };
-                        let to = sets[copyset_idx].host;
-                        if let Some(ctl) = faults.as_ref().filter(|c| c.plan.has_drops()) {
-                            if to != host {
-                                // Each dropped transmission still occupied
-                                // the wire: pay for it, wait out the
-                                // retransmit timer, re-roll.
-                                let mut attempt = 0u64;
-                                while ctl.plan.should_drop(drop_key, seq, attempt) {
-                                    charge_transfer(&env, &topo, host, to, bytes);
-                                    env.delay(retransmit_delay);
-                                    ctl.tallies.lock().retransmits += 1;
-                                    attempt += 1;
-                                }
-                            }
-                        }
-                        if let Some(ctl) = faults.as_ref().filter(|c| c.plan.has_delays()) {
-                            // Seeded per-message latency injection (chaos
-                            // testing): hold the message on the wire for the
-                            // plan's extra delay before it reaches the
-                            // consumer queue.
-                            if to != host {
-                                if let Some(d) = ctl.plan.message_delay(drop_key, seq) {
-                                    env.delay(d);
-                                    ctl.tallies.lock().messages_delayed += 1;
-                                }
-                            }
-                        }
-                        if let Some(ctl) = faults.as_ref().filter(|c| c.plan.has_degrades()) {
-                            // NIC degradation on the native substrate: the
-                            // virtual-time engine dilates transfers through
-                            // the topology's bandwidth drivers, but native
-                            // threads pay real wire costs, so the degraded
-                            // fraction of serialization time is injected
-                            // here as an explicit stall on the sending NIC.
-                            if !env.is_virtual() && to != host {
-                                let now = env.now();
-                                let f = ctl
-                                    .plan
-                                    .degrade_factor(host, now)
-                                    .min(ctl.plan.degrade_factor(to, now));
-                                if f < 1.0 {
-                                    let nominal = topo.path_cost_per_byte(host, to) * bytes as f64;
-                                    let extra = nominal * (1.0 / f.max(1e-6) - 1.0);
-                                    env.delay(SimDuration::from_secs_f64(extra));
-                                    ctl.tallies.lock().messages_delayed += 1;
-                                }
-                            }
-                        }
-                        seq += 1;
-                        charge_transfer(&env, &topo, host, to, bytes);
-                        if targets[copyset_idx].send(&env, envelope).is_err() {
-                            // Consumer gone: late buffer at teardown; drop
-                            // it.
-                            break;
+impl Delivery {
+    /// Deliver `msg`, charging the wire under virtual time and applying
+    /// the fault plan: each dropped transmission is paid for and retried
+    /// after the retransmit delay, an injected delay holds the message, and
+    /// on the native substrate a degraded NIC stalls the sender for the
+    /// degraded fraction of the message's serialization time.
+    pub fn deliver(&mut self, env: &ExecEnv, msg: OutMsg) -> Result<(), Closed> {
+        match msg {
+            OutMsg::Data {
+                copyset_idx,
+                envelope,
+            } => {
+                let bytes = match &envelope {
+                    Envelope::Data { buf, .. } => buf.transport_bytes(),
+                    _ => EOW_WIRE_BYTES,
+                };
+                let to = self.sets[copyset_idx].host;
+                // Seeded-drop key: unique per (stream, producer copy).
+                let key = ((self.stream_id as u64) << 32) | self.copy_index as u64;
+                if let Some(ctl) = self.faults.as_ref().filter(|_| to != self.host) {
+                    if ctl.plan.has_drops() {
+                        // Each dropped transmission still occupied the
+                        // wire: pay for it, wait out the retransmit timer,
+                        // re-roll.
+                        let mut attempt = 0u64;
+                        while ctl.plan.should_drop(key, self.seq, attempt) {
+                            charge_transfer(env, &self.topo, self.host, to, bytes);
+                            env.delay(self.retransmit_delay);
+                            self.beat(env);
+                            ctl.tallies.lock().retransmits += 1;
+                            attempt += 1;
                         }
                     }
-                    OutMsg::Eow => {
-                        for (i, tx) in targets.iter().enumerate() {
-                            charge_transfer(&env, &topo, host, sets[i].host, EOW_WIRE_BYTES);
-                            let _ = tx.send(
-                                &env,
-                                Envelope::Eow {
-                                    producer: copy_index,
-                                },
-                            );
+                    if ctl.plan.has_delays() {
+                        // Seeded per-message latency injection (chaos
+                        // testing): hold the message on the wire for the
+                        // plan's extra delay before it reaches the queue.
+                        if let Some(d) = ctl.plan.message_delay(key, self.seq) {
+                            env.delay(d);
+                            self.beat(env);
+                            ctl.tallies.lock().messages_delayed += 1;
+                        }
+                    }
+                    if ctl.plan.has_degrades() && !env.is_virtual() {
+                        // The virtual-time engine dilates transfers through
+                        // the topology's bandwidth drivers; native threads
+                        // pay real wire costs, so the degraded fraction of
+                        // serialization time is injected here as a stall.
+                        let now = env.now();
+                        let f = ctl
+                            .plan
+                            .degrade_factor(self.host, now)
+                            .min(ctl.plan.degrade_factor(to, now));
+                        if f < 1.0 {
+                            let nominal =
+                                self.topo.path_cost_per_byte(self.host, to) * bytes as f64;
+                            let extra = nominal * (1.0 / f.max(1e-6) - 1.0);
+                            env.delay(SimDuration::from_secs_f64(extra));
+                            self.beat(env);
+                            ctl.tallies.lock().messages_delayed += 1;
                         }
                     }
                 }
+                self.seq += 1;
+                charge_transfer(env, &self.topo, self.host, to, bytes);
+                self.targets[copyset_idx]
+                    .send(env, envelope)
+                    .map_err(|_| Closed)
             }
-        }),
-    );
+            OutMsg::Eow => {
+                for (tx, set) in self.targets.iter().zip(&self.sets) {
+                    charge_transfer(env, &self.topo, self.host, set.host, EOW_WIRE_BYTES);
+                    let _ = tx.send(
+                        env,
+                        Envelope::Eow {
+                            producer: self.copy_index,
+                        },
+                    );
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn beat(&self, env: &ExecEnv) {
+        if let Some(h) = &self.health {
+            h.beat(env.now());
+        }
+    }
+
+    /// Spawn this pair's outbox sender (simulator only): it drains the
+    /// copy's outbox through [`deliver`](Self::deliver) so the copy keeps
+    /// computing while earlier buffers are on the modelled wire. A
+    /// consumer that hung up ends the loop; the late buffer is dropped.
+    pub fn spawn_sender<E: Executor>(
+        mut self,
+        exec: &mut E,
+        stream_name: &str,
+        outbox_rx: ChanRx<OutMsg>,
+    ) {
+        exec.spawn(
+            format!("sender:{stream_name}#{}@h{}", self.copy_index, self.host.0),
+            Box::new(move |env: ExecEnv| {
+                while let Some(msg) = outbox_rx.recv(&env) {
+                    if self.deliver(&env, msg).is_err() {
+                        break;
+                    }
+                }
+            }),
+        );
+    }
 }

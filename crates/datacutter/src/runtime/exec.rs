@@ -1,6 +1,7 @@
 //! The executor substrate: a small `Clock` + `Transport` + `Executor`
 //! trait family that separates *what* the runtime spawns and wires (filter
-//! copies, outbox senders, ack couriers, reapers — see [`super::spawn`])
+//! copies, reapers, and under virtual time outbox senders and ack couriers
+//! — see [`super::spawn`])
 //! from *where* it runs. The hetsim virtual-time engine is one
 //! implementation ([`SimExecutor`], bit-for-bit identical to the original
 //! monolithic runtime); [`super::native::NativeExecutor`] runs the same
@@ -36,8 +37,9 @@ impl Clock for Env {
 }
 
 /// The per-process execution environment handed to every runtime process
-/// (filter copies, senders, couriers, reapers). A concrete enum over the
-/// two substrates so the filter-facing context stays non-generic.
+/// (filter copies, reapers, the supervisor, senders and couriers). A
+/// concrete enum over the two substrates so the filter-facing context
+/// stays non-generic.
 #[derive(Clone)]
 pub enum ExecEnv {
     /// A hetsim virtual-time process environment.
@@ -139,18 +141,6 @@ pub enum ChanRx<T: Send> {
     Native(NativeRx<T>),
 }
 
-/// Outcome of a bounded-deadline send ([`ChanTx::send_deadline`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineSend {
-    /// The value was enqueued.
-    Sent,
-    /// Every receiver hung up; the value was discarded.
-    Closed,
-    /// The channel stayed full until the deadline; the value was
-    /// discarded.
-    TimedOut,
-}
-
 impl<T: Send> ChanTx<T> {
     /// Send `value`, blocking while the channel is full. `Err` returns the
     /// value when every receiver is gone.
@@ -158,25 +148,6 @@ impl<T: Send> ChanTx<T> {
         match self {
             ChanTx::Sim(tx) => tx.send(env.expect_sim(), value),
             ChanTx::Native(tx) => tx.send(value),
-        }
-    }
-
-    /// Send with a deadline on the executor's time axis: block while the
-    /// channel is full, but give up at `deadline`. On the deterministic
-    /// simulator the deadline is not enforced — a sim channel drains in
-    /// bounded virtual time or the engine reports a deadlock, so the timed
-    /// variant degrades to the plain blocking send and scheduling stays
-    /// bit-identical to the pre-deadline runtime.
-    pub fn send_deadline(&self, env: &ExecEnv, value: T, deadline: SimTime) -> DeadlineSend {
-        match (self, env) {
-            (ChanTx::Sim(tx), _) => match tx.send(env.expect_sim(), value) {
-                Ok(()) => DeadlineSend::Sent,
-                Err(_) => DeadlineSend::Closed,
-            },
-            (ChanTx::Native(tx), ExecEnv::Native(ne)) => tx.send_deadline(ne, value, deadline),
-            (ChanTx::Native(_), ExecEnv::Sim(_)) => {
-                unreachable!("native channel endpoint driven from a sim process")
-            }
         }
     }
 }
@@ -279,19 +250,11 @@ impl ExecBarrier {
 }
 
 /// Factory for the communication primitives of one run: channels wiring
-/// streams, outboxes and couriers, and the inter-UOW barrier.
+/// streams (and, under virtual time, outboxes and couriers), and the
+/// inter-UOW barrier.
 pub trait Transport: Clone + Send + 'static {
     /// A bounded MPMC channel with `capacity` slots (at least 1).
     fn channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>);
-
-    /// A bounded channel the caller promises has exactly one producer and
-    /// one consumer (endpoints are never cloned). Transports may return a
-    /// cheaper lock-free implementation; the default is the plain MPMC
-    /// channel, so substrates that don't specialize (the deterministic
-    /// simulator) are unaffected.
-    fn spsc_channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
-        self.channel(capacity)
-    }
 
     /// A cyclic barrier over `participants` processes.
     fn barrier(&self, participants: usize) -> ExecBarrier;
@@ -332,6 +295,16 @@ pub type SpawnBody = Box<dyn FnOnce(ExecEnv) + Send + 'static>;
 pub trait Executor {
     /// The transport whose channels/barriers this executor's processes use.
     type Transport: Transport;
+
+    /// Whether the runtime relays through helper processes: an outbox
+    /// *sender* per (filter copy, output stream) and an ack *courier* per
+    /// consumer copy set. A substrate that charges transfers in virtual
+    /// time needs them — they let a copy keep computing while its buffers
+    /// and acknowledgments are on the modelled wire, and their
+    /// registration order is part of the event order. Without a modelled
+    /// wire they would only add thread hand-offs, so a copy delivers its
+    /// writes and acknowledges its reads in its own thread instead.
+    const RELAYS: bool;
 
     /// The transport instance for wiring this run.
     fn transport(&self) -> Self::Transport;
@@ -392,6 +365,7 @@ impl Transport for SimTransport {
 
 impl Executor for SimExecutor {
     type Transport = SimTransport;
+    const RELAYS: bool = true;
 
     fn transport(&self) -> SimTransport {
         SimTransport {

@@ -6,7 +6,9 @@
 //! * [`native`] — the wall-clock [`NativeExecutor`] (one OS thread per
 //!   process, condvar blocking),
 //! * [`spawn`] — copy instantiation and stream wiring,
-//! * [`delivery`] — outbox senders, ack couriers, retransmission,
+//! * [`delivery`] — putting envelopes on copy-set queues (retransmission,
+//!   injected delays and stalls), plus the simulator's outbox senders and
+//!   ack couriers,
 //! * [`eow`] — end-of-work gates (UOW cycle separation),
 //! * [`reaper`] — dead-set salvage and demand-driven replay,
 //! * [`retain`] — lossless-recovery retention rings and seq-number dedup,
@@ -51,28 +53,22 @@ use crate::fault::{ErrorCell, FaultCtl, FaultOptions, KilledMarker, RunError};
 use crate::graph::AppGraph;
 use crate::metrics::{CopyReport, FaultReport, RunReport, StreamReport};
 
-/// Default capacity of each per-copy outbox (models the kernel socket
-/// buffer that lets a filter keep computing while a previous buffer is on
-/// the wire).
+/// Default capacity of each per-copy outbox under the simulator (models
+/// the kernel socket buffer that lets a filter keep computing while a
+/// previous buffer is on the wire).
 pub const DEFAULT_OUTBOX_CAPACITY: usize = 2;
 
-/// Default capacity of ack courier queues. Consumers block on a full
-/// courier queue, but under the demand-driven policy the queue can never
-/// hold more acks than the producer side has window credit (each queued
-/// ack is an unacknowledged buffer), so with the default windows this
-/// bound is never reached; RR/WRR generate no acks at all. Raise it via
-/// [`Run::courier_capacity`] for graphs with very large DD windows.
+/// Default capacity of the simulator's ack courier queues. Consumers
+/// block on a full courier queue, but under the demand-driven policy the
+/// queue can never hold more acks than the producer side has window
+/// credit (each queued ack is an unacknowledged buffer), so with the
+/// default windows this bound is never reached; RR/WRR generate no acks
+/// at all. Raise it via [`Run::courier_capacity`] for graphs with very
+/// large DD windows.
 pub const DEFAULT_COURIER_CAPACITY: usize = 1024;
 
 /// Default back-off before re-sending a message the fault plan dropped.
 pub const DEFAULT_RETRANSMIT_DELAY: SimDuration = SimDuration::from_millis(1);
-
-/// Default deadline for handing an acknowledgment to a full courier
-/// queue; exceeding it fails the run with [`RunError::CourierStall`]
-/// instead of blocking forever. Enforced on the native executor (the
-/// deterministic substrate keeps the original blocking send so virtual
-/// timelines stay bit-identical).
-pub const DEFAULT_COURIER_DEADLINE: SimDuration = SimDuration::from_millis(5_000);
 
 /// Runtime tuning knobs carried from the [`Run`] builder into the wiring.
 #[derive(Clone, Copy)]
@@ -80,7 +76,6 @@ pub(crate) struct Tuning {
     pub outbox_capacity: usize,
     pub courier_capacity: usize,
     pub retransmit_delay: SimDuration,
-    pub courier_deadline: SimDuration,
     /// Byte budget for in-flight stream payloads (0 = unlimited; the
     /// out-of-core spill path is off and runs are untouched).
     pub memory_budget_bytes: u64,
@@ -98,7 +93,6 @@ impl Default for Tuning {
             outbox_capacity: DEFAULT_OUTBOX_CAPACITY,
             courier_capacity: DEFAULT_COURIER_CAPACITY,
             retransmit_delay: DEFAULT_RETRANSMIT_DELAY,
-            courier_deadline: DEFAULT_COURIER_DEADLINE,
             memory_budget_bytes: 0,
             storage_retry_budget: crate::storage::DEFAULT_STORAGE_RETRY_BUDGET,
             checksum_spills: true,
@@ -191,8 +185,11 @@ impl Run {
     /// the virtual-time executor and in wall-clock time on the native
     /// executor. NIC degradation (`degrade_nic`) uses the
     /// simulation's bandwidth drivers under virtual time; the native
-    /// executor emulates the same windows by stalling senders for the
-    /// degraded fraction of each message's serialization time.
+    /// executor emulates the same windows by stalling the writing copy
+    /// for the degraded fraction of each message's serialization time.
+    /// Natively a drop's retransmit wait, an injected delay and a degrade
+    /// stall are all paid by the writing copy, as a blocking socket send
+    /// would be.
     ///
     /// With [`crate::fault::Recovery::Lossless`] the runtime additionally
     /// retains sent buffers until consumers settle them, replays retained
@@ -231,14 +228,16 @@ impl Run {
     }
 
     /// Capacity of each per-copy outbox (default
-    /// [`DEFAULT_OUTBOX_CAPACITY`]).
+    /// [`DEFAULT_OUTBOX_CAPACITY`]). Simulator only: on the native
+    /// executor a copy delivers its writes itself and has no outbox.
     pub fn outbox_capacity(mut self, capacity: usize) -> Self {
         self.tuning.outbox_capacity = capacity;
         self
     }
 
     /// Capacity of the per-copy-set ack courier queues (default
-    /// [`DEFAULT_COURIER_CAPACITY`]).
+    /// [`DEFAULT_COURIER_CAPACITY`]). Simulator only: on the native
+    /// executor a copy acknowledges its reads itself and has no courier.
     pub fn courier_capacity(mut self, capacity: usize) -> Self {
         self.tuning.courier_capacity = capacity;
         self
@@ -248,15 +247,6 @@ impl Run {
     /// (default [`DEFAULT_RETRANSMIT_DELAY`]).
     pub fn retransmit_delay(mut self, delay: SimDuration) -> Self {
         self.tuning.retransmit_delay = delay;
-        self
-    }
-
-    /// Deadline for handing an acknowledgment to a full courier queue
-    /// before the run fails with [`RunError::CourierStall`] (default
-    /// [`DEFAULT_COURIER_DEADLINE`]; native executor only — the
-    /// deterministic substrate keeps the original blocking send).
-    pub fn courier_deadline(mut self, deadline: SimDuration) -> Self {
-        self.tuning.courier_deadline = deadline;
         self
     }
 
@@ -332,8 +322,8 @@ impl Run {
                 // Crashes, stalls, drops, delays, degradation windows and
                 // supervision are pure time-indexed queries consulted by
                 // the runtime machinery and work on wall-clock time too
-                // (degradation is emulated by sender-side stalls — see
-                // `delivery::spawn_sender`).
+                // (degradation is emulated by writer-side stalls — see
+                // `delivery::Delivery::deliver`).
                 if self.setup.is_some() {
                     return Err(RunError::Unsupported {
                         what: "simulation setup hooks require the virtual-time SimExecutor".into(),

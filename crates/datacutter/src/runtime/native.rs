@@ -1,9 +1,12 @@
-//! The wall-clock executor: every runtime process (filter copy, outbox
-//! sender, ack courier) becomes a real OS thread, communicating over
-//! bounded mutex/condvar channels with the same blocking semantics as the
-//! simulation's cooperative channels. Nothing here charges virtual costs —
-//! computation, transfers and disk reads take however long the hardware
-//! takes — so runs are *fast* but not deterministic; output equality with
+//! The wall-clock executor: every runtime process (filter copy, reaper,
+//! supervisor) becomes a real OS thread, communicating over bounded
+//! mutex/condvar channels with the same blocking semantics as the
+//! simulation's cooperative channels. A filter copy is the only thread the
+//! runtime spawns for it: with no modelled wire to overlap, it delivers its
+//! writes and acknowledges its reads itself ([`Executor::RELAYS`] is
+//! `false`). Nothing here charges virtual costs — computation, transfers
+//! and disk reads take however long the hardware takes — so runs are
+//! *fast* but not deterministic; output equality with
 //! [`super::exec::SimExecutor`] is guaranteed only for order-insensitive
 //! pipelines (which the isosurface application is by construction — see
 //! DESIGN.md §9).
@@ -16,19 +19,17 @@
 //! operations fall through (sends discard, receives report closed, barrier
 //! waits return) so every thread can unwind and join.
 //!
-//! Blocking is a `parking_lot::Condvar` at every edge — the MPMC channel's
-//! not-full/not-empty sides, the SPSC ring's Dekker park, the barrier, the
-//! run-completion ledger (and `policy.rs`'s demand-driven credit window) —
-//! and a delay is an OS sleep. This is the only wall-clock substrate: a
+//! Blocking is a `parking_lot::Condvar` at every edge — the channel's
+//! not-full/not-empty sides, the barrier, the run-completion ledger (and
+//! `policy.rs`'s demand-driven credit window) — and a delay is an OS
+//! sleep. This is the only wall-clock substrate: a
 //! pooled executor that multiplexed the same copies over an admission
 //! scheduler was removed because it bought nothing measurable over
 //! thread-per-copy up to 4 096 copies (DESIGN.md §14).
 
-use std::cell::UnsafeCell;
 use std::collections::{HashSet, VecDeque};
-use std::mem::MaybeUninit;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -36,7 +37,7 @@ use hetsim::{DeadlineRecv, SendError, SimDuration, SimError, SimTime};
 use parking_lot::{Condvar, Mutex};
 
 use super::exec::{
-    ChanRx, ChanTx, DeadlineSend, ExecBarrier, ExecEnv, ExecStats, Executor, SpawnBody, Transport,
+    ChanRx, ChanTx, ExecBarrier, ExecEnv, ExecStats, Executor, SpawnBody, Transport,
 };
 
 /// Take the value a send loop is still holding. The loops below place the
@@ -154,204 +155,16 @@ impl<T: Send> CancelWake for NChan<T> {
     }
 }
 
-// ---- bounded SPSC ring ---------------------------------------------------
-
-/// `waiting` bit: the consumer is parked (or about to park) on `not_empty`.
-const RX_WAITING: u8 = 1;
-/// `waiting` bit: the producer is parked (or about to park) on `not_full`.
-const TX_WAITING: u8 = 2;
-
-/// Single-producer single-consumer ring used for outbox wiring, where each
-/// channel has exactly one writer (the filter copy) and one reader (its
-/// sender process) by construction. The hot path is two atomic loads and
-/// one store — no mutex — with a parking slow path only when the ring is
-/// actually full/empty.
-///
-/// `head`/`tail` are free-running counters (wrapping, masked on slot
-/// access): the consumer alone writes `head`, the producer alone writes
-/// `tail`, so `tail - head` is the occupancy. Parking uses a Dekker-style
-/// protocol: the parker sets its `waiting` bit under the park lock and
-/// re-checks the condition with `SeqCst` loads before sleeping; the peer
-/// publishes its counter with a `SeqCst` store *then* reads `waiting`, so
-/// either the parker sees the published progress or the peer sees the bit
-/// and notifies under the same lock. Notifies are skipped entirely when the
-/// bit is clear — the steady-state case.
-struct Spsc<T> {
-    mask: usize,
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Next slot to read; written only by the consumer.
-    head: AtomicUsize,
-    /// Next slot to write; written only by the producer.
-    tail: AtomicUsize,
-    tx_alive: AtomicBool,
-    rx_alive: AtomicBool,
-    waiting: AtomicU8,
-    park: Mutex<()>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cancel: Arc<CancelScope>,
-}
-
-// Safety: the slots are accessed disjointly — the producer writes only at
-// `tail` (which it alone advances), the consumer reads only at `head`
-// (ditto), and the counter handoff orders those accesses.
-unsafe impl<T: Send> Send for Spsc<T> {}
-unsafe impl<T: Send> Sync for Spsc<T> {}
-
-impl<T: Send> CancelWake for Spsc<T> {
-    fn wake_all(&self) {
-        let _g = self.park.lock();
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-impl<T: Send> Spsc<T> {
-    fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut slot = Some(value);
-        loop {
-            if self.cancel.is_cancelled() {
-                return Ok(());
-            }
-            if !self.rx_alive.load(Ordering::SeqCst) {
-                return Err(SendError(held(&mut slot)));
-            }
-            let tail = self.tail.load(Ordering::Relaxed);
-            let head = self.head.load(Ordering::Acquire);
-            if tail.wrapping_sub(head) <= self.mask {
-                unsafe {
-                    (*self.slots[tail & self.mask].get()).write(held(&mut slot));
-                }
-                self.tail.store(tail.wrapping_add(1), Ordering::SeqCst);
-                if self.waiting.load(Ordering::SeqCst) & RX_WAITING != 0 {
-                    let _g = self.park.lock();
-                    self.not_empty.notify_all();
-                }
-                return Ok(());
-            }
-            // Full: park until the consumer frees a slot.
-            let mut g = self.park.lock();
-            self.waiting.fetch_or(TX_WAITING, Ordering::SeqCst);
-            let head = self.head.load(Ordering::SeqCst);
-            if tail.wrapping_sub(head) <= self.mask
-                || !self.rx_alive.load(Ordering::SeqCst)
-                || self.cancel.is_cancelled()
-            {
-                self.waiting.fetch_and(!TX_WAITING, Ordering::SeqCst);
-                continue;
-            }
-            self.not_full.wait(&mut g);
-            self.waiting.fetch_and(!TX_WAITING, Ordering::SeqCst);
-        }
-    }
-
-    /// Pop the next value if one is published, notifying a parked producer.
-    fn try_pop(&self) -> Option<T> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let v = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::SeqCst);
-        if self.waiting.load(Ordering::SeqCst) & TX_WAITING != 0 {
-            let _g = self.park.lock();
-            self.not_full.notify_all();
-        }
-        Some(v)
-    }
-
-    /// Empty *and* the producer is gone or the run cancelled: nothing will
-    /// ever arrive. Re-checks emptiness after observing the hangup so a
-    /// value published right before the producer died is not dropped.
-    fn at_end(&self) -> bool {
-        (!self.tx_alive.load(Ordering::SeqCst) || self.cancel.is_cancelled())
-            && self.head.load(Ordering::SeqCst) == self.tail.load(Ordering::SeqCst)
-    }
-
-    fn recv(&self) -> Option<T> {
-        loop {
-            if let Some(v) = self.try_pop() {
-                return Some(v);
-            }
-            if self.at_end() {
-                return None;
-            }
-            let mut g = self.park.lock();
-            self.waiting.fetch_or(RX_WAITING, Ordering::SeqCst);
-            if self.head.load(Ordering::SeqCst) != self.tail.load(Ordering::SeqCst)
-                || !self.tx_alive.load(Ordering::SeqCst)
-                || self.cancel.is_cancelled()
-            {
-                self.waiting.fetch_and(!RX_WAITING, Ordering::SeqCst);
-                continue;
-            }
-            self.not_empty.wait(&mut g);
-            self.waiting.fetch_and(!RX_WAITING, Ordering::SeqCst);
-        }
-    }
-
-    fn recv_deadline(&self, env: &NativeEnv, deadline: SimTime) -> DeadlineRecv<T> {
-        loop {
-            if let Some(v) = self.try_pop() {
-                return DeadlineRecv::Item(v);
-            }
-            if self.at_end() {
-                return DeadlineRecv::Closed;
-            }
-            let now = env.now();
-            if now >= deadline {
-                return DeadlineRecv::TimedOut;
-            }
-            let remaining = Duration::from_nanos(deadline.since(now).as_nanos());
-            let mut g = self.park.lock();
-            self.waiting.fetch_or(RX_WAITING, Ordering::SeqCst);
-            if self.head.load(Ordering::SeqCst) != self.tail.load(Ordering::SeqCst)
-                || !self.tx_alive.load(Ordering::SeqCst)
-                || self.cancel.is_cancelled()
-            {
-                self.waiting.fetch_and(!RX_WAITING, Ordering::SeqCst);
-                continue;
-            }
-            let _ = self.not_empty.wait_for(&mut g, remaining);
-            self.waiting.fetch_and(!RX_WAITING, Ordering::SeqCst);
-        }
-    }
-}
-
-impl<T> Drop for Spsc<T> {
-    fn drop(&mut self) {
-        // Sole owner at this point: drop any values still in the ring.
-        let head = *self.head.get_mut();
-        let tail = *self.tail.get_mut();
-        let mut i = head;
-        while i != tail {
-            unsafe { (*self.slots[i & self.mask].get()).assume_init_drop() };
-            i = i.wrapping_add(1);
-        }
-    }
-}
-
 // ---- endpoints -----------------------------------------------------------
-
-enum TxEnd<T> {
-    Mpmc(Arc<NChan<T>>),
-    Spsc(Arc<Spsc<T>>),
-}
-
-enum RxEnd<T> {
-    Mpmc(Arc<NChan<T>>),
-    Spsc(Arc<Spsc<T>>),
-}
 
 /// Sending half of a native bounded channel.
 pub struct NativeTx<T> {
-    inner: TxEnd<T>,
+    ch: Arc<NChan<T>>,
 }
 
 /// Receiving half of a native bounded channel.
 pub struct NativeRx<T> {
-    inner: RxEnd<T>,
+    ch: Arc<NChan<T>>,
 }
 
 pub(crate) fn native_channel<T: Send + 'static>(
@@ -373,49 +186,7 @@ pub(crate) fn native_channel<T: Send + 'static>(
         cancel: cancel.clone(),
     });
     cancel.register(Arc::downgrade(&ch) as Weak<dyn CancelWake>);
-    (
-        NativeTx {
-            inner: TxEnd::Mpmc(ch.clone()),
-        },
-        NativeRx {
-            inner: RxEnd::Mpmc(ch),
-        },
-    )
-}
-
-/// A lock-free single-producer single-consumer channel. Endpoints must not
-/// be cloned (`Clone` panics); use [`native_channel`] for fan-in/fan-out.
-pub(crate) fn native_spsc_channel<T: Send + 'static>(
-    capacity: usize,
-    cancel: &Arc<CancelScope>,
-) -> (NativeTx<T>, NativeRx<T>) {
-    assert!(capacity >= 1, "channel capacity must be at least 1");
-    let cap = capacity.next_power_of_two();
-    let slots: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect();
-    let ch = Arc::new(Spsc {
-        mask: cap - 1,
-        slots,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
-        tx_alive: AtomicBool::new(true),
-        rx_alive: AtomicBool::new(true),
-        waiting: AtomicU8::new(0),
-        park: Mutex::new(()),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        cancel: cancel.clone(),
-    });
-    cancel.register(Arc::downgrade(&ch) as Weak<dyn CancelWake>);
-    (
-        NativeTx {
-            inner: TxEnd::Spsc(ch.clone()),
-        },
-        NativeRx {
-            inner: RxEnd::Spsc(ch),
-        },
-    )
+    (NativeTx { ch: ch.clone() }, NativeRx { ch })
 }
 
 impl<T: Send> NativeTx<T> {
@@ -424,10 +195,7 @@ impl<T: Send> NativeTx<T> {
     /// silently discarded (reported `Ok`) so producers unwinding through
     /// teardown do not trip their own "channel closed" panics.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let ch = match &self.inner {
-            TxEnd::Spsc(ch) => return ch.send(value),
-            TxEnd::Mpmc(ch) => ch,
-        };
+        let ch = &self.ch;
         let mut slot = Some(value);
         let mut st = ch.st.lock();
         loop {
@@ -451,63 +219,13 @@ impl<T: Send> NativeTx<T> {
             st.send_waiting -= 1;
         }
     }
-
-    /// Send with a deadline on the run's wall-clock `SimTime` axis: block
-    /// while the queue is full, but give up (discarding the value) at
-    /// `deadline`. SPSC endpoints fall back to the plain blocking send —
-    /// the runtime only bounds its fan-in (MPMC) handoffs, and the SPSC
-    /// ring's consumer is the one peer whose liveness the producer already
-    /// tracks.
-    pub fn send_deadline(&self, env: &NativeEnv, value: T, deadline: SimTime) -> DeadlineSend {
-        let ch = match &self.inner {
-            TxEnd::Spsc(_) => {
-                return match self.send(value) {
-                    Ok(()) => DeadlineSend::Sent,
-                    Err(_) => DeadlineSend::Closed,
-                };
-            }
-            TxEnd::Mpmc(ch) => ch,
-        };
-        let mut slot = Some(value);
-        let mut st = ch.st.lock();
-        loop {
-            if ch.cancel.is_cancelled() {
-                // Match `send`: a cancelled run discards quietly so
-                // unwinding producers don't trip secondary failures.
-                return DeadlineSend::Sent;
-            }
-            if st.receivers == 0 {
-                return DeadlineSend::Closed;
-            }
-            if st.queue.len() < ch.capacity {
-                st.queue.push_back(held(&mut slot));
-                let wake = st.recv_waiting > 0;
-                drop(st);
-                if wake {
-                    ch.not_empty.notify_one();
-                }
-                return DeadlineSend::Sent;
-            }
-            let now = env.now();
-            if now >= deadline {
-                return DeadlineSend::TimedOut;
-            }
-            let remaining = Duration::from_nanos(deadline.since(now).as_nanos());
-            st.send_waiting += 1;
-            let _ = ch.not_full.wait_for(&mut st, remaining);
-            st.send_waiting -= 1;
-        }
-    }
 }
 
 impl<T: Send> NativeRx<T> {
     /// Receive the next value; `None` once the queue is empty and every
     /// sender is gone (or the run was cancelled).
     pub fn recv(&self) -> Option<T> {
-        let ch = match &self.inner {
-            RxEnd::Spsc(ch) => return ch.recv(),
-            RxEnd::Mpmc(ch) => ch,
-        };
+        let ch = &self.ch;
         let mut st = ch.st.lock();
         loop {
             if let Some(v) = st.queue.pop_front() {
@@ -529,10 +247,7 @@ impl<T: Send> NativeRx<T> {
 
     /// Receive with a deadline on the run's wall-clock `SimTime` axis.
     pub fn recv_deadline(&self, env: &NativeEnv, deadline: SimTime) -> DeadlineRecv<T> {
-        let ch = match &self.inner {
-            RxEnd::Spsc(ch) => return ch.recv_deadline(env, deadline),
-            RxEnd::Mpmc(ch) => ch,
-        };
+        let ch = &self.ch;
         let mut st = ch.st.lock();
         loop {
             if let Some(v) = st.queue.pop_front() {
@@ -559,104 +274,62 @@ impl<T: Send> NativeRx<T> {
 
     /// True when every sender has hung up.
     pub fn is_closed(&self) -> bool {
-        match &self.inner {
-            RxEnd::Mpmc(ch) => ch.st.lock().senders == 0,
-            RxEnd::Spsc(ch) => !ch.tx_alive.load(Ordering::SeqCst),
-        }
+        self.ch.st.lock().senders == 0
     }
 
     /// True when no values are queued.
     pub fn is_empty(&self) -> bool {
-        match &self.inner {
-            RxEnd::Mpmc(ch) => ch.st.lock().queue.is_empty(),
-            RxEnd::Spsc(ch) => ch.head.load(Ordering::SeqCst) == ch.tail.load(Ordering::SeqCst),
-        }
+        self.ch.st.lock().queue.is_empty()
     }
 
     /// Closed *and* empty — nothing queued and nothing can arrive. One
     /// lock acquisition, unlike probing `is_closed() && is_empty()`.
     pub fn is_drained(&self) -> bool {
-        match &self.inner {
-            RxEnd::Mpmc(ch) => {
-                let st = ch.st.lock();
-                st.senders == 0 && st.queue.is_empty()
-            }
-            RxEnd::Spsc(ch) => {
-                !ch.tx_alive.load(Ordering::SeqCst)
-                    && ch.head.load(Ordering::SeqCst) == ch.tail.load(Ordering::SeqCst)
-            }
-        }
+        let st = self.ch.st.lock();
+        st.senders == 0 && st.queue.is_empty()
     }
 }
 
 impl<T> Clone for NativeTx<T> {
     fn clone(&self) -> Self {
-        match &self.inner {
-            TxEnd::Mpmc(ch) => {
-                ch.st.lock().senders += 1;
-                NativeTx {
-                    inner: TxEnd::Mpmc(ch.clone()),
-                }
-            }
-            TxEnd::Spsc(_) => panic!("SPSC channel endpoints cannot be cloned"),
+        self.ch.st.lock().senders += 1;
+        NativeTx {
+            ch: self.ch.clone(),
         }
     }
 }
 
 impl<T> Drop for NativeTx<T> {
     fn drop(&mut self) {
-        match &self.inner {
-            TxEnd::Mpmc(ch) => {
-                let last = {
-                    let mut st = ch.st.lock();
-                    st.senders -= 1;
-                    st.senders == 0
-                };
-                if last {
-                    ch.not_empty.notify_all();
-                }
-            }
-            TxEnd::Spsc(ch) => {
-                ch.tx_alive.store(false, Ordering::SeqCst);
-                let _g = ch.park.lock();
-                ch.not_empty.notify_all();
-            }
+        let last = {
+            let mut st = self.ch.st.lock();
+            st.senders -= 1;
+            st.senders == 0
+        };
+        if last {
+            self.ch.not_empty.notify_all();
         }
     }
 }
 
 impl<T> Clone for NativeRx<T> {
     fn clone(&self) -> Self {
-        match &self.inner {
-            RxEnd::Mpmc(ch) => {
-                ch.st.lock().receivers += 1;
-                NativeRx {
-                    inner: RxEnd::Mpmc(ch.clone()),
-                }
-            }
-            RxEnd::Spsc(_) => panic!("SPSC channel endpoints cannot be cloned"),
+        self.ch.st.lock().receivers += 1;
+        NativeRx {
+            ch: self.ch.clone(),
         }
     }
 }
 
 impl<T> Drop for NativeRx<T> {
     fn drop(&mut self) {
-        match &self.inner {
-            RxEnd::Mpmc(ch) => {
-                let last = {
-                    let mut st = ch.st.lock();
-                    st.receivers -= 1;
-                    st.receivers == 0
-                };
-                if last {
-                    ch.not_full.notify_all();
-                }
-            }
-            RxEnd::Spsc(ch) => {
-                ch.rx_alive.store(false, Ordering::SeqCst);
-                let _g = ch.park.lock();
-                ch.not_full.notify_all();
-            }
+        let last = {
+            let mut st = self.ch.st.lock();
+            st.receivers -= 1;
+            st.receivers == 0
+        };
+        if last {
+            self.ch.not_full.notify_all();
         }
     }
 }
@@ -782,11 +455,6 @@ impl Transport for NativeTransport {
         (ChanTx::Native(tx), ChanRx::Native(rx))
     }
 
-    fn spsc_channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
-        let (tx, rx) = native_spsc_channel(capacity, &self.cancel);
-        (ChanTx::Native(tx), ChanRx::Native(rx))
-    }
-
     fn barrier(&self, participants: usize) -> ExecBarrier {
         ExecBarrier::Native(native_barrier(participants, &self.cancel))
     }
@@ -868,6 +536,7 @@ impl Default for NativeExecutor {
 
 impl Executor for NativeExecutor {
     type Transport = NativeTransport;
+    const RELAYS: bool = false;
 
     fn transport(&self) -> NativeTransport {
         self.transport.clone()
@@ -986,6 +655,7 @@ impl Executor for NativeExecutor {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn channel_round_trip_across_threads() {
@@ -1028,35 +698,13 @@ mod tests {
         t.join().unwrap();
     }
 
-    #[test]
-    fn spsc_round_trip_across_threads() {
-        let cancel = CancelScope::new();
-        let (tx, rx) = native_spsc_channel::<u64>(4, &cancel);
-        let t = std::thread::spawn(move || {
-            for i in 0..10_000 {
-                tx.send(i).unwrap();
-            }
-        });
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
-        }
-        t.join().unwrap();
-        assert_eq!(got, (0..10_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn spsc_send_fails_when_receiver_gone() {
-        let cancel = CancelScope::new();
-        let (tx, rx) = native_spsc_channel::<u32>(1, &cancel);
-        drop(rx);
-        assert!(tx.send(7).is_err());
-    }
+    // The `spsc_` cases drive the channel with one producer and one
+    // consumer.
 
     #[test]
     fn spsc_receiver_drains_values_sent_before_hangup() {
         let cancel = CancelScope::new();
-        let (tx, rx) = native_spsc_channel::<u32>(8, &cancel);
+        let (tx, rx) = native_channel::<u32>(8, &cancel);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         drop(tx);
@@ -1070,7 +718,7 @@ mod tests {
     #[test]
     fn spsc_blocks_when_full_until_consumer_pops() {
         let cancel = CancelScope::new();
-        let (tx, rx) = native_spsc_channel::<u32>(1, &cancel);
+        let (tx, rx) = native_channel::<u32>(1, &cancel);
         tx.send(1).unwrap();
         let t = std::thread::spawn(move || {
             tx.send(2).unwrap(); // blocks until the pop below
@@ -1080,20 +728,6 @@ mod tests {
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(rx.recv(), Some(2));
         assert_eq!(rx.recv(), Some(3));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn spsc_cancel_unblocks_full_send() {
-        let cancel = CancelScope::new();
-        let (tx, _rx) = native_spsc_channel::<u32>(1, &cancel);
-        tx.send(1).unwrap();
-        let c2 = cancel.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            c2.cancel();
-        });
-        assert!(tx.send(2).is_ok());
         t.join().unwrap();
     }
 
@@ -1108,20 +742,12 @@ mod tests {
         }
         let drops = Arc::new(Mutex::new(0u32));
         let cancel = CancelScope::new();
-        let (tx, rx) = native_spsc_channel::<Counted>(4, &cancel);
+        let (tx, rx) = native_channel::<Counted>(4, &cancel);
         tx.send(Counted(drops.clone())).unwrap();
         tx.send(Counted(drops.clone())).unwrap();
         drop(tx);
         drop(rx);
-        assert_eq!(*drops.lock(), 2, "ring must drop queued values");
-    }
-
-    #[test]
-    #[should_panic(expected = "SPSC channel endpoints cannot be cloned")]
-    fn spsc_tx_clone_panics() {
-        let cancel = CancelScope::new();
-        let (tx, _rx) = native_spsc_channel::<u32>(1, &cancel);
-        let _ = tx.clone();
+        assert_eq!(*drops.lock(), 2, "channel must drop queued values");
     }
 
     #[test]

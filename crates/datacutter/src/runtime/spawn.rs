@@ -1,6 +1,9 @@
-//! Copy instantiation and wiring: builds the per-stream channels, gates
-//! and couriers, spawns one reaper per doomed copy set, then spawns every
-//! transparent filter copy with its input/output ports and outbox sender.
+//! Copy instantiation and wiring: builds the per-stream channels and
+//! gates, spawns one reaper per doomed copy set, then spawns every
+//! transparent filter copy with its input/output ports. Under an executor
+//! that relays ([`Executor::RELAYS`], the simulator) each consumer copy
+//! set also gets an ack courier and each output port an outbox sender; on
+//! the native executor a copy is the only thread spawned for it.
 //!
 //! **Spawn order is load-bearing.** On the deterministic substrate,
 //! registration order fixes process identity and therefore event order;
@@ -8,9 +11,9 @@
 //! per stream: couriers (one per copy set, interleaved with channel
 //! creation); then reapers; then per filter copy: one sender per output
 //! port followed by the copy itself — so simulation runs stay bit-for-bit
-//! identical. Supervision (opt-in) appends processes strictly *after*
-//! that sequence (extra reapers per stream, the supervisor last), so
-//! plan-only runs are untouched.
+//! identical. Supervision (opt-in) only adds reapers in the per-stream
+//! slot and the supervisor last, so plan-only runs are untouched (the
+//! tests below pin the sequence).
 //!
 //! ## Panic containment and supervised restarts
 //!
@@ -40,7 +43,7 @@ use std::sync::Arc;
 use hetsim::{HostId, SimTime, Topology};
 use parking_lot::Mutex;
 
-use super::delivery::{self, CourierMsg, Envelope, SenderCfg};
+use super::delivery::{self, CourierMsg, Delivery, Envelope, OutMsg};
 use super::eow::{ProducerRef, UowGate};
 use super::exec::{ChanRx, ChanTx, ExecEnv, Executor, Transport};
 use super::reaper::Reaper;
@@ -48,7 +51,7 @@ use super::retain::{Dedup, StreamRetention};
 use super::supervisor::{copy_retired, CopyRecord, Supervisor};
 use super::Tuning;
 use crate::budget::{MemoryBudget, StreamOoc};
-use crate::context::{FilterCtx, InputPort, OutputPort};
+use crate::context::{FilterCtx, InputPort, Outbox, OutputPort};
 use crate::fault::{
     abort_run, contain_scope, panic_message, raise_killed, CopyHealth, CopyState, ErrorCell,
     FaultCtl, KilledMarker, RestartEvent, RunError, ABORT_MSG,
@@ -62,7 +65,7 @@ use crate::storage::StorageCtl;
 /// Everything the driver needs to harvest a report after the run: the
 /// metric cells (shared with the spawned processes) and the barrier
 /// boundary log. Holds no channel endpoints, so queues close as soon as
-/// the last real user (sender process / filter copy) finishes.
+/// the last real user (filter copy or sender process) finishes.
 pub(crate) struct RunWiring {
     pub copy_cells: Vec<(FilterId, String, usize, HostId, CopyCell)>,
     pub uow_boundaries: Arc<Mutex<Vec<SimTime>>>,
@@ -127,7 +130,7 @@ pub(crate) fn build<E: Executor>(
         sets: Vec<CopySetInfo>,
         data_txs: Vec<ChanTx<Envelope>>,
         data_rxs: Vec<ChanRx<Envelope>>,
-        courier_txs: Vec<ChanTx<CourierMsg>>,
+        courier_txs: Vec<Option<ChanTx<CourierMsg>>>,
         gates: Vec<Arc<Mutex<UowGate>>>,
         cells: Vec<CopySetCell>,
         /// Lossless recovery only: the stream's retention and one dedup
@@ -207,19 +210,22 @@ pub(crate) fn build<E: Executor>(
                 producers.clone(),
                 copies,
             ))));
-            let (ctx_tx, ctx_rx) = transport.channel::<CourierMsg>(tuning.courier_capacity);
-            courier_txs.push(ctx_tx);
+            let courier_tx = E::RELAYS.then(|| {
+                let (tx, rx) = transport.channel::<CourierMsg>(tuning.courier_capacity);
+                delivery::spawn_courier(
+                    exec,
+                    &spec.name,
+                    host,
+                    topo,
+                    rx,
+                    retention.clone(),
+                    producer_hosts.clone(),
+                );
+                tx
+            });
+            courier_txs.push(courier_tx);
             cells.push(CopySetCell::default());
             dedups.push(lossless.then(|| Arc::new(Dedup::new())));
-            delivery::spawn_courier(
-                exec,
-                &spec.name,
-                host,
-                topo,
-                ctx_rx,
-                retention.clone(),
-                producer_hosts.clone(),
-            );
         }
         // Reapers. Under a pure plan: one per copy set whose host is
         // scheduled to crash, holding senders only to sets with no
@@ -303,6 +309,9 @@ pub(crate) fn build<E: Executor>(
             for _k in 0..copies {
                 let cell: CopyCell = Arc::new(Mutex::new(CopyCounters::default()));
                 copy_cells.push((fid, fspec.name.clone(), copy_index, host, cell.clone()));
+                let copy_name = format!("{}#{}@h{}", fspec.name, copy_index, host.0);
+                let health: Option<Arc<CopyHealth>> =
+                    supervised.then(|| Arc::new(CopyHealth::new()));
 
                 // Input ports: this copy shares its host's copy-set queue.
                 let mut inputs = Vec::new();
@@ -330,32 +339,34 @@ pub(crate) fn build<E: Executor>(
                     });
                 }
 
-                // Output ports: per-copy writer state + outbox sender.
+                // Output ports: per-copy writer state + delivery, relayed
+                // through an outbox sender or run in the copy's thread.
                 let mut outputs = Vec::new();
                 for &sid in &output_ids {
                     let rt = &streams_rt[sid.0 as usize];
                     let spec = &graph.streams[sid.0 as usize];
-                    // SPSC by construction: the tx lives in this copy's
-                    // OutputPort, the rx in its sender process; neither is
-                    // ever cloned, so the native transport can use the
-                    // lock-free ring.
-                    let (outbox_tx, outbox_rx) =
-                        transport.spsc_channel::<super::delivery::OutMsg>(tuning.outbox_capacity);
-                    delivery::spawn_sender(
-                        exec,
-                        SenderCfg {
-                            stream_name: spec.name.clone(),
-                            stream_id: sid.0,
-                            copy_index,
-                            host,
-                            sets: rt.sets.clone(),
-                            targets: rt.data_txs.clone(),
-                            topo: topo.clone(),
-                            faults: fault_ctl.clone(),
-                            retransmit_delay: tuning.retransmit_delay,
-                        },
-                        outbox_rx,
-                    );
+                    let delivery = Delivery {
+                        stream_id: sid.0,
+                        copy_index,
+                        host,
+                        sets: rt.sets.clone(),
+                        targets: rt.data_txs.clone(),
+                        topo: topo.clone(),
+                        faults: fault_ctl.clone(),
+                        retransmit_delay: tuning.retransmit_delay,
+                        seq: 0,
+                        health: None,
+                    };
+                    let outbox = if E::RELAYS {
+                        let (tx, rx) = transport.channel::<OutMsg>(tuning.outbox_capacity);
+                        delivery.spawn_sender(exec, &spec.name, rx);
+                        Outbox::Sender(tx)
+                    } else {
+                        Outbox::Inline(Delivery {
+                            health: health.clone(),
+                            ..delivery
+                        })
+                    };
                     outputs.push(OutputPort {
                         writer: WriterState::for_run(
                             spec.policy,
@@ -364,7 +375,7 @@ pub(crate) fn build<E: Executor>(
                             fault_ctl.clone(),
                             cancel.clone(),
                         ),
-                        outbox_tx,
+                        outbox,
                         targets: rt.sets.len(),
                         retention: rt.retention.clone(),
                         ooc: rt.ooc.clone(),
@@ -383,7 +394,6 @@ pub(crate) fn build<E: Executor>(
                 let barrier2 = barrier.clone();
                 let barrier_out = barrier.clone();
                 let boundaries2 = uow_boundaries.clone();
-                let copy_name = format!("{}#{}@h{}", fspec.name, copy_index, host.0);
                 let trace2 = trace.clone().map(|t| (t, copy_name.clone()));
                 let fname = fspec.name.clone();
                 let copy_ctl = fault_ctl.clone();
@@ -393,9 +403,6 @@ pub(crate) fn build<E: Executor>(
                 let my_death = fault_ctl.as_ref().and_then(|c| c.plan.host_death(host));
                 let copy_slab = slab.clone();
                 let policy = fault_ctl.as_ref().and_then(|c| c.supervisor);
-                let courier_deadline = tuning.courier_deadline;
-                let health: Option<Arc<CopyHealth>> =
-                    supervised.then(|| Arc::new(CopyHealth::new()));
                 if let Some(h) = &health {
                     records.push(CopyRecord {
                         filter: fid,
@@ -429,7 +436,6 @@ pub(crate) fn build<E: Executor>(
                                 slab: copy_slab,
                                 name: Arc::from(fname.as_str()),
                                 errors: copy_errors.clone(),
-                                courier_deadline,
                                 health: health_ctx,
                                 port_done: vec![false; n_inputs],
                             };
@@ -627,5 +633,214 @@ pub(crate) fn build<E: Executor>(
         copy_cells,
         uow_boundaries,
         stream_sets,
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)]
+mod tests {
+    //! Spawn shape: which processes a run registers, and in what order.
+
+    use std::sync::Arc;
+
+    use hetsim::{FaultPlan, SimError, SimTime};
+    use parking_lot::Mutex;
+
+    use super::super::exec::{ExecStats, Executor, SpawnBody};
+    use super::super::{drive, silence_sentinel_panics, NativeExecutor, SimExecutor, Tuning};
+    use crate::fault::FaultCtl;
+    use crate::{
+        FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, SupervisorPolicy,
+        WritePolicy,
+    };
+
+    /// Wraps an executor and records the name of every process the
+    /// runtime registers with it.
+    struct Recording<E> {
+        inner: E,
+        names: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl<E: Executor> Executor for Recording<E> {
+        type Transport = E::Transport;
+        const RELAYS: bool = E::RELAYS;
+
+        fn transport(&self) -> Self::Transport {
+            self.inner.transport()
+        }
+
+        fn spawn(&mut self, name: String, body: SpawnBody) {
+            self.names.lock().push(name.clone());
+            self.inner.spawn(name, body);
+        }
+
+        fn run(&mut self) -> Result<ExecStats, SimError> {
+            self.inner.run()
+        }
+    }
+
+    const ITEMS: u32 = 24;
+
+    struct Src;
+    impl Filter for Src {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            for i in 0..ITEMS {
+                let b = ctx.buffer_slab().make_replicable(i, 256);
+                ctx.write(0, b);
+            }
+            Ok(())
+        }
+    }
+
+    struct Mid;
+    impl Filter for Mid {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            while let Some(b) = ctx.read(0) {
+                let v = b.downcast::<u32>();
+                let b = ctx.buffer_slab().make_replicable(v, 256);
+                ctx.write(0, b);
+            }
+            Ok(())
+        }
+    }
+
+    struct Snk(Arc<Mutex<Vec<u32>>>);
+    impl Filter for Snk {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            while let Some(b) = ctx.read(0) {
+                self.0.lock().push(b.downcast::<u32>());
+            }
+            Ok(())
+        }
+    }
+
+    /// `src` (h0) → `mid` (two copies on h1, one on h2) → `snk` (h0), both
+    /// streams demand-driven. Under `crash`, h2 dies at t = 0 and the run
+    /// is supervised and lossless. Returns the registered process names
+    /// and the sorted items the sink received.
+    fn spawned<E: Executor>(exec: E, crash: bool) -> (Vec<String>, Vec<u32>) {
+        silence_sentinel_panics();
+        let (topo, hosts) = hetsim::presets::rogue_cluster(3);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let mut g = GraphBuilder::new();
+        let src = g.add_filter("src", Placement::on_host(hosts[0], 1), |_| Src);
+        let mid = g.add_filter(
+            "mid",
+            Placement {
+                per_host: vec![(hosts[1], 2), (hosts[2], 1)],
+            },
+            |_| Mid,
+        );
+        let snk = g.add_filter("snk", Placement::on_host(hosts[0], 1), move |_| {
+            Snk(sink.clone())
+        });
+        g.connect(src, mid, WritePolicy::demand_driven());
+        g.connect(mid, snk, WritePolicy::demand_driven());
+        let faults = crash.then(|| {
+            let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
+            FaultCtl::new(
+                &FaultOptions::new(plan)
+                    .lossless()
+                    .supervised(SupervisorPolicy::new()),
+            )
+        });
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let rec = Recording {
+            inner: exec,
+            names: names.clone(),
+        };
+        drive(
+            rec,
+            &topo,
+            Arc::new(g.build()),
+            1,
+            None,
+            faults,
+            Tuning::default(),
+        )
+        .expect("run completes");
+        let mut got = seen.lock().clone();
+        got.sort_unstable();
+        let names = names.lock().clone();
+        (names, got)
+    }
+
+    const COPIES: [&str; 5] = ["src#0@h0", "mid#0@h1", "mid#1@h1", "mid#2@h2", "snk#0@h0"];
+
+    #[test]
+    fn native_clean_run_spawns_only_its_copies() {
+        let (names, got) = spawned(NativeExecutor::new(), false);
+        assert_eq!(names, COPIES);
+        assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn native_lossless_crash_run_spawns_copies_reapers_and_supervisor() {
+        let (names, got) = spawned(NativeExecutor::new(), true);
+        let reapers = [
+            "reaper:src->mid@h1",
+            "reaper:src->mid@h2",
+            "reaper:mid->snk@h0",
+        ];
+        let want: Vec<&str> = reapers
+            .iter()
+            .chain(&COPIES)
+            .copied()
+            .chain(["supervisor"])
+            .collect();
+        assert_eq!(names, want);
+        assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
+    }
+
+    /// Spawn order is load-bearing on the simulator (it fixes process ids
+    /// and so event order): couriers per copy set with each stream's
+    /// channels, that stream's reapers, then per copy its senders and the
+    /// copy itself, the supervisor last. Pinned literally.
+    #[test]
+    fn sim_runs_keep_the_relay_processes_in_their_order() {
+        let (names, got) = spawned(SimExecutor::new(), false);
+        assert_eq!(
+            names,
+            [
+                "courier:src->mid@h1",
+                "courier:src->mid@h2",
+                "courier:mid->snk@h0",
+                "sender:src->mid#0@h0",
+                "src#0@h0",
+                "sender:mid->snk#0@h1",
+                "mid#0@h1",
+                "sender:mid->snk#1@h1",
+                "mid#1@h1",
+                "sender:mid->snk#2@h2",
+                "mid#2@h2",
+                "snk#0@h0",
+            ]
+        );
+        assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
+
+        let (names, got) = spawned(SimExecutor::new(), true);
+        assert_eq!(
+            names,
+            [
+                "courier:src->mid@h1",
+                "courier:src->mid@h2",
+                "reaper:src->mid@h1",
+                "reaper:src->mid@h2",
+                "courier:mid->snk@h0",
+                "reaper:mid->snk@h0",
+                "sender:src->mid#0@h0",
+                "src#0@h0",
+                "sender:mid->snk#0@h1",
+                "mid#0@h1",
+                "sender:mid->snk#1@h1",
+                "mid#1@h1",
+                "sender:mid->snk#2@h2",
+                "mid#2@h2",
+                "snk#0@h0",
+                "supervisor",
+            ]
+        );
+        assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
     }
 }

@@ -99,8 +99,8 @@ fn parse_args() -> Args {
             "--grid" => a.grid = ranged(&argv, &mut i, |n| (1..=1024).contains(n)),
             "--image" => a.image = ranged(&argv, &mut i, |n| (1..=65536).contains(n)),
             "--iso" => a.iso = ranged(&argv, &mut i, |v: &f32| v.is_finite()),
-            "--species" => a.species = number(&argv, &mut i),
-            "--timestep" => a.timestep = number(&argv, &mut i),
+            "--species" => a.species = ranged(&argv, &mut i, |n| *n < volume::SPECIES_COUNT),
+            "--timestep" => a.timestep = ranged(&argv, &mut i, |n| *n < volume::TIMESTEPS),
             "--seed" => a.seed = number(&argv, &mut i),
             "--grouping" => a.grouping = value(&argv, &mut i).into(),
             "--policy" => a.policy = value(&argv, &mut i).into(),
@@ -151,9 +151,9 @@ fn number<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
 /// As [`number`], refusing a value `ok` rejects: every flag whose
 /// parseable values include ones the set-up code cannot take (`--nodes 0`
 /// trips `rogue_cluster`'s declustering, `--grid 4294967295` overflows
-/// `Dims::new`) is checked here, before either is reached. The other
-/// numeric flags accept their whole type or are range-checked by
-/// `AppConfig::validate`.
+/// `Dims::new`) or that name nothing (`--species 7`, `--timestep 12`) is
+/// checked here, before any is reached. The other numeric flags accept
+/// their whole type or are range-checked by `AppConfig::validate`.
 fn ranged<T: std::str::FromStr>(argv: &[String], i: &mut usize, ok: impl Fn(&T) -> bool) -> T {
     let n = number(argv, i);
     if !ok(&n) {
@@ -180,8 +180,8 @@ fn main() {
     );
     let mut cfg = AppConfig::new(dataset, hosts.clone(), 2, args.image, args.image);
     cfg.iso = args.iso;
-    cfg.species = args.species % volume::SPECIES_COUNT;
-    cfg.timestep = args.timestep % volume::TIMESTEPS;
+    cfg.species = args.species;
+    cfg.timestep = args.timestep;
     cfg.material = isosurf::species_material(cfg.species);
     cfg.executor = args.executor.parse().unwrap_or_else(|e| {
         eprintln!("{e}");

@@ -436,6 +436,14 @@ impl RasterStage {
                     depth.buf_mut().extend_from_slice(&zb.depth[a..b]);
                     let mut color = cpool.take(b - a);
                     color.buf_mut().extend_from_slice(&zb.color[a..b]);
+                    if y0 + n == owned_hi {
+                        // Every row is copied out: free the z-buffer before
+                        // the last send, which on the native executor may
+                        // block on a full merge queue — a copy waiting
+                        // there must not also hold a buffer it is done
+                        // with. `init` allocates a fresh one per UOW.
+                        *zb = ZBuffer::new(0, 0);
+                    }
                     sink(
                         ctx,
                         RaOut::Band {

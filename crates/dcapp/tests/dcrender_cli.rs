@@ -5,7 +5,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -22,6 +22,13 @@ fn bad_arguments_are_usage_errors_not_panics() {
         (
             &["--grid", "4294967295"],
             "dcrender: --grid: out of range '4294967295'",
+        ),
+        // Values that name nothing: four species, ten stored timesteps
+        // (these used to wrap round to species 3 and timestep 2).
+        (&["--species", "7"], "dcrender: --species: out of range '7'"),
+        (
+            &["--timestep", "12"],
+            "dcrender: --timestep: out of range '12'",
         ),
         // The pooled executor's size flag went with the executor.
         (&["--workers", "1"], "dcrender: unknown flag --workers"),

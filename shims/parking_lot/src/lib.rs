@@ -16,13 +16,9 @@ pub struct Mutex<T: ?Sized> {
 /// RAII guard returned by [`Mutex::lock`].
 ///
 /// Holds the std guard in an `Option` so [`Condvar::wait`] can move it
-/// through `std`'s consume-and-return wait and
-/// [`MutexGuard::unlocked`] can temporarily release the lock; the slot
-/// is only empty during those calls. The back-reference to the owning
-/// mutex is what lets `unlocked` (and `mutex`) reacquire it, matching
-/// lock_api's guard layout.
+/// through `std`'s consume-and-return wait; the slot is only empty during
+/// that call.
 pub struct MutexGuard<'a, T: ?Sized> {
-    mutex: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -45,7 +41,6 @@ impl<T: ?Sized> Mutex<T> {
     /// another holder does not poison the lock.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            mutex: self,
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
     }
@@ -53,12 +48,8 @@ impl<T: ?Sized> Mutex<T> {
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard {
-                mutex: self,
-                inner: Some(g),
-            }),
+            Ok(g) => Some(MutexGuard { inner: Some(g) }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                mutex: self,
                 inner: Some(e.into_inner()),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -83,28 +74,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
             Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
             None => f.write_str("Mutex { <locked> }"),
         }
-    }
-}
-
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    /// The mutex this guard locks (associated function, parking_lot
-    /// style, so it cannot collide with a `Deref`ed method).
-    pub fn mutex(s: &Self) -> &'a Mutex<T> {
-        s.mutex
-    }
-
-    /// Temporarily unlock the mutex, run `f`, and relock before
-    /// returning (parking_lot's `MutexGuard::unlocked`). The data must
-    /// not be accessed from inside `f`; if `f` panics the lock is left
-    /// released and the guard inert (dropping it is a no-op).
-    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
-    where
-        F: FnOnce() -> U,
-    {
-        drop(s.inner.take());
-        let r = f();
-        s.inner = Some(s.mutex.inner.lock().unwrap_or_else(|e| e.into_inner()));
-        r
     }
 }
 
@@ -208,20 +177,6 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn unlocked_releases_and_reacquires() {
-        let m = Arc::new(Mutex::new(0));
-        let mut g = m.lock();
-        *g = 1;
-        let m2 = m.clone();
-        MutexGuard::unlocked(&mut g, move || {
-            // The lock is genuinely free here: another owner can take it.
-            *m2.lock() += 10;
-        });
-        assert_eq!(*g, 11, "reacquired and sees the concurrent update");
-        assert!(std::ptr::eq(MutexGuard::mutex(&g), &*m));
     }
 
     #[test]

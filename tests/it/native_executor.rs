@@ -6,12 +6,16 @@
 //! same pixels — only timing and metrics semantics differ.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use datacutter::{
     DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor,
     Placement, Run, RunError, SimExecutor, WritePolicy,
 };
-use dcapp::{reference_image, run_pipeline_exec, Algorithm, Grouping, PipelineSpec};
+use dcapp::{
+    reference_image, run_pipeline_exec, run_pipeline_faulted_exec, Algorithm, Grouping,
+    PipelineSpec,
+};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{cluster, test_cfg, test_dataset};
 use parking_lot::Mutex;
@@ -177,8 +181,9 @@ fn native_filter_error_is_structured() {
 }
 
 /// NIC-degradation plans are accepted on the native executor (emulated as
-/// sender-side stalls sized from the topology's path cost — see
-/// `it/faults.rs` for a scenario with actual traffic), while setup hooks,
+/// writer-side stalls sized from the topology's path cost — see
+/// `native_degrade_window_stalls_cross_host_writes` for a scenario with
+/// actual traffic), while setup hooks,
 /// which need the simulation object itself, are still rejected up front
 /// with a structured error rather than silently ignored.
 #[test]
@@ -205,7 +210,7 @@ fn native_accepts_degrades_rejects_setup() {
         .executor(NativeExecutor::new())
         .faults(FaultOptions::new(plan))
         .go(&topo)
-        .expect("degrade plans run natively via sender-side stall emulation");
+        .expect("degrade plans run natively via writer-side stall emulation");
     // The quiet filter sends nothing cross-host, so nothing is delayed —
     // the point is that the plan is accepted and the run completes.
     assert_eq!(report.faults.messages_delayed, 0);
@@ -217,4 +222,69 @@ fn native_accepts_degrades_rejects_setup() {
         Err(RunError::Unsupported { what }) => assert!(what.contains("setup")),
         other => panic!("expected Unsupported, got {other:?}"),
     }
+}
+
+/// Run `f` on a thread of its own and fail, rather than hang the suite, if
+/// it has not returned within `secs` seconds.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .expect("native run finished in time")
+}
+
+/// A degraded NIC with real traffic on the native executor: the writing
+/// copy stalls for the degraded fraction of each cross-host message's
+/// serialization time, which the report counts as delayed messages; the
+/// stall loses nothing and changes no pixel.
+#[test]
+fn native_degrade_window_stalls_cross_host_writes() {
+    let (topo, hosts) = cluster(3);
+    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
+    let s = spec(&hosts, WritePolicy::demand_driven(), Algorithm::ZBuffer);
+    let clean = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap();
+    // The merge host's NIC runs at half speed for the whole run: every
+    // band a remote raster copy ships to it crosses the degraded NIC.
+    let plan =
+        FaultPlan::new().degrade_nic(hosts[0], SimTime::ZERO, SimDuration::from_secs(600), 0.5);
+    let slow = within(120, move || {
+        run_pipeline_faulted_exec(
+            &topo,
+            &cfg,
+            &s,
+            FaultOptions::new(plan),
+            NativeExecutor::new(),
+        )
+        .unwrap()
+    });
+    let f = &slow.report.faults;
+    assert!(
+        f.messages_delayed > 0,
+        "cross-host writes must stall: {f:?}"
+    );
+    assert_eq!(f.buffers_lost, 0, "a stall is not a loss: {f:?}");
+    assert_eq!(slow.image.diff_pixels(&clean.image), 0);
+}
+
+/// Demand-driven with one buffer of window per consumer copy into
+/// single-copy sets: every producer stalls after each send until the
+/// consumer's read credits the window — on the native executor in the
+/// reading copy's own thread, with no courier to relay it. The image must
+/// equal the simulator's.
+#[test]
+fn native_dd_window_of_one_is_credited_by_the_reader() {
+    let (topo, hosts) = cluster(3);
+    let cfg = test_cfg(test_dataset(11), hosts.clone(), 96);
+    let s = spec(
+        &hosts,
+        WritePolicy::DemandDriven { window_per_copy: 1 },
+        Algorithm::ActivePixel,
+    );
+    let sim = run_pipeline_exec(&topo, &cfg, &s, SimExecutor::new()).unwrap();
+    let nat = within(120, move || {
+        run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap()
+    });
+    assert_eq!(nat.image.diff_pixels(&sim.image), 0);
 }
