@@ -26,8 +26,8 @@ use crate::runtime::{ChanRx, ChanTx, ExecEnv};
 pub(crate) struct InputPort {
     pub rx: ChanRx<Envelope>,
     pub inject_tx: ChanTx<Envelope>,
-    /// The copy set's ack courier under virtual time; `None` when this
-    /// copy credits demand windows and settles retention itself.
+    /// The copy set's ack courier handler under virtual time; `None` when
+    /// this copy credits demand windows and settles retention itself.
     pub courier_tx: Option<ChanTx<CourierMsg>>,
     pub gate: Arc<Mutex<UowGate>>,
     /// Gates of the *other* copy sets on this stream, with their set
@@ -76,7 +76,7 @@ pub(crate) struct OutputPort {
 }
 
 /// Where an output port's messages go: to the copy's outbox sender
-/// process under virtual time, or straight through [`Delivery`] in the
+/// handler under virtual time, or straight through [`Delivery`] in the
 /// copy's own thread (see [`crate::Executor::RELAYS`]).
 pub(crate) enum Outbox {
     Sender(ChanTx<OutMsg>),

@@ -1,26 +1,30 @@
 //! The delivery layer: the envelope types that move on copy-set queues and
-//! `Delivery::deliver`, the one function that puts a producer copy's
+//! [`Delivery`], the one implementation of putting a producer copy's
 //! message on a consumer queue — seeded drop and retransmit, injected
 //! message delay, the native NIC-degrade stall, the send itself and the
-//! end-of-work broadcast.
+//! end-of-work broadcast — written as a resumable state machine
+//! ([`Delivery::poll`] over a [`Flight`]).
 //!
-//! Who calls it is the executor's choice ([`Executor::RELAYS`]). Under
-//! virtual time a per-copy **outbox sender** process calls it, so the
+//! Who drives it is the executor's choice ([`Executor::RELAYS`]). Under
+//! virtual time a per-copy **outbox sender** handler polls it, so the
 //! modelled wire transfer overlaps the copy's computation, and a
-//! per-copy-set **ack courier** process pays the reverse path for demand
-//! acknowledgments and lossless-recovery `Settle` batches. On the native
-//! executor there is no modelled wire: the writing copy delivers in its
-//! own thread, and the reading copy credits the producer's window (and
-//! settles retention) directly.
+//! per-copy-set **ack courier** handler pays the reverse path for demand
+//! acknowledgments and lossless-recovery `Settle` batches. Both are
+//! threadless: each event granted to them runs one step on whichever
+//! thread dispatches it. On the native executor there is no modelled
+//! wire: the writing copy delivers in its own thread
+//! ([`Delivery::deliver`]), and the reading copy credits the producer's
+//! window (and settles retention) directly.
 
 use std::sync::Arc;
+use std::task::Poll;
 
-use hetsim::{HostId, SimDuration, Topology};
+use hetsim::{HostId, SimDuration, Step, Topology, Transfer};
 
-use super::exec::{charge_transfer, ChanRx, ChanTx, ExecEnv, Executor};
+use super::exec::{poll_charge, ChanRx, ChanTx, ExecEnv, Executor};
 use super::retain::{Provenance, StreamRetention};
 use crate::buffer::{DataBuffer, ACK_WIRE_BYTES, EOW_WIRE_BYTES};
-use crate::fault::{CopyHealth, FaultCtl};
+use crate::fault::{CopyHealth, FaultCtl, FaultTallies};
 use crate::policy::{AckHandle, CopySetInfo};
 
 /// A message on a copy-set queue.
@@ -66,10 +70,77 @@ pub(crate) enum CourierMsg {
 /// Every receiver of the addressed copy-set queue is gone.
 pub(crate) struct Closed;
 
-/// Spawn the ack courier for one consumer copy set (simulator only): it
-/// pays the reverse network path for each acknowledgment (and each
-/// settlement batch), then credits the producer's demand window or
+/// The ack courier of one consumer copy set (simulator only), as a
+/// handler: it pays the reverse network path for each acknowledgment (and
+/// each settlement batch), then credits the producer's demand window or
 /// garbage-collects the stream's retention ring.
+struct Courier {
+    rx: ChanRx<CourierMsg>,
+    host: HostId,
+    topo: Topology,
+    retention: Option<Arc<StreamRetention>>,
+    producer_hosts: Vec<HostId>,
+    /// The message being answered, with its wire charge in progress.
+    job: Option<(CourierMsg, Option<Transfer>)>,
+    /// Settlement only: the batch entries answered so far, and the
+    /// producer copies (mod 64) already sent a frame.
+    settled: usize,
+    charged: u64,
+}
+
+impl Courier {
+    fn step(&mut self, env: &ExecEnv) -> Step {
+        loop {
+            let (msg, wire) = match &mut self.job {
+                Some(job) => job,
+                None => match self.rx.poll_recv(env) {
+                    Poll::Pending => return Step::Wait,
+                    Poll::Ready(None) => return Step::Done,
+                    Poll::Ready(Some(msg)) => {
+                        (self.settled, self.charged) = (0, 0);
+                        self.job.insert((msg, None))
+                    }
+                },
+            };
+            match msg {
+                CourierMsg::Ack(ack) => {
+                    let to = ack.state.producer_host();
+                    match poll_charge(env, wire, &self.topo, self.host, to, ACK_WIRE_BYTES) {
+                        Step::Done => ack.state.ack(env, ack.copyset_idx),
+                        pending => return pending,
+                    }
+                }
+                CourierMsg::Settle { items } => {
+                    // One wire-sized settlement frame per producer copy
+                    // named in the batch (settlements are tiny and batched
+                    // per unit of work).
+                    while let Some(p) = items.get(self.settled) {
+                        let bit = 1u64 << (p.copy as u64 % 64);
+                        if self.charged & bit == 0 {
+                            let to = self
+                                .producer_hosts
+                                .get(p.copy as usize)
+                                .copied()
+                                .unwrap_or(self.host);
+                            match poll_charge(env, wire, &self.topo, self.host, to, ACK_WIRE_BYTES)
+                            {
+                                Step::Done => self.charged |= bit,
+                                pending => return pending,
+                            }
+                        }
+                        self.settled += 1;
+                    }
+                    if let Some(r) = self.retention.as_ref() {
+                        r.settle(items);
+                    }
+                }
+            }
+            self.job = None;
+        }
+    }
+}
+
+/// Register the ack courier for one consumer copy set (simulator only).
 pub(crate) fn spawn_courier<E: Executor>(
     exec: &mut E,
     stream_name: &str,
@@ -79,43 +150,19 @@ pub(crate) fn spawn_courier<E: Executor>(
     retention: Option<Arc<StreamRetention>>,
     producer_hosts: Vec<HostId>,
 ) {
-    let topo = topo.clone();
-    exec.spawn(
+    let mut courier = Courier {
+        rx,
+        host,
+        topo: topo.clone(),
+        retention,
+        producer_hosts,
+        job: None,
+        settled: 0,
+        charged: 0,
+    };
+    exec.spawn_handler(
         format!("courier:{stream_name}@h{}", host.0),
-        Box::new(move |env: ExecEnv| {
-            while let Some(msg) = rx.recv(&env) {
-                match msg {
-                    CourierMsg::Ack(ack) => {
-                        charge_transfer(
-                            &env,
-                            &topo,
-                            host,
-                            ack.state.producer_host(),
-                            ACK_WIRE_BYTES,
-                        );
-                        ack.state.ack(&env, ack.copyset_idx);
-                    }
-                    CourierMsg::Settle { items } => {
-                        // One wire-sized settlement frame per producer copy
-                        // named in the batch (settlements are tiny and
-                        // batched per unit of work).
-                        let mut charged: u64 = 0;
-                        for p in &items {
-                            let bit = 1u64 << (p.copy as u64 % 64);
-                            if charged & bit == 0 {
-                                charged |= bit;
-                                let to =
-                                    producer_hosts.get(p.copy as usize).copied().unwrap_or(host);
-                                charge_transfer(&env, &topo, host, to, ACK_WIRE_BYTES);
-                            }
-                        }
-                        if let Some(r) = retention.as_ref() {
-                            r.settle(&items);
-                        }
-                    }
-                }
-            }
-        }),
+        Box::new(move |env: &ExecEnv| courier.step(env)),
     );
 }
 
@@ -135,119 +182,257 @@ pub(crate) struct Delivery {
     pub seq: u64,
     /// The writing copy's heartbeat when it delivers in its own thread
     /// under supervision, so waiting out a retransmit or a stall does not
-    /// read as a wedge; `None` for a sender process.
+    /// read as a wedge; `None` for a sender handler.
     pub health: Option<Arc<CopyHealth>>,
 }
 
+/// One message on its way through [`Delivery::poll`]: what is left of it
+/// to pay and to put on a queue.
+pub(crate) struct Flight {
+    stage: Stage,
+    /// A data message's consumer copy set, its host and the wire bytes.
+    copyset_idx: usize,
+    to: HostId,
+    bytes: u64,
+    /// The fault plan's key for this message's verdicts.
+    seq: u64,
+    /// The envelope still to be queued.
+    slot: Option<Envelope>,
+    /// The wire charge in progress (virtual time only).
+    wire: Option<Transfer>,
+}
+
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Data: this many dropped transmissions are still to be paid for,
+    /// each its wire and then the retransmit timer.
+    Dropped(u64),
+    /// Data: the plan's injected message delay.
+    Hold,
+    /// Data, native only: the NIC-degrade stall.
+    Stall,
+    /// Data: the wire of the transmission that arrives.
+    Wire,
+    /// Data: the consumer queue.
+    Queue,
+    /// End of work: the wire to copy set `i`, then its queue.
+    EowWire(usize),
+    EowQueue(usize),
+}
+
 impl Delivery {
-    /// Deliver `msg`, charging the wire under virtual time and applying
-    /// the fault plan: each dropped transmission is paid for and retried
-    /// after the retransmit delay, an injected delay holds the message, and
-    /// on the native substrate a degraded NIC stalls the sender for the
-    /// degraded fraction of the message's serialization time.
+    /// Seeded-drop key: unique per (stream, producer copy).
+    fn key(&self) -> u64 {
+        ((self.stream_id as u64) << 32) | self.copy_index as u64
+    }
+
+    /// Count a fault-plan sleep in the run's tallies.
+    fn tally(&self, count: impl FnOnce(&mut FaultTallies)) {
+        if let Some(ctl) = &self.faults {
+            count(&mut ctl.tallies.lock());
+        }
+    }
+
+    /// The fault plan, when it applies to a message for host `to`
+    /// (loopback messages are never dropped, delayed or stalled).
+    fn faults_to(&self, to: HostId) -> Option<&FaultCtl> {
+        self.faults.as_deref().filter(|_| to != self.host)
+    }
+
+    /// Start delivering `msg`; [`poll`](Self::poll) takes it the rest of
+    /// the way.
+    pub fn launch(&mut self, msg: OutMsg) -> Flight {
+        let mut flight = Flight {
+            stage: Stage::EowWire(0),
+            copyset_idx: 0,
+            to: self.host,
+            bytes: EOW_WIRE_BYTES,
+            seq: self.seq,
+            slot: None,
+            wire: None,
+        };
+        if let OutMsg::Data {
+            copyset_idx,
+            envelope,
+        } = msg
+        {
+            flight.to = self.sets[copyset_idx].host;
+            if let Envelope::Data { buf, .. } = &envelope {
+                flight.bytes = buf.transport_bytes();
+            }
+            // Each dropped transmission still occupies the wire; the
+            // verdicts are seeded, so they are counted up front.
+            let mut drops = 0;
+            if let Some(ctl) = self.faults_to(flight.to).filter(|c| c.plan.has_drops()) {
+                while ctl.plan.should_drop(self.key(), self.seq, drops) {
+                    drops += 1;
+                }
+            }
+            flight.stage = Stage::Dropped(drops);
+            flight.copyset_idx = copyset_idx;
+            flight.slot = Some(envelope);
+            self.seq += 1;
+        }
+        flight
+    }
+
+    /// Take `f` as far as it goes without blocking a sim process: `Wait`
+    /// while a link or the consumer queue is full (registered for a
+    /// wake), `Delay` for a wire charge, a retransmit timer or an injected
+    /// delay or stall, `Done` once the message is queued — or `Closed`
+    /// when the data message's consumers are all gone. Under virtual time
+    /// the wire is charged to the topology; the native substrate pays
+    /// real costs instead, emulates a degraded NIC by stalling for the
+    /// degraded fraction of the message's serialization time, and its
+    /// queue sends block.
+    pub fn poll(&mut self, env: &ExecEnv, f: &mut Flight) -> Result<Step, Closed> {
+        loop {
+            match f.stage {
+                Stage::Dropped(0) => f.stage = Stage::Hold,
+                Stage::Dropped(n) => {
+                    match poll_charge(env, &mut f.wire, &self.topo, self.host, f.to, f.bytes) {
+                        Step::Done => {}
+                        pending => return Ok(pending),
+                    }
+                    f.stage = Stage::Dropped(n - 1);
+                    self.tally(|t| t.retransmits += 1);
+                    return Ok(Step::Delay(self.retransmit_delay));
+                }
+                Stage::Hold => {
+                    f.stage = Stage::Stall;
+                    let held = self
+                        .faults_to(f.to)
+                        .filter(|c| c.plan.has_delays())
+                        .and_then(|c| c.plan.message_delay(self.key(), f.seq));
+                    if let Some(d) = held {
+                        self.tally(|t| t.messages_delayed += 1);
+                        return Ok(Step::Delay(d));
+                    }
+                }
+                Stage::Stall => {
+                    f.stage = Stage::Wire;
+                    let Some(ctl) = self
+                        .faults_to(f.to)
+                        .filter(|c| c.plan.has_degrades() && !env.is_virtual())
+                    else {
+                        continue;
+                    };
+                    // The virtual-time engine dilates transfers through the
+                    // topology's bandwidth drivers; native threads pay real
+                    // wire costs, so the degraded fraction of
+                    // serialization time is injected here as a stall.
+                    let now = env.now();
+                    let factor = ctl
+                        .plan
+                        .degrade_factor(self.host, now)
+                        .min(ctl.plan.degrade_factor(f.to, now));
+                    if factor < 1.0 {
+                        let nominal =
+                            self.topo.path_cost_per_byte(self.host, f.to) * f.bytes as f64;
+                        let extra = nominal * (1.0 / factor.max(1e-6) - 1.0);
+                        self.tally(|t| t.messages_delayed += 1);
+                        return Ok(Step::Delay(SimDuration::from_secs_f64(extra)));
+                    }
+                }
+                Stage::Wire => {
+                    match poll_charge(env, &mut f.wire, &self.topo, self.host, f.to, f.bytes) {
+                        Step::Done => f.stage = Stage::Queue,
+                        pending => return Ok(pending),
+                    }
+                }
+                Stage::Queue => {
+                    return match self.targets[f.copyset_idx].poll_send(env, &mut f.slot) {
+                        Poll::Pending => Ok(Step::Wait),
+                        Poll::Ready(Ok(())) => Ok(Step::Done),
+                        Poll::Ready(Err(_)) => Err(Closed),
+                    };
+                }
+                Stage::EowWire(i) => {
+                    let Some(set) = self.sets.get(i) else {
+                        return Ok(Step::Done);
+                    };
+                    match poll_charge(env, &mut f.wire, &self.topo, self.host, set.host, f.bytes) {
+                        Step::Done => {}
+                        pending => return Ok(pending),
+                    }
+                    f.slot = Some(Envelope::Eow {
+                        producer: self.copy_index,
+                    });
+                    f.stage = Stage::EowQueue(i);
+                }
+                Stage::EowQueue(i) => {
+                    // A consumer set that hung up misses the marker only.
+                    if self.targets[i].poll_send(env, &mut f.slot).is_pending() {
+                        return Ok(Step::Wait);
+                    }
+                    f.stage = Stage::EowWire(i + 1);
+                }
+            }
+        }
+    }
+
+    /// Deliver `msg` in the calling copy's own thread (the native path):
+    /// every fault-plan sleep is paid here, as a blocking socket send
+    /// would pay it, with a heartbeat after each.
     pub fn deliver(&mut self, env: &ExecEnv, msg: OutMsg) -> Result<(), Closed> {
-        match msg {
-            OutMsg::Data {
-                copyset_idx,
-                envelope,
-            } => {
-                let bytes = match &envelope {
-                    Envelope::Data { buf, .. } => buf.transport_bytes(),
-                    _ => EOW_WIRE_BYTES,
-                };
-                let to = self.sets[copyset_idx].host;
-                // Seeded-drop key: unique per (stream, producer copy).
-                let key = ((self.stream_id as u64) << 32) | self.copy_index as u64;
-                if let Some(ctl) = self.faults.as_ref().filter(|_| to != self.host) {
-                    if ctl.plan.has_drops() {
-                        // Each dropped transmission still occupied the
-                        // wire: pay for it, wait out the retransmit timer,
-                        // re-roll.
-                        let mut attempt = 0u64;
-                        while ctl.plan.should_drop(key, self.seq, attempt) {
-                            charge_transfer(env, &self.topo, self.host, to, bytes);
-                            env.delay(self.retransmit_delay);
-                            self.beat(env);
-                            ctl.tallies.lock().retransmits += 1;
-                            attempt += 1;
-                        }
-                    }
-                    if ctl.plan.has_delays() {
-                        // Seeded per-message latency injection (chaos
-                        // testing): hold the message on the wire for the
-                        // plan's extra delay before it reaches the queue.
-                        if let Some(d) = ctl.plan.message_delay(key, self.seq) {
-                            env.delay(d);
-                            self.beat(env);
-                            ctl.tallies.lock().messages_delayed += 1;
-                        }
-                    }
-                    if ctl.plan.has_degrades() && !env.is_virtual() {
-                        // The virtual-time engine dilates transfers through
-                        // the topology's bandwidth drivers; native threads
-                        // pay real wire costs, so the degraded fraction of
-                        // serialization time is injected here as a stall.
-                        let now = env.now();
-                        let f = ctl
-                            .plan
-                            .degrade_factor(self.host, now)
-                            .min(ctl.plan.degrade_factor(to, now));
-                        if f < 1.0 {
-                            let nominal =
-                                self.topo.path_cost_per_byte(self.host, to) * bytes as f64;
-                            let extra = nominal * (1.0 / f.max(1e-6) - 1.0);
-                            env.delay(SimDuration::from_secs_f64(extra));
-                            self.beat(env);
-                            ctl.tallies.lock().messages_delayed += 1;
-                        }
+        let mut flight = self.launch(msg);
+        loop {
+            match self.poll(env, &mut flight)? {
+                Step::Done => return Ok(()),
+                Step::Delay(d) => {
+                    env.delay(d);
+                    if let Some(h) = &self.health {
+                        h.beat(env.now());
                     }
                 }
-                self.seq += 1;
-                charge_transfer(env, &self.topo, self.host, to, bytes);
-                self.targets[copyset_idx]
-                    .send(env, envelope)
-                    .map_err(|_| Closed)
-            }
-            OutMsg::Eow => {
-                for (tx, set) in self.targets.iter().zip(&self.sets) {
-                    charge_transfer(env, &self.topo, self.host, set.host, EOW_WIRE_BYTES);
-                    let _ = tx.send(
-                        env,
-                        Envelope::Eow {
-                            producer: self.copy_index,
-                        },
-                    );
-                }
-                Ok(())
+                Step::Wait => env.expect_sim().block(),
             }
         }
     }
 
-    fn beat(&self, env: &ExecEnv) {
-        if let Some(h) = &self.health {
-            h.beat(env.now());
-        }
-    }
-
-    /// Spawn this pair's outbox sender (simulator only): it drains the
-    /// copy's outbox through [`deliver`](Self::deliver) so the copy keeps
-    /// computing while earlier buffers are on the modelled wire. A
-    /// consumer that hung up ends the loop; the late buffer is dropped.
+    /// Register this pair's outbox sender (simulator only): a handler that
+    /// drains the copy's outbox through [`poll`](Self::poll), so the copy
+    /// keeps computing while earlier buffers are on the modelled wire. A
+    /// consumer that hung up ends it; the late buffer is dropped.
     pub fn spawn_sender<E: Executor>(
-        mut self,
+        self,
         exec: &mut E,
         stream_name: &str,
-        outbox_rx: ChanRx<OutMsg>,
+        outbox: ChanRx<OutMsg>,
     ) {
-        exec.spawn(
-            format!("sender:{stream_name}#{}@h{}", self.copy_index, self.host.0),
-            Box::new(move |env: ExecEnv| {
-                while let Some(msg) = outbox_rx.recv(&env) {
-                    if self.deliver(&env, msg).is_err() {
-                        break;
-                    }
-                }
-            }),
-        );
+        let name = format!("sender:{stream_name}#{}@h{}", self.copy_index, self.host.0);
+        let mut sender = OutboxSender {
+            outbox,
+            delivery: self,
+            flight: None,
+        };
+        exec.spawn_handler(name, Box::new(move |env: &ExecEnv| sender.step(env)));
+    }
+}
+
+/// The outbox sender of one (copy, output stream) pair, as a handler.
+struct OutboxSender {
+    outbox: ChanRx<OutMsg>,
+    delivery: Delivery,
+    flight: Option<Flight>,
+}
+
+impl OutboxSender {
+    fn step(&mut self, env: &ExecEnv) -> Step {
+        loop {
+            let flight = match &mut self.flight {
+                Some(f) => f,
+                None => match self.outbox.poll_recv(env) {
+                    Poll::Pending => return Step::Wait,
+                    Poll::Ready(None) => return Step::Done,
+                    Poll::Ready(Some(msg)) => self.flight.insert(self.delivery.launch(msg)),
+                },
+            };
+            match self.delivery.poll(env, flight) {
+                Ok(Step::Done) => self.flight = None,
+                Ok(pending) => return pending,
+                Err(Closed) => return Step::Done,
+            }
+        }
     }
 }

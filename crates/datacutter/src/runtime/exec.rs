@@ -1,7 +1,7 @@
 //! The executor substrate: a small `Clock` + `Transport` + `Executor`
 //! trait family that separates *what* the runtime spawns and wires (filter
-//! copies, reapers, and under virtual time outbox senders and ack couriers
-//! — see [`super::spawn`])
+//! copies, reapers, and under virtual time the outbox-sender and
+//! ack-courier handlers — see [`super::spawn`])
 //! from *where* it runs. The hetsim virtual-time engine is one
 //! implementation ([`SimExecutor`], bit-for-bit identical to the original
 //! monolithic runtime); [`super::native::NativeExecutor`] runs the same
@@ -13,8 +13,12 @@
 //! [`crate::filter::Filter`] trait is untouched by the substrate choice.
 
 use std::sync::Arc;
+use std::task::Poll;
 
-use hetsim::{DeadlineRecv, Env, SendError, SimDuration, SimError, SimTime, Simulation, Topology};
+use hetsim::{
+    DeadlineRecv, Env, SendError, SimDuration, SimError, SimTime, Simulation, Step, Topology,
+    Transfer,
+};
 
 use super::native::{CancelScope, NativeBarrier, NativeEnv, NativeRx, NativeTx};
 
@@ -37,7 +41,7 @@ impl Clock for Env {
 }
 
 /// The per-process execution environment handed to every runtime process
-/// (filter copies, reapers, the supervisor, senders and couriers). A
+/// (filter copies, reapers, the supervisor, sender and courier handlers). A
 /// concrete enum over the two substrates so the filter-facing context
 /// stays non-generic.
 #[derive(Clone)]
@@ -125,6 +129,28 @@ pub(crate) fn charge_transfer(
     }
 }
 
+/// [`charge_transfer`] as far as it goes without blocking, for a handler:
+/// the charge in `wire` starts on the first call and is cleared when it
+/// is done. Done at once on the native substrate.
+pub(crate) fn poll_charge(
+    env: &ExecEnv,
+    wire: &mut Option<Transfer>,
+    topo: &Topology,
+    from: hetsim::HostId,
+    to: hetsim::HostId,
+    bytes: u64,
+) -> Step {
+    let ExecEnv::Sim(e) = env else {
+        return Step::Done;
+    };
+    let t = wire.get_or_insert_with(|| Transfer::new(from, to, bytes));
+    let step = topo.poll_transfer(e, t);
+    if step == Step::Done {
+        *wire = None;
+    }
+    step
+}
+
 /// Sending half of a bounded MPMC channel (substrate-dispatched).
 pub enum ChanTx<T: Send> {
     /// Endpoint of a hetsim cooperative channel.
@@ -150,6 +176,24 @@ impl<T: Send> ChanTx<T> {
             ChanTx::Native(tx) => tx.send(value),
         }
     }
+
+    /// Send the value in `slot` without parking a sim process: `Pending`
+    /// (value kept, process registered for a wake) while the channel is
+    /// full. A native send blocks the calling thread instead and is always
+    /// ready.
+    pub(crate) fn poll_send(
+        &self,
+        env: &ExecEnv,
+        slot: &mut Option<T>,
+    ) -> Poll<Result<(), SendError<T>>> {
+        match self {
+            ChanTx::Sim(tx) => tx.poll_send(env.expect_sim(), slot),
+            ChanTx::Native(tx) => match slot.take() {
+                Some(value) => Poll::Ready(tx.send(value)),
+                None => Poll::Ready(Ok(())),
+            },
+        }
+    }
 }
 
 impl<T: Send> Clone for ChanTx<T> {
@@ -168,6 +212,16 @@ impl<T: Send> ChanRx<T> {
         match self {
             ChanRx::Sim(rx) => rx.recv(env.expect_sim()),
             ChanRx::Native(rx) => rx.recv(),
+        }
+    }
+
+    /// Receive without parking a sim process: `Pending` (process
+    /// registered for a wake) while the channel is empty and open. A
+    /// native receive blocks the calling thread instead.
+    pub(crate) fn poll_recv(&self, env: &ExecEnv) -> Poll<Option<T>> {
+        match self {
+            ChanRx::Sim(rx) => rx.poll_recv(env.expect_sim()),
+            ChanRx::Native(rx) => Poll::Ready(rx.recv()),
         }
     }
 
@@ -288,6 +342,9 @@ pub struct ExecStats {
 /// A boxed process body handed to [`Executor::spawn`].
 pub type SpawnBody = Box<dyn FnOnce(ExecEnv) + Send + 'static>;
 
+/// A boxed handler step handed to [`Executor::spawn_handler`].
+pub type HandlerBody = Box<dyn FnMut(&ExecEnv) -> Step + Send + 'static>;
+
 /// An execution substrate: spawns the runtime's processes and runs them to
 /// completion. Implementations: [`SimExecutor`] (hetsim virtual time,
 /// deterministic) and [`super::native::NativeExecutor`] (one OS thread
@@ -298,12 +355,14 @@ pub trait Executor {
 
     /// Whether the runtime relays through helper processes: an outbox
     /// *sender* per (filter copy, output stream) and an ack *courier* per
-    /// consumer copy set. A substrate that charges transfers in virtual
-    /// time needs them — they let a copy keep computing while its buffers
-    /// and acknowledgments are on the modelled wire, and their
-    /// registration order is part of the event order. Without a modelled
-    /// wire they would only add thread hand-offs, so a copy delivers its
-    /// writes and acknowledges its reads in its own thread instead.
+    /// consumer copy set, registered with [`Executor::spawn_handler`]. A
+    /// substrate that charges transfers in virtual time needs them — they
+    /// let a copy keep computing while its buffers and acknowledgments are
+    /// on the modelled wire, and their registration order is part of the
+    /// event order. On the simulator they are threadless handlers, run on
+    /// whichever thread dispatches their events. Without a modelled wire
+    /// they would only add hand-offs, so a copy delivers its writes and
+    /// acknowledges its reads in its own thread instead.
     const RELAYS: bool;
 
     /// The transport instance for wiring this run.
@@ -313,6 +372,12 @@ pub trait Executor {
     /// called; registration order is significant on deterministic
     /// substrates (it fixes process identity and event order).
     fn spawn(&mut self, name: String, body: SpawnBody);
+
+    /// Register a threadless handler process: `step` runs once per event
+    /// granted to it and returns what it waits for next (see
+    /// [`hetsim::Simulation::spawn_handler`]). Registration order counts
+    /// as for [`Executor::spawn`]. Only executors that relay are asked.
+    fn spawn_handler(&mut self, name: String, step: HandlerBody);
 
     /// Run every spawned process to completion.
     fn run(&mut self) -> Result<ExecStats, SimError>;
@@ -376,6 +441,11 @@ impl Executor for SimExecutor {
     fn spawn(&mut self, name: String, body: SpawnBody) {
         self.sim
             .spawn(name, move |env: Env| body(ExecEnv::Sim(env)));
+    }
+
+    fn spawn_handler(&mut self, name: String, mut step: HandlerBody) {
+        self.sim
+            .spawn_handler(name, move |env: &Env| step(&ExecEnv::Sim(env.clone())));
     }
 
     fn run(&mut self) -> Result<ExecStats, SimError> {

@@ -7,8 +7,8 @@
 //!   process, condvar blocking),
 //! * [`spawn`] — copy instantiation and stream wiring,
 //! * [`delivery`] — putting envelopes on copy-set queues (retransmission,
-//!   injected delays and stalls), plus the simulator's outbox senders and
-//!   ack couriers,
+//!   injected delays and stalls), plus the simulator's outbox-sender and
+//!   ack-courier handlers,
 //! * [`eow`] — end-of-work gates (UOW cycle separation),
 //! * [`reaper`] — dead-set salvage and demand-driven replay,
 //! * [`retain`] — lossless-recovery retention rings and seq-number dedup,
@@ -228,7 +228,9 @@ impl Run {
     }
 
     /// Capacity of each per-copy outbox (default
-    /// [`DEFAULT_OUTBOX_CAPACITY`]). Simulator only: on the native
+    /// [`DEFAULT_OUTBOX_CAPACITY`]): how many messages a copy can hand to
+    /// its outbox sender — a threadless handler that charges the modelled
+    /// wire — before a write blocks. Simulator only: on the native
     /// executor a copy delivers its writes itself and has no outbox.
     pub fn outbox_capacity(mut self, capacity: usize) -> Self {
         self.tuning.outbox_capacity = capacity;
@@ -236,8 +238,11 @@ impl Run {
     }
 
     /// Capacity of the per-copy-set ack courier queues (default
-    /// [`DEFAULT_COURIER_CAPACITY`]). Simulator only: on the native
-    /// executor a copy acknowledges its reads itself and has no courier.
+    /// [`DEFAULT_COURIER_CAPACITY`]): how many acknowledgments and
+    /// settlement batches may wait for the courier — a threadless handler
+    /// that charges the reverse path — before a read blocks. Simulator
+    /// only: on the native executor a copy acknowledges its reads itself
+    /// and has no courier.
     pub fn courier_capacity(mut self, capacity: usize) -> Self {
         self.tuning.courier_capacity = capacity;
         self

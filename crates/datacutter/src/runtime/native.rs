@@ -37,7 +37,7 @@ use hetsim::{DeadlineRecv, SendError, SimDuration, SimError, SimTime};
 use parking_lot::{Condvar, Mutex};
 
 use super::exec::{
-    ChanRx, ChanTx, ExecBarrier, ExecEnv, ExecStats, Executor, SpawnBody, Transport,
+    ChanRx, ChanTx, ExecBarrier, ExecEnv, ExecStats, Executor, HandlerBody, SpawnBody, Transport,
 };
 
 /// Take the value a send loop is still holding. The loops below place the
@@ -544,6 +544,10 @@ impl Executor for NativeExecutor {
 
     fn spawn(&mut self, name: String, body: SpawnBody) {
         self.pending.push((name, body));
+    }
+
+    fn spawn_handler(&mut self, _name: String, _step: HandlerBody) {
+        unreachable!("the native executor does not relay: it has no handlers");
     }
 
     fn run(&mut self) -> Result<ExecStats, SimError> {

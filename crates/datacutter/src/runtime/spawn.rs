@@ -2,8 +2,9 @@
 //! gates, spawns one reaper per doomed copy set, then spawns every
 //! transparent filter copy with its input/output ports. Under an executor
 //! that relays ([`Executor::RELAYS`], the simulator) each consumer copy
-//! set also gets an ack courier and each output port an outbox sender; on
-//! the native executor a copy is the only thread spawned for it.
+//! set also gets an ack courier and each output port an outbox sender,
+//! both threadless handlers; on the native executor a copy is the only
+//! thread spawned for it.
 //!
 //! **Spawn order is load-bearing.** On the deterministic substrate,
 //! registration order fixes process identity and therefore event order;
@@ -11,9 +12,10 @@
 //! per stream: couriers (one per copy set, interleaved with channel
 //! creation); then reapers; then per filter copy: one sender per output
 //! port followed by the copy itself — so simulation runs stay bit-for-bit
-//! identical. Supervision (opt-in) only adds reapers in the per-stream
-//! slot and the supervisor last, so plan-only runs are untouched (the
-//! tests below pin the sequence).
+//! identical; senders and couriers are handlers, registered in those same
+//! slots. Supervision (opt-in) only adds reapers in the per-stream slot
+//! and the supervisor last, so plan-only runs are untouched (the tests
+//! below pin the sequence).
 //!
 //! ## Panic containment and supervised restarts
 //!
@@ -65,7 +67,7 @@ use crate::storage::StorageCtl;
 /// Everything the driver needs to harvest a report after the run: the
 /// metric cells (shared with the spawned processes) and the barrier
 /// boundary log. Holds no channel endpoints, so queues close as soon as
-/// the last real user (filter copy or sender process) finishes.
+/// the last real user (filter copy or sender handler) finishes.
 pub(crate) struct RunWiring {
     pub copy_cells: Vec<(FilterId, String, usize, HostId, CopyCell)>,
     pub uow_boundaries: Arc<Mutex<Vec<SimTime>>>,
@@ -340,7 +342,8 @@ pub(crate) fn build<E: Executor>(
                 }
 
                 // Output ports: per-copy writer state + delivery, relayed
-                // through an outbox sender or run in the copy's thread.
+                // through an outbox sender handler or run in the copy's
+                // thread.
                 let mut outputs = Vec::new();
                 for &sid in &output_ids {
                     let rt = &streams_rt[sid.0 as usize];
@@ -646,7 +649,7 @@ mod tests {
     use hetsim::{FaultPlan, SimError, SimTime};
     use parking_lot::Mutex;
 
-    use super::super::exec::{ExecStats, Executor, SpawnBody};
+    use super::super::exec::{ExecStats, Executor, HandlerBody, SpawnBody};
     use super::super::{drive, silence_sentinel_panics, NativeExecutor, SimExecutor, Tuning};
     use crate::fault::FaultCtl;
     use crate::{
@@ -654,11 +657,14 @@ mod tests {
         WritePolicy,
     };
 
-    /// Wraps an executor and records the name of every process the
-    /// runtime registers with it.
+    /// One registration: the process name, and whether it was a handler.
+    type Spawned = (String, bool);
+
+    /// Wraps an executor and records every process the runtime registers
+    /// with it, in order.
     struct Recording<E> {
         inner: E,
-        names: Arc<Mutex<Vec<String>>>,
+        spawned: Arc<Mutex<Vec<Spawned>>>,
     }
 
     impl<E: Executor> Executor for Recording<E> {
@@ -670,8 +676,13 @@ mod tests {
         }
 
         fn spawn(&mut self, name: String, body: SpawnBody) {
-            self.names.lock().push(name.clone());
+            self.spawned.lock().push((name.clone(), false));
             self.inner.spawn(name, body);
+        }
+
+        fn spawn_handler(&mut self, name: String, step: HandlerBody) {
+            self.spawned.lock().push((name.clone(), true));
+            self.inner.spawn_handler(name, step);
         }
 
         fn run(&mut self) -> Result<ExecStats, SimError> {
@@ -716,9 +727,9 @@ mod tests {
 
     /// `src` (h0) → `mid` (two copies on h1, one on h2) → `snk` (h0), both
     /// streams demand-driven. Under `crash`, h2 dies at t = 0 and the run
-    /// is supervised and lossless. Returns the registered process names
-    /// and the sorted items the sink received.
-    fn spawned<E: Executor>(exec: E, crash: bool) -> (Vec<String>, Vec<u32>) {
+    /// is supervised and lossless. Returns the registered processes and
+    /// the sorted items the sink received.
+    fn register<E: Executor>(exec: E, crash: bool) -> (Vec<Spawned>, Vec<u32>) {
         silence_sentinel_panics();
         let (topo, hosts) = hetsim::presets::rogue_cluster(3);
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -745,10 +756,10 @@ mod tests {
                     .supervised(SupervisorPolicy::new()),
             )
         });
-        let names = Arc::new(Mutex::new(Vec::new()));
+        let spawned = Arc::new(Mutex::new(Vec::new()));
         let rec = Recording {
             inner: exec,
-            names: names.clone(),
+            spawned: spawned.clone(),
         };
         drive(
             rec,
@@ -762,22 +773,37 @@ mod tests {
         .expect("run completes");
         let mut got = seen.lock().clone();
         got.sort_unstable();
-        let names = names.lock().clone();
-        (names, got)
+        let spawned = spawned.lock().clone();
+        (spawned, got)
+    }
+
+    /// The registered names, in order.
+    fn names(spawned: &[Spawned]) -> Vec<&str> {
+        spawned.iter().map(|(name, _)| name.as_str()).collect()
+    }
+
+    /// The names registered as handlers, in order.
+    fn handlers(spawned: &[Spawned]) -> Vec<&str> {
+        spawned
+            .iter()
+            .filter(|(_, handler)| *handler)
+            .map(|(name, _)| name.as_str())
+            .collect()
     }
 
     const COPIES: [&str; 5] = ["src#0@h0", "mid#0@h1", "mid#1@h1", "mid#2@h2", "snk#0@h0"];
 
     #[test]
     fn native_clean_run_spawns_only_its_copies() {
-        let (names, got) = spawned(NativeExecutor::new(), false);
-        assert_eq!(names, COPIES);
+        let (spawned, got) = register(NativeExecutor::new(), false);
+        assert_eq!(names(&spawned), COPIES);
+        assert!(handlers(&spawned).is_empty());
         assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
     }
 
     #[test]
     fn native_lossless_crash_run_spawns_copies_reapers_and_supervisor() {
-        let (names, got) = spawned(NativeExecutor::new(), true);
+        let (spawned, got) = register(NativeExecutor::new(), true);
         let reapers = [
             "reaper:src->mid@h1",
             "reaper:src->mid@h2",
@@ -789,19 +815,31 @@ mod tests {
             .copied()
             .chain(["supervisor"])
             .collect();
-        assert_eq!(names, want);
+        assert_eq!(names(&spawned), want);
+        assert!(handlers(&spawned).is_empty());
         assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
     }
 
     /// Spawn order is load-bearing on the simulator (it fixes process ids
     /// and so event order): couriers per copy set with each stream's
     /// channels, that stream's reapers, then per copy its senders and the
-    /// copy itself, the supervisor last. Pinned literally.
+    /// copy itself, the supervisor last. Pinned literally. The senders and
+    /// couriers are handlers, registered in the slots their threads had;
+    /// everything else is a thread.
     #[test]
     fn sim_runs_keep_the_relay_processes_in_their_order() {
-        let (names, got) = spawned(SimExecutor::new(), false);
+        let relays = |spawned: &[Spawned]| -> Vec<String> {
+            names(spawned)
+                .into_iter()
+                .filter(|n| n.starts_with("sender:") || n.starts_with("courier:"))
+                .map(String::from)
+                .collect()
+        };
+        let (spawned, got) = register(SimExecutor::new(), false);
+        assert_eq!(handlers(&spawned), relays(&spawned));
+        assert_eq!((spawned.len(), handlers(&spawned).len()), (12, 7));
         assert_eq!(
-            names,
+            names(&spawned),
             [
                 "courier:src->mid@h1",
                 "courier:src->mid@h2",
@@ -819,9 +857,11 @@ mod tests {
         );
         assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
 
-        let (names, got) = spawned(SimExecutor::new(), true);
+        let (spawned, got) = register(SimExecutor::new(), true);
+        assert_eq!(handlers(&spawned), relays(&spawned));
+        assert_eq!((spawned.len(), handlers(&spawned).len()), (16, 7));
         assert_eq!(
-            names,
+            names(&spawned),
             [
                 "courier:src->mid@h1",
                 "courier:src->mid@h2",

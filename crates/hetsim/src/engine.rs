@@ -1,5 +1,5 @@
 //! Deterministic discrete-event engine with thread-backed cooperative
-//! processes.
+//! processes and threadless handlers.
 //!
 //! Each simulated entity (a DataCutter filter copy, a disk server, a
 //! background-load generator, ...) runs as a real OS thread, but execution is
@@ -9,7 +9,9 @@
 //! [`Env::block`] / [`Env::wake`]. The engine orders wake-ups by
 //! `(virtual time, sequence number)`, so runs are fully deterministic:
 //! the same program produces the same event order and the same final clock
-//! on every execution.
+//! on every execution. A process that is only a state machine over the
+//! non-blocking primitives can be a *handler* instead, with no thread at
+//! all (see "Handlers" below).
 //!
 //! This is the "process-interaction" simulation style (SimPy, CSIM): the
 //! simulated code is ordinary imperative Rust that happens to sleep on a
@@ -63,10 +65,47 @@
 //!   `now < target`. Steps run under the core lock on *another process's*
 //!   thread, so they never touch [`Env`] (`now` is an argument), take
 //!   locks only in the order core → resource state, and a panic in one is
-//!   caught and reported against the chained process. Processes are the
-//!   rule — filters, senders, couriers, load generators all block on
-//!   channels and read shared state between events; steps are only for
-//!   logic that is a pure function of resource state between two timers.
+//!   caught and reported against the chained process. Steps are only for
+//!   logic that is a pure function of resource state between two timers;
+//!   logic that talks to other processes is a thread or a handler.
+//!
+//! # Handlers
+//!
+//! A handler ([`Simulation::spawn_handler`]) is a process with a pid and
+//! no thread: a step function `FnMut(&Env) -> Step` that the dispatching
+//! thread runs, with the core lock released, each time it pops the
+//! handler's event. The step does its work through the non-blocking
+//! primitives — [`Receiver::poll_recv`](crate::Receiver::poll_recv),
+//! [`Sender::poll_send`](crate::Sender::poll_send),
+//! [`Semaphore::poll_acquire`](crate::Semaphore::poll_acquire),
+//! [`Topology::poll_transfer`](crate::Topology::poll_transfer), wakes — and
+//! says what it waits for next: [`Step::Wait`] (it registered its pid with
+//! a primitive), [`Step::Delay`] or [`Step::Done`]. The blocking
+//! primitives are thin loops over the same functions, and
+//! [`Env::drive`] runs any step function on a thread, so a handler
+//! dispatches exactly the events of a thread process driving the same
+//! step: each of its steps is one dispatched event at the same point of
+//! the order; `Delay(ZERO)` schedules nothing and steps again at once; a
+//! stray wake mid-delay is counted and re-arms the timer, as it does for a
+//! chain; a panicking step is reported against the handler; and a handler
+//! parked in `Wait` is named in a deadlock report. Its state is dropped
+//! with the lock released when it is done (as a thread's closure drops its
+//! captures before it finishes), or unrun at teardown. The simulator's
+//! relays — DataCutter's outbox senders and ack couriers — are handlers:
+//! a relay event costs a function call on the thread that popped it, not
+//! a thread hand-off.
+//!
+//! # Thread reuse
+//!
+//! A thread process runs on a pooled OS thread that outlives its
+//! simulation: the thread is taken from a process-wide idle list at the
+//! process's first grant, and parks there again once the closure has
+//! returned — at most [`IDLE_THREAD_CAP`] of them; past that it exits.
+//! Teardown still waits until every closure has returned and dropped what
+//! it captured, and until its thread is parked, so back-to-back
+//! simulations (one per frame, one per paper-bin configuration) create
+//! threads only on the first run. A process that panicked leaves its
+//! thread reusable.
 //!
 //! # Example
 //!
@@ -86,10 +125,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+pub use crate::pool::IDLE_THREAD_CAP;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a process within one [`Simulation`].
@@ -174,9 +213,25 @@ struct Proc {
     name: String,
     status: Status,
     epoch: Epoch,
-    cv: Arc<Condvar>,
-    /// Set while the process sleeps through an inline timer chain.
-    chain: Option<Chain>,
+    /// The instant the process's pending timer fires, while it sleeps
+    /// through an inline timer chain or a handler's `Delay`. A fresh event
+    /// for the process before `due` is a stray wake, not the timer.
+    due: Option<SimTime>,
+    body: Body,
+}
+
+/// What runs a process when the engine grants it an event.
+enum Body {
+    /// An OS thread parked on `cv`. `start` is the process's whole life,
+    /// handed to a pooled thread at its first grant; `chain` is set while
+    /// it sleeps through an inline timer chain.
+    Thread {
+        cv: Arc<Condvar>,
+        start: Option<Box<dyn FnOnce() + Send>>,
+        chain: Option<Box<ChainStep>>,
+    },
+    /// A handler's step: `None` while it runs, and once it is done.
+    Handler(Option<Box<HandlerStep>>),
 }
 
 /// The step function of an inline timer chain: called with the current
@@ -185,12 +240,23 @@ struct Proc {
 /// must not call into [`Env`] and should not panic.
 type ChainStep = dyn FnMut(SimTime) -> Option<SimDuration> + Send;
 
-/// A blocked process's pending chain: the step and the instant its
-/// current timer fires. A fresh event for the process before `due` is a
-/// stray wake, not the timer.
-struct Chain {
-    due: SimTime,
-    step: Box<ChainStep>,
+/// A handler process's step function (see [`Simulation::spawn_handler`]).
+type HandlerStep = dyn FnMut(&Env) -> Step + Send;
+
+/// What a handler's step asks of the engine when it returns, and what a
+/// resumable state machine over the non-blocking primitives reports to
+/// whoever drives it ([`Env::drive`] on a thread, the event loop for a
+/// handler).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Park until another process wakes this one: the step registered its
+    /// pid with what it waits on (a `poll_*` primitive returned pending).
+    Wait,
+    /// Sleep for the duration, then step again. `Delay(ZERO)` schedules no
+    /// event and steps again at once, as [`Env::delay`] returns at once.
+    Delay(SimDuration),
+    /// Finished.
+    Done,
 }
 
 /// The instant the chain's next timer fires, or `None` when the chain is
@@ -349,18 +415,42 @@ impl Core {
 struct Shared {
     core: Mutex<Core>,
     engine_cv: Condvar,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Thread processes whose closure has not yet returned and dropped
+    /// what it captured; teardown waits for zero.
+    threads: Mutex<usize>,
+    threads_cv: Condvar,
+}
+
+/// Counts a thread process out of [`Shared::threads`] once its closure has
+/// returned or unwound and its thread is parked again (the pool's receipt).
+struct ThreadExit(Arc<Shared>);
+
+impl Drop for ThreadExit {
+    fn drop(&mut self) {
+        let mut n = self.0.threads.lock();
+        *n -= 1;
+        if *n == 0 {
+            self.0.threads_cv.notify_all();
+        }
+    }
 }
 
 /// Pop-and-grant the next fresh event: the single dispatch algorithm, run
 /// by whichever thread reaches a dispatch point (a blocking process under
 /// direct handoff, the engine thread in centralized mode). An event whose
-/// process sleeps through a timer chain is consumed right here — the step
-/// runs inline and the loop carries on — so only the chain's last event
-/// grants. Returns `true` when the granted process is `granting` itself —
-/// the caller keeps the CPU with no context switch at all. When the queue
-/// drains, records the terminal result and wakes the engine.
-fn dispatch_next(shared: &Shared, core: &mut Core, granting: Option<ProcessId>) -> bool {
+/// process sleeps through a timer chain, or that belongs to a handler, is
+/// consumed right here — the step runs inline and the loop carries on —
+/// so only events for threads grant. Returns `true` when the granted
+/// process is `granting` itself — the caller keeps the CPU with no context
+/// switch at all. When the queue drains, records the terminal result and
+/// wakes the engine. The core lock is released while a handler step runs
+/// and while a granted thread is notified, so a caller re-reads whatever
+/// it needs from the core afterwards.
+fn dispatch_next(
+    shared: &Arc<Shared>,
+    core: &mut MutexGuard<'_, Core>,
+    granting: Option<ProcessId>,
+) -> bool {
     loop {
         let Some((key, rec)) = core.pop_event() else {
             // Queue drained: success iff nobody is still blocked.
@@ -388,38 +478,50 @@ fn dispatch_next(shared: &Shared, core: &mut Core, granting: Option<ProcessId>) 
         core.dispatched += 1;
         let proc = &mut core.procs[idx];
         proc.epoch += 1;
-        if let Some(chain) = proc.chain.as_mut() {
-            let due = if now < chain.due {
-                // A stray wake mid-delay: re-arm, as the woken thread would.
-                Some(chain.due)
-            } else {
-                let step = &mut *chain.step;
-                match catch_unwind(AssertUnwindSafe(|| next_due(step, now))) {
-                    Ok(due) => due,
-                    Err(payload) => {
-                        // The step panicked on a thread that is not its
-                        // process's: report it here, against its process.
-                        let failed = (proc.name.clone(), panic_message(&*payload));
-                        core.panic.get_or_insert(failed);
-                        core.halted = true;
-                        shared.engine_cv.notify_one();
-                        return false;
-                    }
+        // A fresh event before the pending timer is a stray wake: it keeps
+        // `due` and re-arms below, as the woken thread would.
+        let mut due = proc.due.take().filter(|&due| now < due);
+        if due.is_none() {
+            if matches!(proc.body, Body::Handler(_)) {
+                if !run_handler(shared, core, rec.pid, now) {
+                    return false;
                 }
-            };
-            if let Some(due) = due {
-                chain.due = due;
-                let epoch = proc.epoch;
-                proc.status = Status::Blocked(epoch);
-                core.push_event(due, rec.pid, epoch);
                 core.inline_steps += 1;
                 if core.centralized {
-                    // One event per call: the throttle sleeps between them.
                     return false;
                 }
                 continue;
             }
-            proc.chain = None;
+            if let Body::Thread { chain, .. } = &mut proc.body {
+                let stepped = chain
+                    .as_deref_mut()
+                    .map(|step| catch_unwind(AssertUnwindSafe(|| next_due(step, now))));
+                match stepped {
+                    None => {}
+                    Some(Ok(Some(next))) => due = Some(next),
+                    Some(Ok(None)) => *chain = None,
+                    Some(Err(payload)) => {
+                        // The step panicked on a thread that is not its
+                        // process's: report it here, against its process.
+                        let failed = (proc.name.clone(), panic_message(&*payload));
+                        halt_on_panic(shared, core, failed);
+                        return false;
+                    }
+                }
+            }
+        }
+        let proc = &mut core.procs[idx];
+        if let Some(due) = due {
+            proc.due = Some(due);
+            let epoch = proc.epoch;
+            proc.status = Status::Blocked(epoch);
+            core.push_event(due, rec.pid, epoch);
+            core.inline_steps += 1;
+            if core.centralized {
+                // One event per call: the throttle sleeps between them.
+                return false;
+            }
+            continue;
         }
         proc.status = Status::Running;
         core.running = Some(rec.pid);
@@ -428,9 +530,105 @@ fn dispatch_next(shared: &Shared, core: &mut Core, granting: Option<ProcessId>) 
             return true;
         }
         core.handoffs += 1;
-        core.procs[idx].cv.notify_one();
+        let Body::Thread { cv, start, .. } = &mut core.procs[idx].body else {
+            unreachable!("handlers are never granted");
+        };
+        // Started or notified with the core unlocked: a woken thread that
+        // preempts the dispatcher would otherwise only block again on the
+        // core lock. The grant is already recorded, so a wake that lands
+        // before the target parks is not lost.
+        let Some(start) = start.take() else {
+            let cv = cv.clone();
+            MutexGuard::unlocked(core, || cv.notify_one());
+            return false;
+        };
+        *shared.threads.lock() += 1;
+        let receipt = Box::new(ThreadExit(shared.clone()));
+        if let Err(e) = MutexGuard::unlocked(core, || crate::pool::run(start, receipt)) {
+            let proc = &mut core.procs[idx];
+            proc.status = Status::Finished;
+            let failed = (proc.name.clone(), format!("no thread to run on: {e}"));
+            core.running = None;
+            core.live -= 1;
+            halt_on_panic(shared, core, failed);
+        }
         return false;
     }
+}
+
+/// Run handler `pid`'s step for the event just popped at `now`, with the
+/// core lock released (the step locks primitives whose wakes take it),
+/// then park, arm or retire the handler as the step asks. A step that is
+/// done or panicked has its state dropped before the lock is taken again,
+/// as a thread's closure drops its captures before `finish`. Returns
+/// `false` when the step panicked and the run is halted.
+fn run_handler(
+    shared: &Arc<Shared>,
+    core: &mut MutexGuard<'_, Core>,
+    pid: ProcessId,
+    now: SimTime,
+) -> bool {
+    let idx = pid.0 as usize;
+    let proc = &mut core.procs[idx];
+    let Body::Handler(slot) = &mut proc.body else {
+        unreachable!("run_handler on a thread process");
+    };
+    let mut step = slot.take().expect("a parked handler holds its step");
+    proc.status = Status::Running;
+    let env = Env {
+        pid,
+        shared: shared.clone(),
+    };
+    let (outcome, step) = MutexGuard::unlocked(core, move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+            match step(&env) {
+                Step::Delay(d) if d.is_zero() => continue,
+                asked => break asked,
+            }
+        }));
+        match outcome {
+            Ok(Step::Wait | Step::Delay(_)) => (outcome, Some(step)),
+            _ => {
+                drop(step);
+                (outcome, None)
+            }
+        }
+    });
+    let epoch = core.procs[idx].epoch;
+    match outcome {
+        Ok(Step::Wait) => {
+            let proc = &mut core.procs[idx];
+            proc.body = Body::Handler(step);
+            proc.status = Status::Blocked(epoch);
+        }
+        Ok(Step::Delay(d)) => {
+            let proc = &mut core.procs[idx];
+            proc.body = Body::Handler(step);
+            proc.status = Status::Blocked(epoch);
+            proc.due = Some(now + d);
+            core.push_event(now + d, pid, epoch);
+        }
+        Ok(Step::Done) => {
+            core.procs[idx].status = Status::Finished;
+            core.completed += 1;
+            core.live -= 1;
+        }
+        Err(payload) => {
+            let failed = (core.procs[idx].name.clone(), panic_message(&*payload));
+            core.procs[idx].status = Status::Finished;
+            core.live -= 1;
+            halt_on_panic(shared, core, failed);
+            return false;
+        }
+    }
+    true
+}
+
+/// Record the run's first panic and stop dispatching.
+fn halt_on_panic(shared: &Shared, core: &mut Core, failed: (String, String)) {
+    core.panic.get_or_insert(failed);
+    core.halted = true;
+    shared.engine_cv.notify_one();
 }
 
 /// The message of a caught panic payload, when it is a string.
@@ -500,12 +698,29 @@ impl Env {
         let Some(due) = next_due(&mut step, core.now) else {
             return;
         };
-        core.procs[self.pid.0 as usize].chain = Some(Chain {
-            due,
-            step: Box::new(step),
-        });
+        let proc = &mut core.procs[self.pid.0 as usize];
+        proc.due = Some(due);
+        if let Body::Thread { chain, .. } = &mut proc.body {
+            *chain = Some(Box::new(step));
+        }
         self.schedule_self(&mut core, due);
         self.yield_blocked(core);
+    }
+
+    /// Run a resumable step machine to [`Step::Done`] on the calling
+    /// process's own thread: [`Step::Wait`] is [`Env::block`] and
+    /// [`Step::Delay`] is [`Env::delay`]. This is how a blocking primitive
+    /// is a thin loop over its non-blocking version, and what a handler
+    /// process's events are equivalent to: a handler spawned with `step`
+    /// and a thread process that drives it dispatch the same events.
+    pub fn drive(&self, mut step: impl FnMut(&Env) -> Step) {
+        loop {
+            match step(self) {
+                Step::Wait => self.block(),
+                Step::Delay(d) => self.delay(d),
+                Step::Done => return,
+            }
+        }
     }
 
     /// Yield to any other process scheduled at the current instant, then
@@ -576,8 +791,12 @@ impl Env {
     /// calling process dispatches the next event itself: if that event is
     /// its own, it keeps running without parking; otherwise it wakes the
     /// target and parks. Must be entered with the core lock held.
-    fn yield_blocked(&self, mut core: parking_lot::MutexGuard<'_, Core>) {
+    fn yield_blocked(&self, mut core: MutexGuard<'_, Core>) {
         let idx = self.pid.0 as usize;
+        if matches!(core.procs[idx].body, Body::Handler(_)) {
+            drop(core);
+            panic!("a handler step must not block: it returns Step::Wait or Step::Delay");
+        }
         let epoch = core.procs[idx].epoch;
         core.procs[idx].status = Status::Blocked(epoch);
         core.running = None;
@@ -587,7 +806,10 @@ impl Env {
             // Self-granted: the next event was this process's own wake.
             return;
         }
-        let cv = core.procs[idx].cv.clone();
+        let Body::Thread { cv, .. } = &core.procs[idx].body else {
+            unreachable!("checked on entry");
+        };
+        let cv = cv.clone();
         loop {
             match core.procs[idx].status {
                 Status::Running => return,
@@ -628,73 +850,60 @@ fn wake_in(core: &mut Core, pid: ProcessId) -> bool {
     }
 }
 
-fn spawn_inner<F>(shared: &Arc<Shared>, name: String, f: F) -> ProcessId
-where
-    F: FnOnce(Env) + Send + 'static,
-{
+/// Register a process and its first wake, at the current instant.
+fn register(shared: &Shared, name: String, body: impl FnOnce(ProcessId) -> Body) -> ProcessId {
     let mut core = shared.core.lock();
     let pid = ProcessId(core.procs.len() as u32);
-    let cv = Arc::new(Condvar::new());
     core.procs.push(Proc {
         name,
         status: Status::Created,
         epoch: 0,
-        cv,
-        chain: None,
+        due: None,
+        body: body(pid),
     });
     core.live += 1;
-    // First wake, at the current instant.
     let time = core.now;
     core.push_event(time, pid, 0);
-    drop(core);
-
-    let env = Env {
-        pid,
-        shared: shared.clone(),
-    };
-    let shared2 = shared.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("hetsim-{}", pid.0))
-        .spawn(move || {
-            // Wait until the engine grants the first slice.
-            {
-                let mut core = shared2.core.lock();
-                let idx = pid.0 as usize;
-                let cv = core.procs[idx].cv.clone();
-                loop {
-                    match core.procs[idx].status {
-                        Status::Running => break,
-                        Status::Cancelled => {
-                            finish(&shared2, &mut core, pid, None);
-                            return;
-                        }
-                        _ => cv.wait(&mut core),
-                    }
-                }
-            }
-            let env2 = env.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || f(env2)));
-            let mut core = shared2.core.lock();
-            let panic_info = match result {
-                Ok(()) => None,
-                Err(payload) => {
-                    if payload.downcast_ref::<CancelToken>().is_some() {
-                        None
-                    } else {
-                        Some(panic_message(&*payload))
-                    }
-                }
-            };
-            finish(&shared2, &mut core, pid, panic_info);
-        })
-        .expect("failed to spawn simulation process thread");
-
-    // Engine joins these at teardown.
-    shared.handles.lock().push(handle);
     pid
 }
 
-fn finish(shared: &Shared, core: &mut Core, pid: ProcessId, panic_info: Option<String>) {
+fn spawn_inner<F>(shared: &Arc<Shared>, name: String, f: F) -> ProcessId
+where
+    F: FnOnce(Env) + Send + 'static,
+{
+    register(shared, name, |pid| {
+        let env = Env {
+            pid,
+            shared: shared.clone(),
+        };
+        Body::Thread {
+            cv: Arc::new(Condvar::new()),
+            start: Some(Box::new(move || process(env, f))),
+            chain: None,
+        }
+    })
+}
+
+/// A thread process's life on its pooled thread, from its first grant:
+/// run the closure, report how it ended.
+fn process<F: FnOnce(Env)>(env: Env, f: F) {
+    let pid = env.pid;
+    let shared = env.shared.clone();
+    let result = catch_unwind(AssertUnwindSafe(move || f(env)));
+    let panic_info = match result {
+        Err(payload) if !payload.is::<CancelToken>() => Some(panic_message(&*payload)),
+        _ => None,
+    };
+    let mut core = shared.core.lock();
+    finish(&shared, &mut core, pid, panic_info);
+}
+
+fn finish(
+    shared: &Arc<Shared>,
+    core: &mut MutexGuard<'_, Core>,
+    pid: ProcessId,
+    panic_info: Option<String>,
+) {
     let idx = pid.0 as usize;
     if let Some(msg) = panic_info {
         let name = core.procs[idx].name.clone();
@@ -756,7 +965,8 @@ impl Simulation {
                     centralized: false,
                 }),
                 engine_cv: Condvar::new(),
-                handles: Mutex::new(Vec::new()),
+                threads: Mutex::new(0),
+                threads_cv: Condvar::new(),
             }),
         }
     }
@@ -768,6 +978,25 @@ impl Simulation {
         F: FnOnce(Env) + Send + 'static,
     {
         spawn_inner(&self.shared, name.into(), f)
+    }
+
+    /// Spawn a root *handler*: a process with a pid and no thread. Each
+    /// event granted to it runs `step` on the thread that dispatches the
+    /// event, with the engine's lock released, and the step's [`Step`]
+    /// says what it waits for next — see "Handlers" in the module docs.
+    /// The step sees its own pid through its `&Env` and may call any
+    /// non-blocking `Env` method and `poll_*` primitive, but must not
+    /// block ([`Env::delay`], [`Env::block`], a blocking `send`...): that
+    /// panics. Its state is dropped when it returns [`Step::Done`], or
+    /// unrun when the simulation is torn down.
+    pub fn spawn_handler(
+        &mut self,
+        name: impl Into<String>,
+        step: impl FnMut(&Env) -> Step + Send + 'static,
+    ) -> ProcessId {
+        register(&self.shared, name.into(), |_| {
+            Body::Handler(Some(Box::new(step)))
+        })
     }
 
     /// A [`Waker`] tied to this simulation, for constructing channels and
@@ -877,24 +1106,35 @@ impl Simulation {
         }
     }
 
+    /// Tear the run down: every unfinished thread process unwinds, every
+    /// pending chain or handler step is dropped unrun, and this returns
+    /// once every process closure has returned and dropped what it
+    /// captured.
     fn cancel_all(&self) {
         let mut core = self.shared.core.lock();
         core.halted = true;
+        let (mut unstarted, mut steps) = (Vec::new(), Vec::new());
         for p in core.procs.iter_mut() {
-            // A pending step is dropped, never run.
-            p.chain = None;
-            match p.status {
-                Status::Finished => {}
-                _ => {
-                    p.status = Status::Cancelled;
-                    p.cv.notify_one();
+            if p.status == Status::Finished {
+                continue;
+            }
+            p.status = Status::Cancelled;
+            match &mut p.body {
+                Body::Thread { cv, start, chain } => {
+                    *chain = None;
+                    unstarted.extend(start.take());
+                    cv.notify_one();
                 }
+                Body::Handler(step) => steps.extend(step.take()),
             }
         }
         drop(core);
-        let mut handles = self.shared.handles.lock();
-        for h in handles.drain(..) {
-            let _ = h.join();
+        // Closures never started and handler state may hold channel
+        // endpoints, whose drops take the core lock to wake peers.
+        drop((unstarted, steps));
+        let mut threads = self.shared.threads.lock();
+        while *threads > 0 {
+            self.shared.threads_cv.wait(&mut threads);
         }
     }
 
@@ -1287,7 +1527,7 @@ mod tests {
         }
         // Teardown joined both threads and freed the pending step (the
         // step closure holds the only other reference to `calls`).
-        assert!(sim.shared.handles.lock().is_empty());
+        assert_eq!(*sim.shared.threads.lock(), 0);
         assert_eq!(Arc::strong_count(&calls), 1);
         // First step on its own thread, then the timers at 1 and 2 µs.
         assert_eq!(calls.load(Ordering::Relaxed), 3);
@@ -1314,7 +1554,7 @@ mod tests {
             }
             other => panic!("expected panic error, got {other:?}"),
         }
-        assert!(sim.shared.handles.lock().is_empty());
+        assert_eq!(*sim.shared.threads.lock(), 0);
     }
 
     #[test]
@@ -1400,6 +1640,437 @@ mod tests {
                 4_000
             )
         );
+    }
+
+    // -- handlers -------------------------------------------------------------
+
+    /// A handler whose step sleeps through `nanos` one entry per event and
+    /// then finishes; `calls` counts its steps.
+    fn napper(nanos: &[u64], calls: &Arc<AtomicU64>) -> impl FnMut(&Env) -> Step + Send {
+        let mut rest: VecDeque<u64> = nanos.iter().copied().collect();
+        let calls = calls.clone();
+        move |_env| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            rest.pop_front()
+                .map_or(Step::Done, |ns| Step::Delay(SimDuration::from_nanos(ns)))
+        }
+    }
+
+    /// Fails if a stray wake runs the step (or ends the delay) instead of
+    /// re-arming the timer at its due time, or if `Delay(ZERO)` schedules an
+    /// event: the thread that drives the same step is the reference.
+    #[test]
+    fn stray_wake_mid_delay_rearms_a_handler_timer() {
+        let run = |handler: bool| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let mut sim = Simulation::new();
+            let mut step = napper(&[4_000, 0, 4_000], &calls);
+            let sleeper = if handler {
+                sim.spawn_handler("sleeper", step)
+            } else {
+                sim.spawn("sleeper", move |env| env.drive(&mut step))
+            };
+            let c = calls.clone();
+            sim.spawn("noisy", move |env| {
+                for expect_calls in [1, 1, 3] {
+                    env.delay(SimDuration::from_nanos(1_500));
+                    // A stray wake re-arms; it never runs the step.
+                    assert_eq!(c.load(Ordering::Relaxed), expect_calls);
+                    assert!(env.wake(sleeper), "sleeper is blocked mid-delay");
+                }
+            });
+            (sim.run().unwrap(), calls.load(Ordering::Relaxed))
+        };
+        let ((reference, ref_calls), (handled, calls)) = (run(false), run(true));
+        assert_eq!(handled.end_time.as_nanos(), 8_000);
+        assert_eq!(handled.end_time, reference.end_time);
+        assert_eq!(handled.events, reference.events);
+        assert_eq!(calls, ref_calls);
+        // 2 starts + 3 noisy timers + 3 stray wakes + 2 sleeper timers.
+        assert_eq!(handled.events, 10);
+        // The handler's start and timers are steps, its strays re-arms:
+        // only the noisy thread's start is ever handed a thread.
+        assert_eq!(handled.inline_steps, 6);
+        assert_eq!(handled.processes, 2);
+        for s in [reference, handled] {
+            assert_eq!(s.events, s.handoffs + s.self_grants + s.inline_steps);
+        }
+    }
+
+    /// Fails if a panicking step is reported against the thread that
+    /// happened to dispatch it, or is not reported at all.
+    #[test]
+    fn panicking_handler_step_is_reported_against_the_handler() {
+        let mut sim = Simulation::new();
+        // The bystander's timers make its thread the one that dispatches
+        // the handler's third event.
+        sim.spawn("bystander", |env| delay_each(&env, &[300; 10]));
+        let mut n = 0;
+        sim.spawn_handler("relay", move |_env| {
+            n += 1;
+            assert!(n < 3, "step {n} exploded");
+            Step::Delay(SimDuration::from_nanos(1_000))
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "relay");
+                assert!(message.contains("step 3 exploded"), "{message}");
+            }
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        assert_eq!(*sim.shared.threads.lock(), 0);
+    }
+
+    /// Fails if a handler parked in `Wait` is left out of the deadlock
+    /// report (or reported once it is done).
+    #[test]
+    fn deadlock_report_names_a_waiting_handler() {
+        let mut sim = Simulation::new();
+        let (tx, rx) = crate::sync::channel::<u32>(sim.waker(), 1);
+        sim.spawn("holds-the-sender", move |env| {
+            let _tx = tx;
+            env.block();
+        });
+        sim.spawn_handler("done", |_env| Step::Done);
+        sim.spawn_handler("relay", move |env| match rx.poll_recv(env) {
+            std::task::Poll::Pending => Step::Wait,
+            std::task::Poll::Ready(_) => Step::Done,
+        });
+        match sim.run() {
+            Err(SimError::Deadlock(names)) => {
+                assert_eq!(names, ["holds-the-sender", "relay"]);
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    /// Fails if teardown runs a pending handler step, leaks its state, or
+    /// drops it under the core lock (its channel endpoint's drop wakes a
+    /// peer, which takes that lock: the drop would deadlock).
+    #[test]
+    fn drop_mid_run_frees_a_handler_state_without_running_it() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut sim = Simulation::new();
+        let (tx, rx) = crate::sync::channel::<u32>(sim.waker(), 1);
+        sim.spawn("receiver", move |env| {
+            rx.recv(&env);
+            unreachable!("the simulation is dropped before anything is sent");
+        });
+        let mut step = napper(&[1_000; 8], &calls);
+        sim.spawn_handler("relay", move |env| {
+            let _hold = &tx;
+            step(env)
+        });
+        step_centralized(&sim); // the receiver starts and blocks
+        step_centralized(&sim); // the relay's first step: a 1 µs delay
+        step_centralized(&sim); // its timer: the second step
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(sim.now().as_nanos(), 1_000);
+        drop(sim);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "a step ran at teardown");
+        assert_eq!(Arc::strong_count(&calls), 1, "the step was not freed");
+    }
+
+    /// One scripted operation of a [`Machine`].
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Sleep this many nanoseconds (zero included).
+        Nap(u64),
+        /// Put a token on the bounded channel a draining thread empties.
+        Put,
+        /// Take a token from the channel a feeding thread fills.
+        Take,
+        /// Hold the shared semaphore's one permit for this long.
+        Hold(u64),
+        /// Ship bytes between two hosts of a two-cluster topology.
+        Ship(usize, usize, u64),
+        /// Wake another machine, whatever it is doing.
+        Poke(usize),
+    }
+
+    /// What a machine was doing when it last returned, for the noisy
+    /// thread's tallies of where its wakes land.
+    const SLEEPING: u8 = 1;
+    const WAITING: u8 = 2;
+
+    /// A step machine over every non-blocking primitive: its script, its
+    /// place in it, and what it holds mid-operation.
+    struct Machine {
+        id: usize,
+        ops: Vec<Op>,
+        at: usize,
+        holding: bool,
+        ship: Option<crate::topology::Transfer>,
+        put: crate::sync::Sender<u32>,
+        take: crate::sync::Receiver<u32>,
+        sem: crate::sync::Semaphore,
+        topo: crate::topology::Topology,
+        hosts: Vec<crate::topology::HostId>,
+        pids: Arc<parking_lot::Mutex<Vec<ProcessId>>>,
+        doing: Arc<Vec<std::sync::atomic::AtomicU8>>,
+        trace: Arc<parking_lot::Mutex<Vec<(u64, usize, Step)>>>,
+    }
+
+    impl Machine {
+        fn step(&mut self, env: &Env) -> Step {
+            let step = self.advance(env);
+            let doing = match step {
+                Step::Delay(d) if !d.is_zero() => SLEEPING,
+                Step::Wait => WAITING,
+                _ => 0,
+            };
+            self.doing[self.id].store(doing, Ordering::Relaxed);
+            self.trace
+                .lock()
+                .push((env.now().as_nanos(), self.id, step));
+            step
+        }
+
+        fn advance(&mut self, env: &Env) -> Step {
+            use std::task::Poll;
+            loop {
+                let Some(&op) = self.ops.get(self.at) else {
+                    return Step::Done;
+                };
+                match op {
+                    Op::Nap(ns) => {
+                        self.at += 1;
+                        return Step::Delay(SimDuration::from_nanos(ns));
+                    }
+                    Op::Put => {
+                        let mut token = Some(self.id as u32);
+                        if self.put.poll_send(env, &mut token).is_pending() {
+                            return Step::Wait;
+                        }
+                    }
+                    Op::Take => {
+                        if self.take.poll_recv(env).is_pending() {
+                            return Step::Wait;
+                        }
+                    }
+                    Op::Hold(ns) if !self.holding => {
+                        if self.sem.poll_acquire(env) == Poll::Pending {
+                            return Step::Wait;
+                        }
+                        self.holding = true;
+                        return Step::Delay(SimDuration::from_nanos(ns));
+                    }
+                    Op::Hold(_) => {
+                        self.sem.release(env);
+                        self.holding = false;
+                    }
+                    Op::Ship(from, to, bytes) => {
+                        let (from, to) = (self.hosts[from], self.hosts[to]);
+                        let t = self
+                            .ship
+                            .get_or_insert_with(|| crate::topology::Transfer::new(from, to, bytes));
+                        match self.topo.poll_transfer(env, t) {
+                            Step::Done => self.ship = None,
+                            pending => return pending,
+                        }
+                    }
+                    Op::Poke(other) => {
+                        let pid = self.pids.lock()[other];
+                        env.wake(pid);
+                    }
+                }
+                self.at += 1;
+            }
+        }
+    }
+
+    /// Everything observable about one scenario run.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        end_time: u64,
+        events: u64,
+        processes: u32,
+        /// Every step's `(now, machine, returned step)`, in order.
+        trace: Vec<(u64, usize, Step)>,
+        /// `(now, token)` per item the draining thread took.
+        drained: Vec<(u64, u32)>,
+        /// `(now, victim, woken)` per wake of the noisy thread.
+        noise: Vec<(u64, usize, bool)>,
+    }
+
+    /// Where the noisy thread's wakes landed: on a machine sleeping
+    /// through a delay, on one waiting, and zero-length naps.
+    #[derive(Default)]
+    struct Reach {
+        mid_delay: u64,
+        mid_wait: u64,
+        zero_naps: u64,
+    }
+
+    /// 1-10 machines over every non-blocking primitive — a bounded
+    /// channel drained by a thread, one fed by a thread, a one-permit
+    /// semaphore, transfers over a two-cluster topology, and wakes at each
+    /// other — plus a noisy thread waking machines at random. Machines in
+    /// `handlers` (a bit mask) run as handlers; the rest are thread
+    /// processes that run the same step through [`Env::drive`].
+    fn run_machines(seed: u64, handlers: u64, reach: &mut Reach) -> (Outcome, RunStats) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (topo, rogue, blue) = crate::presets::rogue_blue_mix(2);
+        let hosts: Vec<_> = rogue.into_iter().chain(blue).collect();
+        let n = rng.gen_range(1usize..11);
+        let scripts: Vec<Vec<Op>> = (0..n)
+            .map(|_| {
+                (0..rng.gen_range(1usize..9))
+                    .map(|_| match rng.gen_range(0u32..7) {
+                        0 => Op::Nap(if rng.gen_range(0u32..3) == 0 {
+                            0
+                        } else {
+                            rng.gen_range(1u64..2_000_000)
+                        }),
+                        1 => Op::Put,
+                        2 => Op::Take,
+                        3 => Op::Hold(rng.gen_range(0u64..1_000_000)),
+                        4 => Op::Poke(rng.gen_range(0usize..n)),
+                        _ => Op::Ship(
+                            rng.gen_range(0usize..4),
+                            rng.gen_range(0usize..4),
+                            rng.gen_range(1u64..200_000),
+                        ),
+                    })
+                    .collect()
+            })
+            .collect();
+        let takes = scripts
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Take))
+            .count();
+        reach.zero_naps += scripts
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Nap(0)))
+            .count() as u64;
+        let feed_gap = rng.gen_range(0u64..500_000);
+        let drain_gap = rng.gen_range(0u64..500_000);
+        let noise: Vec<(u64, usize)> = (0..rng.gen_range(0usize..16))
+            .map(|_| (rng.gen_range(0u64..800_000), rng.gen_range(0usize..n)))
+            .collect();
+
+        let mut sim = Simulation::new();
+        let (put_tx, put_rx) = crate::sync::channel::<u32>(sim.waker(), rng.gen_range(1usize..3));
+        let (take_tx, take_rx) = crate::sync::channel::<u32>(sim.waker(), rng.gen_range(1usize..3));
+        let sem = crate::sync::Semaphore::new(1);
+        let pids = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let doing: Arc<Vec<std::sync::atomic::AtomicU8>> =
+            Arc::new((0..n).map(|_| Default::default()).collect());
+        let trace = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        for (id, ops) in scripts.into_iter().enumerate() {
+            let mut machine = Machine {
+                id,
+                ops,
+                at: 0,
+                holding: false,
+                ship: None,
+                put: put_tx.clone(),
+                take: take_rx.clone(),
+                sem: sem.clone(),
+                topo: topo.clone(),
+                hosts: hosts.clone(),
+                pids: pids.clone(),
+                doing: doing.clone(),
+                trace: trace.clone(),
+            };
+            let name = format!("m{id}");
+            let pid = if handlers >> id & 1 == 1 {
+                sim.spawn_handler(name, move |env| machine.step(env))
+            } else {
+                sim.spawn(name, move |env| env.drive(|env| machine.step(env)))
+            };
+            pids.lock().push(pid);
+        }
+        drop((put_tx, take_rx));
+        let drained = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let d = drained.clone();
+        sim.spawn("drain", move |env| {
+            while let Some(token) = put_rx.recv(&env) {
+                d.lock().push((env.now().as_nanos(), token));
+                env.delay(SimDuration::from_nanos(drain_gap));
+            }
+        });
+        sim.spawn("feed", move |env| {
+            for token in 0..takes as u32 {
+                take_tx.send(&env, token).unwrap();
+                env.delay(SimDuration::from_nanos(feed_gap));
+            }
+        });
+        let noisy = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (log, states) = (noisy.clone(), doing.clone());
+        let stray = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let st = stray.clone();
+        sim.spawn("noisy", move |env| {
+            for (gap, victim) in noise {
+                env.delay(SimDuration::from_nanos(gap));
+                let was = states[victim].load(Ordering::Relaxed);
+                let woken = env.wake(pids.lock()[victim]);
+                if woken && was != 0 {
+                    st[(was - 1) as usize].fetch_add(1, Ordering::Relaxed);
+                }
+                log.lock().push((env.now().as_nanos(), victim, woken));
+            }
+        });
+        let stats = sim.run().expect("scenario runs to completion");
+        if handlers != 0 {
+            reach.mid_delay += stray[0].load(Ordering::Relaxed);
+            reach.mid_wait += stray[1].load(Ordering::Relaxed);
+        }
+        let outcome = Outcome {
+            end_time: stats.end_time.as_nanos(),
+            events: stats.events,
+            processes: stats.processes,
+            trace: std::mem::take(&mut *trace.lock()),
+            drained: std::mem::take(&mut *drained.lock()),
+            noise: std::mem::take(&mut *noisy.lock()),
+        };
+        (outcome, stats)
+    }
+
+    /// The handler oracle: a scenario whose machines run as handlers (all
+    /// of them, or a seeded half) dispatches exactly the events — same
+    /// `(time, seq)` order, clock and count — as the same scenario with
+    /// every machine a thread driving the same step. Fails if a handler's
+    /// step runs at a different point of the dispatch order, if a
+    /// `Delay(ZERO)` schedules an event, if a stray wake mid-delay runs the
+    /// step, or if a finished handler's state (its channel endpoints) is
+    /// dropped late.
+    #[test]
+    fn handlers_dispatch_the_events_of_threads_driving_the_same_step() {
+        let mut reach = Reach::default();
+        let (mut inline, mut saved) = (0, 0);
+        for seed in 0..96u64 {
+            let (reference, ref_stats) = run_machines(seed, 0, &mut reach);
+            let half = crate::fault::splitmix64(seed) | 1;
+            for handlers in [u64::MAX, half] {
+                let (handled, stats) = run_machines(seed, handlers, &mut reach);
+                assert_eq!(handled, reference, "seed {seed}, handlers {handlers:#x}");
+                assert_eq!(
+                    stats.events,
+                    stats.handoffs + stats.self_grants + stats.inline_steps
+                );
+                assert!(stats.handoffs <= ref_stats.handoffs, "seed {seed}");
+                inline += stats.inline_steps;
+                saved += ref_stats.handoffs - stats.handoffs;
+            }
+        }
+        // The generator reaches the cases the handlers must get right.
+        assert!(
+            reach.mid_delay >= 100,
+            "strays mid-delay: {}",
+            reach.mid_delay
+        );
+        assert!(reach.mid_wait >= 100, "strays mid-wait: {}", reach.mid_wait);
+        assert!(
+            reach.zero_naps >= 100,
+            "zero-length naps: {}",
+            reach.zero_naps
+        );
+        assert!(inline >= 2_000 && saved >= 2_000, "{inline} / {saved}");
     }
 
     #[test]

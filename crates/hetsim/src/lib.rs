@@ -6,8 +6,8 @@
 //! ran on four physical Linux clusters at the University of Maryland; this
 //! crate replaces that hardware with a **discrete-event emulation**:
 //!
-//! * a [`Simulation`] engine with thread-backed cooperative processes and a
-//!   deterministic virtual clock ([`engine`]),
+//! * a [`Simulation`] engine with thread-backed cooperative processes,
+//!   threadless handlers and a deterministic virtual clock ([`engine`]),
 //! * virtual-time channels and semaphores ([`sync`]),
 //! * cost-charging resources — CPUs with processor-sharing contention and
 //!   background load, FIFO disks, and network links ([`resources`]),
@@ -25,6 +25,7 @@
 pub mod engine;
 pub mod fault;
 pub mod load;
+mod pool;
 pub mod presets;
 pub mod resources;
 pub mod sync;
@@ -32,7 +33,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{Env, ProcessId, RunStats, SimError, Simulation, Waker};
+pub use engine::{Env, ProcessId, RunStats, SimError, Simulation, Step, Waker};
 pub use fault::{splitmix64, DiskFaultKind, FaultPlan};
 pub use load::{drive_load, spawn_load_generator, LoadProfile};
 pub use resources::{Cpu, Disk, Link};
@@ -40,5 +41,6 @@ pub use sync::{channel, Barrier, DeadlineRecv, Receiver, Semaphore, SendError, S
 pub use time::{SimDuration, SimTime};
 pub use topology::{
     ClusterId, ClusterSpec, Host, HostId, HostSpec, HostUtilization, Topology, TopologyBuilder,
+    Transfer,
 };
 pub use trace::{Span, Trace};

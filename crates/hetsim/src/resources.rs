@@ -339,13 +339,15 @@ impl Link {
     }
 
     /// Begin occupying the link as part of a multi-link route (see
-    /// `Topology::transfer`). Pair with [`occupy_end`](Self::occupy_end).
-    pub fn occupy_begin(&self, env: &Env) {
-        self.sem.acquire(env);
+    /// `Topology::transfer`) if it is free; otherwise register the calling
+    /// process to be woken when it is released. Pair with
+    /// [`occupy_end`](Self::occupy_end).
+    pub fn poll_occupy(&self, env: &Env) -> std::task::Poll<()> {
+        self.sem.poll_acquire(env)
     }
 
     /// Finish a route occupancy started with
-    /// [`occupy_begin`](Self::occupy_begin), recording `bytes` moved during
+    /// [`poll_occupy`](Self::poll_occupy), recording `bytes` moved during
     /// `held` of occupancy and releasing the link.
     pub fn occupy_end(&self, env: &Env, bytes: u64, held: SimDuration) {
         {
@@ -559,9 +561,7 @@ mod tests {
     /// 2-12 workers over 1-4 CPUs mixing computes, sends on a bounded
     /// channel and `block_until` naps; a drain process that computes per
     /// item; a timer that changes `bg_jobs`, reads `busy_time` and wakes
-    /// workers that are napping or mid-compute. (Not one blocked in `send`:
-    /// a channel burns its next wake on the stale registration that
-    /// leaves behind and strands a real waiter — on either `compute`.)
+    /// workers that are napping, mid-compute or blocked in `send`.
     fn run_scenario(seed: u64, compute: ComputeFn) -> (Outcome, RunStats) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cpus: Vec<Cpu> = (0..rng.gen_range(1usize..5))
@@ -600,6 +600,7 @@ mod tests {
         let finishes = Arc::new(Mutex::new(vec![0u64; workers + 1]));
         const IN_COMPUTE: u8 = 1;
         const IN_NAP: u8 = 2;
+        const IN_SEND: u8 = 3;
         let state: Arc<Vec<AtomicU8>> = Arc::new((0..workers).map(|_| AtomicU8::new(0)).collect());
         let timeless = Arc::new(AtomicU64::new(0));
         let mut pids = Vec::new();
@@ -618,7 +619,11 @@ mod tests {
                                 timeless.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        Op::Send => tx.send(&env, w as u32).expect("drain outlives senders"),
+                        Op::Send => {
+                            state[w].store(IN_SEND, Ordering::Relaxed);
+                            tx.send(&env, w as u32).expect("drain outlives senders");
+                            state[w].store(0, Ordering::Relaxed);
+                        }
                         Op::Nap(ns) => {
                             state[w].store(IN_NAP, Ordering::Relaxed);
                             env.block_until(env.now() + SimDuration::from_nanos(ns));

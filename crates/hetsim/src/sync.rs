@@ -8,11 +8,21 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::task::Poll;
 
 use parking_lot::Mutex;
 
 use crate::engine::{Env, ProcessId, Waker};
 use crate::time::SimTime;
+
+/// Queue `pid` to be woken, once: a process that a stray [`Env::wake`]
+/// woke while it waited re-polls, and must not queue a second entry that
+/// would later swallow a wake meant for another waiter.
+fn register(waiters: &mut VecDeque<ProcessId>, pid: ProcessId) {
+    if !waiters.contains(&pid) {
+        waiters.push_back(pid);
+    }
+}
 
 /// A counting semaphore on the virtual clock.
 ///
@@ -44,17 +54,21 @@ impl Semaphore {
 
     /// Take one permit, blocking in virtual time until available.
     pub fn acquire(&self, env: &Env) {
-        loop {
-            {
-                let mut st = self.inner.lock();
-                if st.permits > 0 {
-                    st.permits -= 1;
-                    return;
-                }
-                st.waiters.push_back(env.pid());
-            }
+        while self.poll_acquire(env).is_pending() {
             env.block();
         }
+    }
+
+    /// Take one permit if one is available; otherwise register the calling
+    /// process to be woken by the next [`release`](Self::release).
+    pub fn poll_acquire(&self, env: &Env) -> Poll<()> {
+        let mut st = self.inner.lock();
+        if st.permits > 0 {
+            st.permits -= 1;
+            return Poll::Ready(());
+        }
+        register(&mut st.waiters, env.pid());
+        Poll::Pending
     }
 
     /// Try to take a permit without blocking.
@@ -263,26 +277,37 @@ impl<T: Send> Sender<T> {
     pub fn send(&self, env: &Env, value: T) -> Result<(), SendError<T>> {
         let mut slot = Some(value);
         loop {
-            let wake_rx = {
-                let mut st = self.chan.state.lock();
-                if st.receivers == 0 {
-                    return Err(SendError(slot.take().expect("value present")));
-                }
-                if st.queue.len() < st.capacity {
-                    st.queue.push_back(slot.take().expect("value present"));
-                    st.recv_waiters.pop_front()
-                } else {
-                    st.send_waiters.push_back(env.pid());
-                    drop(st);
-                    env.block();
-                    continue;
-                }
-            };
-            if let Some(pid) = wake_rx {
-                env.wake(pid);
+            match self.poll_send(env, &mut slot) {
+                Poll::Ready(sent) => return sent,
+                Poll::Pending => env.block(),
             }
-            return Ok(());
         }
+    }
+
+    /// Enqueue the value in `slot` if the channel has room, taking it out
+    /// of the slot; fail with it once all receivers have dropped. While the
+    /// channel is full the value stays in `slot` and the calling process is
+    /// registered to be woken when an item is taken.
+    pub fn poll_send(&self, env: &Env, slot: &mut Option<T>) -> Poll<Result<(), SendError<T>>> {
+        let mut st = self.chan.state.lock();
+        let Some(value) = slot.take() else {
+            return Poll::Ready(Ok(()));
+        };
+        if st.receivers == 0 {
+            return Poll::Ready(Err(SendError(value)));
+        }
+        if st.queue.len() == st.capacity {
+            *slot = Some(value);
+            register(&mut st.send_waiters, env.pid());
+            return Poll::Pending;
+        }
+        st.queue.push_back(value);
+        let wake_rx = st.recv_waiters.pop_front();
+        drop(st);
+        if let Some(pid) = wake_rx {
+            env.wake(pid);
+        }
+        Poll::Ready(Ok(()))
     }
 
     /// Number of queued items right now (for metrics).
@@ -302,24 +327,32 @@ impl<T: Send> Receiver<T> {
     /// has dropped.
     pub fn recv(&self, env: &Env) -> Option<T> {
         loop {
-            let (item, wake_tx) = {
-                let mut st = self.chan.state.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    (Some(v), st.send_waiters.pop_front())
-                } else if st.senders == 0 {
-                    return None;
-                } else {
-                    st.recv_waiters.push_back(env.pid());
-                    drop(st);
-                    env.block();
-                    continue;
-                }
-            };
-            if let Some(pid) = wake_tx {
-                env.wake(pid);
+            match self.poll_recv(env) {
+                Poll::Ready(item) => return item,
+                Poll::Pending => env.block(),
             }
-            return item;
         }
+    }
+
+    /// Dequeue the next item if one is queued; `Ready(None)` once the
+    /// channel is empty *and* every sender has dropped. While it is empty
+    /// and open the calling process is registered to be woken by the next
+    /// send (or by the last sender's drop).
+    pub fn poll_recv(&self, env: &Env) -> Poll<Option<T>> {
+        let mut st = self.chan.state.lock();
+        let Some(item) = st.queue.pop_front() else {
+            if st.senders == 0 {
+                return Poll::Ready(None);
+            }
+            register(&mut st.recv_waiters, env.pid());
+            return Poll::Pending;
+        };
+        let wake_tx = st.send_waiters.pop_front();
+        drop(st);
+        if let Some(pid) = wake_tx {
+            env.wake(pid);
+        }
+        Poll::Ready(Some(item))
     }
 
     /// Dequeue the next item, blocking at most until `deadline`. Used by
@@ -328,33 +361,22 @@ impl<T: Send> Receiver<T> {
     /// feed again.
     pub fn recv_deadline(&self, env: &Env, deadline: SimTime) -> DeadlineRecv<T> {
         loop {
-            let (item, wake_tx) = {
-                let mut st = self.chan.state.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    (v, st.send_waiters.pop_front())
-                } else if st.senders == 0 {
-                    return DeadlineRecv::Closed;
-                } else {
-                    st.recv_waiters.push_back(env.pid());
-                    drop(st);
-                    let woken = env.block_until(deadline);
-                    // On timeout our pid may still sit in `recv_waiters`;
-                    // it must be removed, or a later send would burn its
-                    // wake on us (a stale waiter) and strand a real one.
-                    let mut st = self.chan.state.lock();
-                    if let Some(pos) = st.recv_waiters.iter().position(|&p| p == env.pid()) {
-                        st.recv_waiters.remove(pos);
-                    }
-                    if !woken && st.queue.is_empty() && st.senders > 0 {
-                        return DeadlineRecv::TimedOut;
-                    }
-                    continue;
-                }
-            };
-            if let Some(pid) = wake_tx {
-                env.wake(pid);
+            match self.poll_recv(env) {
+                Poll::Ready(Some(item)) => return DeadlineRecv::Item(item),
+                Poll::Ready(None) => return DeadlineRecv::Closed,
+                Poll::Pending => {}
             }
-            return DeadlineRecv::Item(item);
+            let woken = env.block_until(deadline);
+            // On timeout our pid may still sit in `recv_waiters`; it must
+            // be removed, or a later send would burn its wake on us (a
+            // stale waiter) and strand a real one.
+            let mut st = self.chan.state.lock();
+            if let Some(pos) = st.recv_waiters.iter().position(|&p| p == env.pid()) {
+                st.recv_waiters.remove(pos);
+            }
+            if !woken && st.queue.is_empty() && st.senders > 0 {
+                return DeadlineRecv::TimedOut;
+            }
         }
     }
 
@@ -665,6 +687,42 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(*got.lock(), vec![('b', 42)]);
+    }
+
+    /// A stray wake at a sender blocked on a full channel used to queue
+    /// its pid a second time; the stale entry then took the wake meant
+    /// for the next sender, and that sender was stranded (the run
+    /// deadlocked). Fails if waiter registration is not idempotent.
+    #[test]
+    fn stray_wake_at_a_blocked_sender_strands_no_other_sender() {
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u32>(sim.waker(), 1);
+        let ms = SimDuration::from_millis;
+        let tx_a = tx.clone();
+        let a = sim.spawn("a", move |env| {
+            env.delay(ms(1));
+            tx_a.send(&env, 1).unwrap();
+        });
+        let tx_b = tx.clone();
+        sim.spawn("b", move |env| {
+            env.delay(ms(3));
+            tx_b.send(&env, 2).unwrap();
+        });
+        sim.spawn("stray", move |env| {
+            tx.send(&env, 0).unwrap(); // fills the channel
+            env.delay(ms(2));
+            assert!(env.wake(a), "a is blocked in send");
+        });
+        let got: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        sim.spawn("receiver", move |env| {
+            env.delay(ms(4));
+            while let Some(v) = rx.recv(&env) {
+                g.lock().push(v);
+            }
+        });
+        sim.run().expect("both blocked senders get through");
+        assert_eq!(*got.lock(), vec![0, 1, 2]);
     }
 
     #[test]

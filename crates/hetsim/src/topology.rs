@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::engine::Env;
+use crate::engine::{Env, Step};
 use crate::resources::{Cpu, Disk, Link};
 use crate::time::SimDuration;
 
@@ -251,18 +251,67 @@ impl Topology {
     /// cross-cluster routes) the backbone. Same-host transfers pay only a
     /// cheap memcpy cost. Blocks the calling process for the full transfer.
     pub fn transfer(&self, env: &Env, from: HostId, to: HostId, bytes: u64) {
-        if from == to {
-            let d = SimDuration::from_secs_f64(bytes as f64 / self.inner.loopback_bps);
-            env.delay(d);
-            return;
+        let mut t = Transfer::new(from, to, bytes);
+        env.drive(|env| self.poll_transfer(env, &mut t));
+    }
+
+    /// Advance `t` as far as it goes without blocking: [`transfer`]'s
+    /// steps, for a process that must not block (a handler). `Wait` means a
+    /// link on the route is held and the caller is registered to be woken
+    /// when it is released; `Delay` is the serialization or the latency to
+    /// sleep; `Done` means the bytes have arrived.
+    ///
+    /// The route holds every link, in route order, then pays the
+    /// bottleneck serialization once, releases the links and pays the
+    /// summed propagation latency. Routes always order links
+    /// tx < backbone < rx, so waits point forward and cannot cycle.
+    ///
+    /// [`transfer`]: Self::transfer
+    pub fn poll_transfer(&self, env: &Env, t: &mut Transfer) -> Step {
+        loop {
+            match t.stage {
+                Stage::Start if t.from == t.to => {
+                    t.stage = Stage::Arriving;
+                    let d = SimDuration::from_secs_f64(t.bytes as f64 / self.inner.loopback_bps);
+                    return Step::Delay(d);
+                }
+                Stage::Start => t.stage = Stage::Occupy(0),
+                Stage::Occupy(held) => {
+                    let route = self.route(t.from, t.to);
+                    let Some(link) = route.clone().nth(held) else {
+                        let min_bw = route
+                            .map(|l| l.bandwidth_bps())
+                            .fold(f64::INFINITY, f64::min);
+                        let serialize = SimDuration::from_secs_f64(t.bytes as f64 / min_bw);
+                        t.stage = Stage::Serializing(serialize);
+                        return Step::Delay(serialize);
+                    };
+                    if link.poll_occupy(env).is_pending() {
+                        return Step::Wait;
+                    }
+                    t.stage = Stage::Occupy(held + 1);
+                }
+                Stage::Serializing(serialize) => {
+                    let mut latency = SimDuration::ZERO;
+                    for link in self.route(t.from, t.to).rev() {
+                        link.occupy_end(env, t.bytes, serialize);
+                        latency += link.latency();
+                    }
+                    t.stage = Stage::Arriving;
+                    return Step::Delay(latency);
+                }
+                Stage::Arriving => return Step::Done,
+            }
         }
+    }
+
+    /// The links a transfer between two distinct hosts holds, in
+    /// acquisition order.
+    fn route(&self, from: HostId, to: HostId) -> impl DoubleEndedIterator<Item = &Link> + Clone {
         let src = &self.inner.hosts[from.0 as usize];
         let dst = &self.inner.hosts[to.0 as usize];
-        if src.cluster == dst.cluster {
-            route_transfer(env, &[&src.nic_tx, &dst.nic_rx], bytes);
-        } else {
-            let bb = self
-                .inner
+        let backbone = (src.cluster != dst.cluster).then(|| {
+            self.inner
                 .backbones
                 .get(&(src.cluster, dst.cluster))
                 .unwrap_or_else(|| {
@@ -271,9 +320,11 @@ impl Topology {
                         self.cluster_name(src.cluster),
                         self.cluster_name(dst.cluster)
                     )
-                });
-            route_transfer(env, &[&src.nic_tx, bb, &dst.nic_rx], bytes);
-        }
+                })
+        });
+        [Some(&src.nic_tx), backbone, Some(&dst.nic_rx)]
+            .into_iter()
+            .flatten()
     }
 
     /// Lower bound on per-byte transfer cost between two hosts, in seconds
@@ -364,28 +415,38 @@ impl std::fmt::Display for HostUtilization {
     }
 }
 
-/// Hold every link on the route (tx → backbone → rx), pay the bottleneck
-/// serialization once, then the summed latency. Lock order follows route
-/// order, and routes always order links tx < backbone < rx, so waits point
-/// forward and cannot cycle.
-fn route_transfer(env: &Env, route: &[&Link], bytes: u64) {
-    debug_assert!(!route.is_empty());
-    // Acquire in route order.
-    for link in route {
-        link.occupy_begin(env);
+/// One [`Topology::transfer`] in progress, advanced by
+/// [`Topology::poll_transfer`] on the topology it was started for.
+#[derive(Debug, Clone, Copy)]
+pub struct Transfer {
+    from: HostId,
+    to: HostId,
+    bytes: u64,
+    stage: Stage,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Start,
+    /// This many links of the route are held.
+    Occupy(usize),
+    /// Every link is held for this long.
+    Serializing(SimDuration),
+    /// Released: the latency (or a same-host copy) is being slept, and
+    /// the transfer is done once it is over.
+    Arriving,
+}
+
+impl Transfer {
+    /// A transfer of `bytes` from `from` to `to` that has not started.
+    pub fn new(from: HostId, to: HostId, bytes: u64) -> Self {
+        Transfer {
+            from,
+            to,
+            bytes,
+            stage: Stage::Start,
+        }
     }
-    let min_bw = route
-        .iter()
-        .map(|l| l.bandwidth_bps())
-        .fold(f64::INFINITY, f64::min);
-    let serialize = SimDuration::from_secs_f64(bytes as f64 / min_bw);
-    env.delay(serialize);
-    let mut latency = SimDuration::ZERO;
-    for link in route.iter().rev() {
-        link.occupy_end(env, bytes, serialize);
-        latency += link.latency();
-    }
-    env.delay(latency);
 }
 
 #[cfg(test)]

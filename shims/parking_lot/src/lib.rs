@@ -19,6 +19,7 @@ pub struct Mutex<T: ?Sized> {
 /// through `std`'s consume-and-return wait; the slot is only empty during
 /// that call.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a std::sync::Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -41,15 +42,20 @@ impl<T: ?Sized> Mutex<T> {
     /// another holder does not poison the lock.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            mutex: &self.inner,
+            inner: Some(lock_std(&self.inner)),
         }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard {
+                mutex: &self.inner,
+                inner: Some(g),
+            }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
+                mutex: &self.inner,
                 inner: Some(e.into_inner()),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -59,6 +65,26 @@ impl<T: ?Sized> Mutex<T> {
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+fn lock_std<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    /// Release the lock while `f` runs and take it again before returning
+    /// — also when `f` unwinds — as parking_lot's `MutexGuard::unlocked`.
+    pub fn unlocked<F: FnOnce() -> U, U>(s: &mut Self, f: F) -> U {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                self.0.inner = Some(lock_std(self.0.mutex));
+            }
+        }
+        s.inner = None;
+        let _relock = Relock(s);
+        f()
     }
 }
 
@@ -177,6 +203,29 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn unlocked_releases_and_retakes_the_lock() {
+        let m = Mutex::new(1);
+        let mut g = m.lock();
+        let seen = MutexGuard::unlocked(&mut g, || {
+            let mut inner = m.try_lock().expect("released while `f` runs");
+            *inner += 1;
+            *inner
+        });
+        assert_eq!((seen, *g), (2, 2));
+        assert!(m.try_lock().is_none(), "retaken before returning");
+        drop(g);
+        let mut g = m.lock();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("boom"))
+        }));
+        assert!(unwound.is_err());
+        *g += 1;
+        assert!(m.try_lock().is_none(), "retaken on unwind too");
+        drop(g);
+        assert_eq!(*m.lock(), 3);
     }
 
     #[test]

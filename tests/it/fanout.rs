@@ -30,20 +30,6 @@ fn per_host() -> u32 {
     }
 }
 
-/// A 4096-copy run is ~8 200 OS threads on either substrate (the
-/// simulator gives every process a thread too), and each thread maps a
-/// stack, a guard and a signal stack. libtest runs this file's two tests
-/// on parallel threads, and two such runs at once exceed Linux's default
-/// `vm.max_map_count` (65 530): thread creation fails with `ENOMEM`. Each
-/// test holds this lock for its whole body, so one fan-out is alive at a
-/// time.
-static ONE_FANOUT: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn one_fanout() -> std::sync::MutexGuard<'static, ()> {
-    // A sibling that failed poisons the lock; that verdict is its own.
-    ONE_FANOUT.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn fan_placement(hosts: &[hetsim::HostId]) -> Placement {
     Placement {
         per_host: hosts.iter().map(|&h| (h, per_host())).collect(),
@@ -109,7 +95,6 @@ fn assert_substrate_identity(
 /// both substrates, digest-identical.
 #[test]
 fn fanout_digest_identity_rr_wrr_dd() {
-    let _one = one_fanout();
     let (topo, hosts) = cluster(4);
     let cfg = test_cfg(test_dataset(7), hosts.clone(), 64);
     let reference = reference_image(&cfg);
@@ -129,7 +114,6 @@ fn fanout_digest_identity_rr_wrr_dd() {
 /// ownership; the composited image and delivery totals stay invariant.
 #[test]
 fn fanout_digest_identity_tile_hash() {
-    let _one = one_fanout();
     let (topo, hosts) = cluster(4);
     let cfg = test_cfg(test_dataset(7), hosts.clone(), 64);
     let reference = reference_image(&cfg);
