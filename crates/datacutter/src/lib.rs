@@ -101,7 +101,7 @@ pub use policy::{CopySetInfo, DemandState, WritePolicy};
 pub use runtime::native::TaskedExecutor;
 pub use runtime::{
     Clock, ExecEnv, ExecStats, Executor, ExecutorChoice, NativeExecutor, Run, SimExecutor,
-    Transport, DEFAULT_COURIER_CAPACITY, DEFAULT_OUTBOX_CAPACITY, DEFAULT_RETRANSMIT_DELAY,
+    Transport,
 };
 pub use storage::{
     open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,

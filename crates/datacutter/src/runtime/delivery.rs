@@ -166,6 +166,9 @@ pub(crate) fn spawn_courier<E: Executor>(
     );
 }
 
+/// Back-off before re-sending a message the fault plan dropped.
+const RETRANSMIT_DELAY: SimDuration = SimDuration::from_millis(1);
+
 /// One (producer copy, output stream) pair's delivery state: where its
 /// copy sets live, the queues that reach them, and the per-pair sequence
 /// number the fault plan's seeded drops and delays are keyed on.
@@ -177,7 +180,6 @@ pub(crate) struct Delivery {
     pub targets: Vec<ChanTx<Envelope>>,
     pub topo: Topology,
     pub faults: Option<Arc<FaultCtl>>,
-    pub retransmit_delay: SimDuration,
     /// Data messages delivered so far (0 when wired).
     pub seq: u64,
     /// The writing copy's heartbeat when it delivers in its own thread
@@ -296,7 +298,7 @@ impl Delivery {
                     }
                     f.stage = Stage::Dropped(n - 1);
                     self.tally(|t| t.retransmits += 1);
-                    return Ok(Step::Delay(self.retransmit_delay));
+                    return Ok(Step::Delay(RETRANSMIT_DELAY));
                 }
                 Stage::Hold => {
                     f.stage = Stage::Stall;

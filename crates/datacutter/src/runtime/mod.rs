@@ -40,7 +40,7 @@ pub mod supervisor;
 
 use std::sync::Arc;
 
-use hetsim::{SimDuration, SimTime, Simulation, Topology};
+use hetsim::{SimTime, Simulation, Topology};
 use parking_lot::Mutex;
 
 pub use exec::{
@@ -53,29 +53,9 @@ use crate::fault::{ErrorCell, FaultCtl, FaultOptions, KilledMarker, RunError};
 use crate::graph::AppGraph;
 use crate::metrics::{CopyReport, FaultReport, RunReport, StreamReport};
 
-/// Default capacity of each per-copy outbox under the simulator (models
-/// the kernel socket buffer that lets a filter keep computing while a
-/// previous buffer is on the wire).
-pub const DEFAULT_OUTBOX_CAPACITY: usize = 2;
-
-/// Default capacity of the simulator's ack courier queues. Consumers
-/// block on a full courier queue, but under the demand-driven policy the
-/// queue can never hold more acks than the producer side has window
-/// credit (each queued ack is an unacknowledged buffer), so with the
-/// default windows this bound is never reached; RR/WRR generate no acks
-/// at all. Raise it via [`Run::courier_capacity`] for graphs with very
-/// large DD windows.
-pub const DEFAULT_COURIER_CAPACITY: usize = 1024;
-
-/// Default back-off before re-sending a message the fault plan dropped.
-pub const DEFAULT_RETRANSMIT_DELAY: SimDuration = SimDuration::from_millis(1);
-
 /// Runtime tuning knobs carried from the [`Run`] builder into the wiring.
 #[derive(Clone, Copy)]
 pub(crate) struct Tuning {
-    pub outbox_capacity: usize,
-    pub courier_capacity: usize,
-    pub retransmit_delay: SimDuration,
     /// Byte budget for in-flight stream payloads (0 = unlimited; the
     /// out-of-core spill path is off and runs are untouched).
     pub memory_budget_bytes: u64,
@@ -90,9 +70,6 @@ pub(crate) struct Tuning {
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {
-            outbox_capacity: DEFAULT_OUTBOX_CAPACITY,
-            courier_capacity: DEFAULT_COURIER_CAPACITY,
-            retransmit_delay: DEFAULT_RETRANSMIT_DELAY,
             memory_budget_bytes: 0,
             storage_retry_budget: crate::storage::DEFAULT_STORAGE_RETRY_BUDGET,
             checksum_spills: true,
@@ -130,7 +107,7 @@ type SetupFn = Box<dyn FnOnce(&mut Simulation)>;
 /// run).
 ///
 /// Defaults: one unit of work, the virtual-time [`SimExecutor`], no trace,
-/// no faults, and the documented default capacities.
+/// no faults and no memory budget.
 pub struct Run {
     graph: AppGraph,
     uows: u32,
@@ -227,34 +204,6 @@ impl Run {
         self
     }
 
-    /// Capacity of each per-copy outbox (default
-    /// [`DEFAULT_OUTBOX_CAPACITY`]): how many messages a copy can hand to
-    /// its outbox sender — a threadless handler that charges the modelled
-    /// wire — before a write blocks. Simulator only: on the native
-    /// executor a copy delivers its writes itself and has no outbox.
-    pub fn outbox_capacity(mut self, capacity: usize) -> Self {
-        self.tuning.outbox_capacity = capacity;
-        self
-    }
-
-    /// Capacity of the per-copy-set ack courier queues (default
-    /// [`DEFAULT_COURIER_CAPACITY`]): how many acknowledgments and
-    /// settlement batches may wait for the courier — a threadless handler
-    /// that charges the reverse path — before a read blocks. Simulator
-    /// only: on the native executor a copy acknowledges its reads itself
-    /// and has no courier.
-    pub fn courier_capacity(mut self, capacity: usize) -> Self {
-        self.tuning.courier_capacity = capacity;
-        self
-    }
-
-    /// Back-off before re-sending a message the fault plan dropped
-    /// (default [`DEFAULT_RETRANSMIT_DELAY`]).
-    pub fn retransmit_delay(mut self, delay: SimDuration) -> Self {
-        self.tuning.retransmit_delay = delay;
-        self
-    }
-
     /// Bound the bytes of in-flight stream payloads to `bytes`, split
     /// evenly across the graph's streams (TPIE-style explicit memory
     /// management). A stream whose queued spillable payloads exceed its
@@ -294,10 +243,6 @@ impl Run {
     /// Execute the run on `topo` and harvest the report.
     pub fn go(self, topo: &Topology) -> Result<RunReport, RunError> {
         assert!(self.uows >= 1, "at least one unit of work");
-        assert!(
-            self.tuning.outbox_capacity >= 1 && self.tuning.courier_capacity >= 1,
-            "channel capacities must be at least 1"
-        );
         silence_sentinel_panics();
         keep_large_buffers_out_of_thread_arenas();
         let graph = Arc::new(self.graph);

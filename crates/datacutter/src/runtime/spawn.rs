@@ -64,6 +64,20 @@ use crate::metrics::{CopyCell, CopyCounters, CopySetCell};
 use crate::policy::{CopySetInfo, WriterState};
 use crate::storage::StorageCtl;
 
+/// Capacity of each per-copy outbox under the simulator: how many messages
+/// a copy can hand to its outbox sender — a threadless handler that
+/// charges the modelled wire — before a write blocks. Models the kernel
+/// socket buffer that lets a filter keep computing while a previous buffer
+/// is on the wire.
+const OUTBOX_CAPACITY: usize = 2;
+
+/// Capacity of the simulator's ack courier queues. Consumers block on a
+/// full courier queue, but under the demand-driven policy the queue can
+/// never hold more acks than the producer side has window credit (each
+/// queued ack is an unacknowledged buffer), so with the default windows
+/// this bound is never reached; RR/WRR generate no acks at all.
+const COURIER_CAPACITY: usize = 1024;
+
 /// Everything the driver needs to harvest a report after the run: the
 /// metric cells (shared with the spawned processes) and the barrier
 /// boundary log. Holds no channel endpoints, so queues close as soon as
@@ -213,7 +227,7 @@ pub(crate) fn build<E: Executor>(
                 copies,
             ))));
             let courier_tx = E::RELAYS.then(|| {
-                let (tx, rx) = transport.channel::<CourierMsg>(tuning.courier_capacity);
+                let (tx, rx) = transport.channel::<CourierMsg>(COURIER_CAPACITY);
                 delivery::spawn_courier(
                     exec,
                     &spec.name,
@@ -356,12 +370,11 @@ pub(crate) fn build<E: Executor>(
                         targets: rt.data_txs.clone(),
                         topo: topo.clone(),
                         faults: fault_ctl.clone(),
-                        retransmit_delay: tuning.retransmit_delay,
                         seq: 0,
                         health: None,
                     };
                     let outbox = if E::RELAYS {
-                        let (tx, rx) = transport.channel::<OutMsg>(tuning.outbox_capacity);
+                        let (tx, rx) = transport.channel::<OutMsg>(OUTBOX_CAPACITY);
                         delivery.spawn_sender(exec, &spec.name, rx);
                         Outbox::Sender(tx)
                     } else {

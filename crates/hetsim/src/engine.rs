@@ -11,7 +11,7 @@
 //! the same program produces the same event order and the same final clock
 //! on every execution. A process that is only a state machine over the
 //! non-blocking primitives can be a *handler* instead, with no thread at
-//! all (see "Handlers" below).
+//! all (see "Steps" below).
 //!
 //! This is the "process-interaction" simulation style (SimPy, CSIM): the
 //! simulated code is ordinary imperative Rust that happens to sleep on a
@@ -19,7 +19,7 @@
 //!
 //! # The fast data plane
 //!
-//! Three structural choices keep the per-event cost low without changing
+//! Two structural choices keep the per-event cost low without changing
 //! the dispatch order by a single event:
 //!
 //! * **Slab event queue.** An event is a packed `u128` key —
@@ -37,63 +37,51 @@
 //!   the next event itself instead of waking a central engine thread: if
 //!   the next event is its own (a plain `delay` with nothing intervening)
 //!   it simply keeps running — zero context switches; if the event belongs
-//!   to a peer it wakes that peer directly — one switch instead of the
-//!   centralized two (proc → engine → proc). The engine thread only wakes
-//!   for run termination (success, deadlock, panic). Dispatch runs the
-//!   identical pop-min/skip-stale algorithm under the same lock, merely on
-//!   a different thread, so runs stay bit-for-bit identical. Throttled
-//!   runs ([`Simulation::run_throttled`]) keep the centralized loop, which
-//!   is the natural place to sleep on the wall clock between events.
+//!   to a peer it wakes that peer directly — one switch instead of two
+//!   through an engine thread (proc → engine → proc). The engine thread
+//!   only starts the run and wakes for its termination (success, deadlock,
+//!   panic). Every event is popped by the one function `dispatch_next`,
+//!   under the core lock, on whichever thread reaches a dispatch point.
 //!
-//! * **Inline timer chains.** A resource model that would sleep through a
-//!   run of back-to-back `delay`s (a CPU's sixteen scheduling quanta)
-//!   leaves a *step function* with the engine instead
-//!   (`Env::delay_chain`, crate-private). `dispatch_next`, on popping that
-//!   process's event, runs the step on whichever thread is dispatching:
-//!   `Some(d)` is the next `delay(d)` — the event `(now + d, same pid,
-//!   next epoch)` is pushed and dispatch simply continues — and `None`
-//!   grants the process within that same event. A chain of `n` delays
-//!   costs one thread hand-off instead of `n`, yet stays event for event
-//!   what the thread did: every step is still one dispatched event,
-//!   pushed at the same point of the dispatch order (nothing else can run
-//!   between a pop and the push that follows it, on either path) and so
-//!   with the same `(time, seq)`; a delay that rounds to zero schedules no
-//!   event, as `Env::delay` returns at once when `now >= target`; and a
-//!   stray [`Env::wake`] mid-delay (a stale waiter registration can
-//!   deliver one) is counted, bumps the epoch and re-arms the timer at its
-//!   `due` time, exactly as the woken thread re-arms when it finds
-//!   `now < target`. Steps run under the core lock on *another process's*
-//!   thread, so they never touch [`Env`] (`now` is an argument), take
-//!   locks only in the order core → resource state, and a panic in one is
-//!   caught and reported against the chained process. Steps are only for
-//!   logic that is a pure function of resource state between two timers;
-//!   logic that talks to other processes is a thread or a handler.
+//! # Steps
 //!
-//! # Handlers
-//!
-//! A handler ([`Simulation::spawn_handler`]) is a process with a pid and
-//! no thread: a step function `FnMut(&Env) -> Step` that the dispatching
-//! thread runs, with the core lock released, each time it pops the
-//! handler's event. The step does its work through the non-blocking
-//! primitives — [`Receiver::poll_recv`](crate::Receiver::poll_recv),
+//! A *step* is a function `FnMut(&Env) -> Step` that the dispatching
+//! thread runs, with the core lock released, each time it pops its
+//! process's event. It does its work through the non-blocking primitives
+//! — [`Receiver::poll_recv`](crate::Receiver::poll_recv),
 //! [`Sender::poll_send`](crate::Sender::poll_send),
 //! [`Semaphore::poll_acquire`](crate::Semaphore::poll_acquire),
 //! [`Topology::poll_transfer`](crate::Topology::poll_transfer), wakes — and
 //! says what it waits for next: [`Step::Wait`] (it registered its pid with
-//! a primitive), [`Step::Delay`] or [`Step::Done`]. The blocking
-//! primitives are thin loops over the same functions, and
-//! [`Env::drive`] runs any step function on a thread, so a handler
-//! dispatches exactly the events of a thread process driving the same
-//! step: each of its steps is one dispatched event at the same point of
-//! the order; `Delay(ZERO)` schedules nothing and steps again at once; a
-//! stray wake mid-delay is counted and re-arms the timer, as it does for a
-//! chain; a panicking step is reported against the handler; and a handler
-//! parked in `Wait` is named in a deadlock report. Its state is dropped
-//! with the lock released when it is done (as a thread's closure drops its
-//! captures before it finishes), or unrun at teardown. The simulator's
-//! relays — DataCutter's outbox senders and ack couriers — are handlers:
-//! a relay event costs a function call on the thread that popped it, not
-//! a thread hand-off.
+//! a primitive), [`Step::Delay`] or [`Step::Done`]. Two kinds of process
+//! have one:
+//!
+//! * A *handler* ([`Simulation::spawn_handler`]) is a process with a step
+//!   and no thread. The simulator's relays — DataCutter's outbox senders
+//!   and ack couriers — are handlers: a relay event costs a function call
+//!   on the thread that popped it, not a thread hand-off.
+//! * A thread process can *lend* the event loop a step (`Env::lend`,
+//!   crate-private) to sleep through a run of back-to-back timers — a
+//!   CPU's sixteen scheduling quanta — without being woken between them.
+//!   The first step runs at once; the thread is woken once, inside the
+//!   event whose step returns `Done`.
+//!
+//! The blocking primitives are thin loops over the same functions, and
+//! [`Env::drive`] runs any step on its own thread, so a step dispatches
+//! exactly the events of a thread driving it: each step is one dispatched
+//! event, pushed at the same point of the order (nothing else can run
+//! between a pop and the push that follows it, on either path) and so with
+//! the same `(time, seq)`; `Delay(ZERO)` schedules nothing and steps again
+//! at once, as `Env::delay` returns at once when `now >= target`; and a
+//! stray [`Env::wake`] mid-delay (a stale waiter registration can deliver
+//! one) is counted, bumps the epoch and re-arms the timer at its `due`
+//! time, exactly as the woken thread re-arms when it finds `now < target`.
+//! A step must not block: that panics. A panicking step is reported
+//! against its own process, whichever thread ran it, and a thread whose
+//! lent step panicked stays parked until teardown unwinds it. A process
+//! parked in `Wait` is named in a deadlock report. A step's state is
+//! dropped with the lock released when it is done (as a thread's closure
+//! drops its captures before it finishes), or unrun at teardown.
 //!
 //! # Thread reuse
 //!
@@ -189,9 +177,9 @@ pub struct RunStats {
     /// Events granted to the very process that was dispatching (its own
     /// timer was next): no context switch.
     pub self_grants: u64,
-    /// Events consumed inside the event loop without granting anyone:
-    /// timer-chain steps and re-armed stray wakes. Always
-    /// `events == handoffs + self_grants + inline_steps`.
+    /// Events consumed inside the event loop without granting a thread:
+    /// handler steps, lent steps that are not yet done, and re-armed stray
+    /// wakes. Always `events == handoffs + self_grants + inline_steps`.
     pub inline_steps: u64,
 }
 
@@ -201,6 +189,9 @@ enum Status {
     Created,
     /// Currently executing (at most one process at a time).
     Running,
+    /// Its step is running on the dispatching thread; a lender's own
+    /// thread stays parked through it.
+    Stepping,
     /// Parked awaiting a wake event carrying this epoch.
     Blocked(Epoch),
     /// Ran to completion (or unwound).
@@ -213,40 +204,28 @@ struct Proc {
     name: String,
     status: Status,
     epoch: Epoch,
-    /// The instant the process's pending timer fires, while it sleeps
-    /// through an inline timer chain or a handler's `Delay`. A fresh event
-    /// for the process before `due` is a stray wake, not the timer.
+    /// The instant the process's pending timer fires, while its step
+    /// sleeps through a `Delay`. A fresh event for the process before `due`
+    /// is a stray wake, not the timer.
     due: Option<SimTime>,
-    body: Body,
+    /// The step the event loop runs at this process's events instead of
+    /// granting it: a handler's always, a thread's while it lends one.
+    /// `None` while the step runs.
+    step: Option<Box<StepFn>>,
+    /// The condvar a thread process parks on; `None` for a handler.
+    cv: Option<Arc<Condvar>>,
+    /// A thread process's whole life, handed to a pooled thread at its
+    /// first grant.
+    start: Option<Box<dyn FnOnce() + Send>>,
 }
 
-/// What runs a process when the engine grants it an event.
-enum Body {
-    /// An OS thread parked on `cv`. `start` is the process's whole life,
-    /// handed to a pooled thread at its first grant; `chain` is set while
-    /// it sleeps through an inline timer chain.
-    Thread {
-        cv: Arc<Condvar>,
-        start: Option<Box<dyn FnOnce() + Send>>,
-        chain: Option<Box<ChainStep>>,
-    },
-    /// A handler's step: `None` while it runs, and once it is done.
-    Handler(Option<Box<HandlerStep>>),
-}
+/// A step function (see "Steps" in the module docs).
+type StepFn = dyn FnMut(&Env) -> Step + Send;
 
-/// The step function of an inline timer chain: called with the current
-/// virtual time, returns the next delay or `None` when the chain is done.
-/// Runs under the core lock, possibly on another process's thread, so it
-/// must not call into [`Env`] and should not panic.
-type ChainStep = dyn FnMut(SimTime) -> Option<SimDuration> + Send;
-
-/// A handler process's step function (see [`Simulation::spawn_handler`]).
-type HandlerStep = dyn FnMut(&Env) -> Step + Send;
-
-/// What a handler's step asks of the engine when it returns, and what a
-/// resumable state machine over the non-blocking primitives reports to
-/// whoever drives it ([`Env::drive`] on a thread, the event loop for a
-/// handler).
+/// What a step asks of the engine when it returns, and what a resumable
+/// state machine over the non-blocking primitives reports to whoever
+/// drives it ([`Env::drive`] on a thread, the event loop for a handler or
+/// a lent step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Park until another process wakes this one: the step registered its
@@ -257,18 +236,6 @@ pub enum Step {
     Delay(SimDuration),
     /// Finished.
     Done,
-}
-
-/// The instant the chain's next timer fires, or `None` when the chain is
-/// done. A delay too short to move the clock schedules nothing and the
-/// step is asked again — [`Env::delay`]'s `now >= target` early return.
-fn next_due(step: &mut ChainStep, now: SimTime) -> Option<SimTime> {
-    loop {
-        let due = now + step(now)?;
-        if due > now {
-            return Some(due);
-        }
-    }
 }
 
 /// Slab payload of one scheduled event; the wake target and the blocking
@@ -323,7 +290,6 @@ struct Core {
     /// Recycled slab slots.
     free: Vec<u32>,
     procs: Vec<Proc>,
-    running: Option<ProcessId>,
     live: usize,
     dispatched: u64,
     handoffs: u64,
@@ -337,8 +303,6 @@ struct Core {
     /// Sticky stop flag: no process may dispatch once set (panic observed,
     /// queue drained, or teardown begun).
     halted: bool,
-    /// Throttled runs keep the classic engine-thread dispatch loop.
-    centralized: bool,
 }
 
 impl Core {
@@ -435,17 +399,17 @@ impl Drop for ThreadExit {
     }
 }
 
-/// Pop-and-grant the next fresh event: the single dispatch algorithm, run
-/// by whichever thread reaches a dispatch point (a blocking process under
-/// direct handoff, the engine thread in centralized mode). An event whose
-/// process sleeps through a timer chain, or that belongs to a handler, is
-/// consumed right here — the step runs inline and the loop carries on —
-/// so only events for threads grant. Returns `true` when the granted
-/// process is `granting` itself — the caller keeps the CPU with no context
-/// switch at all. When the queue drains, records the terminal result and
-/// wakes the engine. The core lock is released while a handler step runs
-/// and while a granted thread is notified, so a caller re-reads whatever
-/// it needs from the core afterwards.
+/// Pop-and-grant the next fresh event: the one dispatch loop, run by
+/// whichever thread reaches a dispatch point (a blocking or finishing
+/// process, or the engine thread starting the run). An event whose process
+/// has a step — a handler, or a thread lending one — runs that step right
+/// here and the loop carries on, unless a lent step is done; so only events
+/// for threads grant. Returns `true` when the granted process is `granting`
+/// itself — the caller keeps the CPU with no context switch at all. When
+/// the queue drains, records the terminal result and wakes the engine. The
+/// core lock is released while a step runs and while a granted thread is
+/// notified, so a caller re-reads whatever it needs from the core
+/// afterwards.
 fn dispatch_next(
     shared: &Arc<Shared>,
     core: &mut MutexGuard<'_, Core>,
@@ -478,67 +442,40 @@ fn dispatch_next(
         core.dispatched += 1;
         let proc = &mut core.procs[idx];
         proc.epoch += 1;
-        // A fresh event before the pending timer is a stray wake: it keeps
-        // `due` and re-arms below, as the woken thread would.
-        let mut due = proc.due.take().filter(|&due| now < due);
-        if due.is_none() {
-            if matches!(proc.body, Body::Handler(_)) {
-                if !run_handler(shared, core, rec.pid, now) {
-                    return false;
-                }
-                core.inline_steps += 1;
-                if core.centralized {
-                    return false;
-                }
-                continue;
-            }
-            if let Body::Thread { chain, .. } = &mut proc.body {
-                let stepped = chain
-                    .as_deref_mut()
-                    .map(|step| catch_unwind(AssertUnwindSafe(|| next_due(step, now))));
-                match stepped {
-                    None => {}
-                    Some(Ok(Some(next))) => due = Some(next),
-                    Some(Ok(None)) => *chain = None,
-                    Some(Err(payload)) => {
-                        // The step panicked on a thread that is not its
-                        // process's: report it here, against its process.
-                        let failed = (proc.name.clone(), panic_message(&*payload));
-                        halt_on_panic(shared, core, failed);
-                        return false;
-                    }
-                }
-            }
-        }
-        let proc = &mut core.procs[idx];
-        if let Some(due) = due {
-            proc.due = Some(due);
+        // A fresh event before the pending timer is a stray wake: it
+        // re-arms the timer at `due`, as the woken thread would.
+        if let Some(due) = proc.due.take().filter(|&due| now < due) {
             let epoch = proc.epoch;
+            proc.due = Some(due);
             proc.status = Status::Blocked(epoch);
             core.push_event(due, rec.pid, epoch);
             core.inline_steps += 1;
-            if core.centralized {
-                // One event per call: the throttle sleeps between them.
-                return false;
-            }
             continue;
         }
-        proc.status = Status::Running;
-        core.running = Some(rec.pid);
+        if proc.step.is_some() {
+            match run_step(shared, core, rec.pid, now) {
+                // A lent step is done: its thread resumes within this event.
+                Some(Step::Done) if core.procs[idx].cv.is_some() => {}
+                Some(_) => {
+                    core.inline_steps += 1;
+                    continue;
+                }
+                None => return false,
+            }
+        }
+        core.procs[idx].status = Status::Running;
         if granting == Some(rec.pid) {
             core.self_grants += 1;
             return true;
         }
         core.handoffs += 1;
-        let Body::Thread { cv, start, .. } = &mut core.procs[idx].body else {
-            unreachable!("handlers are never granted");
-        };
         // Started or notified with the core unlocked: a woken thread that
         // preempts the dispatcher would otherwise only block again on the
         // core lock. The grant is already recorded, so a wake that lands
         // before the target parks is not lost.
-        let Some(start) = start.take() else {
-            let cv = cv.clone();
+        let proc = &mut core.procs[idx];
+        let Some(start) = proc.start.take() else {
+            let cv = proc.cv.clone().expect("handlers are never granted");
             MutexGuard::unlocked(core, || cv.notify_one());
             return false;
         };
@@ -548,7 +485,6 @@ fn dispatch_next(
             let proc = &mut core.procs[idx];
             proc.status = Status::Finished;
             let failed = (proc.name.clone(), format!("no thread to run on: {e}"));
-            core.running = None;
             core.live -= 1;
             halt_on_panic(shared, core, failed);
         }
@@ -556,25 +492,25 @@ fn dispatch_next(
     }
 }
 
-/// Run handler `pid`'s step for the event just popped at `now`, with the
-/// core lock released (the step locks primitives whose wakes take it),
-/// then park, arm or retire the handler as the step asks. A step that is
-/// done or panicked has its state dropped before the lock is taken again,
-/// as a thread's closure drops its captures before `finish`. Returns
-/// `false` when the step panicked and the run is halted.
-fn run_handler(
+/// Run `pid`'s step — for the event just popped at `now`, or from
+/// [`Env::lend`] on the lending thread itself — with the core lock released
+/// (the step locks primitives whose wakes take it). A step that waits or
+/// sleeps is put back, its process parked and its timer armed; a done
+/// handler is retired, and a done lender is left `Running` for its caller
+/// to resume. A step that is done or panicked has its state dropped before
+/// the lock is taken again, as a thread's closure drops its captures before
+/// `finish`. Returns what the step asked, or `None` when it panicked: the
+/// run is then halted and the process left parked for teardown.
+fn run_step(
     shared: &Arc<Shared>,
     core: &mut MutexGuard<'_, Core>,
     pid: ProcessId,
     now: SimTime,
-) -> bool {
+) -> Option<Step> {
     let idx = pid.0 as usize;
     let proc = &mut core.procs[idx];
-    let Body::Handler(slot) = &mut proc.body else {
-        unreachable!("run_handler on a thread process");
-    };
-    let mut step = slot.take().expect("a parked handler holds its step");
-    proc.status = Status::Running;
+    let mut step = proc.step.take().expect("a parked step is in place");
+    proc.status = Status::Stepping;
     let env = Env {
         pid,
         shared: shared.clone(),
@@ -594,34 +530,32 @@ fn run_handler(
             }
         }
     });
-    let epoch = core.procs[idx].epoch;
-    match outcome {
-        Ok(Step::Wait) => {
-            let proc = &mut core.procs[idx];
-            proc.body = Body::Handler(step);
-            proc.status = Status::Blocked(epoch);
+    let proc = &mut core.procs[idx];
+    let epoch = proc.epoch;
+    proc.step = step;
+    proc.status = Status::Blocked(epoch);
+    let asked = match outcome {
+        Ok(asked) => asked,
+        Err(payload) => {
+            let failed = (proc.name.clone(), panic_message(&*payload));
+            halt_on_panic(shared, core, failed);
+            return None;
         }
-        Ok(Step::Delay(d)) => {
-            let proc = &mut core.procs[idx];
-            proc.body = Body::Handler(step);
-            proc.status = Status::Blocked(epoch);
+    };
+    match asked {
+        Step::Wait => {}
+        Step::Delay(d) => {
             proc.due = Some(now + d);
             core.push_event(now + d, pid, epoch);
         }
-        Ok(Step::Done) => {
-            core.procs[idx].status = Status::Finished;
+        Step::Done if proc.cv.is_some() => proc.status = Status::Running,
+        Step::Done => {
+            proc.status = Status::Finished;
             core.completed += 1;
             core.live -= 1;
         }
-        Err(payload) => {
-            let failed = (core.procs[idx].name.clone(), panic_message(&*payload));
-            core.procs[idx].status = Status::Finished;
-            core.live -= 1;
-            halt_on_panic(shared, core, failed);
-            return false;
-        }
     }
-    true
+    Some(asked)
 }
 
 /// Record the run's first panic and stop dispatching.
@@ -682,37 +616,29 @@ impl Env {
         }
     }
 
-    /// Sleep through a chain of delays without waking between them: each
-    /// `Some(d)` that `step` returns is one `self.delay(d)`, and `None`
-    /// ends the chain. Virtual time, event count and event order are those
-    /// of the `delay` loop; the first step runs here, every later one
-    /// inside the event loop on whichever thread pops this process's timer
-    /// (see "Inline timer chains" in the module docs), so `step` must not
-    /// call into [`Env`] and may lock only state that is never held across
-    /// an `Env` call.
-    pub(crate) fn delay_chain(
-        &self,
-        mut step: impl FnMut(SimTime) -> Option<SimDuration> + Send + 'static,
-    ) {
+    /// Lend the event loop `step` and sleep until it is done: the events of
+    /// [`drive`](Env::drive), but this thread is woken once, inside the
+    /// event whose step returns [`Step::Done`], instead of at every `Wait`
+    /// and `Delay`. The first step runs at once, every later one on
+    /// whichever thread pops this process's event (see "Steps" in the
+    /// module docs), so `step` must not block and may lock only state that
+    /// is never held across a blocking `Env` call.
+    pub(crate) fn lend(&self, step: impl FnMut(&Env) -> Step + Send + 'static) {
         let mut core = self.shared.core.lock();
-        let Some(due) = next_due(&mut step, core.now) else {
-            return;
-        };
-        let proc = &mut core.procs[self.pid.0 as usize];
-        proc.due = Some(due);
-        if let Body::Thread { chain, .. } = &mut proc.body {
-            *chain = Some(Box::new(step));
+        let now = core.now;
+        core.procs[self.pid.0 as usize].step = Some(Box::new(step));
+        if run_step(&self.shared, &mut core, self.pid, now) != Some(Step::Done) {
+            self.yield_blocked(core);
         }
-        self.schedule_self(&mut core, due);
-        self.yield_blocked(core);
     }
 
     /// Run a resumable step machine to [`Step::Done`] on the calling
     /// process's own thread: [`Step::Wait`] is [`Env::block`] and
     /// [`Step::Delay`] is [`Env::delay`]. This is how a blocking primitive
-    /// is a thin loop over its non-blocking version, and what a handler
-    /// process's events are equivalent to: a handler spawned with `step`
-    /// and a thread process that drives it dispatch the same events.
+    /// is a thin loop over its non-blocking version, and what a step's
+    /// events are equivalent to: a handler spawned with `step`, a thread
+    /// process that lends it and one that drives it dispatch the same
+    /// events.
     pub fn drive(&self, mut step: impl FnMut(&Env) -> Step) {
         loop {
             match step(self) {
@@ -721,15 +647,6 @@ impl Env {
                 Step::Done => return,
             }
         }
-    }
-
-    /// Yield to any other process scheduled at the current instant, then
-    /// resume (still at the same virtual time).
-    pub fn yield_now(&self) {
-        let mut core = self.shared.core.lock();
-        let at = core.now;
-        self.schedule_self(&mut core, at);
-        self.yield_blocked(core);
     }
 
     /// Park the calling process until some other process calls
@@ -793,23 +710,22 @@ impl Env {
     /// target and parks. Must be entered with the core lock held.
     fn yield_blocked(&self, mut core: MutexGuard<'_, Core>) {
         let idx = self.pid.0 as usize;
-        if matches!(core.procs[idx].body, Body::Handler(_)) {
+        if core.procs[idx].status == Status::Stepping {
             drop(core);
-            panic!("a handler step must not block: it returns Step::Wait or Step::Delay");
+            panic!("a step must not block: it returns Step::Wait or Step::Delay");
         }
         let epoch = core.procs[idx].epoch;
         core.procs[idx].status = Status::Blocked(epoch);
-        core.running = None;
-        if core.centralized || core.halted {
+        if core.halted {
             self.shared.engine_cv.notify_one();
         } else if dispatch_next(&self.shared, &mut core, Some(self.pid)) {
             // Self-granted: the next event was this process's own wake.
             return;
         }
-        let Body::Thread { cv, .. } = &core.procs[idx].body else {
-            unreachable!("checked on entry");
-        };
-        let cv = cv.clone();
+        let cv = core.procs[idx]
+            .cv
+            .clone()
+            .expect("only a step runs a handler, and steps do not block");
         loop {
             match core.procs[idx].status {
                 Status::Running => return,
@@ -850,16 +766,26 @@ fn wake_in(core: &mut Core, pid: ProcessId) -> bool {
     }
 }
 
-/// Register a process and its first wake, at the current instant.
-fn register(shared: &Shared, name: String, body: impl FnOnce(ProcessId) -> Body) -> ProcessId {
+/// Register a process and its first wake, at the current instant: a
+/// handler with its `step`, or a thread process whose whole life `start`
+/// makes from its pid.
+fn register(
+    shared: &Shared,
+    name: String,
+    step: Option<Box<StepFn>>,
+    start: impl FnOnce(ProcessId) -> Option<Box<dyn FnOnce() + Send>>,
+) -> ProcessId {
     let mut core = shared.core.lock();
     let pid = ProcessId(core.procs.len() as u32);
+    let start = start(pid);
     core.procs.push(Proc {
         name,
         status: Status::Created,
         epoch: 0,
         due: None,
-        body: body(pid),
+        step,
+        cv: start.is_some().then(|| Arc::new(Condvar::new())),
+        start,
     });
     core.live += 1;
     let time = core.now;
@@ -871,16 +797,12 @@ fn spawn_inner<F>(shared: &Arc<Shared>, name: String, f: F) -> ProcessId
 where
     F: FnOnce(Env) + Send + 'static,
 {
-    register(shared, name, |pid| {
+    register(shared, name, None, |pid| {
         let env = Env {
             pid,
             shared: shared.clone(),
         };
-        Body::Thread {
-            cv: Arc::new(Condvar::new()),
-            start: Some(Box::new(move || process(env, f))),
-            chain: None,
-        }
+        Some(Box::new(move || process(env, f)))
     })
 }
 
@@ -915,10 +837,7 @@ fn finish(
     }
     core.procs[idx].status = Status::Finished;
     core.live -= 1;
-    if core.running == Some(pid) {
-        core.running = None;
-    }
-    if core.centralized || core.halted {
+    if core.halted {
         shared.engine_cv.notify_one();
     } else {
         // Direct handoff: the finishing process dispatches its successor
@@ -952,7 +871,6 @@ impl Simulation {
                     slab: Vec::new(),
                     free: Vec::new(),
                     procs: Vec::new(),
-                    running: None,
                     live: 0,
                     dispatched: 0,
                     handoffs: 0,
@@ -962,7 +880,6 @@ impl Simulation {
                     panic: None,
                     result: None,
                     halted: false,
-                    centralized: false,
                 }),
                 engine_cv: Condvar::new(),
                 threads: Mutex::new(0),
@@ -983,7 +900,7 @@ impl Simulation {
     /// Spawn a root *handler*: a process with a pid and no thread. Each
     /// event granted to it runs `step` on the thread that dispatches the
     /// event, with the engine's lock released, and the step's [`Step`]
-    /// says what it waits for next — see "Handlers" in the module docs.
+    /// says what it waits for next — see "Steps" in the module docs.
     /// The step sees its own pid through its `&Env` and may call any
     /// non-blocking `Env` method and `poll_*` primitive, but must not
     /// block ([`Env::delay`], [`Env::block`], a blocking `send`...): that
@@ -994,9 +911,7 @@ impl Simulation {
         name: impl Into<String>,
         step: impl FnMut(&Env) -> Step + Send + 'static,
     ) -> ProcessId {
-        register(&self.shared, name.into(), |_| {
-            Body::Handler(Some(Box::new(step)))
-        })
+        register(&self.shared, name.into(), Some(Box::new(step)), |_| None)
     }
 
     /// A [`Waker`] tied to this simulation, for constructing channels and
@@ -1013,7 +928,6 @@ impl Simulation {
         // Direct handoff: seed the first dispatch, then sleep until some
         // process thread reports the terminal outcome.
         let mut core = self.shared.core.lock();
-        core.centralized = false;
         if core.panic.is_none() && core.result.is_none() {
             dispatch_next(&self.shared, &mut core, None);
         }
@@ -1037,79 +951,9 @@ impl Simulation {
         }
     }
 
-    /// Like [`run`](Simulation::run), but additionally sleeps on the wall
-    /// clock so that `scale` wall-seconds pass per virtual second — useful
-    /// for watching an emulation in "real time". `scale = 0.0` is
-    /// equivalent to `run`.
-    pub fn run_throttled(&mut self, scale: f64) -> Result<RunStats, SimError> {
-        self.run_centralized(scale)
-    }
-
-    /// The classic engine-thread dispatch loop, retained for throttled
-    /// runs: every event is granted from here, with an optional wall-clock
-    /// sleep proportional to the virtual-time gap before it fires.
-    fn run_centralized(&mut self, scale: f64) -> Result<RunStats, SimError> {
-        self.shared.core.lock().centralized = true;
-        loop {
-            let mut core = self.shared.core.lock();
-            if let Some((process, message)) = core.panic.take() {
-                drop(core);
-                self.cancel_all();
-                return Err(SimError::ProcessPanic { process, message });
-            }
-            // Peek the next fresh event to learn its time (for the
-            // throttle sleep) without perturbing dispatch: stale events
-            // are skipped exactly as dispatch_next would.
-            let next_time = loop {
-                let peek = match (core.imm.front(), core.heap.peek()) {
-                    (Some(&i), Some(&Reverse(h))) => Some(i.min(h)),
-                    (Some(&i), None) => Some(i),
-                    (None, Some(&Reverse(h))) => Some(h),
-                    (None, None) => None,
-                };
-                let Some(key) = peek else { break None };
-                let rec = core.slab[key_slot(key) as usize];
-                let fresh = match core.procs[rec.pid.0 as usize].status {
-                    Status::Blocked(epoch) => epoch == rec.epoch,
-                    Status::Created => rec.epoch == 0,
-                    _ => false,
-                };
-                if fresh {
-                    break Some(key_time(key));
-                }
-                // Drop the stale event (recycles its slot).
-                core.pop_event();
-            };
-            let Some(next_time) = next_time else {
-                if core.live == 0 {
-                    return Ok(core.stats());
-                }
-                let blocked = core.blocked_names();
-                drop(core);
-                self.cancel_all();
-                return Err(SimError::Deadlock(blocked));
-            };
-
-            let delta = next_time - core.now;
-            if !delta.is_zero() && scale > 0.0 {
-                let wall = delta.as_secs_f64() * scale;
-                drop(core);
-                std::thread::sleep(std::time::Duration::from_secs_f64(wall));
-                core = self.shared.core.lock();
-            }
-
-            dispatch_next(&self.shared, &mut core, None);
-            // Wait for the granted process to block or finish.
-            while core.running.is_some() && core.panic.is_none() {
-                self.shared.engine_cv.wait(&mut core);
-            }
-        }
-    }
-
     /// Tear the run down: every unfinished thread process unwinds, every
-    /// pending chain or handler step is dropped unrun, and this returns
-    /// once every process closure has returned and dropped what it
-    /// captured.
+    /// pending step is dropped unrun, and this returns once every process
+    /// closure has returned and dropped what it captured.
     fn cancel_all(&self) {
         let mut core = self.shared.core.lock();
         core.halted = true;
@@ -1119,17 +963,14 @@ impl Simulation {
                 continue;
             }
             p.status = Status::Cancelled;
-            match &mut p.body {
-                Body::Thread { cv, start, chain } => {
-                    *chain = None;
-                    unstarted.extend(start.take());
-                    cv.notify_one();
-                }
-                Body::Handler(step) => steps.extend(step.take()),
+            steps.extend(p.step.take());
+            unstarted.extend(p.start.take());
+            if let Some(cv) = &p.cv {
+                cv.notify_one();
             }
         }
         drop(core);
-        // Closures never started and handler state may hold channel
+        // Closures never started and step state may hold channel
         // endpoints, whose drops take the core lock to wake peers.
         drop((unstarted, steps));
         let mut threads = self.shared.threads.lock();
@@ -1291,28 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn yield_now_lets_peers_run() {
-        use std::sync::Mutex as StdMutex;
-        let log: Arc<StdMutex<Vec<&'static str>>> = Arc::new(StdMutex::new(Vec::new()));
-        let mut sim = Simulation::new();
-        let l1 = log.clone();
-        sim.spawn("first", move |env| {
-            l1.lock().unwrap().push("first-before");
-            env.yield_now();
-            l1.lock().unwrap().push("first-after");
-        });
-        let l2 = log.clone();
-        sim.spawn("second", move |_env| {
-            l2.lock().unwrap().push("second");
-        });
-        sim.run().unwrap();
-        assert_eq!(
-            *log.lock().unwrap(),
-            vec!["first-before", "second", "first-after"]
-        );
-    }
-
-    #[test]
     fn determinism_across_runs() {
         fn trace() -> Vec<(u64, u32)> {
             use std::sync::Mutex as StdMutex;
@@ -1344,29 +1163,6 @@ mod tests {
     }
 
     #[test]
-    fn throttled_run_matches_untrottled_clock() {
-        let run = |throttle: Option<f64>| {
-            let mut sim = Simulation::new();
-            for i in 0..4u32 {
-                sim.spawn(format!("p{i}"), move |env| {
-                    for k in 0..3u64 {
-                        env.delay(SimDuration::from_micros((i as u64 + 1) * 7 + k));
-                        env.yield_now();
-                    }
-                });
-            }
-            let stats = match throttle {
-                Some(s) => sim.run_throttled(s).unwrap(),
-                None => sim.run().unwrap(),
-            };
-            (stats.end_time.as_nanos(), stats.events, stats.processes)
-        };
-        // The centralized (throttled) loop and the direct-handoff path
-        // dispatch the identical event sequence.
-        assert_eq!(run(None), run(Some(0.0)));
-    }
-
-    #[test]
     fn event_slots_are_recycled() {
         let mut sim = Simulation::new();
         sim.spawn("looper", |env| {
@@ -1379,36 +1175,41 @@ mod tests {
         assert!(sim.shared.core.lock().slab.len() < 8);
     }
 
-    // -- inline timer chains ------------------------------------------------
+    // -- lent steps ---------------------------------------------------------
 
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// The definition a chain must match: one `Env::delay` per entry.
+    /// The definition a lent chain of delays must match: one `Env::delay`
+    /// per entry.
     fn delay_each(env: &Env, nanos: &[u64]) {
         for &ns in nanos {
             env.delay(SimDuration::from_nanos(ns));
         }
     }
 
-    /// The same delays as an inline timer chain; `calls` counts the steps.
-    fn chain_each(env: &Env, nanos: &[u64], calls: &Arc<AtomicU64>) {
+    /// A step that sleeps through `nanos`, one entry per event, and then
+    /// finishes; `calls` counts its runs.
+    fn napper(nanos: &[u64], calls: &Arc<AtomicU64>) -> impl FnMut(&Env) -> Step + Send {
         let mut rest: VecDeque<u64> = nanos.iter().copied().collect();
         let calls = calls.clone();
-        env.delay_chain(move |_now| {
+        move |_env| {
             calls.fetch_add(1, Ordering::Relaxed);
-            rest.pop_front().map(SimDuration::from_nanos)
-        });
+            rest.pop_front()
+                .map_or(Step::Done, |ns| Step::Delay(SimDuration::from_nanos(ns)))
+        }
     }
 
-    /// Grant exactly one event from the test thread, as the throttled
-    /// engine loop does, and wait for the granted process to block again.
-    fn step_centralized(sim: &Simulation) {
-        let mut core = sim.shared.core.lock();
-        core.centralized = true;
-        dispatch_next(&sim.shared, &mut core, None);
-        while core.running.is_some() {
-            sim.shared.engine_cv.wait(&mut core);
-        }
+    /// The same delays as a chain lent to the event loop.
+    fn chain_each(env: &Env, nanos: &[u64], calls: &Arc<AtomicU64>) {
+        env.lend(napper(nanos, calls));
+    }
+
+    /// A peer that stops the run mid-way: it panics at 1.5 µs.
+    fn spawn_panicking_peer(sim: &mut Simulation) {
+        sim.spawn("bad", |env| {
+            env.delay(SimDuration::from_nanos(1_500));
+            panic!("boom");
+        });
     }
 
     #[test]
@@ -1439,7 +1240,7 @@ mod tests {
         // Zero-length delays schedule no event on either path: 2 starts,
         // 12 peer timers, 3 sleeper timers.
         assert_eq!(chained.events, 17);
-        // One step per delay plus the `None` that ends the chain.
+        // One step per delay plus the one that ends the chain.
         assert_eq!(calls, NANOS.len() as u64 + 1);
         assert_eq!(reference.inline_steps, 0);
         assert_eq!(chained.inline_steps, 2);
@@ -1541,10 +1342,10 @@ mod tests {
         sim.spawn("bystander", |env| delay_each(&env, &[300; 10]));
         sim.spawn("chained", |env| {
             let mut n = 0;
-            env.delay_chain(move |_now| {
+            env.lend(move |_env| {
                 n += 1;
                 assert!(n < 3, "step {n} exploded");
-                Some(SimDuration::from_nanos(1_000))
+                Step::Delay(SimDuration::from_nanos(1_000))
             });
         });
         match sim.run() {
@@ -1557,6 +1358,41 @@ mod tests {
         assert_eq!(*sim.shared.threads.lock(), 0);
     }
 
+    /// Fails if a step that blocks is let through (it would park the
+    /// dispatching thread, or return a lender mid-step), or is reported
+    /// against the thread that happened to run it.
+    #[test]
+    fn a_blocking_step_is_reported_against_its_own_process() {
+        for lent in [true, false] {
+            let mut sim = Simulation::new();
+            // The bystander's timers make its thread the one that runs the
+            // blocking second step.
+            sim.spawn("bystander", |env| delay_each(&env, &[300; 10]));
+            let mut n = 0;
+            let step = move |env: &Env| {
+                n += 1;
+                if n == 2 {
+                    env.block();
+                }
+                Step::Delay(SimDuration::from_nanos(1_000))
+            };
+            if lent {
+                sim.spawn("stepper", move |env| env.lend(step));
+            } else {
+                sim.spawn_handler("stepper", step);
+            }
+            match sim.run() {
+                Err(SimError::ProcessPanic { process, message }) => {
+                    assert_eq!(process, "stepper", "lent: {lent}");
+                    assert!(message.contains("a step must not block"), "{message}");
+                }
+                other => panic!("expected panic error, got {other:?}"),
+            }
+            assert_eq!(sim.now().as_nanos(), 1_000);
+            assert_eq!(*sim.shared.threads.lock(), 0);
+        }
+    }
+
     #[test]
     fn drop_mid_chain_frees_the_step_without_running_it() {
         let calls = Arc::new(AtomicU64::new(0));
@@ -1567,46 +1403,16 @@ mod tests {
         let c = calls.clone();
         sim.spawn("computing", move |env| {
             chain_each(&env, &[1_000; 8], &c);
-            unreachable!("the simulation is dropped mid-chain");
+            unreachable!("the run is stopped mid-chain");
         });
-        step_centralized(&sim); // start: first step, first timer armed
-        step_centralized(&sim); // first timer: second step, inline
+        spawn_panicking_peer(&mut sim);
+        assert!(matches!(sim.run(), Err(SimError::ProcessPanic { .. })));
+        // The first step on the lending thread, then the 1 µs timer's.
         assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(sim.now().as_nanos(), 1_000);
+        assert_eq!(sim.now().as_nanos(), 1_500);
         drop(sim);
         assert_eq!(calls.load(Ordering::Relaxed), 2, "a step ran at teardown");
         assert_eq!(Arc::strong_count(&calls), 1, "the step was not freed");
-    }
-
-    #[test]
-    fn throttled_run_sleeps_between_chain_steps() {
-        // 16 timers 1 ms of virtual time apart at one wall-second per
-        // virtual second: the throttle owes a sleep before each of them.
-        // (Were the steps to run on inside one `dispatch_next` call, only
-        // the first millisecond would be slept.)
-        let run = |scale: Option<f64>| {
-            let calls = Arc::new(AtomicU64::new(0));
-            let mut sim = Simulation::new();
-            sim.spawn("computing", move |env| {
-                chain_each(&env, &[1_000_000; 16], &calls);
-            });
-            let started = std::time::Instant::now();
-            let stats = match scale {
-                Some(s) => sim.run_throttled(s).unwrap(),
-                None => sim.run().unwrap(),
-            };
-            (stats, started.elapsed())
-        };
-        let (direct, _) = run(None);
-        let (throttled, wall) = run(Some(1.0));
-        assert!(
-            wall >= std::time::Duration::from_millis(16),
-            "slept only {wall:?}"
-        );
-        assert_eq!(throttled.end_time, direct.end_time);
-        assert_eq!(throttled.events, direct.events);
-        assert_eq!(throttled.inline_steps, direct.inline_steps);
-        assert_eq!(throttled.inline_steps, 15);
     }
 
     #[test]
@@ -1643,18 +1449,6 @@ mod tests {
     }
 
     // -- handlers -------------------------------------------------------------
-
-    /// A handler whose step sleeps through `nanos` one entry per event and
-    /// then finishes; `calls` counts its steps.
-    fn napper(nanos: &[u64], calls: &Arc<AtomicU64>) -> impl FnMut(&Env) -> Step + Send {
-        let mut rest: VecDeque<u64> = nanos.iter().copied().collect();
-        let calls = calls.clone();
-        move |_env| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            rest.pop_front()
-                .map_or(Step::Done, |ns| Step::Delay(SimDuration::from_nanos(ns)))
-        }
-    }
 
     /// Fails if a stray wake runs the step (or ends the delay) instead of
     /// re-arming the timer at its due time, or if `Delay(ZERO)` schedules an
@@ -1761,11 +1555,11 @@ mod tests {
             let _hold = &tx;
             step(env)
         });
-        step_centralized(&sim); // the receiver starts and blocks
-        step_centralized(&sim); // the relay's first step: a 1 µs delay
-        step_centralized(&sim); // its timer: the second step
+        spawn_panicking_peer(&mut sim);
+        assert!(matches!(sim.run(), Err(SimError::ProcessPanic { .. })));
+        // The relay's start and its 1 µs timer.
         assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(sim.now().as_nanos(), 1_000);
+        assert_eq!(sim.now().as_nanos(), 1_500);
         drop(sim);
         assert_eq!(calls.load(Ordering::Relaxed), 2, "a step ran at teardown");
         assert_eq!(Arc::strong_count(&calls), 1, "the step was not freed");
@@ -1902,13 +1696,27 @@ mod tests {
         zero_naps: u64,
     }
 
+    /// How a machine runs its step.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Form {
+        /// A thread process that drives it ([`Env::drive`]).
+        Drive,
+        /// A handler.
+        Handler,
+        /// A thread process that lends it to the event loop.
+        Lend,
+    }
+
     /// 1-10 machines over every non-blocking primitive — a bounded
     /// channel drained by a thread, one fed by a thread, a one-permit
     /// semaphore, transfers over a two-cluster topology, and wakes at each
-    /// other — plus a noisy thread waking machines at random. Machines in
-    /// `handlers` (a bit mask) run as handlers; the rest are thread
-    /// processes that run the same step through [`Env::drive`].
-    fn run_machines(seed: u64, handlers: u64, reach: &mut Reach) -> (Outcome, RunStats) {
+    /// other — plus a noisy thread waking machines at random. Machine `id`
+    /// runs as `form(id)`.
+    fn run_machines(
+        seed: u64,
+        form: impl Fn(usize) -> Form,
+        reach: &mut Reach,
+    ) -> (Outcome, RunStats) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -1978,10 +1786,10 @@ mod tests {
                 trace: trace.clone(),
             };
             let name = format!("m{id}");
-            let pid = if handlers >> id & 1 == 1 {
-                sim.spawn_handler(name, move |env| machine.step(env))
-            } else {
-                sim.spawn(name, move |env| env.drive(|env| machine.step(env)))
+            let pid = match form(id) {
+                Form::Drive => sim.spawn(name, move |env| env.drive(|env| machine.step(env))),
+                Form::Handler => sim.spawn_handler(name, move |env| machine.step(env)),
+                Form::Lend => sim.spawn(name, move |env| env.lend(move |env| machine.step(env))),
             };
             pids.lock().push(pid);
         }
@@ -2016,7 +1824,7 @@ mod tests {
             }
         });
         let stats = sim.run().expect("scenario runs to completion");
-        if handlers != 0 {
+        if (0..n).any(|id| form(id) != Form::Drive) {
             reach.mid_delay += stray[0].load(Ordering::Relaxed);
             reach.mid_wait += stray[1].load(Ordering::Relaxed);
         }
@@ -2031,24 +1839,38 @@ mod tests {
         (outcome, stats)
     }
 
-    /// The handler oracle: a scenario whose machines run as handlers (all
-    /// of them, or a seeded half) dispatches exactly the events — same
-    /// `(time, seq)` order, clock and count — as the same scenario with
-    /// every machine a thread driving the same step. Fails if a handler's
-    /// step runs at a different point of the dispatch order, if a
-    /// `Delay(ZERO)` schedules an event, if a stray wake mid-delay runs the
-    /// step, or if a finished handler's state (its channel endpoints) is
-    /// dropped late.
+    /// The step oracle: a scenario whose machines run as handlers or lend
+    /// their step (all of them, or a seeded mix of the three forms)
+    /// dispatches exactly the events — same `(time, seq)` order, clock and
+    /// count — as the same scenario with every machine a thread driving the
+    /// same step. Fails if a step runs at a different point of the dispatch
+    /// order, if a `Delay(ZERO)` schedules an event, if a stray wake
+    /// mid-delay runs the step, if a lender resumes before its step is done,
+    /// or if a finished step's state (its channel endpoints) is dropped
+    /// late.
     #[test]
     fn handlers_dispatch_the_events_of_threads_driving_the_same_step() {
+        use Form::*;
         let mut reach = Reach::default();
         let (mut inline, mut saved) = (0, 0);
         for seed in 0..96u64 {
-            let (reference, ref_stats) = run_machines(seed, 0, &mut reach);
-            let half = crate::fault::splitmix64(seed) | 1;
-            for handlers in [u64::MAX, half] {
-                let (handled, stats) = run_machines(seed, handlers, &mut reach);
-                assert_eq!(handled, reference, "seed {seed}, handlers {handlers:#x}");
+            let (reference, ref_stats) = run_machines(seed, |_| Drive, &mut reach);
+            let mix = crate::fault::splitmix64(seed);
+            let arms: [&dyn Fn(usize) -> Form; 4] = [
+                &|_| Handler,
+                &|id| {
+                    if (mix | 1) >> id & 1 == 1 {
+                        Handler
+                    } else {
+                        Drive
+                    }
+                },
+                &|_| Lend,
+                &|id| [Drive, Handler, Lend, Lend][(mix >> (2 * id) & 3) as usize],
+            ];
+            for (arm, form) in arms.into_iter().enumerate() {
+                let (stepped, stats) = run_machines(seed, form, &mut reach);
+                assert_eq!(stepped, reference, "seed {seed}, arm {arm}");
                 assert_eq!(
                     stats.events,
                     stats.handoffs + stats.self_grants + stats.inline_steps

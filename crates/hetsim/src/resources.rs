@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::engine::Env;
+use crate::engine::{Env, Step};
 use crate::sync::Semaphore;
 use crate::time::SimDuration;
 
@@ -80,7 +80,7 @@ impl Cpu {
     /// Execute `work` seconds of reference-speed computation, blocking the
     /// calling process for the contention- and speed-adjusted elapsed time.
     ///
-    /// The quanta are an inline timer chain (`Env::delay_chain`): the
+    /// The quanta are a step lent to the event loop (`Env::lend`): the
     /// step below is the body of a `while remaining > 0 { delay(elapsed) }`
     /// loop, run by the event loop between quanta instead of by this
     /// process's thread, which is woken once, after the last one.
@@ -99,23 +99,23 @@ impl Cpu {
         // The quantum just slept through: nothing before the first step.
         let mut slice = 0;
         let mut elapsed = SimDuration::ZERO;
-        env.delay_chain(move |_now| {
+        env.lend(move |_env| {
             let mut st = inner.lock();
             st.busy += elapsed;
             remaining -= slice;
             if remaining == 0 {
-                return None;
+                return Step::Done;
             }
             slice = remaining.min(quantum);
             let demand = (st.active + st.bg_jobs) as f64 / st.cores as f64;
             elapsed = SimDuration::from_nanos(slice).mul_f64(demand.max(1.0) / st.speed);
-            Some(elapsed)
+            Step::Delay(elapsed)
         });
         self.inner.lock().active -= 1;
     }
 
     /// [`compute`](Self::compute) as a plain loop of `Env::delay`s on the
-    /// calling process's own thread — the definition the chained version
+    /// calling process's own thread — the definition the lent version
     /// must match event for event.
     #[cfg(test)]
     fn compute_reference(&self, env: &Env, work: SimDuration) {
@@ -512,7 +512,7 @@ mod tests {
         assert_eq!(cpu.work_done().as_nanos(), 96);
     }
 
-    // -- oracle: the chained `compute` against the delay loop ---------------
+    // -- oracle: the lent `compute` against the delay loop ------------------
 
     use crate::sync::channel;
     use rand::rngs::SmallRng;
@@ -688,7 +688,7 @@ mod tests {
             inline += stats.inline_steps;
             saved += ref_stats.handoffs - stats.handoffs;
         }
-        // The generator reaches the cases the chain exists for.
+        // The generator reaches the cases the lent step exists for.
         assert!(stray_wakes >= 10, "stray wakes mid-compute: {stray_wakes}");
         assert!(timeless >= 10, "all-zero-quanta computes: {timeless}");
         assert!(inline >= 1_000 && saved >= 1_000, "{inline} / {saved}");

@@ -71,17 +71,6 @@ impl Semaphore {
         Poll::Pending
     }
 
-    /// Try to take a permit without blocking.
-    pub fn try_acquire(&self) -> bool {
-        let mut st = self.inner.lock();
-        if st.permits > 0 {
-            st.permits -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Return one permit, waking a waiter if any.
     pub fn release(&self, env: &Env) {
         let waiter = {
@@ -92,11 +81,6 @@ impl Semaphore {
         if let Some(pid) = waiter {
             env.wake(pid);
         }
-    }
-
-    /// Permits currently available (for assertions/metrics).
-    pub fn available(&self) -> u64 {
-        self.inner.lock().permits
     }
 }
 
@@ -202,11 +186,6 @@ impl Barrier {
             let prev = std::mem::replace(&mut st.waiters, empty);
             st.waiters.extend(prev);
         }
-    }
-
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.inner.lock().n
     }
 }
 
@@ -391,26 +370,6 @@ impl<T: Send> Receiver<T> {
     pub fn is_drained(&self) -> bool {
         let st = self.chan.state.lock();
         st.senders == 0 && st.queue.is_empty()
-    }
-
-    /// Dequeue without blocking. `Ok(None)` means "empty but open";
-    /// `Err(())` means "empty and closed".
-    #[allow(clippy::result_unit_err)] // closed-channel has no error payload
-    pub fn try_recv(&self, env: &Env) -> Result<Option<T>, ()> {
-        let (item, wake_tx) = {
-            let mut st = self.chan.state.lock();
-            if let Some(v) = st.queue.pop_front() {
-                (Some(v), st.send_waiters.pop_front())
-            } else if st.senders == 0 {
-                return Err(());
-            } else {
-                return Ok(None);
-            }
-        };
-        if let Some(pid) = wake_tx {
-            env.wake(pid);
-        }
-        Ok(item)
     }
 
     /// Number of queued items right now (for metrics / DD policy probes).
@@ -623,7 +582,7 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(*released.lock(), vec![10, 10]);
-        assert_eq!(barrier.participants(), 2);
+        assert_eq!(barrier.inner.lock().n, 2);
     }
 
     #[test]

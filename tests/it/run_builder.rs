@@ -1,11 +1,11 @@
 //! The [`datacutter::Run`] builder: option composition (trace + faults +
-//! setup in one run) and the promoted tuning knobs.
+//! setup in one run).
 
 use std::sync::Arc;
 
 use datacutter::{
     DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run,
-    WritePolicy, DEFAULT_COURIER_CAPACITY,
+    WritePolicy,
 };
 use hetsim::{spawn_load_generator, FaultPlan, LoadProfile, SimDuration, SimTime, Topology, Trace};
 use integration_tests::cluster;
@@ -109,38 +109,4 @@ fn trace_faults_and_setup_combine_in_one_run() {
     let labels: Vec<&str> = busy.iter().map(|(l, _)| l.as_str()).collect();
     assert!(labels.contains(&"compute"), "{labels:?}");
     assert!(labels.contains(&"read-wait"), "{labels:?}");
-}
-
-/// The courier queue bound (formerly a silent `1 << 16`) is behaviourally
-/// inert: DD windows cap outstanding acks far below the default bound, so
-/// tightening or widening it leaves the run bit-identical.
-#[test]
-fn courier_capacity_default_is_behaviour_neutral() {
-    let run = |cap: usize| {
-        let (topo, hosts) = cluster(3);
-        let (graph, _out) = workload(&topo, &hosts, 30);
-        Run::new(graph).courier_capacity(cap).go(&topo).unwrap()
-    };
-    let tight = run(DEFAULT_COURIER_CAPACITY);
-    let wide = run(1 << 16);
-    assert_eq!(tight.elapsed, wide.elapsed);
-    assert_eq!(tight.events, wide.events);
-}
-
-/// A larger outbox deepens the compute/transfer overlap; the run must
-/// still deliver everything and never run slower.
-#[test]
-fn outbox_capacity_is_tunable() {
-    let run = |cap: usize| {
-        let (topo, hosts) = cluster(3);
-        let (graph, out) = workload(&topo, &hosts, 30);
-        let report = Run::new(graph).outbox_capacity(cap).go(&topo).unwrap();
-        let delivered = out.lock().len();
-        (report, delivered)
-    };
-    let (small, n_small) = run(1);
-    let (big, n_big) = run(8);
-    assert_eq!(n_small, 30);
-    assert_eq!(n_big, 30);
-    assert!(big.elapsed <= small.elapsed);
 }
