@@ -218,7 +218,7 @@ impl SpillRing {
     }
 
     /// Free a parked payload's slot without reading it (e.g. a spilled
-    /// retransmission the dedup layer suppressed).
+    /// original the reaper released in favour of its retained replica).
     pub fn discard(&self, ticket: SpillTicket) {
         self.free(ticket.offset, ticket.len as u64);
     }
@@ -309,6 +309,14 @@ impl StreamOoc {
     pub fn discharge(&self, bytes: u64) {
         self.ledger.release(bytes);
         self.resident.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// Give back what a queue payload dropped unread holds: its spill
+    /// slot, or else its budget charge.
+    pub(crate) fn drop_unread(&self, buf: &mut crate::buffer::DataBuffer) {
+        if !buf.discard_spilled() && buf.take_budget_charged() {
+            self.discharge(buf.wire_bytes());
+        }
     }
 
     /// Bytes of in-flight queue payloads currently resident.

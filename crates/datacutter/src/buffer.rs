@@ -288,7 +288,7 @@ impl DataBuffer {
     }
 
     /// Free a parked payload's ring slot without paying the read (a
-    /// suppressed duplicate, or read retries exhausted) and tombstone
+    /// released original, or read retries exhausted) and tombstone
     /// the payload. `false` when the buffer was not spilled.
     pub(crate) fn discard_spilled(&mut self) -> bool {
         let Some(spilled) = self.payload.downcast_ref::<SpilledPayload>() else {
@@ -437,8 +437,8 @@ impl BufferSlab {
 
     /// Return `buf`'s payload box to the free list without recovering the
     /// value — the type-erased counterpart of [`recycle`](Self::recycle),
-    /// used where the concrete payload type is unknown (suppressed
-    /// duplicate deliveries, evicted or settled retention entries). The
+    /// used where the concrete payload type is unknown (evicted, settled
+    /// or swept retention entries, buffers lost in the spill ring). The
     /// box is keyed by the payload's runtime `TypeId`, so a later `make`
     /// of the same type reuses it; the stale contents are overwritten (and
     /// their interior resources dropped) at that point.

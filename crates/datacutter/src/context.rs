@@ -17,10 +17,10 @@ use crate::buffer::DataBuffer;
 use crate::fault::{abort_run, raise_killed, CopyHealth, ErrorCell, FaultCtl, RunError};
 use crate::filter::CopyInfo;
 use crate::metrics::CopyCell;
-use crate::policy::{AckHandle, CopySetInfo, WriterState};
+use crate::policy::{AckHandle, WriterState};
 use crate::runtime::delivery::{Closed, CourierMsg, Delivery, Envelope, OutMsg};
 use crate::runtime::eow::UowGate;
-use crate::runtime::retain::{Dedup, Provenance, StreamRetention};
+use crate::runtime::retain::{Provenance, StreamRetention};
 use crate::runtime::{ChanRx, ChanTx, ExecEnv};
 
 pub(crate) struct InputPort {
@@ -30,19 +30,15 @@ pub(crate) struct InputPort {
     /// this copy credits demand windows and settles retention itself.
     pub courier_tx: Option<ChanTx<CourierMsg>>,
     pub gate: Arc<Mutex<UowGate>>,
-    /// Gates of the *other* copy sets on this stream, with their set
-    /// descriptions. When a peer set is dead its reaper may still be
-    /// replaying salvaged buffers into this queue; this set must not
-    /// declare end-of-work until the dead peer's gate has advanced past
-    /// the current UOW (all its salvageable traffic for the cycle
-    /// forwarded).
-    pub peer_gates: Vec<(CopySetInfo, Arc<Mutex<UowGate>>)>,
+    /// Gates of the *other* copy sets on this stream that can die. A dead
+    /// peer's reaper may still send buffers into this queue, so this copy
+    /// does not finish the UOW until every such peer has finished it too
+    /// (see [`FilterCtx::read`]).
+    pub peer_gates: Vec<Arc<Mutex<UowGate>>>,
     pub copyset_counters: crate::metrics::CopySetCell,
-    /// Lossless recovery: the copy set's shared dedup table (`None` ⇒
+    /// Lossless recovery: the stream's retention, settled with this copy's
+    /// journal and re-fetched from after a supervised restart (`None` ⇒
     /// degraded mode, no recovery bookkeeping on the read path).
-    pub dedup: Option<Arc<Dedup>>,
-    /// Lossless recovery: the stream's retention, for re-fetching this
-    /// copy's consumed-but-unflushed buffers after a supervised restart.
     pub retention: Option<Arc<StreamRetention>>,
     /// Provenances this copy consumed in the current UOW. Settled at
     /// clean end-of-work; harvested by
@@ -56,6 +52,9 @@ pub(crate) struct InputPort {
     /// The crashed incarnation had already consumed this UOW's
     /// end-of-work token; re-signal end-of-work once `replay` drains.
     pub replay_done: bool,
+    /// Lossless recovery: this copy consumed its end-of-work token this
+    /// UOW and keeps reading redelivered buffers until its peers finish.
+    pub eow_taken: bool,
     /// Out-of-core state of this stream (`None` ⇒ no memory budget; the
     /// read path never touches the ledger or ring).
     pub ooc: Option<Arc<StreamOoc>>,
@@ -132,9 +131,35 @@ impl FilterCtx {
     fn check_killed(&self) {
         if let Some(d) = self.my_death {
             if self.env.now() >= d {
-                raise_killed();
+                self.die();
             }
         }
+    }
+
+    /// Unwind this copy as dead. Under lossless recovery the buffers it
+    /// consumed this UOW (its journal) come back from retention, retargeted
+    /// by its set's reaper; one whose replica the bounded ring already
+    /// evicted cannot, so it is tallied lost here.
+    pub(crate) fn die(&self) -> ! {
+        if let Some(ctl) = &self.faults {
+            let missed: usize = self
+                .inputs
+                .iter()
+                .filter_map(|i| {
+                    let r = i.retention.as_ref()?;
+                    Some(
+                        i.journal
+                            .iter()
+                            .filter(|&&p| r.addressee(p).is_none())
+                            .count(),
+                    )
+                })
+                .sum();
+            if missed > 0 {
+                ctl.tallies.lock().buffers_lost += missed as u64;
+            }
+        }
+        raise_killed()
     }
 
     /// Record a heartbeat (supervised runs; no-op otherwise).
@@ -149,19 +174,38 @@ impl FilterCtx {
     /// start — and *not* on a supervised restart of the same UOW, so
     /// already-consumed `UowDone` tokens stay consumed.
     pub(crate) fn begin_uow(&mut self, uow: u32) {
-        // Settle any journal the filter left behind (it finished the
-        // cycle without draining the port to end-of-work) and drop stale
-        // restart replicas — both belong to the finished UOW.
-        for i in 0..self.inputs.len() {
-            self.settle_port(i);
-            while let Some((_, buf)) = self.inputs[i].replay.pop_front() {
+        // Drop stale restart replicas: they belong to the finished UOW.
+        for input in &mut self.inputs {
+            while let Some((_, buf)) = input.replay.pop_front() {
                 self.slab.repool(buf);
             }
-            self.inputs[i].replay_done = false;
+            input.replay_done = false;
+            input.eow_taken = false;
         }
         self.uow = uow;
         for d in self.port_done.iter_mut() {
             *d = false;
+        }
+    }
+
+    /// Leave the current unit of work (the filter's `finalize` returned):
+    /// a port the filter did not drain to end-of-work still counts as
+    /// ended for the peers waiting on this copy, and everything journaled
+    /// is flushed downstream, so it is settled.
+    pub(crate) fn end_uow(&mut self) {
+        for port in 0..self.inputs.len() {
+            self.end_port(port);
+            self.settle_port(port);
+        }
+    }
+
+    /// Record in this copy set's gate that this copy consumed its
+    /// end-of-work on `port` (lossless recovery only: nobody reads it
+    /// otherwise).
+    fn end_port(&self, port: usize) {
+        if self.faults.as_ref().is_some_and(|c| c.lossless()) {
+            let mut g = self.inputs[port].gate.lock();
+            g.end(self.info.copy_index, self.uow);
         }
     }
 
@@ -172,7 +216,7 @@ impl FilterCtx {
     /// nothing was journaled.
     pub(crate) fn settle_port(&mut self, port: usize) {
         let input = &mut self.inputs[port];
-        if input.dedup.is_none() || input.journal.is_empty() {
+        if input.retention.is_none() || input.journal.is_empty() {
             return;
         }
         let items = std::mem::take(&mut input.journal);
@@ -190,9 +234,9 @@ impl FilterCtx {
 
     /// Rebuild a supervised restart's lost input state: the crashed
     /// incarnation's journaled (consumed-but-unflushed) buffers are
-    /// un-claimed from the set's dedup table, re-fetched from the
-    /// stream's retention, and queued on the port's local replay line so
-    /// the fresh filter instance consumes them before the shared queue.
+    /// re-fetched from the stream's retention and queued on the port's
+    /// local replay line so the fresh filter instance consumes them
+    /// before the shared queue.
     /// Journal entries whose replicas were already evicted from the
     /// bounded retention ring are unrecoverable and tallied as lost.
     pub(crate) fn prepare_restart_replay(&mut self) {
@@ -202,15 +246,12 @@ impl FilterCtx {
         if !ctl.lossless() {
             return;
         }
-        let uow = self.uow;
         let (mut refetched, mut refetched_bytes, mut evicted) = (0u64, 0u64, 0u64);
         for (i, input) in self.inputs.iter_mut().enumerate() {
-            let (Some(dedup), Some(retention)) = (input.dedup.as_ref(), input.retention.as_ref())
-            else {
+            let Some(retention) = input.retention.as_ref() else {
                 continue;
             };
             for p in std::mem::take(&mut input.journal) {
-                dedup.forget(uow, p);
                 match retention.fetch(p.copy, p.seq) {
                     Some(buf) => {
                         refetched += 1;
@@ -233,21 +274,61 @@ impl FilterCtx {
         }
     }
 
-    /// True when no dead peer copy set can still replay buffers for the
-    /// current UOW into `port`'s queue. A dead peer's reaper forwards
-    /// salvaged buffers in FIFO order and advances the dead gate's cycle
-    /// only after every producer's end-of-work marker (which trails all of
-    /// that producer's data) has been salvaged, so `cycle > uow` proves
-    /// all replays for `uow` have already been enqueued here.
+    /// True when no peer copy set that is dead *now* can still send
+    /// buffers for the current UOW into `port`'s queue. A dead peer's
+    /// reaper sends in FIFO order and advances the dead gate's cycle only
+    /// after every producer's end-of-work marker (which trails all of that
+    /// producer's data) has been salvaged, so `cycle > uow` proves all its
+    /// sends for `uow` have already been enqueued here. A peer that dies
+    /// later is lossless recovery's survivor wait (see
+    /// [`read`](Self::read)).
     fn replays_settled(&self, port: usize) -> bool {
         let Some(ctl) = self.faults.as_ref().filter(|c| c.crashes_possible()) else {
             return true;
         };
         let now = self.env.now();
+        self.inputs[port].peer_gates.iter().all(|g| {
+            let g = g.lock();
+            !ctl.set_dead(&g.set, now) || g.cycle() > self.uow
+        })
+    }
+
+    /// Release every copy of `port`'s set — one `UowDone` each — once the
+    /// whole producer side is done (dead producers counted done) and no
+    /// dead peer set can still replay into the queue. Otherwise the next
+    /// liveness probe retries.
+    fn try_fire_gate(&self, port: usize) {
+        if !self.replays_settled(port) {
+            return;
+        }
+        let now = self.env.now();
+        let fired = self.inputs[port]
+            .gate
+            .lock()
+            .try_fire(self.uow, self.faults.as_deref(), now);
+        for _ in 0..fired.unwrap_or(0) {
+            let _ = self.inputs[port]
+                .inject_tx
+                .push(&self.env, Envelope::UowDone);
+        }
+    }
+
+    /// Lossless recovery: true once every peer set on `port` that can die
+    /// has finished the current UOW — consumed its end-of-work, or died
+    /// and been drained by its reaper (see [`UowGate::finished`]).
+    fn peers_finished(&self, port: usize, ctl: &FaultCtl) -> bool {
+        let now = self.env.now();
         self.inputs[port]
             .peer_gates
             .iter()
-            .all(|(s, g)| !ctl.set_dead(s, now) || g.lock().cycle() > self.uow)
+            .all(|g| g.lock().finished(self.uow, ctl, now))
+    }
+
+    /// End-of-work on `port` is final: latch it and settle the journal.
+    fn finish_port(&mut self, port: usize) -> Option<DataBuffer> {
+        self.port_done[port] = true;
+        self.settle_port(port);
+        None
     }
 
     /// If this host is inside a scheduled stall window, sleep until the
@@ -554,12 +635,6 @@ impl FilterCtx {
         self.env.sim()
     }
 
-    /// The execution environment of this copy, whichever substrate it runs
-    /// on.
-    pub fn exec_env(&self) -> &ExecEnv {
-        &self.env
-    }
-
     /// Number of input streams (read ports).
     pub fn input_count(&self) -> usize {
         self.inputs.len()
@@ -575,18 +650,22 @@ impl FilterCtx {
     /// finished and the queue drained). Acknowledges demand-driven buffers
     /// as they are dequeued — "the buffer is now being processed", as the
     /// paper puts it.
+    ///
+    /// Under lossless recovery a copy whose stream has peer sets that can
+    /// die keeps reading after its end-of-work token: a peer that dies
+    /// later has its retained buffers redelivered here. It returns `None`
+    /// once every such peer finished the UOW and the queue is empty. A
+    /// waiting copy whose host dies dies at its next read like any other:
+    /// its journal is still retained, so its set's reaper retargets it.
     pub fn read(&mut self, port: usize) -> Option<DataBuffer> {
         if let Some((p, buf)) = self.inputs[port].replay.pop_front() {
             // Restart rebuild: serve the re-fetched replicas of the
             // crashed incarnation's consumed buffers before touching the
-            // shared queue. Re-claim and re-journal each one — it is
-            // being processed again, and its replica must be settled (or
-            // re-fetched on a second crash) like any first delivery.
-            // Deliberately not counted in stream/copy metrics: the
-            // original delivery was already counted by this copy.
-            if let Some(d) = self.inputs[port].dedup.as_ref() {
-                let _ = d.claim(self.uow, p);
-            }
+            // shared queue. Re-journal each one — it is being processed
+            // again, and its replica must be settled (or re-fetched on a
+            // second crash) like any first delivery. Deliberately not
+            // counted in stream/copy metrics: the original delivery was
+            // already counted by this copy.
             self.inputs[port].journal.push(p);
             return Some(buf);
         }
@@ -595,9 +674,7 @@ impl FilterCtx {
             // end-of-work token before dying; now that the rebuild has
             // drained, re-signal end-of-work from the latch.
             self.inputs[port].replay_done = false;
-            self.port_done[port] = true;
-            self.settle_port(port);
-            return None;
+            return self.finish_port(port);
         }
         if self.port_done[port] {
             // A restarted copy re-reading a port whose end-of-work it
@@ -606,6 +683,7 @@ impl FilterCtx {
             return None;
         }
         loop {
+            let waiting = self.inputs[port].eow_taken;
             self.check_killed();
             self.beat();
             let span = self.trace.as_ref().map(|(t, who)| {
@@ -628,7 +706,28 @@ impl FilterCtx {
                     Some(d) if d < tick => d,
                     _ => tick,
                 };
-                match self.inputs[port].rx.recv_deadline(&self.env, deadline) {
+                let recv = if waiting {
+                    if self.peers_finished(port, &ctl) && self.inputs[port].rx.is_empty() {
+                        return self.finish_port(port);
+                    }
+                    let pending = self.inputs[port].gate.lock().sibling_pending(
+                        self.info.copy_index,
+                        self.uow,
+                        &ctl,
+                        t0,
+                    );
+                    if pending {
+                        // A live sibling's token is still queued: leave
+                        // the queue to it for a tick.
+                        self.env.delay(deadline - t0);
+                        DeadlineRecv::TimedOut
+                    } else {
+                        self.inputs[port].rx.recv_deadline(&self.env, deadline)
+                    }
+                } else {
+                    self.inputs[port].rx.recv_deadline(&self.env, deadline)
+                };
+                match recv {
                     DeadlineRecv::Item(e) => Some(e),
                     DeadlineRecv::Closed => None,
                     DeadlineRecv::TimedOut => {
@@ -637,18 +736,8 @@ impl FilterCtx {
                             t.end_at(self.env.now(), s);
                         }
                         self.check_killed();
-                        let fired = if self.replays_settled(port) {
-                            let mut g = self.inputs[port].gate.lock();
-                            g.try_fire(self.uow, Some(&ctl), self.env.now())
-                        } else {
-                            None
-                        };
-                        if let Some(copies) = fired {
-                            for _ in 0..copies {
-                                let _ = self.inputs[port]
-                                    .inject_tx
-                                    .send(&self.env, Envelope::UowDone);
-                            }
+                        if !waiting {
+                            self.try_fire_gate(port);
                         }
                         continue;
                     }
@@ -667,8 +756,6 @@ impl FilterCtx {
             match got {
                 Some(Envelope::Data { mut buf, ack, prov }) => {
                     if let Some(ack) = ack {
-                        // Credited even for a duplicate about to be
-                        // suppressed — the buffer was dequeued either way.
                         // Under virtual time the courier pays the reverse
                         // network path so this copy keeps working.
                         match &self.inputs[port].courier_tx {
@@ -678,34 +765,20 @@ impl FilterCtx {
                             None => ack.state.ack(&self.env, ack.copyset_idx),
                         }
                     }
-                    let claimed = match (self.inputs[port].dedup.as_ref(), prov) {
-                        (Some(d), Some(p)) => d.claim(self.uow, p),
-                        _ => true,
-                    };
-                    if !claimed {
-                        // A copy of this set already processed this
-                        // provenance — an original racing its own
-                        // redelivered replica. Suppress it: recycle the
-                        // payload box and read on. Not counted in
-                        // stream/copy metrics (the claimed delivery was).
-                        // A spilled duplicate's ring slot is freed without
-                        // paying the read; a resident spillable one
-                        // releases its budget charge.
-                        if let Some(ooc) = self.inputs[port].ooc.as_ref() {
-                            if !buf.discard_spilled() && buf.take_budget_charged() {
-                                ooc.discharge(buf.wire_bytes());
-                            }
-                        }
-                        self.slab.repool(buf);
-                        if let Some(ctl) = &self.faults {
-                            ctl.tallies.lock().duplicates_suppressed += 1;
-                        }
-                        continue;
-                    }
                     if let Some(p) = prov {
-                        if self.inputs[port].dedup.is_some() {
-                            self.inputs[port].journal.push(p);
+                        if p.uow != self.uow {
+                            // A replica of a unit of work this copy has
+                            // left: a peer died after this set finished
+                            // it. Processing it now would mix it into this
+                            // UOW, so drop it; it stays retained and the
+                            // end-of-run sweep counts it lost.
+                            if let Some(ooc) = self.inputs[port].ooc.as_ref() {
+                                ooc.drop_unread(&mut buf);
+                            }
+                            self.slab.repool(buf);
+                            continue;
                         }
+                        self.inputs[port].journal.push(p);
                     }
                     if !self.ooc_incoming(port, &mut buf) {
                         // The storage plane lost this buffer (corrupt or
@@ -729,36 +802,25 @@ impl FilterCtx {
                     return Some(buf);
                 }
                 Some(Envelope::Eow { producer }) => {
-                    // One producer copy finished this UOW. When the whole
-                    // producer side is done (dead producers counted done)
-                    // and no dead peer set can still replay into us,
-                    // release every copy in the set. If replays are still
-                    // pending, the next liveness probe retries the fire.
-                    let settled = self.replays_settled(port);
-                    let complete = {
-                        let mut g = self.inputs[port].gate.lock();
-                        g.mark(producer);
-                        if settled {
-                            g.try_fire(self.uow, self.faults.as_deref(), self.env.now())
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(copies) = complete {
-                        for _ in 0..copies {
-                            let _ = self.inputs[port]
-                                .inject_tx
-                                .send(&self.env, Envelope::UowDone);
-                        }
-                    }
+                    // One producer copy finished this UOW.
+                    self.inputs[port].gate.lock().mark(producer);
+                    self.try_fire_gate(port);
                 }
-                Some(Envelope::UowDone) | None => {
-                    self.port_done[port] = true;
+                // Every live sibling took its own token before this copy
+                // read on, so this one belonged to a dead copy.
+                Some(Envelope::UowDone) if waiting => {}
+                Some(Envelope::UowDone) => {
+                    self.end_port(port);
+                    let lossless = self.faults.as_ref().is_some_and(|c| c.lossless());
+                    if lossless && !self.inputs[port].peer_gates.is_empty() {
+                        self.inputs[port].eow_taken = true;
+                        continue;
+                    }
                     // Clean end-of-work: everything journaled this UOW is
                     // flushed downstream, so its retained replicas can go.
-                    self.settle_port(port);
-                    return None;
+                    return self.finish_port(port);
                 }
+                None => return self.finish_port(port),
             }
         }
     }
@@ -814,7 +876,7 @@ impl FilterCtx {
         let prov = self.outputs[port]
             .retention
             .as_ref()
-            .and_then(|r| r.stamp(self.info.copy_index, copyset_idx, &buf));
+            .and_then(|r| r.stamp(self.info.copy_index, self.uow, copyset_idx, &buf));
         let bytes = buf.wire_bytes();
         let (spill_bytes, spill_elapsed) = self.ooc_outgoing(port, &mut buf);
         let msg = OutMsg::Data {

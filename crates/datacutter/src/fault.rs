@@ -35,6 +35,7 @@ use hetsim::{splitmix64, FaultPlan, HostId, SimDuration, SimError, SimTime};
 use parking_lot::Mutex;
 
 use crate::graph::FilterId;
+use crate::metrics::FaultReport;
 use crate::policy::CopySetInfo;
 
 /// A structured error from a pipeline run — either a failure of the
@@ -309,20 +310,20 @@ pub fn backoff_delay(
 /// slab-pooled replica of every sent buffer in bounded per-stream
 /// retention rings until the consuming copy set settles its unit of work;
 /// dead sets get their unsettled traffic redelivered to survivors (and
-/// restarted copies get their consumed-but-unflushed buffers re-injected),
-/// with sequence-number deduplication making the redelivery idempotent —
-/// a seeded crash then costs latency, not output. Lossless falls back to
-/// the degraded accounting when recovery is impossible (retention ring
-/// overflowed past `retention_depth`, a non-replicable payload, or no
-/// surviving consumer set).
+/// restarted copies get their consumed-but-unflushed buffers re-injected)
+/// from retention alone — a seeded crash then costs latency, not output.
+/// A replica no consumer settled by the end of the run is counted lost.
+/// Lossless falls back to the degraded accounting when recovery is
+/// impossible (retention ring overflowed past `retention_depth`, a
+/// non-replicable payload, or no surviving consumer set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Recovery {
     /// Loss-accounted completion: replay what the ack machinery can
     /// re-address, tally the rest as lost.
     #[default]
     Degraded,
-    /// Retention + replay + idempotent redelivery: completed runs are
-    /// bit-identical to the fault-free run with zero loss.
+    /// Retention + redelivery: completed runs are bit-identical to the
+    /// fault-free run with zero loss.
     Lossless,
 }
 
@@ -372,8 +373,8 @@ pub struct FaultOptions {
     /// `None` (the default) keeps the pure fail-stop semantics.
     pub supervisor: Option<SupervisorPolicy>,
     /// Recovery contract: `Degraded` (default, PR 5's loss-accounted
-    /// completion) or `Lossless` (retention + replay + idempotent
-    /// redelivery; see [`Recovery`]).
+    /// completion) or `Lossless` (retention + redelivery; see
+    /// [`Recovery`]).
     pub recovery: Recovery,
     /// Capacity of each per-(producer copy, stream) retention ring under
     /// lossless recovery ([`DEFAULT_RETENTION_DEPTH`] by default).
@@ -588,32 +589,6 @@ pub struct RestartEvent {
     pub at: SimTime,
 }
 
-/// Live fault tallies, harvested into `FaultReport` after the run.
-#[derive(Debug, Default)]
-pub(crate) struct FaultTallies {
-    pub copies_killed: u64,
-    pub buffers_replayed: u64,
-    pub bytes_replayed: u64,
-    pub buffers_lost: u64,
-    pub bytes_lost: u64,
-    pub retransmits: u64,
-    pub restarts: u64,
-    pub copies_wedged: u64,
-    pub messages_delayed: u64,
-    /// Retained replicas redelivered to a surviving set or a restarted
-    /// copy under lossless recovery.
-    pub buffers_redelivered: u64,
-    pub bytes_redelivered: u64,
-    /// Redelivered buffers a consumer suppressed as already processed
-    /// (sequence-number dedup).
-    pub duplicates_suppressed: u64,
-    /// Replicas evicted from full retention rings (bounded by
-    /// `retention_depth`); each eviction may surface later as a loss.
-    pub retention_evicted: u64,
-    /// Per-copy restart timeline (supervised runs).
-    pub restart_events: Vec<RestartEvent>,
-}
-
 /// Runtime-internal fault control block, shared by filter contexts, writer
 /// policies, senders, reapers and the supervisor while a plan is active.
 pub(crate) struct FaultCtl {
@@ -626,7 +601,9 @@ pub(crate) struct FaultCtl {
     pub recovery: Recovery,
     /// Retention ring capacity under lossless recovery.
     pub retention_depth: usize,
-    pub tallies: Mutex<FaultTallies>,
+    /// The counters of the run's [`FaultReport`], tallied live; the rest
+    /// is filled in when the run's results are harvested.
+    pub tallies: Mutex<FaultReport>,
     /// Deaths declared at runtime (restart budget exhausted, wedge
     /// detection), keyed by (filter, copy index). The plan is immutable;
     /// this registry is the mutable half the merged oracle queries below
@@ -643,7 +620,7 @@ impl FaultCtl {
             supervisor: opts.supervisor,
             recovery: opts.recovery,
             retention_depth: opts.retention_depth.max(1),
-            tallies: Mutex::new(FaultTallies::default()),
+            tallies: Mutex::new(FaultReport::default()),
             dynamic: Mutex::new(HashMap::new()),
         })
     }
@@ -655,8 +632,7 @@ impl FaultCtl {
         self.plan.has_crashes() || self.supervisor.is_some()
     }
 
-    /// True when the run retains, replays and deduplicates for lossless
-    /// recovery.
+    /// True when the run retains and redelivers for lossless recovery.
     pub fn lossless(&self) -> bool {
         self.recovery == Recovery::Lossless
     }

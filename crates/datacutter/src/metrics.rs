@@ -97,11 +97,18 @@ pub struct FaultReport {
     pub injected: Vec<String>,
     /// Filter copies killed by host crashes.
     pub copies_killed: u64,
-    /// Buffers salvaged from dead copy sets and replayed to survivors.
+    /// Buffers salvaged from dead copy sets and replayed to survivors
+    /// through their producer's demand window. Under
+    /// [`Recovery::Lossless`](crate::Recovery) a replicable buffer is never
+    /// replayed — its retained replica is redelivered instead — so this
+    /// stays 0 unless a lossless stream carries non-replicable payloads.
     pub buffers_replayed: u64,
     /// Payload bytes replayed.
     pub bytes_replayed: u64,
-    /// Buffers irrecoverably lost (no ack handle or no surviving set).
+    /// Buffers irrecoverably lost: no ack handle or no surviving set, a
+    /// restarted or dead copy's journal entry whose replica was evicted,
+    /// or — under lossless recovery — a replica still retained when the
+    /// run ended.
     pub buffers_lost: u64,
     /// Payload bytes lost.
     pub bytes_lost: u64,
@@ -118,9 +125,6 @@ pub struct FaultReport {
     pub buffers_redelivered: u64,
     /// Payload bytes redelivered.
     pub bytes_redelivered: u64,
-    /// Redelivered buffers consumers suppressed as already processed
-    /// (sequence-number dedup — proof redelivery was idempotent).
-    pub duplicates_suppressed: u64,
     /// Replicas evicted from full retention rings (`retention_depth`
     /// bound); non-zero means the lossless guarantee was at risk.
     pub retention_evicted: u64,
@@ -186,12 +190,11 @@ impl std::fmt::Display for FaultReport {
         )?;
         writeln!(
             f,
-            "  replayed {} buffers ({} B), redelivered {} ({} B), suppressed {} duplicates",
+            "  replayed {} buffers ({} B), redelivered {} ({} B)",
             self.buffers_replayed,
             self.bytes_replayed,
             self.buffers_redelivered,
-            self.bytes_redelivered,
-            self.duplicates_suppressed
+            self.bytes_redelivered
         )?;
         writeln!(
             f,
@@ -321,16 +324,6 @@ impl RunReport {
             .iter()
             .map(|c| c.counters.work)
             .fold(SimDuration::ZERO, |a, b| a + b)
-    }
-
-    /// Max per-copy compute-elapsed among copies of `f` (critical path
-    /// contribution).
-    pub fn filter_max_elapsed(&self, f: FilterId) -> SimDuration {
-        self.copies_of(f)
-            .iter()
-            .map(|c| c.counters.compute_elapsed)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Stream report by id.

@@ -274,8 +274,6 @@ struct DemandInner {
     /// the `notify_all` syscall entirely when this is zero (the common
     /// case: windows rarely fill).
     native_waiting: usize,
-    /// Cumulative buffers sent per copy set (metrics).
-    sent: Vec<u64>,
     /// Rotating scan start so ties among remote copy sets spread evenly
     /// instead of biasing toward low indices.
     cursor: usize,
@@ -302,7 +300,6 @@ impl DemandState {
                     .collect(),
                 waiters: Vec::new(),
                 native_waiting: 0,
-                sent: vec![0; sets.len()],
                 cursor: 0,
                 dead_scratch: Vec::with_capacity(sets.len()),
             }),
@@ -352,7 +349,6 @@ impl DemandState {
                     // least-unacked set regardless of its window.
                     let i = (0..n).min_by_key(|&i| st.unacked[i]).unwrap_or(0);
                     st.unacked[i] += 1;
-                    st.sent[i] += 1;
                     st.cursor = (i + 1) % n;
                     return i;
                 }
@@ -381,7 +377,6 @@ impl DemandState {
             }
             if let Some(i) = best {
                 st.unacked[i] += 1;
-                st.sent[i] += 1;
                 st.cursor = (i + 1) % n;
                 return i;
             }
@@ -406,7 +401,6 @@ impl DemandState {
                         // scope anyway).
                         let i = (0..n).min_by_key(|&i| st.unacked[i]).unwrap_or(0);
                         st.unacked[i] += 1;
-                        st.sent[i] += 1;
                         st.cursor = (i + 1) % n;
                         return i;
                     }
@@ -443,7 +437,6 @@ impl DemandState {
             let pick = alive.iter().copied().min_by_key(|&i| st.unacked[i]);
             if let Some(i) = pick {
                 st.unacked[i] += 1;
-                st.sent[i] += 1;
             }
             (pick, std::mem::take(&mut st.waiters), st.native_waiting)
         };
@@ -486,11 +479,6 @@ impl DemandState {
                 }
             }
         }
-    }
-
-    /// Buffers sent per copy set so far.
-    pub fn sent_counts(&self) -> Vec<u64> {
-        self.inner.lock().sent.clone()
     }
 
     /// Currently unacknowledged buffers per copy set.

@@ -24,7 +24,8 @@ use hetsim::{HostId, SimDuration, Step, Topology, Transfer};
 use super::exec::{poll_charge, ChanRx, ChanTx, ExecEnv, Executor};
 use super::retain::{Provenance, StreamRetention};
 use crate::buffer::{DataBuffer, ACK_WIRE_BYTES, EOW_WIRE_BYTES};
-use crate::fault::{CopyHealth, FaultCtl, FaultTallies};
+use crate::fault::{CopyHealth, FaultCtl};
+use crate::metrics::FaultReport;
 use crate::policy::{AckHandle, CopySetInfo};
 
 /// A message on a copy-set queue.
@@ -34,9 +35,9 @@ pub(crate) enum Envelope {
         buf: DataBuffer,
         ack: Option<AckHandle>,
         /// Retention identity (`(producer copy, per-stream seq)`) when the
-        /// stream runs under lossless recovery; `None` otherwise. A second
-        /// delivery (reaper forward or restart re-injection) carries the
-        /// original provenance so consumers can dedup it.
+        /// stream runs under lossless recovery; `None` otherwise. A
+        /// redelivered replica carries the original provenance, so the
+        /// consumer that settles it releases the retained entry.
         prov: Option<Provenance>,
     },
     /// In-band end-of-work marker from one producer copy (by copy index).
@@ -229,7 +230,7 @@ impl Delivery {
     }
 
     /// Count a fault-plan sleep in the run's tallies.
-    fn tally(&self, count: impl FnOnce(&mut FaultTallies)) {
+    fn tally(&self, count: impl FnOnce(&mut FaultReport)) {
         if let Some(ctl) = &self.faults {
             count(&mut ctl.tallies.lock());
         }

@@ -177,6 +177,18 @@ impl<T: Send> ChanTx<T> {
         }
     }
 
+    /// Send past the capacity bound: never blocks. For senders that must
+    /// not wait on the queue's consumers — a copy injecting `UowDone`
+    /// tokens into its own set's queue (only that set drains it), and a
+    /// reaper redelivering to a survivor that may already have left the
+    /// unit of work (the survivors wait on that reaper).
+    pub(crate) fn push(&self, env: &ExecEnv, value: T) -> Result<(), SendError<T>> {
+        match self {
+            ChanTx::Sim(tx) => tx.push(env.expect_sim(), value),
+            ChanTx::Native(tx) => tx.push(value),
+        }
+    }
+
     /// Send the value in `slot` without parking a sim process: `Pending`
     /// (value kept, process registered for a wake) while the channel is
     /// full. A native send blocks the calling thread instead and is always

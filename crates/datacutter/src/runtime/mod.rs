@@ -11,7 +11,7 @@
 //!   ack-courier handlers,
 //! * [`eow`] — end-of-work gates (UOW cycle separation),
 //! * [`reaper`] — dead-set salvage and demand-driven replay,
-//! * [`retain`] — lossless-recovery retention rings and seq-number dedup,
+//! * [`retain`] — lossless-recovery retention rings,
 //! * [`supervisor`] — wedge detection and eviction for supervised runs.
 //!
 //! Runs are configured with the [`Run`] builder:
@@ -169,11 +169,11 @@ impl Run {
     /// would be.
     ///
     /// With [`crate::fault::Recovery::Lossless`] the runtime additionally
-    /// retains sent buffers until consumers settle them, replays retained
-    /// replicas after crashes and supervised restarts, and dedups
-    /// redeliveries by sequence number — a crashed-and-recovered run then
-    /// reports `buffers_lost == 0` and produces output identical to a
-    /// fault-free run.
+    /// retains sent buffers until consumers settle them and redelivers
+    /// retained replicas after crashes and supervised restarts — a
+    /// crashed-and-recovered run then reports `buffers_lost == 0` and
+    /// produces output identical to a fault-free run. A replica still
+    /// retained when the run ends is counted lost.
     ///
     /// Two caveats on the reported `elapsed` under a plan with crashes: a
     /// crash scheduled after the pipeline naturally finishes extends the
@@ -380,28 +380,22 @@ fn drive<E: Executor>(
     let mut boundaries = std::mem::take(&mut *wiring.uow_boundaries.lock());
     boundaries.sort_unstable();
 
+    // Lossless recovery's one loss rule: a replica no consumer settled by
+    // the end of the run was never processed to the end of a UOW.
+    for (stream, retention) in &wiring.retention {
+        if retention.sweep() > 0 && fault_ctl.as_ref().is_some_and(|c| !c.allow_degraded) {
+            return Err(RunError::NoSurvivingConsumers {
+                stream: stream.clone(),
+            });
+        }
+    }
+
     let mut faults_report = match &fault_ctl {
         Some(ctl) => {
-            let t = ctl.tallies.lock();
-            FaultReport {
-                injected: ctl.plan.describe(),
-                copies_killed: t.copies_killed,
-                buffers_replayed: t.buffers_replayed,
-                bytes_replayed: t.bytes_replayed,
-                buffers_lost: t.buffers_lost,
-                bytes_lost: t.bytes_lost,
-                retransmits: t.retransmits,
-                restarts: t.restarts,
-                copies_wedged: t.copies_wedged,
-                messages_delayed: t.messages_delayed,
-                buffers_redelivered: t.buffers_redelivered,
-                bytes_redelivered: t.bytes_redelivered,
-                duplicates_suppressed: t.duplicates_suppressed,
-                retention_evicted: t.retention_evicted,
-                restart_events: t.restart_events.clone(),
-                degraded: t.buffers_lost > 0 || t.copies_wedged > 0,
-                ..FaultReport::default()
-            }
+            let mut f = ctl.tallies.lock().clone();
+            f.injected = ctl.plan.describe();
+            f.degraded = f.buffers_lost > 0 || f.copies_wedged > 0;
+            f
         }
         None => FaultReport::default(),
     };

@@ -195,6 +195,15 @@ impl<T: Send> NativeTx<T> {
     /// silently discarded (reported `Ok`) so producers unwinding through
     /// teardown do not trip their own "channel closed" panics.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+        self.enqueue(value, self.ch.capacity)
+    }
+
+    /// [`send`](Self::send) past the capacity bound: never blocks.
+    pub fn push(&self, value: T) -> Result<(), SendError<T>> {
+        self.enqueue(value, usize::MAX)
+    }
+
+    fn enqueue(&self, value: T, capacity: usize) -> Result<(), SendError<T>> {
         let ch = &self.ch;
         let mut slot = Some(value);
         let mut st = ch.st.lock();
@@ -205,7 +214,7 @@ impl<T: Send> NativeTx<T> {
             if st.receivers == 0 {
                 return Err(SendError(held(&mut slot)));
             }
-            if st.queue.len() < ch.capacity {
+            if st.queue.len() < capacity {
                 st.queue.push_back(held(&mut slot));
                 let wake = st.recv_waiting > 0;
                 drop(st);

@@ -1,13 +1,24 @@
 //! Dead-set salvage: a reaper process per doomed copy set. The reaper
 //! waits (without consuming) until the set's death, then drains the dead
-//! queue for the rest of the run, replaying demand-driven buffers to
-//! surviving copy sets and tallying unrecoverable ones as lost.
+//! queue for the rest of the run.
+//!
+//! What it does with the dead set's traffic depends on the recovery
+//! contract. Degraded: a demand-driven buffer is replayed to a surviving
+//! set through its producer's window, and anything else is tallied lost.
+//! Lossless: the producer's retention is the route back. The reaper
+//! retargets every entry addressed to the dead set to one survivor and
+//! sends it a replica; a queue original that carries a provenance is
+//! released, since its replica travels instead. Whatever no survivor
+//! settles is still retained when the run ends, and the end-of-run sweep
+//! counts it lost then. The one exception is retention overflow: an
+//! original whose replica the bounded ring already evicted is sent on
+//! itself, and counted lost here if no survivor takes it.
 //!
 //! Under a pure fault *plan* the doomed sets are known upfront, so spawn
-//! wires one reaper per scheduled death with a fixed death time — the
-//! original (bit-identical) configuration. Under *supervision* any copy
-//! can die at runtime (restart budget exhausted, wedge detection), so
-//! every set gets a reaper that probes the fault control block's merged
+//! wires one reaper per scheduled death — the original (bit-identical)
+//! configuration. Under *supervision* any copy can die at runtime
+//! (restart budget exhausted, wedge detection), so every set gets a
+//! reaper. Either way the reaper probes the fault control block's merged
 //! death oracle each tick. Once the run's shutdown flag rises (every copy
 //! finished or died) a supervised reaper drains whatever is stranded in
 //! its queue — counting data buffers as lost, since no consumer remains —
@@ -18,21 +29,23 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hetsim::{DeadlineRecv, HostId, SimTime, Topology};
+use hetsim::{DeadlineRecv, HostId, Topology};
 use parking_lot::Mutex;
 
 use super::delivery::Envelope;
 use super::eow::UowGate;
 use super::exec::{charge_transfer, ChanRx, ChanTx, ExecEnv};
 use super::native::CancelScope;
-use super::retain::StreamRetention;
+use super::retain::{Provenance, StreamRetention};
+use crate::budget::StreamOoc;
+use crate::buffer::DataBuffer;
 use crate::fault::{abort_run, ErrorCell, FaultCtl, RunError};
 use crate::policy::{AckHandle, CopySetInfo};
 
 /// Salvages the copy-set queue of a doomed (or potentially doomed) copy
 /// set: waits without consuming until the set dies, then drains the queue
-/// for the rest of the run, replaying demand-driven buffers to surviving
-/// copy sets and tallying unrecoverable ones as lost.
+/// for the rest of the run (see the module docs for what it does with
+/// each buffer).
 pub(crate) struct Reaper {
     pub ctl: Arc<FaultCtl>,
     pub errors: ErrorCell,
@@ -49,14 +62,11 @@ pub(crate) struct Reaper {
     pub sets: Vec<CopySetInfo>,
     /// This reaper's own copy set (`sets[own_idx]`), for the death oracle.
     pub own_idx: usize,
-    /// The scheduled death, when wired from a pure plan; `None` under
-    /// supervision, where the death time is probed from `ctl` each tick.
-    pub t_death: Option<SimTime>,
     pub topo: Topology,
     pub stream: String,
     /// The dead set's own end-of-work gate: the reaper advances its cycle
-    /// as salvage proceeds so live peer sets know when no more replays
-    /// for a given UOW can arrive (see `FilterCtx::replays_settled`).
+    /// and its salvaged mark as salvage proceeds, so live peer sets know
+    /// when no more buffers for a given UOW can arrive from it.
     pub gate: Arc<Mutex<UowGate>>,
     pub uows: u32,
     /// Set once every filter copy of the run has finished or died;
@@ -69,27 +79,20 @@ pub(crate) struct Reaper {
     /// it as a last resort after abandoning a wedged thread; a waiting
     /// reaper must observe it rather than sleep forever.
     pub cancel: Option<Arc<CancelScope>>,
-    /// Lossless recovery: the stream's retention. When set, the reaper
-    /// forwards the dead set's unsettled retained replicas — and every
-    /// salvaged queue original, marked redelivered — to one deterministic
-    /// survivor (next alive set in index order, matching the tile-hash
-    /// writer's fall-through), and the survivor's dedup table suppresses
-    /// the overlap. `None` ⇒ degraded salvage only.
+    /// Lossless recovery: the stream's retention, whose entries for the
+    /// dead set the reaper retargets to one deterministic survivor (next
+    /// alive set in index order, matching the tile-hash writer's
+    /// fall-through). `None` ⇒ degraded salvage only.
     pub retention: Option<Arc<StreamRetention>>,
     /// Host of each producer copy, indexed by copy (for charging replica
-    /// retransmissions from the producer side). Empty in degraded mode.
+    /// retransmissions from the producer side).
     pub producer_hosts: Vec<HostId>,
+    /// The stream's out-of-core state, so a released original gives back
+    /// its spill slot and budget charge.
+    pub ooc: Option<Arc<StreamOoc>>,
 }
 
 impl Reaper {
-    /// The set's death time, as currently known.
-    fn death_time(&self) -> Option<SimTime> {
-        match self.t_death {
-            Some(t) => Some(t),
-            None => self.ctl.set_death(&self.sets[self.own_idx]),
-        }
-    }
-
     fn shutdown_requested(&self) -> bool {
         self.shutdown
             .as_ref()
@@ -116,13 +119,16 @@ impl Reaper {
                 return;
             }
             let now = env.now();
-            let death = self.death_time();
+            let death = self.ctl.set_death(&self.sets[self.own_idx]);
             if let Some(t) = death {
                 if now >= t {
                     break;
                 }
             }
             if self.rx.is_drained() {
+                // Nothing can arrive any more: whatever the set was sent,
+                // its copies consumed.
+                self.gate.lock().salvaged = self.uows;
                 return;
             }
             if self.shutdown_requested() {
@@ -152,14 +158,17 @@ impl Reaper {
                 // has no consumer and must be accounted a loss.
                 self.survivors.clear();
             }
-            // Redeliver before the gate can advance: a live peer holds
-            // its end-of-work until this dead gate passes the UOW, so
-            // replicas forwarded here are always consumed.
-            self.redeliver_retained(&env);
+            // Retarget before the gate can advance: a live peer keeps
+            // reading until this gate is salvaged past its UOW, so the
+            // replicas sent here are always consumed.
+            self.retarget(&env);
             self.advance_gate(&env);
             let deadline = env.now() + tick;
             match self.rx.recv_deadline(&env, deadline) {
-                DeadlineRecv::Closed => return,
+                DeadlineRecv::Closed => {
+                    self.gate.lock().salvaged = self.uows;
+                    return;
+                }
                 DeadlineRecv::TimedOut => {
                     if self.shutdown_requested() && self.rx.is_empty() {
                         return;
@@ -171,10 +180,11 @@ impl Reaper {
     }
 
     /// Advance the dead set's gate through every end-of-work cycle whose
-    /// producer markers have all been salvaged (dead producers excused).
-    /// Because each producer's marker trails all of its data in the FIFO
-    /// queue, a cycle counted here has had every salvageable buffer
-    /// already forwarded to the survivors.
+    /// producer markers have all been salvaged (dead producers excused),
+    /// and mark those cycles salvaged. Because each producer's marker
+    /// trails all of its data in the FIFO queue, and every caller
+    /// retargets first, a cycle counted here has had every buffer
+    /// addressed to the set already sent on to a survivor.
     fn advance_gate(&self, env: &ExecEnv) {
         let now = env.now();
         let mut g = self.gate.lock();
@@ -184,6 +194,7 @@ impl Reaper {
                 break;
             }
         }
+        g.salvaged = g.cycle();
     }
 
     /// The deterministic forward target for lossless redelivery: the next
@@ -205,101 +216,108 @@ impl Reaper {
         None
     }
 
-    /// Lossless recovery: drain the retention entries addressed to this
-    /// dead set and forward the replicas to the deterministic survivor.
-    /// Called repeatedly through phase 2 — a producer that had not yet
-    /// noticed the death keeps stamping buffers at this set, and each
-    /// re-drain picks those up before the gate can advance past their
-    /// UOW (their end-of-work markers trail them through this queue).
-    fn redeliver_retained(&self, env: &ExecEnv) {
+    /// Lossless recovery: retarget the retention entries addressed to this
+    /// dead set to the deterministic survivor and send it a replica of
+    /// each. Called repeatedly through phase 2 — a producer that had not
+    /// yet noticed the death keeps stamping buffers at this set, and each
+    /// pass picks those up before the gate can advance past their UOW
+    /// (their end-of-work markers trail them through this queue). With no
+    /// survivor, or a send that fails, the entries stay retained and the
+    /// end-of-run sweep counts them lost.
+    fn retarget(&self, env: &ExecEnv) {
         let Some(retention) = self.retention.as_ref() else {
             return;
         };
-        let drained = retention.drain_for_set(self.own_idx);
-        if drained.is_empty() {
+        let Some(target) = self.forward_target(env) else {
             return;
-        }
-        let target = self.forward_target(env).map(|(i, tx)| (i, tx.clone()));
-        for (p, buf) in drained {
-            let Some((idx, tx)) = target.as_ref() else {
-                self.lose(buf.wire_bytes());
-                continue;
-            };
+        };
+        for (p, buf) in retention.retarget(self.own_idx, target.0) {
             let from = self
                 .producer_hosts
                 .get(p.copy as usize)
                 .copied()
                 .unwrap_or(self.sets[self.own_idx].host);
-            charge_transfer(
-                env,
-                &self.topo,
-                from,
-                self.sets[*idx].host,
-                buf.transport_bytes(),
-            );
-            let bytes = buf.wire_bytes();
-            let fwd = Envelope::Data {
-                buf,
-                ack: None,
-                prov: Some(p),
-            };
-            if tx.send(env, fwd).is_ok() {
-                let mut t = self.ctl.tallies.lock();
-                t.buffers_redelivered += 1;
-                t.bytes_redelivered += bytes;
-            } else {
-                self.lose(bytes);
-            }
+            self.redeliver(env, from, target, buf, p);
         }
     }
 
-    /// Lossless salvage of one queued data envelope: forward it to the
-    /// deterministic survivor marked redelivered, keeping its provenance
-    /// so the survivor's dedup suppresses the overlap with the drained
-    /// retention replica (and so a replica already evicted from the
-    /// bounded ring still survives through this path). A demand-driven
-    /// ack handle is credited here — redelivery is not window-limited.
-    fn forward_original(
+    /// Send `buf` (provenance `p`) from host `from` to the survivor
+    /// `target` and tally it redelivered; `false` once the survivor's queue
+    /// is gone. The send goes past the queue bound: the survivors wait on
+    /// this reaper, so it must not wait on them.
+    fn redeliver(
         &self,
         env: &ExecEnv,
-        buf: crate::buffer::DataBuffer,
+        from: HostId,
+        (idx, tx): (usize, &ChanTx<Envelope>),
+        buf: DataBuffer,
+        p: Provenance,
+    ) -> bool {
+        let to = self.sets[idx].host;
+        charge_transfer(env, &self.topo, from, to, buf.transport_bytes());
+        let bytes = buf.wire_bytes();
+        let prov = Some(p);
+        let sent = tx
+            .push(
+                env,
+                Envelope::Data {
+                    buf,
+                    ack: None,
+                    prov,
+                },
+            )
+            .is_ok();
+        if sent {
+            let mut t = self.ctl.tallies.lock();
+            t.buffers_redelivered += 1;
+            t.bytes_redelivered += bytes;
+        }
+        sent
+    }
+
+    /// Lossless salvage of a queue original that carries a provenance.
+    /// While its replica is retained, the replica travels
+    /// ([`retarget`](Self::retarget) — sent now if no pass has moved it
+    /// yet), so the original is released: its spill slot freed and its
+    /// budget charge discharged. A replica the bounded ring has already
+    /// evicted cannot travel, so the original is sent on itself. Either
+    /// way its demand credit is returned.
+    fn salvage_retained(
+        &self,
+        env: &ExecEnv,
+        mut buf: DataBuffer,
         ack: Option<AckHandle>,
-        prov: Option<super::retain::Provenance>,
+        p: Provenance,
     ) {
         if let Some(ack) = &ack {
             ack.state.ack(env, ack.copyset_idx);
         }
-        match self.forward_target(env) {
-            Some((idx, tx)) => {
-                charge_transfer(
-                    env,
-                    &self.topo,
-                    self.sets[self.own_idx].host,
-                    self.sets[idx].host,
-                    buf.transport_bytes(),
-                );
-                let bytes = buf.wire_bytes();
-                let fwd = Envelope::Data {
-                    buf,
-                    ack: None,
-                    prov,
-                };
-                if tx.send(env, fwd).is_ok() {
-                    let mut t = self.ctl.tallies.lock();
-                    t.buffers_replayed += 1;
-                    t.bytes_replayed += bytes;
-                } else {
-                    self.lose(bytes);
-                }
+        let held = self.retention.as_ref().is_some_and(|r| {
+            if r.addressee(p) == Some(self.own_idx) {
+                self.retarget(env);
             }
-            None => self.lose(buf.wire_bytes()),
+            r.addressee(p).is_some()
+        });
+        if held {
+            if let Some(ooc) = &self.ooc {
+                ooc.drop_unread(&mut buf);
+            }
+            return;
+        }
+        let bytes = buf.wire_bytes();
+        let own = self.sets[self.own_idx].host;
+        let sent = self
+            .forward_target(env)
+            .is_some_and(|target| self.redeliver(env, own, target, buf, p));
+        if !sent {
+            self.lose(bytes);
         }
     }
 
     /// Degraded salvage of one demand-driven data envelope: reroute it to
     /// a survivor through the producer's window accounting, or account it
     /// lost.
-    fn reroute_acked(&self, env: &ExecEnv, buf: crate::buffer::DataBuffer, ack: AckHandle) {
+    fn reroute_acked(&self, env: &ExecEnv, buf: DataBuffer, ack: AckHandle) {
         // Under supervision a listed target may itself have died
         // since wiring; filter those out so two dead sets can't
         // ping-pong a buffer between their reapers forever.
@@ -356,26 +374,29 @@ impl Reaper {
 
     fn salvage(&self, env: &ExecEnv, envelope: Envelope) {
         match envelope {
-            Envelope::Data { buf, ack, prov } => {
-                if self.retention.is_some() {
-                    self.forward_original(env, buf, ack, prov);
-                } else if let Some(ack) = ack {
-                    self.reroute_acked(env, buf, ack);
-                } else {
-                    // No ack handle (RR/WRR or content-routed `write_to`):
-                    // the producer's routing decision cannot be replayed
-                    // safely in degraded mode.
-                    self.lose(buf.wire_bytes());
-                }
-            }
+            // Provenances exist only under lossless recovery.
+            Envelope::Data {
+                buf,
+                ack,
+                prov: Some(p),
+            } => self.salvage_retained(env, buf, ack, p),
+            Envelope::Data {
+                buf,
+                ack: Some(ack),
+                ..
+            } => self.reroute_acked(env, buf, ack),
+            // No ack handle (RR/WRR or content-routed `write_to`) and no
+            // retained replica: the producer's routing decision cannot be
+            // replayed safely.
+            Envelope::Data { buf, .. } => self.lose(buf.wire_bytes()),
             // A producer's end-of-work marker: no consumer will act on it,
             // but it proves all of that producer's data for the cycle has
             // been salvaged — record it so the dead gate can advance.
-            // Redeliver first: the marker trails all of its producer's
-            // stamps, so any replica it implies must be forwarded before
+            // Retarget first: the marker trails all of its producer's
+            // stamps, so every replica it implies must be sent on before
             // the gate can release a waiting peer.
             Envelope::Eow { producer } => {
-                self.redeliver_retained(env);
+                self.retarget(env);
                 self.gate.lock().mark(producer);
                 self.advance_gate(env);
             }

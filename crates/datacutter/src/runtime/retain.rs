@@ -1,30 +1,34 @@
-//! Producer-side retention and consumer-side deduplication — the state
-//! behind [`Recovery::Lossless`](crate::fault::Recovery).
+//! Producer-side retention — the one route back under
+//! [`Recovery::Lossless`](crate::fault::Recovery).
 //!
 //! Every stream of a lossless run owns one [`StreamRetention`]: per
 //! producer copy, a bounded ring of slab-pooled replicas of every buffer
 //! the copy sent, keyed by a monotonically increasing per-(producer copy,
-//! stream) sequence number stamped into the envelope as [`Provenance`].
-//! Entries leave the ring three ways:
+//! stream) sequence number stamped into the envelope as [`Provenance`],
+//! and addressed to the consumer copy set the original went to. Entries
+//! leave the ring three ways:
 //!
-//! * **settled** — the consuming copy finishes its unit of work cleanly
-//!   and acks the sequence numbers it consumed over the stream's courier;
-//!   the replicas are recycled to the [`BufferSlab`].
-//! * **redelivered** — the consuming copy set died (reaper forwards the
-//!   set's unsettled replicas to survivors) or a supervised copy
-//!   restarted (its consumed-but-unflushed buffers are re-injected); the
-//!   replica carries the original [`Provenance`] so consumers deduplicate.
+//! * **settled** — a consuming copy finishes its unit of work and acks the
+//!   provenances it consumed (over the stream's courier under virtual
+//!   time); the replicas are recycled to the [`BufferSlab`].
 //! * **evicted** — the ring is full (`retention_depth`); the oldest
 //!   replica is recycled and tallied, trading the lossless guarantee for
 //!   the memory bound.
+//! * **swept** — the run ended and no consumer settled the entry; it is
+//!   counted lost ([`StreamRetention::sweep`]).
 //!
-//! Consumer copy sets of a lossless stream share a [`Dedup`] table: every
-//! provenance-stamped delivery claims its `(producer copy, seq)` slot, and
-//! a second claim — an original racing its own redelivered replica —
-//! is suppressed, which is what makes redelivery idempotent. The table
-//! resets itself when the unit of work advances.
+//! Recovery moves entries without removing them. When a consumer set dies
+//! its reaper [retargets](StreamRetention::retarget) the set's entries to
+//! a survivor and sends it a replica of each; the entry stays until that
+//! survivor settles it, so a second death retargets it again. A queued
+//! original is released once its replica travels; only when the ring has
+//! already evicted that replica does the reaper send the original on
+//! itself. A supervised restart [fetches](StreamRetention::fetch)
+//! replicas of the crashed incarnation's journal. Either way a provenance is processed
+//! again, never suppressed: every rendering fold is idempotent under
+//! duplicated identical inputs.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,12 +36,15 @@ use parking_lot::Mutex;
 use crate::buffer::{BufferSlab, DataBuffer};
 use crate::fault::FaultCtl;
 
-/// Where a retained buffer came from: which producer copy sent it and its
-/// per-(producer copy, stream) sequence number. Travels in the envelope.
+/// Where a retained buffer came from: which producer copy sent it, its
+/// per-(producer copy, stream) sequence number and the unit of work it
+/// belongs to. Travels in the envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Provenance {
     /// Producer copy index (global across the producer filter's copies).
     pub copy: u32,
+    /// Unit of work the producer sent it in.
+    pub uow: u32,
     /// Monotonic sequence number of this send from that copy.
     pub seq: u64,
 }
@@ -45,6 +52,7 @@ pub(crate) struct Provenance {
 /// One retained replica awaiting settlement.
 struct Retained {
     seq: u64,
+    uow: u32,
     /// Consumer copy set the original was addressed to.
     set_idx: usize,
     buf: DataBuffer,
@@ -53,15 +61,15 @@ struct Retained {
 /// Per-producer-copy retention ring.
 #[derive(Default)]
 struct Ring {
-    entries: std::collections::VecDeque<Retained>,
+    entries: VecDeque<Retained>,
     next_seq: u64,
 }
 
 /// Retention state of one stream under lossless recovery: a ring per
 /// producer copy plus the shared slab and tallies. Shared (`Arc`) between
 /// the producer copies' output ports (stamp), the consumer sets' couriers
-/// (settle), the reapers (drain on set death), and restarted copies
-/// (fetch for re-injection).
+/// (settle), the reapers (retarget on set death), restarted copies (fetch
+/// for re-injection) and the run's harvest (sweep).
 pub(crate) struct StreamRetention {
     rings: Vec<Mutex<Ring>>,
     depth: usize,
@@ -81,18 +89,25 @@ impl StreamRetention {
         }
     }
 
-    /// Stamp one outgoing buffer from producer `copy` addressed to
-    /// consumer set `set_idx`: allocate its sequence number and retain a
-    /// replica. Returns `None` (no provenance, nothing retained) when the
-    /// buffer is not replicable — such buffers stay recoverable only while
-    /// queued, exactly as in degraded mode.
-    pub fn stamp(&self, copy: usize, set_idx: usize, buf: &DataBuffer) -> Option<Provenance> {
+    /// Stamp one outgoing buffer that producer `copy` sends in unit of
+    /// work `uow` to consumer set `set_idx`: allocate its sequence number
+    /// and retain a replica. Returns `None` (no provenance, nothing
+    /// retained) when the buffer is not replicable — such buffers stay
+    /// recoverable only while queued, exactly as in degraded mode.
+    pub fn stamp(
+        &self,
+        copy: usize,
+        uow: u32,
+        set_idx: usize,
+        buf: &DataBuffer,
+    ) -> Option<Provenance> {
         let replica = buf.replicate(&self.slab)?;
         let mut ring = self.rings[copy].lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
         ring.entries.push_back(Retained {
             seq,
+            uow,
             set_idx,
             buf: replica,
         });
@@ -108,6 +123,7 @@ impl StreamRetention {
         }
         Some(Provenance {
             copy: copy as u32,
+            uow,
             seq,
         })
     }
@@ -121,28 +137,34 @@ impl StreamRetention {
         entry.buf.replicate(&self.slab)
     }
 
-    /// Remove and return every entry addressed to the (dead) consumer set
-    /// `set_idx`, in deterministic (producer copy, seq) order, for the
-    /// reaper to forward to survivors.
-    pub fn drain_for_set(&self, set_idx: usize) -> Vec<(Provenance, DataBuffer)> {
+    /// The consumer set the retained entry `p` is addressed to; `None` once
+    /// it was settled or evicted.
+    pub fn addressee(&self, p: Provenance) -> Option<usize> {
+        let ring = self.rings[p.copy as usize].lock();
+        ring.entries
+            .iter()
+            .find(|e| e.seq == p.seq)
+            .map(|e| e.set_idx)
+    }
+
+    /// Re-address every entry addressed to the (dead) consumer set `from`
+    /// to the survivor `to`, and return a replica of each for the reaper
+    /// to send, in deterministic (producer copy, seq) order. The entries
+    /// stay retained until `to` settles them.
+    pub fn retarget(&self, from: usize, to: usize) -> Vec<(Provenance, DataBuffer)> {
         let mut out = Vec::new();
         for (copy, ring) in self.rings.iter().enumerate() {
-            let mut ring = ring.lock();
-            let mut kept = std::collections::VecDeque::with_capacity(ring.entries.len());
-            for e in ring.entries.drain(..) {
-                if e.set_idx == set_idx {
-                    out.push((
-                        Provenance {
-                            copy: copy as u32,
-                            seq: e.seq,
-                        },
-                        e.buf,
-                    ));
-                } else {
-                    kept.push_back(e);
+            for e in ring.lock().entries.iter_mut().filter(|e| e.set_idx == from) {
+                e.set_idx = to;
+                if let Some(buf) = e.buf.replicate(&self.slab) {
+                    let p = Provenance {
+                        copy: copy as u32,
+                        uow: e.uow,
+                        seq: e.seq,
+                    };
+                    out.push((p, buf));
                 }
             }
-            ring.entries = kept;
         }
         out
     }
@@ -164,56 +186,26 @@ impl StreamRetention {
         }
     }
 
+    /// Empty every ring at the end of the run: an entry no consumer
+    /// settled was never processed to the end of a unit of work, so it is
+    /// tallied lost. Returns the number of buffers swept.
+    pub fn sweep(&self) -> u64 {
+        let mut t = self.ctl.tallies.lock();
+        let lost = t.buffers_lost;
+        for ring in &self.rings {
+            for e in ring.lock().entries.drain(..) {
+                t.buffers_lost += 1;
+                t.bytes_lost += e.buf.wire_bytes();
+                self.slab.repool(e.buf);
+            }
+        }
+        t.buffers_lost - lost
+    }
+
     /// Replicas currently retained across all rings (tests/diagnostics).
     #[cfg(test)]
     pub fn retained(&self) -> usize {
         self.rings.iter().map(|r| r.lock().entries.len()).sum()
-    }
-}
-
-/// Sequence-number deduplication table of one consumer copy set on one
-/// lossless stream. Shared by the set's copies (they share the delivery
-/// queue, so an original and its redelivered replica may be dequeued by
-/// different copies). Self-clearing: claims are scoped to a unit of work,
-/// and the table resets when it sees the next one (all copies sit between
-/// the same global barriers, so a reset can never erase a live claim).
-pub(crate) struct Dedup {
-    inner: Mutex<DedupInner>,
-}
-
-#[derive(Default)]
-struct DedupInner {
-    uow: u32,
-    seen: HashSet<(u32, u64)>,
-}
-
-impl Dedup {
-    pub fn new() -> Self {
-        Dedup {
-            inner: Mutex::new(DedupInner::default()),
-        }
-    }
-
-    /// Claim `(copy, seq)` for processing in `uow`. `true` on first
-    /// claim; `false` means a copy of this set already processed it and
-    /// the caller must suppress the duplicate.
-    pub fn claim(&self, uow: u32, p: Provenance) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.uow != uow {
-            inner.uow = uow;
-            inner.seen.clear();
-        }
-        inner.seen.insert((p.copy, p.seq))
-    }
-
-    /// Release a claim: the incarnation that processed `(copy, seq)` died
-    /// before flushing, so its re-fetched replica must be processed
-    /// again rather than suppressed.
-    pub fn forget(&self, uow: u32, p: Provenance) {
-        let mut inner = self.inner.lock();
-        if inner.uow == uow {
-            inner.seen.remove(&(p.copy, p.seq));
-        }
     }
 }
 
@@ -235,13 +227,17 @@ mod tests {
         slab.make_replicable(v, 8)
     }
 
+    fn p(copy: u32, seq: u64) -> Provenance {
+        Provenance { copy, uow: 0, seq }
+    }
+
     #[test]
     fn stamp_assigns_monotonic_seqs_per_copy() {
         let r = retention(16);
         let slab = BufferSlab::new();
-        let a = r.stamp(0, 0, &buf(&slab, 1)).expect("replicable");
-        let b = r.stamp(0, 1, &buf(&slab, 2)).expect("replicable");
-        let c = r.stamp(1, 0, &buf(&slab, 3)).expect("replicable");
+        let a = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
+        let b = r.stamp(0, 0, 1, &buf(&slab, 2)).expect("replicable");
+        let c = r.stamp(1, 0, 0, &buf(&slab, 3)).expect("replicable");
         assert_eq!((a.copy, a.seq), (0, 0));
         assert_eq!((b.copy, b.seq), (0, 1));
         assert_eq!((c.copy, c.seq), (1, 0), "seqs are per producer copy");
@@ -252,7 +248,7 @@ mod tests {
     fn non_replicable_buffers_are_not_retained() {
         let r = retention(16);
         let plain = DataBuffer::new(1u64, 8);
-        assert!(r.stamp(0, 0, &plain).is_none());
+        assert!(r.stamp(0, 0, 0, &plain).is_none());
         assert_eq!(r.retained(), 0);
     }
 
@@ -265,20 +261,25 @@ mod tests {
         let ctl = FaultCtl::new(&opts);
         let r = StreamRetention::new(1, slab.clone(), ctl.clone());
         for v in 0..5u64 {
-            r.stamp(0, 0, &buf(&slab, v));
+            r.stamp(0, 0, 0, &buf(&slab, v));
         }
         assert_eq!(r.retained(), 2, "ring bounded at depth");
         assert_eq!(ctl.tallies.lock().retention_evicted, 3);
         // The oldest seqs are gone, the newest remain fetchable.
         assert!(r.fetch(0, 0).is_none());
         assert!(r.fetch(0, 4).is_some());
+        assert_eq!(
+            r.addressee(p(0, 0)),
+            None,
+            "an evicted entry has no addressee"
+        );
     }
 
     #[test]
     fn fetch_keeps_the_entry_retained() {
         let r = retention(16);
         let slab = BufferSlab::new();
-        r.stamp(0, 0, &buf(&slab, 7)).expect("replicable");
+        r.stamp(0, 0, 0, &buf(&slab, 7)).expect("replicable");
         let first = r.fetch(0, 0).expect("retained");
         assert_eq!(first.downcast::<u64>(), 7);
         let second = r.fetch(0, 0).expect("still retained after fetch");
@@ -286,38 +287,55 @@ mod tests {
     }
 
     #[test]
-    fn drain_for_set_takes_only_that_sets_entries() {
+    fn retarget_moves_only_that_sets_entries_and_keeps_them() {
         let r = retention(16);
         let slab = BufferSlab::new();
-        r.stamp(0, 0, &buf(&slab, 10));
-        r.stamp(0, 1, &buf(&slab, 11));
-        r.stamp(1, 1, &buf(&slab, 12));
-        let drained = r.drain_for_set(1);
-        assert_eq!(drained.len(), 2);
-        let vals: Vec<u64> = drained.into_iter().map(|(_, b)| b.downcast()).collect();
-        assert_eq!(vals, vec![11, 12], "deterministic (copy, seq) order");
-        assert_eq!(r.retained(), 1, "set 0's entry stays");
+        r.stamp(0, 0, 0, &buf(&slab, 10));
+        r.stamp(0, 0, 1, &buf(&slab, 11));
+        r.stamp(1, 0, 1, &buf(&slab, 12));
+        let sent = r.retarget(1, 2);
+        let provs: Vec<(u32, u64)> = sent.iter().map(|(p, _)| (p.copy, p.seq)).collect();
+        assert_eq!(
+            provs,
+            vec![(0, 1), (1, 0)],
+            "deterministic (copy, seq) order"
+        );
+        let vals: Vec<u64> = sent.into_iter().map(|(_, b)| b.downcast()).collect();
+        assert_eq!(vals, vec![11, 12]);
+        assert_eq!(r.retained(), 3, "retargeted entries stay retained");
+        assert_eq!(r.addressee(p(0, 1)), Some(2));
+        assert_eq!(r.addressee(p(0, 0)), Some(0));
+        assert!(r.retarget(1, 2).is_empty(), "set 1 no longer owns them");
+        // A second death moves them on; set 0's entry never moves.
+        assert_eq!(r.retarget(2, 0).len(), 2);
+        assert_eq!(r.retarget(0, 2).len(), 3);
+        r.settle(&[p(0, 1)]);
+        assert_eq!(r.retained(), 2, "the survivor's settlement releases it");
+        assert_eq!(r.addressee(p(0, 1)), None);
+    }
+
+    #[test]
+    fn sweep_counts_everything_unsettled_as_lost() {
+        let r = retention(16);
+        let slab = BufferSlab::new();
+        let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
+        r.stamp(0, 0, 1, &buf(&slab, 2));
+        r.stamp(1, 0, 0, &buf(&slab, 3));
+        r.settle(&[p]);
+        assert_eq!(r.sweep(), 2, "two unsettled replicas");
+        assert_eq!(r.ctl.tallies.lock().bytes_lost, 16);
+        assert_eq!(r.retained(), 0);
+        assert_eq!(r.sweep(), 0, "a swept ring is empty");
     }
 
     #[test]
     fn settle_recycles_replicas() {
         let r = retention(16);
         let slab = BufferSlab::new();
-        let p = r.stamp(0, 0, &buf(&slab, 1)).expect("replicable");
+        let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
         r.settle(&[p]);
         assert_eq!(r.retained(), 0);
         // Settling twice (or an evicted entry) is a no-op.
         r.settle(&[p]);
-    }
-
-    #[test]
-    fn dedup_claims_once_per_uow() {
-        let d = Dedup::new();
-        let p = Provenance { copy: 0, seq: 3 };
-        assert!(d.claim(0, p), "first claim processes");
-        assert!(!d.claim(0, p), "second claim suppresses");
-        assert!(d.claim(1, p), "next uow resets the table");
-        d.forget(1, p);
-        assert!(d.claim(1, p), "forgotten claims can be re-claimed");
     }
 }

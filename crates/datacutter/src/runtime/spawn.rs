@@ -49,14 +49,14 @@ use super::delivery::{self, CourierMsg, Delivery, Envelope, OutMsg};
 use super::eow::{ProducerRef, UowGate};
 use super::exec::{ChanRx, ChanTx, ExecEnv, Executor, Transport};
 use super::reaper::Reaper;
-use super::retain::{Dedup, StreamRetention};
+use super::retain::StreamRetention;
 use super::supervisor::{copy_retired, CopyRecord, Supervisor};
 use super::Tuning;
 use crate::budget::{MemoryBudget, StreamOoc};
 use crate::context::{FilterCtx, InputPort, Outbox, OutputPort};
 use crate::fault::{
-    abort_run, contain_scope, panic_message, raise_killed, CopyHealth, CopyState, ErrorCell,
-    FaultCtl, KilledMarker, RestartEvent, RunError, ABORT_MSG,
+    abort_run, contain_scope, panic_message, CopyHealth, CopyState, ErrorCell, FaultCtl,
+    KilledMarker, RestartEvent, RunError, ABORT_MSG,
 };
 use crate::filter::CopyInfo;
 use crate::graph::{AppGraph, FilterId};
@@ -87,6 +87,9 @@ pub(crate) struct RunWiring {
     pub uow_boundaries: Arc<Mutex<Vec<SimTime>>>,
     /// Per stream: `(host, counters)` of each consumer copy set.
     pub stream_sets: Vec<Vec<(HostId, CopySetCell)>>,
+    /// Lossless recovery: each stream's name and retention, swept for
+    /// unsettled entries once the run ends.
+    pub retention: Vec<(String, Arc<StreamRetention>)>,
 }
 
 /// Retire a finished-or-dead copy from the supervised liveness
@@ -140,6 +143,15 @@ pub(crate) fn build<E: Executor>(
     let live: Option<Arc<AtomicUsize>> =
         supervised.then(|| Arc::new(AtomicUsize::new(all_copies as usize)));
     let mut records: Vec<CopyRecord> = Vec::new();
+    // A copy set can die when its host is on the crash plan or the run is
+    // supervised (any copy may exhaust its restart budget). Exactly these
+    // sets get a reaper, and live peer sets watch exactly these.
+    let can_die = |set: &CopySetInfo| {
+        fault_ctl
+            .as_ref()
+            .filter(|c| c.crashes_possible())
+            .is_some_and(|c| supervised || c.plan.host_death(set.host).is_some())
+    };
 
     // ---- per-stream wiring ------------------------------------------------
     struct StreamRt {
@@ -149,10 +161,8 @@ pub(crate) fn build<E: Executor>(
         courier_txs: Vec<Option<ChanTx<CourierMsg>>>,
         gates: Vec<Arc<Mutex<UowGate>>>,
         cells: Vec<CopySetCell>,
-        /// Lossless recovery only: the stream's retention and one dedup
-        /// table per consumer copy set.
+        /// Lossless recovery only: the stream's retention.
         retention: Option<Arc<StreamRetention>>,
-        dedups: Vec<Option<Arc<Dedup>>>,
         /// Out-of-core state (budget share + spill ring), when a memory
         /// budget is configured. One per stream, shared by every producer
         /// and consumer port of the stream.
@@ -206,15 +216,15 @@ pub(crate) fn build<E: Executor>(
         let mut courier_txs = Vec::new();
         let mut gates = Vec::new();
         let mut cells = Vec::new();
-        let mut dedups = Vec::new();
         let mut first_copy = 0usize;
         for &(host, copies) in &consumer.placement.per_host {
-            sets.push(CopySetInfo {
+            let set = CopySetInfo {
                 host,
                 copies,
                 filter: spec.to,
                 first_copy,
-            });
+            };
+            sets.push(set);
             first_copy += copies as usize;
             // Room for data plus the UowDone tokens injected at the end of
             // each cycle.
@@ -222,10 +232,7 @@ pub(crate) fn build<E: Executor>(
             let (tx, rx) = transport.channel::<Envelope>(cap.max(1));
             data_txs.push(tx);
             data_rxs.push(rx);
-            gates.push(Arc::new(Mutex::new(UowGate::new(
-                producers.clone(),
-                copies,
-            ))));
+            gates.push(Arc::new(Mutex::new(UowGate::new(producers.clone(), set))));
             let courier_tx = E::RELAYS.then(|| {
                 let (tx, rx) = transport.channel::<CourierMsg>(COURIER_CAPACITY);
                 delivery::spawn_courier(
@@ -241,8 +248,10 @@ pub(crate) fn build<E: Executor>(
             });
             courier_txs.push(courier_tx);
             cells.push(CopySetCell::default());
-            dedups.push(lossless.then(|| Arc::new(Dedup::new())));
         }
+        let stream_ooc = ooc
+            .as_ref()
+            .map(|(ledger, storage)| StreamOoc::new(ledger.clone(), storage.clone(), stream_share));
         // Reapers. Under a pure plan: one per copy set whose host is
         // scheduled to crash, holding senders only to sets with no
         // scheduled death (exactly the original, bit-identical wiring).
@@ -254,23 +263,15 @@ pub(crate) fn build<E: Executor>(
         // death are salvaged, not dropped.
         if let Some(ctl) = fault_ctl.as_ref().filter(|c| c.crashes_possible()) {
             for (set_idx, set) in sets.iter().enumerate() {
-                let t_death = ctl.plan.host_death(set.host);
-                if t_death.is_none() && !supervised {
+                if !can_die(set) {
                     continue;
                 }
-                let survivors: Vec<(usize, ChanTx<Envelope>)> = if supervised {
-                    sets.iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != set_idx)
-                        .map(|(i, _)| (i, data_txs[i].clone()))
-                        .collect()
-                } else {
-                    sets.iter()
-                        .enumerate()
-                        .filter(|(_, s)| ctl.plan.host_death(s.host).is_none())
-                        .map(|(i, _)| (i, data_txs[i].clone()))
-                        .collect()
-                };
+                let survivors = sets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, s)| i != set_idx && (supervised || !can_die(s)))
+                    .map(|(i, _)| (i, data_txs[i].clone()))
+                    .collect();
                 let reaper = Reaper {
                     ctl: ctl.clone(),
                     errors: error_cell.clone(),
@@ -278,7 +279,6 @@ pub(crate) fn build<E: Executor>(
                     survivors,
                     sets: sets.clone(),
                     own_idx: set_idx,
-                    t_death: if supervised { None } else { t_death },
                     topo: topo.clone(),
                     stream: spec.name.clone(),
                     gate: gates[set_idx].clone(),
@@ -287,6 +287,7 @@ pub(crate) fn build<E: Executor>(
                     cancel: cancel.clone(),
                     retention: retention.clone(),
                     producer_hosts: producer_hosts.clone(),
+                    ooc: stream_ooc.clone(),
                 };
                 exec.spawn(
                     format!("reaper:{}@h{}", spec.name, set.host.0),
@@ -302,10 +303,7 @@ pub(crate) fn build<E: Executor>(
             gates,
             cells,
             retention,
-            dedups,
-            ooc: ooc.as_ref().map(|(ledger, storage)| {
-                StreamOoc::new(ledger.clone(), storage.clone(), stream_share)
-            }),
+            ooc: stream_ooc,
         });
     }
 
@@ -342,15 +340,15 @@ pub(crate) fn build<E: Executor>(
                             .sets
                             .iter()
                             .enumerate()
-                            .filter(|&(i, _)| i != set_idx)
-                            .map(|(i, s)| (*s, rt.gates[i].clone()))
+                            .filter(|&(i, s)| i != set_idx && can_die(s))
+                            .map(|(i, _)| rt.gates[i].clone())
                             .collect(),
                         copyset_counters: rt.cells[set_idx].clone(),
-                        dedup: rt.dedups[set_idx].clone(),
                         retention: rt.retention.clone(),
                         journal: Vec::new(),
                         replay: VecDeque::new(),
                         replay_done: false,
+                        eow_taken: false,
                         ooc: rt.ooc.clone(),
                     });
                 }
@@ -555,7 +553,7 @@ pub(crate) fn build<E: Executor>(
                                                             ctx.env.now(),
                                                         );
                                                     }
-                                                    raise_killed();
+                                                    ctx.die();
                                                 }
                                                 _ => abort_run(
                                                     &copy_errors,
@@ -571,6 +569,7 @@ pub(crate) fn build<E: Executor>(
                                         }
                                     }
                                 }
+                                ctx.end_uow();
                                 ctx.emit_eow();
                                 if uow + 1 < uows {
                                     // Work cycles are separated by a global
@@ -633,6 +632,11 @@ pub(crate) fn build<E: Executor>(
 
     // Record the harvest targets, dropping the wiring originals so
     // channels close when the last real user finishes.
+    let retention = streams_rt
+        .iter()
+        .zip(&graph.streams)
+        .filter_map(|(rt, spec)| Some((spec.name.clone(), rt.retention.clone()?)))
+        .collect();
     let stream_sets: Vec<Vec<(HostId, CopySetCell)>> = streams_rt
         .iter()
         .map(|rt| {
@@ -649,6 +653,7 @@ pub(crate) fn build<E: Executor>(
         copy_cells,
         uow_boundaries,
         stream_sets,
+        retention,
     }
 }
 

@@ -268,6 +268,24 @@ impl<T: Send> Sender<T> {
     /// channel is full the value stays in `slot` and the calling process is
     /// registered to be woken when an item is taken.
     pub fn poll_send(&self, env: &Env, slot: &mut Option<T>) -> Poll<Result<(), SendError<T>>> {
+        self.offer(env, slot, true)
+    }
+
+    /// Enqueue `value` past the capacity bound: never blocks. Fails (returning
+    /// the value) once all receivers have dropped.
+    pub fn push(&self, env: &Env, value: T) -> Result<(), SendError<T>> {
+        match self.offer(env, &mut Some(value), false) {
+            Poll::Ready(sent) => sent,
+            Poll::Pending => unreachable!("an unbounded offer never waits"),
+        }
+    }
+
+    fn offer(
+        &self,
+        env: &Env,
+        slot: &mut Option<T>,
+        bounded: bool,
+    ) -> Poll<Result<(), SendError<T>>> {
         let mut st = self.chan.state.lock();
         let Some(value) = slot.take() else {
             return Poll::Ready(Ok(()));
@@ -275,7 +293,7 @@ impl<T: Send> Sender<T> {
         if st.receivers == 0 {
             return Poll::Ready(Err(SendError(value)));
         }
-        if st.queue.len() == st.capacity {
+        if bounded && st.queue.len() >= st.capacity {
             *slot = Some(value);
             register(&mut st.send_waiters, env.pid());
             return Poll::Pending;
@@ -727,6 +745,40 @@ mod tests {
         let v = send_times.lock().clone();
         assert_eq!(v[0], 0);
         assert!(v[1] <= 10 && v[2] >= 10, "got {v:?}");
+    }
+
+    #[test]
+    fn push_goes_past_capacity_and_a_bounded_send_then_waits() {
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u32>(sim.waker(), 1);
+        let send_at: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
+        let at = send_at.clone();
+        sim.spawn("producer", move |env| {
+            for i in 0..3 {
+                tx.push(&env, i).unwrap();
+            }
+            assert_eq!(tx.len(), 3, "pushes never wait");
+            // A send waits until the queue is below its bound again: after
+            // the third dequeue, at 5 + 10 + 10 ms.
+            tx.send(&env, 3).unwrap();
+            *at.lock() = Some(env.now().as_nanos() / 1_000_000);
+        });
+        let got: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        sim.spawn("slow-consumer", move |env| {
+            env.delay(SimDuration::from_millis(5));
+            while let Some(v) = rx.recv(&env) {
+                g.lock().push(v);
+                env.delay(SimDuration::from_millis(10));
+            }
+        });
+        sim.run().unwrap();
+        assert_eq!(*got.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            *send_at.lock(),
+            Some(25),
+            "sent once the queue fell below its bound"
+        );
     }
 
     #[test]

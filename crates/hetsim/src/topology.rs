@@ -99,16 +99,16 @@ struct TopologyInner {
     clusters: Vec<ClusterInfo>,
     /// Backbone link per ordered cluster pair (full duplex).
     backbones: HashMap<(ClusterId, ClusterId), Link>,
-    /// Same-host "transfer" bandwidth (memcpy through shared memory).
-    loopback_bps: f64,
 }
+
+/// Same-host "transfer" bandwidth (memcpy through shared memory).
+const LOOPBACK_BPS: f64 = 1.0e9;
 
 /// Builder for [`Topology`].
 pub struct TopologyBuilder {
     clusters: Vec<ClusterSpec>,
     hosts: Vec<(ClusterId, HostSpec)>,
     backbones: Vec<(ClusterId, ClusterId, f64, SimDuration)>,
-    loopback_bps: f64,
 }
 
 impl Default for TopologyBuilder {
@@ -124,7 +124,6 @@ impl TopologyBuilder {
             clusters: Vec::new(),
             hosts: Vec::new(),
             backbones: Vec::new(),
-            loopback_bps: 1.0e9,
         }
     }
 
@@ -153,11 +152,6 @@ impl TopologyBuilder {
         latency: SimDuration,
     ) {
         self.backbones.push((a, b, bandwidth_bps, latency));
-    }
-
-    /// Override the same-host transfer bandwidth (default 1 GB/s).
-    pub fn loopback_bandwidth(&mut self, bps: f64) {
-        self.loopback_bps = bps;
     }
 
     /// Instantiate the topology.
@@ -205,7 +199,6 @@ impl TopologyBuilder {
                 hosts,
                 clusters,
                 backbones,
-                loopback_bps: self.loopback_bps,
             }),
         }
     }
@@ -272,7 +265,7 @@ impl Topology {
             match t.stage {
                 Stage::Start if t.from == t.to => {
                     t.stage = Stage::Arriving;
-                    let d = SimDuration::from_secs_f64(t.bytes as f64 / self.inner.loopback_bps);
+                    let d = SimDuration::from_secs_f64(t.bytes as f64 / LOOPBACK_BPS);
                     return Step::Delay(d);
                 }
                 Stage::Start => t.stage = Stage::Occupy(0),
@@ -331,7 +324,7 @@ impl Topology {
     /// per byte (used by schedulers that reason about placement).
     pub fn path_cost_per_byte(&self, from: HostId, to: HostId) -> f64 {
         if from == to {
-            return 1.0 / self.inner.loopback_bps;
+            return 1.0 / LOOPBACK_BPS;
         }
         let src = &self.inner.hosts[from.0 as usize];
         let dst = &self.inner.hosts[to.0 as usize];

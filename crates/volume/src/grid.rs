@@ -88,13 +88,6 @@ impl RectGrid {
         self.data[self.dims.index(x, y, z)]
     }
 
-    /// Mutable sample at point `(x, y, z)`.
-    #[inline]
-    pub fn at_mut(&mut self, x: u32, y: u32, z: u32) -> &mut f32 {
-        let i = self.dims.index(x, y, z);
-        &mut self.data[i]
-    }
-
     /// Extract the sub-grid of points `[x0, x0+sub.nx) × [y0, ...) × ...`.
     /// Panics if the box exceeds the grid bounds.
     pub fn extract(&self, x0: u32, y0: u32, z0: u32, sub: Dims) -> RectGrid {

@@ -99,11 +99,6 @@ impl Dataset {
         self.inner.layout.info(id)
     }
 
-    /// File owning chunk `id`.
-    pub fn file_of(&self, id: ChunkId) -> FileId {
-        self.inner.decl.file_of_chunk[id.0 as usize]
-    }
-
     /// Chunks stored in `file`, in Hilbert order.
     pub fn chunks_in_file(&self, file: FileId) -> &[ChunkId] {
         &self.inner.decl.chunks_of_file[file.0 as usize]

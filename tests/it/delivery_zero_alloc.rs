@@ -193,7 +193,7 @@ impl Filter for ReplicableSrc {
 
 /// [`run_once`] with `Recovery::Lossless` and a bounded retention ring:
 /// every buffer is stamped with a provenance, a replica is cloned into
-/// the ring, the consumer claims the sequence number and journals it,
+/// the ring, the consumer journals the sequence number,
 /// and ring overflow evicts the oldest replica back into the slab pool.
 fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
     use datacutter::FaultOptions;
@@ -227,7 +227,7 @@ fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
 /// between the bounded ring and the slab pool (overflow evicts back to
 /// the pool, the next stamp takes from it), so the marginal cost per
 /// delivered buffer stays zero allocations even with recovery armed.
-/// Dedup sets and journals grow amortized — a handful of doublings over
+/// Journals grow amortized — a handful of doublings over
 /// 1800 extra buffers, well inside the same sliver budget.
 #[test]
 fn lossless_retention_steady_state_is_allocation_free() {

@@ -436,8 +436,7 @@ struct ChaosGraph {
 
 const CHAOS_BUFFERS: u32 = 64;
 
-/// `sink_hosts.len()` single-copy sink sets. `poison` marks the global
-/// sink copy index that misbehaves; what it does is decided by `mode`.
+/// What the poisoned sink copy does.
 #[derive(Clone, Copy, PartialEq)]
 enum PoisonMode {
     /// Panic on the first `process` call (before consuming anything),
@@ -453,9 +452,22 @@ enum PoisonMode {
     PanicAfter(u32),
 }
 
+/// `sink_hosts.len()` single-copy sink sets. `poison` marks the global
+/// sink copy index that misbehaves; what it does is decided by `mode`.
 fn chaos_graph(
     src_host: hetsim::HostId,
     sink_hosts: &[hetsim::HostId],
+    poison: usize,
+    mode: PoisonMode,
+) -> ChaosGraph {
+    let sets: Vec<_> = sink_hosts.iter().map(|&h| (h, 1)).collect();
+    chaos_graph_sets(src_host, &sets, poison, mode)
+}
+
+/// [`chaos_graph`] with `(host, copies)` sink sets.
+fn chaos_graph_sets(
+    src_host: hetsim::HostId,
+    sink_sets: &[(hetsim::HostId, u32)],
     poison: usize,
     mode: PoisonMode,
 ) -> ChaosGraph {
@@ -526,7 +538,7 @@ fn chaos_graph(
     let k = g.add_filter(
         "snk",
         Placement {
-            per_host: sink_hosts.iter().map(|&h| (h, 1)).collect(),
+            per_host: sink_sets.to_vec(),
         },
         move |info| Sink {
             poisoned: info.copy_index == poison,
@@ -711,10 +723,9 @@ fn filter_panic_is_contained_as_structured_error() {
 
 /// Replay after restart: the poisoned sink consumes a prefix into filter
 /// state and panics — the state dies with the incarnation. Under
-/// `Recovery::Lossless` the restarted copy forgets its dedup claims,
-/// re-fetches the journaled prefix from the producer's retention ring,
-/// and rebuilds the exact accumulator before draining the rest, on both
-/// substrates.
+/// `Recovery::Lossless` the restarted copy re-fetches the journaled
+/// prefix from the producer's retention ring and rebuilds the exact
+/// accumulator before draining the rest, on both substrates.
 #[test]
 fn lossless_restart_replays_journal_and_rebuilds_state() {
     const K: u32 = 24;
@@ -760,13 +771,13 @@ fn lossless_restart_replays_journal_and_rebuilds_state() {
     }
 }
 
-/// Duplicate suppression: a mid-run crash makes the reaper both forward
-/// the dead set's salvaged queue originals *and* redeliver the retained
-/// replicas of the same provenances — the survivor claims each sequence
-/// number once and repools the other copy, so nothing is double-counted
-/// and the image still matches the fault-free run exactly.
+/// One route back: a mid-run crash of a merge copy whose queue holds
+/// originals. The reaper releases those originals and redelivers the
+/// retained replicas instead, so the survivor processes each provenance
+/// from retention — nothing is replayed through the demand window,
+/// nothing is lost, and the image matches the fault-free run exactly.
 #[test]
-fn lossless_mid_run_crash_suppresses_duplicate_redeliveries() {
+fn lossless_mid_run_crash_redelivers_from_retention_only() {
     let (topo, hosts) = cluster(5);
     // The tiled config's inflated per-entry merge cost keeps the merge
     // copies' queues deep for most of the run, so the dead set is
@@ -780,17 +791,64 @@ fn lossless_mid_run_crash_suppresses_duplicate_redeliveries() {
     let faulted =
         dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
     let f = &faulted.report.faults;
-    assert!(
-        f.duplicates_suppressed > 0,
-        "salvaged originals and retained replicas must overlap: {f}"
-    );
+    assert!(f.buffers_redelivered > 0, "retention redelivers: {f}");
+    assert_eq!(f.buffers_replayed, 0, "no second route back: {f}");
     assert_eq!(f.buffers_lost, 0, "{f}");
     assert!(!f.degraded, "{f}");
     assert_eq!(
         faulted.image.diff_pixels(&clean.image),
         0,
-        "suppression must not drop distinct data"
+        "redelivery must render the fault-free pixels"
     );
+}
+
+/// Partial set death: one copy of a two-copy sink set panics past its
+/// restart budget while its sibling and a second sink set live on. The
+/// surviving sibling consumes its own end-of-work and keeps reading while
+/// it waits for the other set; the dead copy's token is still queued, and
+/// the sibling must drop it rather than hand it round forever. Both
+/// substrates finish with every buffer consumed and nothing lost.
+#[test]
+fn lossless_partial_set_death_drops_the_dead_copys_token() {
+    let (topo, hosts) = cluster(3);
+    for native in [false, true] {
+        let cg = chaos_graph_sets(
+            hosts[0],
+            &[(hosts[1], 2), (hosts[2], 1)],
+            1,
+            PoisonMode::PanicAlways,
+        );
+        let policy = SupervisorPolicy::new()
+            .max_restarts(1)
+            .backoff(us(50), ms(1));
+        let mut run = Run::new(cg.graph);
+        if native {
+            run = run.executor(NativeExecutor::new());
+        }
+        let report = run
+            .faults(
+                FaultOptions::new(FaultPlan::new())
+                    .supervised(policy)
+                    .lossless()
+                    .liveness_timeout(ms(2)),
+            )
+            .go(&topo)
+            .expect("a partially dead set still finishes");
+        let f = &report.faults;
+        assert_eq!(f.copies_killed, 1, "native={native}: {f}");
+        assert_eq!(f.buffers_lost, 0, "native={native}: {f}");
+        assert!(!f.degraded, "native={native}: {f}");
+        assert_eq!(
+            cg.seen.load(Ordering::SeqCst),
+            CHAOS_BUFFERS as u64,
+            "native={native}: the live copies consume every buffer"
+        );
+        assert!(
+            report.elapsed < SimDuration::from_secs(2),
+            "native={native}: {:?}",
+            report.elapsed
+        );
+    }
 }
 
 /// Retention-ring overflow: with a deliberately tiny `retention_depth`
@@ -824,6 +882,79 @@ fn retention_overflow_degrades_with_eviction_accounting() {
         "journal re-fetch misses evicted replicas: {f}"
     );
     assert!(f.degraded, "losses mark the run degraded: {f}");
+}
+
+/// Retention overflow at a dead set's queue: the victim sink computes for
+/// 50 ms before its first read, so the demand window's originals queue up
+/// at it while a two-entry ring evicts their replicas, and its host
+/// crashes at 20 ms. Those originals have no replica left to travel, so
+/// the reaper sends them on themselves and the survivor consumes every
+/// value; released instead, they would vanish with `lost 0`.
+#[test]
+fn lossless_queued_originals_outlive_their_evicted_replicas() {
+    struct Src;
+    impl Filter for Src {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            for i in 0..CHAOS_BUFFERS {
+                let b = ctx.buffer_slab().make_replicable(i, 256);
+                ctx.write(0, b);
+            }
+            Ok(())
+        }
+    }
+    struct Sink {
+        late: bool,
+        seen: Arc<AtomicU64>,
+    }
+    impl Filter for Sink {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            if self.late {
+                ctx.compute(ms(50));
+            }
+            while let Some(b) = ctx.read(0) {
+                self.seen
+                    .fetch_or(1 << b.downcast::<u32>(), Ordering::SeqCst);
+            }
+            Ok(())
+        }
+    }
+    let (topo, hosts) = cluster(3);
+    let seen = Arc::new(AtomicU64::new(0));
+    let mut g = GraphBuilder::new();
+    let s = g.add_filter("src", Placement::on_host(hosts[0], 1), |_| Src);
+    let seen2 = seen.clone();
+    let k = g.add_filter(
+        "snk",
+        Placement::one_per_host(&[hosts[1], hosts[2]]),
+        move |info| Sink {
+            late: info.copy_index == 1,
+            seen: seen2.clone(),
+        },
+    );
+    g.connect(s, k, WritePolicy::demand_driven());
+    let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO + ms(20));
+    let report = Run::new(g.build())
+        .faults(
+            FaultOptions::new(plan)
+                .lossless()
+                .retention_depth(2)
+                .liveness_timeout(ms(2)),
+        )
+        .go(&topo)
+        .expect("lossless run completes");
+    let f = &report.faults;
+    assert_eq!(f.copies_killed, 1, "{f}");
+    assert!(f.retention_evicted > 0, "a two-entry ring evicts: {f}");
+    assert!(
+        f.buffers_redelivered > 0,
+        "the queued originals travel: {f}"
+    );
+    assert_eq!(f.buffers_lost, 0, "{f}");
+    assert_eq!(
+        seen.load(Ordering::SeqCst),
+        u64::MAX,
+        "the survivor consumes every value"
+    );
 }
 
 /// Budget-exhausted fallback: when the only consumer set panics past its

@@ -153,48 +153,63 @@ fn budget_1_16_is_bit_identical_on_native() {
     }
 }
 
+/// A seeded host crash recovered losslessly under a `1/denom`-timestep
+/// budget: no pixel and no byte lost, still spilling, and every budget
+/// charge given back — including those of the queued originals the
+/// reaper releases in favour of their retained replicas.
+fn assert_budgeted_crash_recovers(denom: u64, policy: WritePolicy, frac: f64) {
+    let (topo, hosts) = cluster(5);
+    let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
+    let tight_cfg = budgeted(&cfg, denom);
+    let label = format!("1/{denom} {} @ {frac}", policy.label());
+    let spec = four_stage(&hosts, policy);
+    let clean = run_pipeline(&topo, &tight_cfg, &spec).expect("budgeted fault-free run");
+    assert_spilled(&format!("clean/{label}"), &clean);
+    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
+    let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
+    let opts = lossless_options(
+        &tight_cfg,
+        FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2)),
+    );
+    let faulted = run_pipeline_faulted(&topo, &tight_cfg, &spec, opts)
+        .expect("budgeted lossless crash run completes");
+    let f = &faulted.report.faults;
+    assert!(f.copies_killed >= 1, "{label}: victim must die");
+    assert_eq!(f.buffers_lost, 0, "{label}: lossless loses nothing");
+    assert_eq!(f.bytes_lost, 0, "{label}");
+    assert!(
+        faulted.report.ooc.spills > 0,
+        "{label}: the crash run must still be spilling"
+    );
+    assert_eq!(
+        faulted.report.ooc.resident_bytes(),
+        0,
+        "{label}: released originals give their budget charge back"
+    );
+    assert_eq!(
+        faulted.image.diff_pixels(&clean.image),
+        0,
+        "{label}: recovered budgeted image must be bit-identical"
+    );
+}
+
 /// Crash-under-spill: a seeded mid-run host crash recovered losslessly
 /// while the budget is actively spilling. The retention/replay machinery
 /// and the spill ring share the delivery path; neither may cost a pixel
 /// or a byte of loss.
 #[test]
 fn budget_1_16_survives_seeded_mid_run_crash_losslessly() {
-    let (topo, hosts) = cluster(5);
-    let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
-    let tight_cfg = budgeted(&cfg, 16);
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
-        let spec = four_stage(&hosts, policy);
-        let clean = run_pipeline(&topo, &tight_cfg, &spec).expect("budgeted fault-free run");
-        assert_spilled(&format!("clean/{}", policy.label()), &clean);
-        let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.25);
-        let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
-        let opts = lossless_options(
-            &tight_cfg,
-            FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2)),
-        );
-        let faulted = run_pipeline_faulted(&topo, &tight_cfg, &spec, opts)
-            .expect("budgeted lossless crash run completes");
-        let f = &faulted.report.faults;
-        assert!(f.copies_killed >= 1, "{}: victim must die", policy.label());
-        assert_eq!(
-            f.buffers_lost,
-            0,
-            "{}: lossless loses nothing",
-            policy.label()
-        );
-        assert_eq!(f.bytes_lost, 0, "{}", policy.label());
-        assert!(
-            faulted.report.ooc.spills > 0,
-            "{}: the crash run must still be spilling",
-            policy.label()
-        );
-        assert_eq!(
-            faulted.image.diff_pixels(&clean.image),
-            0,
-            "{}: recovered budgeted image must be bit-identical",
-            policy.label()
-        );
+        assert_budgeted_crash_recovers(16, policy, 0.25);
     }
+}
+
+/// At 1/16 every original queued at the dead host is spilled; under a
+/// half-timestep budget an early crash finds resident, charged ones
+/// there, and releasing them must discharge the ledger.
+#[test]
+fn half_budget_early_crash_releases_resident_charges() {
+    assert_budgeted_crash_recovers(2, WritePolicy::RoundRobin, 0.05);
 }
 
 /// Disk-model `(read, write)` events summed over every disk in the

@@ -1,12 +1,11 @@
 //! Lossless recovery: the tentpole acceptance suite.
 //!
 //! With [`datacutter::Recovery::Lossless`], producers retain every
-//! sent-but-unsettled buffer in slab-pooled retention rings, consumers
-//! deduplicate by per-(producer copy, stream) sequence number, and the
-//! reaper/supervisor replay or redeliver retained traffic when a copy
-//! dies — so a seeded crash plan completes with `lost == 0` and an image
-//! bit-identical to the fault-free run under *every* writer policy, on
-//! both the virtual-time simulator and the native executor.
+//! sent-but-unsettled buffer in slab-pooled retention rings, and a dead
+//! set's reaper (or a restarted copy) redelivers retained replicas — the
+//! only route back — so a seeded crash plan completes with `lost == 0`
+//! and an image bit-identical to the fault-free run under *every* writer
+//! policy, on both the virtual-time simulator and the native executor.
 //!
 //! Two crash classes are distinguished deliberately:
 //!
@@ -15,7 +14,7 @@
 //!   on top of the pixel/loss contract the per-stream delivery *totals*
 //!   are exactly invariant whenever the surviving stages' per-copy
 //!   batching is unchanged (the tile-hash scenario) — every unique
-//!   sequence number is claimed once somewhere.
+//!   sequence number is consumed once somewhere.
 //! - **Mid-run**: the dead copy consumed buffers whose effects died with
 //!   its accumulator state; redelivery re-processes them at a survivor
 //!   (and streaming filters re-emit downstream), so totals legitimately
@@ -25,7 +24,9 @@
 
 use std::sync::Arc;
 
-use datacutter::{FaultOptions, NativeExecutor, Placement, SimExecutor, WritePolicy};
+use datacutter::{
+    FaultOptions, NativeExecutor, Placement, SimExecutor, SupervisorPolicy, WritePolicy,
+};
 use dcapp::{lossless_options, Algorithm, Grouping, PipelineSpec};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{
@@ -294,19 +295,202 @@ fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
     }
 }
 
+/// A counter-example the property test below once found: RR, extract
+/// crash on `hosts[1]`, `test_dataset(79)`, 64×64. The
+/// surviving extract copy consumes its end-of-work before the victim
+/// dies, so the victim's retained buffers can only come back if the
+/// survivor keeps reading until the victim's reaper has drained it.
+fn crash_after_survivor_ends(frac: f64) {
+    let (topo, hosts) = cluster(5);
+    let cfg = test_cfg(test_dataset(79), vec![hosts[0]], 64);
+    let spec = spec(&hosts, WritePolicy::RoundRobin);
+    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
+    let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
+    let opts = lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(2)));
+    let faulted =
+        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
+    assert_lossless(&format!("seed 79 @ {frac}"), &clean, &faulted, false, false);
+}
+
+/// The crash lands while the victim still has queued work: once read
+/// `lost 17` with 57 wrong pixels.
+#[test]
+fn rr_crash_after_survivor_ends_keeps_every_pixel() {
+    crash_after_survivor_ends(0.45);
+}
+
+/// The crash lands later, with the victim's journal still unsettled: once
+/// read `lost 21`.
+#[test]
+fn rr_late_crash_after_survivor_ends_loses_nothing() {
+    crash_after_survivor_ends(0.5156);
+}
+
+/// `R–E–Ra–M` on `cluster(6)` with three extract copies, on hosts 1–3.
+fn three_extract_spec(hosts: &[hetsim::HostId], policy: WritePolicy) -> PipelineSpec {
+    PipelineSpec {
+        grouping: Grouping::FourStage {
+            extract: Placement::one_per_host(&hosts[1..4]),
+            raster: Placement::on_host(hosts[4], 1),
+        },
+        algorithm: Algorithm::ZBuffer,
+        policy,
+        merge_host: hosts[5],
+    }
+}
+
+/// A cascade under supervision: three extract copies on `cluster(6)`,
+/// two of which die one after the other. The first victim's retained
+/// buffers are retargeted to the next live set in index order — the
+/// second victim — so they come back only if its reaper retargets them
+/// again instead of dropping them.
+#[test]
+fn supervised_cascade_retargets_through_a_second_death() {
+    let (topo, hosts) = cluster(6);
+    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
+    for (policy, first, second) in [
+        (WritePolicy::demand_driven(), 0.2, 0.4),
+        (WritePolicy::RoundRobin, 0.3, 0.5),
+    ] {
+        let spec = three_extract_spec(&hosts, policy);
+        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+        let at = |frac: f64| SimTime::ZERO + clean.elapsed.mul_f64(frac);
+        let plan = FaultPlan::new()
+            .crash_host(hosts[1], at(first))
+            .crash_host(hosts[2], at(second));
+        let opts = lossless_options(
+            &cfg,
+            FaultOptions::new(plan)
+                .supervised(SupervisorPolicy::new())
+                .liveness_timeout(ms(2)),
+        );
+        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+            .expect("supervised lossless cascade completes");
+        let label = format!("cascade/{}", policy.label());
+        assert_lossless(&label, &clean, &faulted, false, false);
+    }
+}
+
+/// A waiting copy's host crashes. Under supervision every extract copy
+/// keeps reading after its end-of-work until the others have ended. On
+/// `cluster(6)` the copy on `hosts[3]` takes its token at 190.5 ms, the
+/// one on `hosts[2]` at 306.6 ms and the one on `hosts[1]` at 362.0 ms,
+/// which releases all three. Each arm crashes `hosts[3]` inside that wait:
+///
+/// - at 250 ms its reads still return redelivered data, so it must die at
+///   the next one instead of flushing output past its death, and its
+///   journal is retargeted to a waiting set;
+/// - at 361.7 ms every copy has ended, but the others must still wait for
+///   its reaper, or they finish before its journal reaches them;
+/// - at 362.1 ms `hosts[1]`'s copy has already left, so the retargeted
+///   journal lands where nobody reads it and is counted lost. A blocking
+///   send into that full queue would hang the reaper, and the run.
+///
+/// Only the first two arms can recover; the third must finish with an
+/// honest ledger.
+#[test]
+fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
+    let (topo, hosts) = cluster(6);
+    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
+    let spec = three_extract_spec(&hosts, WritePolicy::RoundRobin);
+    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    for (at_us, recovered) in [(250_000, true), (361_700, true), (362_100, false)] {
+        let crash_at = SimTime::ZERO + SimDuration::from_micros(at_us);
+        let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
+        let opts = lossless_options(
+            &cfg,
+            FaultOptions::new(plan)
+                .supervised(SupervisorPolicy::new())
+                .liveness_timeout(ms(2)),
+        );
+        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+            .expect("supervised lossless run completes");
+        let f = &faulted.report.faults;
+        let label = format!("crash at {at_us} us");
+        assert_eq!(f.copies_killed, 1, "{label}: {f}");
+        if recovered {
+            assert_lossless(&label, &clean, &faulted, false, false);
+        } else {
+            let diff = faulted.image.diff_pixels(&clean.image);
+            assert!(diff == 0 || f.buffers_lost > 0, "{label}: {diff} px: {f}");
+            assert_eq!(f.degraded, f.buffers_lost > 0, "{label}: {f}");
+        }
+    }
+}
+
+/// The last arm above over two units of work: the copy on `hosts[1]` has
+/// left UOW 0 when `hosts[3]` dies, and reads the retargeted journal in
+/// UOW 1. Those replicas carry UOW 0, so it drops them instead of drawing
+/// timestep 0's triangles into timestep 1's image; they stay retained and
+/// are counted lost.
+#[test]
+fn replicas_of_a_unit_of_work_already_left_are_not_mixed_into_the_next() {
+    let (topo, hosts) = cluster(6);
+    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
+    let spec = three_extract_spec(&hosts, WritePolicy::RoundRobin);
+    let clean = dcapp::run_pipeline_uows(&topo, &cfg, &spec, 2).expect("fault-free run");
+    let plan =
+        FaultPlan::new().crash_host(hosts[3], SimTime::ZERO + SimDuration::from_micros(362_100));
+    let opts = lossless_options(
+        &cfg,
+        FaultOptions::new(plan)
+            .supervised(SupervisorPolicy::new())
+            .liveness_timeout(ms(2)),
+    );
+    let pipeline = dcapp::build_pipeline(&cfg, &spec);
+    let report = datacutter::Run::new(pipeline.graph)
+        .uows(2)
+        .faults(opts)
+        .go(&topo)
+        .expect("two-UOW run completes");
+    let images = std::mem::take(&mut *pipeline.image.lock());
+    let f = &report.faults;
+    assert_eq!(f.copies_killed, 1, "{f}");
+    for (uow, (got, want)) in images.iter().zip(&clean.images).enumerate() {
+        assert_eq!(got.diff_pixels(want), 0, "UOW {uow}: {f}");
+    }
+    assert_eq!(f.degraded, f.buffers_lost > 0, "{f}");
+}
+
+/// An honest ledger under retention overflow: with a two-entry ring, a
+/// mid-run crash of a tile-owning merge copy loses buffers it had already
+/// consumed and whose replicas the ring had evicted, so nothing can bring
+/// them back. The image may then differ, but never without a count.
+#[test]
+fn retention_overflow_never_loses_pixels_silently() {
+    let (topo, hosts) = cluster(5);
+    let cfg = tiled_fault_cfg(&hosts);
+    let spec = tiled_spec(&hosts);
+    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
+    let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
+    let opts = FaultOptions::new(plan)
+        .lossless()
+        .retention_depth(2)
+        .liveness_timeout(ms(10));
+    let faulted =
+        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("overflowing run completes");
+    let f = &faulted.report.faults;
+    let diff = faulted.image.diff_pixels(&clean.image);
+    assert!(f.retention_evicted > 0, "a two-entry ring evicts: {f}");
+    assert!(diff == 0 || f.buffers_lost > 0, "{diff} pixels differ: {f}");
+    assert_eq!(f.degraded, f.buffers_lost > 0, "{f}");
+}
+
 /// Randomized acceptance: seeded datasets, any writer policy, either
 /// extract host, any crash instant in the first 60% of the run — every
 /// combination recovers to `lost == 0` and the exact fault-free image.
-/// The `fault-heavy` feature dials the case count up for soak runs.
+/// The `fault-heavy` feature runs four times the cases.
 mod recovery_props {
     use super::*;
     use proptest::prelude::*;
 
     fn cases() -> u32 {
         if cfg!(feature = "fault-heavy") {
-            32
+            128
         } else {
-            8
+            32
         }
     }
 
@@ -351,7 +535,7 @@ mod recovery_props {
 /// Lossless is an *upgrade*, not a behavior change: an empty fault plan
 /// under `Recovery::Lossless` still renders the reference image and
 /// reports a quiet fault ledger (retention stamps and settles, but
-/// nothing is replayed, redelivered, or suppressed).
+/// nothing is replayed, redelivered, or swept as lost at the end).
 #[test]
 fn lossless_empty_plan_is_quiet_and_correct() {
     let (topo, hosts) = cluster(5);
@@ -369,7 +553,6 @@ fn lossless_empty_plan_is_quiet_and_correct() {
         assert_eq!(r.image.diff_pixels(&clean.image), 0, "{exec}");
         assert_eq!(f.buffers_replayed, 0, "{exec}: {f}");
         assert_eq!(f.buffers_redelivered, 0, "{exec}: {f}");
-        assert_eq!(f.duplicates_suppressed, 0, "{exec}: {f}");
         assert_eq!(f.retention_evicted, 0, "{exec}: {f}");
         assert_eq!(f.buffers_lost, 0, "{exec}: {f}");
         assert!(!f.degraded, "{exec}: {f}");
