@@ -267,8 +267,9 @@ impl std::fmt::Debug for SpillRing {
 /// The run partitions `memory_budget_bytes` evenly across streams; a
 /// stream whose resident queued bytes exceed its share spills the payload
 /// it is about to enqueue and re-faults it at the reader. Residency here
-/// counts only *in-flight queue copies* — retention replicas for lossless
-/// recovery stay in memory (they are bounded by `retention_depth`).
+/// counts only *in-flight queue copies* — the retention replicas a run
+/// whose copies can die keeps stay in memory, outside the budget, until
+/// their consumer settles them (DESIGN.md §13 gives their measured peak).
 #[derive(Debug)]
 pub struct StreamOoc {
     /// Run-wide ledger.

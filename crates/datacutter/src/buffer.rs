@@ -26,7 +26,7 @@ pub const ACK_WIRE_BYTES: u64 = 64;
 pub const EOW_WIRE_BYTES: u64 = 32;
 
 /// Monomorphized replicator attached to replicable buffers: clones the
-/// erased payload into a slab-recycled box so the lossless-recovery layer
+/// erased payload into a slab-recycled box so the recovery layer
 /// can retain a replica without knowing the concrete type. `None` if the
 /// payload is not the type the replicator was made for.
 type ReplicateFn = fn(&(dyn Any + Send), &BufferSlab, u64) -> Option<DataBuffer>;
@@ -99,7 +99,8 @@ pub struct DataBuffer {
     type_name: &'static str,
     /// Set on buffers made via [`BufferSlab::make_replicable`]; `None`
     /// means the payload cannot be replicated (no `Clone` was promised)
-    /// and the recovery layer must account the buffer as unretainable.
+    /// and the recovery layer can bring the buffer back only while it is
+    /// queued (through its demand-driven ack).
     replicate: Option<ReplicateFn>,
     /// Set on buffers made via [`BufferSlab::make_spillable`]; carried
     /// through spill and fault so a faulted buffer can spill again.
@@ -373,7 +374,16 @@ impl BufferSlab {
     /// additionally carries a monomorphized replicator, so the recovery
     /// layer can retain a slab-pooled replica of it while the original is
     /// in flight ([`DataBuffer::replicate`]). Costs nothing unless a
-    /// replica is actually taken.
+    /// replica is actually taken, which happens only under a fault plan
+    /// that can kill copies.
+    ///
+    /// A replicable payload is *redelivered* after a crash: its consumer
+    /// may already have processed it (and flushed the effects) before
+    /// dying, and the survivor processes it again. Its consumer must
+    /// therefore tolerate re-processing — DESIGN.md §13's argument: every
+    /// rendering fold (z-buffer depth test, winning-pixel composition) is
+    /// idempotent under duplicated identical inputs. Build a payload whose
+    /// consumer is not idempotent with [`make`](Self::make) instead.
     pub fn make_replicable<T: Any + Send + Clone>(
         &self,
         payload: T,
@@ -397,6 +407,9 @@ impl BufferSlab {
     /// [`SpillRing`] by the out-of-core layer and faulted back on demand.
     /// Replicas (and faulted-in rebuilds) are themselves spillable, so
     /// retention and spill compose. Costs nothing until a spill happens.
+    /// Being replicable, the payload is redelivered after a crash, so its
+    /// consumer must tolerate re-processing (see
+    /// [`make_replicable`](Self::make_replicable)).
     pub fn make_spillable<T: Any + Send + Clone + SpillCodec>(
         &self,
         payload: T,

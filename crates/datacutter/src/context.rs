@@ -36,9 +36,9 @@ pub(crate) struct InputPort {
     /// (see [`FilterCtx::read`]).
     pub peer_gates: Vec<Arc<Mutex<UowGate>>>,
     pub copyset_counters: crate::metrics::CopySetCell,
-    /// Lossless recovery: the stream's retention, settled with this copy's
-    /// journal and re-fetched from after a supervised restart (`None` ⇒
-    /// degraded mode, no recovery bookkeeping on the read path).
+    /// The stream's retention, settled with this copy's journal and
+    /// re-fetched from after a supervised restart (`None` ⇒ no copy can
+    /// die, no recovery bookkeeping on the read path).
     pub retention: Option<Arc<StreamRetention>>,
     /// Provenances this copy consumed in the current UOW. Settled at
     /// clean end-of-work; harvested by
@@ -52,8 +52,8 @@ pub(crate) struct InputPort {
     /// The crashed incarnation had already consumed this UOW's
     /// end-of-work token; re-signal end-of-work once `replay` drains.
     pub replay_done: bool,
-    /// Lossless recovery: this copy consumed its end-of-work token this
-    /// UOW and keeps reading redelivered buffers until its peers finish.
+    /// This copy consumed its end-of-work token this UOW and keeps reading
+    /// redelivered buffers until its peers finish.
     pub eow_taken: bool,
     /// Out-of-core state of this stream (`None` ⇒ no memory budget; the
     /// read path never touches the ledger or ring).
@@ -65,7 +65,7 @@ pub(crate) struct OutputPort {
     pub outbox: Outbox,
     /// Number of consumer copy sets (valid `write_to` targets).
     pub targets: usize,
-    /// Lossless recovery: the stream's retention — every replicable
+    /// The stream's retention when copies can die — every replicable
     /// buffer written is stamped with a provenance and retained until
     /// the consumer settles it.
     pub retention: Option<Arc<StreamRetention>>,
@@ -131,35 +131,9 @@ impl FilterCtx {
     fn check_killed(&self) {
         if let Some(d) = self.my_death {
             if self.env.now() >= d {
-                self.die();
+                raise_killed();
             }
         }
-    }
-
-    /// Unwind this copy as dead. Under lossless recovery the buffers it
-    /// consumed this UOW (its journal) come back from retention, retargeted
-    /// by its set's reaper; one whose replica the bounded ring already
-    /// evicted cannot, so it is tallied lost here.
-    pub(crate) fn die(&self) -> ! {
-        if let Some(ctl) = &self.faults {
-            let missed: usize = self
-                .inputs
-                .iter()
-                .filter_map(|i| {
-                    let r = i.retention.as_ref()?;
-                    Some(
-                        i.journal
-                            .iter()
-                            .filter(|&&p| r.addressee(p).is_none())
-                            .count(),
-                    )
-                })
-                .sum();
-            if missed > 0 {
-                ctl.tallies.lock().buffers_lost += missed as u64;
-            }
-        }
-        raise_killed()
     }
 
     /// Record a heartbeat (supervised runs; no-op otherwise).
@@ -200,10 +174,10 @@ impl FilterCtx {
     }
 
     /// Record in this copy set's gate that this copy consumed its
-    /// end-of-work on `port` (lossless recovery only: nobody reads it
+    /// end-of-work on `port` (only when copies can die: nobody reads it
     /// otherwise).
     fn end_port(&self, port: usize) {
-        if self.faults.as_ref().is_some_and(|c| c.lossless()) {
+        if self.inputs[port].retention.is_some() {
             let mut g = self.inputs[port].gate.lock();
             g.end(self.info.copy_index, self.uow);
         }
@@ -212,7 +186,7 @@ impl FilterCtx {
     /// Settle input `port`'s journal: report the provenances this copy
     /// consumed (and whose effects are now flushed) to the stream's
     /// retention — over the courier's reverse path under virtual time —
-    /// releasing the retained replicas. No-op in degraded mode or when
+    /// releasing the retained replicas. No-op without retention or when
     /// nothing was journaled.
     pub(crate) fn settle_port(&mut self, port: usize) {
         let input = &mut self.inputs[port];
@@ -236,29 +210,22 @@ impl FilterCtx {
     /// incarnation's journaled (consumed-but-unflushed) buffers are
     /// re-fetched from the stream's retention and queued on the port's
     /// local replay line so the fresh filter instance consumes them
-    /// before the shared queue.
-    /// Journal entries whose replicas were already evicted from the
-    /// bounded retention ring are unrecoverable and tallied as lost.
+    /// before the shared queue. A journaled entry is unsettled, so its
+    /// replica is still retained.
     pub(crate) fn prepare_restart_replay(&mut self) {
         let Some(ctl) = self.faults.clone() else {
             return;
         };
-        if !ctl.lossless() {
-            return;
-        }
-        let (mut refetched, mut refetched_bytes, mut evicted) = (0u64, 0u64, 0u64);
+        let (mut refetched, mut refetched_bytes) = (0u64, 0u64);
         for (i, input) in self.inputs.iter_mut().enumerate() {
             let Some(retention) = input.retention.as_ref() else {
                 continue;
             };
             for p in std::mem::take(&mut input.journal) {
-                match retention.fetch(p.copy, p.seq) {
-                    Some(buf) => {
-                        refetched += 1;
-                        refetched_bytes += buf.wire_bytes();
-                        input.replay.push_back((p, buf));
-                    }
-                    None => evicted += 1,
+                if let Some(buf) = retention.fetch(p.copy, p.seq) {
+                    refetched += 1;
+                    refetched_bytes += buf.wire_bytes();
+                    input.replay.push_back((p, buf));
                 }
             }
             if self.port_done[i] {
@@ -266,41 +233,17 @@ impl FilterCtx {
                 input.replay_done = true;
             }
         }
-        if refetched > 0 || evicted > 0 {
-            let mut t = ctl.tallies.lock();
-            t.buffers_redelivered += refetched;
-            t.bytes_redelivered += refetched_bytes;
-            t.buffers_lost += evicted;
-        }
-    }
-
-    /// True when no peer copy set that is dead *now* can still send
-    /// buffers for the current UOW into `port`'s queue. A dead peer's
-    /// reaper sends in FIFO order and advances the dead gate's cycle only
-    /// after every producer's end-of-work marker (which trails all of that
-    /// producer's data) has been salvaged, so `cycle > uow` proves all its
-    /// sends for `uow` have already been enqueued here. A peer that dies
-    /// later is lossless recovery's survivor wait (see
-    /// [`read`](Self::read)).
-    fn replays_settled(&self, port: usize) -> bool {
-        let Some(ctl) = self.faults.as_ref().filter(|c| c.crashes_possible()) else {
-            return true;
-        };
-        let now = self.env.now();
-        self.inputs[port].peer_gates.iter().all(|g| {
-            let g = g.lock();
-            !ctl.set_dead(&g.set, now) || g.cycle() > self.uow
-        })
+        let mut t = ctl.tallies.lock();
+        t.buffers_redelivered += refetched;
+        t.bytes_redelivered += refetched_bytes;
     }
 
     /// Release every copy of `port`'s set — one `UowDone` each — once the
-    /// whole producer side is done (dead producers counted done) and no
-    /// dead peer set can still replay into the queue. Otherwise the next
-    /// liveness probe retries.
+    /// whole producer side is done (dead producers counted done).
+    /// Otherwise the next liveness probe retries. What a dead peer set's
+    /// reaper still sends here is read in the survivor wait (see
+    /// [`read`](Self::read)).
     fn try_fire_gate(&self, port: usize) {
-        if !self.replays_settled(port) {
-            return;
-        }
         let now = self.env.now();
         let fired = self.inputs[port]
             .gate
@@ -313,9 +256,9 @@ impl FilterCtx {
         }
     }
 
-    /// Lossless recovery: true once every peer set on `port` that can die
-    /// has finished the current UOW — consumed its end-of-work, or died
-    /// and been drained by its reaper (see [`UowGate::finished`]).
+    /// True once every peer set on `port` that can die has finished the
+    /// current UOW — consumed its end-of-work, or died and been drained by
+    /// its reaper (see [`UowGate::finished`]).
     fn peers_finished(&self, port: usize, ctl: &FaultCtl) -> bool {
         let now = self.env.now();
         self.inputs[port]
@@ -372,7 +315,7 @@ impl FilterCtx {
     /// Write-side out-of-core step for one outgoing buffer: charge the
     /// stream's budget share and, when the stream is over it, park the
     /// payload in the spill ring — *after* the retention stamp (the
-    /// lossless-recovery replica is taken from the in-memory payload) and
+    /// recovery replica is taken from the in-memory payload) and
     /// *before* the outbox send. The spill write is charged to this
     /// host's disk model under the virtual-time executor. Returns the
     /// spill's `(ring_bytes, elapsed)`, both zero when nothing spilled.
@@ -396,7 +339,7 @@ impl FilterCtx {
         if !ooc.charge(bytes) {
             // Staying resident: the charge rides with the buffer until the
             // consumer claims it. The mark keeps charge/discharge paired —
-            // replayed retention replicas (never charged) carry no mark and
+            // redelivered retention replicas (never charged) carry no mark and
             // must never be discharged.
             buf.set_budget_charged();
             return (0, SimDuration::ZERO);
@@ -592,11 +535,12 @@ impl FilterCtx {
 
     /// True when the run executes under a fault plan that can kill hosts.
     /// Failure is fail-stop at the read boundary: whatever a copy holds in
-    /// memory across buffers dies with it, and only buffers still queued
-    /// (never dequeued, hence never acknowledged) are replayed. A filter
-    /// that wants crash recovery to be lossless should therefore flush
-    /// per input buffer while this returns true instead of batching
-    /// output across buffers.
+    /// memory across buffers dies with it. A replicable input comes back
+    /// from its producer's retention until this copy settles it at the
+    /// end of its unit of work, but a non-replicable one is replayed only
+    /// while still queued. A filter reading non-replicable payloads should
+    /// therefore flush per input buffer while this returns true instead
+    /// of batching output across buffers.
     pub fn fail_stop_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|c| c.crashes_possible())
     }
@@ -651,11 +595,11 @@ impl FilterCtx {
     /// as they are dequeued — "the buffer is now being processed", as the
     /// paper puts it.
     ///
-    /// Under lossless recovery a copy whose stream has peer sets that can
-    /// die keeps reading after its end-of-work token: a peer that dies
-    /// later has its retained buffers redelivered here. It returns `None`
-    /// once every such peer finished the UOW and the queue is empty. A
-    /// waiting copy whose host dies dies at its next read like any other:
+    /// A copy whose stream has peer sets that can die keeps reading after
+    /// its end-of-work token: a peer that dies later has its retained
+    /// buffers redelivered here. It returns `None` once every such peer
+    /// finished the UOW and the queue is empty. A waiting copy whose host
+    /// dies dies at its next read like any other:
     /// its journal is still retained, so its set's reaper retargets it.
     pub fn read(&mut self, port: usize) -> Option<DataBuffer> {
         if let Some((p, buf)) = self.inputs[port].replay.pop_front() {
@@ -811,8 +755,7 @@ impl FilterCtx {
                 Some(Envelope::UowDone) if waiting => {}
                 Some(Envelope::UowDone) => {
                     self.end_port(port);
-                    let lossless = self.faults.as_ref().is_some_and(|c| c.lossless());
-                    if lossless && !self.inputs[port].peer_gates.is_empty() {
+                    if !self.inputs[port].peer_gates.is_empty() {
                         self.inputs[port].eow_taken = true;
                         continue;
                     }

@@ -3,15 +3,19 @@
 //! control block threaded through the runtime while a fault plan is
 //! active.
 //!
-//! The recovery model (see DESIGN.md §8): hosts fail *fail-stop* and a
-//! crashed filter copy is observed dead at its next stream-read (or write)
-//! boundary, so every buffer it already dequeued — and therefore
-//! acknowledged under the demand-driven policy — is fully processed and
-//! its output flushed. Buffers still queued at (or sent to) a dead copy
-//! set are salvaged by a per-set reaper process and, when they carry a DD
-//! ack handle, *replayed* to a surviving copy set; ack-less buffers
-//! (RR/WRR or `write_to` routing) cannot be safely re-addressed and are
-//! counted as lost, completing the run in degraded mode.
+//! The recovery model (see DESIGN.md §8 and §13): hosts fail *fail-stop*
+//! and a crashed filter copy is observed dead at its next stream-read (or
+//! write) boundary. Whenever copies can die (a crash in the plan, or
+//! supervision), every stream retains a replica of each replicable buffer
+//! at its producer until the consuming copy settles it at the end of its
+//! unit of work. A dead copy set's reaper retargets those entries to a
+//! surviving set, and a restarted copy re-fetches its journal, so a crash
+//! costs time, not output. A non-replicable buffer still queued at a dead
+//! set is replayed to a survivor when it carries a demand-driven ack
+//! handle, and counted lost otherwise. A retained replica no consumer
+//! settled by the end of the run — no live consumer was left to take it —
+//! is counted lost too, and a run that lost anything is reported
+//! *degraded*.
 //!
 //! Both execution substrates consult the same [`FaultPlan`] oracle — the
 //! simulator on virtual time, the native executor on wall-clock
@@ -185,9 +189,9 @@ impl From<SimError> for RunError {
 /// in place — from its factory, on the same thread, holding the same
 /// channel endpoints — after a seeded, jittered exponential backoff, up to
 /// `max_restarts` times. Exhausting the budget declares the copy dead in
-/// the dynamic death registry and the run continues degraded, exactly as
-/// if the fault plan had scheduled the death (replay, loss accounting, gate
-/// excusal all apply).
+/// the dynamic death registry and the run continues exactly as if the
+/// fault plan had scheduled the death (retargeting, loss accounting and
+/// gate excusal all apply).
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorPolicy {
     /// Restart budget per copy (0 = contain the panic but never restart).
@@ -301,51 +305,19 @@ pub fn backoff_delay(
     SimDuration::from_nanos((exp_ns as f64 * jitter) as u64)
 }
 
-/// How far the runtime goes to repair fault-induced data loss.
-///
-/// Under `Degraded` (the PR 5 contract and the default), buffers stranded
-/// at dead copy sets are replayed only when the demand-driven policy left
-/// an ack handle to re-address; everything else is tallied as lost and the
-/// run completes with partial output. Under `Lossless`, producers retain a
-/// slab-pooled replica of every sent buffer in bounded per-stream
-/// retention rings until the consuming copy set settles its unit of work;
-/// dead sets get their unsettled traffic redelivered to survivors (and
-/// restarted copies get their consumed-but-unflushed buffers re-injected)
-/// from retention alone — a seeded crash then costs latency, not output.
-/// A replica no consumer settled by the end of the run is counted lost.
-/// Lossless falls back to the degraded accounting when recovery is
-/// impossible (retention ring overflowed past `retention_depth`, a
-/// non-replicable payload, or no surviving consumer set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Recovery {
-    /// Loss-accounted completion: replay what the ack machinery can
-    /// re-address, tally the rest as lost.
-    #[default]
-    Degraded,
-    /// Retention + redelivery: completed runs are bit-identical to the
-    /// fault-free run with zero loss.
-    Lossless,
-}
-
-/// Default capacity of each per-(producer copy, stream) retention ring
-/// under [`Recovery::Lossless`]. Bounds retained memory; a ring that
-/// overflows evicts its oldest replica (tallied), trading the lossless
-/// guarantee for the bound.
-pub const DEFAULT_RETENTION_DEPTH: usize = 4096;
-
 /// Fault-injection options for `Run::faults`: the [`FaultPlan`] shared by
 /// every executor (the simulator reads it on virtual time, the native
 /// executor on wall-clock nanoseconds since run start, so one plan injects
-/// the same faults at the same times on both) plus the recovery and
-/// supervision knobs.
+/// the same faults at the same times on both) plus the liveness and
+/// supervision knobs. Recovery needs no switch: a plan that can kill
+/// copies makes every stream retain (see the module docs).
 ///
 /// ```ignore
 /// let plan = FaultPlan::new()
 ///     .crash_host(h2, SimTime::ZERO + SimDuration::from_millis(2))
 ///     .drop_messages(0xBEEF, 0.05);
 /// let chaos = FaultOptions::new(plan)
-///     .supervised(SupervisorPolicy::new().max_restarts(3))
-///     .lossless();
+///     .supervised(SupervisorPolicy::new().max_restarts(3));
 /// let report = Run::new(graph)
 ///     .executor(NativeExecutor::new())
 ///     .faults(chaos)
@@ -362,23 +334,16 @@ pub struct FaultOptions {
     /// or end-of-work may be concluded while a live producer's marker is
     /// still on the wire.
     pub liveness_timeout: SimDuration,
-    /// When `true` (the default), a unit of work completes with partial
-    /// output if buffers are lost to crashes that replay cannot repair
-    /// (no ack handle, or no surviving copy set); the losses are tallied
-    /// in the run report. When `false`, the first irreparable loss aborts
-    /// the run with [`RunError::NoSurvivingConsumers`].
+    /// When `true` (the default), a run completes with partial output if
+    /// buffers are lost to crashes that recovery cannot repair (no live
+    /// consumer set left, or a non-replicable buffer without an ack
+    /// handle); the losses are tallied in the run report. When `false`,
+    /// such a loss fails the run with [`RunError::NoSurvivingConsumers`].
     pub allow_degraded: bool,
     /// Supervise filter copies: contain panics in filter callbacks and
     /// restart the copy under this policy instead of failing the run.
     /// `None` (the default) keeps the pure fail-stop semantics.
     pub supervisor: Option<SupervisorPolicy>,
-    /// Recovery contract: `Degraded` (default, PR 5's loss-accounted
-    /// completion) or `Lossless` (retention + redelivery; see
-    /// [`Recovery`]).
-    pub recovery: Recovery,
-    /// Capacity of each per-(producer copy, stream) retention ring under
-    /// lossless recovery ([`DEFAULT_RETENTION_DEPTH`] by default).
-    pub retention_depth: usize,
 }
 
 impl FaultOptions {
@@ -390,27 +355,7 @@ impl FaultOptions {
             liveness_timeout: SimDuration::from_millis(50),
             allow_degraded: true,
             supervisor: None,
-            recovery: Recovery::Degraded,
-            retention_depth: DEFAULT_RETENTION_DEPTH,
         }
-    }
-
-    /// Demand lossless recovery (see [`Recovery::Lossless`]).
-    pub fn lossless(mut self) -> Self {
-        self.recovery = Recovery::Lossless;
-        self
-    }
-
-    /// Select the recovery contract explicitly.
-    pub fn recovery(mut self, recovery: Recovery) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Override the retention ring capacity used under lossless recovery.
-    pub fn retention_depth(mut self, depth: usize) -> Self {
-        self.retention_depth = depth;
-        self
     }
 
     /// Override the liveness timeout.
@@ -419,8 +364,8 @@ impl FaultOptions {
         self
     }
 
-    /// Set whether irreparable losses complete the run in degraded mode
-    /// (`true`) or abort it (`false`).
+    /// Set whether irreparable losses complete the run degraded (`true`)
+    /// or fail it (`false`).
     pub fn allow_degraded(mut self, allow: bool) -> Self {
         self.allow_degraded = allow;
         self
@@ -597,10 +542,6 @@ pub(crate) struct FaultCtl {
     pub allow_degraded: bool,
     /// Supervision policy, when the run restarts crashed copies.
     pub supervisor: Option<SupervisorPolicy>,
-    /// Recovery contract the run executes under.
-    pub recovery: Recovery,
-    /// Retention ring capacity under lossless recovery.
-    pub retention_depth: usize,
     /// The counters of the run's [`FaultReport`], tallied live; the rest
     /// is filled in when the run's results are harvested.
     pub tallies: Mutex<FaultReport>,
@@ -618,23 +559,16 @@ impl FaultCtl {
             timeout: opts.liveness_timeout,
             allow_degraded: opts.allow_degraded,
             supervisor: opts.supervisor,
-            recovery: opts.recovery,
-            retention_depth: opts.retention_depth.max(1),
             tallies: Mutex::new(FaultReport::default()),
             dynamic: Mutex::new(HashMap::new()),
         })
     }
 
     /// True when copies can die during this run — by scheduled crash or by
-    /// supervised death declaration. Gates all liveness machinery (timed
-    /// reads, writer eviction, settle checks).
+    /// supervised death declaration. Gates all liveness and recovery
+    /// machinery (retention, timed reads, writer eviction, reapers).
     pub fn crashes_possible(&self) -> bool {
         self.plan.has_crashes() || self.supervisor.is_some()
-    }
-
-    /// True when the run retains and redelivers for lossless recovery.
-    pub fn lossless(&self) -> bool {
-        self.recovery == Recovery::Lossless
     }
 
     /// Declare `(filter, copy)` dead as of `now` (idempotent; the earliest

@@ -89,10 +89,7 @@ pub mod storage;
 pub use budget::{MemoryBudget, SpillRing, SpillTicket, StreamOoc};
 pub use buffer::{BufferSlab, DataBuffer, SpillCodec, ACK_WIRE_BYTES, BUFFER_OVERHEAD_BYTES};
 pub use context::FilterCtx;
-pub use fault::{
-    backoff_delay, FaultOptions, Recovery, RestartEvent, RunError, SupervisorPolicy,
-    DEFAULT_RETENTION_DEPTH,
-};
+pub use fault::{backoff_delay, FaultOptions, RestartEvent, RunError, SupervisorPolicy};
 pub use filter::{CopyInfo, Filter, FilterError, FilterFactory};
 pub use graph::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, DEFAULT_QUEUE_CAPACITY};
 pub use hetsim::DiskFaultKind;

@@ -97,18 +97,18 @@ pub struct FaultReport {
     pub injected: Vec<String>,
     /// Filter copies killed by host crashes.
     pub copies_killed: u64,
-    /// Buffers salvaged from dead copy sets and replayed to survivors
-    /// through their producer's demand window. Under
-    /// [`Recovery::Lossless`](crate::Recovery) a replicable buffer is never
-    /// replayed — its retained replica is redelivered instead — so this
-    /// stays 0 unless a lossless stream carries non-replicable payloads.
+    /// Non-replicable buffers salvaged from dead copy sets and replayed to
+    /// survivors through their producer's demand window. A replicable
+    /// buffer is never replayed — its retained replica is redelivered
+    /// instead (`buffers_redelivered`).
     pub buffers_replayed: u64,
     /// Payload bytes replayed.
     pub bytes_replayed: u64,
-    /// Buffers irrecoverably lost: no ack handle or no surviving set, a
-    /// restarted or dead copy's journal entry whose replica was evicted,
-    /// or — under lossless recovery — a replica still retained when the
-    /// run ended.
+    /// Buffers irrecoverably lost: a retained replica no consumer settled
+    /// by the end of the run (no live consumer set was left to take it),
+    /// a non-replicable buffer queued at a dead set with no ack handle or
+    /// no surviving set, or a spill frame the storage plane could not
+    /// read back.
     pub buffers_lost: u64,
     /// Payload bytes lost.
     pub bytes_lost: u64,
@@ -120,14 +120,11 @@ pub struct FaultReport {
     pub copies_wedged: u64,
     /// Messages held back by injected per-message delays.
     pub messages_delayed: u64,
-    /// Retained replicas redelivered under lossless recovery (to a
-    /// surviving copy set or a restarted copy).
+    /// Retained replicas redelivered after a crash (to a surviving copy
+    /// set or a restarted copy).
     pub buffers_redelivered: u64,
     /// Payload bytes redelivered.
     pub bytes_redelivered: u64,
-    /// Replicas evicted from full retention rings (`retention_depth`
-    /// bound); non-zero means the lossless guarantee was at risk.
-    pub retention_evicted: u64,
     /// Per-copy restart/backoff timeline of supervised restarts, in the
     /// order they were contained.
     pub restart_events: Vec<crate::fault::RestartEvent>,
@@ -198,12 +195,8 @@ impl std::fmt::Display for FaultReport {
         )?;
         writeln!(
             f,
-            "  lost {} buffers ({} B), evicted {} retained replicas, {} retransmits, {} delayed",
-            self.buffers_lost,
-            self.bytes_lost,
-            self.retention_evicted,
-            self.retransmits,
-            self.messages_delayed
+            "  lost {} buffers ({} B), {} retransmits, {} delayed",
+            self.buffers_lost, self.bytes_lost, self.retransmits, self.messages_delayed
         )?;
         writeln!(
             f,

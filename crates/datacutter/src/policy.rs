@@ -193,8 +193,10 @@ impl WriterState {
                         }
                     }
                     // Every consumer set is detectably dead: fall through to
-                    // the scheduled pick; the dead set's reaper tallies the
-                    // buffer as lost (degraded mode).
+                    // the scheduled pick. No live consumer is left, so the
+                    // buffer is lost: its replica stays retained until the
+                    // end-of-run sweep counts it (a non-replicable one is
+                    // counted by the dead set's reaper).
                 }
                 let idx = schedule[*pos];
                 *pos = (*pos + 1) % n;
@@ -211,8 +213,8 @@ impl WriterState {
     /// detectably-dead owner's tiles fall through to the next live set in
     /// index order (`(owner + k) mod sets`) — still deterministic, so
     /// rerouted fragments of one tile stay together. When every set is
-    /// dead the nominal owner is returned and its reaper tallies the
-    /// buffer as lost (degraded mode).
+    /// dead the nominal owner is returned and the buffer is lost: no live
+    /// consumer is left to take it.
     pub fn select_tile(&self, env: &ExecEnv, tile: u64) -> usize {
         let (n, liveness) = match &self.inner {
             WriterInner::Cyclic { sets, faults, .. } => (
@@ -345,8 +347,8 @@ impl DemandState {
                 dead_scratch.clear();
                 dead_scratch.extend(sets.iter().map(|s| ctl.set_detectably_dead(s, now)));
                 if dead_scratch.iter().all(|&d| d) {
-                    // Degraded: no surviving consumer set. Route to the
-                    // least-unacked set regardless of its window.
+                    // No surviving consumer set. Route to the least-unacked
+                    // set regardless of its window; the buffer is lost.
                     let i = (0..n).min_by_key(|&i| st.unacked[i]).unwrap_or(0);
                     st.unacked[i] += 1;
                     st.cursor = (i + 1) % n;

@@ -9,7 +9,7 @@
 //! virtual time a per-copy **outbox sender** handler polls it, so the
 //! modelled wire transfer overlaps the copy's computation, and a
 //! per-copy-set **ack courier** handler pays the reverse path for demand
-//! acknowledgments and lossless-recovery `Settle` batches. Both are
+//! acknowledgments and retention `Settle` batches. Both are
 //! threadless: each event granted to them runs one step on whichever
 //! thread dispatches it. On the native executor there is no modelled
 //! wire: the writing copy delivers in its own thread
@@ -34,8 +34,8 @@ pub(crate) enum Envelope {
     Data {
         buf: DataBuffer,
         ack: Option<AckHandle>,
-        /// Retention identity (`(producer copy, per-stream seq)`) when the
-        /// stream runs under lossless recovery; `None` otherwise. A
+        /// Retention identity (`(producer copy, per-stream seq)`) of a
+        /// replicable buffer when copies can die; `None` otherwise. A
         /// redelivered replica carries the original provenance, so the
         /// consumer that settles it releases the retained entry.
         prov: Option<Provenance>,
@@ -63,7 +63,7 @@ pub(crate) enum OutMsg {
 pub(crate) enum CourierMsg {
     /// Demand-driven window credit for one delivered buffer.
     Ack(AckHandle),
-    /// Lossless-recovery settlement: these retained replicas were fully
+    /// Retention settlement: these retained replicas were fully
     /// consumed in a completed unit of work and may be garbage-collected.
     Settle { items: Vec<Provenance> },
 }

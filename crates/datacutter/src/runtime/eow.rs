@@ -37,7 +37,7 @@ pub(crate) struct UowGate {
     /// Completed end-of-work cycles (== the UOW the gate is waiting on).
     cycle: u32,
     /// Per consumer copy of the set: units of work whose end-of-work the
-    /// copy has consumed (lossless recovery only).
+    /// copy has consumed (only when copies can die).
     ended: Vec<u32>,
     /// Units of work the set's reaper has drained since the set died:
     /// every buffer addressed to the set for them has been retargeted.
@@ -66,9 +66,7 @@ impl UowGate {
     }
 
     /// Completed end-of-work cycles so far. A dead copy set's gate is
-    /// advanced by its reaper as salvage proceeds; in degraded mode live
-    /// sets consult it to avoid declaring end-of-work while replayed
-    /// buffers are still in flight.
+    /// advanced by its reaper as salvage proceeds.
     pub fn cycle(&self) -> u32 {
         self.cycle
     }

@@ -10,8 +10,9 @@
 //!   injected delays and stalls), plus the simulator's outbox-sender and
 //!   ack-courier handlers,
 //! * [`eow`] — end-of-work gates (UOW cycle separation),
-//! * [`reaper`] — dead-set salvage and demand-driven replay,
-//! * [`retain`] — lossless-recovery retention rings,
+//! * [`reaper`] — dead-set salvage: retargeting retained replicas and
+//!   replaying non-replicable demand-driven buffers,
+//! * [`retain`] — producer-side retention rings (runs whose copies can die),
 //! * [`supervisor`] — wedge detection and eviction for supervised runs.
 //!
 //! Runs are configured with the [`Run`] builder:
@@ -154,9 +155,9 @@ impl Run {
     /// Inject the faults scheduled in `opts` and run the recovery
     /// machinery: liveness-timeout death detection, writer-side eviction
     /// of dead consumer hosts, end-of-work accounting that tolerates dead
-    /// producer copies, and replay of unacknowledged demand-driven buffers
-    /// from dead copy sets to survivors. The returned report's
-    /// [`RunReport::faults`] records what was injected and repaired.
+    /// producer copies, and redelivery from dead copy sets to survivors.
+    /// The returned report's [`RunReport::faults`] records what was
+    /// injected and repaired.
     ///
     /// Works on both substrates: the same plan runs bit-reproducibly on
     /// the virtual-time executor and in wall-clock time on the native
@@ -168,12 +169,13 @@ impl Run {
     /// stall are all paid by the writing copy, as a blocking socket send
     /// would be.
     ///
-    /// With [`crate::fault::Recovery::Lossless`] the runtime additionally
-    /// retains sent buffers until consumers settle them and redelivers
-    /// retained replicas after crashes and supervised restarts — a
-    /// crashed-and-recovered run then reports `buffers_lost == 0` and
-    /// produces output identical to a fault-free run. A replica still
-    /// retained when the run ends is counted lost.
+    /// When copies can die (a crash in the plan, or supervision) every
+    /// stream retains its replicable buffers until consumers settle them,
+    /// and retained replicas are redelivered after crashes and supervised
+    /// restarts — a crashed-and-recovered run reports `buffers_lost == 0`
+    /// and produces output identical to a fault-free run. A replica still
+    /// retained when the run ends (no live consumer was left) is counted
+    /// lost. Without crashes nothing is retained.
     ///
     /// Two caveats on the reported `elapsed` under a plan with crashes: a
     /// crash scheduled after the pipeline naturally finishes extends the
@@ -380,8 +382,8 @@ fn drive<E: Executor>(
     let mut boundaries = std::mem::take(&mut *wiring.uow_boundaries.lock());
     boundaries.sort_unstable();
 
-    // Lossless recovery's one loss rule: a replica no consumer settled by
-    // the end of the run was never processed to the end of a UOW.
+    // The one loss rule of retention: a replica no consumer settled by the
+    // end of the run was never processed to the end of a UOW.
     for (stream, retention) in &wiring.retention {
         if retention.sweep() > 0 && fault_ctl.as_ref().is_some_and(|c| !c.allow_degraded) {
             return Err(RunError::NoSurvivingConsumers {

@@ -2,17 +2,14 @@
 //! waits (without consuming) until the set's death, then drains the dead
 //! queue for the rest of the run.
 //!
-//! What it does with the dead set's traffic depends on the recovery
-//! contract. Degraded: a demand-driven buffer is replayed to a surviving
-//! set through its producer's window, and anything else is tallied lost.
-//! Lossless: the producer's retention is the route back. The reaper
-//! retargets every entry addressed to the dead set to one survivor and
-//! sends it a replica; a queue original that carries a provenance is
-//! released, since its replica travels instead. Whatever no survivor
-//! settles is still retained when the run ends, and the end-of-run sweep
-//! counts it lost then. The one exception is retention overflow: an
-//! original whose replica the bounded ring already evicted is sent on
-//! itself, and counted lost here if no survivor takes it.
+//! The producer's retention is the route back. The reaper retargets every
+//! entry addressed to the dead set to one survivor and sends it a replica;
+//! a queue original that carries a provenance is released, since its
+//! replica travels instead. Whatever no survivor settles is still retained
+//! when the run ends, and the end-of-run sweep counts it lost then. A
+//! queued buffer without a provenance (a non-replicable payload) is
+//! replayed to a surviving set through its producer's demand window when
+//! it carries an ack handle, and counted lost here otherwise.
 //!
 //! Under a pure fault *plan* the doomed sets are known upfront, so spawn
 //! wires one reaper per scheduled death — the original (bit-identical)
@@ -21,10 +18,10 @@
 //! reaper. Either way the reaper probes the fault control block's merged
 //! death oracle each tick. Once the run's shutdown flag rises (every copy
 //! finished or died) a supervised reaper drains whatever is stranded in
-//! its queue — counting data buffers as lost, since no consumer remains —
-//! and exits; it must *not* simply wait for emptiness, because a wedged
-//! peer's reaper may replay buffers into a set that already completed the
-//! cycle before the wedge was even detected.
+//! its queue — no consumer remains, so it retargets nothing and replays
+//! nothing — and exits; it must *not* simply wait for emptiness, because
+//! a wedged peer's reaper may send buffers into a set that already
+//! completed the cycle before the wedge was even detected.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,11 +76,10 @@ pub(crate) struct Reaper {
     /// it as a last resort after abandoning a wedged thread; a waiting
     /// reaper must observe it rather than sleep forever.
     pub cancel: Option<Arc<CancelScope>>,
-    /// Lossless recovery: the stream's retention, whose entries for the
-    /// dead set the reaper retargets to one deterministic survivor (next
-    /// alive set in index order, matching the tile-hash writer's
-    /// fall-through). `None` ⇒ degraded salvage only.
-    pub retention: Option<Arc<StreamRetention>>,
+    /// The stream's retention, whose entries for the dead set the reaper
+    /// retargets to one deterministic survivor (next alive set in index
+    /// order, matching the tile-hash writer's fall-through).
+    pub retention: Arc<StreamRetention>,
     /// Host of each producer copy, indexed by copy (for charging replica
     /// retransmissions from the producer side).
     pub producer_hosts: Vec<HostId>,
@@ -197,8 +193,8 @@ impl Reaper {
         g.salvaged = g.cycle();
     }
 
-    /// The deterministic forward target for lossless redelivery: the next
-    /// currently-alive survivor in index order after this dead set — the
+    /// The deterministic target for redelivery: the next currently-alive
+    /// survivor in index order after this dead set — the
     /// same fall-through order the tile-hash writer probes, so forwarded
     /// tiles land where post-death writes already go.
     fn forward_target(&self, env: &ExecEnv) -> Option<(usize, &ChanTx<Envelope>)> {
@@ -216,22 +212,19 @@ impl Reaper {
         None
     }
 
-    /// Lossless recovery: retarget the retention entries addressed to this
-    /// dead set to the deterministic survivor and send it a replica of
-    /// each. Called repeatedly through phase 2 — a producer that had not
-    /// yet noticed the death keeps stamping buffers at this set, and each
-    /// pass picks those up before the gate can advance past their UOW
-    /// (their end-of-work markers trail them through this queue). With no
+    /// Retarget the retention entries addressed to this dead set to the
+    /// deterministic survivor and send it a replica of each. Called
+    /// repeatedly through phase 2 — a producer that had not yet noticed
+    /// the death keeps stamping buffers at this set, and each pass picks
+    /// those up before the gate can advance past their UOW (their
+    /// end-of-work markers trail them through this queue). With no
     /// survivor, or a send that fails, the entries stay retained and the
     /// end-of-run sweep counts them lost.
     fn retarget(&self, env: &ExecEnv) {
-        let Some(retention) = self.retention.as_ref() else {
-            return;
-        };
         let Some(target) = self.forward_target(env) else {
             return;
         };
-        for (p, buf) in retention.retarget(self.own_idx, target.0) {
+        for (p, buf) in self.retention.retarget(self.own_idx, target.0) {
             let from = self
                 .producer_hosts
                 .get(p.copy as usize)
@@ -242,9 +235,10 @@ impl Reaper {
     }
 
     /// Send `buf` (provenance `p`) from host `from` to the survivor
-    /// `target` and tally it redelivered; `false` once the survivor's queue
-    /// is gone. The send goes past the queue bound: the survivors wait on
-    /// this reaper, so it must not wait on them.
+    /// `target` and tally it redelivered. The send goes past the queue
+    /// bound: the survivors wait on this reaper, so it must not wait on
+    /// them. A failed send (the survivor's queue is gone) leaves the entry
+    /// retained for the sweep.
     fn redeliver(
         &self,
         env: &ExecEnv,
@@ -252,37 +246,27 @@ impl Reaper {
         (idx, tx): (usize, &ChanTx<Envelope>),
         buf: DataBuffer,
         p: Provenance,
-    ) -> bool {
+    ) {
         let to = self.sets[idx].host;
         charge_transfer(env, &self.topo, from, to, buf.transport_bytes());
         let bytes = buf.wire_bytes();
-        let prov = Some(p);
-        let sent = tx
-            .push(
-                env,
-                Envelope::Data {
-                    buf,
-                    ack: None,
-                    prov,
-                },
-            )
-            .is_ok();
-        if sent {
+        let envelope = Envelope::Data {
+            buf,
+            ack: None,
+            prov: Some(p),
+        };
+        if tx.push(env, envelope).is_ok() {
             let mut t = self.ctl.tallies.lock();
             t.buffers_redelivered += 1;
             t.bytes_redelivered += bytes;
         }
-        sent
     }
 
-    /// Lossless salvage of a queue original that carries a provenance.
-    /// While its replica is retained, the replica travels
-    /// ([`retarget`](Self::retarget) — sent now if no pass has moved it
-    /// yet), so the original is released: its spill slot freed and its
-    /// budget charge discharged. A replica the bounded ring has already
-    /// evicted cannot travel, so the original is sent on itself. Either
-    /// way its demand credit is returned.
-    fn salvage_retained(
+    /// Salvage of a queue original that carries a provenance: its replica
+    /// travels ([`retarget`](Self::retarget) — sent now if no pass has
+    /// moved it yet), so the original is released, its spill slot freed
+    /// and its budget charge discharged, and its demand credit returned.
+    fn release_original(
         &self,
         env: &ExecEnv,
         mut buf: DataBuffer,
@@ -292,31 +276,17 @@ impl Reaper {
         if let Some(ack) = &ack {
             ack.state.ack(env, ack.copyset_idx);
         }
-        let held = self.retention.as_ref().is_some_and(|r| {
-            if r.addressee(p) == Some(self.own_idx) {
-                self.retarget(env);
-            }
-            r.addressee(p).is_some()
-        });
-        if held {
-            if let Some(ooc) = &self.ooc {
-                ooc.drop_unread(&mut buf);
-            }
-            return;
+        if self.retention.addressee(p) == Some(self.own_idx) {
+            self.retarget(env);
         }
-        let bytes = buf.wire_bytes();
-        let own = self.sets[self.own_idx].host;
-        let sent = self
-            .forward_target(env)
-            .is_some_and(|target| self.redeliver(env, own, target, buf, p));
-        if !sent {
-            self.lose(bytes);
+        if let Some(ooc) = &self.ooc {
+            ooc.drop_unread(&mut buf);
         }
     }
 
-    /// Degraded salvage of one demand-driven data envelope: reroute it to
-    /// a survivor through the producer's window accounting, or account it
-    /// lost.
+    /// Salvage of one non-replicable demand-driven data envelope: reroute
+    /// it to a survivor through the producer's window accounting, or
+    /// account it lost.
     fn reroute_acked(&self, env: &ExecEnv, buf: DataBuffer, ack: AckHandle) {
         // Under supervision a listed target may itself have died
         // since wiring; filter those out so two dead sets can't
@@ -374,20 +344,19 @@ impl Reaper {
 
     fn salvage(&self, env: &ExecEnv, envelope: Envelope) {
         match envelope {
-            // Provenances exist only under lossless recovery.
             Envelope::Data {
                 buf,
                 ack,
                 prov: Some(p),
-            } => self.salvage_retained(env, buf, ack, p),
+            } => self.release_original(env, buf, ack, p),
             Envelope::Data {
                 buf,
                 ack: Some(ack),
                 ..
             } => self.reroute_acked(env, buf, ack),
-            // No ack handle (RR/WRR or content-routed `write_to`) and no
-            // retained replica: the producer's routing decision cannot be
-            // replayed safely.
+            // A non-replicable payload with no ack handle (RR/WRR or
+            // content-routed `write_to`): the producer's routing decision
+            // cannot be replayed safely.
             Envelope::Data { buf, .. } => self.lose(buf.wire_bytes()),
             // A producer's end-of-work marker: no consumer will act on it,
             // but it proves all of that producer's data for the cycle has

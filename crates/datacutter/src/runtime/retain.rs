@@ -1,19 +1,16 @@
-//! Producer-side retention — the one route back under
-//! [`Recovery::Lossless`](crate::fault::Recovery).
+//! Producer-side retention — the route back for every replicable buffer
+//! of a run whose copies can die.
 //!
-//! Every stream of a lossless run owns one [`StreamRetention`]: per
-//! producer copy, a bounded ring of slab-pooled replicas of every buffer
-//! the copy sent, keyed by a monotonically increasing per-(producer copy,
+//! Every stream of such a run owns one [`StreamRetention`]: per producer
+//! copy, a ring of slab-pooled replicas of every replicable buffer the
+//! copy sent, keyed by a monotonically increasing per-(producer copy,
 //! stream) sequence number stamped into the envelope as [`Provenance`],
-//! and addressed to the consumer copy set the original went to. Entries
-//! leave the ring three ways:
+//! and addressed to the consumer copy set the original went to. The ring
+//! has no depth bound. An entry leaves it one of two ways:
 //!
 //! * **settled** — a consuming copy finishes its unit of work and acks the
 //!   provenances it consumed (over the stream's courier under virtual
 //!   time); the replicas are recycled to the [`BufferSlab`].
-//! * **evicted** — the ring is full (`retention_depth`); the oldest
-//!   replica is recycled and tallied, trading the lossless guarantee for
-//!   the memory bound.
 //! * **swept** — the run ended and no consumer settled the entry; it is
 //!   counted lost ([`StreamRetention::sweep`]).
 //!
@@ -21,12 +18,11 @@
 //! its reaper [retargets](StreamRetention::retarget) the set's entries to
 //! a survivor and sends it a replica of each; the entry stays until that
 //! survivor settles it, so a second death retargets it again. A queued
-//! original is released once its replica travels; only when the ring has
-//! already evicted that replica does the reaper send the original on
-//! itself. A supervised restart [fetches](StreamRetention::fetch)
-//! replicas of the crashed incarnation's journal. Either way a provenance is processed
-//! again, never suppressed: every rendering fold is idempotent under
-//! duplicated identical inputs.
+//! original is released, since its replica travels instead. A supervised
+//! restart [fetches](StreamRetention::fetch) replicas of the crashed
+//! incarnation's journal. Either way a provenance is processed again,
+//! never suppressed: every rendering fold is idempotent under duplicated
+//! identical inputs.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,14 +61,13 @@ struct Ring {
     next_seq: u64,
 }
 
-/// Retention state of one stream under lossless recovery: a ring per
-/// producer copy plus the shared slab and tallies. Shared (`Arc`) between
-/// the producer copies' output ports (stamp), the consumer sets' couriers
-/// (settle), the reapers (retarget on set death), restarted copies (fetch
-/// for re-injection) and the run's harvest (sweep).
+/// Retention state of one stream: a ring per producer copy plus the
+/// shared slab and tallies. Shared (`Arc`) between the producer copies'
+/// output ports (stamp), the consumer sets' couriers (settle), the reapers
+/// (retarget on set death), restarted copies (fetch for re-injection) and
+/// the run's harvest (sweep).
 pub(crate) struct StreamRetention {
     rings: Vec<Mutex<Ring>>,
-    depth: usize,
     slab: BufferSlab,
     ctl: Arc<FaultCtl>,
 }
@@ -83,7 +78,6 @@ impl StreamRetention {
             rings: (0..n_producer_copies)
                 .map(|_| Mutex::new(Ring::default()))
                 .collect(),
-            depth: ctl.retention_depth,
             slab,
             ctl,
         }
@@ -92,8 +86,8 @@ impl StreamRetention {
     /// Stamp one outgoing buffer that producer `copy` sends in unit of
     /// work `uow` to consumer set `set_idx`: allocate its sequence number
     /// and retain a replica. Returns `None` (no provenance, nothing
-    /// retained) when the buffer is not replicable — such buffers stay
-    /// recoverable only while queued, exactly as in degraded mode.
+    /// retained) when the buffer is not replicable — such a buffer is
+    /// recoverable only while queued, through its demand-driven ack.
     pub fn stamp(
         &self,
         copy: usize,
@@ -111,16 +105,6 @@ impl StreamRetention {
             set_idx,
             buf: replica,
         });
-        let evicted = if ring.entries.len() > self.depth {
-            ring.entries.pop_front()
-        } else {
-            None
-        };
-        drop(ring);
-        if let Some(e) = evicted {
-            self.slab.repool(e.buf);
-            self.ctl.tallies.lock().retention_evicted += 1;
-        }
         Some(Provenance {
             copy: copy as u32,
             uow,
@@ -130,7 +114,7 @@ impl StreamRetention {
 
     /// Replicate the retained entry `(copy, seq)` for re-injection into a
     /// restarted consumer. The entry stays retained (a second fault may
-    /// need it again); `None` when it was already settled or evicted.
+    /// need it again); `None` when it was already settled.
     pub fn fetch(&self, copy: u32, seq: u64) -> Option<DataBuffer> {
         let ring = self.rings[copy as usize].lock();
         let entry = ring.entries.iter().find(|e| e.seq == seq)?;
@@ -138,7 +122,7 @@ impl StreamRetention {
     }
 
     /// The consumer set the retained entry `p` is addressed to; `None` once
-    /// it was settled or evicted.
+    /// it was settled.
     pub fn addressee(&self, p: Provenance) -> Option<usize> {
         let ring = self.rings[p.copy as usize].lock();
         ring.entries
@@ -216,10 +200,8 @@ mod tests {
     use crate::fault::FaultOptions;
     use hetsim::FaultPlan;
 
-    fn retention(depth: usize) -> StreamRetention {
-        let opts = FaultOptions::new(FaultPlan::new())
-            .lossless()
-            .retention_depth(depth);
+    fn retention() -> StreamRetention {
+        let opts = FaultOptions::new(FaultPlan::new());
         StreamRetention::new(2, BufferSlab::new(), FaultCtl::new(&opts))
     }
 
@@ -233,7 +215,7 @@ mod tests {
 
     #[test]
     fn stamp_assigns_monotonic_seqs_per_copy() {
-        let r = retention(16);
+        let r = retention();
         let slab = BufferSlab::new();
         let a = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
         let b = r.stamp(0, 0, 1, &buf(&slab, 2)).expect("replicable");
@@ -246,38 +228,15 @@ mod tests {
 
     #[test]
     fn non_replicable_buffers_are_not_retained() {
-        let r = retention(16);
+        let r = retention();
         let plain = DataBuffer::new(1u64, 8);
         assert!(r.stamp(0, 0, 0, &plain).is_none());
         assert_eq!(r.retained(), 0);
     }
 
     #[test]
-    fn overflow_evicts_oldest_and_tallies() {
-        let slab = BufferSlab::new();
-        let opts = FaultOptions::new(FaultPlan::new())
-            .lossless()
-            .retention_depth(2);
-        let ctl = FaultCtl::new(&opts);
-        let r = StreamRetention::new(1, slab.clone(), ctl.clone());
-        for v in 0..5u64 {
-            r.stamp(0, 0, 0, &buf(&slab, v));
-        }
-        assert_eq!(r.retained(), 2, "ring bounded at depth");
-        assert_eq!(ctl.tallies.lock().retention_evicted, 3);
-        // The oldest seqs are gone, the newest remain fetchable.
-        assert!(r.fetch(0, 0).is_none());
-        assert!(r.fetch(0, 4).is_some());
-        assert_eq!(
-            r.addressee(p(0, 0)),
-            None,
-            "an evicted entry has no addressee"
-        );
-    }
-
-    #[test]
     fn fetch_keeps_the_entry_retained() {
-        let r = retention(16);
+        let r = retention();
         let slab = BufferSlab::new();
         r.stamp(0, 0, 0, &buf(&slab, 7)).expect("replicable");
         let first = r.fetch(0, 0).expect("retained");
@@ -288,7 +247,7 @@ mod tests {
 
     #[test]
     fn retarget_moves_only_that_sets_entries_and_keeps_them() {
-        let r = retention(16);
+        let r = retention();
         let slab = BufferSlab::new();
         r.stamp(0, 0, 0, &buf(&slab, 10));
         r.stamp(0, 0, 1, &buf(&slab, 11));
@@ -316,7 +275,7 @@ mod tests {
 
     #[test]
     fn sweep_counts_everything_unsettled_as_lost() {
-        let r = retention(16);
+        let r = retention();
         let slab = BufferSlab::new();
         let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
         r.stamp(0, 0, 1, &buf(&slab, 2));
@@ -330,12 +289,12 @@ mod tests {
 
     #[test]
     fn settle_recycles_replicas() {
-        let r = retention(16);
+        let r = retention();
         let slab = BufferSlab::new();
         let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
         r.settle(&[p]);
         assert_eq!(r.retained(), 0);
-        // Settling twice (or an evicted entry) is a no-op.
+        // Settling twice is a no-op.
         r.settle(&[p]);
     }
 }

@@ -33,8 +33,8 @@
 //!   be re-created) and resumes the current unit of work from the
 //!   remaining queue contents;
 //! * supervised, budget exhausted — the copy is declared dead in the
-//!   merged death oracle and takes the regular crash path (degraded
-//!   completion with loss accounting), or aborts the run when degraded
+//!   merged death oracle and takes the regular crash path (its set's
+//!   reaper retargets what it retained), or aborts the run when degraded
 //!   completion is disallowed.
 
 use std::collections::VecDeque;
@@ -55,8 +55,8 @@ use super::Tuning;
 use crate::budget::{MemoryBudget, StreamOoc};
 use crate::context::{FilterCtx, InputPort, Outbox, OutputPort};
 use crate::fault::{
-    abort_run, contain_scope, panic_message, CopyHealth, CopyState, ErrorCell, FaultCtl,
-    KilledMarker, RestartEvent, RunError, ABORT_MSG,
+    abort_run, contain_scope, panic_message, raise_killed, CopyHealth, CopyState, ErrorCell,
+    FaultCtl, KilledMarker, RestartEvent, RunError, ABORT_MSG,
 };
 use crate::filter::CopyInfo;
 use crate::graph::{AppGraph, FilterId};
@@ -87,8 +87,8 @@ pub(crate) struct RunWiring {
     pub uow_boundaries: Arc<Mutex<Vec<SimTime>>>,
     /// Per stream: `(host, counters)` of each consumer copy set.
     pub stream_sets: Vec<Vec<(HostId, CopySetCell)>>,
-    /// Lossless recovery: each stream's name and retention, swept for
-    /// unsettled entries once the run ends.
+    /// Each stream's name and retention (runs whose copies can die), swept
+    /// for unsettled entries once the run ends.
     pub retention: Vec<(String, Arc<StreamRetention>)>,
 }
 
@@ -161,7 +161,7 @@ pub(crate) fn build<E: Executor>(
         courier_txs: Vec<Option<ChanTx<CourierMsg>>>,
         gates: Vec<Arc<Mutex<UowGate>>>,
         cells: Vec<CopySetCell>,
-        /// Lossless recovery only: the stream's retention.
+        /// The stream's retention, when copies can die.
         retention: Option<Arc<StreamRetention>>,
         /// Out-of-core state (budget share + spill ring), when a memory
         /// budget is configured. One per stream, shared by every producer
@@ -171,9 +171,8 @@ pub(crate) fn build<E: Executor>(
 
     // One payload-box recycler for the whole run: boxes released when a
     // consumer unwraps a buffer feed the next producer's `make`, and
-    // lossless retention draws its replicas from the same pool.
+    // retention draws its replicas from the same pool.
     let slab = crate::buffer::BufferSlab::new();
-    let lossless = fault_ctl.as_ref().is_some_and(|c| c.lossless());
 
     // Memory budget: split evenly across the graph's streams. A stream
     // whose in-flight spillable payloads exceed its share spills to the
@@ -202,14 +201,16 @@ pub(crate) fn build<E: Executor>(
             v
         };
         let producer_hosts: Vec<HostId> = producers.iter().map(|p| p.host).collect();
-        let retention = match fault_ctl.as_ref() {
-            Some(ctl) if lossless => Some(Arc::new(StreamRetention::new(
-                producers.len(),
-                slab.clone(),
-                ctl.clone(),
-            ))),
-            _ => None,
-        };
+        let retention = fault_ctl
+            .as_ref()
+            .filter(|c| c.crashes_possible())
+            .map(|ctl| {
+                Arc::new(StreamRetention::new(
+                    producers.len(),
+                    slab.clone(),
+                    ctl.clone(),
+                ))
+            });
         let mut sets = Vec::new();
         let mut data_txs = Vec::new();
         let mut data_rxs = Vec::new();
@@ -261,7 +262,7 @@ pub(crate) fn build<E: Executor>(
         // exit signal. Either way the reaper's receiver clone keeps the
         // dead queue open so buffers sent before writers notice the
         // death are salvaged, not dropped.
-        if let Some(ctl) = fault_ctl.as_ref().filter(|c| c.crashes_possible()) {
+        if let (Some(ctl), Some(retention)) = (fault_ctl.as_ref(), retention.as_ref()) {
             for (set_idx, set) in sets.iter().enumerate() {
                 if !can_die(set) {
                     continue;
@@ -524,9 +525,8 @@ pub(crate) fn build<E: Executor>(
                                                     // then a fresh filter
                                                     // instance resumes this
                                                     // UOW from the remaining
-                                                    // queue contents — plus,
-                                                    // under lossless
-                                                    // recovery, the crashed
+                                                    // queue contents — plus
+                                                    // the crashed
                                                     // incarnation's journaled
                                                     // inputs re-fetched from
                                                     // retention.
@@ -553,7 +553,7 @@ pub(crate) fn build<E: Executor>(
                                                             ctx.env.now(),
                                                         );
                                                     }
-                                                    ctx.die();
+                                                    raise_killed();
                                                 }
                                                 _ => abort_run(
                                                     &copy_errors,
@@ -745,7 +745,7 @@ mod tests {
 
     /// `src` (h0) → `mid` (two copies on h1, one on h2) → `snk` (h0), both
     /// streams demand-driven. Under `crash`, h2 dies at t = 0 and the run
-    /// is supervised and lossless. Returns the registered processes and
+    /// is supervised. Returns the registered processes and
     /// the sorted items the sink received.
     fn register<E: Executor>(exec: E, crash: bool) -> (Vec<Spawned>, Vec<u32>) {
         silence_sentinel_panics();
@@ -768,11 +768,7 @@ mod tests {
         g.connect(mid, snk, WritePolicy::demand_driven());
         let faults = crash.then(|| {
             let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
-            FaultCtl::new(
-                &FaultOptions::new(plan)
-                    .lossless()
-                    .supervised(SupervisorPolicy::new()),
-            )
+            FaultCtl::new(&FaultOptions::new(plan).supervised(SupervisorPolicy::new()))
         });
         let spawned = Arc::new(Mutex::new(Vec::new()));
         let rec = Recording {

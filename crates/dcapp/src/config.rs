@@ -166,12 +166,6 @@ pub struct AppConfig {
     /// Rows per compositing tile under the tile-hash merge group
     /// (clamped to `[1, image height]`; see [`AppConfig::tile_rows`]).
     pub tile_size: u32,
-    /// Retained replicas per (producer copy, stream) when a run uses
-    /// [`Recovery::Lossless`](datacutter::Recovery) — forwarded to
-    /// [`FaultOptions::retention_depth`](datacutter::FaultOptions) by the
-    /// experiment drivers. Deeper rings survive longer consumer outages
-    /// before eviction degrades the lossless guarantee.
-    pub retention_depth: usize,
     /// Execution substrate the experiment drivers run the pipeline on
     /// (see [`crate::experiment::executor_for`]).
     pub executor: ExecutorKind,
@@ -246,7 +240,6 @@ impl AppConfig {
             wpa_capacity: 2048,
             zb_band_bytes: 2 * 1024 * 1024,
             tile_size: 16,
-            retention_depth: datacutter::DEFAULT_RETENTION_DEPTH,
             executor: ExecutorKind::Sim,
             memory_budget_bytes: 0,
             storage_retry_budget: datacutter::DEFAULT_STORAGE_RETRY_BUDGET,
@@ -321,9 +314,8 @@ impl AppConfig {
     /// Check every sizing knob against its constraint, reporting the
     /// first violation as a structured [`ConfigError`]. Zero-valued knobs
     /// would otherwise surface as divide-by-zero panics or silent hangs
-    /// deep inside a run (a 0-capacity batch never flushes; a 0-deep
-    /// retention ring retains nothing while claiming losslessness), so
-    /// the pipeline builders reject the config up front instead.
+    /// deep inside a run (a 0-capacity batch never flushes), so the
+    /// pipeline builders reject the config up front instead.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn check(
             ok: bool,
@@ -349,11 +341,6 @@ impl AppConfig {
             "must hold > 0 entries",
         )?;
         check(self.zb_band_bytes > 0, "zb_band_bytes", "must be > 0 bytes")?;
-        check(
-            self.retention_depth > 0,
-            "retention_depth",
-            "must retain > 0 replicas",
-        )?;
         check(
             !self.storage_hosts.is_empty(),
             "storage_hosts",
@@ -477,9 +464,6 @@ mod tests {
         c.species = volume::SPECIES_COUNT;
         assert_eq!(c.validate().unwrap_err().field, "species");
         c.species = volume::SPECIES_COUNT - 1;
-        c.retention_depth = 0;
-        assert_eq!(c.validate().unwrap_err().field, "retention_depth");
-        c.retention_depth = 1;
         c.storage_hosts.clear();
         assert_eq!(c.validate().unwrap_err().field, "storage_hosts");
     }

@@ -98,15 +98,12 @@ fn run_once(
 
 /// Build and run `spec` once on `topo` under a fault plan: hosts crash,
 /// stall, or lose messages per `opts`, and the runtime's recovery
-/// machinery (liveness timeouts, writer eviction, demand-driven buffer
-/// replay) keeps the pipeline going. Under the demand-driven policy a
-/// crash of an extract/raster host replays every lost chunk to a
-/// surviving copy, so the rendered image is bit-identical to the
-/// fault-free run; under RR/WRR the run completes degraded with losses
-/// tallied in `report.faults` — unless the options request
-/// [`Recovery::Lossless`](datacutter::Recovery) (see
-/// [`lossless_options`]), in which case retention + replay make every
-/// policy complete with `lost == 0`.
+/// machinery (liveness timeouts, writer eviction, retention and
+/// redelivery) keeps the pipeline going. Every dcapp payload is
+/// replicable, so a crash of an extract, raster or merge host that leaves
+/// a surviving copy set completes with `lost == 0` under every writer
+/// policy; only a crash that leaves no live consumer tallies losses in
+/// `report.faults`.
 pub fn run_pipeline_faulted(
     topo: &Topology,
     cfg: &SharedConfig,
@@ -130,16 +127,6 @@ pub fn run_pipeline_faulted_exec(
     exec: impl Into<ExecutorChoice>,
 ) -> Result<PipelineResult, RunError> {
     run_once(topo, cfg, spec, Some(opts), exec.into())
-}
-
-/// Upgrade fault options to [`Recovery::Lossless`](datacutter::Recovery)
-/// with the config's retention sizing: producers retain up to
-/// `cfg.retention_depth` sent-but-unsettled replicas per stream, crashed
-/// consumers are replayed or their traffic redelivered, and the run is
-/// expected to finish with `report.faults.lost() == 0` and an image
-/// bit-identical to the fault-free run.
-pub fn lossless_options(cfg: &SharedConfig, opts: FaultOptions) -> FaultOptions {
-    opts.lossless().retention_depth(cfg.retention_depth)
 }
 
 /// Result of a multi-UOW run: one image per unit of work (consecutive
@@ -240,7 +227,6 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         wpa_capacity: cfg.wpa_capacity,
         zb_band_bytes: cfg.zb_band_bytes,
         tile_size: cfg.tile_size,
-        retention_depth: cfg.retention_depth,
         executor: cfg.executor,
         memory_budget_bytes: cfg.memory_budget_bytes,
         storage_retry_budget: cfg.storage_retry_budget,

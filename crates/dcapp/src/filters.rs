@@ -21,10 +21,10 @@ pub type ImageSlot = Arc<Mutex<Vec<Image>>>;
 // The write helpers wrap payloads through the run's `BufferSlab` and the
 // read sites unwrap through it, so in steady state the payload boxes cycle
 // producer → consumer → producer with no heap traffic. Payloads go in via
-// `make_spillable` (replicable + spill-encodable): runs under
-// `Recovery::Lossless` can retain replicas, and runs under a memory
-// budget can spill queued buffers to the temp-file ring. Without a fault
-// plan or budget this costs nothing over `make`.
+// `make_spillable` (replicable + spill-encodable): runs whose copies can
+// die retain replicas, and runs under a memory budget can spill queued
+// buffers to the temp-file ring. Without a crash plan or budget this
+// costs nothing over `make`.
 
 fn write_chunk(ctx: &mut FilterCtx, p: ChunkPayload) {
     let wire = p.wire_bytes();
@@ -87,10 +87,10 @@ impl Filter for ExtractFilter {
 
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         // Under a crash plan the copy may be killed between reads; any
-        // triangles batched across chunks would die with it even though
-        // their (already-acknowledged) chunks will not be replayed. Flush
-        // per chunk so a killed copy owes nothing for the chunks it
-        // consumed and recovery stays lossless.
+        // triangles batched across chunks would die with it. Flush per
+        // chunk so a killed copy has emitted everything its consumed
+        // chunks produce; a chunk that comes back from retention is then
+        // merely drawn twice, which the z-buffer absorbs.
         let per_chunk = ctx.fail_stop_active();
         while let Some(b) = ctx.read(0) {
             let chunk = ctx

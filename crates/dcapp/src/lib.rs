@@ -27,9 +27,9 @@ mod parts;
 
 pub use config::{Algorithm, AppConfig, ConfigError, CostModel, ExecutorKind, SharedConfig};
 pub use experiment::{
-    avg_elapsed_secs, clone_config, executor_for, lossless_options, reference_image, run_pipeline,
-    run_pipeline_exec, run_pipeline_faulted, run_pipeline_faulted_exec, run_pipeline_uows,
-    run_timesteps, MultiUowResult, PipelineResult,
+    avg_elapsed_secs, clone_config, executor_for, reference_image, run_pipeline, run_pipeline_exec,
+    run_pipeline_faulted, run_pipeline_faulted_exec, run_pipeline_uows, run_timesteps,
+    MultiUowResult, PipelineResult,
 };
 pub use filters::{
     ExtractFilter, ExtractRasterFilter, ImageSlot, MergeFilter, PartitionedReadExtractFilter,

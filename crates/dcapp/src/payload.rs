@@ -14,7 +14,7 @@ use crate::pool::PoolVec;
 /// R → E payload: one sub-volume of voxel data.
 ///
 /// `Clone` (here and on the other payloads) is what lets the delivery
-/// layer retain replicas for lossless recovery — see
+/// layer retain replicas for crash recovery — see
 /// [`BufferSlab::make_replicable`](datacutter::BufferSlab).
 #[derive(Clone)]
 pub struct ChunkPayload {

@@ -124,7 +124,7 @@ impl<T> PoolVec<T> {
     }
 }
 
-/// Replication for lossless-recovery retention: the clone draws its
+/// Replication for crash-recovery retention: the clone draws its
 /// backing buffer from the same pool (alloc-free at steady state) and
 /// recycles there on drop, so retained replicas cost no allocator traffic
 /// once the pool is warm.

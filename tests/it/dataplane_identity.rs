@@ -63,12 +63,14 @@ fn run_faulted() -> PipelineResult {
 
 /// `(label, image digest, metrics digest)` captured on the pre-fast-path
 /// tree (commit 660d12e). The engine/delivery optimizations must
-/// reproduce these bit-for-bit.
+/// reproduce these bit-for-bit. `dd_fault`'s metrics digest was re-pinned
+/// when every crash plan began to retain: the survivor wait and the
+/// settle traffic add 0.40 ms of virtual time, and its image is unchanged.
 const PINNED: &[(&str, u64, u64)] = &[
     ("rr", 0xa7ef3c36edc7d9b7, 0xfcff32924e0355fb),
     ("wrr", 0xa7ef3c36edc7d9b7, 0xfcff32924e0355fb),
     ("dd", 0xa7ef3c36edc7d9b7, 0x5896bb8b82819e0c),
-    ("dd_fault", 0xaca36968a69f3fc3, 0x64897d458ae7a6b7),
+    ("dd_fault", 0xaca36968a69f3fc3, 0x992d94ff9c277feb),
 ];
 
 fn pinned(label: &str) -> (u64, u64) {

@@ -174,7 +174,7 @@ fn demand_driven_delivery_steady_state_is_allocation_free() {
     assert_zero_marginal_allocs(WritePolicy::demand_driven());
 }
 
-// ---- lossless retention ----------------------------------------------------
+// ---- crash-plan retention ------------------------------------------------
 
 /// Source emitting *replicable* buffers, as the application filters do —
 /// the shape retention can stamp and retain.
@@ -191,12 +191,13 @@ impl Filter for ReplicableSrc {
     }
 }
 
-/// [`run_once`] with `Recovery::Lossless` and a bounded retention ring:
-/// every buffer is stamped with a provenance, a replica is cloned into
-/// the ring, the consumer journals the sequence number,
-/// and ring overflow evicts the oldest replica back into the slab pool.
-fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
-    use datacutter::FaultOptions;
+/// [`run_once`] over `uows` units of work of `n` buffers each, under
+/// supervision, so retention is armed: every buffer is stamped with a
+/// provenance, a replica is cloned into the ring, the consumer journals
+/// the sequence number, and its end-of-work settles the journal, which
+/// recycles the replicas into the slab pool.
+fn run_supervised(policy: WritePolicy, n: u32, uows: u32) -> (u64, u64) {
+    use datacutter::{FaultOptions, SupervisorPolicy};
     use hetsim::FaultPlan;
     let (topo, hosts) = topology();
     let sum: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
@@ -211,49 +212,45 @@ fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
     g.connect(src, sink, policy);
     let before = ALLOCS.load(Ordering::Relaxed);
     Run::new(g.build())
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .lossless()
-                .retention_depth(64),
-        )
+        .uows(uows)
+        .faults(FaultOptions::new(FaultPlan::new()).supervised(SupervisorPolicy::new()))
         .go(&topo)
-        .expect("lossless pipeline run failed");
+        .expect("supervised pipeline run failed");
     let after = ALLOCS.load(Ordering::Relaxed);
     let got = *sum.lock();
     (after - before, got)
 }
 
-/// Retention must not break the steady state: replica boxes cycle
-/// between the bounded ring and the slab pool (overflow evicts back to
-/// the pool, the next stamp takes from it), so the marginal cost per
-/// delivered buffer stays zero allocations even with recovery armed.
-/// Journals grow amortized — a handful of doublings over
-/// 1800 extra buffers, well inside the same sliver budget.
+/// Retention must not break the steady state: a ring holds one unit of
+/// work's replicas, and each settlement hands their boxes back to the
+/// slab pool for the next unit's stamps. So one more unit of work of
+/// `N` buffers costs no more than the sliver budget of allocations —
+/// journals regrow amortized, in a handful of doublings.
 #[test]
 fn lossless_retention_steady_state_is_allocation_free() {
     let _alone = measuring();
-    const SMALL: u32 = 200;
-    const LARGE: u32 = 2000;
+    const N: u32 = 2000;
+    const K: u32 = 2;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
-        let _ = run_once_lossless(policy, SMALL);
+        let _ = run_supervised(policy, N, K);
 
-        let (small_allocs, small_sum) = run_once_lossless(policy, SMALL);
-        let (large_allocs, large_sum) = run_once_lossless(policy, LARGE);
-        assert_eq!(small_sum, expected_sum(SMALL));
-        assert_eq!(large_sum, expected_sum(LARGE));
+        let (k_allocs, k_sum) = run_supervised(policy, N, K);
+        let (more_allocs, more_sum) = run_supervised(policy, N, K + 1);
+        assert_eq!(k_sum, expected_sum(N));
+        assert_eq!(more_sum, expected_sum(N));
 
-        let extra_buffers = (LARGE - SMALL) as i64;
-        let delta = large_allocs as i64 - small_allocs as i64;
+        let extra_buffers = N as i64;
+        let delta = more_allocs as i64 - k_allocs as i64;
         assert!(
             delta <= extra_buffers / 64,
-            "{} + lossless retention: {} extra allocations for {} extra \
-             delivered buffers ({} vs {} total) — the retention path is \
-             allocating per buffer",
+            "{} + retention: {} extra allocations for one more unit of work \
+             of {} buffers ({} vs {} total) — settlement is not recycling \
+             replicas",
             policy.label(),
             delta,
             extra_buffers,
-            large_allocs,
-            small_allocs,
+            more_allocs,
+            k_allocs,
         );
     }
 }

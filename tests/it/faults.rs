@@ -1,12 +1,12 @@
 //! Fault injection and recovery: the milestone's acceptance scenarios.
 //!
-//! A mid-run crash of one extract host under the demand-driven policy
-//! must leave the rendered image bit-identical to the fault-free run —
-//! every buffer that was queued at (or still in flight to) the dead copy
-//! set is replayed to the survivor via the DD acknowledgment machinery.
-//! The same crash under round robin has no acks to replay from, so the
-//! run completes *degraded*: it still terminates, renders what survived,
-//! and accounts for every lost buffer.
+//! A mid-run crash of one extract host must leave the rendered image
+//! bit-identical to the fault-free run under every writer policy: every
+//! buffer that was queued at (or still in flight to) the dead copy set
+//! comes back to the survivor from its producer's retention. A run loses
+//! buffers only when no live consumer is left to take them; it then
+//! completes *degraded* and accounts for every lost buffer, or fails when
+//! degraded completion is disallowed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,8 +55,11 @@ fn dd_crash_mid_uow_replays_to_bit_identical_output() {
         f.copies_killed >= 1,
         "the copy on the dead host dies: {f:?}"
     );
-    assert!(f.buffers_replayed > 0, "unacked buffers replayed: {f:?}");
-    assert_eq!(f.buffers_lost, 0, "DD replay loses nothing: {f:?}");
+    assert!(
+        f.buffers_redelivered > 0,
+        "retained buffers redelivered: {f:?}"
+    );
+    assert_eq!(f.buffers_lost, 0, "redelivery loses nothing: {f:?}");
     assert!(!f.degraded, "nothing lost, so not degraded: {f:?}");
     assert_eq!(
         faulted.image.diff_pixels(&clean.image),
@@ -65,6 +68,10 @@ fn dd_crash_mid_uow_replays_to_bit_identical_output() {
     );
 }
 
+/// Round robin has no acks to replay from, yet an early extract crash
+/// loses nothing: the chunks routed to the dead set come back from the
+/// storage filter's retention. (The name predates retention, when this
+/// crash lost buffers.)
 #[test]
 fn rr_crash_completes_degraded_with_losses_accounted() {
     let (topo, hosts) = cluster(5);
@@ -77,24 +84,32 @@ fn rr_crash_completes_degraded_with_losses_accounted() {
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
     let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
-        .expect("degraded run must still complete");
+        .expect("run must complete");
 
     let f = &faulted.report.faults;
     assert!(f.copies_killed >= 1, "{f:?}");
     assert_eq!(f.buffers_replayed, 0, "RR has no acks to replay: {f:?}");
-    assert!(
-        f.buffers_lost > 0,
-        "RR-routed buffers at the dead set are lost: {f:?}"
-    );
-    assert!(f.bytes_lost > 0, "{f:?}");
-    assert!(f.degraded, "losses mark the run degraded: {f:?}");
+    assert!(f.buffers_redelivered > 0, "retention redelivers: {f:?}");
+    assert_eq!(f.buffers_lost, 0, "{f:?}");
+    assert_eq!(f.bytes_lost, 0, "{f:?}");
+    assert!(!f.degraded, "{f:?}");
+    assert_eq!(faulted.image.diff_pixels(&clean.image), 0);
 }
 
+/// With degraded completion disallowed, a crash that leaves no surviving
+/// consumer set fails the run: the only extract host dies early, so the
+/// chunks retained for it have nowhere to go.
 #[test]
 fn rr_crash_fails_fast_when_degraded_mode_disallowed() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
-    let spec = spec(&hosts, WritePolicy::RoundRobin);
+    let spec = PipelineSpec {
+        grouping: Grouping::FourStage {
+            extract: Placement::on_host(hosts[2], 1),
+            raster: Placement::on_host(hosts[3], 1),
+        },
+        ..spec(&hosts, WritePolicy::RoundRobin)
+    };
 
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
@@ -202,9 +217,12 @@ fn tiled_fault_cfg(hosts: &[hetsim::HostId]) -> dcapp::SharedConfig {
 }
 
 /// Conservation on the tile-hash stream: every fragment the raster stage
-/// shipped was either dequeued by a merge copy or tallied as lost with
-/// the dead set — nothing double-counted, nothing vanished.
-fn assert_tile_stream_conservation(r: &dcapp::PipelineResult) {
+/// shipped was dequeued by a merge copy or tallied as lost, and a
+/// fragment is dequeued twice only when a replica of it was redelivered.
+/// A copy that dies mid-run dequeued its journal before dying, and the
+/// survivor dequeues it again, so the law is a bound; a copy dead from the
+/// start dequeues nothing, so `exact` pins equality.
+fn assert_tile_stream_conservation(r: &dcapp::PipelineResult, exact: bool) {
     let produced: u64 = r
         .report
         .copies
@@ -220,19 +238,24 @@ fn assert_tile_stream_conservation(r: &dcapp::PipelineResult) {
         .expect("the Ra->Mt stream must be reported")
         .total_buffers();
     let lost = r.report.faults.buffers_lost;
-    assert_eq!(
-        consumed + lost,
-        produced,
-        "tile-hash conservation: consumed {consumed} + lost {lost} != produced {produced}"
+    let redelivered = r.report.faults.buffers_redelivered;
+    let law = format!("consumed {consumed} + lost {lost} vs produced {produced}");
+    assert!(consumed + lost >= produced, "fragments vanished: {law}");
+    assert!(
+        consumed <= produced + redelivered,
+        "duplicates beyond {redelivered} redelivered: {law}"
     );
+    if exact {
+        assert_eq!(consumed + lost, produced, "{law}");
+    }
 }
 
 /// A merge copy dies mid-run under demand-driven sources and tile-hash
-/// fragment routing. The tile-hash writer has no acks to replay, so the
-/// fragments queued at the dead set are lost — but the run completes,
-/// rerouting later fragments for the dead set's tiles to the survivor
-/// (compositing is commutative, so any copy can absorb any tile), and
-/// the loss accounting is exact.
+/// fragment routing. The tile-hash writer has no acks to replay, but the
+/// fragments the dead set held — queued or consumed — come back from
+/// the raster stage's retention, later fragments for the dead set's tiles
+/// go to the survivor (compositing is commutative, so any copy can absorb
+/// any tile), and nothing is lost.
 #[test]
 fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
     let (topo, hosts) = cluster(5);
@@ -256,18 +279,17 @@ fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
         f.buffers_replayed, 0,
         "tile-hash has no acks to replay: {f:?}"
     );
-    assert!(
-        f.buffers_lost > 0,
-        "fragments queued at the dead merge set are lost: {f:?}"
-    );
-    assert!(f.degraded, "losses mark the run degraded: {f:?}");
-    assert_tile_stream_conservation(&faulted);
+    assert!(f.buffers_redelivered > 0, "retention redelivers: {f:?}");
+    assert_eq!(f.buffers_lost, 0, "{f:?}");
+    assert!(!f.degraded, "{f:?}");
+    assert_eq!(faulted.image.diff_pixels(&clean.image), 0);
+    assert_tile_stream_conservation(&faulted, false);
 }
 
 /// The same scenario on real threads, with the merge copy dead from the
 /// first observation point so the accounting is timing-independent: the
-/// run completes and conservation is exact regardless of how many
-/// fragments raced into the dead set before detection.
+/// run completes, loses nothing and conservation is exact regardless of
+/// how many fragments raced into the dead set before detection.
 #[test]
 fn native_tiled_merge_copy_crash_conserves_fragments() {
     let (topo, hosts) = cluster(5);
@@ -290,7 +312,8 @@ fn native_tiled_merge_copy_crash_conserves_fragments() {
         f.buffers_replayed, 0,
         "tile-hash has no acks to replay: {f:?}"
     );
-    assert_tile_stream_conservation(&faulted);
+    assert_eq!(f.buffers_lost, 0, "{f:?}");
+    assert_tile_stream_conservation(&faulted, true);
 }
 
 // ---- native (wall-clock) chaos scenarios ---------------------------------
@@ -309,10 +332,10 @@ fn us(n: u64) -> SimDuration {
 }
 
 /// The acceptance parity scenario: one extract host dead from the first
-/// observation point, demand-driven replay on both substrates. The kill
+/// observation point, demand-driven routing on both substrates. The kill
 /// count and the loss accounting must match the equivalent sim run, and
 /// the rendered image must be bit-identical across substrates (merging is
-/// order-independent, and DD replay loses nothing).
+/// order-independent, and redelivery loses nothing).
 #[test]
 fn native_dd_crash_matches_sim_loss_accounting_and_pixels() {
     let (topo, hosts) = cluster(5);
@@ -343,7 +366,7 @@ fn native_dd_crash_matches_sim_loss_accounting_and_pixels() {
             f.copies_killed, 1,
             "{label}: exactly the host-2 extract copy dies: {f:?}"
         );
-        assert_eq!(f.buffers_lost, 0, "{label}: DD replay loses nothing: {f:?}");
+        assert_eq!(f.buffers_lost, 0, "{label}: recovery loses nothing: {f:?}");
         assert!(!f.degraded, "{label}: nothing lost, not degraded: {f:?}");
     }
     assert_eq!(sim.image.diff_pixels(&clean.image), 0);
@@ -352,38 +375,6 @@ fn native_dd_crash_matches_sim_loss_accounting_and_pixels() {
         0,
         "native chaos run must render the sim run's exact pixels"
     );
-}
-
-/// Round robin has no acks to replay from, so a native run with a dead
-/// extract host completes *degraded*: every chunk routed to the dead set
-/// before eviction is tallied as lost, and the run still terminates. The
-/// liveness timeout is set past the extract phase so eviction never
-/// rescues the dead set — making the loss deterministic on wall clocks.
-#[test]
-fn native_rr_crash_completes_degraded_with_losses_accounted() {
-    let (topo, hosts) = cluster(5);
-    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
-    let spec = spec(&hosts, WritePolicy::RoundRobin);
-
-    let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
-    let faulted = dcapp::run_pipeline_faulted_exec(
-        &topo,
-        &cfg,
-        &spec,
-        FaultOptions::new(plan).liveness_timeout(SimDuration::from_secs(60)),
-        NativeExecutor::new(),
-    )
-    .expect("degraded native run must still complete");
-
-    let f = &faulted.report.faults;
-    assert_eq!(f.copies_killed, 1, "{f:?}");
-    assert_eq!(f.buffers_replayed, 0, "RR has no acks to replay: {f:?}");
-    assert!(
-        f.buffers_lost > 0,
-        "RR keeps round-robining into the dead set: {f:?}"
-    );
-    assert!(f.bytes_lost > 0, "{f:?}");
-    assert!(f.degraded, "losses mark the run degraded: {f:?}");
 }
 
 /// Seeded message drops and per-message delay injection on real threads:
@@ -475,8 +466,8 @@ fn chaos_graph_sets(
     impl Filter for Src {
         fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
             for i in 0..CHAOS_BUFFERS {
-                // Replicable so lossless runs can retain replicas; plain
-                // runs are unaffected (retention is off without the knob).
+                // Replicable, so a run whose copies can die retains
+                // replicas; without one nothing is retained.
                 let b = ctx.buffer_slab().make_replicable(i, 256);
                 ctx.write(0, b);
             }
@@ -618,8 +609,8 @@ fn supervised_restart_is_deterministic_on_sim() {
 
 /// Restart budget exhausted: the poisoned copy panics until its budget
 /// runs out, is declared dead in the merged death oracle, and the run
-/// completes via the regular crash path — unacked DD buffers replayed to
-/// the surviving sink set, nothing lost.
+/// completes via the regular crash path — its set's retained buffers
+/// redelivered to the surviving sink set, nothing lost.
 #[test]
 fn native_restart_budget_exhausted_dies_and_replays_to_survivor() {
     let (topo, hosts) = cluster(3);
@@ -639,10 +630,7 @@ fn native_restart_budget_exhausted_dies_and_replays_to_survivor() {
     let f = &report.faults;
     assert_eq!(f.restarts, 1, "budget consumed: {f:?}");
     assert_eq!(f.copies_killed, 1, "budget exhausted => dead: {f:?}");
-    assert_eq!(
-        f.buffers_lost, 0,
-        "DD replay salvages the dead queue: {f:?}"
-    );
+    assert_eq!(f.buffers_lost, 0, "redelivery salvages the dead set: {f:?}");
     assert_eq!(
         cg.seen.load(Ordering::SeqCst),
         CHAOS_BUFFERS as u64,
@@ -652,8 +640,10 @@ fn native_restart_budget_exhausted_dies_and_replays_to_survivor() {
 
 /// Wall-clock wedge detection: a copy that blocks without heartbeats is
 /// declared dead by the supervisor, evicted from the barrier, and its
-/// thread abandoned — the run completes degraded in bounded time instead
-/// of hanging for the sleeper's five seconds.
+/// thread abandoned — the run completes in bounded time instead of
+/// hanging for the sleeper's five seconds. It is reported degraded (a
+/// copy wedged), but the survivor waits for the wedged set's reaper, so
+/// the buffers stranded in its window come back from retention.
 #[test]
 fn native_wedge_detection_completes_degraded() {
     let (topo, hosts) = cluster(3);
@@ -673,19 +663,15 @@ fn native_wedge_detection_completes_degraded() {
     let f = &report.faults;
     assert_eq!(f.copies_wedged, 1, "{f:?}");
     assert!(f.degraded, "a wedged copy marks the run degraded: {f:?}");
-    // Wedge detection has latency: the survivor may close the cycle
-    // before the sleeper is declared dead, in which case the buffers
-    // stranded in the wedged set's window cannot be replayed to anyone
-    // and must be accounted as losses. Conservation is exact either way.
-    let seen = cg.seen.load(Ordering::SeqCst);
     assert!(
-        f.buffers_lost > 0,
-        "the wedged window never acks, so its buffers strand: {f:?}"
+        f.buffers_redelivered > 0,
+        "the wedged window strands: {f:?}"
     );
+    assert_eq!(f.buffers_lost, 0, "{f:?}");
+    let seen = cg.seen.load(Ordering::SeqCst);
     assert_eq!(
-        seen + f.buffers_lost,
-        CHAOS_BUFFERS as u64,
-        "every buffer is either consumed or accounted lost: seen={seen} {f:?}"
+        seen, CHAOS_BUFFERS as u64,
+        "the wedged copy consumed nothing, the survivor everything: {f:?}"
     );
     assert!(
         report.elapsed < SimDuration::from_secs(2),
@@ -719,12 +705,11 @@ fn filter_panic_is_contained_as_structured_error() {
     }
 }
 
-// ---- lossless recovery: directed scenarios --------------------------------
+// ---- retention and redelivery: directed scenarios -------------------------
 
 /// Replay after restart: the poisoned sink consumes a prefix into filter
-/// state and panics — the state dies with the incarnation. Under
-/// `Recovery::Lossless` the restarted copy re-fetches the journaled
-/// prefix from the producer's retention ring and rebuilds the exact
+/// state and panics — the state dies with the incarnation. The restarted
+/// copy re-fetches the journaled prefix from the producer's retention ring and rebuilds the exact
 /// accumulator before draining the rest, on both substrates.
 #[test]
 fn lossless_restart_replays_journal_and_rebuilds_state() {
@@ -743,7 +728,6 @@ fn lossless_restart_replays_journal_and_rebuilds_state() {
             .faults(
                 FaultOptions::new(FaultPlan::new())
                     .supervised(policy)
-                    .lossless()
                     .liveness_timeout(ms(2)),
             )
             .go(&topo)
@@ -787,7 +771,7 @@ fn lossless_mid_run_crash_redelivers_from_retention_only() {
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
-    let opts = dcapp::lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(10)));
+    let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
     let faulted =
         dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
     let f = &faulted.report.faults;
@@ -829,7 +813,6 @@ fn lossless_partial_set_death_drops_the_dead_copys_token() {
             .faults(
                 FaultOptions::new(FaultPlan::new())
                     .supervised(policy)
-                    .lossless()
                     .liveness_timeout(ms(2)),
             )
             .go(&topo)
@@ -851,116 +834,10 @@ fn lossless_partial_set_death_drops_the_dead_copys_token() {
     }
 }
 
-/// Retention-ring overflow: with a deliberately tiny `retention_depth`
-/// the ring evicts old replicas (tallied, repooled), and a later restart
-/// finds part of its journal gone — the run still completes, but
-/// degraded, with the misses accounted as losses instead of hanging or
-/// silently corrupting.
-#[test]
-fn retention_overflow_degrades_with_eviction_accounting() {
-    const K: u32 = 32;
-    let (topo, hosts) = cluster(2);
-    let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicAfter(K));
-    let policy = SupervisorPolicy::new()
-        .max_restarts(2)
-        .backoff(ms(1), ms(10));
-    let report = Run::new(cg.graph)
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .supervised(policy)
-                .lossless()
-                .retention_depth(2)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("overflowing run still completes");
-    let f = &report.faults;
-    assert_eq!(f.restarts, 1, "{f}");
-    assert!(f.retention_evicted > 0, "a depth-2 ring must evict: {f}");
-    assert!(
-        f.buffers_lost > 0,
-        "journal re-fetch misses evicted replicas: {f}"
-    );
-    assert!(f.degraded, "losses mark the run degraded: {f}");
-}
-
-/// Retention overflow at a dead set's queue: the victim sink computes for
-/// 50 ms before its first read, so the demand window's originals queue up
-/// at it while a two-entry ring evicts their replicas, and its host
-/// crashes at 20 ms. Those originals have no replica left to travel, so
-/// the reaper sends them on themselves and the survivor consumes every
-/// value; released instead, they would vanish with `lost 0`.
-#[test]
-fn lossless_queued_originals_outlive_their_evicted_replicas() {
-    struct Src;
-    impl Filter for Src {
-        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-            for i in 0..CHAOS_BUFFERS {
-                let b = ctx.buffer_slab().make_replicable(i, 256);
-                ctx.write(0, b);
-            }
-            Ok(())
-        }
-    }
-    struct Sink {
-        late: bool,
-        seen: Arc<AtomicU64>,
-    }
-    impl Filter for Sink {
-        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-            if self.late {
-                ctx.compute(ms(50));
-            }
-            while let Some(b) = ctx.read(0) {
-                self.seen
-                    .fetch_or(1 << b.downcast::<u32>(), Ordering::SeqCst);
-            }
-            Ok(())
-        }
-    }
-    let (topo, hosts) = cluster(3);
-    let seen = Arc::new(AtomicU64::new(0));
-    let mut g = GraphBuilder::new();
-    let s = g.add_filter("src", Placement::on_host(hosts[0], 1), |_| Src);
-    let seen2 = seen.clone();
-    let k = g.add_filter(
-        "snk",
-        Placement::one_per_host(&[hosts[1], hosts[2]]),
-        move |info| Sink {
-            late: info.copy_index == 1,
-            seen: seen2.clone(),
-        },
-    );
-    g.connect(s, k, WritePolicy::demand_driven());
-    let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO + ms(20));
-    let report = Run::new(g.build())
-        .faults(
-            FaultOptions::new(plan)
-                .lossless()
-                .retention_depth(2)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("lossless run completes");
-    let f = &report.faults;
-    assert_eq!(f.copies_killed, 1, "{f}");
-    assert!(f.retention_evicted > 0, "a two-entry ring evicts: {f}");
-    assert!(
-        f.buffers_redelivered > 0,
-        "the queued originals travel: {f}"
-    );
-    assert_eq!(f.buffers_lost, 0, "{f}");
-    assert_eq!(
-        seen.load(Ordering::SeqCst),
-        u64::MAX,
-        "the survivor consumes every value"
-    );
-}
-
 /// Budget-exhausted fallback: when the only consumer set panics past its
-/// restart budget, lossless recovery has no survivor to redeliver to —
-/// the run falls back to PR 5's loss-accounted degraded completion
-/// instead of hanging or erroring.
+/// restart budget, retention has no survivor to redeliver to — the run
+/// completes degraded, with every retained buffer counted lost, instead
+/// of hanging or erroring.
 #[test]
 fn lossless_budget_exhausted_falls_back_to_degraded_completion() {
     let (topo, hosts) = cluster(2);
@@ -972,11 +849,10 @@ fn lossless_budget_exhausted_falls_back_to_degraded_completion() {
         .faults(
             FaultOptions::new(FaultPlan::new())
                 .supervised(policy)
-                .lossless()
                 .liveness_timeout(ms(2)),
         )
         .go(&topo)
-        .expect("lossless degrades rather than hangs when no survivor remains");
+        .expect("the run degrades rather than hangs when no survivor remains");
     let f = &report.faults;
     assert_eq!(f.restarts, 1, "budget consumed: {f}");
     assert_eq!(f.copies_killed, 1, "budget exhausted => dead: {f}");

@@ -8,7 +8,7 @@
 //!   grouping;
 //! - bit-identical pixels on the wall-clock `NativeExecutor`;
 //! - bit-identical pixels with a seeded mid-run host crash recovered by
-//!   `Recovery::Lossless` while the run is actively spilling;
+//!   retention while the run is actively spilling;
 //! - and the shared chunk cache must at least halve the disk-model read
 //!   events of a warm re-read.
 
@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, lossless_options, run_pipeline, run_pipeline_exec, run_pipeline_faulted,
-    Algorithm, Grouping, PipelineSpec, SharedConfig,
+    clone_config, run_pipeline, run_pipeline_exec, run_pipeline_faulted, Algorithm, Grouping,
+    PipelineSpec, SharedConfig,
 };
 use hetsim::{FaultPlan, HostId, SimDuration, SimTime, Topology};
 use integration_tests::{
@@ -167,15 +167,12 @@ fn assert_budgeted_crash_recovers(denom: u64, policy: WritePolicy, frac: f64) {
     assert_spilled(&format!("clean/{label}"), &clean);
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
-    let opts = lossless_options(
-        &tight_cfg,
-        FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2)),
-    );
-    let faulted = run_pipeline_faulted(&topo, &tight_cfg, &spec, opts)
-        .expect("budgeted lossless crash run completes");
+    let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2));
+    let faulted =
+        run_pipeline_faulted(&topo, &tight_cfg, &spec, opts).expect("budgeted crash run completes");
     let f = &faulted.report.faults;
     assert!(f.copies_killed >= 1, "{label}: victim must die");
-    assert_eq!(f.buffers_lost, 0, "{label}: lossless loses nothing");
+    assert_eq!(f.buffers_lost, 0, "{label}: recovery loses nothing");
     assert_eq!(f.bytes_lost, 0, "{label}");
     assert!(
         faulted.report.ooc.spills > 0,

@@ -1,11 +1,12 @@
-//! Lossless recovery: the tentpole acceptance suite.
+//! Crash recovery from retention: the acceptance suite.
 //!
-//! With [`datacutter::Recovery::Lossless`], producers retain every
-//! sent-but-unsettled buffer in slab-pooled retention rings, and a dead
-//! set's reaper (or a restarted copy) redelivers retained replicas — the
-//! only route back — so a seeded crash plan completes with `lost == 0`
-//! and an image bit-identical to the fault-free run under *every* writer
-//! policy, on both the virtual-time simulator and the native executor.
+//! Under any plan whose copies can die, producers retain every
+//! sent-but-unsettled replicable buffer in slab-pooled retention rings,
+//! and a dead set's reaper (or a restarted copy) redelivers retained
+//! replicas, so a seeded crash plan that leaves a surviving consumer set
+//! completes with `lost == 0` and an image bit-identical to the
+//! fault-free run under *every* writer policy, on both the virtual-time
+//! simulator and the native executor. There is no mode to select.
 //!
 //! Two crash classes are distinguished deliberately:
 //!
@@ -27,10 +28,11 @@ use std::sync::Arc;
 use datacutter::{
     FaultOptions, NativeExecutor, Placement, SimExecutor, SupervisorPolicy, WritePolicy,
 };
-use dcapp::{lossless_options, Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{
-    cluster, recovery_digest, small_dataset, stream_totals_digest, test_cfg, test_dataset,
+    cluster, metrics_digest, recovery_digest, small_dataset, stream_totals_digest, test_cfg,
+    test_dataset,
 };
 
 fn ms(n: u64) -> SimDuration {
@@ -140,7 +142,7 @@ fn lossless_dead_start_crash_bit_identical_all_policies_both_substrates() {
     ] {
         let spec = spec(&hosts, policy);
         let plan = || FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
-        let opts = || lossless_options(&cfg, FaultOptions::new(plan()).liveness_timeout(ms(2)));
+        let opts = || FaultOptions::new(plan()).liveness_timeout(ms(2));
 
         let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free sim run");
         let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts())
@@ -178,7 +180,7 @@ fn lossless_dead_start_tile_hash_merge_crash_both_substrates() {
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
     let plan = || FaultPlan::new().crash_host(hosts[3], SimTime::ZERO);
-    let opts = || lossless_options(&cfg, FaultOptions::new(plan()).liveness_timeout(ms(2)));
+    let opts = || FaultOptions::new(plan()).liveness_timeout(ms(2));
 
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free sim run");
     let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts())
@@ -209,7 +211,7 @@ fn lossless_mid_run_crash_renders_identical_image_per_policy() {
         let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
         let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.25);
         let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
-        let opts = lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(2)));
+        let opts = FaultOptions::new(plan).liveness_timeout(ms(2));
         let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
             .expect("lossless mid-run crash completes");
         assert_lossless(
@@ -233,7 +235,7 @@ fn lossless_mid_run_tile_merge_crash_rebuilds_dead_tiles() {
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
-    let opts = lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(10)));
+    let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
     let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
         .expect("lossless tiled mid-run crash completes");
     assert_lossless("sim-midrun/tile-hash", &clean, &faulted, false, false);
@@ -244,11 +246,9 @@ fn lossless_mid_run_tile_merge_crash_rebuilds_dead_tiles() {
 /// with half of node 0's files moved to node 1 (the fig-7 skew), extract
 /// on two Rogue nodes, Z-buffer raster and merge back on Blue; one
 /// extract host crashes at 5 % of the clean run — early, because the
-/// R→E stream is only busy during the opening of the run. Under
-/// `Recovery::Lossless` every policy recovers exactly; in the default
-/// loss-accounted mode DD replays its acknowledgment window and loses
-/// nothing, while RR/WRR have no acks and tally the four buffers that
-/// were in flight to the dead host.
+/// R→E stream is only busy during the opening of the run. Every policy
+/// recovers exactly. (The name predates retention, when a second,
+/// loss-accounted arm ran beside this one.)
 #[test]
 fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
     let (topo, rogues, blues) = hetsim::presets::rogue_blue_mix(2);
@@ -257,10 +257,10 @@ fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
     cfg.placement = volume::FilePlacement::skewed(64, 2, 2, &[0], &[1], 50);
     let cfg = Arc::new(cfg);
     let reference = dcapp::reference_image(&cfg);
-    for (policy, degraded_lost) in [
-        (WritePolicy::RoundRobin, 4),
-        (WritePolicy::WeightedRoundRobin, 4),
-        (WritePolicy::demand_driven(), 0),
+    for policy in [
+        WritePolicy::RoundRobin,
+        WritePolicy::WeightedRoundRobin,
+        WritePolicy::demand_driven(),
     ] {
         let label = policy.label();
         let spec = PipelineSpec {
@@ -275,23 +275,11 @@ fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
         let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("clean run");
         assert_eq!(clean.image.diff_pixels(&reference), 0, "{label}: clean");
         let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
-        let plan = || FaultPlan::new().crash_host(rogues[1], crash_at);
-
-        let recovered = dcapp::run_pipeline_faulted(
-            &topo,
-            &cfg,
-            &spec,
-            lossless_options(&cfg, FaultOptions::new(plan())),
-        )
-        .expect("recovered run");
+        let plan = FaultPlan::new().crash_host(rogues[1], crash_at);
+        let recovered = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+            .expect("recovered run");
+        assert_eq!(recovered.report.faults.copies_killed, 1, "{label}");
         assert_lossless(&format!("skewed/{label}"), &clean, &recovered, false, false);
-
-        let degraded = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan()))
-            .expect("degraded run");
-        let f = &degraded.report.faults;
-        assert_eq!(f.copies_killed, 1, "{label}: {f}");
-        assert_eq!(f.buffers_lost, degraded_lost, "{label}: {f}");
-        assert_eq!(f.degraded, degraded_lost > 0, "{label}: {f}");
     }
 }
 
@@ -307,7 +295,7 @@ fn crash_after_survivor_ends(frac: f64) {
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
     let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
-    let opts = lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(2)));
+    let opts = FaultOptions::new(plan).liveness_timeout(ms(2));
     let faulted =
         dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
     assert_lossless(&format!("seed 79 @ {frac}"), &clean, &faulted, false, false);
@@ -359,12 +347,9 @@ fn supervised_cascade_retargets_through_a_second_death() {
         let plan = FaultPlan::new()
             .crash_host(hosts[1], at(first))
             .crash_host(hosts[2], at(second));
-        let opts = lossless_options(
-            &cfg,
-            FaultOptions::new(plan)
-                .supervised(SupervisorPolicy::new())
-                .liveness_timeout(ms(2)),
-        );
+        let opts = FaultOptions::new(plan)
+            .supervised(SupervisorPolicy::new())
+            .liveness_timeout(ms(2));
         let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
             .expect("supervised lossless cascade completes");
         let label = format!("cascade/{}", policy.label());
@@ -398,12 +383,9 @@ fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
     for (at_us, recovered) in [(250_000, true), (361_700, true), (362_100, false)] {
         let crash_at = SimTime::ZERO + SimDuration::from_micros(at_us);
         let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
-        let opts = lossless_options(
-            &cfg,
-            FaultOptions::new(plan)
-                .supervised(SupervisorPolicy::new())
-                .liveness_timeout(ms(2)),
-        );
+        let opts = FaultOptions::new(plan)
+            .supervised(SupervisorPolicy::new())
+            .liveness_timeout(ms(2));
         let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
             .expect("supervised lossless run completes");
         let f = &faulted.report.faults;
@@ -432,12 +414,9 @@ fn replicas_of_a_unit_of_work_already_left_are_not_mixed_into_the_next() {
     let clean = dcapp::run_pipeline_uows(&topo, &cfg, &spec, 2).expect("fault-free run");
     let plan =
         FaultPlan::new().crash_host(hosts[3], SimTime::ZERO + SimDuration::from_micros(362_100));
-    let opts = lossless_options(
-        &cfg,
-        FaultOptions::new(plan)
-            .supervised(SupervisorPolicy::new())
-            .liveness_timeout(ms(2)),
-    );
+    let opts = FaultOptions::new(plan)
+        .supervised(SupervisorPolicy::new())
+        .liveness_timeout(ms(2));
     let pipeline = dcapp::build_pipeline(&cfg, &spec);
     let report = datacutter::Run::new(pipeline.graph)
         .uows(2)
@@ -453,29 +432,28 @@ fn replicas_of_a_unit_of_work_already_left_are_not_mixed_into_the_next() {
     assert_eq!(f.degraded, f.buffers_lost > 0, "{f}");
 }
 
-/// An honest ledger under retention overflow: with a two-entry ring, a
-/// mid-run crash of a tile-owning merge copy loses buffers it had already
-/// consumed and whose replicas the ring had evicted, so nothing can bring
-/// them back. The image may then differ, but never without a count.
+/// Retention has no depth: an entry leaves its ring only when a consumer
+/// settles it or the run ends. The tile-owning merge copy on `hosts[3]`
+/// dies at 18 % of the clean run, the latest instant at which it still
+/// holds fragments (it has finished by 20 %), so its journal and queue
+/// are at their longest. Every fragment comes back — more than a
+/// two-entry ring would hold — and the survivor rebuilds the dead set's
+/// tiles.
 #[test]
 fn retention_overflow_never_loses_pixels_silently() {
     let (topo, hosts) = cluster(5);
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
-    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
+    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.18);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
-    let opts = FaultOptions::new(plan)
-        .lossless()
-        .retention_depth(2)
-        .liveness_timeout(ms(10));
-    let faulted =
-        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("overflowing run completes");
+    let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
+    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("run completes");
     let f = &faulted.report.faults;
-    let diff = faulted.image.diff_pixels(&clean.image);
-    assert!(f.retention_evicted > 0, "a two-entry ring evicts: {f}");
-    assert!(diff == 0 || f.buffers_lost > 0, "{diff} pixels differ: {f}");
-    assert_eq!(f.degraded, f.buffers_lost > 0, "{f}");
+    assert_eq!(f.copies_killed, 1, "{f}");
+    assert_eq!(f.buffers_lost, 0, "{f}");
+    assert_eq!(faulted.image.diff_pixels(&clean.image), 0, "{f}");
+    assert!(f.buffers_redelivered > 2, "more than two retained: {f}");
 }
 
 /// Randomized acceptance: seeded datasets, any writer policy, either
@@ -515,7 +493,7 @@ mod recovery_props {
             let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
             let plan = FaultPlan::new().crash_host(hosts[victim], crash_at);
             let opts =
-                lossless_options(&cfg, FaultOptions::new(plan).liveness_timeout(ms(2)));
+                FaultOptions::new(plan).liveness_timeout(ms(2));
             let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
                 .expect("lossless run completes");
             let f = &faulted.report.faults;
@@ -532,28 +510,57 @@ mod recovery_props {
     }
 }
 
-/// Lossless is an *upgrade*, not a behavior change: an empty fault plan
-/// under `Recovery::Lossless` still renders the reference image and
-/// reports a quiet fault ledger (retention stamps and settles, but
-/// nothing is replayed, redelivered, or swept as lost at the end).
+/// Only a plan that can kill copies retains. An empty plan and a
+/// drop/delay-only plan stamp nothing: on the simulator a stamp would add
+/// settle traffic to the ack couriers, so the empty plan's metrics match
+/// the fault-free run's and the drop/delay plan's match a digest pinned on
+/// a runtime that never retained without a crash. A supervised empty plan
+/// does retain (a copy may exhaust its restart budget), and stays quiet:
+/// nothing is redelivered, replayed or lost.
 #[test]
 fn lossless_empty_plan_is_quiet_and_correct() {
+    const DROP_DELAY_METRICS: u64 = 0x9eb1_2cb8_311f_750a;
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
     let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+
+    let empty =
+        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(FaultPlan::new()))
+            .expect("empty-plan run");
+    assert_eq!(
+        metrics_digest(&empty),
+        metrics_digest(&clean),
+        "empty plan stamped"
+    );
+    let chaos = FaultPlan::new()
+        .drop_messages(0xD00D, 0.08)
+        .delay_messages(0xD1A7, 0.10, ms(1));
+    let lossy = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(chaos))
+        .expect("drop/delay run");
+    assert!(
+        lossy.report.faults.retransmits > 0,
+        "{}",
+        lossy.report.faults
+    );
+    assert_eq!(lossy.image.diff_pixels(&clean.image), 0);
+    assert_eq!(
+        metrics_digest(&lossy),
+        DROP_DELAY_METRICS,
+        "drop/delay plan stamped"
+    );
+
     for exec in ["sim", "native"] {
-        let opts = lossless_options(&cfg, FaultOptions::new(FaultPlan::new()));
+        let opts = FaultOptions::new(FaultPlan::new()).supervised(SupervisorPolicy::new());
         let r = match exec {
             "sim" => dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts, SimExecutor::new()),
             _ => dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts, NativeExecutor::new()),
         }
-        .expect("lossless no-fault run");
+        .expect("supervised no-fault run");
         let f = &r.report.faults;
         assert_eq!(r.image.diff_pixels(&clean.image), 0, "{exec}");
         assert_eq!(f.buffers_replayed, 0, "{exec}: {f}");
         assert_eq!(f.buffers_redelivered, 0, "{exec}: {f}");
-        assert_eq!(f.retention_evicted, 0, "{exec}: {f}");
         assert_eq!(f.buffers_lost, 0, "{exec}: {f}");
         assert!(!f.degraded, "{exec}: {f}");
     }

@@ -70,8 +70,8 @@ pub fn image_digest(img: &isosurf::Image) -> u64 {
     h.0
 }
 
-/// Digest of the quantities [`Recovery::Lossless`](datacutter::Recovery)
-/// pins for *any* crash plan: the rendered pixels and the loss
+/// Digest of the quantities crash recovery pins for *any* crash plan that
+/// leaves a surviving consumer set: the rendered pixels and the loss
 /// accounting. Elapsed time, per-copy distribution, and repair tallies
 /// legitimately differ between a recovered run and the fault-free run;
 /// the contract is zero loss and identical output, not an identical
@@ -86,7 +86,7 @@ pub fn recovery_digest(r: &PipelineResult) -> u64 {
 }
 
 /// Digest of the per-stream delivery totals (buffers and bytes summed
-/// over copy sets). Invariant under lossless recovery when the crashed
+/// over copy sets). Invariant under crash recovery when the crashed
 /// copies had consumed nothing yet (dead-from-start plans) *and* no
 /// surviving stage re-batches — every unique sequence number is then
 /// claimed and counted exactly once somewhere. Mid-run crashes
