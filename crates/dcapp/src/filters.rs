@@ -60,7 +60,8 @@ impl ReadFilter {
 
 impl Filter for ReadFilter {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        self.stage.run(ctx, write_chunk);
+        self.stage
+            .run(ctx, |ctx, chunk| write_chunk(ctx, chunk.cut()));
         Ok(())
     }
 }
@@ -304,7 +305,8 @@ impl Filter for MergeFilter {
 }
 
 /// **RE** — fused read + extract (the paper's best-performing grouping
-/// pairs this with separate `Ra`).
+/// pairs this with separate `Ra`). Like every grouping that fuses the two,
+/// it never cuts a chunk the isosurface cannot cross.
 pub struct ReadExtractFilter {
     read: ReadStage,
     extract: ExtractStage,
@@ -331,7 +333,9 @@ impl Filter for ReadExtractFilter {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         let extract = &mut self.extract;
         self.read.run(ctx, |ctx, chunk| {
-            extract.feed(ctx, chunk, write_tris);
+            if let Some(chunk) = chunk.cut_crossing(ctx) {
+                extract.feed(ctx, chunk, write_tris);
+            }
         });
         extract.flush(ctx, write_tris);
         Ok(())
@@ -374,7 +378,9 @@ impl Filter for PartitionedReadExtractFilter {
             ctx.write_to(0, band, buf);
         };
         self.read.run(ctx, |ctx, chunk| {
-            extract.feed(ctx, chunk, route);
+            if let Some(chunk) = chunk.cut_crossing(ctx) {
+                extract.feed(ctx, chunk, route);
+            }
         });
         extract.flush(ctx, route);
         Ok(())
@@ -464,9 +470,11 @@ impl Filter for ReadExtractRasterFilter {
         let extract = &mut self.extract;
         let cfg = &self.cfg;
         self.read.run(ctx, |ctx, chunk| {
-            extract.feed(ctx, chunk, |ctx, tris| {
-                raster.feed(cfg, ctx, tris, write_raout);
-            });
+            if let Some(chunk) = chunk.cut_crossing(ctx) {
+                extract.feed(ctx, chunk, |ctx, tris| {
+                    raster.feed(cfg, ctx, tris, write_raout);
+                });
+            }
         });
         extract.flush(ctx, |ctx, tris| {
             raster.feed(cfg, ctx, tris, write_raout);

@@ -13,9 +13,9 @@ use isosurf::{
     merge_batch, raster_triangle, ActivePixelBuffer, Image, Triangle, WinningPixel, ZBuffer,
     BACKGROUND,
 };
-use volume::{CacheKey, ChunkCache, ChunkId, RectGrid};
+use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
 
-use crate::config::{Algorithm, SharedConfig};
+use crate::config::{Algorithm, AppConfig, SharedConfig};
 use crate::payload::{ChunkPayload, RaOut, TriBatch};
 use crate::pool::BufferPool;
 
@@ -43,6 +43,55 @@ struct Prefetch {
     slots: Semaphore,
     ready: Semaphore,
     queue: Arc<Mutex<VecDeque<Fetched>>>,
+}
+
+/// One chunk the read stage has retrieved and charged for, not yet cut
+/// out of its timestep. A fused extract cuts it only if the isosurface
+/// can cross it ([`cut_crossing`](Self::cut_crossing)); the split `R`
+/// filter [cuts](Self::cut) every chunk, since the stage downstream
+/// decides.
+pub(crate) struct ReadChunk<'a> {
+    cfg: &'a AppConfig,
+    timestep: u32,
+    info: ChunkInfo,
+    /// The grid, when a cache hit or a cache-filling fetch already holds it.
+    grid: Option<Arc<RectGrid>>,
+}
+
+impl ReadChunk<'_> {
+    /// Cut the chunk's samples into a payload.
+    pub fn cut(self) -> ChunkPayload {
+        let grid = match self.grid {
+            Some(grid) => Arc::unwrap_or_clone(grid),
+            None => self
+                .cfg
+                .dataset
+                .read_chunk(self.cfg.species, self.timestep, self.info.id),
+        };
+        ChunkPayload {
+            origin: self.info.cell_origin,
+            grid,
+        }
+    }
+
+    /// Cut the chunk for an extract stage fused behind the read, if the
+    /// isosurface can cross it (the dataset's chunk-range index; no
+    /// sample is touched). A chunk it cannot cross is never cut: `ctx`
+    /// is charged the scan that would find no triangle,
+    /// `extract_cost(cells, 0)`, as [`ExtractStage::feed`] would charge
+    /// it. That scan would emit no batch either, so the skip leaves
+    /// virtual time, streams and digests as they were.
+    pub fn cut_crossing(self, ctx: &mut FilterCtx) -> Option<ChunkPayload> {
+        let cfg = self.cfg;
+        if cfg
+            .dataset
+            .can_cross(cfg.species, self.timestep, self.info.id, cfg.iso)
+        {
+            return Some(self.cut());
+        }
+        ctx.compute(cfg.cost.extract_cost(self.info.point_dims().cells(), 0));
+        None
+    }
 }
 
 /// Reads this storage node's declustered chunks off its local disks.
@@ -146,7 +195,8 @@ impl ReadStage {
         Some(pf)
     }
 
-    /// Stream every local chunk through `sink`, charging disk + CPU.
+    /// Stream every local chunk through `sink`, charging disk + CPU; the
+    /// sink decides whether to [cut](ReadChunk::cut) it.
     /// Chunks within a file are read sequentially (Hilbert order), so only
     /// the first read of each file pays the full positioning overhead.
     /// Unit of work `k` renders timestep `cfg.timestep + k` (wrapped to
@@ -158,7 +208,7 @@ impl ReadStage {
     /// re-seeks), misses read and populate. With `prefetch_depth > 0`
     /// under the sim executor, retrieval is delegated to a read-ahead
     /// helper process and this loop only tallies the bytes it charged.
-    pub fn run(&self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, ChunkPayload)) {
+    pub fn run(&self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, ReadChunk<'_>)) {
         let timestep = (self.cfg.timestep + ctx.uow()) % volume::TIMESTEPS;
         let plan = self.plan();
         let cache = self.cfg.chunk_cache().cloned();
@@ -185,13 +235,7 @@ impl ReadStage {
                         ctx.note_disk_bytes(charged);
                     }
                     ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                    match got {
-                        Some(grid) => (*grid).clone(),
-                        None => self
-                            .cfg
-                            .dataset
-                            .read_chunk(self.cfg.species, timestep, e.chunk),
-                    }
+                    got
                 }
                 None => {
                     let key = CacheKey {
@@ -205,29 +249,34 @@ impl ReadStage {
                             // advance, so the next miss pays a full seek.
                             head_on_track = false;
                             ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                            (*grid).clone()
+                            Some(grid)
                         }
                         None => {
                             ctx.disk_read(e.disk as usize, e.bytes, head_on_track && !e.reset_seek);
                             head_on_track = true;
                             ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                            let grid =
-                                self.cfg
-                                    .dataset
-                                    .read_chunk(self.cfg.species, timestep, e.chunk);
-                            if let Some(c) = &cache {
-                                c.insert(key, Arc::new(grid.clone()));
-                            }
-                            grid
+                            // A cache miss materialises the chunk whether
+                            // or not the sink cuts it: the cache holds
+                            // chunks, not verdicts.
+                            cache.as_ref().map(|c| {
+                                let grid = Arc::new(self.cfg.dataset.read_chunk(
+                                    self.cfg.species,
+                                    timestep,
+                                    e.chunk,
+                                ));
+                                c.insert(key, grid.clone());
+                                grid
+                            })
                         }
                     }
                 }
             };
-            let info = self.cfg.dataset.chunk_info(e.chunk);
             sink(
                 ctx,
-                ChunkPayload {
-                    origin: info.cell_origin,
+                ReadChunk {
+                    cfg: &self.cfg,
+                    timestep,
+                    info: self.cfg.dataset.chunk_info(e.chunk),
                     grid,
                 },
             );

@@ -71,11 +71,18 @@ pub fn estimate_work(cfg: &SharedConfig) -> WorkEstimate {
     let proj = cfg.camera.projector();
     let (w, h) = (cfg.camera.width, cfg.camera.height);
     for &chunk in selected.iter().step_by(stride) {
+        probed += 1;
+        if !cfg
+            .dataset
+            .can_cross(cfg.species, cfg.timestep, chunk, cfg.iso)
+        {
+            // The surface misses the chunk: no triangle, no pixel.
+            continue;
+        }
         let info = cfg.dataset.chunk_info(chunk);
         let grid = cfg.dataset.read_chunk(cfg.species, cfg.timestep, chunk);
         let mut tris = Vec::new();
-        let stats = isosurf::extract(&grid, info.cell_origin, cfg.iso, &mut tris);
-        let _ = stats.cells;
+        isosurf::extract(&grid, info.cell_origin, cfg.iso, &mut tris);
         probe_tris += tris.len() as u64;
         for t in &tris {
             if let Some(p) =
@@ -84,7 +91,6 @@ pub fn estimate_work(cfg: &SharedConfig) -> WorkEstimate {
                 probe_pixels += p;
             }
         }
-        probed += 1;
     }
     let scale = n as f64 / probed.max(1) as f64;
     let cells: u64 = selected
@@ -357,6 +363,29 @@ mod tests {
         );
         assert_eq!(est.cells, cfg.dataset.layout().grid.cells());
         assert!(est.chunk_bytes > 0 && est.pixels > 0);
+    }
+
+    /// The probe skips a chunk the surface cannot cross instead of
+    /// extracting it; the estimates are the ones a probe that extracted
+    /// every probed chunk gave (pinned from it).
+    #[test]
+    fn probe_skips_missed_chunks_with_unchanged_estimates() {
+        let (_, hosts) = rogue_cluster(2);
+        for (iso, triangles, pixels) in [(0.3, 13136, 3952), (0.5, 3072, 808), (0.7, 0, 0)] {
+            let mut c = AppConfig::new(dataset(), hosts.clone(), 2, 256, 256);
+            c.iso = iso;
+            let cfg: SharedConfig = Arc::new(c);
+            let missed = (0..cfg.dataset.layout().count())
+                .filter(|&i| !cfg.dataset.can_cross(0, 0, ChunkId(i), iso))
+                .count();
+            assert!(missed > 0, "iso {iso}: no chunk to skip");
+            let est = estimate_work(&cfg);
+            assert_eq!(
+                (est.triangles, est.pixels),
+                (triangles, pixels),
+                "iso {iso}"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! each axis so marching cubes can process every owned cell without
 //! touching neighbours.
 
+use std::ops::RangeInclusive;
+
 use serde::{Deserialize, Serialize};
 
 use crate::grid::{Dims, RectGrid};
@@ -115,6 +117,103 @@ impl ChunkLayout {
             info.point_dims(),
         )
     }
+
+    /// `(min, max)` over the non-NaN samples of every chunk's stored
+    /// points, ghost planes included, in id order: what
+    /// [`RectGrid::value_range`] of [`extract`](Self::extract) gives,
+    /// without cutting any chunk out.
+    pub fn value_ranges(&self, field: &RectGrid) -> Vec<(f32, f32)> {
+        assert_eq!(field.dims, self.grid, "field does not match layout grid");
+        let mut ranges = RangeFold::new(self);
+        let rows = field.data.chunks_exact(self.grid.nx as usize);
+        for (r, row) in rows.enumerate() {
+            let (y, z) = (r as u32 % self.grid.ny, r as u32 / self.grid.ny);
+            ranges.row(y, z, row);
+        }
+        ranges.finish()
+    }
+}
+
+/// Builds [`ChunkLayout::value_ranges`] from a field's point rows, fed in
+/// any order, so a generator can hand over each row while it is still
+/// in cache. A row is folded element by element (contiguous, so it
+/// vectorises) into the running bounds of each chunk column (a y/z box
+/// of chunks) that holds it: one, or two or four on shared ghost planes.
+/// A comparison with NaN is false, so a NaN sample never becomes a bound.
+pub(crate) struct RangeFold {
+    layout: ChunkLayout,
+    /// `owners_y[p]`: the chunks whose stored points hold point `p`
+    /// along y; `owners_z` likewise along z.
+    owners_y: Vec<RangeInclusive<u32>>,
+    owners_z: Vec<RangeInclusive<u32>>,
+    /// Column `(cy, cz)`'s bounds per x at `[(cz * cy_count + cy) * nx..]`.
+    lo: Vec<f32>,
+    hi: Vec<f32>,
+}
+
+impl RangeFold {
+    /// No rows folded yet.
+    pub(crate) fn new(layout: &ChunkLayout) -> Self {
+        let g = layout.grid;
+        let columns = (layout.chunks.1 * layout.chunks.2) as usize;
+        RangeFold {
+            layout: *layout,
+            owners_y: owners(g.ny, layout.chunks.1),
+            owners_z: owners(g.nz, layout.chunks.2),
+            lo: vec![f32::INFINITY; columns * g.nx as usize],
+            hi: vec![f32::NEG_INFINITY; columns * g.nx as usize],
+        }
+    }
+
+    /// Fold in the point row at `(y, z)`.
+    pub(crate) fn row(&mut self, y: u32, z: u32, samples: &[f32]) {
+        let nx = self.layout.grid.nx as usize;
+        assert_eq!(samples.len(), nx, "a row holds nx points");
+        for cz in self.owners_z[z as usize].clone() {
+            for cy in self.owners_y[y as usize].clone() {
+                let at = (cz * self.layout.chunks.1 + cy) as usize * nx;
+                let (lo, hi) = (&mut self.lo[at..at + nx], &mut self.hi[at..at + nx]);
+                for ((l, h), &v) in lo.iter_mut().zip(hi).zip(samples) {
+                    *l = if v < *l { v } else { *l };
+                    *h = if v > *h { v } else { *h };
+                }
+            }
+        }
+    }
+
+    /// The ranges in chunk id order, each over the rows folded so far.
+    pub(crate) fn finish(self) -> Vec<(f32, f32)> {
+        let l = &self.layout;
+        let nx = l.grid.nx as usize;
+        (0..l.count())
+            .map(|i| {
+                let info = l.info(ChunkId(i));
+                let column = (info.coord.2 * l.chunks.1 + info.coord.1) as usize * nx;
+                let x0 = column + info.cell_origin.0 as usize;
+                let x = x0..=x0 + info.cell_extent.0 as usize;
+                (
+                    self.lo[x.clone()]
+                        .iter()
+                        .fold(f32::INFINITY, |a, &b| a.min(b)),
+                    self.hi[x].iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)),
+                )
+            })
+            .collect()
+    }
+}
+
+/// For each of `points` points along an axis split into `parts` chunks,
+/// the chunks whose stored points (ghost plane included) hold it.
+fn owners(points: u32, parts: u32) -> Vec<RangeInclusive<u32>> {
+    let mut out: Vec<Option<RangeInclusive<u32>>> = vec![None; points as usize];
+    for idx in 0..parts {
+        let (o, e) = axis_range(points - 1, parts, idx);
+        for p in o..=o + e {
+            let slot = &mut out[p as usize];
+            *slot = Some(slot.as_ref().map_or(idx, |r| *r.start())..=idx);
+        }
+    }
+    out.into_iter().flatten().collect()
 }
 
 /// Evenly divide `cells` cells into `parts`; returns `(origin, extent)` of

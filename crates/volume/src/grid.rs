@@ -104,8 +104,8 @@ impl RectGrid {
         RectGrid { dims: sub, data }
     }
 
-    /// Minimum and maximum sample values, `(min, max)`. Returns
-    /// `(inf, -inf)` for an empty grid.
+    /// Minimum and maximum sample values, `(min, max)`, NaN samples
+    /// skipped. Returns `(inf, -inf)` for a grid with no number.
     pub fn value_range(&self) -> (f32, f32) {
         self.data
             .iter()
@@ -113,6 +113,16 @@ impl RectGrid {
                 (lo.min(v), hi.max(v))
             })
     }
+}
+
+/// Whether an isosurface at `iso` can cross samples whose
+/// [`value_range`](RectGrid::value_range) is `range`: it needs a sample
+/// `<= iso` and one `> iso`. This is the extract kernel's own rule for a
+/// cell: NaN samples lie on neither side (the range skips them), and a
+/// NaN `iso` crosses nothing.
+#[inline]
+pub fn can_cross(range: (f32, f32), iso: f32) -> bool {
+    range.0 <= iso && range.1 > iso
 }
 
 #[cfg(test)]
@@ -165,5 +175,19 @@ mod tests {
     fn value_range_spans_data() {
         let g = RectGrid::from_fn(Dims::new(3, 3, 3), |x, _, _| x as f32 - 1.0);
         assert_eq!(g.value_range(), (-1.0, 1.0));
+    }
+
+    #[test]
+    fn can_cross_needs_a_sample_on_each_side() {
+        assert!(can_cross((0.0, 1.0), 0.5));
+        assert!(can_cross((0.5, 1.0), 0.5), "a sample == iso is at or below");
+        assert!(!can_cross((0.0, 0.5), 0.5), "nothing above");
+        assert!(!can_cross((0.6, 1.0), 0.5), "nothing at or below");
+        assert!(
+            !can_cross((f32::INFINITY, f32::NEG_INFINITY), 0.5),
+            "all NaN"
+        );
+        assert!(!can_cross((0.0, 1.0), f32::NAN));
+        assert!(can_cross((f32::NEG_INFINITY, f32::INFINITY), 0.0));
     }
 }

@@ -36,7 +36,7 @@ pub use chunks::{ChunkId, ChunkInfo, ChunkLayout};
 pub use cursor::{ChunkCursor, ChunkHeader, Slab};
 pub use decluster::{hilbert_decluster, Declustering, FileId, FilePlacement};
 pub use diskstore::{write_dataset, DiskStore};
-pub use grid::{Dims, RectGrid};
+pub use grid::{can_cross, Dims, RectGrid};
 pub use hilbert::{hilbert_coords, hilbert_index};
 pub use integrity::{fnv64, Fnv64, ReadFaults};
 pub use parssim::{ParSSim, SimParams, SPECIES_COUNT, TIMESTEPS};

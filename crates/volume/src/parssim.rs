@@ -145,6 +145,17 @@ impl ParSSim {
     /// only combines table entries (in exactly the order
     /// `field_reference` evaluates them: the result is bit-identical).
     pub fn field(&self, species: u32, timestep: u32) -> RectGrid {
+        self.field_rows(species, timestep, |_, _, _| {})
+    }
+
+    /// [`field`](Self::field), handing each point row to `each_row(y, z,
+    /// samples)` as soon as it is final, while it is still in cache.
+    pub(crate) fn field_rows(
+        &self,
+        species: u32,
+        timestep: u32,
+        mut each_row: impl FnMut(u32, u32, &[f32]),
+    ) -> RectGrid {
         let d = self.params.dims;
         let snap = self.snapshot(species, timestep);
         let t = timestep as f32;
@@ -210,6 +221,7 @@ impl ParSSim {
             for (v, sx) in row.iter_mut().zip(&tex[0]) {
                 *v += self.params.noise * (sx * sy * sz).abs();
             }
+            each_row(y as u32, z as u32, row);
         }
         RectGrid { dims: d, data }
     }

@@ -4,7 +4,9 @@
 //! A [`Dataset`] is what the read filters and the ADR baseline open: it
 //! knows which chunks exist, which file (and therefore which disk) each
 //! chunk lives in, how many bytes a chunk read costs, and produces the
-//! actual chunk point data.
+//! actual chunk point data. It also knows each resident chunk's value
+//! range, so a reader can tell that an isosurface misses a chunk before
+//! cutting it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -12,9 +14,9 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use crate::chunks::{ChunkId, ChunkInfo, ChunkLayout};
+use crate::chunks::{ChunkId, ChunkInfo, ChunkLayout, RangeFold};
 use crate::decluster::{hilbert_decluster, Declustering, FileId};
-use crate::grid::{Dims, RectGrid};
+use crate::grid::{can_cross, Dims, RectGrid};
 use crate::parssim::{ParSSim, SimParams};
 
 /// Binary encoding of one chunk: 3 × u32 LE point dims, then f32 LE data.
@@ -64,8 +66,17 @@ struct DatasetInner {
     sim: ParSSim,
     layout: ChunkLayout,
     decl: Declustering,
-    /// Cache of full fields keyed by (species, timestep); generated lazily.
-    cache: Mutex<HashMap<(u32, u32), Arc<RectGrid>>>,
+    /// Resident timesteps keyed by (species, timestep); generated lazily.
+    cache: Mutex<HashMap<(u32, u32), Resident>>,
+}
+
+/// One generated field and, built in the same call, the value range of
+/// each of its chunks.
+struct Resident {
+    field: Arc<RectGrid>,
+    /// `ranges[id]`: `(min, max)` over chunk `id`'s non-NaN samples,
+    /// ghost planes included (see [`ChunkLayout::value_ranges`]).
+    ranges: Vec<(f32, f32)>,
 }
 
 impl Dataset {
@@ -125,14 +136,45 @@ impl Dataset {
 
     /// The full field (cached) — used by tests and by reference renderings.
     pub fn field(&self, species: u32, timestep: u32) -> Arc<RectGrid> {
-        let mut cache = self.inner.cache.lock();
-        cache
-            .entry((species, timestep))
-            .or_insert_with(|| Arc::new(self.inner.sim.field(species, timestep)))
-            .clone()
+        self.resident(species, timestep, |r| r.field.clone())
     }
 
-    /// Drop cached fields (tests exercising regeneration determinism).
+    /// `(min, max)` over the non-NaN samples chunk `id` of `species` at
+    /// `timestep` would hold if read, ghost planes included; `(inf, -inf)`
+    /// when it holds no number. Generates the field if it is not
+    /// resident.
+    pub fn chunk_range(&self, species: u32, timestep: u32, id: ChunkId) -> (f32, f32) {
+        self.resident(species, timestep, |r| r.ranges[id.0 as usize])
+    }
+
+    /// Whether an isosurface at `iso` can cross chunk `id` of `species` at
+    /// `timestep` ([`can_cross`] on its [`chunk_range`](Self::chunk_range)).
+    /// When it cannot, extracting the chunk yields no triangle, so a
+    /// reader that only extracts need not cut it.
+    pub fn can_cross(&self, species: u32, timestep: u32, id: ChunkId, iso: f32) -> bool {
+        can_cross(self.chunk_range(species, timestep, id), iso)
+    }
+
+    /// Run `f` on the resident timestep, generating the field and its
+    /// chunk ranges first if needed.
+    fn resident<R>(&self, species: u32, timestep: u32, f: impl FnOnce(&Resident) -> R) -> R {
+        let mut cache = self.inner.cache.lock();
+        let r = cache.entry((species, timestep)).or_insert_with(|| {
+            let mut ranges = RangeFold::new(&self.inner.layout);
+            let field = self
+                .inner
+                .sim
+                .field_rows(species, timestep, |y, z, row| ranges.row(y, z, row));
+            Resident {
+                ranges: ranges.finish(),
+                field: Arc::new(field),
+            }
+        });
+        f(r)
+    }
+
+    /// Drop resident fields and their chunk ranges (tests exercising
+    /// regeneration determinism).
     pub fn clear_cache(&self) {
         self.inner.cache.lock().clear();
     }
@@ -197,7 +239,21 @@ mod tests {
     fn cache_is_stable_across_clear() {
         let ds = tiny();
         let a = ds.read_chunk(0, 1, ChunkId(3));
+        let field = ds.field(0, 1);
+        let ranges: Vec<_> = (0..8).map(|i| ds.chunk_range(0, 1, ChunkId(i))).collect();
         ds.clear_cache();
+        assert!(
+            !Arc::ptr_eq(&field, &ds.field(0, 1)),
+            "clear_cache kept the field resident"
+        );
+        ds.clear_cache();
+        // The index went with the field: asking for a range regenerates
+        // both, and they agree with the chunks cut afterwards.
+        for (i, &range) in ranges.iter().enumerate() {
+            let id = ChunkId(i as u32);
+            assert_eq!(ds.chunk_range(0, 1, id), range);
+            assert_eq!(ds.read_chunk(0, 1, id).value_range(), range);
+        }
         let b = ds.read_chunk(0, 1, ChunkId(3));
         assert_eq!(a, b);
     }

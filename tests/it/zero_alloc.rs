@@ -13,32 +13,50 @@
 //! hot path. The extract and raster kernels skip empty space and dead
 //! pixels without per-call scratch, so they sit inside the same proof.
 //!
-//! The counter is process-wide. This file holds one test, so nothing else
-//! allocates while it measures; a second test here must share a lock with
-//! it, as `delivery_zero_alloc.rs` does.
+//! A second proof rides along: a fused read+extract run whose isovalue
+//! misses every chunk allocates no chunk grid, because the read stage
+//! asks the dataset's chunk-range index before it cuts.
+//!
+//! The counters are process-wide and libtest runs tests on parallel
+//! threads, so every test here holds one lock for its whole body, as
+//! `delivery_zero_alloc.rs` does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use dcapp::{BufferPool, RaOut, TriBatch};
+use datacutter::{NativeExecutor, Placement, WritePolicy};
+use dcapp::{
+    clone_config, run_pipeline_exec, Algorithm, BufferPool, Grouping, PipelineSpec, RaOut, TriBatch,
+};
+use integration_tests::{cluster, test_cfg, test_dataset};
 use isosurf::{
     extract, merge_batch, raster_triangle, ActivePixelBuffer, Camera, Material, Projector,
     Triangle, WinningPixel, ZBuffer,
 };
-use volume::{Dims, RectGrid};
+use volume::{ChunkId, Dims, RectGrid};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Allocations of exactly `WATCH` bytes (`0` watches nothing).
+static WATCH: AtomicUsize = AtomicUsize::new(0);
+static WATCHED: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size == WATCH.load(Ordering::Relaxed) {
+        WATCHED.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,6 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    // A sibling that failed poisons the lock; that verdict is its own.
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const IMG: u32 = 64;
 const BATCH: usize = 256;
@@ -193,6 +218,7 @@ fn pass(h: &mut Harness) {
 
 #[test]
 fn steady_state_pipeline_performs_zero_allocations() {
+    let _lock = measuring();
     let mut h = Harness::new();
 
     // Warm-up: grows `pending`, populates every pool, and lets the WPA
@@ -224,4 +250,48 @@ fn steady_state_pipeline_performs_zero_allocations() {
         "{wpa_entries} entries: the WPA never filled mid-pass"
     );
     assert!(h.zb.depth.iter().any(|d| d.is_finite()), "nothing plotted");
+}
+
+/// Chunk grids (allocations of one chunk's sample bytes) a native fused
+/// `RE–Ra–M` run over timestep 0 of `test_dataset(7)` at `iso` makes.
+fn chunk_grids_allocated(iso: f32) -> u64 {
+    let (topo, hosts) = cluster(2);
+    let mut c = clone_config(&test_cfg(test_dataset(7), hosts.clone(), 64));
+    c.iso = iso;
+    let layout = *c.dataset.layout();
+    let bytes = layout.info(ChunkId(0)).byte_size();
+    assert!(
+        layout.all().iter().all(|i| i.byte_size() == bytes),
+        "every chunk has one size, so one watched size covers them all"
+    );
+    // Generate the field (and its index) outside the measured window.
+    let _ = c.dataset.field(c.species, c.timestep);
+    let cfg = std::sync::Arc::new(c);
+    let spec = PipelineSpec {
+        grouping: Grouping::RERaSplit {
+            raster: Placement::one_per_host(&hosts),
+        },
+        algorithm: Algorithm::ActivePixel,
+        policy: WritePolicy::demand_driven(),
+        merge_host: hosts[0],
+    };
+    WATCHED.store(0, Ordering::Relaxed);
+    WATCH.store(bytes as usize, Ordering::Relaxed);
+    run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new()).expect("fused run failed");
+    WATCH.store(0, Ordering::Relaxed);
+    WATCHED.load(Ordering::Relaxed)
+}
+
+#[test]
+fn fused_read_extract_cuts_no_chunk_the_isovalue_misses() {
+    let _lock = measuring();
+    let ds = test_dataset(7);
+    let crossing = (0..ds.layout().count())
+        .filter(|&i| ds.can_cross(0, 0, ChunkId(i), 0.5))
+        .count() as u64;
+    assert!(crossing > 0);
+    // The watch sees the grids a run does cut: one per crossing chunk.
+    assert!(chunk_grids_allocated(0.5) >= crossing);
+    // Concentrations are bounded by 6: nothing lies above 100.
+    assert_eq!(chunk_grids_allocated(100.0), 0, "a missed chunk was cut");
 }
