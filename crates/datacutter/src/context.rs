@@ -939,8 +939,10 @@ impl FilterCtx {
     /// a helper process that charged the disk model itself (e.g. a
     /// read-ahead prefetcher spawned on the simulation clock): tallies
     /// the copy's disk byte counter without touching the disk model or
-    /// blocking the copy.
+    /// blocking the copy. Like [`disk_read`](Self::disk_read), this is
+    /// where a source copy on a crashed host dies.
     pub fn note_disk_bytes(&mut self, bytes: u64) {
+        self.check_killed();
         let mut m = self.metrics.lock();
         m.disk_bytes += bytes;
     }

@@ -12,7 +12,7 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use datacutter::{Placement, WritePolicy};
+use datacutter::{ExecutorChoice, NativeExecutor, Placement, SimExecutor, WritePolicy};
 use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
 use hetsim::presets::rogue_cluster;
 use volume::{Dataset, Dims};
@@ -28,7 +28,7 @@ struct Args {
     grouping: String,
     policy: String,
     algorithm: String,
-    executor: String,
+    executor: &'static str,
     memory_budget: u64,
     cache_capacity: u64,
     prefetch_depth: u32,
@@ -81,7 +81,7 @@ fn parse_args() -> Args {
         grouping: "re-ra-m".into(),
         policy: "dd".into(),
         algorithm: "ap".into(),
-        executor: "sim".into(),
+        executor: "sim",
         memory_budget: 0,
         cache_capacity: 0,
         prefetch_depth: 0,
@@ -105,7 +105,15 @@ fn parse_args() -> Args {
             "--grouping" => a.grouping = value(&argv, &mut i).into(),
             "--policy" => a.policy = value(&argv, &mut i).into(),
             "--algorithm" => a.algorithm = value(&argv, &mut i).into(),
-            "--executor" => a.executor = value(&argv, &mut i).into(),
+            "--executor" => {
+                a.executor = match value(&argv, &mut i) {
+                    "sim" => "sim",
+                    // `tasked` named a pooled executor since folded into
+                    // the native one.
+                    "native" | "tasked" => "native",
+                    x => usage_error(format_args!("--executor: unknown executor '{x}'")),
+                }
+            }
             "--memory-budget" => a.memory_budget = number(&argv, &mut i),
             "--cache-capacity" => a.cache_capacity = number(&argv, &mut i),
             "--prefetch-depth" => a.prefetch_depth = number(&argv, &mut i),
@@ -183,10 +191,10 @@ fn main() {
     cfg.species = args.species;
     cfg.timestep = args.timestep;
     cfg.material = isosurf::species_material(cfg.species);
-    cfg.executor = args.executor.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2);
-    });
+    let exec: ExecutorChoice = match args.executor {
+        "sim" => SimExecutor::new().into(),
+        _ => NativeExecutor::new().into(),
+    };
     cfg.memory_budget_bytes = args.memory_budget;
     cfg.cache_capacity = args.cache_capacity;
     cfg.prefetch_depth = args.prefetch_depth;
@@ -251,7 +259,7 @@ fn main() {
         spec.grouping.label(),
         spec.policy.label(),
         spec.algorithm.label(),
-        cfg.executor
+        args.executor
     );
     let r = if let Some(seed) = args.storage_faults {
         // Seeded transient disk errors on every host's spill ring for the
@@ -281,10 +289,10 @@ fn main() {
             &cfg,
             &spec,
             datacutter::FaultOptions::new(chaos),
-            dcapp::executor_for(&cfg),
+            exec,
         )
     } else {
-        dcapp::run_pipeline_exec(&topo, &cfg, &spec, dcapp::executor_for(&cfg))
+        dcapp::run_pipeline_exec(&topo, &cfg, &spec, exec)
     }
     .unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
@@ -293,7 +301,7 @@ fn main() {
     println!(
         "done in {:.3} {} seconds ({} engine events, {} surface pixels)",
         r.elapsed.as_secs_f64(),
-        if cfg.executor == dcapp::ExecutorKind::Sim {
+        if args.executor == "sim" {
             "virtual"
         } else {
             "wall-clock"

@@ -4,17 +4,9 @@ use datacutter::{AppGraph, ExecutorChoice, FaultOptions, Run, RunError, RunRepor
 use hetsim::{SimDuration, Topology};
 use isosurf::Image;
 
-use crate::config::{AppConfig, ExecutorKind, SharedConfig};
+use crate::config::{AppConfig, SharedConfig};
+use crate::filters::ImageSlot;
 use crate::pipeline::{build_pipeline, Pipeline, PipelineSpec};
-
-/// Build the executor a config asks for: `sim` (deterministic virtual
-/// time) or `native` (wall-clock, one OS thread per copy).
-pub fn executor_for(cfg: &AppConfig) -> ExecutorChoice {
-    match cfg.executor {
-        ExecutorKind::Sim => datacutter::SimExecutor::new().into(),
-        ExecutorKind::Native => datacutter::NativeExecutor::new().into(),
-    }
-}
 
 /// Outcome of one pipeline run (one unit of work = one timestep rendered).
 pub struct PipelineResult {
@@ -84,15 +76,30 @@ fn run_once(
         filters,
     } = build_pipeline(cfg, spec);
     let report = configured_run(graph, cfg, faults).executor(exec).go(topo)?;
-    let mut images = std::mem::take(&mut *image.lock());
-    assert_eq!(images.len(), 1, "single-UOW run deposits exactly one image");
+    let image = deposited(&image, &report, 1)?.swap_remove(0);
     Ok(PipelineResult {
         elapsed: report.elapsed,
         report,
-        image: images.pop().expect("one image"),
+        image,
         to_raster,
         to_merge,
         filters,
+    })
+}
+
+/// The images a run deposited, one per unit of work. A crash of the merge
+/// host kills the merge's only copy, so a run can complete without one:
+/// that is [`RunError::NoSurvivingConsumers`] on the stream into `M`.
+fn deposited(image: &ImageSlot, report: &RunReport, uows: u32) -> Result<Vec<Image>, RunError> {
+    let images = std::mem::take(&mut *image.lock());
+    if images.len() == uows as usize {
+        return Ok(images);
+    }
+    Err(RunError::NoSurvivingConsumers {
+        stream: report
+            .streams
+            .last()
+            .map_or_else(String::new, |s| s.stream_name.clone()),
     })
 }
 
@@ -103,7 +110,8 @@ fn run_once(
 /// replicable, so a crash of an extract, raster or merge host that leaves
 /// a surviving copy set completes with `lost == 0` under every writer
 /// policy; only a crash that leaves no live consumer tallies losses in
-/// `report.faults`.
+/// `report.faults`. A crash of the merge host leaves no image, and fails
+/// the run with [`RunError::NoSurvivingConsumers`].
 pub fn run_pipeline_faulted(
     topo: &Topology,
     cfg: &SharedConfig,
@@ -152,8 +160,7 @@ pub fn run_pipeline_uows(
 ) -> Result<MultiUowResult, RunError> {
     let Pipeline { graph, image, .. } = build_pipeline(cfg, spec);
     let report = configured_run(graph, cfg, None).uows(uows).go(topo)?;
-    let images = std::mem::take(&mut *image.lock());
-    assert_eq!(images.len(), uows as usize, "one image per unit of work");
+    let images = deposited(&image, &report, uows)?;
     let uow_elapsed = report.uow_elapsed();
     Ok(MultiUowResult {
         report,
@@ -227,7 +234,6 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         wpa_capacity: cfg.wpa_capacity,
         zb_band_bytes: cfg.zb_band_bytes,
         tile_size: cfg.tile_size,
-        executor: cfg.executor,
         memory_budget_bytes: cfg.memory_budget_bytes,
         storage_retry_budget: cfg.storage_retry_budget,
         checksum_spills: cfg.checksum_spills,
@@ -241,6 +247,7 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::config::{Algorithm, AppConfig};

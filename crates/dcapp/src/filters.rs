@@ -1,15 +1,21 @@
-//! The application filters (Figure 2(b) of the paper) and their fused
-//! groupings (Figure 3): `R`, `E`, `Ra`, `M`, plus `RE`, `ERa`, and `RERa`.
+//! The application filter (Figure 2(b) of the paper) and its fused
+//! groupings (Figure 3). `R`, `RE`, `ERa`, `RERa` and the rest are one
+//! decomposition, `R → E → Ra → M`, cut into filters at different points,
+//! so there is one filter: a copy holds the [`Stage`]s its grouping fuses
+//! and runs them in order, each feeding the next, and ships what the last
+//! one emits on output port 0.
 
+use std::any::Any;
 use std::sync::Arc;
 
-use datacutter::{Filter, FilterCtx, FilterError};
+use datacutter::{CopyInfo, Filter, FilterCtx, FilterError, SpillCodec};
 use isosurf::Image;
 use parking_lot::Mutex;
 
 use crate::config::{Algorithm, SharedConfig};
 use crate::parts::{
-    ExtractStage, MergeStage, RasterStage, ReadStage, RoutedExtractStage, TileMergeStage,
+    split_bands, ExtractStage, MergeStage, RasterStage, ReadStage, RoutedExtractStage,
+    TileMergeStage,
 };
 use crate::payload::{ChunkPayload, RaOut, TriBatch};
 use crate::tiles::TileSplitter;
@@ -18,468 +24,299 @@ use crate::tiles::TileSplitter;
 /// of work, in UOW order).
 pub type ImageSlot = Arc<Mutex<Vec<Image>>>;
 
-// The write helpers wrap payloads through the run's `BufferSlab` and the
-// read sites unwrap through it, so in steady state the payload boxes cycle
-// producer → consumer → producer with no heap traffic. Payloads go in via
-// `make_spillable` (replicable + spill-encodable): runs whose copies can
-// die retain replicas, and runs under a memory budget can spill queued
-// buffers to the temp-file ring. Without a crash plan or budget this
-// costs nothing over `make`.
-
-fn write_chunk(ctx: &mut FilterCtx, p: ChunkPayload) {
-    let wire = p.wire_bytes();
-    let buf = ctx.buffer_slab().make_spillable(p, wire);
-    ctx.write(0, buf);
+/// One stage a filter of a grouping holds. A filter lists its stages in
+/// pipeline order: `[Read, Extract, Raster]` is the paper's `RERa`.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Stage {
+    /// Read the copy's storage node (copy `k`, on storage host `k`, serves
+    /// node `k`). A filter without it reads port 0.
+    Read,
+    /// Marching-cubes extraction into triangle batches.
+    Extract,
+    /// Extraction that sends each triangle to the raster copy set owning
+    /// its image band, one band per set of this many (the
+    /// image-partitioned configuration, the paper's §6 future work).
+    ExtractToBands(usize),
+    /// Raster the whole image (image replication, the paper's default).
+    Raster,
+    /// Raster only band `i` of the image in copy set `i`.
+    RasterBand,
+    /// Raster the whole image, cutting the output at tile boundaries for
+    /// the merge copy set owning each tile.
+    RasterTiles,
+    /// Composite the tiles this copy of the merge group owns.
+    MergeTiles,
+    /// Composite the final image into the pipeline's [`ImageSlot`].
+    Merge,
 }
 
-fn write_tris(ctx: &mut FilterCtx, b: TriBatch) {
-    let wire = b.wire_bytes();
-    let buf = ctx.buffer_slab().make_spillable(b, wire);
-    ctx.write(0, buf);
+/// A copy's extract stage.
+enum Extract {
+    Plain(ExtractStage),
+    Routed(RoutedExtractStage),
 }
 
-fn write_raout(ctx: &mut FilterCtx, r: RaOut) {
-    let wire = r.wire_bytes();
-    let buf = ctx.buffer_slab().make_spillable(r, wire);
-    ctx.write(0, buf);
+/// A copy's merge accumulator for one unit of work.
+enum Merge {
+    Tiles(TileMergeStage),
+    Image(MergeStage),
 }
 
-/// **R** — reads this node's declustered chunks and streams voxel buffers.
-pub struct ReadFilter {
-    pub(crate) stage: ReadStage,
+/// One copy of the application filter.
+pub(crate) struct AppFilter {
+    read: Option<ReadStage>,
+    extract: Option<Extract>,
+    tail: Tail,
 }
 
-impl ReadFilter {
-    /// `node_index` selects which storage node's files this copy serves.
-    pub fn new(cfg: SharedConfig, node_index: usize) -> Self {
-        ReadFilter {
-            stage: ReadStage { cfg, node_index },
-        }
-    }
-}
-
-impl Filter for ReadFilter {
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        self.stage
-            .run(ctx, |ctx, chunk| write_chunk(ctx, chunk.cut()));
-        Ok(())
-    }
-}
-
-/// **E** — marching-cubes extraction of voxel buffers into triangle
-/// batches.
-pub struct ExtractFilter {
-    stage: ExtractStage,
-}
-
-impl ExtractFilter {
-    /// Build from shared config.
-    pub fn new(cfg: SharedConfig) -> Self {
-        ExtractFilter {
-            stage: ExtractStage::new(cfg),
-        }
-    }
-}
-
-impl Filter for ExtractFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.stage.reset();
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        // Under a crash plan the copy may be killed between reads; any
-        // triangles batched across chunks would die with it. Flush per
-        // chunk so a killed copy has emitted everything its consumed
-        // chunks produce; a chunk that comes back from retention is then
-        // merely drawn twice, which the z-buffer absorbs.
-        let per_chunk = ctx.fail_stop_active();
-        while let Some(b) = ctx.read(0) {
-            let chunk = ctx
-                .buffer_slab()
-                .recycle_ctx::<ChunkPayload>(b, "E filter input");
-            self.stage.feed(ctx, chunk, write_tris);
-            if per_chunk {
-                self.stage.flush(ctx, write_tris);
-            }
-        }
-        self.stage.flush(ctx, write_tris);
-        Ok(())
-    }
-}
-
-/// **Ra** — transforms, projects, clips, shades, and resolves hidden
-/// surfaces with the configured algorithm. Under image partitioning the
-/// copy set owns one horizontal band of the screen.
-pub struct RasterFilter {
+/// The stages after extract in one copy. The raster and merge
+/// accumulators are allocated in `init`, per the paper, and released in
+/// `finalize`.
+struct Tail {
     cfg: SharedConfig,
     alg: Algorithm,
+    /// Whether a raster stage is fused here.
+    rasters: bool,
+    /// The image rows the raster stage owns, when not all of them.
     scissor: Option<(u32, u32)>,
-    stage: Option<RasterStage>,
+    tiles: Option<TileSplitter>,
+    /// The merge stage fused here, if any.
+    merges: Option<Stage>,
+    slot: ImageSlot,
+    raster: Option<RasterStage>,
+    merge: Option<Merge>,
 }
 
-impl RasterFilter {
-    /// Build for the given algorithm (image-replicated: every copy sees
-    /// the whole screen).
-    pub fn new(cfg: SharedConfig, alg: Algorithm) -> Self {
-        RasterFilter {
-            cfg,
+impl AppFilter {
+    /// Copy `info` of a filter holding `stages`.
+    pub fn new(
+        cfg: &SharedConfig,
+        stages: &[Stage],
+        alg: Algorithm,
+        info: CopyInfo,
+        slot: &ImageSlot,
+    ) -> Self {
+        let (mut read, mut extract) = (None, None);
+        let mut tail = Tail {
+            cfg: cfg.clone(),
             alg,
+            rasters: false,
             scissor: None,
-            stage: None,
+            tiles: None,
+            merges: None,
+            slot: slot.clone(),
+            raster: None,
+            merge: None,
+        };
+        let bands = |n| split_bands(cfg.camera.height, n);
+        for &stage in stages {
+            match stage {
+                Stage::Read => {
+                    read = Some(ReadStage {
+                        cfg: cfg.clone(),
+                        node_index: info.copy_index,
+                    })
+                }
+                Stage::Extract => extract = Some(Extract::Plain(ExtractStage::new(cfg.clone()))),
+                Stage::ExtractToBands(n) => {
+                    extract = Some(Extract::Routed(RoutedExtractStage::new(
+                        cfg.clone(),
+                        bands(n),
+                    )))
+                }
+                Stage::Raster | Stage::RasterBand | Stage::RasterTiles => {
+                    tail.rasters = true;
+                    if stage == Stage::RasterBand {
+                        tail.scissor = bands(info.total_copysets).get(info.copyset_index).copied();
+                    }
+                    if stage == Stage::RasterTiles {
+                        tail.tiles = Some(TileSplitter::new(cfg.tile_rows(), cfg.n_tiles()));
+                    }
+                }
+                Stage::MergeTiles | Stage::Merge => tail.merges = Some(stage),
+            }
         }
-    }
-
-    /// Build a copy owning only image rows `[band.0, band.1)`.
-    pub fn partitioned(cfg: SharedConfig, alg: Algorithm, band: (u32, u32)) -> Self {
-        RasterFilter {
-            cfg,
-            alg,
-            scissor: Some(band),
-            stage: None,
+        AppFilter {
+            read,
+            extract,
+            tail,
         }
     }
 }
 
-impl Filter for RasterFilter {
+impl Filter for AppFilter {
     fn init(&mut self, _ctx: &mut FilterCtx) {
-        // The z-buffer / WPA is allocated in init, per the paper.
-        self.stage = Some(RasterStage::with_scissor(self.alg, &self.cfg, self.scissor));
+        match &mut self.extract {
+            Some(Extract::Plain(e)) => e.reset(),
+            Some(Extract::Routed(e)) => e.reset(),
+            None => {}
+        }
+        let t = &mut self.tail;
+        t.raster = t
+            .rasters
+            .then(|| RasterStage::new(t.alg, &t.cfg, t.scissor));
+        t.merge = t.merges.map(|m| match m {
+            Stage::MergeTiles => Merge::Tiles(TileMergeStage::new(t.cfg.clone())),
+            _ => Merge::Image(MergeStage::new(t.cfg.clone())),
+        });
     }
 
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let stage = self.stage.as_mut().expect("init ran");
-        while let Some(b) = ctx.read(0) {
-            let batch = ctx
-                .buffer_slab()
-                .recycle_ctx::<TriBatch>(b, "Ra filter input");
-            stage.feed(&self.cfg, ctx, batch, write_raout);
+        let AppFilter {
+            read,
+            extract,
+            tail,
+        } = self;
+        if let Some(read) = read {
+            read.run(ctx, |ctx, chunk| match extract {
+                // A fused extract never cuts a chunk the isosurface
+                // cannot cross.
+                Some(e) => {
+                    if let Some(chunk) = chunk.cut_crossing(ctx) {
+                        e.feed(ctx, chunk, tail);
+                    }
+                }
+                None => {
+                    let chunk = chunk.cut();
+                    ship(ctx, To::Policy, chunk.wire_bytes(), chunk);
+                }
+            });
+        } else {
+            // Under a crash plan a lone `E` copy may be killed between
+            // reads, and any triangles batched across chunks would die
+            // with it. So it flushes per chunk: a killed copy has then
+            // emitted everything its consumed chunks produce, and a chunk
+            // that comes back from retention is merely drawn twice, which
+            // the z-buffer absorbs. A fused `ERa` does not flush per chunk.
+            let per_chunk = extract.is_some() && !tail.rasters && ctx.fail_stop_active();
+            while let Some(b) = ctx.read(0) {
+                let slab = ctx.buffer_slab();
+                if let Some(e) = extract.as_mut() {
+                    let chunk = slab.recycle_ctx::<ChunkPayload>(b, "E filter input");
+                    e.feed(ctx, chunk, tail);
+                    if per_chunk {
+                        e.flush(ctx, tail);
+                    }
+                } else if tail.rasters {
+                    let batch = slab.recycle_ctx::<TriBatch>(b, "Ra filter input");
+                    tail.tris(ctx, None, batch);
+                } else {
+                    let out = slab.recycle_ctx::<RaOut>(b, "M filter input");
+                    raout(&mut tail.tiles, &mut tail.merge, ctx, out);
+                }
+            }
         }
-        stage.finish(&self.cfg, ctx, write_raout);
+        // End-of-work: each stage flushes into the next.
+        if let Some(e) = extract {
+            e.flush(ctx, tail);
+        }
+        tail.finish(ctx);
         Ok(())
     }
 
     fn finalize(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = None;
-    }
-}
-
-/// **Ra/t** — [`RasterFilter`] for the tile-composite group: every
-/// outgoing partial result is cut at tile boundaries by a [`TileSplitter`]
-/// and routed to the merge copy set owning its tile via
-/// `FilterCtx::write_tile` over a tile-hash stream.
-pub struct TiledRasterFilter {
-    cfg: SharedConfig,
-    alg: Algorithm,
-    stage: Option<RasterStage>,
-    splitter: TileSplitter,
-}
-
-impl TiledRasterFilter {
-    /// Build for the given algorithm; tiling comes from `cfg.tile_rows()`.
-    pub fn new(cfg: SharedConfig, alg: Algorithm) -> Self {
-        let splitter = TileSplitter::new(cfg.tile_rows(), cfg.n_tiles());
-        TiledRasterFilter {
-            cfg,
-            alg,
-            stage: None,
-            splitter,
+        let t = &mut self.tail;
+        t.raster = None;
+        if let Some(Merge::Image(m)) = t.merge.take() {
+            t.slot.lock().push(m.image());
         }
     }
 }
 
-fn write_tile_raout(ctx: &mut FilterCtx, tile: u32, r: RaOut) {
-    let wire = r.wire_bytes();
-    let buf = ctx.buffer_slab().make_spillable(r, wire);
-    ctx.write_tile(0, tile as u64, buf);
-}
-
-impl Filter for TiledRasterFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = Some(RasterStage::new(self.alg, &self.cfg));
+impl Extract {
+    fn feed(&mut self, ctx: &mut FilterCtx, chunk: ChunkPayload, tail: &mut Tail) {
+        match self {
+            Extract::Plain(e) => e.feed(ctx, chunk, |ctx, b| tail.tris(ctx, None, b)),
+            Extract::Routed(e) => e.feed(ctx, chunk, |ctx, set, b| tail.tris(ctx, Some(set), b)),
+        }
     }
 
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let Self {
+    fn flush(&mut self, ctx: &mut FilterCtx, tail: &mut Tail) {
+        match self {
+            Extract::Plain(e) => e.flush(ctx, |ctx, b| tail.tris(ctx, None, b)),
+            Extract::Routed(e) => e.flush(ctx, |ctx, set, b| tail.tris(ctx, Some(set), b)),
+        }
+    }
+}
+
+impl Tail {
+    /// Raster a triangle batch here, or ship it (to copy set `set` when
+    /// the extract routes by band; the stream's policy is then nominal).
+    fn tris(&mut self, ctx: &mut FilterCtx, set: Option<usize>, b: TriBatch) {
+        let Tail {
             cfg,
-            stage,
-            splitter,
+            raster,
+            tiles,
+            merge,
             ..
         } = self;
-        let stage = stage.as_mut().expect("init ran");
-        let mut sink = |ctx: &mut FilterCtx, r: RaOut| {
-            splitter.split(r, |tile, frag| write_tile_raout(ctx, tile, frag));
-        };
-        while let Some(b) = ctx.read(0) {
-            let batch = ctx
-                .buffer_slab()
-                .recycle_ctx::<TriBatch>(b, "Ra filter input");
-            stage.feed(cfg, ctx, batch, &mut sink);
+        match raster {
+            Some(r) => r.feed(cfg, ctx, b, |ctx, out| raout(tiles, merge, ctx, out)),
+            None => ship(ctx, set.map_or(To::Policy, To::CopySet), b.wire_bytes(), b),
         }
-        stage.finish(cfg, ctx, &mut sink);
-        Ok(())
     }
 
-    fn finalize(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = None;
-    }
-}
-
-/// **Mt** — one copy of the parallel merge group: composites the tiles it
-/// owns (any tile it receives — ownership is enforced by the producer's
-/// tile-hash routing, and the fold is commutative, so fault-time rerouting
-/// composites correctly anywhere) and ships the finished tiles to the
-/// assembler once its input hits end-of-work.
-pub struct TileMergeFilter {
-    cfg: SharedConfig,
-    stage: Option<TileMergeStage>,
-}
-
-impl TileMergeFilter {
-    /// Build over the shared config's tiling.
-    pub fn new(cfg: SharedConfig) -> Self {
-        TileMergeFilter { cfg, stage: None }
-    }
-}
-
-impl Filter for TileMergeFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = Some(TileMergeStage::new(self.cfg.clone()));
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let stage = self.stage.as_mut().expect("init ran");
-        while let Some(b) = ctx.read(0) {
-            let out = ctx.buffer_slab().recycle_ctx::<RaOut>(b, "Mt filter input");
-            stage.feed(ctx, out);
-        }
-        // The read loop drained to end-of-work: every fragment for this
-        // copy's tiles has been folded, so the composited tiles are final
-        // and can travel to the assembler.
-        stage.finish(ctx, write_raout);
-        Ok(())
-    }
-
-    fn finalize(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = None;
-    }
-}
-
-/// **M** — composites partial results into the final image (always a
-/// single copy, per the paper).
-pub struct MergeFilter {
-    stage: Option<MergeStage>,
-    cfg: SharedConfig,
-    slot: ImageSlot,
-}
-
-impl MergeFilter {
-    /// The final image is deposited into `slot` at finalize.
-    pub fn new(cfg: SharedConfig, slot: ImageSlot) -> Self {
-        MergeFilter {
-            stage: None,
+    /// End-of-work for the raster and merge stages: the raster ships what
+    /// it holds, and a tile merge ships its composited tiles — its input
+    /// has drained, so every fragment for its tiles has been folded. The
+    /// final merge keeps its image for `finalize`.
+    fn finish(&mut self, ctx: &mut FilterCtx) {
+        let Tail {
             cfg,
-            slot,
+            raster,
+            tiles,
+            merge,
+            ..
+        } = self;
+        if let Some(r) = raster {
+            r.finish(cfg, ctx, |ctx, out| raout(tiles, merge, ctx, out));
+        }
+        if let Some(Merge::Tiles(m)) = merge {
+            m.finish(ctx, |ctx, out| ship(ctx, To::Policy, out.wire_bytes(), out));
         }
     }
 }
 
-impl Filter for MergeFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.stage = Some(MergeStage::new(self.cfg.clone()));
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let stage = self.stage.as_mut().expect("init ran");
-        while let Some(b) = ctx.read(0) {
-            let out = ctx.buffer_slab().recycle_ctx::<RaOut>(b, "M filter input");
-            stage.feed(ctx, out);
-        }
-        Ok(())
-    }
-
-    fn finalize(&mut self, _ctx: &mut FilterCtx) {
-        if let Some(stage) = self.stage.take() {
-            self.slot.lock().push(stage.image());
-        }
+/// A partial result into a fused merge; otherwise shipped, one fragment
+/// per tile when the raster output is tiled.
+fn raout(
+    tiles: &mut Option<TileSplitter>,
+    merge: &mut Option<Merge>,
+    ctx: &mut FilterCtx,
+    out: RaOut,
+) {
+    match (merge, tiles) {
+        (Some(Merge::Tiles(m)), _) => m.feed(ctx, out),
+        (Some(Merge::Image(m)), _) => m.feed(ctx, out),
+        (None, Some(t)) => t.split(out, |tile, frag| {
+            ship(ctx, To::Tile(tile), frag.wire_bytes(), frag);
+        }),
+        (None, None) => ship(ctx, To::Policy, out.wire_bytes(), out),
     }
 }
 
-/// **RE** — fused read + extract (the paper's best-performing grouping
-/// pairs this with separate `Ra`). Like every grouping that fuses the two,
-/// it never cuts a chunk the isosurface cannot cross.
-pub struct ReadExtractFilter {
-    read: ReadStage,
-    extract: ExtractStage,
+/// Where [`ship`] sends a payload on output port 0.
+enum To {
+    /// Where the stream's writer policy picks.
+    Policy,
+    /// To this consumer copy set.
+    CopySet(usize),
+    /// To the copy set owning this tile (a tile-hash stream).
+    Tile(u32),
 }
 
-impl ReadExtractFilter {
-    /// `node_index` selects the storage node this copy serves.
-    pub fn new(cfg: SharedConfig, node_index: usize) -> Self {
-        ReadExtractFilter {
-            read: ReadStage {
-                cfg: cfg.clone(),
-                node_index,
-            },
-            extract: ExtractStage::new(cfg),
-        }
-    }
-}
-
-impl Filter for ReadExtractFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.extract.reset();
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let extract = &mut self.extract;
-        self.read.run(ctx, |ctx, chunk| {
-            if let Some(chunk) = chunk.cut_crossing(ctx) {
-                extract.feed(ctx, chunk, write_tris);
-            }
-        });
-        extract.flush(ctx, write_tris);
-        Ok(())
-    }
-}
-
-/// **REp** — read + extract with screen-space routing: each triangle batch
-/// is addressed (via targeted writes) to the raster copy set owning the
-/// image band it falls in. The image-partitioned configuration from the
-/// paper's §6 future work.
-pub struct PartitionedReadExtractFilter {
-    read: ReadStage,
-    extract: RoutedExtractStage,
-}
-
-impl PartitionedReadExtractFilter {
-    /// `node_index` selects the storage node; `bands` are the raster copy
-    /// sets' image bands, indexed by copy-set index.
-    pub fn new(cfg: SharedConfig, node_index: usize, bands: Vec<(u32, u32)>) -> Self {
-        PartitionedReadExtractFilter {
-            read: ReadStage {
-                cfg: cfg.clone(),
-                node_index,
-            },
-            extract: RoutedExtractStage::new(cfg, bands),
-        }
-    }
-}
-
-impl Filter for PartitionedReadExtractFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.extract.reset();
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let extract = &mut self.extract;
-        let route = |ctx: &mut FilterCtx, band: usize, b: TriBatch| {
-            let wire = b.wire_bytes();
-            let buf = ctx.buffer_slab().make_spillable(b, wire);
-            ctx.write_to(0, band, buf);
-        };
-        self.read.run(ctx, |ctx, chunk| {
-            if let Some(chunk) = chunk.cut_crossing(ctx) {
-                extract.feed(ctx, chunk, route);
-            }
-        });
-        extract.flush(ctx, route);
-        Ok(())
-    }
-}
-
-/// **ERa** — fused extract + raster.
-pub struct ExtractRasterFilter {
-    cfg: SharedConfig,
-    alg: Algorithm,
-    extract: ExtractStage,
-    raster: Option<RasterStage>,
-}
-
-impl ExtractRasterFilter {
-    /// Build for the given algorithm.
-    pub fn new(cfg: SharedConfig, alg: Algorithm) -> Self {
-        ExtractRasterFilter {
-            extract: ExtractStage::new(cfg.clone()),
-            cfg,
-            alg,
-            raster: None,
-        }
-    }
-}
-
-impl Filter for ExtractRasterFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.extract.reset();
-        self.raster = Some(RasterStage::new(self.alg, &self.cfg));
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let raster = self.raster.as_mut().expect("init ran");
-        let extract = &mut self.extract;
-        let cfg = &self.cfg;
-        while let Some(b) = ctx.read(0) {
-            let chunk = ctx
-                .buffer_slab()
-                .recycle_ctx::<ChunkPayload>(b, "ERa filter input");
-            extract.feed(ctx, chunk, |ctx, tris| {
-                raster.feed(cfg, ctx, tris, write_raout);
-            });
-        }
-        extract.flush(ctx, |ctx, tris| {
-            raster.feed(cfg, ctx, tris, write_raout);
-        });
-        raster.finish(cfg, ctx, write_raout);
-        Ok(())
-    }
-}
-
-/// **RERa** — fully fused read + extract + raster (SPMD-like; only the
-/// merge remains separate).
-pub struct ReadExtractRasterFilter {
-    cfg: SharedConfig,
-    alg: Algorithm,
-    read: ReadStage,
-    extract: ExtractStage,
-    raster: Option<RasterStage>,
-}
-
-impl ReadExtractRasterFilter {
-    /// `node_index` selects the storage node this copy serves.
-    pub fn new(cfg: SharedConfig, alg: Algorithm, node_index: usize) -> Self {
-        ReadExtractRasterFilter {
-            read: ReadStage {
-                cfg: cfg.clone(),
-                node_index,
-            },
-            extract: ExtractStage::new(cfg.clone()),
-            cfg,
-            alg,
-            raster: None,
-        }
-    }
-}
-
-impl Filter for ReadExtractRasterFilter {
-    fn init(&mut self, _ctx: &mut FilterCtx) {
-        self.extract.reset();
-        self.raster = Some(RasterStage::new(self.alg, &self.cfg));
-    }
-
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        let raster = self.raster.as_mut().expect("init ran");
-        let extract = &mut self.extract;
-        let cfg = &self.cfg;
-        self.read.run(ctx, |ctx, chunk| {
-            if let Some(chunk) = chunk.cut_crossing(ctx) {
-                extract.feed(ctx, chunk, |ctx, tris| {
-                    raster.feed(cfg, ctx, tris, write_raout);
-                });
-            }
-        });
-        extract.flush(ctx, |ctx, tris| {
-            raster.feed(cfg, ctx, tris, write_raout);
-        });
-        raster.finish(cfg, ctx, write_raout);
-        Ok(())
+/// Write `payload` on output port 0. Payloads are wrapped through the
+/// run's `BufferSlab` and the read sites unwrap through it, so in steady
+/// state the payload boxes cycle producer → consumer → producer with no
+/// heap traffic. They go in via `make_spillable` (replicable + spill-
+/// encodable): runs whose copies can die retain replicas, and runs under
+/// a memory budget can spill queued buffers to the temp-file ring.
+/// Without a crash plan or budget this costs nothing over `make`.
+fn ship<T: Any + Send + Clone + SpillCodec>(ctx: &mut FilterCtx, to: To, wire: u64, payload: T) {
+    let buf = ctx.buffer_slab().make_spillable(payload, wire);
+    match to {
+        To::Policy => ctx.write(0, buf),
+        To::CopySet(set) => ctx.write_to(0, set, buf),
+        To::Tile(tile) => ctx.write_tile(0, tile as u64, buf),
     }
 }

@@ -1,11 +1,11 @@
-//! Composable stage logic shared between the isolated filters (R, E, Ra,
-//! M) and the fused groupings (RE, ERa, RERa). Each stage charges its
+//! The stages the application filter composes: read, extract (plain or
+//! band-routed), raster and merge (tile or final). Each stage charges its
 //! compute cost to the host CPU via the filter context; fusing stages is
 //! then literally function composition, which is how the paper's grouped
 //! configurations behave.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use datacutter::FilterCtx;
 use hetsim::{Env, Semaphore};
@@ -13,6 +13,7 @@ use isosurf::{
     merge_batch, raster_triangle, ActivePixelBuffer, Image, Triangle, WinningPixel, ZBuffer,
     BACKGROUND,
 };
+use parking_lot::Mutex;
 use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
 
 use crate::config::{Algorithm, AppConfig, SharedConfig};
@@ -38,11 +39,21 @@ type Fetched = (u64, Option<Arc<RectGrid>>);
 /// Handshake between the read loop and its read-ahead helper process:
 /// `slots` bounds how far ahead the helper runs (`prefetch_depth`
 /// chunks), `ready` signals completed fetches, and `queue` carries what
-/// each fetch charged and (when a cache is wired) the decoded grid.
+/// each fetch charged and (when a cache is wired) the decoded grid. The
+/// read loop holds the only strong reference to `queue`, so when the loop
+/// ends or its copy dies, dropping this frees a slot and the helper,
+/// finding the queue gone, ends too.
 struct Prefetch {
+    env: Env,
     slots: Semaphore,
     ready: Semaphore,
     queue: Arc<Mutex<VecDeque<Fetched>>>,
+}
+
+impl Drop for Prefetch {
+    fn drop(&mut self) {
+        self.slots.release(&self.env);
+    }
 }
 
 /// One chunk the read stage has retrieved and charged for, not yet cut
@@ -148,17 +159,22 @@ impl ReadStage {
             return None;
         }
         let pf = Prefetch {
+            env: env.clone(),
             slots: Semaphore::new(self.cfg.prefetch_depth as u64),
             ready: Semaphore::new(0),
             queue: Arc::new(Mutex::new(VecDeque::new())),
         };
-        let (slots, ready, queue) = (pf.slots.clone(), pf.ready.clone(), pf.queue.clone());
+        let (slots, ready) = (pf.slots.clone(), pf.ready.clone());
+        let queue = Arc::downgrade(&pf.queue);
         let cfg = self.cfg.clone();
         let plan = plan.to_vec();
         env.spawn(format!("prefetch:{}", self.node_index), move |env: Env| {
             let mut head_on_track = false;
             for e in &plan {
                 slots.acquire(&env);
+                let Some(queue) = queue.upgrade() else {
+                    return;
+                };
                 let key = CacheKey {
                     species: cfg.species,
                     timestep,
@@ -188,7 +204,7 @@ impl ReadStage {
                         (e.bytes, got)
                     }
                 };
-                queue.lock().expect("prefetch queue").push_back(record);
+                queue.lock().push_back(record);
                 ready.release(&env);
             }
         });
@@ -217,20 +233,10 @@ impl ReadStage {
         for e in &plan {
             let grid = match &prefetch {
                 Some(pf) => {
-                    {
-                        let env = ctx.sim_env().expect("prefetcher only spawns under sim");
-                        pf.ready.acquire(env);
-                    }
-                    let (charged, got) = pf
-                        .queue
-                        .lock()
-                        .expect("prefetch queue")
-                        .pop_front()
-                        .expect("one record per planned chunk");
-                    {
-                        let env = ctx.sim_env().expect("prefetcher only spawns under sim");
-                        pf.slots.release(env);
-                    }
+                    pf.ready.acquire(&pf.env);
+                    // One record per planned chunk: `ready` counts them.
+                    let (charged, got) = pf.queue.lock().pop_front().unwrap_or_default();
+                    pf.slots.release(&pf.env);
                     if charged > 0 {
                         ctx.note_disk_bytes(charged);
                     }
@@ -362,12 +368,9 @@ pub(crate) enum RasterStage {
 }
 
 impl RasterStage {
-    pub fn new(alg: Algorithm, cfg: &SharedConfig) -> Self {
-        Self::with_scissor(alg, cfg, None)
-    }
-
-    /// A stage that only owns image rows `[scissor.0, scissor.1)`.
-    pub fn with_scissor(alg: Algorithm, cfg: &SharedConfig, scissor: Option<(u32, u32)>) -> Self {
+    /// A stage that owns image rows `[scissor.0, scissor.1)`, or the
+    /// whole image without a scissor.
+    pub fn new(alg: Algorithm, cfg: &SharedConfig, scissor: Option<(u32, u32)>) -> Self {
         let proj = cfg.camera.projector();
         match alg {
             Algorithm::ZBuffer => RasterStage::Zb {

@@ -309,6 +309,7 @@ impl SpillCodec for RaOut {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

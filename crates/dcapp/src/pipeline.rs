@@ -6,11 +6,7 @@ use datacutter::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, WritePol
 use hetsim::HostId;
 
 use crate::config::{Algorithm, SharedConfig};
-use crate::filters::{
-    ExtractFilter, ExtractRasterFilter, ImageSlot, MergeFilter, PartitionedReadExtractFilter,
-    RasterFilter, ReadExtractFilter, ReadExtractRasterFilter, ReadFilter, TileMergeFilter,
-    TiledRasterFilter,
-};
+use crate::filters::{AppFilter, ImageSlot, Stage::*};
 
 /// How the application is decomposed into filters.
 #[derive(Debug, Clone)]
@@ -131,135 +127,87 @@ pub fn try_build_pipeline(
     cfg.validate_for(spec.algorithm)?;
     let image: ImageSlot = ImageSlot::default();
     let storage = Placement::one_per_host(&cfg.storage_hosts);
-    let mut g = GraphBuilder::new();
-    let alg = spec.algorithm;
+    let merge_at = Placement::on_host(spec.merge_host, 1);
 
-    // The read-side copy on storage host k serves storage node k. With one
-    // copy per host in placement order, copy_index == node index.
-    let mk_read_index = |info: datacutter::CopyInfo| info.copy_index;
-
-    let (filters, to_raster, to_merge) = match &spec.grouping {
-        Grouping::FourStage { extract, raster } => {
-            let cfg2 = cfg.clone();
-            let r = g.add_filter("R", storage, move |info| {
-                ReadFilter::new(cfg2.clone(), mk_read_index(info))
-            });
-            let cfg2 = cfg.clone();
-            let e = g.add_filter("E", extract.clone(), move |_| {
-                ExtractFilter::new(cfg2.clone())
-            });
-            let cfg2 = cfg.clone();
-            let ra = g.add_filter("Ra", raster.clone(), move |_| {
-                RasterFilter::new(cfg2.clone(), alg)
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let m = g.add_filter("M", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            g.connect(r, e, spec.policy);
-            let s_ra = g.connect(e, ra, spec.policy);
-            let s_m = g.connect(ra, m, spec.policy);
-            (vec![r, e, ra, m], Some(s_ra), s_m)
-        }
-        Grouping::RERaM => {
-            let cfg2 = cfg.clone();
-            let rera = g.add_filter("RERa", storage, move |info| {
-                ReadExtractRasterFilter::new(cfg2.clone(), alg, mk_read_index(info))
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let m = g.add_filter("M", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            let s_m = g.connect(rera, m, spec.policy);
-            (vec![rera, m], None, s_m)
-        }
-        Grouping::RERaSplit { raster } => {
-            let cfg2 = cfg.clone();
-            let re = g.add_filter("RE", storage, move |info| {
-                ReadExtractFilter::new(cfg2.clone(), mk_read_index(info))
-            });
-            let cfg2 = cfg.clone();
-            let ra = g.add_filter("Ra", raster.clone(), move |_| {
-                RasterFilter::new(cfg2.clone(), alg)
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let m = g.add_filter("M", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            let s_ra = g.connect(re, ra, spec.policy);
-            let s_m = g.connect(ra, m, spec.policy);
-            (vec![re, ra, m], Some(s_ra), s_m)
-        }
-        Grouping::ImagePartitioned { raster } => {
-            let bands = crate::parts::split_bands(cfg.camera.height, raster.per_host.len());
-            let cfg2 = cfg.clone();
-            let bands2 = bands.clone();
-            let re = g.add_filter("REp", storage, move |info| {
-                PartitionedReadExtractFilter::new(cfg2.clone(), mk_read_index(info), bands2.clone())
-            });
-            let cfg2 = cfg.clone();
-            let ra = g.add_filter("Ra", raster.clone(), move |info| {
-                RasterFilter::partitioned(cfg2.clone(), alg, bands[info.copyset_index])
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let m = g.add_filter("M", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            // The policy on the RE->Ra stream is nominal: routing happens
-            // via targeted writes.
-            let s_ra = g.connect(re, ra, spec.policy);
-            let s_m = g.connect(ra, m, spec.policy);
-            (vec![re, ra, m], Some(s_ra), s_m)
-        }
-        Grouping::TileComposite { raster, merge } => {
-            let cfg2 = cfg.clone();
-            let re = g.add_filter("RE", storage, move |info| {
-                ReadExtractFilter::new(cfg2.clone(), mk_read_index(info))
-            });
-            let cfg2 = cfg.clone();
-            let ra = g.add_filter("Ra", raster.clone(), move |_| {
-                TiledRasterFilter::new(cfg2.clone(), alg)
-            });
-            let cfg2 = cfg.clone();
-            let mt = g.add_filter("Mt", merge.clone(), move |_| {
-                TileMergeFilter::new(cfg2.clone())
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let a = g.add_filter("A", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            let s_ra = g.connect(re, ra, spec.policy);
-            // The merge-group stream is structurally tile-hash: fragments
-            // are routed by tile ownership, not by the spec policy.
-            let s_m = g.connect(ra, mt, WritePolicy::TileHash);
-            // One single-copy assembler set: policy is nominal.
-            g.connect(mt, a, WritePolicy::RoundRobin);
-            (vec![re, ra, mt, a], Some(s_ra), s_m)
-        }
-        Grouping::REraSplit { era } => {
-            let cfg2 = cfg.clone();
-            let r = g.add_filter("R", storage, move |info| {
-                ReadFilter::new(cfg2.clone(), mk_read_index(info))
-            });
-            let cfg2 = cfg.clone();
-            let era_f = g.add_filter("ERa", era.clone(), move |_| {
-                ExtractRasterFilter::new(cfg2.clone(), alg)
-            });
-            let cfg2 = cfg.clone();
-            let slot = image.clone();
-            let m = g.add_filter("M", Placement::on_host(spec.merge_host, 1), move |_| {
-                MergeFilter::new(cfg2.clone(), slot.clone())
-            });
-            let s_ra = g.connect(r, era_f, spec.policy);
-            let s_m = g.connect(era_f, m, spec.policy);
-            (vec![r, era_f, m], Some(s_ra), s_m)
-        }
+    // Each grouping as rows of (filter, placement, stages it holds), in
+    // pipeline order; each row reads the stream from the row before it.
+    let rows = match &spec.grouping {
+        Grouping::FourStage { extract, raster } => vec![
+            ("R", storage, vec![Read]),
+            ("E", extract.clone(), vec![Extract]),
+            ("Ra", raster.clone(), vec![Raster]),
+            ("M", merge_at, vec![Merge]),
+        ],
+        Grouping::RERaM => vec![
+            ("RERa", storage, vec![Read, Extract, Raster]),
+            ("M", merge_at, vec![Merge]),
+        ],
+        Grouping::RERaSplit { raster } => vec![
+            ("RE", storage, vec![Read, Extract]),
+            ("Ra", raster.clone(), vec![Raster]),
+            ("M", merge_at, vec![Merge]),
+        ],
+        Grouping::ImagePartitioned { raster } => vec![
+            (
+                "REp",
+                storage,
+                vec![Read, ExtractToBands(raster.per_host.len())],
+            ),
+            ("Ra", raster.clone(), vec![RasterBand]),
+            ("M", merge_at, vec![Merge]),
+        ],
+        Grouping::TileComposite { raster, merge } => vec![
+            ("RE", storage, vec![Read, Extract]),
+            ("Ra", raster.clone(), vec![RasterTiles]),
+            ("Mt", merge.clone(), vec![MergeTiles]),
+            ("A", merge_at, vec![Merge]),
+        ],
+        Grouping::REraSplit { era } => vec![
+            ("R", storage, vec![Read]),
+            ("ERa", era.clone(), vec![Extract, Raster]),
+            ("M", merge_at, vec![Merge]),
+        ],
     };
+
+    let mut g = GraphBuilder::new();
+    let (mut filters, mut to_raster, mut to_merge) = (Vec::new(), None, None);
+    let mut prev: Option<(FilterId, bool)> = None;
+    for (name, placement, stages) in rows {
+        let rasters = stages
+            .iter()
+            .any(|s| matches!(s, Raster | RasterBand | RasterTiles));
+        let merges = stages.iter().any(|s| matches!(s, MergeTiles | Merge));
+        let tile_merge = stages.contains(&MergeTiles);
+        let (cfg, alg, slot) = (cfg.clone(), spec.algorithm, image.clone());
+        let id = g.add_filter(name, placement, move |info| {
+            AppFilter::new(&cfg, &stages, alg, info, &slot)
+        });
+        if let Some((from, after_tile_merge)) = prev {
+            // The stream into a tile merge is structurally tile-hash:
+            // fragments are routed by tile ownership. The one out of it
+            // feeds a single-copy assembler, so its policy is nominal.
+            let policy = if tile_merge {
+                WritePolicy::TileHash
+            } else if after_tile_merge {
+                WritePolicy::RoundRobin
+            } else {
+                spec.policy
+            };
+            let s = g.connect(from, id, policy);
+            if rasters && to_raster.is_none() {
+                to_raster = Some(s);
+            }
+            if merges && to_merge.is_none() {
+                to_merge = Some(s);
+            }
+        }
+        filters.push(id);
+        prev = Some((id, tile_merge));
+    }
+    let to_merge = to_merge.ok_or(crate::config::ConfigError {
+        field: "grouping",
+        constraint: "must end in a merge",
+    })?;
 
     Ok(Pipeline {
         graph: g.build(),

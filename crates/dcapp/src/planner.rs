@@ -227,11 +227,17 @@ pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Pl
         r_era_secs,
     ));
 
+    // The cheapest candidate; the first of equals.
     let (label, mut grouping, secs) = candidates
         .iter()
-        .min_by(|a, b| a.2.total_cmp(&b.2))
-        .map(|(l, g, s)| (l.clone(), g.clone(), *s))
-        .expect("candidates non-empty");
+        .fold(&candidates[0], |best, c| {
+            if c.2.total_cmp(&best.2).is_lt() {
+                c
+            } else {
+                best
+            }
+        })
+        .clone();
 
     // Policy, per the paper's §6 guidance: demand driven wins "when the
     // bandwidth of the interconnect is reasonably high and the system load
@@ -269,11 +275,14 @@ pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Pl
         WritePolicy::RoundRobin
     };
 
-    // Merge goes to the most capable compute host.
-    let merge_host = *compute_hosts
-        .iter()
-        .max_by(|&&a, &&b| capacity(topo, a).total_cmp(&capacity(topo, b)))
-        .expect("non-empty");
+    // Merge goes to the most capable compute host; the last of equals.
+    let merge_host = compute_hosts.iter().fold(compute_hosts[0], |best, &h| {
+        if capacity(topo, h).total_cmp(&capacity(topo, best)).is_ge() {
+            h
+        } else {
+            best
+        }
+    });
 
     // Tile-composite upgrade: with a single merge copy every depth entry
     // funnels through one host, so once that fold is a material fraction
@@ -329,6 +338,7 @@ pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Pl
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::config::AppConfig;

@@ -16,7 +16,9 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 struct PoolInner<T> {
     free: Mutex<Vec<Vec<T>>>,
@@ -58,7 +60,7 @@ impl<T> BufferPool<T> {
     /// the free list when possible. The returned [`PoolVec`] flows back
     /// here on drop.
     pub fn take(&self, capacity: usize) -> PoolVec<T> {
-        let buf = match self.inner.free.lock().expect("pool lock").pop() {
+        let buf = match self.inner.free.lock().pop() {
             Some(mut v) => {
                 v.reserve(capacity.saturating_sub(v.capacity()));
                 v
@@ -78,7 +80,7 @@ impl<T> BufferPool<T> {
     /// feeding spares into sinks that manage reuse themselves (e.g.
     /// [`isosurf::ActivePixelBuffer::supply`]).
     pub fn try_take_raw(&self) -> Option<Vec<T>> {
-        self.inner.free.lock().expect("pool lock").pop()
+        self.inner.free.lock().pop()
     }
 
     /// Wrap an externally produced buffer so it recycles into this pool
@@ -93,7 +95,7 @@ impl<T> BufferPool<T> {
     /// Return a buffer to the free list.
     pub fn put(&self, mut buf: Vec<T>) {
         buf.clear();
-        self.inner.free.lock().expect("pool lock").push(buf);
+        self.inner.free.lock().push(buf);
     }
 
     /// Number of fresh allocations the pool has performed (free-list
@@ -187,6 +189,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PoolVec<T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

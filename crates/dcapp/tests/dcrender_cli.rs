@@ -5,7 +5,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -29,6 +29,10 @@ fn bad_arguments_are_usage_errors_not_panics() {
         (
             &["--timestep", "12"],
             "dcrender: --timestep: out of range '12'",
+        ),
+        (
+            &["--executor", "threads"],
+            "dcrender: --executor: unknown executor 'threads'",
         ),
         // The pooled executor's size flag went with the executor.
         (&["--workers", "1"], "dcrender: unknown flag --workers"),

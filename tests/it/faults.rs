@@ -124,6 +124,71 @@ fn rr_crash_fails_fast_when_degraded_mode_disallowed() {
     }
 }
 
+/// A read-ahead source copy dies with its storage host just like one
+/// that reads its own disk: under `prefetch_depth > 0` the read loop sees
+/// its death at the same per-chunk point. The crash lands while the
+/// helper process is still mid-plan, and the helper ends with its copy:
+/// one left parked on its slots would deadlock the simulation.
+#[test]
+fn prefetched_read_dies_with_its_storage_host() {
+    let (topo, hosts) = cluster(4);
+    let spec = PipelineSpec {
+        grouping: Grouping::RERaSplit {
+            raster: Placement::on_host(hosts[2], 1),
+        },
+        algorithm: Algorithm::ZBuffer,
+        policy: WritePolicy::demand_driven(),
+        merge_host: hosts[3],
+    };
+    let base = test_cfg(test_dataset(7), vec![hosts[0], hosts[1]], 96);
+    for depth in [0, 4] {
+        let mut cfg = dcapp::clone_config(&base);
+        cfg.prefetch_depth = depth;
+        let cfg = Arc::new(cfg);
+        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+        let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
+        let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
+        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+            .expect("run completes without the dead node's remaining chunks");
+        let f = &faulted.report.faults;
+        assert_eq!(f.copies_killed, 1, "depth {depth}: {f:?}");
+        assert!(
+            faulted.image.diff_pixels(&clean.image) > 0,
+            "depth {depth}: the chunks the dead copy never read are missing"
+        );
+    }
+}
+
+/// A crash of the merge host kills the merge's only copy, so the run
+/// deposits no image. On both executors that is a structured error
+/// naming the stream into `M`, not a panic.
+#[test]
+fn merge_host_crash_is_a_structured_error_on_both_executors() {
+    let (topo, hosts) = cluster(5);
+    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
+    let spec = spec(&hosts, WritePolicy::demand_driven());
+    let opts = || FaultOptions::new(FaultPlan::new().crash_host(hosts[4], SimTime::ZERO));
+    let runs = [
+        (
+            "sim",
+            dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts()),
+        ),
+        (
+            "native",
+            dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts(), NativeExecutor::new()),
+        ),
+    ];
+    for (label, run) in runs {
+        match run {
+            Err(RunError::NoSurvivingConsumers { stream }) => {
+                assert_eq!(stream, "Ra->M", "{label}");
+            }
+            Err(other) => panic!("{label}: expected NoSurvivingConsumers, got {other}"),
+            Ok(_) => panic!("{label}: a run without its merge copy has no image"),
+        }
+    }
+}
+
 #[test]
 fn empty_plan_is_bit_identical_to_unfaulted_runtime() {
     let (topo, hosts) = cluster(5);
