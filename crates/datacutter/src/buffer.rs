@@ -197,7 +197,7 @@ impl DataBuffer {
     }
 
     /// True while the payload is parked in a spill ring (a
-    /// [`fault_in`](Self::fault_in) is required before it can be read).
+    /// `fault_in` is required before it can be read).
     pub fn is_spilled(&self) -> bool {
         self.payload.is::<SpilledPayload>()
     }
@@ -317,7 +317,7 @@ impl std::fmt::Debug for DataBuffer {
 /// keeps the erased boxes of consumed buffers in per-type free lists so the
 /// next `make` of the same payload type overwrites a recycled box in place
 /// instead of allocating. Payload *contents* are still moved in/out normally
-/// (so interior `Vec`s recycle through their own [`BufferPool`]s); only the
+/// (so interior `Vec`s recycle through their own pools); only the
 /// outer box round-trips through the slab.
 ///
 /// Clones share the same free lists, so one slab created at run build time

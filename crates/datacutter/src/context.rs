@@ -20,8 +20,8 @@ use crate::metrics::CopyCell;
 use crate::policy::{AckHandle, WriterState};
 use crate::runtime::delivery::{Closed, CourierMsg, Delivery, Envelope, OutMsg};
 use crate::runtime::eow::UowGate;
+use crate::runtime::exec::{ChanRx, ChanTx, ExecEnv};
 use crate::runtime::retain::{Provenance, StreamRetention};
-use crate::runtime::{ChanRx, ChanTx, ExecEnv};
 
 pub(crate) struct InputPort {
     pub rx: ChanRx<Envelope>,
@@ -76,7 +76,7 @@ pub(crate) struct OutputPort {
 
 /// Where an output port's messages go: to the copy's outbox sender
 /// handler under virtual time, or straight through [`Delivery`] in the
-/// copy's own thread (see [`crate::Executor::RELAYS`]).
+/// copy's own thread (see [`ExecutorChoice::relays`](crate::ExecutorChoice::relays)).
 pub(crate) enum Outbox {
     Sender(ChanTx<OutMsg>),
     Inline(Delivery),

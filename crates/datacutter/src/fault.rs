@@ -26,7 +26,7 @@
 //! exponential backoff up to a bounded budget) and the wall-clock
 //! heartbeat scan that declares silently wedged copies dead. Deaths
 //! declared at runtime — a copy whose restart budget is exhausted, or a
-//! wedged copy — land in [`FaultCtl`]'s *dynamic* death registry, and the
+//! wedged copy — land in `FaultCtl`'s *dynamic* death registry, and the
 //! oracle queries used by gates, writer policies and reapers merge the
 //! static plan with that registry, so the recovery machinery built for
 //! scheduled crashes handles supervised deaths identically.
@@ -99,9 +99,10 @@ pub enum RunError {
         /// Name of the stream whose buffers could not be delivered.
         stream: String,
     },
-    /// The run was configured with a feature the selected executor does
-    /// not support (e.g. NIC-degradation windows on the wall-clock native
-    /// executor, which has no emulated NIC to throttle).
+    /// `Run::go` rejected the run's configuration before spawning
+    /// anything: zero units of work, a placement naming a host the
+    /// topology lacks, or a feature the selected executor does not support
+    /// (a simulation `setup` hook on the native executor).
     Unsupported {
         /// Description of the unsupported combination.
         what: String,
@@ -514,7 +515,7 @@ impl CopyHealth {
 }
 
 /// One supervised restart of a panicked filter copy, recorded for the
-/// [`FaultReport`](crate::metrics::FaultReport) timeline.
+/// [`FaultReport`] timeline.
 #[derive(Debug, Clone)]
 pub struct RestartEvent {
     /// Name of the restarted filter.

@@ -95,11 +95,7 @@ pub use graph::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, DEFAULT_Q
 pub use hetsim::DiskFaultKind;
 pub use metrics::{CopyCounters, CopyReport, FaultReport, OocReport, RunReport, StreamReport};
 pub use policy::{CopySetInfo, DemandState, WritePolicy};
-pub use runtime::native::TaskedExecutor;
-pub use runtime::{
-    Clock, ExecEnv, ExecStats, Executor, ExecutorChoice, NativeExecutor, Run, SimExecutor,
-    Transport,
-};
+pub use runtime::{ExecutorChoice, NativeExecutor, Run, SimExecutor, TaskedExecutor};
 pub use storage::{
     open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,
 };

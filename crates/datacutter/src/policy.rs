@@ -26,8 +26,8 @@ use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultCtl;
+use crate::runtime::exec::ExecEnv;
 use crate::runtime::native::{CancelScope, CancelWake};
-use crate::runtime::ExecEnv;
 
 /// Policy selector carried in stream specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -527,7 +527,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(WritePolicy::RoundRobin, &sets, HostId(0));
             let picks: Vec<usize> = (0..6).map(|_| w.select(&env)).collect();
             assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
@@ -540,7 +540,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(WritePolicy::WeightedRoundRobin, &sets, HostId(0));
             let picks: Vec<usize> = (0..8).map(|_| w.select(&env)).collect();
             // Schedule: round 0 -> 0,1,2; round 1 -> 1 (only host1 has 2
@@ -557,7 +557,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(
                 WritePolicy::DemandDriven { window_per_copy: 4 },
                 &sets,
@@ -579,7 +579,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(
                 WritePolicy::DemandDriven { window_per_copy: 4 },
                 &sets,
@@ -599,7 +599,7 @@ mod tests {
         let progress: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let prog2 = progress.clone();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(
                 WritePolicy::DemandDriven { window_per_copy: 1 },
                 &sets,
@@ -613,7 +613,7 @@ mod tests {
         });
         sim.spawn("acker", move |env| {
             env.delay(hetsim::SimDuration::from_millis(50));
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let st = state_slot.lock().clone().expect("producer ran first");
             st.ack(&env, 0);
         });
@@ -628,7 +628,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = vec![set(HostId(0), 3, 0)];
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(
                 WritePolicy::DemandDriven { window_per_copy: 2 },
                 &sets,
@@ -649,7 +649,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let w = WriterState::new(WritePolicy::TileHash, &sets, HostId(0));
             let picks: Vec<usize> = (0..7).map(|t| w.select_tile(&env, t)).collect();
             assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
@@ -666,7 +666,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             // Two independent producers (different hosts, fresh state) must
             // agree on every owner: the routing is content-addressed.
             let a = WriterState::new(WritePolicy::TileHash, &sets, HostId(0));
@@ -692,7 +692,7 @@ mod tests {
                 crate::fault::FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(1));
             let ctl = FaultCtl::new(&opts);
             env.delay(SimDuration::from_millis(5)); // past detection
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let w = WriterState::for_run(WritePolicy::TileHash, &sets, HostId(0), Some(ctl), None);
             assert_eq!(w.select_tile(&env, 0), 0, "live owner keeps its tiles");
             assert_eq!(
@@ -711,7 +711,7 @@ mod tests {
         let mut sim = Simulation::new();
         let sets = sets3();
         sim.spawn("p", move |env| {
-            let env = ExecEnv::from(env);
+            let env = ExecEnv::Sim(env);
             let mut w = WriterState::new(WritePolicy::TileHash, &sets, HostId(0));
             let picks: Vec<usize> = (0..6).map(|_| w.select(&env)).collect();
             assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);

@@ -5,7 +5,7 @@
 //! end-of-work broadcast — written as a resumable state machine
 //! ([`Delivery::poll`] over a [`Flight`]).
 //!
-//! Who drives it is the executor's choice ([`Executor::RELAYS`]). Under
+//! Who drives it is the executor's choice ([`ExecutorChoice::relays`]). Under
 //! virtual time a per-copy **outbox sender** handler polls it, so the
 //! modelled wire transfer overlaps the copy's computation, and a
 //! per-copy-set **ack courier** handler pays the reverse path for demand
@@ -21,7 +21,7 @@ use std::task::Poll;
 
 use hetsim::{HostId, SimDuration, Step, Topology, Transfer};
 
-use super::exec::{poll_charge, ChanRx, ChanTx, ExecEnv, Executor};
+use super::exec::{poll_charge, ChanRx, ChanTx, ExecEnv, ExecutorChoice};
 use super::retain::{Provenance, StreamRetention};
 use crate::buffer::{DataBuffer, ACK_WIRE_BYTES, EOW_WIRE_BYTES};
 use crate::fault::{CopyHealth, FaultCtl};
@@ -142,8 +142,8 @@ impl Courier {
 }
 
 /// Register the ack courier for one consumer copy set (simulator only).
-pub(crate) fn spawn_courier<E: Executor>(
-    exec: &mut E,
+pub(crate) fn spawn_courier(
+    exec: &mut ExecutorChoice,
     stream_name: &str,
     host: HostId,
     topo: &Topology,
@@ -397,9 +397,9 @@ impl Delivery {
     /// drains the copy's outbox through [`poll`](Self::poll), so the copy
     /// keeps computing while earlier buffers are on the modelled wire. A
     /// consumer that hung up ends it; the late buffer is dropped.
-    pub fn spawn_sender<E: Executor>(
+    pub fn spawn_sender(
         self,
-        exec: &mut E,
+        exec: &mut ExecutorChoice,
         stream_name: &str,
         outbox: ChanRx<OutMsg>,
     ) {

@@ -1,16 +1,16 @@
-//! The executor substrate: a small `Clock` + `Transport` + `Executor`
-//! trait family that separates *what* the runtime spawns and wires (filter
-//! copies, reapers, and under virtual time the outbox-sender and
-//! ack-courier handlers — see [`super::spawn`])
-//! from *where* it runs. The hetsim virtual-time engine is one
-//! implementation ([`SimExecutor`], bit-for-bit identical to the original
-//! monolithic runtime); [`super::native::NativeExecutor`] runs the same
-//! graph on real OS threads under wall-clock time.
+//! The executor substrate: [`ExecutorChoice`], a two-variant enum that
+//! separates *what* the runtime spawns and wires (filter copies, reapers,
+//! and under virtual time the outbox-sender and ack-courier handlers —
+//! see [`super::spawn`]) from *where* it runs. Each of its crate-private
+//! methods (`channel`, `barrier`, `spawn`, `run`, …) matches over the two
+//! variants: the hetsim virtual-time engine ([`SimExecutor`],
+//! deterministic) and [`NativeExecutor`] (real OS threads under
+//! wall-clock time).
 //!
 //! Channel endpoints and barriers are concrete enums ([`ChanTx`],
-//! [`ChanRx`], [`ExecBarrier`]) rather than associated types so that
-//! [`crate::context::FilterCtx`] stays a single concrete type and the
-//! [`crate::filter::Filter`] trait is untouched by the substrate choice.
+//! [`ChanRx`], [`ExecBarrier`]) too, so that [`crate::context::FilterCtx`]
+//! stays a single concrete type and the [`crate::filter::Filter`] trait is
+//! untouched by the substrate choice.
 
 use std::sync::Arc;
 use std::task::Poll;
@@ -20,25 +20,10 @@ use hetsim::{
     Transfer,
 };
 
-use super::native::{CancelScope, NativeBarrier, NativeEnv, NativeRx, NativeTx};
-
-/// A monotonic time source. Virtual time under [`SimExecutor`]; nanoseconds
-/// of wall-clock time since run start under the native executor.
-pub trait Clock {
-    /// Current time on this executor's axis.
-    fn now(&self) -> SimTime;
-    /// Sleep for `d` on this executor's axis.
-    fn sleep(&self, d: SimDuration);
-}
-
-impl Clock for Env {
-    fn now(&self) -> SimTime {
-        Env::now(self)
-    }
-    fn sleep(&self, d: SimDuration) {
-        self.delay(d);
-    }
-}
+use super::native::{
+    native_barrier, native_channel, Abandoner, CancelScope, NativeBarrier, NativeEnv,
+    NativeExecutor, NativeRx, NativeTx,
+};
 
 /// The per-process execution environment handed to every runtime process
 /// (filter copies, reapers, the supervisor, sender and courier handlers). A
@@ -91,27 +76,6 @@ impl ExecEnv {
             Some(e) => e,
             None => unreachable!("this runtime path requires the virtual-time SimExecutor"),
         }
-    }
-}
-
-impl Clock for ExecEnv {
-    fn now(&self) -> SimTime {
-        ExecEnv::now(self)
-    }
-    fn sleep(&self, d: SimDuration) {
-        self.delay(d);
-    }
-}
-
-impl From<Env> for ExecEnv {
-    fn from(e: Env) -> Self {
-        ExecEnv::Sim(e)
-    }
-}
-
-impl From<NativeEnv> for ExecEnv {
-    fn from(e: NativeEnv) -> Self {
-        ExecEnv::Native(e)
     }
 }
 
@@ -248,14 +212,6 @@ impl<T: Send> ChanRx<T> {
         }
     }
 
-    /// True when every sender has hung up (queued values may remain).
-    pub fn is_closed(&self) -> bool {
-        match self {
-            ChanRx::Sim(rx) => rx.is_closed(),
-            ChanRx::Native(rx) => rx.is_closed(),
-        }
-    }
-
     /// Number of queued values.
     pub fn is_empty(&self) -> bool {
         match self {
@@ -315,31 +271,6 @@ impl ExecBarrier {
     }
 }
 
-/// Factory for the communication primitives of one run: channels wiring
-/// streams (and, under virtual time, outboxes and couriers), and the
-/// inter-UOW barrier.
-pub trait Transport: Clone + Send + 'static {
-    /// A bounded MPMC channel with `capacity` slots (at least 1).
-    fn channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>);
-
-    /// A cyclic barrier over `participants` processes.
-    fn barrier(&self, participants: usize) -> ExecBarrier;
-
-    /// The transport's cooperative-cancellation scope, when it has one.
-    /// Wall-clock transports use it to tear a failed run down without
-    /// deadlocking; the virtual-time engine cancels processes itself.
-    fn cancel_scope(&self) -> Option<Arc<CancelScope>> {
-        None
-    }
-
-    /// Declare the process spawned under `name` abandoned: it is presumed
-    /// wedged and will never finish, and the executor should not wait for
-    /// it at the end of the run. The default is a no-op — cooperative
-    /// substrates have no preemption problem; the native executor detaches
-    /// the thread.
-    fn abandon(&self, _name: &str) {}
-}
-
 /// Summary statistics of one executor run (mirrors [`hetsim::RunStats`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecStats {
@@ -347,53 +278,13 @@ pub struct ExecStats {
     pub end_time: SimTime,
     /// Events processed (0 on substrates without an event loop).
     pub events: u64,
-    /// Number of processes run.
-    pub processes: u32,
 }
 
-/// A boxed process body handed to [`Executor::spawn`].
+/// A boxed process body handed to [`ExecutorChoice::spawn`].
 pub type SpawnBody = Box<dyn FnOnce(ExecEnv) + Send + 'static>;
 
-/// A boxed handler step handed to [`Executor::spawn_handler`].
+/// A boxed handler step handed to [`ExecutorChoice::spawn_handler`].
 pub type HandlerBody = Box<dyn FnMut(&ExecEnv) -> Step + Send + 'static>;
-
-/// An execution substrate: spawns the runtime's processes and runs them to
-/// completion. Implementations: [`SimExecutor`] (hetsim virtual time,
-/// deterministic) and [`super::native::NativeExecutor`] (one OS thread
-/// per process, wall-clock).
-pub trait Executor {
-    /// The transport whose channels/barriers this executor's processes use.
-    type Transport: Transport;
-
-    /// Whether the runtime relays through helper processes: an outbox
-    /// *sender* per (filter copy, output stream) and an ack *courier* per
-    /// consumer copy set, registered with [`Executor::spawn_handler`]. A
-    /// substrate that charges transfers in virtual time needs them — they
-    /// let a copy keep computing while its buffers and acknowledgments are
-    /// on the modelled wire, and their registration order is part of the
-    /// event order. On the simulator they are threadless handlers, run on
-    /// whichever thread dispatches their events. Without a modelled wire
-    /// they would only add hand-offs, so a copy delivers its writes and
-    /// acknowledges its reads in its own thread instead.
-    const RELAYS: bool;
-
-    /// The transport instance for wiring this run.
-    fn transport(&self) -> Self::Transport;
-
-    /// Register a process. Processes start when [`Executor::run`] is
-    /// called; registration order is significant on deterministic
-    /// substrates (it fixes process identity and event order).
-    fn spawn(&mut self, name: String, body: SpawnBody);
-
-    /// Register a threadless handler process: `step` runs once per event
-    /// granted to it and returns what it waits for next (see
-    /// [`hetsim::Simulation::spawn_handler`]). Registration order counts
-    /// as for [`Executor::spawn`]. Only executors that relay are asked.
-    fn spawn_handler(&mut self, name: String, step: HandlerBody);
-
-    /// Run every spawned process to completion.
-    fn run(&mut self) -> Result<ExecStats, SimError>;
-}
 
 /// The virtual-time executor: wraps a [`hetsim::Simulation`], preserving
 /// the deterministic cooperative scheduling (and therefore bit-for-bit the
@@ -423,48 +314,137 @@ impl Default for SimExecutor {
     }
 }
 
-/// Transport backed by the simulation's cooperative channels and barriers.
-#[derive(Clone)]
-pub struct SimTransport {
-    waker: hetsim::Waker,
+/// The executor a [`Run`](super::Run) uses, chosen at configuration
+/// time. Every variant converts via `From`, so `Run::executor` accepts any
+/// executor value directly.
+pub enum ExecutorChoice {
+    /// Deterministic virtual-time execution on the hetsim engine.
+    Sim(SimExecutor),
+    /// Wall-clock execution on real OS threads, one per copy.
+    Native(NativeExecutor),
 }
 
-impl Transport for SimTransport {
-    fn channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
-        let (tx, rx) = hetsim::channel(self.waker.clone(), capacity);
-        (ChanTx::Sim(tx), ChanRx::Sim(rx))
-    }
-
-    fn barrier(&self, participants: usize) -> ExecBarrier {
-        ExecBarrier::Sim(hetsim::Barrier::new(participants))
+impl From<SimExecutor> for ExecutorChoice {
+    fn from(e: SimExecutor) -> Self {
+        ExecutorChoice::Sim(e)
     }
 }
 
-impl Executor for SimExecutor {
-    type Transport = SimTransport;
-    const RELAYS: bool = true;
+impl From<NativeExecutor> for ExecutorChoice {
+    fn from(e: NativeExecutor) -> Self {
+        ExecutorChoice::Native(e)
+    }
+}
 
-    fn transport(&self) -> SimTransport {
-        SimTransport {
-            waker: self.sim.waker(),
+#[cfg(test)]
+thread_local! {
+    /// Every registration made on this thread, in order, as `(name,
+    /// is_handler)`: the spawn-order pins in `super::spawn::tests` read it.
+    pub(crate) static SPAWN_LOG: std::cell::RefCell<Vec<(String, bool)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+impl ExecutorChoice {
+    /// Whether the runtime relays through helper processes: an outbox
+    /// *sender* per (filter copy, output stream) and an ack *courier* per
+    /// consumer copy set, registered with
+    /// [`spawn_handler`](Self::spawn_handler). The simulator charges
+    /// transfers in virtual time and needs them — they let a copy keep
+    /// computing while its buffers and acknowledgments are on the modelled
+    /// wire, and their registration order is part of the event order. They
+    /// are threadless handlers, run on whichever thread dispatches their
+    /// events. Without a modelled wire they would only add hand-offs, so
+    /// natively a copy delivers its writes and acknowledges its reads in
+    /// its own thread instead.
+    pub(crate) fn relays(&self) -> bool {
+        matches!(self, ExecutorChoice::Sim(_))
+    }
+
+    /// A bounded MPMC channel with `capacity` slots (at least 1).
+    pub(crate) fn channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
+        match self {
+            ExecutorChoice::Sim(e) => {
+                let (tx, rx) = hetsim::channel(e.sim.waker(), capacity);
+                (ChanTx::Sim(tx), ChanRx::Sim(rx))
+            }
+            ExecutorChoice::Native(e) => {
+                let (tx, rx) = native_channel(capacity, &e.cancel);
+                (ChanTx::Native(tx), ChanRx::Native(rx))
+            }
         }
     }
 
-    fn spawn(&mut self, name: String, body: SpawnBody) {
-        self.sim
-            .spawn(name, move |env: Env| body(ExecEnv::Sim(env)));
+    /// A cyclic barrier over `participants` processes.
+    pub(crate) fn barrier(&self, participants: usize) -> ExecBarrier {
+        match self {
+            ExecutorChoice::Sim(_) => ExecBarrier::Sim(hetsim::Barrier::new(participants)),
+            ExecutorChoice::Native(e) => {
+                ExecBarrier::Native(native_barrier(participants, &e.cancel))
+            }
+        }
     }
 
-    fn spawn_handler(&mut self, name: String, mut step: HandlerBody) {
-        self.sim
-            .spawn_handler(name, move |env: &Env| step(&ExecEnv::Sim(env.clone())));
+    /// The run's cooperative-cancellation scope: the native executor uses
+    /// it to tear a failed run down without deadlocking; the virtual-time
+    /// engine cancels processes itself.
+    pub(crate) fn cancel_scope(&self) -> Option<Arc<CancelScope>> {
+        match self {
+            ExecutorChoice::Sim(_) => None,
+            ExecutorChoice::Native(e) => Some(e.cancel.clone()),
+        }
     }
 
-    fn run(&mut self) -> Result<ExecStats, SimError> {
-        self.sim.run().map(|s| ExecStats {
-            end_time: s.end_time,
-            events: s.events,
-            processes: s.processes,
-        })
+    /// A handle that declares a wedged process abandoned, so the run does
+    /// not wait for it at the end. Native only: cooperative processes have
+    /// no preemption problem.
+    pub(crate) fn abandoner(&self) -> Option<Abandoner> {
+        match self {
+            ExecutorChoice::Sim(_) => None,
+            ExecutorChoice::Native(e) => Some(e.abandoner()),
+        }
+    }
+
+    /// Register a process. Processes start when [`run`](Self::run) is
+    /// called; registration order is significant on the simulator (it
+    /// fixes process identity and event order).
+    pub(crate) fn spawn(&mut self, name: String, body: SpawnBody) {
+        #[cfg(test)]
+        SPAWN_LOG.with_borrow_mut(|log| log.push((name.clone(), false)));
+        match self {
+            ExecutorChoice::Sim(e) => {
+                e.sim.spawn(name, move |env: Env| body(ExecEnv::Sim(env)));
+            }
+            ExecutorChoice::Native(e) => e.pending.push((name, body)),
+        }
+    }
+
+    /// Register a threadless handler process: `step` runs once per event
+    /// granted to it and returns what it waits for next (see
+    /// [`hetsim::Simulation::spawn_handler`]). Registration order counts
+    /// as for [`spawn`](Self::spawn). Only asked when the executor
+    /// [`relays`](Self::relays).
+    pub(crate) fn spawn_handler(&mut self, name: String, mut step: HandlerBody) {
+        #[cfg(test)]
+        SPAWN_LOG.with_borrow_mut(|log| log.push((name.clone(), true)));
+        match self {
+            ExecutorChoice::Sim(e) => {
+                e.sim
+                    .spawn_handler(name, move |env: &Env| step(&ExecEnv::Sim(env.clone())));
+            }
+            ExecutorChoice::Native(_) => {
+                unreachable!("the native executor does not relay: it has no handlers")
+            }
+        }
+    }
+
+    /// Run every registered process to completion.
+    pub(crate) fn run(&mut self) -> Result<ExecStats, SimError> {
+        match self {
+            ExecutorChoice::Sim(e) => e.sim.run().map(|s| ExecStats {
+                end_time: s.end_time,
+                events: s.events,
+            }),
+            ExecutorChoice::Native(e) => e.run(),
+        }
     }
 }

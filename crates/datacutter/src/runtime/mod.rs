@@ -1,19 +1,20 @@
 //! The layered filter runtime: instantiates an [`AppGraph`] on a
 //! [`Topology`] and executes units of work on a pluggable substrate.
 //!
-//! * [`exec`] — the `Clock` / `Transport` / `Executor` trait family and
+//! * `exec` — [`ExecutorChoice`], the one substrate seam (channels,
+//!   barriers, spawning and running, matched over its two variants), and
 //!   the virtual-time [`SimExecutor`],
-//! * [`native`] — the wall-clock [`NativeExecutor`] (one OS thread per
+//! * `native` — the wall-clock [`NativeExecutor`] (one OS thread per
 //!   process, condvar blocking),
-//! * [`spawn`] — copy instantiation and stream wiring,
-//! * [`delivery`] — putting envelopes on copy-set queues (retransmission,
+//! * `spawn` — copy instantiation and stream wiring,
+//! * `delivery` — putting envelopes on copy-set queues (retransmission,
 //!   injected delays and stalls), plus the simulator's outbox-sender and
 //!   ack-courier handlers,
-//! * [`eow`] — end-of-work gates (UOW cycle separation),
-//! * [`reaper`] — dead-set salvage: retargeting retained replicas and
+//! * `eow` — end-of-work gates (UOW cycle separation),
+//! * `reaper` — dead-set salvage: retargeting retained replicas and
 //!   replaying non-replicable demand-driven buffers,
-//! * [`retain`] — producer-side retention rings (runs whose copies can die),
-//! * [`supervisor`] — wedge detection and eviction for supervised runs.
+//! * `retain` — producer-side retention rings (runs whose copies can die),
+//! * `supervisor` — wedge detection and eviction for supervised runs.
 //!
 //! Runs are configured with the [`Run`] builder:
 //!
@@ -30,25 +31,22 @@
 //! copy's next read returns `None`. Multi-UOW runs repeat the cycle with a
 //! global barrier in between.
 
-pub mod delivery;
-pub mod eow;
-pub mod exec;
-pub mod native;
-pub mod reaper;
-pub mod retain;
-pub mod spawn;
-pub mod supervisor;
+pub(crate) mod delivery;
+pub(crate) mod eow;
+pub(crate) mod exec;
+pub(crate) mod native;
+pub(crate) mod reaper;
+pub(crate) mod retain;
+pub(crate) mod spawn;
+pub(crate) mod supervisor;
 
 use std::sync::Arc;
 
 use hetsim::{SimTime, Simulation, Topology};
 use parking_lot::Mutex;
 
-pub use exec::{
-    ChanRx, ChanTx, Clock, ExecBarrier, ExecEnv, ExecStats, Executor, SimExecutor, SimTransport,
-    Transport,
-};
-pub use native::{CancelScope, NativeEnv, NativeExecutor, NativeTransport};
+pub use exec::{ExecutorChoice, SimExecutor};
+pub use native::{NativeExecutor, TaskedExecutor};
 
 use crate::fault::{ErrorCell, FaultCtl, FaultOptions, KilledMarker, RunError};
 use crate::graph::AppGraph;
@@ -75,28 +73,6 @@ impl Default for Tuning {
             storage_retry_budget: crate::storage::DEFAULT_STORAGE_RETRY_BUDGET,
             checksum_spills: true,
         }
-    }
-}
-
-/// The executor a [`Run`] uses, chosen at configuration time. Every
-/// variant converts via `From`, so `Run::executor` accepts any executor
-/// value directly.
-pub enum ExecutorChoice {
-    /// Deterministic virtual-time execution on the hetsim engine.
-    Sim(SimExecutor),
-    /// Wall-clock execution on real OS threads, one per copy.
-    Native(NativeExecutor),
-}
-
-impl From<SimExecutor> for ExecutorChoice {
-    fn from(e: SimExecutor) -> Self {
-        ExecutorChoice::Sim(e)
-    }
-}
-
-impl From<NativeExecutor> for ExecutorChoice {
-    fn from(e: NativeExecutor) -> Self {
-        ExecutorChoice::Native(e)
     }
 }
 
@@ -138,7 +114,8 @@ impl Run {
     /// its work via [`crate::context::FilterCtx::uow`]); end-of-work
     /// markers flow in-band on the streams, and a global barrier separates
     /// cycles (the next UOW starts only after every copy finished the
-    /// previous one, like the paper's per-query execution).
+    /// previous one, like the paper's per-query execution). `go` rejects
+    /// `n == 0` with [`RunError::Unsupported`].
     pub fn uows(mut self, n: u32) -> Self {
         self.uows = n;
         self
@@ -242,62 +219,67 @@ impl Run {
         self
     }
 
-    /// Execute the run on `topo` and harvest the report.
+    /// Execute the run on `topo` and harvest the report. Zero units of
+    /// work, a `setup` hook on the native executor and a placement naming
+    /// a host `topo` lacks are each rejected with
+    /// [`RunError::Unsupported`] before anything is spawned.
     pub fn go(self, topo: &Topology) -> Result<RunReport, RunError> {
-        assert!(self.uows >= 1, "at least one unit of work");
+        let rejected = if self.uows == 0 {
+            Some("a run needs at least one unit of work".to_string())
+        } else if self.setup.is_some() && matches!(self.executor, ExecutorChoice::Native(_)) {
+            Some("simulation setup hooks require the virtual-time SimExecutor".to_string())
+        } else {
+            self.graph.filters.iter().find_map(|f| {
+                let (h, _) = f
+                    .placement
+                    .per_host
+                    .iter()
+                    .find(|(h, _)| h.0 as usize >= topo.len())?;
+                Some(format!(
+                    "filter '{}' is placed on host{}, outside the {}-host topology",
+                    f.name,
+                    h.0,
+                    topo.len()
+                ))
+            })
+        };
+        if let Some(what) = rejected {
+            return Err(RunError::Unsupported { what });
+        }
         silence_sentinel_panics();
         keep_large_buffers_out_of_thread_arenas();
-        let graph = Arc::new(self.graph);
         let fault_ctl: Option<Arc<FaultCtl>> = self.faults.as_ref().map(FaultCtl::new);
-        match self.executor {
-            ExecutorChoice::Sim(mut exec) => {
-                if let Some(setup) = self.setup {
-                    setup(exec.simulation_mut());
-                }
-                if let Some(ctl) = &fault_ctl {
-                    // Spawns the NIC-degradation drivers; crashes, stalls
-                    // and drops are pure time-indexed queries consulted by
-                    // the runtime machinery.
-                    ctl.plan.install(exec.simulation_mut(), topo);
-                }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
+        let mut exec = self.executor;
+        // Natively, crashes, stalls, drops, delays, degradation windows and
+        // supervision are the same time-indexed queries, consulted by the
+        // runtime machinery on wall-clock time (degradation is emulated by
+        // writer-side stalls — see `delivery::Delivery::deliver`).
+        if let ExecutorChoice::Sim(sim) = &mut exec {
+            if let Some(setup) = self.setup {
+                setup(sim.simulation_mut());
             }
-            ExecutorChoice::Native(exec) => {
-                // Crashes, stalls, drops, delays, degradation windows and
-                // supervision are pure time-indexed queries consulted by
-                // the runtime machinery and work on wall-clock time too
-                // (degradation is emulated by writer-side stalls — see
-                // `delivery::Delivery::deliver`).
-                if self.setup.is_some() {
-                    return Err(RunError::Unsupported {
-                        what: "simulation setup hooks require the virtual-time SimExecutor".into(),
-                    });
-                }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
+            if let Some(ctl) = &fault_ctl {
+                // Spawns the NIC-degradation drivers; crashes, stalls and
+                // drops are pure time-indexed queries consulted by the
+                // runtime machinery.
+                ctl.plan.install(sim.simulation_mut(), topo);
             }
         }
+        drive(
+            exec,
+            topo,
+            Arc::new(self.graph),
+            self.uows,
+            self.trace,
+            fault_ctl,
+            self.tuning,
+        )
     }
 }
 
-/// Wire, run, and harvest on any executor.
-fn drive<E: Executor>(
-    mut exec: E,
+/// Wire, run, and harvest on either executor.
+fn drive(
+    mut exec: ExecutorChoice,
     topo: &Topology,
     graph: Arc<AppGraph>,
     uows: u32,

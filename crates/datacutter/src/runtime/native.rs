@@ -3,13 +3,13 @@
 //! mutex/condvar channels with the same blocking semantics as the
 //! simulation's cooperative channels. A filter copy is the only thread the
 //! runtime spawns for it: with no modelled wire to overlap, it delivers its
-//! writes and acknowledges its reads itself ([`Executor::RELAYS`] is
-//! `false`). Nothing here charges virtual costs — computation, transfers
-//! and disk reads take however long the hardware takes — so runs are
-//! *fast* but not deterministic; output equality with
-//! [`super::exec::SimExecutor`] is guaranteed only for order-insensitive
-//! pipelines (which the isosurface application is by construction — see
-//! DESIGN.md §9).
+//! writes and acknowledges its reads itself (it does not
+//! [`relay`](super::ExecutorChoice::relays)). Nothing here charges
+//! virtual costs — computation, transfers and disk reads take however
+//! long the hardware takes — so runs are *fast* but not deterministic;
+//! output equality with [`super::SimExecutor`] is guaranteed only for
+//! order-insensitive pipelines (which the isosurface application is by
+//! construction — see DESIGN.md §9).
 //!
 //! Teardown is the part virtual time gave us for free: the sim engine
 //! cancels every cooperative process when one panics, while native threads
@@ -36,9 +36,7 @@ use std::time::{Duration, Instant};
 use hetsim::{DeadlineRecv, SendError, SimDuration, SimError, SimTime};
 use parking_lot::{Condvar, Mutex};
 
-use super::exec::{
-    ChanRx, ChanTx, ExecBarrier, ExecEnv, ExecStats, Executor, HandlerBody, SpawnBody, Transport,
-};
+use super::exec::{ExecEnv, ExecStats, SpawnBody};
 
 /// Take the value a send loop is still holding. The loops below place the
 /// value in an `Option` so it can be returned on channel closure; inside
@@ -69,15 +67,6 @@ impl NativeEnv {
     }
 }
 
-impl super::exec::Clock for NativeEnv {
-    fn now(&self) -> SimTime {
-        NativeEnv::now(self)
-    }
-    fn sleep(&self, d: SimDuration) {
-        NativeEnv::sleep(self, d);
-    }
-}
-
 /// A primitive that can wake every thread blocked on it, so a cancelled
 /// run tears down instead of hanging.
 pub(crate) trait CancelWake: Send + Sync {
@@ -85,9 +74,9 @@ pub(crate) trait CancelWake: Send + Sync {
     fn wake_all(&self);
 }
 
-/// Cooperative cancellation scope of one native run. Created by the
-/// transport; flipped by the executor when a thread panics; consulted by
-/// every blocking primitive built on the transport.
+/// Cooperative cancellation scope of one native run. Created with the
+/// executor; flipped by it when a thread panics; consulted by every
+/// blocking primitive built for the run.
 pub struct CancelScope {
     cancelled: AtomicBool,
     wakees: Mutex<Vec<Weak<dyn CancelWake>>>,
@@ -281,18 +270,13 @@ impl<T: Send> NativeRx<T> {
         }
     }
 
-    /// True when every sender has hung up.
-    pub fn is_closed(&self) -> bool {
-        self.ch.st.lock().senders == 0
-    }
-
     /// True when no values are queued.
     pub fn is_empty(&self) -> bool {
         self.ch.st.lock().queue.is_empty()
     }
 
-    /// Closed *and* empty — nothing queued and nothing can arrive. One
-    /// lock acquisition, unlike probing `is_closed() && is_empty()`.
+    /// Closed *and* empty — nothing queued and nothing can arrive, in one
+    /// lock acquisition.
     pub fn is_drained(&self) -> bool {
         let st = self.ch.st.lock();
         st.senders == 0 && st.queue.is_empty()
@@ -427,7 +411,7 @@ impl NativeBarrier {
     }
 }
 
-// ---- transport + executor ------------------------------------------------
+// ---- executor ------------------------------------------------------------
 
 /// Completion ledger of one native run: which spawned threads have
 /// finished, and which have been declared abandoned (wedged — presumed
@@ -446,50 +430,38 @@ struct RunWaitState {
     /// in play only the *last* completion notifies, instead of every one
     /// of thousands of finishing threads waking the waiter to re-scan.
     remaining: usize,
-    /// Thread names declared abandoned via [`Transport::abandon`].
+    /// Thread names declared abandoned via [`Abandoner::abandon`].
     abandoned: HashSet<String>,
 }
 
-/// Transport building native channels and barriers, all registered with
-/// the run's [`CancelScope`].
-#[derive(Clone)]
-pub struct NativeTransport {
-    cancel: Arc<CancelScope>,
-    waiters: Arc<RunWaiters>,
-}
+/// A handle on a native run's completion ledger, held by the supervisor.
+pub(crate) struct Abandoner(Arc<RunWaiters>);
 
-impl Transport for NativeTransport {
-    fn channel<T: Send + 'static>(&self, capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
-        let (tx, rx) = native_channel(capacity, &self.cancel);
-        (ChanTx::Native(tx), ChanRx::Native(rx))
-    }
-
-    fn barrier(&self, participants: usize) -> ExecBarrier {
-        ExecBarrier::Native(native_barrier(participants, &self.cancel))
-    }
-
-    fn cancel_scope(&self) -> Option<Arc<CancelScope>> {
-        Some(self.cancel.clone())
-    }
-
-    fn abandon(&self, name: &str) {
-        let mut st = self.waiters.st.lock();
+impl Abandoner {
+    /// Declare the thread spawned under `name` abandoned: it is presumed
+    /// wedged and will never finish, so the run detaches it instead of
+    /// waiting for it.
+    pub(crate) fn abandon(&self, name: &str) {
+        let mut st = self.0.st.lock();
         st.abandoned.insert(name.to_string());
         drop(st);
-        self.waiters.cv.notify_all();
+        self.0.cv.notify_all();
     }
 }
 
 /// The wall-clock executor: runs each registered process on its own OS
 /// thread, with per-process panic containment, a completion/abandonment
-/// ledger, and join-or-detach teardown. Spawning is deferred to
-/// [`Executor::run`] so wiring happens before any thread starts
-/// (mirroring the simulation, where nothing runs until
-/// `Simulation::run`).
+/// ledger, and join-or-detach teardown. Spawning is deferred to the run
+/// so wiring happens before any thread starts (mirroring the simulation,
+/// where nothing runs until `Simulation::run`).
 pub struct NativeExecutor {
     start: Instant,
-    transport: NativeTransport,
-    pending: Vec<(String, SpawnBody)>,
+    /// The run's cancellation scope; every channel and barrier built for
+    /// the run registers with it.
+    pub(super) cancel: Arc<CancelScope>,
+    waiters: Arc<RunWaiters>,
+    /// Registered processes, started by [`run`](Self::run).
+    pub(super) pending: Vec<(String, SpawnBody)>,
     first_panic: Arc<Mutex<Option<(String, String)>>>,
     /// Test hook: the spawn at this index is refused, as `pthread_create`
     /// refuses under `EAGAIN`.
@@ -511,22 +483,24 @@ impl NativeExecutor {
     pub fn new() -> Self {
         NativeExecutor {
             start: Instant::now(),
-            transport: NativeTransport {
-                cancel: CancelScope::new(),
-                waiters: Arc::new(RunWaiters {
-                    st: Mutex::new(RunWaitState {
-                        done: Vec::new(),
-                        remaining: 0,
-                        abandoned: HashSet::new(),
-                    }),
-                    cv: Condvar::new(),
+            cancel: CancelScope::new(),
+            waiters: Arc::new(RunWaiters {
+                st: Mutex::new(RunWaitState {
+                    done: Vec::new(),
+                    remaining: 0,
+                    abandoned: HashSet::new(),
                 }),
-            },
+                cv: Condvar::new(),
+            }),
             pending: Vec::new(),
             first_panic: Arc::new(Mutex::new(None)),
             #[cfg(test)]
             refuse_spawn_at: None,
         }
+    }
+
+    pub(super) fn abandoner(&self) -> Abandoner {
+        Abandoner(self.waiters.clone())
     }
 
     fn spawn_refused(&self, _index: usize) -> bool {
@@ -543,26 +517,13 @@ impl Default for NativeExecutor {
     }
 }
 
-impl Executor for NativeExecutor {
-    type Transport = NativeTransport;
-    const RELAYS: bool = false;
-
-    fn transport(&self) -> NativeTransport {
-        self.transport.clone()
-    }
-
-    fn spawn(&mut self, name: String, body: SpawnBody) {
-        self.pending.push((name, body));
-    }
-
-    fn spawn_handler(&mut self, _name: String, _step: HandlerBody) {
-        unreachable!("the native executor does not relay: it has no handlers");
-    }
-
-    fn run(&mut self) -> Result<ExecStats, SimError> {
+impl NativeExecutor {
+    /// Start a thread per registered process and wait until each has
+    /// finished or been abandoned.
+    pub(super) fn run(&mut self) -> Result<ExecStats, SimError> {
         let env = NativeEnv { start: self.start };
         let processes = self.pending.len();
-        let waiters = self.transport.waiters.clone();
+        let waiters = self.waiters.clone();
         {
             let mut st = waiters.st.lock();
             st.done = vec![false; processes];
@@ -571,7 +532,7 @@ impl Executor for NativeExecutor {
         let mut handles = Vec::with_capacity(processes);
         let mut names = Vec::with_capacity(processes);
         for (index, (name, body)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
-            let cancel = self.transport.cancel.clone();
+            let cancel = self.cancel.clone();
             let first_panic = self.first_panic.clone();
             let thread_name = name.clone();
             let w = waiters.clone();
@@ -622,7 +583,7 @@ impl Executor for NativeExecutor {
                     // completion still releases the wait below.
                     let message = format!("spawn native executor thread: {e}");
                     self.first_panic.lock().get_or_insert((name, message));
-                    self.transport.cancel.cancel();
+                    self.cancel.cancel();
                     waiters.st.lock().remaining -= processes - index;
                     break;
                 }
@@ -659,7 +620,6 @@ impl Executor for NativeExecutor {
         Ok(ExecStats {
             end_time,
             events: 0,
-            processes: processes as u32,
         })
     }
 }
@@ -789,21 +749,21 @@ mod tests {
     #[test]
     fn panic_cancels_and_reports() {
         let mut exec = NativeExecutor::new();
-        let (tx, rx) = exec.transport().channel::<u32>(1);
-        exec.spawn(
+        let (tx, rx) = native_channel::<u32>(1, &exec.cancel);
+        exec.pending.push((
             "stuck-consumer".to_string(),
-            Box::new(move |env| {
+            Box::new(move |_env| {
                 // Blocks forever unless cancellation wakes it.
-                let _ = rx.recv(&env);
+                let _ = rx.recv();
             }),
-        );
-        exec.spawn(
+        ));
+        exec.pending.push((
             "bomb".to_string(),
             Box::new(move |_env| {
                 let _keep_open = &tx;
                 panic!("boom in process");
             }),
-        );
+        ));
         match exec.run() {
             Err(SimError::ProcessPanic { process, message }) => {
                 assert_eq!(process, "bomb");
@@ -820,21 +780,22 @@ mod tests {
     fn refused_spawn_cancels_started_threads_and_returns_error() {
         let mut exec = NativeExecutor::new();
         exec.refuse_spawn_at = Some(2);
-        let (tx, rx) = exec.transport().channel::<u32>(1);
+        let (tx, rx) = native_channel::<u32>(1, &exec.cancel);
         let unwound = Arc::new(AtomicUsize::new(0));
         for i in 0..2 {
             let (rx, tx, unwound) = (rx.clone(), tx.clone(), unwound.clone());
-            exec.spawn(
+            exec.pending.push((
                 format!("consumer-{i}"),
-                Box::new(move |env| {
+                Box::new(move |_env| {
                     let _keep_open = &tx;
-                    let _ = rx.recv(&env);
+                    let _ = rx.recv();
                     unwound.fetch_add(1, Ordering::SeqCst);
                 }),
-            );
+            ));
         }
-        exec.spawn("refused".to_string(), Box::new(|_| {}));
-        exec.spawn("never-reached".to_string(), Box::new(|_| {}));
+        exec.pending.push(("refused".to_string(), Box::new(|_| {})));
+        exec.pending
+            .push(("never-reached".to_string(), Box::new(|_| {})));
         match exec.run() {
             Err(SimError::ProcessPanic { process, message }) => {
                 assert_eq!(process, "refused");

@@ -1,10 +1,10 @@
 //! Copy instantiation and wiring: builds the per-stream channels and
 //! gates, spawns one reaper per doomed copy set, then spawns every
 //! transparent filter copy with its input/output ports. Under an executor
-//! that relays ([`Executor::RELAYS`], the simulator) each consumer copy
-//! set also gets an ack courier and each output port an outbox sender,
-//! both threadless handlers; on the native executor a copy is the only
-//! thread spawned for it.
+//! that relays ([`ExecutorChoice::relays`], the simulator) each consumer
+//! copy set also gets an ack courier and each output port an outbox
+//! sender, both threadless handlers; on the native executor a copy is the
+//! only thread spawned for it.
 //!
 //! **Spawn order is load-bearing.** On the deterministic substrate,
 //! registration order fixes process identity and therefore event order;
@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 
 use super::delivery::{self, CourierMsg, Delivery, Envelope, OutMsg};
 use super::eow::{ProducerRef, UowGate};
-use super::exec::{ChanRx, ChanTx, ExecEnv, Executor, Transport};
+use super::exec::{ChanRx, ChanTx, ExecEnv, ExecutorChoice};
 use super::reaper::Reaper;
 use super::retain::StreamRetention;
 use super::supervisor::{copy_retired, CopyRecord, Supervisor};
@@ -114,10 +114,10 @@ fn retire(
 }
 
 /// Wire `graph` onto `exec` and register every runtime process. Nothing
-/// runs until the driver calls [`Executor::run`].
+/// runs until the driver calls [`ExecutorChoice::run`].
 #[allow(clippy::too_many_arguments)] // one-call crate-internal wiring entry point
-pub(crate) fn build<E: Executor>(
-    exec: &mut E,
+pub(crate) fn build(
+    exec: &mut ExecutorChoice,
     topo: &Topology,
     graph: &Arc<AppGraph>,
     uows: u32,
@@ -127,8 +127,8 @@ pub(crate) fn build<E: Executor>(
     tuning: &Tuning,
     ooc: Option<(Arc<MemoryBudget>, Arc<StorageCtl>)>,
 ) -> RunWiring {
-    let transport = exec.transport();
-    let cancel = transport.cancel_scope();
+    let cancel = exec.cancel_scope();
+    let relays = exec.relays();
     let all_copies: u32 = graph
         .filters
         .iter()
@@ -230,12 +230,12 @@ pub(crate) fn build<E: Executor>(
             // Room for data plus the UowDone tokens injected at the end of
             // each cycle.
             let cap = spec.queue_capacity * copies as usize + copies as usize;
-            let (tx, rx) = transport.channel::<Envelope>(cap.max(1));
+            let (tx, rx) = exec.channel::<Envelope>(cap.max(1));
             data_txs.push(tx);
             data_rxs.push(rx);
             gates.push(Arc::new(Mutex::new(UowGate::new(producers.clone(), set))));
-            let courier_tx = E::RELAYS.then(|| {
-                let (tx, rx) = transport.channel::<CourierMsg>(COURIER_CAPACITY);
+            let courier_tx = relays.then(|| {
+                let (tx, rx) = exec.channel::<CourierMsg>(COURIER_CAPACITY);
                 delivery::spawn_courier(
                     exec,
                     &spec.name,
@@ -309,7 +309,7 @@ pub(crate) fn build<E: Executor>(
     }
 
     // ---- per-copy spawning ------------------------------------------------
-    let barrier = transport.barrier(all_copies as usize);
+    let barrier = exec.barrier(all_copies as usize);
     let uow_boundaries: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
 
     let mut copy_cells: Vec<(FilterId, String, usize, HostId, CopyCell)> = Vec::new();
@@ -372,8 +372,8 @@ pub(crate) fn build<E: Executor>(
                         seq: 0,
                         health: None,
                     };
-                    let outbox = if E::RELAYS {
-                        let (tx, rx) = transport.channel::<OutMsg>(OUTBOX_CAPACITY);
+                    let outbox = if relays {
+                        let (tx, rx) = exec.channel::<OutMsg>(OUTBOX_CAPACITY);
                         delivery.spawn_sender(exec, &spec.name, rx);
                         Outbox::Sender(tx)
                     } else {
@@ -620,7 +620,7 @@ pub(crate) fn build<E: Executor>(
                 barrier: barrier.clone(),
                 shutdown,
                 live,
-                transport: transport.clone(),
+                abandoner: exec.abandoner(),
                 cancel: cancel.clone(),
             };
             exec.spawn(
@@ -664,11 +664,13 @@ mod tests {
 
     use std::sync::Arc;
 
-    use hetsim::{FaultPlan, SimError, SimTime};
+    use hetsim::{FaultPlan, SimTime};
     use parking_lot::Mutex;
 
-    use super::super::exec::{ExecStats, Executor, HandlerBody, SpawnBody};
-    use super::super::{drive, silence_sentinel_panics, NativeExecutor, SimExecutor, Tuning};
+    use super::super::exec::SPAWN_LOG;
+    use super::super::{
+        drive, silence_sentinel_panics, ExecutorChoice, NativeExecutor, SimExecutor, Tuning,
+    };
     use crate::fault::FaultCtl;
     use crate::{
         FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, SupervisorPolicy,
@@ -677,36 +679,6 @@ mod tests {
 
     /// One registration: the process name, and whether it was a handler.
     type Spawned = (String, bool);
-
-    /// Wraps an executor and records every process the runtime registers
-    /// with it, in order.
-    struct Recording<E> {
-        inner: E,
-        spawned: Arc<Mutex<Vec<Spawned>>>,
-    }
-
-    impl<E: Executor> Executor for Recording<E> {
-        type Transport = E::Transport;
-        const RELAYS: bool = E::RELAYS;
-
-        fn transport(&self) -> Self::Transport {
-            self.inner.transport()
-        }
-
-        fn spawn(&mut self, name: String, body: SpawnBody) {
-            self.spawned.lock().push((name.clone(), false));
-            self.inner.spawn(name, body);
-        }
-
-        fn spawn_handler(&mut self, name: String, step: HandlerBody) {
-            self.spawned.lock().push((name.clone(), true));
-            self.inner.spawn_handler(name, step);
-        }
-
-        fn run(&mut self) -> Result<ExecStats, SimError> {
-            self.inner.run()
-        }
-    }
 
     const ITEMS: u32 = 24;
 
@@ -745,9 +717,9 @@ mod tests {
 
     /// `src` (h0) → `mid` (two copies on h1, one on h2) → `snk` (h0), both
     /// streams demand-driven. Under `crash`, h2 dies at t = 0 and the run
-    /// is supervised. Returns the registered processes and
-    /// the sorted items the sink received.
-    fn register<E: Executor>(exec: E, crash: bool) -> (Vec<Spawned>, Vec<u32>) {
+    /// is supervised. Returns the registered processes (read from this
+    /// thread's registration log) and the sorted items the sink received.
+    fn register(exec: impl Into<ExecutorChoice>, crash: bool) -> (Vec<Spawned>, Vec<u32>) {
         silence_sentinel_panics();
         let (topo, hosts) = hetsim::presets::rogue_cluster(3);
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -770,13 +742,9 @@ mod tests {
             let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
             FaultCtl::new(&FaultOptions::new(plan).supervised(SupervisorPolicy::new()))
         });
-        let spawned = Arc::new(Mutex::new(Vec::new()));
-        let rec = Recording {
-            inner: exec,
-            spawned: spawned.clone(),
-        };
+        SPAWN_LOG.with_borrow_mut(Vec::clear);
         drive(
-            rec,
+            exec.into(),
             &topo,
             Arc::new(g.build()),
             1,
@@ -787,8 +755,7 @@ mod tests {
         .expect("run completes");
         let mut got = seen.lock().clone();
         got.sort_unstable();
-        let spawned = spawned.lock().clone();
-        (spawned, got)
+        (SPAWN_LOG.take(), got)
     }
 
     /// The registered names, in order.

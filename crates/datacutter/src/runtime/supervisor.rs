@@ -17,14 +17,14 @@ use std::sync::Arc;
 use crate::fault::{CopyHealth, CopyState, FaultCtl, SupervisorPolicy};
 use crate::graph::FilterId;
 
-use super::exec::{ExecBarrier, ExecEnv, Transport};
-use super::native::CancelScope;
+use super::exec::{ExecBarrier, ExecEnv};
+use super::native::{Abandoner, CancelScope};
 
 /// One supervised copy as seen by the heartbeat scanner.
 pub(crate) struct CopyRecord {
     pub filter: FilterId,
     pub copy: usize,
-    /// The copy's process name, for [`Transport::abandon`].
+    /// The copy's process name, for [`Abandoner::abandon`].
     pub thread: String,
     pub health: Arc<CopyHealth>,
 }
@@ -41,18 +41,20 @@ pub(crate) fn copy_retired(live: &AtomicUsize, shutdown: &AtomicBool) {
 /// The supervisor process body. Spawned last (after every filter copy) so
 /// plan-mode spawn order — and therefore simulation determinism — is
 /// untouched when supervision is off.
-pub(crate) struct Supervisor<T: Transport> {
+pub(crate) struct Supervisor {
     pub ctl: Arc<FaultCtl>,
     pub policy: SupervisorPolicy,
     pub records: Vec<CopyRecord>,
     pub barrier: ExecBarrier,
     pub shutdown: Arc<AtomicBool>,
     pub live: Arc<AtomicUsize>,
-    pub transport: T,
+    /// The native run's completion ledger; `None` on the simulator, whose
+    /// cooperative processes need no abandoning.
+    pub abandoner: Option<Abandoner>,
     pub cancel: Option<Arc<CancelScope>>,
 }
 
-impl<T: Transport> Supervisor<T> {
+impl Supervisor {
     pub fn run(self, env: ExecEnv) {
         let mut abandoned = false;
         loop {
@@ -93,7 +95,9 @@ impl<T: Transport> Supervisor<T> {
                 // its peers are not stranded, and detach its thread so the
                 // run can complete without joining it.
                 self.barrier.leave(&env);
-                self.transport.abandon(&rec.thread);
+                if let Some(a) = &self.abandoner {
+                    a.abandon(&rec.thread);
+                }
                 abandoned = true;
                 copy_retired(&self.live, &self.shutdown);
             }

@@ -5,7 +5,7 @@
 use datacutter::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, WritePolicy};
 use hetsim::HostId;
 
-use crate::config::{Algorithm, SharedConfig};
+use crate::config::{Algorithm, ConfigError, SharedConfig};
 use crate::filters::{AppFilter, ImageSlot, Stage::*};
 
 /// How the application is decomposed into filters.
@@ -123,7 +123,7 @@ pub fn build_pipeline(cfg: &SharedConfig, spec: &PipelineSpec) -> Pipeline {
 pub fn try_build_pipeline(
     cfg: &SharedConfig,
     spec: &PipelineSpec,
-) -> Result<Pipeline, crate::config::ConfigError> {
+) -> Result<Pipeline, ConfigError> {
     cfg.validate_for(spec.algorithm)?;
     let image: ImageSlot = ImageSlot::default();
     let storage = Placement::one_per_host(&cfg.storage_hosts);
@@ -204,7 +204,7 @@ pub fn try_build_pipeline(
         filters.push(id);
         prev = Some((id, tile_merge));
     }
-    let to_merge = to_merge.ok_or(crate::config::ConfigError {
+    let to_merge = to_merge.ok_or(ConfigError {
         field: "grouping",
         constraint: "must end in a merge",
     })?;

@@ -18,7 +18,7 @@ use dcapp::{
     PipelineResult, PipelineSpec, SharedConfig,
 };
 use hetsim::presets::rogue_blue_mix;
-use hetsim::{HostId, Topology};
+use hetsim::{splitmix64, HostId, Topology};
 use integration_tests::{image_digest, metrics_digest, test_cfg, test_dataset};
 use proptest::prelude::*;
 use volume::{can_cross, ChunkId, ChunkLayout, Dataset, Dims, RectGrid};
@@ -31,13 +31,12 @@ fn oracle_cases() -> u32 {
     }
 }
 
-/// splitmix64 step.
+/// splitmix64 step: [`splitmix64`] mixes the state advanced by its
+/// golden-ratio increment, and the state keeps that advance.
 fn next(s: &mut u64) -> u64 {
+    let z = splitmix64(*s);
     *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *s;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 /// A sample drawn to hit every side of the rule: NaN, ±∞, exactly

@@ -1,13 +1,15 @@
 //! The [`datacutter::Run`] builder: option composition (trace + faults +
-//! setup in one run).
+//! setup in one run), and the configurations `Run::go` rejects up front.
 
 use std::sync::Arc;
 
 use datacutter::{
-    DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run,
-    WritePolicy,
+    DataBuffer, ExecutorChoice, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder,
+    NativeExecutor, Placement, Run, RunError, SimExecutor, WritePolicy,
 };
-use hetsim::{spawn_load_generator, FaultPlan, LoadProfile, SimDuration, SimTime, Topology, Trace};
+use hetsim::{
+    spawn_load_generator, FaultPlan, HostId, LoadProfile, SimDuration, SimTime, Topology, Trace,
+};
 use integration_tests::cluster;
 use parking_lot::Mutex;
 
@@ -109,4 +111,49 @@ fn trace_faults_and_setup_combine_in_one_run() {
     let labels: Vec<&str> = busy.iter().map(|(l, _)| l.as_str()).collect();
     assert!(labels.contains(&"compute"), "{labels:?}");
     assert!(labels.contains(&"read-wait"), "{labels:?}");
+}
+
+/// Both executors, fresh.
+fn executors() -> [ExecutorChoice; 2] {
+    [SimExecutor::new().into(), NativeExecutor::new().into()]
+}
+
+/// Zero units of work is a structured error on both executors, not a
+/// panic out of `Run::go`.
+#[test]
+fn zero_uows_is_a_structured_error_on_both_executors() {
+    let (topo, hosts) = cluster(3);
+    for exec in executors() {
+        let (graph, out) = workload(&topo, &hosts, 4);
+        match Run::new(graph).executor(exec).uows(0).go(&topo) {
+            Err(RunError::Unsupported { what }) => assert!(what.contains("unit of work"), "{what}"),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        assert!(out.lock().is_empty(), "nothing ran");
+    }
+}
+
+/// A placement naming a host the topology lacks is rejected before
+/// anything is spawned, with the same error on both executors — not
+/// blamed on a healthy filter, and not run as if the host existed.
+#[test]
+fn placement_on_a_missing_host_is_a_structured_error_on_both_executors() {
+    let (topo, hosts) = cluster(2);
+    for exec in executors() {
+        let out: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let mut g = GraphBuilder::new();
+        let p = g.add_filter("p", Placement::on_host(hosts[0], 1), |_| Src { n: 4 });
+        let c = g.add_filter("c", Placement::on_host(HostId(99), 1), move |_| Snk {
+            out: sink.clone(),
+        });
+        g.connect(p, c, WritePolicy::demand_driven());
+        match Run::new(g.build()).executor(exec).go(&topo) {
+            Err(RunError::Unsupported { what }) => {
+                assert!(what.contains("'c'") && what.contains("host99"), "{what}")
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        assert!(out.lock().is_empty(), "nothing ran");
+    }
 }
