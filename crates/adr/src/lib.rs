@@ -138,16 +138,10 @@ pub fn run_adr(topo: &Topology, cfg: &SharedConfig) -> Result<AdrResult, SimErro
                 tris.clear();
                 let ex = isosurf::extract(&grid, origin, cfg2.iso, &mut tris);
                 cpu.compute(&env, cfg2.cost.extract_cost(ex.cells, tris.len() as u64));
-                let mut pixels = 0u64;
-                for t in &tris {
-                    if let Some(p) =
-                        isosurf::raster_triangle(&proj, w, h, &cfg2.material, t, |x, y, d, rgb| {
-                            zb.plot(x, y, d, rgb);
-                        })
-                    {
-                        pixels += p;
-                    }
-                }
+                let pixels =
+                    isosurf::raster_batch(&proj, w, h, &cfg2.material, &tris, |x, y, d, rgb| {
+                        zb.plot(x, y, d, rgb);
+                    });
                 cpu.compute(&env, cfg2.cost.raster_cost(tris.len() as u64, pixels));
                 let mut s = stats2.lock();
                 s.chunks += 1;

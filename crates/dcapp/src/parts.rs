@@ -10,7 +10,7 @@ use std::sync::Arc;
 use datacutter::FilterCtx;
 use hetsim::{Env, Semaphore};
 use isosurf::{
-    merge_batch, raster_triangle, ActivePixelBuffer, Image, Triangle, WinningPixel, ZBuffer,
+    merge_batch, raster_batch, ActivePixelBuffer, Image, Triangle, WinningPixel, ZBuffer,
     BACKGROUND,
 };
 use parking_lot::Mutex;
@@ -400,23 +400,17 @@ impl RasterStage {
         mut sink: impl FnMut(&mut FilterCtx, RaOut),
     ) {
         let (w, h) = (cfg.camera.width, cfg.camera.height);
-        let mut pixels = 0u64;
         match self {
             RasterStage::Zb {
                 zb, proj, scissor, ..
             } => {
                 let band = scissor.unwrap_or((0, h));
-                for t in batch.tris.iter() {
-                    if let Some(p) =
-                        raster_triangle(proj, w, h, &cfg.material, t, |x, y, d, rgb| {
-                            if y >= band.0 && y < band.1 {
-                                zb.plot(x, y, d, rgb);
-                            }
-                        })
-                    {
-                        pixels += p;
-                    }
-                }
+                let pixels =
+                    raster_batch(proj, w, h, &cfg.material, &batch.tris, |x, y, d, rgb| {
+                        if y >= band.0 && y < band.1 {
+                            zb.plot(x, y, d, rgb);
+                        }
+                    });
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
             }
             RasterStage::Ap {
@@ -433,20 +427,13 @@ impl RasterStage {
                 }
                 let band = scissor.unwrap_or((0, h));
                 let mut flushed: Vec<Vec<WinningPixel>> = Vec::new();
-                {
-                    let mut on_flush = |b: Vec<WinningPixel>| flushed.push(b);
-                    for t in batch.tris.iter() {
-                        if let Some(p) =
-                            raster_triangle(proj, w, h, &cfg.material, t, |x, y, d, rgb| {
-                                if y >= band.0 && y < band.1 {
-                                    ap.plot(x, y, d, rgb, &mut on_flush);
-                                }
-                            })
-                        {
-                            pixels += p;
+                let mut on_flush = |b: Vec<WinningPixel>| flushed.push(b);
+                let pixels =
+                    raster_batch(proj, w, h, &cfg.material, &batch.tris, |x, y, d, rgb| {
+                        if y >= band.0 && y < band.1 {
+                            ap.plot(x, y, d, rgb, &mut on_flush);
                         }
-                    }
-                }
+                    });
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
                 for b in flushed {
                     sink(ctx, RaOut::Wpa(pool.adopt(b)));

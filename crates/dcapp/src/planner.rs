@@ -84,13 +84,7 @@ pub fn estimate_work(cfg: &SharedConfig) -> WorkEstimate {
         let mut tris = Vec::new();
         isosurf::extract(&grid, info.cell_origin, cfg.iso, &mut tris);
         probe_tris += tris.len() as u64;
-        for t in &tris {
-            if let Some(p) =
-                isosurf::raster_triangle(&proj, w, h, &cfg.material, t, |_, _, _, _| {})
-            {
-                probe_pixels += p;
-            }
-        }
+        probe_pixels += isosurf::raster_batch(&proj, w, h, &cfg.material, &tris, |_, _, _, _| {});
     }
     let scale = n as f64 / probed.max(1) as f64;
     let cells: u64 = selected

@@ -24,7 +24,7 @@ pub struct Camera {
 }
 
 /// A vertex after projection: screen position plus view-space depth.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScreenVertex {
     /// Screen x, pixels (may fall outside the viewport before clipping).
     pub x: f32,
@@ -94,16 +94,23 @@ impl Projector {
     /// Project a world-space point; `None` when at/behind the near plane.
     #[inline]
     pub fn project(&self, p: Vec3) -> Option<ScreenVertex> {
+        let (s, behind) = self.project_any(p);
+        (!behind).then_some(s)
+    }
+
+    /// Project a world-space point without a branch: the screen vertex,
+    /// and whether it is behind the near plane (`depth < near`, so a NaN
+    /// depth is not).
+    #[inline(always)]
+    pub(crate) fn project_any(&self, p: Vec3) -> (ScreenVertex, bool) {
         let v = self.view.transform_point(p);
         let depth = -v.z; // camera looks down -z in view space
-        if depth < self.near {
-            return None;
-        }
-        Some(ScreenVertex {
+        let s = ScreenVertex {
             x: self.cx + self.fx * v.x / depth,
             y: self.cy - self.fy * v.y / depth,
             depth,
-        })
+        };
+        (s, depth < self.near)
     }
 }
 

@@ -7,7 +7,7 @@ use crate::active::{merge_batch, ActivePixelBuffer};
 use crate::camera::Camera;
 use crate::image::Image;
 use crate::mc::{extract, Triangle};
-use crate::raster::raster_triangle;
+use crate::raster::raster_batch;
 use crate::shade::Material;
 use crate::zbuf::ZBuffer;
 
@@ -43,18 +43,14 @@ pub fn render_active_pixel(
         let mut sink = |batch: Vec<crate::active::WinningPixel>| {
             merge_batch(&mut target, &batch);
         };
-        for t in &tris {
-            let _ = raster_triangle(
-                &proj,
-                camera.width,
-                camera.height,
-                material,
-                t,
-                |x, y, d, rgb| {
-                    ap.plot(x, y, d, rgb, &mut sink);
-                },
-            );
-        }
+        raster_batch(
+            &proj,
+            camera.width,
+            camera.height,
+            material,
+            &tris,
+            |x, y, d, rgb| ap.plot(x, y, d, rgb, &mut sink),
+        );
         ap.force_flush(&mut sink);
     }
     target.to_image(BACKGROUND)
@@ -68,23 +64,16 @@ pub fn raster_into_zbuffer(
     material: &Material,
     zb: &mut ZBuffer,
 ) -> u64 {
-    let proj = camera.projector();
-    let mut pixels = 0;
-    for t in tris {
-        if let Some(p) = raster_triangle(
-            &proj,
-            camera.width,
-            camera.height,
-            material,
-            t,
-            |x, y, d, rgb| {
-                zb.plot(x, y, d, rgb);
-            },
-        ) {
-            pixels += p;
-        }
-    }
-    pixels
+    raster_batch(
+        &camera.projector(),
+        camera.width,
+        camera.height,
+        material,
+        tris,
+        |x, y, d, rgb| {
+            zb.plot(x, y, d, rgb);
+        },
+    )
 }
 
 #[cfg(test)]

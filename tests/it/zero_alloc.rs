@@ -8,7 +8,7 @@
 //! The loop below mirrors what `dcapp`'s stages do per unit of work,
 //! driven through the same public APIs (`BufferPool`, `TriBatch`,
 //! `RaOut`, `ActivePixelBuffer::supply`, `merge_batch`,
-//! `extract`, `raster_triangle`); the filter wrappers themselves
+//! `extract`, `raster_batch`); the filter wrappers themselves
 //! only add the emulation context, which is not part of the per-buffer
 //! hot path. The extract and raster kernels skip empty space and dead
 //! pixels without per-call scratch, so they sit inside the same proof.
@@ -30,8 +30,8 @@ use dcapp::{
 };
 use integration_tests::{cluster, test_cfg, test_dataset};
 use isosurf::{
-    extract, merge_batch, raster_triangle, ActivePixelBuffer, Camera, Material, Projector,
-    Triangle, WinningPixel, ZBuffer,
+    extract, merge_batch, raster_batch, ActivePixelBuffer, Camera, Material, Projector, Triangle,
+    WinningPixel, ZBuffer,
 };
 use volume::{ChunkId, Dims, RectGrid};
 
@@ -157,11 +157,9 @@ fn pass(h: &mut Harness) {
         while let Some(v) = wpa_pool.try_take_raw() {
             ap.supply(v);
         }
-        for t in batch.tris.iter() {
-            let _ = raster_triangle(proj, IMG, IMG, material, t, |x, y, d, rgb| {
-                ap.plot(x, y, d, rgb, &mut |b| flushed.push(b));
-            });
-        }
+        raster_batch(proj, IMG, IMG, material, &batch.tris, |x, y, d, rgb| {
+            ap.plot(x, y, d, rgb, &mut |b| flushed.push(b));
+        });
 
         // M: merge each flushed batch; dropping the payload recycles it.
         for b in flushed.drain(..) {
