@@ -25,13 +25,7 @@ pub const ACK_WIRE_BYTES: u64 = 64;
 /// Wire size of an end-of-work marker message.
 pub const EOW_WIRE_BYTES: u64 = 32;
 
-/// Monomorphized replicator attached to replicable buffers: clones the
-/// erased payload into a slab-recycled box so the recovery layer
-/// can retain a replica without knowing the concrete type. `None` if the
-/// payload is not the type the replicator was made for.
-type ReplicateFn = fn(&(dyn Any + Send), &BufferSlab, u64) -> Option<DataBuffer>;
-
-/// Serialization contract a payload must offer before the out-of-core
+/// Serialization contract every payload offers, so the out-of-core
 /// layer may spill it to the [`SpillRing`] and fault it back in.
 ///
 /// The encoding is private to the spill path (it never crosses hosts or
@@ -57,20 +51,80 @@ impl SpillCodec for Vec<u8> {
     }
 }
 
-/// Monomorphized encoder: appends the erased payload's spill bytes;
-/// `false` if the payload is not the type the encoder was made for.
-type SpillEncodeFn = fn(&(dyn Any + Send), &mut Vec<u8>) -> bool;
+impl SpillCodec for String {
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn spill_decode(bytes: &[u8]) -> Option<Self> {
+        String::from_utf8(bytes.to_vec()).ok()
+    }
+}
 
-/// Monomorphized decoder: rebuilds an equally spillable buffer from ring
-/// bytes (box supplied by the slab), or `None` on corrupt input.
-type SpillDecodeFn = fn(&[u8], &BufferSlab, u64) -> Option<DataBuffer>;
+/// Integers encode as their little-endian bytes.
+macro_rules! int_spill_codec {
+    ($($t:ty),*) => {$(
+        impl SpillCodec for $t {
+            fn spill_encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn spill_decode(bytes: &[u8]) -> Option<Self> {
+                Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
+            }
+        }
+    )*};
+}
+int_spill_codec!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 
-/// The spill/fault pair carried by buffers made via
-/// [`BufferSlab::make_spillable`].
+/// The monomorphized fn table every buffer carries, so the recovery and
+/// out-of-core layers can clone, encode and rebuild the erased payload
+/// without knowing its concrete type. Carried through replication, spill
+/// and fault, so a replica or a faulted-in rebuild can do all three again.
 #[derive(Clone, Copy)]
-struct SpillFns {
-    encode: SpillEncodeFn,
-    decode: SpillDecodeFn,
+struct PayloadFns {
+    /// Clone the payload into a slab-recycled box.
+    replicate: fn(&(dyn Any + Send), &BufferSlab, u64) -> DataBuffer,
+    /// Append the payload's spill bytes.
+    encode: fn(&(dyn Any + Send), &mut Vec<u8>),
+    /// Rebuild a buffer from ring bytes (box supplied by the slab), or
+    /// `None` on corrupt input.
+    decode: fn(&[u8], &BufferSlab, u64) -> Option<DataBuffer>,
+}
+
+impl PayloadFns {
+    fn of<T: Any + Send + Clone + SpillCodec>() -> Self {
+        fn replicate<T: Any + Send + Clone + SpillCodec>(
+            payload: &(dyn Any + Send),
+            slab: &BufferSlab,
+            wire_bytes: u64,
+        ) -> DataBuffer {
+            slab.make(resident::<T>(payload).clone(), wire_bytes)
+        }
+        fn encode<T: Any + SpillCodec>(payload: &(dyn Any + Send), out: &mut Vec<u8>) {
+            resident::<T>(payload).spill_encode(out);
+        }
+        fn decode<T: Any + Send + Clone + SpillCodec>(
+            bytes: &[u8],
+            slab: &BufferSlab,
+            wire_bytes: u64,
+        ) -> Option<DataBuffer> {
+            Some(slab.make(T::spill_decode(bytes)?, wire_bytes))
+        }
+        PayloadFns {
+            replicate: replicate::<T>,
+            encode: encode::<T>,
+            decode: decode::<T>,
+        }
+    }
+}
+
+/// The erased payload as the type its fn table was made for. The runtime
+/// replicates and encodes only resident payloads (a filter never holds a
+/// parked one, and retention holds replicas that are never parked), so
+/// the downcast always succeeds.
+fn resident<T: Any>(payload: &(dyn Any + Send)) -> &T {
+    payload
+        .downcast_ref()
+        .unwrap_or_else(|| unreachable!("a buffer's fn table applies only to its resident payload"))
 }
 
 /// Placeholder payload installed while the real one is parked in the
@@ -97,20 +151,14 @@ pub struct DataBuffer {
     /// Name of the payload's concrete type, kept so a mis-wired downcast
     /// can say what the buffer actually holds.
     type_name: &'static str,
-    /// Set on buffers made via [`BufferSlab::make_replicable`]; `None`
-    /// means the payload cannot be replicated (no `Clone` was promised)
-    /// and the recovery layer can bring the buffer back only while it is
-    /// queued (through its demand-driven ack).
-    replicate: Option<ReplicateFn>,
-    /// Set on buffers made via [`BufferSlab::make_spillable`]; carried
-    /// through spill and fault so a faulted buffer can spill again.
-    spill: Option<SpillFns>,
+    /// How to replicate, encode and decode the payload's type.
+    fns: PayloadFns,
     /// True while the stream's budget ledger holds an outstanding charge
     /// for this resident payload — set by the write-side out-of-core step
     /// and consumed by exactly one matching discharge on the read side.
     /// Deliberately `false` on retention replicas and faulted-in rebuilds
     /// (fresh buffers from [`DataBuffer::replicate`] / the spill decode
-    /// path), which were never charged: a replayed replica must not be
+    /// path), which were never charged: a redelivered replica must not be
     /// discharged, or the ledger underflows.
     budget_charged: bool,
 }
@@ -118,13 +166,28 @@ pub struct DataBuffer {
 impl DataBuffer {
     /// Wrap `payload`, declaring its wire size (payload bytes only; framing
     /// overhead is added by the transport).
-    pub fn new<T: Any + Send>(payload: T, wire_bytes: u64) -> Self {
+    ///
+    /// Every payload can be replicated and spilled. Under a crash plan a
+    /// consumer that dies before it settles gets its inputs redelivered
+    /// from the producer's retention, so a payload is delivered *at least
+    /// once* and its consumer must tolerate re-processing — DESIGN.md
+    /// §13's argument: every rendering fold (z-buffer depth test,
+    /// winning-pixel composition) is idempotent under duplicated
+    /// identical inputs.
+    pub fn new<T: Any + Send + Clone + SpillCodec>(payload: T, wire_bytes: u64) -> Self {
+        Self::boxed::<T>(Box::new(payload), wire_bytes)
+    }
+
+    /// A buffer around `payload`, a box holding a `T`.
+    fn boxed<T: Any + Send + Clone + SpillCodec>(
+        payload: Box<dyn Any + Send>,
+        wire_bytes: u64,
+    ) -> Self {
         DataBuffer {
-            payload: Box::new(payload),
+            payload,
             wire_bytes,
             type_name: std::any::type_name::<T>(),
-            replicate: None,
-            spill: None,
+            fns: PayloadFns::of::<T>(),
             budget_charged: false,
         }
     }
@@ -139,19 +202,12 @@ impl DataBuffer {
         std::mem::take(&mut self.budget_charged)
     }
 
-    /// Clone this buffer's payload into a new, equally replicable buffer
-    /// (box supplied by `slab`), or `None` when the buffer was not made
-    /// replicable. Replicas of replicas work: the replicator travels with
-    /// every copy, so a retained entry can itself be re-replicated when a
-    /// second fault needs the same data again.
-    pub fn replicate(&self, slab: &BufferSlab) -> Option<DataBuffer> {
-        self.replicate
-            .and_then(|f| f(self.payload.as_ref(), slab, self.wire_bytes))
-    }
-
-    /// True when [`replicate`](Self::replicate) would succeed.
-    pub fn is_replicable(&self) -> bool {
-        self.replicate.is_some()
+    /// Clone this buffer's payload into a new buffer (box supplied by
+    /// `slab`). Replicas of replicas work: the fn table travels with every
+    /// copy, so a retained entry can itself be re-replicated when a second
+    /// fault needs the same data again.
+    pub fn replicate(&self, slab: &BufferSlab) -> DataBuffer {
+        (self.fns.replicate)(self.payload.as_ref(), slab, self.wire_bytes)
     }
 
     /// Declared payload wire size.
@@ -190,36 +246,23 @@ impl DataBuffer {
         self.payload.downcast_ref::<T>()
     }
 
-    /// True when the payload carries a [`SpillCodec`] (made via
-    /// [`BufferSlab::make_spillable`]) and may be parked in a spill ring.
-    pub fn is_spillable(&self) -> bool {
-        self.spill.is_some()
-    }
-
     /// True while the payload is parked in a spill ring (a
     /// `fault_in` is required before it can be read).
     pub fn is_spilled(&self) -> bool {
         self.payload.is::<SpilledPayload>()
     }
 
-    /// The parked payload's spill frame: the codec's encoding, sealed
-    /// with the checksum trailer when `checksum` is set. `None` on
-    /// non-spillable or already-spilled buffers. Encoding is separated
-    /// from the ring write so the storage ladder can retry a failing
-    /// write against the same frame without re-encoding.
-    pub(crate) fn spill_frame(&self, checksum: bool) -> Option<Vec<u8>> {
-        let fns = self.spill?;
-        if self.is_spilled() {
-            return None;
-        }
+    /// The resident payload's spill frame: the codec's encoding, sealed
+    /// with the checksum trailer when `checksum` is set. Encoding is
+    /// separated from the ring write so the storage ladder can retry a
+    /// failing write against the same frame without re-encoding.
+    pub(crate) fn spill_frame(&self, checksum: bool) -> Vec<u8> {
         let mut bytes = Vec::new();
-        if !(fns.encode)(self.payload.as_ref(), &mut bytes) {
-            return None;
-        }
+        (self.fns.encode)(self.payload.as_ref(), &mut bytes);
         if checksum {
             crate::storage::seal_frame(&mut bytes);
         }
-        Some(bytes)
+        bytes
     }
 
     /// Park the payload: drop the in-memory box (that drop is the actual
@@ -252,9 +295,7 @@ impl DataBuffer {
         let Some(spilled) = self.payload.downcast_ref::<SpilledPayload>() else {
             return Ok(0);
         };
-        let fns = self
-            .spill
-            .unwrap_or_else(|| unreachable!("spilled buffers keep their SpillFns"));
+        let decode = self.fns.decode;
         let ticket = spilled.ticket;
         let ring = spilled.ring.clone();
         let mut bytes = ring.fault(ticket)?;
@@ -265,7 +306,7 @@ impl DataBuffer {
             } else {
                 &bytes
             };
-            (fns.decode)(payload, slab, self.wire_bytes).ok_or_else(|| {
+            decode(payload, slab, self.wire_bytes).ok_or_else(|| {
                 format!(
                     "undecodable spilled payload ({} frame bytes)",
                     payload.len()
@@ -340,9 +381,15 @@ impl BufferSlab {
         Self::default()
     }
 
-    /// Wrap `payload` in a [`DataBuffer`], reusing a recycled box of the
-    /// same payload type when one is available.
-    pub fn make<T: Any + Send>(&self, payload: T, wire_bytes: u64) -> DataBuffer {
+    /// Wrap `payload` in a [`DataBuffer`] like [`DataBuffer::new`],
+    /// reusing a recycled box of the same payload type when one is
+    /// available. Replicas and faulted-in rebuilds draw their boxes here
+    /// too.
+    pub fn make<T: Any + Send + Clone + SpillCodec>(
+        &self,
+        payload: T,
+        wire_bytes: u64,
+    ) -> DataBuffer {
         let recycled = self
             .inner
             .lock()
@@ -360,92 +407,7 @@ impl BufferSlab {
                 Box::new(payload)
             }
         };
-        DataBuffer {
-            payload,
-            wire_bytes,
-            type_name: std::any::type_name::<T>(),
-            replicate: None,
-            spill: None,
-            budget_charged: false,
-        }
-    }
-
-    /// [`make`](Self::make) for a `Clone` payload: the returned buffer
-    /// additionally carries a monomorphized replicator, so the recovery
-    /// layer can retain a slab-pooled replica of it while the original is
-    /// in flight ([`DataBuffer::replicate`]). Costs nothing unless a
-    /// replica is actually taken, which happens only under a fault plan
-    /// that can kill copies.
-    ///
-    /// A replicable payload is *redelivered* after a crash: its consumer
-    /// may already have processed it (and flushed the effects) before
-    /// dying, and the survivor processes it again. Its consumer must
-    /// therefore tolerate re-processing — DESIGN.md §13's argument: every
-    /// rendering fold (z-buffer depth test, winning-pixel composition) is
-    /// idempotent under duplicated identical inputs. Build a payload whose
-    /// consumer is not idempotent with [`make`](Self::make) instead.
-    pub fn make_replicable<T: Any + Send + Clone>(
-        &self,
-        payload: T,
-        wire_bytes: u64,
-    ) -> DataBuffer {
-        fn replicate_impl<T: Any + Send + Clone>(
-            payload: &(dyn Any + Send),
-            slab: &BufferSlab,
-            wire_bytes: u64,
-        ) -> Option<DataBuffer> {
-            let payload = payload.downcast_ref::<T>()?.clone();
-            Some(slab.make_replicable(payload, wire_bytes))
-        }
-        let mut buf = self.make(payload, wire_bytes);
-        buf.replicate = Some(replicate_impl::<T>);
-        buf
-    }
-
-    /// [`make_replicable`](Self::make_replicable) for a payload that also
-    /// implements [`SpillCodec`]: the returned buffer can be parked in a
-    /// [`SpillRing`] by the out-of-core layer and faulted back on demand.
-    /// Replicas (and faulted-in rebuilds) are themselves spillable, so
-    /// retention and spill compose. Costs nothing until a spill happens.
-    /// Being replicable, the payload is redelivered after a crash, so its
-    /// consumer must tolerate re-processing (see
-    /// [`make_replicable`](Self::make_replicable)).
-    pub fn make_spillable<T: Any + Send + Clone + SpillCodec>(
-        &self,
-        payload: T,
-        wire_bytes: u64,
-    ) -> DataBuffer {
-        fn replicate_impl<T: Any + Send + Clone + SpillCodec>(
-            payload: &(dyn Any + Send),
-            slab: &BufferSlab,
-            wire_bytes: u64,
-        ) -> Option<DataBuffer> {
-            let payload = payload.downcast_ref::<T>()?.clone();
-            Some(slab.make_spillable(payload, wire_bytes))
-        }
-        fn encode_impl<T: Any + Send + SpillCodec>(
-            payload: &(dyn Any + Send),
-            out: &mut Vec<u8>,
-        ) -> bool {
-            payload
-                .downcast_ref::<T>()
-                .map(|p| p.spill_encode(out))
-                .is_some()
-        }
-        fn decode_impl<T: Any + Send + Clone + SpillCodec>(
-            bytes: &[u8],
-            slab: &BufferSlab,
-            wire_bytes: u64,
-        ) -> Option<DataBuffer> {
-            Some(slab.make_spillable(T::spill_decode(bytes)?, wire_bytes))
-        }
-        let mut buf = self.make(payload, wire_bytes);
-        buf.replicate = Some(replicate_impl::<T>);
-        buf.spill = Some(SpillFns {
-            encode: encode_impl::<T>,
-            decode: decode_impl::<T>,
-        });
-        buf
+        DataBuffer::boxed::<T>(payload, wire_bytes)
     }
 
     /// Return `buf`'s payload box to the free list without recovering the
@@ -517,10 +479,10 @@ mod tests {
 
     #[test]
     fn roundtrip_payload() {
-        let b = DataBuffer::new(vec![1u32, 2, 3], 12);
+        let b = DataBuffer::new(vec![1u8, 2, 3], 12);
         assert_eq!(b.wire_bytes(), 12);
         assert_eq!(b.transport_bytes(), 12 + BUFFER_OVERHEAD_BYTES);
-        assert_eq!(b.downcast::<Vec<u32>>(), vec![1, 2, 3]);
+        assert_eq!(b.downcast::<Vec<u8>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -541,17 +503,17 @@ mod tests {
     #[test]
     fn slab_recycles_boxes_per_type() {
         let slab = BufferSlab::new();
-        let b = slab.make(vec![1u32, 2, 3], 12);
+        let b = slab.make(vec![1u8, 2, 3], 12);
         assert_eq!(slab.allocated(), 1);
         assert_eq!(b.wire_bytes(), 12);
-        let v: Vec<u32> = slab.recycle(b);
+        let v: Vec<u8> = slab.recycle(b);
         assert_eq!(v, vec![1, 2, 3]);
         assert_eq!(slab.idle(), 1);
         // Same type: the box is reused, no new allocation recorded.
-        let b2 = slab.make(vec![9u32], 4);
+        let b2 = slab.make(vec![9u8], 4);
         assert_eq!(slab.allocated(), 1);
         assert_eq!(slab.idle(), 0);
-        assert_eq!(b2.downcast::<Vec<u32>>(), vec![9]);
+        assert_eq!(b2.downcast::<Vec<u8>>(), vec![9]);
         // Different type: fresh allocation, independent free list.
         let s = slab.make(String::from("x"), 1);
         assert_eq!(slab.allocated(), 2);
@@ -579,19 +541,17 @@ mod tests {
     #[test]
     fn replicable_buffers_clone_through_the_slab() {
         let slab = BufferSlab::new();
-        let b = slab.make_replicable(vec![1u32, 2, 3], 12);
-        assert!(b.is_replicable());
-        let r = b.replicate(&slab).expect("replicable");
+        let b = slab.make(vec![1u8, 2, 3], 12);
+        let r = b.replicate(&slab);
         assert_eq!(r.wire_bytes(), 12);
-        assert!(r.is_replicable(), "replicas can themselves replicate");
-        let rr = r.replicate(&slab).expect("replica of replica");
-        assert_eq!(rr.downcast::<Vec<u32>>(), vec![1, 2, 3]);
-        assert_eq!(r.downcast::<Vec<u32>>(), vec![1, 2, 3]);
-        assert_eq!(b.downcast::<Vec<u32>>(), vec![1, 2, 3]);
-        // Plain buffers stay non-replicable.
-        let p = slab.make(5u64, 8);
-        assert!(!p.is_replicable());
-        assert!(p.replicate(&slab).is_none());
+        // Replicas can themselves replicate.
+        let rr = r.replicate(&slab);
+        assert_eq!(rr.downcast::<Vec<u8>>(), vec![1, 2, 3]);
+        assert_eq!(r.downcast::<Vec<u8>>(), vec![1, 2, 3]);
+        assert_eq!(b.downcast::<Vec<u8>>(), vec![1, 2, 3]);
+        // So can buffers built without a slab.
+        let p = DataBuffer::new(String::from("x"), 1);
+        assert_eq!(p.replicate(&slab).downcast::<String>(), "x");
     }
 
     #[test]
@@ -610,13 +570,13 @@ mod tests {
     #[test]
     fn replicas_draw_boxes_from_the_free_list() {
         let slab = BufferSlab::new();
-        let spare_a = slab.make_replicable(0u64, 8);
-        let spare_b = slab.make_replicable(0u64, 8);
+        let spare_a = slab.make(0u64, 8);
+        let spare_b = slab.make(0u64, 8);
         slab.repool(spare_a);
         slab.repool(spare_b);
-        let b = slab.make_replicable(7u64, 8);
+        let b = slab.make(7u64, 8);
         let baseline = slab.allocated();
-        let r = b.replicate(&slab).expect("replicable");
+        let r = b.replicate(&slab);
         assert_eq!(
             slab.allocated(),
             baseline,
@@ -639,14 +599,10 @@ mod tests {
     /// Test-side stand-in for the context's spill ladder: encode a frame
     /// (`checksum` framing optional), park it, return the frame bytes.
     fn spill(b: &mut DataBuffer, ring: &Arc<SpillRing>, checksum: bool) -> u64 {
-        match b.spill_frame(checksum) {
-            Some(frame) => {
-                let t = ring.spill(&frame).expect("ring spill");
-                b.park(ring.clone(), t);
-                frame.len() as u64
-            }
-            None => 0,
-        }
+        let frame = b.spill_frame(checksum);
+        let t = ring.spill(&frame).expect("ring spill");
+        b.park(ring.clone(), t);
+        frame.len() as u64
     }
 
     /// The inert tamper closure (fault-free fault-in).
@@ -657,8 +613,7 @@ mod tests {
         let slab = BufferSlab::new();
         let ring = SpillRing::create().unwrap();
         let data: Vec<u8> = (0..64).map(|i| i * 3).collect();
-        let mut b = slab.make_spillable(data.clone(), 64);
-        assert!(b.is_spillable());
+        let mut b = slab.make(data.clone(), 64);
         assert!(!b.is_spilled());
 
         let wrote = spill(&mut b, &ring, false);
@@ -670,10 +625,19 @@ mod tests {
         let read = b.fault_in(&slab, false, &no_tamper).unwrap();
         assert_eq!(read, 64);
         assert!(!b.is_spilled());
-        assert!(b.is_spillable(), "faulted buffers can spill again");
-        assert!(b.is_replicable(), "faulted buffers keep their replicator");
+        assert_eq!(
+            b.replicate(&slab).peek(),
+            Some(&data),
+            "faulted buffers replicate"
+        );
+        assert_eq!(
+            spill(&mut b, &ring, false),
+            64,
+            "faulted buffers spill again"
+        );
+        b.fault_in(&slab, false, &no_tamper).unwrap();
         assert_eq!(b.downcast::<Vec<u8>>(), data, "bit-identical round trip");
-        assert_eq!((ring.spills(), ring.faults()), (1, 1));
+        assert_eq!((ring.spills(), ring.faults()), (2, 2));
     }
 
     #[test]
@@ -681,7 +645,7 @@ mod tests {
         let slab = BufferSlab::new();
         let ring = SpillRing::create().unwrap();
         let data: Vec<u8> = (0..100).map(|i| (i * 7) as u8).collect();
-        let mut b = slab.make_spillable(data.clone(), 100);
+        let mut b = slab.make(data.clone(), 100);
         let wrote = spill(&mut b, &ring, true);
         assert_eq!(wrote, 100 + 8, "sealed frame carries the trailer");
         let read = b.fault_in(&slab, true, &no_tamper).unwrap();
@@ -690,7 +654,7 @@ mod tests {
 
         // A flipped bit under the trailer is detected, the payload is
         // tombstoned, and the slot does not double-free.
-        let mut c = slab.make_spillable(data.clone(), 100);
+        let mut c = slab.make(data.clone(), 100);
         spill(&mut c, &ring, true);
         let err = c
             .fault_in(&slab, true, &|frame| frame[13] ^= 0x20)
@@ -705,29 +669,19 @@ mod tests {
     }
 
     #[test]
-    fn spill_is_a_noop_on_plain_and_already_spilled_buffers() {
+    fn fault_in_is_a_noop_on_resident_buffers() {
         let slab = BufferSlab::new();
-        let ring = SpillRing::create().unwrap();
-        let plain = slab.make(vec![1u8, 2], 2);
-        assert!(plain.spill_frame(false).is_none());
-        assert!(!plain.is_spilled());
-
-        let mut b = slab.make_spillable(vec![5u8; 16], 16);
-        assert_eq!(spill(&mut b, &ring, false), 16);
-        assert!(b.spill_frame(false).is_none(), "second spill is a no-op");
-        assert_eq!(ring.spills(), 1);
-        // fault_in on a resident buffer is equally inert.
-        let mut resident = slab.make_spillable(vec![7u8; 8], 8);
+        let mut resident = slab.make(vec![7u8; 8], 8);
         assert_eq!(resident.fault_in(&slab, false, &no_tamper).unwrap(), 0);
+        assert_eq!(resident.downcast::<Vec<u8>>(), vec![7u8; 8]);
     }
 
     #[test]
     fn replicas_of_spillable_buffers_are_spillable() {
         let slab = BufferSlab::new();
         let ring = SpillRing::create().unwrap();
-        let b = slab.make_spillable(vec![9u8; 32], 32);
-        let mut r = b.replicate(&slab).expect("spillable implies replicable");
-        assert!(r.is_spillable());
+        let b = slab.make(vec![9u8; 32], 32);
+        let mut r = b.replicate(&slab);
         assert_eq!(spill(&mut r, &ring, false), 32);
         assert_eq!(r.fault_in(&slab, false, &no_tamper).unwrap(), 32);
         assert_eq!(r.downcast::<Vec<u8>>(), vec![9u8; 32]);
@@ -737,12 +691,12 @@ mod tests {
     fn spilled_tickets_can_be_discarded_unread() {
         let slab = BufferSlab::new();
         let ring = SpillRing::create().unwrap();
-        let mut b = slab.make_spillable(vec![3u8; 48], 48);
+        let mut b = slab.make(vec![3u8; 48], 48);
         spill(&mut b, &ring, false);
         assert!(b.discard_spilled(), "spilled buffer discards its slot");
         assert_eq!(ring.faults(), 0, "discard skips the read");
         // The freed slot is immediately reusable.
-        let mut c = slab.make_spillable(vec![4u8; 48], 48);
+        let mut c = slab.make(vec![4u8; 48], 48);
         spill(&mut c, &ring, false);
         assert_eq!(ring.frontier_bytes(), 48, "slot reused, no growth");
     }

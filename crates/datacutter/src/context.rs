@@ -65,9 +65,9 @@ pub(crate) struct OutputPort {
     pub outbox: Outbox,
     /// Number of consumer copy sets (valid `write_to` targets).
     pub targets: usize,
-    /// The stream's retention when copies can die — every replicable
-    /// buffer written is stamped with a provenance and retained until
-    /// the consumer settles it.
+    /// The stream's retention when copies can die — every buffer written
+    /// is stamped with a provenance and retained until the consumer
+    /// settles it.
     pub retention: Option<Arc<StreamRetention>>,
     /// Out-of-core state of this stream (`None` ⇒ no memory budget; the
     /// write path never touches the ledger or ring).
@@ -332,9 +332,6 @@ impl FilterCtx {
         let Some(ooc) = self.outputs[port].ooc.clone() else {
             return (0, SimDuration::ZERO);
         };
-        if !buf.is_spillable() || buf.is_spilled() {
-            return (0, SimDuration::ZERO);
-        }
         let bytes = buf.wire_bytes();
         if !ooc.charge(bytes) {
             // Staying resident: the charge rides with the buffer until the
@@ -345,12 +342,7 @@ impl FilterCtx {
             return (0, SimDuration::ZERO);
         }
         let storage = ooc.storage.clone();
-        let Some(frame) = buf.spill_frame(storage.checksum()) else {
-            // Unreachable given the spillability checks above; degrade
-            // safely rather than trusting it.
-            buf.set_budget_charged();
-            return (0, SimDuration::ZERO);
-        };
+        let frame = buf.spill_frame(storage.checksum());
         let t0 = self.env.now();
         let host = self.info.host;
         let op = storage.next_op();
@@ -417,7 +409,7 @@ impl FilterCtx {
 
     /// Read-side out-of-core step for one claimed incoming buffer: fault
     /// a spilled payload back in (charging the disk model for the read),
-    /// or release a resident spillable payload's budget charge now that
+    /// or release a resident payload's budget charge now that
     /// it left the stream queue.
     ///
     /// This is the read side of the storage ladder. Transient read
@@ -535,12 +527,11 @@ impl FilterCtx {
 
     /// True when the run executes under a fault plan that can kill hosts.
     /// Failure is fail-stop at the read boundary: whatever a copy holds in
-    /// memory across buffers dies with it. A replicable input comes back
-    /// from its producer's retention until this copy settles it at the
-    /// end of its unit of work, but a non-replicable one is replayed only
-    /// while still queued. A filter reading non-replicable payloads should
-    /// therefore flush per input buffer while this returns true instead
-    /// of batching output across buffers.
+    /// memory across buffers dies with it. Every input comes back from its
+    /// producer's retention until this copy settles it at the end of its
+    /// unit of work, so batched output is never lost: a survivor redoes
+    /// it. Flushing per input buffer while this returns true only changes
+    /// how much a crash makes downstream see twice.
     pub fn fail_stop_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|c| c.crashes_possible())
     }
@@ -819,7 +810,7 @@ impl FilterCtx {
         let prov = self.outputs[port]
             .retention
             .as_ref()
-            .and_then(|r| r.stamp(self.info.copy_index, self.uow, copyset_idx, &buf));
+            .map(|r| r.stamp(self.info.copy_index, self.uow, copyset_idx, &buf));
         let bytes = buf.wire_bytes();
         let (spill_bytes, spill_elapsed) = self.ooc_outgoing(port, &mut buf);
         let msg = OutMsg::Data {

@@ -6,16 +6,14 @@
 //! The recovery model (see DESIGN.md §8 and §13): hosts fail *fail-stop*
 //! and a crashed filter copy is observed dead at its next stream-read (or
 //! write) boundary. Whenever copies can die (a crash in the plan, or
-//! supervision), every stream retains a replica of each replicable buffer
-//! at its producer until the consuming copy settles it at the end of its
-//! unit of work. A dead copy set's reaper retargets those entries to a
-//! surviving set, and a restarted copy re-fetches its journal, so a crash
-//! costs time, not output. A non-replicable buffer still queued at a dead
-//! set is replayed to a survivor when it carries a demand-driven ack
-//! handle, and counted lost otherwise. A retained replica no consumer
-//! settled by the end of the run — no live consumer was left to take it —
-//! is counted lost too, and a run that lost anything is reported
-//! *degraded*.
+//! supervision), every stream retains a replica of each buffer at its
+//! producer until the consuming copy settles it at the end of its unit of
+//! work. A dead copy set's reaper retargets those entries to a surviving
+//! set, and a restarted copy re-fetches its journal, so a crash costs
+//! time, not output: every buffer is delivered at least once. A retained
+//! replica no consumer settled by the end of the run — no live consumer
+//! was left to take it — is counted lost, and a run that lost anything is
+//! reported *degraded*.
 //!
 //! Both execution substrates consult the same [`FaultPlan`] oracle — the
 //! simulator on virtual time, the native executor on wall-clock
@@ -337,8 +335,7 @@ pub struct FaultOptions {
     pub liveness_timeout: SimDuration,
     /// When `true` (the default), a run completes with partial output if
     /// buffers are lost to crashes that recovery cannot repair (no live
-    /// consumer set left, or a non-replicable buffer without an ack
-    /// handle); the losses are tallied in the run report. When `false`,
+    /// consumer set left); the losses are tallied in the run report. When `false`,
     /// such a loss fails the run with [`RunError::NoSurvivingConsumers`].
     pub allow_degraded: bool,
     /// Supervise filter copies: contain panics in filter callbacks and

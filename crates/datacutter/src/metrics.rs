@@ -97,18 +97,9 @@ pub struct FaultReport {
     pub injected: Vec<String>,
     /// Filter copies killed by host crashes.
     pub copies_killed: u64,
-    /// Non-replicable buffers salvaged from dead copy sets and replayed to
-    /// survivors through their producer's demand window. A replicable
-    /// buffer is never replayed — its retained replica is redelivered
-    /// instead (`buffers_redelivered`).
-    pub buffers_replayed: u64,
-    /// Payload bytes replayed.
-    pub bytes_replayed: u64,
     /// Buffers irrecoverably lost: a retained replica no consumer settled
     /// by the end of the run (no live consumer set was left to take it),
-    /// a non-replicable buffer queued at a dead set with no ack handle or
-    /// no surviving set, or a spill frame the storage plane could not
-    /// read back.
+    /// or a spill frame the storage plane could not read back.
     pub buffers_lost: u64,
     /// Payload bytes lost.
     pub bytes_lost: u64,
@@ -187,11 +178,8 @@ impl std::fmt::Display for FaultReport {
         )?;
         writeln!(
             f,
-            "  replayed {} buffers ({} B), redelivered {} ({} B)",
-            self.buffers_replayed,
-            self.bytes_replayed,
-            self.buffers_redelivered,
-            self.bytes_redelivered
+            "  redelivered {} buffers ({} B)",
+            self.buffers_redelivered, self.bytes_redelivered
         )?;
         writeln!(
             f,

@@ -195,8 +195,7 @@ impl WriterState {
                     // Every consumer set is detectably dead: fall through to
                     // the scheduled pick. No live consumer is left, so the
                     // buffer is lost: its replica stays retained until the
-                    // end-of-run sweep counts it (a non-replicable one is
-                    // counted by the dead set's reaper).
+                    // end-of-run sweep counts it.
                 }
                 let idx = schedule[*pos];
                 *pos = (*pos + 1) % n;
@@ -325,8 +324,8 @@ impl DemandState {
     /// Under a fault plan: detectably-dead consumer sets are skipped (their
     /// window share rebalances onto survivors); if *every* set is dead the
     /// buffer is routed anyway, ignoring window limits — the dead set's
-    /// reaper acknowledges salvaged buffers (and its `reroute` wakes
-    /// blocked producers), so this cannot deadlock.
+    /// reaper acknowledges salvaged buffers, waking blocked producers, so
+    /// this cannot deadlock.
     ///
     /// Blocking is substrate-specific: sim producers park on the engine's
     /// wake list (`env.block()`), native producers wait on the condvar
@@ -424,26 +423,6 @@ impl DemandState {
                 }
             }
         }
-    }
-
-    /// Move one outstanding (unacknowledged) buffer from dead copy set
-    /// `from` to the least-loaded set among `alive`, ignoring window
-    /// limits, and wake blocked producers. Returns the chosen set, or
-    /// `None` (releasing the credit) when no survivor exists. Used by the
-    /// runtime's reaper when replaying buffers salvaged from a dead set's
-    /// queue.
-    pub(crate) fn reroute(&self, env: &ExecEnv, from: usize, alive: &[usize]) -> Option<usize> {
-        let (pick, waiters, native_waiting) = {
-            let mut st = self.inner.lock();
-            st.unacked[from] = st.unacked[from].saturating_sub(1);
-            let pick = alive.iter().copied().min_by_key(|&i| st.unacked[i]);
-            if let Some(i) = pick {
-                st.unacked[i] += 1;
-            }
-            (pick, std::mem::take(&mut st.waiters), st.native_waiting)
-        };
-        self.wake(env, waiters, native_waiting);
-        pick
     }
 
     /// Record an acknowledgment from copy set `idx`, releasing one window

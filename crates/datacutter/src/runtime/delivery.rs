@@ -34,8 +34,8 @@ pub(crate) enum Envelope {
     Data {
         buf: DataBuffer,
         ack: Option<AckHandle>,
-        /// Retention identity (`(producer copy, per-stream seq)`) of a
-        /// replicable buffer when copies can die; `None` otherwise. A
+        /// Retention identity (`(producer copy, per-stream seq)`) of the
+        /// buffer when copies can die; `None` otherwise. A
         /// redelivered replica carries the original provenance, so the
         /// consumer that settles it releases the retained entry.
         prov: Option<Provenance>,

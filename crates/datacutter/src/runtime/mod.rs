@@ -11,8 +11,8 @@
 //!   injected delays and stalls), plus the simulator's outbox-sender and
 //!   ack-courier handlers,
 //! * `eow` — end-of-work gates (UOW cycle separation),
-//! * `reaper` — dead-set salvage: retargeting retained replicas and
-//!   replaying non-replicable demand-driven buffers,
+//! * `reaper` — dead-set salvage: retargeting retained replicas to a
+//!   survivor and releasing the queued originals,
 //! * `retain` — producer-side retention rings (runs whose copies can die),
 //! * `supervisor` — wedge detection and eviction for supervised runs.
 //!
@@ -147,7 +147,7 @@ impl Run {
     /// would be.
     ///
     /// When copies can die (a crash in the plan, or supervision) every
-    /// stream retains its replicable buffers until consumers settle them,
+    /// stream retains its buffers until consumers settle them,
     /// and retained replicas are redelivered after crashes and supervised
     /// restarts — a crashed-and-recovered run reports `buffers_lost == 0`
     /// and produces output identical to a fault-free run. A replica still
@@ -185,13 +185,12 @@ impl Run {
 
     /// Bound the bytes of in-flight stream payloads to `bytes`, split
     /// evenly across the graph's streams (TPIE-style explicit memory
-    /// management). A stream whose queued spillable payloads exceed its
-    /// share parks the overflow in a run-wide spill ring (one unlinked
-    /// temp file) and faults it back in at the reader; under the
-    /// virtual-time executor both directions are charged to the host's
-    /// disk model. Only payloads built with
-    /// [`crate::BufferSlab::make_spillable`] participate — everything
-    /// else stays resident. `0` (the default) disables the out-of-core
+    /// management). A stream whose queued payloads exceed its share parks
+    /// the overflow in a run-wide spill ring (one unlinked temp file),
+    /// encoded by each payload's [`SpillCodec`](crate::SpillCodec), and
+    /// faults it back in at the reader; under the virtual-time executor
+    /// both directions are charged to the host's disk model. Every payload
+    /// takes part. `0` (the default) disables the out-of-core
     /// path entirely; results are bit-identical either way, only timing
     /// and the [`RunReport::ooc`](crate::RunReport) tallies change.
     pub fn memory_budget(mut self, bytes: u64) -> Self {

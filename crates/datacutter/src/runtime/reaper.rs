@@ -4,12 +4,9 @@
 //!
 //! The producer's retention is the route back. The reaper retargets every
 //! entry addressed to the dead set to one survivor and sends it a replica;
-//! a queue original that carries a provenance is released, since its
-//! replica travels instead. Whatever no survivor settles is still retained
-//! when the run ends, and the end-of-run sweep counts it lost then. A
-//! queued buffer without a provenance (a non-replicable payload) is
-//! replayed to a surviving set through its producer's demand window when
-//! it carries an ack handle, and counted lost here otherwise.
+//! a queue original is released, since its replica travels instead.
+//! Whatever no survivor settles is still retained when the run ends, and
+//! the end-of-run sweep counts it lost then.
 //!
 //! Under a pure fault *plan* the doomed sets are known upfront, so spawn
 //! wires one reaper per scheduled death — the original (bit-identical)
@@ -18,10 +15,10 @@
 //! reaper. Either way the reaper probes the fault control block's merged
 //! death oracle each tick. Once the run's shutdown flag rises (every copy
 //! finished or died) a supervised reaper drains whatever is stranded in
-//! its queue — no consumer remains, so it retargets nothing and replays
-//! nothing — and exits; it must *not* simply wait for emptiness, because
-//! a wedged peer's reaper may send buffers into a set that already
-//! completed the cycle before the wedge was even detected.
+//! its queue — no consumer remains, so it retargets nothing — and exits;
+//! it must *not* simply wait for emptiness, because a wedged peer's
+//! reaper may send buffers into a set that already completed the cycle
+//! before the wedge was even detected.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +33,7 @@ use super::native::CancelScope;
 use super::retain::{Provenance, StreamRetention};
 use crate::budget::StreamOoc;
 use crate::buffer::DataBuffer;
-use crate::fault::{abort_run, ErrorCell, FaultCtl, RunError};
+use crate::fault::FaultCtl;
 use crate::policy::{AckHandle, CopySetInfo};
 
 /// Salvages the copy-set queue of a doomed (or potentially doomed) copy
@@ -45,22 +42,20 @@ use crate::policy::{AckHandle, CopySetInfo};
 /// each buffer).
 pub(crate) struct Reaper {
     pub ctl: Arc<FaultCtl>,
-    pub errors: ErrorCell,
     pub rx: ChanRx<Envelope>,
-    /// Replay targets: `(copyset_idx, sender)`. Under a pure plan this
+    /// Redelivery targets: `(copyset_idx, sender)`. Under a pure plan this
     /// lists every set with *no* scheduled death — holding senders keeps a
     /// channel open, so the reaper must not hold one to its own queue (it
     /// would never see it close) nor to another doomed set's (two reapers
     /// would keep each other alive). Under supervision every other set is
     /// listed (deaths aren't known upfront); the keep-alive problem is
-    /// solved by the shutdown flag instead, and dead targets are filtered
-    /// out at replay time.
+    /// solved by the shutdown flag instead, and dead targets are skipped
+    /// at redelivery time.
     pub survivors: Vec<(usize, ChanTx<Envelope>)>,
     pub sets: Vec<CopySetInfo>,
     /// This reaper's own copy set (`sets[own_idx]`), for the death oracle.
     pub own_idx: usize,
     pub topo: Topology,
-    pub stream: String,
     /// The dead set's own end-of-work gate: the reaper advances its cycle
     /// and its salvaged mark as salvage proceeds, so live peer sets know
     /// when no more buffers for a given UOW can arrive from it.
@@ -106,10 +101,10 @@ impl Reaper {
         // first (death scheduled past the end of the run, or a supervised
         // set that never dies). Shutdown also ends the wait: every copy
         // has finished or died, so nothing this queue holds — or still
-        // receives — will ever be consumed, and phase 2 absorbs it as
-        // losses instead of insisting on emptiness (a wedged peer's
-        // reaper may have replayed buffers here *after* this live set
-        // already completed the cycle).
+        // receives — will ever be consumed, and phase 2 releases it (the
+        // sweep counts what stays retained) instead of insisting on
+        // emptiness (a wedged peer's reaper may have redelivered buffers
+        // here *after* this live set already completed the cycle).
         loop {
             if self.cancelled() {
                 return;
@@ -143,15 +138,15 @@ impl Reaper {
         // salvage, until every producer-side sender hangs up (pure plan)
         // or the run shuts down (supervision). No cancellation check in
         // this loop: on a cancelled scope `recv_deadline` keeps yielding
-        // queued items and reports `Closed` once empty, so the drain —
-        // and its loss accounting — always completes.
+        // queued items and reports `Closed` once empty, so the drain
+        // always completes.
         loop {
             if self.shutdown_requested() {
                 // The run is over. Release the cross-held survivor
                 // senders — peer reapers' queues can then close, and the
                 // cross-hold cycle cannot keep two drained reapers alive —
-                // and stop replaying: with every copy retired, a "replay"
-                // has no consumer and must be accounted a loss.
+                // and stop redelivering: with every copy retired, a replica
+                // has no consumer, and the sweep counts it lost.
                 self.survivors.clear();
             }
             // Retarget before the gate can advance: a live peer keeps
@@ -262,21 +257,23 @@ impl Reaper {
         }
     }
 
-    /// Salvage of a queue original that carries a provenance: its replica
-    /// travels ([`retarget`](Self::retarget) — sent now if no pass has
-    /// moved it yet), so the original is released, its spill slot freed
-    /// and its budget charge discharged, and its demand credit returned.
+    /// Salvage of a queue original: its replica travels
+    /// ([`retarget`](Self::retarget) — sent now if no pass has moved it
+    /// yet), so the original is released, its spill slot freed and its
+    /// budget charge discharged, and its demand credit returned. Every
+    /// buffer on a stream with a reaper was stamped, so `prov` is `None`
+    /// for no queued original.
     fn release_original(
         &self,
         env: &ExecEnv,
         mut buf: DataBuffer,
         ack: Option<AckHandle>,
-        p: Provenance,
+        prov: Option<Provenance>,
     ) {
         if let Some(ack) = &ack {
             ack.state.ack(env, ack.copyset_idx);
         }
-        if self.retention.addressee(p) == Some(self.own_idx) {
+        if prov.and_then(|p| self.retention.addressee(p)) == Some(self.own_idx) {
             self.retarget(env);
         }
         if let Some(ooc) = &self.ooc {
@@ -284,80 +281,9 @@ impl Reaper {
         }
     }
 
-    /// Salvage of one non-replicable demand-driven data envelope: reroute
-    /// it to a survivor through the producer's window accounting, or
-    /// account it lost.
-    fn reroute_acked(&self, env: &ExecEnv, buf: DataBuffer, ack: AckHandle) {
-        // Under supervision a listed target may itself have died
-        // since wiring; filter those out so two dead sets can't
-        // ping-pong a buffer between their reapers forever.
-        let now = env.now();
-        let supervised = self.shutdown.is_some();
-        let alive: Vec<usize> = self
-            .survivors
-            .iter()
-            .map(|&(i, _)| i)
-            .filter(|&i| !supervised || !self.ctl.set_dead(&self.sets[i], now))
-            .collect();
-        match ack.state.reroute(env, ack.copyset_idx, &alive) {
-            Some(new_idx) => {
-                // Replay: charge the retransmission from the
-                // producer to the surviving host (emulated network,
-                // sim only), then re-enqueue with the ack handle
-                // re-addressed.
-                charge_transfer(
-                    env,
-                    &self.topo,
-                    ack.state.producer_host(),
-                    self.sets[new_idx].host,
-                    buf.transport_bytes(),
-                );
-                let bytes = buf.wire_bytes();
-                let replay = Envelope::Data {
-                    buf,
-                    ack: Some(AckHandle {
-                        state: ack.state.clone(),
-                        copyset_idx: new_idx,
-                    }),
-                    prov: None,
-                };
-                let tx = match self
-                    .survivors
-                    .iter()
-                    .find(|&&(i, _)| i == new_idx)
-                    .map(|(_, tx)| tx)
-                {
-                    Some(tx) => tx,
-                    None => unreachable!("reroute only picks from the survivor list"),
-                };
-                if tx.send(env, replay).is_ok() {
-                    let mut t = self.ctl.tallies.lock();
-                    t.buffers_replayed += 1;
-                    t.bytes_replayed += bytes;
-                } else {
-                    self.lose(bytes);
-                }
-            }
-            None => self.lose(buf.wire_bytes()),
-        }
-    }
-
     fn salvage(&self, env: &ExecEnv, envelope: Envelope) {
         match envelope {
-            Envelope::Data {
-                buf,
-                ack,
-                prov: Some(p),
-            } => self.release_original(env, buf, ack, p),
-            Envelope::Data {
-                buf,
-                ack: Some(ack),
-                ..
-            } => self.reroute_acked(env, buf, ack),
-            // A non-replicable payload with no ack handle (RR/WRR or
-            // content-routed `write_to`): the producer's routing decision
-            // cannot be replayed safely.
-            Envelope::Data { buf, .. } => self.lose(buf.wire_bytes()),
+            Envelope::Data { buf, ack, prov } => self.release_original(env, buf, ack, prov),
             // A producer's end-of-work marker: no consumer will act on it,
             // but it proves all of that producer's data for the cycle has
             // been salvaged — record it so the dead gate can advance.
@@ -370,22 +296,6 @@ impl Reaper {
                 self.advance_gate(env);
             }
             Envelope::UowDone => {}
-        }
-    }
-
-    fn lose(&self, bytes: u64) {
-        {
-            let mut t = self.ctl.tallies.lock();
-            t.buffers_lost += 1;
-            t.bytes_lost += bytes;
-        }
-        if !self.ctl.allow_degraded {
-            abort_run(
-                &self.errors,
-                RunError::NoSurvivingConsumers {
-                    stream: self.stream.clone(),
-                },
-            );
         }
     }
 }

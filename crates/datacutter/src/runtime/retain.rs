@@ -1,11 +1,11 @@
-//! Producer-side retention — the route back for every replicable buffer
-//! of a run whose copies can die.
+//! Producer-side retention — the route back for every buffer of a run
+//! whose copies can die.
 //!
 //! Every stream of such a run owns one [`StreamRetention`]: per producer
-//! copy, a ring of slab-pooled replicas of every replicable buffer the
-//! copy sent, keyed by a monotonically increasing per-(producer copy,
-//! stream) sequence number stamped into the envelope as [`Provenance`],
-//! and addressed to the consumer copy set the original went to. The ring
+//! copy, a ring of slab-pooled replicas of every buffer the copy sent,
+//! keyed by a monotonically increasing per-(producer copy, stream)
+//! sequence number stamped into the envelope as [`Provenance`], and
+//! addressed to the consumer copy set the original went to. The ring
 //! has no depth bound. An entry leaves it one of two ways:
 //!
 //! * **settled** — a consuming copy finishes its unit of work and acks the
@@ -85,17 +85,9 @@ impl StreamRetention {
 
     /// Stamp one outgoing buffer that producer `copy` sends in unit of
     /// work `uow` to consumer set `set_idx`: allocate its sequence number
-    /// and retain a replica. Returns `None` (no provenance, nothing
-    /// retained) when the buffer is not replicable — such a buffer is
-    /// recoverable only while queued, through its demand-driven ack.
-    pub fn stamp(
-        &self,
-        copy: usize,
-        uow: u32,
-        set_idx: usize,
-        buf: &DataBuffer,
-    ) -> Option<Provenance> {
-        let replica = buf.replicate(&self.slab)?;
+    /// and retain a replica.
+    pub fn stamp(&self, copy: usize, uow: u32, set_idx: usize, buf: &DataBuffer) -> Provenance {
+        let replica = buf.replicate(&self.slab);
         let mut ring = self.rings[copy].lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -105,11 +97,11 @@ impl StreamRetention {
             set_idx,
             buf: replica,
         });
-        Some(Provenance {
+        Provenance {
             copy: copy as u32,
             uow,
             seq,
-        })
+        }
     }
 
     /// Replicate the retained entry `(copy, seq)` for re-injection into a
@@ -118,7 +110,7 @@ impl StreamRetention {
     pub fn fetch(&self, copy: u32, seq: u64) -> Option<DataBuffer> {
         let ring = self.rings[copy as usize].lock();
         let entry = ring.entries.iter().find(|e| e.seq == seq)?;
-        entry.buf.replicate(&self.slab)
+        Some(entry.buf.replicate(&self.slab))
     }
 
     /// The consumer set the retained entry `p` is addressed to; `None` once
@@ -140,14 +132,12 @@ impl StreamRetention {
         for (copy, ring) in self.rings.iter().enumerate() {
             for e in ring.lock().entries.iter_mut().filter(|e| e.set_idx == from) {
                 e.set_idx = to;
-                if let Some(buf) = e.buf.replicate(&self.slab) {
-                    let p = Provenance {
-                        copy: copy as u32,
-                        uow: e.uow,
-                        seq: e.seq,
-                    };
-                    out.push((p, buf));
-                }
+                let p = Provenance {
+                    copy: copy as u32,
+                    uow: e.uow,
+                    seq: e.seq,
+                };
+                out.push((p, e.buf.replicate(&self.slab)));
             }
         }
         out
@@ -206,7 +196,7 @@ mod tests {
     }
 
     fn buf(slab: &BufferSlab, v: u64) -> DataBuffer {
-        slab.make_replicable(v, 8)
+        slab.make(v, 8)
     }
 
     fn p(copy: u32, seq: u64) -> Provenance {
@@ -217,9 +207,9 @@ mod tests {
     fn stamp_assigns_monotonic_seqs_per_copy() {
         let r = retention();
         let slab = BufferSlab::new();
-        let a = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
-        let b = r.stamp(0, 0, 1, &buf(&slab, 2)).expect("replicable");
-        let c = r.stamp(1, 0, 0, &buf(&slab, 3)).expect("replicable");
+        let a = r.stamp(0, 0, 0, &buf(&slab, 1));
+        let b = r.stamp(0, 0, 1, &buf(&slab, 2));
+        let c = r.stamp(1, 0, 0, &buf(&slab, 3));
         assert_eq!((a.copy, a.seq), (0, 0));
         assert_eq!((b.copy, b.seq), (0, 1));
         assert_eq!((c.copy, c.seq), (1, 0), "seqs are per producer copy");
@@ -227,18 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn non_replicable_buffers_are_not_retained() {
-        let r = retention();
-        let plain = DataBuffer::new(1u64, 8);
-        assert!(r.stamp(0, 0, 0, &plain).is_none());
-        assert_eq!(r.retained(), 0);
-    }
-
-    #[test]
     fn fetch_keeps_the_entry_retained() {
         let r = retention();
         let slab = BufferSlab::new();
-        r.stamp(0, 0, 0, &buf(&slab, 7)).expect("replicable");
+        r.stamp(0, 0, 0, &buf(&slab, 7));
         let first = r.fetch(0, 0).expect("retained");
         assert_eq!(first.downcast::<u64>(), 7);
         let second = r.fetch(0, 0).expect("still retained after fetch");
@@ -277,7 +259,7 @@ mod tests {
     fn sweep_counts_everything_unsettled_as_lost() {
         let r = retention();
         let slab = BufferSlab::new();
-        let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
+        let p = r.stamp(0, 0, 0, &buf(&slab, 1));
         r.stamp(0, 0, 1, &buf(&slab, 2));
         r.stamp(1, 0, 0, &buf(&slab, 3));
         r.settle(&[p]);
@@ -291,7 +273,7 @@ mod tests {
     fn settle_recycles_replicas() {
         let r = retention();
         let slab = BufferSlab::new();
-        let p = r.stamp(0, 0, 0, &buf(&slab, 1)).expect("replicable");
+        let p = r.stamp(0, 0, 0, &buf(&slab, 1));
         r.settle(&[p]);
         assert_eq!(r.retained(), 0);
         // Settling twice is a no-op.

@@ -175,7 +175,7 @@ pub(crate) fn build(
     let slab = crate::buffer::BufferSlab::new();
 
     // Memory budget: split evenly across the graph's streams. A stream
-    // whose in-flight spillable payloads exceed its share spills to the
+    // whose in-flight payloads exceed its share spills to the
     // run-wide ring.
     let stream_share = tuning.memory_budget_bytes / (graph.streams.len().max(1) as u64);
 
@@ -275,13 +275,11 @@ pub(crate) fn build(
                     .collect();
                 let reaper = Reaper {
                     ctl: ctl.clone(),
-                    errors: error_cell.clone(),
                     rx: data_rxs[set_idx].clone(),
                     survivors,
                     sets: sets.clone(),
                     own_idx: set_idx,
                     topo: topo.clone(),
-                    stream: spec.name.clone(),
                     gate: gates[set_idx].clone(),
                     uows,
                     shutdown: shutdown.clone(),
@@ -686,7 +684,7 @@ mod tests {
     impl Filter for Src {
         fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
             for i in 0..ITEMS {
-                let b = ctx.buffer_slab().make_replicable(i, 256);
+                let b = ctx.buffer_slab().make(i, 256);
                 ctx.write(0, b);
             }
             Ok(())
@@ -698,7 +696,7 @@ mod tests {
         fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
             while let Some(b) = ctx.read(0) {
                 let v = b.downcast::<u32>();
-                let b = ctx.buffer_slab().make_replicable(v, 256);
+                let b = ctx.buffer_slab().make(v, 256);
                 ctx.write(0, b);
             }
             Ok(())

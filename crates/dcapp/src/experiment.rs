@@ -106,8 +106,8 @@ fn deposited(image: &ImageSlot, report: &RunReport, uows: u32) -> Result<Vec<Ima
 /// Build and run `spec` once on `topo` under a fault plan: hosts crash,
 /// stall, or lose messages per `opts`, and the runtime's recovery
 /// machinery (liveness timeouts, writer eviction, retention and
-/// redelivery) keeps the pipeline going. Every dcapp payload is
-/// replicable, so a crash of an extract, raster or merge host that leaves
+/// redelivery) keeps the pipeline going. Every payload is retained until
+/// its consumer settles it, so a crash of an extract, raster or merge host that leaves
 /// a surviving copy set completes with `lost == 0` under every writer
 /// policy; only a crash that leaves no live consumer tallies losses in
 /// `report.faults`. A crash of the merge host leaves no image, and fails

@@ -308,12 +308,12 @@ enum To {
 /// Write `payload` on output port 0. Payloads are wrapped through the
 /// run's `BufferSlab` and the read sites unwrap through it, so in steady
 /// state the payload boxes cycle producer → consumer → producer with no
-/// heap traffic. They go in via `make_spillable` (replicable + spill-
-/// encodable): runs whose copies can die retain replicas, and runs under
-/// a memory budget can spill queued buffers to the temp-file ring.
-/// Without a crash plan or budget this costs nothing over `make`.
+/// heap traffic. Every buffer can be replicated and spill-encoded: runs
+/// whose copies can die retain replicas, and runs under a memory budget
+/// can spill queued buffers to the temp-file ring. Without a crash plan
+/// or budget neither costs anything.
 fn ship<T: Any + Send + Clone + SpillCodec>(ctx: &mut FilterCtx, to: To, wire: u64, payload: T) {
-    let buf = ctx.buffer_slab().make_spillable(payload, wire);
+    let buf = ctx.buffer_slab().make(payload, wire);
     match to {
         To::Policy => ctx.write(0, buf),
         To::CopySet(set) => ctx.write_to(0, set, buf),

@@ -13,9 +13,10 @@ use crate::pool::PoolVec;
 
 /// R → E payload: one sub-volume of voxel data.
 ///
-/// `Clone` (here and on the other payloads) is what lets the delivery
-/// layer retain replicas for crash recovery — see
-/// [`BufferSlab::make_replicable`](datacutter::BufferSlab).
+/// `Clone` and [`SpillCodec`] (here and on the other payloads) are what
+/// [`BufferSlab::make`](datacutter::BufferSlab::make) asks of every
+/// payload: the delivery layer retains replicas for crash recovery and
+/// spills queued buffers under a memory budget.
 #[derive(Clone)]
 pub struct ChunkPayload {
     /// Global cell origin of the chunk (so extracted geometry lands in

@@ -12,7 +12,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use datacutter::{
-    DataBuffer, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run, WritePolicy,
+    DataBuffer, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run, SpillCodec,
+    WritePolicy,
 };
 use hetsim::presets::rogue_cluster;
 use hetsim::SimDuration;
@@ -45,6 +46,33 @@ impl Filter for DocSource {
     }
 }
 
+/// One copy's partial word counts. Every payload is spill-encodable, so
+/// the runtime can park it under a memory budget: each entry is a
+/// little-endian `u32` word length, the word's bytes and its `u64` count.
+#[derive(Clone, Default)]
+struct Partial(Vec<(String, u64)>);
+
+impl SpillCodec for Partial {
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        for (w, n) in &self.0 {
+            out.extend_from_slice(&(w.len() as u32).to_le_bytes());
+            out.extend_from_slice(w.as_bytes());
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+    }
+    fn spill_decode(mut bytes: &[u8]) -> Option<Self> {
+        let mut entries = Vec::new();
+        while !bytes.is_empty() {
+            let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+            let word = String::from_utf8(bytes.get(4..4 + len)?.to_vec()).ok()?;
+            let n = u64::from_le_bytes(bytes.get(4 + len..12 + len)?.try_into().ok()?);
+            entries.push((word, n));
+            bytes = &bytes[12 + len..];
+        }
+        Some(Partial(entries))
+    }
+}
+
 /// Tokenizes and counts words; a *stateful* filter — partial counts are
 /// flushed downstream at end-of-work, and a combine filter folds them.
 struct WordCount {
@@ -62,15 +90,17 @@ impl Filter for WordCount {
             }
         }
         // End-of-work: ship this copy's partial accumulator.
-        let partial: Vec<(String, u64)> = self.counts.drain().collect();
-        let bytes = partial.iter().map(|(w, _)| w.len() as u64 + 8).sum();
+        let partial = Partial(self.counts.drain().collect());
+        let bytes = partial.0.iter().map(|(w, _)| w.len() as u64 + 8).sum();
         ctx.write(0, DataBuffer::new(partial, bytes));
         Ok(())
     }
 }
 
 /// Folds partial counts into the final tally (the "combine" filter the
-/// paper appends when transparent copies hold internal state).
+/// paper appends when transparent copies hold internal state). Summing is
+/// not idempotent: a crash plan redelivers a dead copy's inputs at least
+/// once, which would count some words twice, so this pipeline runs none.
 struct Combine {
     out: Arc<Mutex<HashMap<String, u64>>>,
 }
@@ -78,10 +108,10 @@ struct Combine {
 impl Filter for Combine {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         while let Some(buf) = ctx.read(0) {
-            let partial = buf.downcast::<Vec<(String, u64)>>();
-            ctx.compute(SimDuration::from_micros(partial.len() as u64));
+            let partial = buf.downcast::<Partial>();
+            ctx.compute(SimDuration::from_micros(partial.0.len() as u64));
             let mut out = self.out.lock().unwrap();
-            for (w, n) in partial {
+            for (w, n) in partial.0 {
                 *out.entry(w).or_insert(0) += n;
             }
         }

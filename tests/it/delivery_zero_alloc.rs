@@ -176,21 +176,6 @@ fn demand_driven_delivery_steady_state_is_allocation_free() {
 
 // ---- crash-plan retention ------------------------------------------------
 
-/// Source emitting *replicable* buffers, as the application filters do —
-/// the shape retention can stamp and retain.
-struct ReplicableSrc {
-    n: u32,
-}
-impl Filter for ReplicableSrc {
-    fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-        for i in 0..self.n {
-            let b = ctx.buffer_slab().make_replicable(i as u64, 128);
-            ctx.write(0, b);
-        }
-        Ok(())
-    }
-}
-
 /// [`run_once`] over `uows` units of work of `n` buffers each, under
 /// supervision, so retention is armed: every buffer is stamped with a
 /// provenance, a replica is cloned into the ring, the consumer journals
@@ -203,9 +188,7 @@ fn run_supervised(policy: WritePolicy, n: u32, uows: u32) -> (u64, u64) {
     let sum: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
     let sum2 = sum.clone();
     let mut g = GraphBuilder::new();
-    let src = g.add_filter("src", Placement::on_host(hosts[0], 1), move |_| {
-        ReplicableSrc { n }
-    });
+    let src = g.add_filter("src", Placement::on_host(hosts[0], 1), move |_| Src { n });
     let sink = g.add_filter("sink", Placement::on_host(hosts[1], 1), move |_| Sink {
         sum: sum2.clone(),
     });
@@ -340,7 +323,28 @@ fn tile_hash_delivery_steady_state_is_allocation_free() {
 
 // ---- warm chunk cache ------------------------------------------------------
 
-use volume::{CacheKey, ChunkCache, ChunkId, Dims, RectGrid};
+use datacutter::SpillCodec;
+use volume::{decode_chunk, encode_chunk, CacheKey, ChunkCache, ChunkId, Dims, RectGrid};
+
+/// A cache hit as a payload. The `Option` gives the recycled box its
+/// hollow state (`recycle` needs `Default`); same size as the bare `Arc`.
+/// It spills as the chunk store's encoding, and `None` as nothing.
+#[derive(Clone, Default)]
+struct Hit(Option<Arc<RectGrid>>);
+
+impl SpillCodec for Hit {
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        if let Some(g) = &self.0 {
+            out.extend_from_slice(&encode_chunk(g));
+        }
+    }
+    fn spill_decode(bytes: &[u8]) -> Option<Self> {
+        if bytes.is_empty() {
+            return Some(Hit(None));
+        }
+        Some(Hit(Some(Arc::new(decode_chunk(bytes)?))))
+    }
+}
 
 fn cache_key(c: u32) -> CacheKey {
     CacheKey {
@@ -406,9 +410,7 @@ impl Filter for CachedSrc {
         for i in 0..self.n {
             let g = self.cache.get(cache_key(i % 8));
             debug_assert!(g.is_some(), "warm entry");
-            // `Option` wrapper gives the recycled box its hollow state
-            // (`recycle` needs `Default`); same size as the bare `Arc`.
-            let b = ctx.buffer_slab().make(g, 128);
+            let b = ctx.buffer_slab().make(Hit(g), 128);
             ctx.write(0, b);
         }
         Ok(())
@@ -424,7 +426,7 @@ impl Filter for CachedSink {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         let mut local = 0u64;
         while let Some(b) = ctx.read(0) {
-            let g: Option<Arc<RectGrid>> = ctx.buffer_slab().recycle(b);
+            let Hit(g) = ctx.buffer_slab().recycle(b);
             local = local.wrapping_add(g.expect("payload present").data[0] as u64);
         }
         *self.sum.lock() = local;

@@ -88,7 +88,6 @@ fn rr_crash_completes_degraded_with_losses_accounted() {
 
     let f = &faulted.report.faults;
     assert!(f.copies_killed >= 1, "{f:?}");
-    assert_eq!(f.buffers_replayed, 0, "RR has no acks to replay: {f:?}");
     assert!(f.buffers_redelivered > 0, "retention redelivers: {f:?}");
     assert_eq!(f.buffers_lost, 0, "{f:?}");
     assert_eq!(f.bytes_lost, 0, "{f:?}");
@@ -340,10 +339,6 @@ fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
 
     let f = &faulted.report.faults;
     assert_eq!(f.copies_killed, 1, "only the host-3 Mt copy dies: {f:?}");
-    assert_eq!(
-        f.buffers_replayed, 0,
-        "tile-hash has no acks to replay: {f:?}"
-    );
     assert!(f.buffers_redelivered > 0, "retention redelivers: {f:?}");
     assert_eq!(f.buffers_lost, 0, "{f:?}");
     assert!(!f.degraded, "{f:?}");
@@ -373,10 +368,6 @@ fn native_tiled_merge_copy_crash_conserves_fragments() {
 
     let f = &faulted.report.faults;
     assert_eq!(f.copies_killed, 1, "only the host-3 Mt copy dies: {f:?}");
-    assert_eq!(
-        f.buffers_replayed, 0,
-        "tile-hash has no acks to replay: {f:?}"
-    );
     assert_eq!(f.buffers_lost, 0, "{f:?}");
     assert_tile_stream_conservation(&faulted, true);
 }
@@ -531,9 +522,9 @@ fn chaos_graph_sets(
     impl Filter for Src {
         fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
             for i in 0..CHAOS_BUFFERS {
-                // Replicable, so a run whose copies can die retains
-                // replicas; without one nothing is retained.
-                let b = ctx.buffer_slab().make_replicable(i, 256);
+                // A run whose copies can die retains replicas; without
+                // one nothing is retained.
+                let b = ctx.buffer_slab().make(i, 256);
                 ctx.write(0, b);
             }
             Ok(())
@@ -823,8 +814,8 @@ fn lossless_restart_replays_journal_and_rebuilds_state() {
 /// One route back: a mid-run crash of a merge copy whose queue holds
 /// originals. The reaper releases those originals and redelivers the
 /// retained replicas instead, so the survivor processes each provenance
-/// from retention — nothing is replayed through the demand window,
-/// nothing is lost, and the image matches the fault-free run exactly.
+/// from retention — nothing is lost, and the image matches the
+/// fault-free run exactly.
 #[test]
 fn lossless_mid_run_crash_redelivers_from_retention_only() {
     let (topo, hosts) = cluster(5);
@@ -841,7 +832,6 @@ fn lossless_mid_run_crash_redelivers_from_retention_only() {
         dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
     let f = &faulted.report.faults;
     assert!(f.buffers_redelivered > 0, "retention redelivers: {f}");
-    assert_eq!(f.buffers_replayed, 0, "no second route back: {f}");
     assert_eq!(f.buffers_lost, 0, "{f}");
     assert!(!f.degraded, "{f}");
     assert_eq!(

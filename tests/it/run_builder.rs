@@ -10,11 +10,11 @@ use datacutter::{
 use hetsim::{
     spawn_load_generator, FaultPlan, HostId, LoadProfile, SimDuration, SimTime, Topology, Trace,
 };
-use integration_tests::cluster;
+use integration_tests::{at_least_once, cluster};
 use parking_lot::Mutex;
 
 struct Src {
-    n: u32,
+    n: u64,
 }
 impl Filter for Src {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
@@ -30,7 +30,7 @@ struct Work;
 impl Filter for Work {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         while let Some(b) = ctx.read(0) {
-            let v = b.downcast::<u32>();
+            let v = b.downcast::<u64>();
             ctx.compute(SimDuration::from_millis(6));
             ctx.write(0, DataBuffer::new(v, 1024));
         }
@@ -39,12 +39,12 @@ impl Filter for Work {
 }
 
 struct Snk {
-    out: Arc<Mutex<Vec<u32>>>,
+    out: Arc<Mutex<Vec<u64>>>,
 }
 impl Filter for Snk {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         while let Some(b) = ctx.read(0) {
-            self.out.lock().push(b.downcast::<u32>());
+            self.out.lock().push(b.downcast::<u64>());
         }
         Ok(())
     }
@@ -53,10 +53,10 @@ impl Filter for Snk {
 fn workload(
     topo: &Topology,
     hosts: &[hetsim::HostId],
-    n: u32,
-) -> (datacutter::AppGraph, Arc<Mutex<Vec<u32>>>) {
+    n: u64,
+) -> (datacutter::AppGraph, Arc<Mutex<Vec<u64>>>) {
     let _ = topo;
-    let out: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut g = GraphBuilder::new();
     let s = g.add_filter("src", Placement::on_host(hosts[0], 1), move |_| Src { n });
     let w = g.add_filter(
@@ -97,15 +97,12 @@ fn trace_faults_and_setup_combine_in_one_run() {
         })
         .go(&topo)
         .unwrap();
-    // The crash happened and was recovered (DD replay loses nothing).
+    // The crash happened and was recovered: every item was delivered at
+    // least once, and retention lost nothing.
     let f = &report.faults;
     assert!(!f.injected.is_empty());
     assert!(f.copies_killed >= 1, "{f:?}");
-    assert_eq!(f.buffers_lost, 0, "{f:?}");
-    // Every item was still delivered exactly once.
-    let mut v = out.lock().clone();
-    v.sort_unstable();
-    assert_eq!(v, (0..40).collect::<Vec<u32>>());
+    at_least_once(out.lock().clone(), 40, f).unwrap();
     // And the trace saw the copies working.
     let busy = trace.busy_by_label();
     let labels: Vec<&str> = busy.iter().map(|(l, _)| l.as_str()).collect();
@@ -140,7 +137,7 @@ fn zero_uows_is_a_structured_error_on_both_executors() {
 fn placement_on_a_missing_host_is_a_structured_error_on_both_executors() {
     let (topo, hosts) = cluster(2);
     for exec in executors() {
-        let out: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = out.clone();
         let mut g = GraphBuilder::new();
         let p = g.add_filter("p", Placement::on_host(hosts[0], 1), |_| Src { n: 4 });
@@ -156,4 +153,25 @@ fn placement_on_a_missing_host_is_a_structured_error_on_both_executors() {
         }
         assert!(out.lock().is_empty(), "nothing ran");
     }
+}
+
+/// `Run::memory_budget` reaches every payload: the relay of plain `u64`
+/// buffers under a budget far below its traffic parks buffers in the
+/// spill ring, faults each one back in, and sums what the unbudgeted run
+/// sums.
+#[test]
+fn memory_budget_spills_plain_payloads() {
+    let (topo, hosts) = cluster(3);
+    let run = |budget: u64| {
+        let (graph, out) = workload(&topo, &hosts, 40);
+        let report = Run::new(graph).memory_budget(budget).go(&topo).unwrap();
+        let sum: u64 = out.lock().iter().sum();
+        (report.ooc, sum)
+    };
+    let (_, clean) = run(0);
+    let (ooc, budgeted) = run(4 * 1024);
+    assert_eq!(budgeted, clean);
+    assert_eq!(clean, (0..40).sum::<u64>());
+    assert!(ooc.spills > 0, "{ooc:?}");
+    assert_eq!(ooc.spills, ooc.faults, "{ooc:?}");
 }

@@ -22,6 +22,23 @@ pub fn test_cfg(dataset: Dataset, hosts: Vec<HostId>, image: u32) -> SharedConfi
     Arc::new(cfg)
 }
 
+/// The delivery contract of a run under a crash plan: every item of
+/// `0..n` arrived at least once (`got` in any order), nothing was lost,
+/// and each extra delivery is owed to a redelivered replica.
+pub fn at_least_once(mut got: Vec<u64>, n: u64, f: &datacutter::FaultReport) -> Result<(), String> {
+    let arrived = got.len() as u64;
+    got.sort_unstable();
+    got.dedup();
+    let extra = arrived - got.len() as u64;
+    if got != (0..n).collect::<Vec<u64>>() || f.buffers_lost != 0 || extra > f.buffers_redelivered {
+        return Err(format!(
+            "{} distinct of {n}, {extra} extra deliveries: {f}",
+            got.len()
+        ));
+    }
+    Ok(())
+}
+
 /// A homogeneous test cluster.
 pub fn cluster(n: usize) -> (Topology, Vec<HostId>) {
     hetsim::presets::rogue_cluster(n)
@@ -137,8 +154,10 @@ pub fn metrics_digest(r: &PipelineResult) -> u64 {
         }
     }
     h.u64(rep.faults.copies_killed);
-    h.u64(rep.faults.buffers_replayed);
-    h.u64(rep.faults.bytes_replayed);
+    // Two zero words where the retired demand-window replay counters
+    // were, so every pinned metrics digest stays byte-identical.
+    h.u64(0);
+    h.u64(0);
     h.u64(rep.faults.buffers_lost);
     h.u64(rep.faults.bytes_lost);
     h.u64(rep.faults.retransmits);
