@@ -7,42 +7,233 @@
 //! consistency property the paper requires of the merge stage.
 //!
 //! [`raster_batch`] is the kernel: most triangles of an extracted surface
-//! are smaller than a pixel and cover no pixel centre, so it sets up a
-//! block of triangles in one branch-free pass and scans only those whose
-//! bounding box holds a centre. [`raster_triangle`] and [`fill_triangle`]
-//! run the same setup and scan on one triangle.
+//! are smaller than a pixel, and nearly every one whose bounding box holds
+//! a pixel centre holds exactly one. It sets up a block of triangles as
+//! one branch-free lane program — projection, box, centre spans, and the
+//! edge test at the centre of a 1 × 1 box — and scans only the kept
+//! triangles whose box holds more. [`raster_triangle`] and
+//! [`fill_triangle`] run the same lane program on one triangle.
 
 use crate::camera::{Projector, ScreenVertex};
 use crate::math::{vec3, Vec3};
 use crate::mc::Triangle;
 use crate::shade::{shade, Material};
 
-/// Triangles [`raster_batch`] sets up per pass. Its scratch, one
-/// [`Setup`] and index a slot, is 448 bytes of stack: every raster copy's
-/// thread pays it, and a fan-out graph runs hundreds of them.
+/// Triangles [`raster_batch`] sets up per pass: the lane count of its
+/// [`Lanes`], whose ~470 bytes every raster copy's thread keeps on its
+/// stack (a fan-out graph runs hundreds of them).
 const BLOCK: usize = 8;
 
-/// A triangle after setup: its screen vertices and the half-open ranges
+/// A triangle for [`scan`]: its screen vertices and the half-open ranges
 /// of pixel columns and rows whose centres lie in its bounding box.
-#[derive(Debug, Clone, Copy, Default)]
 struct Setup {
     v: [ScreenVertex; 3],
     xs: [u32; 2],
     ys: [u32; 2],
 }
 
-impl Setup {
-    /// The setup of `v` with the inclusive centre spans `xs` and `ys`. Only
-    /// a setup whose spans are both non-empty is scanned, and such a span
-    /// lies in `0..n`, so it fits a `u32`.
-    #[inline(always)]
-    fn new(v: [ScreenVertex; 3], xs: (i64, i64), ys: (i64, i64)) -> Setup {
-        let span = |(first, last): (i64, i64)| [first as u32, (last + 1) as u32];
-        Setup {
-            v,
-            xs: span(xs),
-            ys: span(ys),
+/// Up to `L` triangles after setup, one a lane, in struct-of-arrays form.
+/// Each field is an array over lanes, and [`Lanes::set_up`] walks them in
+/// loops without a data-dependent branch, which the compiler turns into
+/// packed vector code.
+struct Lanes<const L: usize> {
+    /// Screen x, screen y and depth of each vertex; world x, y and z until
+    /// [`Lanes::project`] projects them in place.
+    x: [[f32; L]; 3],
+    y: [[f32; L]; 3],
+    z: [[f32; L]; 3],
+    /// The first pixel column and row whose centre lies in the bounding
+    /// box, as whole `f32`s (see [`centres`]).
+    first: [[f32; L]; 2],
+    /// The last such column and row, not yet clamped to the viewport.
+    last: [[f32; L]; 2],
+    /// The interpolated depth at the first centre: the plotted depth of a
+    /// 1 × 1 box.
+    depth: [f32; L],
+    /// In front of the near plane, with a box that meets the viewport.
+    drawn: [bool; L],
+    /// A pixel centre in the box on both axes and, if it holds just one,
+    /// inside the triangle.
+    kept: [bool; L],
+    /// The box holds exactly one pixel centre, before the viewport clamp
+    /// too.
+    one: [bool; L],
+}
+
+impl<const L: usize> Lanes<L> {
+    /// Lanes of zeros, not drawn.
+    fn new() -> Lanes<L> {
+        Lanes {
+            x: [[0.0; L]; 3],
+            y: [[0.0; L]; 3],
+            z: [[0.0; L]; 3],
+            first: [[0.0; L]; 2],
+            last: [[0.0; L]; 2],
+            depth: [0.0; L],
+            drawn: [false; L],
+            kept: [false; L],
+            one: [false; L],
         }
+    }
+
+    /// Gather `tris` (at most `L`) into the lanes, project them in place
+    /// with [`Projector::project_any`] and set them up. A lane past the end
+    /// of `tris` is not drawn.
+    ///
+    /// Near-plane policy: a triangle with any vertex behind the near plane
+    /// is not drawn. The experiment cameras sit well outside the volume, so
+    /// this never triggers there; it keeps the kernel simple and both
+    /// renderers identical. Nor is a triangle whose box misses the
+    /// viewport.
+    #[inline(always)]
+    fn project(&mut self, proj: &Projector, width: u32, height: u32, tris: &[Triangle]) {
+        for (i, t) in tris.iter().enumerate().take(L) {
+            for (k, v) in t.v.iter().enumerate() {
+                (self.x[k][i], self.y[k][i], self.z[k][i]) = (v.x, v.y, v.z);
+            }
+        }
+        let mut front = [false; L];
+        for (i, front) in front.iter_mut().enumerate() {
+            let mut behind = false;
+            for k in 0..3 {
+                let p = vec3(self.x[k][i], self.y[k][i], self.z[k][i]);
+                let (s, b) = proj.project_any(p);
+                (self.x[k][i], self.y[k][i], self.z[k][i]) = (s.x, s.y, s.depth);
+                behind |= b;
+            }
+            *front = (i < tris.len()) & !behind;
+        }
+        self.set_up(width, height, front);
+    }
+
+    /// Set up every lane in two loops. The first boxes it, tests the box
+    /// against the `width × height` viewport and takes its centre spans;
+    /// the second runs [`scan`]'s arithmetic at the first centre, which for
+    /// a 1 × 1 box is the whole scan. `front` says which lanes are in front
+    /// of the near plane. (Split in two, each loop keeps fewer vectors
+    /// live, and the stack frame is smaller.)
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // `i` indexes every lane array
+    fn set_up(&mut self, width: u32, height: u32, front: [bool; L]) {
+        let (w, h) = (width as f32, height as f32);
+        let (end_x, end_y) = (last_index(width), last_index(height));
+        for i in 0..L {
+            let [ax, bx, cx] = [self.x[0][i], self.x[1][i], self.x[2][i]];
+            let [ay, by, cy] = [self.y[0][i], self.y[1][i], self.y[2][i]];
+            let (lo_x, hi_x) = (ax.min(bx).min(cx), ax.max(bx).max(cx));
+            let (lo_y, hi_y) = (ay.min(by).min(cy), ay.max(by).max(cy));
+            let off_screen = (hi_x < 0.0) | (lo_x >= w) | (hi_y < 0.0) | (lo_y >= h);
+            let (first_x, last_x) = centres(lo_x, hi_x);
+            let (first_y, last_y) = centres(lo_y, hi_y);
+            (self.first[0][i], self.first[1][i]) = (first_x, first_y);
+            (self.last[0][i], self.last[1][i]) = (last_x, last_y);
+            self.drawn[i] = front[i] & !off_screen;
+            self.kept[i] = in_view(first_x, last_x, end_x) & in_view(first_y, last_y, end_y);
+            self.one[i] = (first_x == last_x) & (first_y == last_y);
+        }
+        for i in 0..L {
+            let [ax, bx, cx] = [self.x[0][i], self.x[1][i], self.x[2][i]];
+            let [ay, by, cy] = [self.y[0][i], self.y[1][i], self.y[2][i]];
+            let [az, bz, cz] = [self.z[0][i], self.z[1][i], self.z[2][i]];
+            let area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
+            // The orientation swap, as a select.
+            let flip = area < 0.0;
+            let (bx, cx) = if flip { (cx, bx) } else { (bx, cx) };
+            let (by, cy) = if flip { (cy, by) } else { (by, cy) };
+            let (bz, cz) = if flip { (cz, bz) } else { (bz, cz) };
+            let (px, py) = (self.first[0][i] + 0.5, self.first[1][i] + 0.5);
+            let w0 = (bx - ax) * (py - ay) - (px - ax) * (by - ay);
+            let w1 = (cx - bx) * (py - by) - (px - bx) * (cy - by);
+            let w2 = (ax - cx) * (py - cy) - (px - cx) * (ay - cy);
+            // `scan` returns on `area.abs() < 1e-4` alone: a NaN area passes.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let covered = !(area.abs() < 1e-4) & (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0);
+            self.depth[i] = (w1 * az + w2 * bz + w0 * cz) / area.abs();
+            self.kept[i] &= !self.one[i] | covered;
+        }
+    }
+
+    /// Plot kept lane `i` in `width × height`: a 1 × 1 box from its lane
+    /// results, any other through [`scan`]. Returns pixels plotted.
+    #[inline(always)]
+    fn scan(&self, i: usize, width: u32, height: u32, mut plot: impl FnMut(u32, u32, f32)) -> u64 {
+        if self.one[i] {
+            plot(
+                self.first[0][i] as u32,
+                self.first[1][i] as u32,
+                self.depth[i],
+            );
+            return 1;
+        }
+        let v = [0, 1, 2].map(|k| ScreenVertex {
+            x: self.x[k][i],
+            y: self.y[k][i],
+            depth: self.z[k][i],
+        });
+        scan(
+            &Setup {
+                v,
+                xs: span(self.first[0][i], self.last[0][i], width),
+                ys: span(self.first[1][i], self.last[1][i], height),
+            },
+            plot,
+        )
+    }
+}
+
+/// The pixel centres `i + 0.5` in `[lo, hi]` as whole `f32`s: the first,
+/// clamped at 0, and the last, unclamped. A NaN bound reads as a centre
+/// at 0. See [`in_view`] and [`span`] for the viewport clamp.
+#[inline(always)]
+fn centres(lo: f32, hi: f32) -> (f32, f32) {
+    // `lo <= i + 0.5 <= hi` is `ceil(lo - 0.5) <= i <= floor(hi - 0.5)`.
+    let not_nan = |f: f32| if f.is_nan() { 0.0 } else { f };
+    let (lo, hi) = (not_nan(lo - 0.5), not_nan(hi - 0.5));
+    let (t, u) = (round(lo), round(hi));
+    let first = t + if t < lo { 1.0 } else { 0.0 };
+    let last = u - if u > hi { 1.0 } else { 0.0 };
+    (first.max(0.0), last)
+}
+
+/// Whether the centres `first ..= last` of [`centres`] meet `0..n`, where
+/// `end` is [`last_index`]`(n)`.
+#[inline(always)]
+fn in_view(first: f32, last: f32, end: f32) -> bool {
+    (first <= last) & (first <= end)
+}
+
+/// The half-open range of `0..n` that centres `first ..= last`, [`in_view`]
+/// of it (so `n >= 1`), cover.
+#[inline(always)]
+fn span(first: f32, last: f32, n: u32) -> [u32; 2] {
+    [first as u32, (last as u32).min(n - 1) + 1]
+}
+
+/// `f` rounded to a nearest whole `f32`. Below 2^23 in magnitude, adding
+/// and taking away 2^23, signed like `f`, rounds the fraction away in
+/// float arithmetic, which the baseline x86-64 target runs four lanes at
+/// a time (there `f32::round` is a call into libm, and a saturating
+/// `f as i32` is scalar). From 2^23 on, every `f32` is whole.
+#[inline(always)]
+fn round(f: f32) -> f32 {
+    const WHOLE: f32 = 8_388_608.0; // 2^23
+    if f.abs() < WHOLE {
+        let m = WHOLE.copysign(f);
+        (f + m) - m
+    } else {
+        f
+    }
+}
+
+/// `n - 1` rounded down to an `f32`: a whole `f32` is at most `n - 1`
+/// exactly when it is at most this.
+fn last_index(n: u32) -> f32 {
+    let last = n as i64 - 1;
+    let f = last as f32;
+    if f as i64 > last {
+        f.next_down()
+    } else {
+        f
     }
 }
 
@@ -51,10 +242,10 @@ impl Setup {
 /// pixel inside the `width × height` viewport. Returns pixels generated.
 ///
 /// The plot sequence is exactly that of [`raster_triangle`] called on each
-/// triangle in turn. Per block of triangles, a first pass projects and
-/// boxes every triangle without a branch and keeps, in order, those in
-/// front of the near plane whose box holds a pixel centre; a second pass
-/// scans only the kept ones, from the screen vertices the first stored.
+/// triangle in turn. Per block of triangles, the lane program sets them
+/// all up; then, in block order, each kept triangle plots its one centre
+/// from its lane results or, if its box holds more, is scanned from the
+/// screen vertices the lanes hold.
 pub fn raster_batch(
     proj: &Projector,
     width: u32,
@@ -63,18 +254,18 @@ pub fn raster_batch(
     tris: &[Triangle],
     mut plot: impl FnMut(u32, u32, f32, [u8; 3]),
 ) -> u64 {
-    let mut kept = [(0u8, Setup::default()); BLOCK];
-    let mut pixels = 0;
+    let (mut l, mut pixels) = (Lanes::<BLOCK>::new(), 0);
     for block in tris.chunks(BLOCK) {
-        // Every slot is written; only a kept triangle advances `n`.
-        let mut n = 0;
-        for (i, tri) in block.iter().enumerate() {
-            let (s, _, keep) = setup(proj, width, height, tri);
-            kept[n] = (i as u8, s);
-            n += keep as usize;
+        l.project(proj, width, height, block);
+        // Every slot is written; only a kept lane advances `n`.
+        let (mut kept, mut n) = ([0u8; BLOCK], 0);
+        for i in 0..BLOCK {
+            kept[n] = i as u8;
+            n += (l.drawn[i] & l.kept[i]) as usize;
         }
-        for (i, s) in &kept[..n] {
-            pixels += draw(s, material, block[*i as usize].normal, &mut plot);
+        for &i in &kept[..n] {
+            let i = i as usize;
+            pixels += draw(&l, i, width, height, material, block[i].normal, &mut plot);
         }
     }
     pixels
@@ -91,53 +282,32 @@ pub fn raster_triangle(
     tri: &Triangle,
     mut plot: impl FnMut(u32, u32, f32, [u8; 3]),
 ) -> Option<u64> {
-    let (s, drawn, keep) = setup(proj, width, height, tri);
-    drawn.then(|| {
-        if keep {
-            draw(&s, material, tri.normal, &mut plot)
+    let mut l = Lanes::<1>::new();
+    l.project(proj, width, height, std::slice::from_ref(tri));
+    l.drawn[0].then(|| {
+        if l.kept[0] {
+            draw(&l, 0, width, height, material, tri.normal, &mut plot)
         } else {
             0
         }
     })
 }
 
-/// Project and box `tri`, without a branch. Returns the setup, whether
-/// the triangle is drawn at all, and whether it is kept: drawn, with a
-/// pixel centre in its box on both axes.
-///
-/// Near-plane policy: a triangle with any vertex behind the near plane is
-/// not drawn. The experiment cameras sit well outside the volume, so this
-/// never triggers there; it keeps the kernel simple and both renderers
-/// identical. Nor is a triangle whose box misses the viewport.
-#[inline(always)]
-fn setup(proj: &Projector, width: u32, height: u32, tri: &Triangle) -> (Setup, bool, bool) {
-    let (a, behind_a) = proj.project_any(tri.v[0]);
-    let (b, behind_b) = proj.project_any(tri.v[1]);
-    let (c, behind_c) = proj.project_any(tri.v[2]);
-    let (lo_x, hi_x) = (a.x.min(b.x).min(c.x), a.x.max(b.x).max(c.x));
-    let (lo_y, hi_y) = (a.y.min(b.y).min(c.y), a.y.max(b.y).max(c.y));
-    let off_screen = (hi_x < 0.0) | (lo_x >= width as f32) | (hi_y < 0.0) | (lo_y >= height as f32);
-    let drawn = !(behind_a | behind_b | behind_c | off_screen);
-    let (xs, ys) = (
-        centre_span(lo_x, hi_x, width),
-        centre_span(lo_y, hi_y, height),
-    );
-    let keep = drawn & (xs.0 <= xs.1) & (ys.0 <= ys.1);
-    (Setup::new([a, b, c], xs, ys), drawn, keep)
-}
-
-/// [`scan`] with the triangle's flat shade. Most triangles here are
+/// [`Lanes::scan`] with the triangle's flat shade. Most triangles here are
 /// smaller than a pixel and cover no centre: shade on the first covered
 /// pixel, not before.
 #[inline(always)]
-fn draw(
-    s: &Setup,
+fn draw<const L: usize>(
+    l: &Lanes<L>,
+    i: usize,
+    width: u32,
+    height: u32,
     material: &Material,
     normal: Vec3,
     plot: &mut impl FnMut(u32, u32, f32, [u8; 3]),
 ) -> u64 {
     let mut rgb = None;
-    scan(s, |x, y, depth| {
+    l.scan(i, width, height, |x, y, depth| {
         let rgb = *rgb.get_or_insert_with(|| shade(material, normal));
         plot(x, y, depth, rgb);
     })
@@ -162,12 +332,16 @@ pub fn fill_triangle(
     height: u32,
     plot: impl FnMut(u32, u32, f32),
 ) -> u64 {
-    let xs = centre_span(a.x.min(b.x).min(c.x), a.x.max(b.x).max(c.x), width);
-    let ys = centre_span(a.y.min(b.y).min(c.y), a.y.max(b.y).max(c.y), height);
-    if xs.0 > xs.1 || ys.0 > ys.1 {
-        return 0;
+    let mut l = Lanes::<1>::new();
+    for (k, v) in [a, b, c].iter().enumerate() {
+        (l.x[k][0], l.y[k][0], l.z[k][0]) = (v.x, v.y, v.depth);
     }
-    scan(&Setup::new([a, b, c], xs, ys), plot)
+    l.set_up(width, height, [true]);
+    if l.kept[0] {
+        l.scan(0, width, height, plot)
+    } else {
+        0
+    }
 }
 
 /// The edge-function test at every pixel centre of `s`'s spans, in
@@ -203,37 +377,6 @@ fn scan(s: &Setup, mut plot: impl FnMut(u32, u32, f32)) -> u64 {
         }
     }
     count
-}
-
-/// Pixels `i` of `0..n` whose centre `i + 0.5` lies in `[lo, hi]`, as the
-/// inclusive `(first, last)`; empty when `first > last`.
-#[inline(always)]
-fn centre_span(lo: f32, hi: f32, n: u32) -> (i64, i64) {
-    // `lo <= i + 0.5 <= hi` is `ceil(lo - 0.5) <= i <= floor(hi - 0.5)`.
-    (
-        ceil_i64(lo - 0.5).max(0),
-        floor_i64(hi - 0.5).min(n as i64 - 1),
-    )
-}
-
-/// `f.floor() as i64` (saturating, NaN to 0) in integer arithmetic: on the
-/// baseline x86-64 target, without SSE4.1's `roundss`, `f32::floor` is a
-/// call into libm.
-#[inline(always)]
-fn floor_i64(f: f32) -> i64 {
-    // Truncation rounds toward zero: below zero that is one too high
-    // unless `f` is whole. Where `f` has a fraction (|f| < 2^23), `t as f32`
-    // is exact; where it is whole and in range, `t as f32 == f`; beyond the
-    // range, `t` is saturated and stays so.
-    let t = f as i64;
-    t.saturating_sub((f < t as f32) as i64)
-}
-
-/// `f.ceil() as i64` (saturating, NaN to 0); see [`floor_i64`].
-#[inline(always)]
-fn ceil_i64(f: f32) -> i64 {
-    let t = f as i64;
-    t.saturating_add((f > t as f32) as i64)
 }
 
 /// Convenience for tests: rasterize a world-space triangle into a vector of
@@ -386,6 +529,60 @@ mod tests {
         assert_eq!(xy1, xy2);
     }
 
+    /// The integer span rule the lane program replaced, kept as its
+    /// oracle: pixels `i` of `0..n` whose centre `i + 0.5` lies in
+    /// `[lo, hi]`, as the inclusive `(first, last)`; empty when
+    /// `first > last`.
+    fn centre_span(lo: f32, hi: f32, n: u32) -> (i64, i64) {
+        // `lo <= i + 0.5 <= hi` is `ceil(lo - 0.5) <= i <= floor(hi - 0.5)`.
+        (
+            ceil_i64(lo - 0.5).max(0),
+            floor_i64(hi - 0.5).min(n as i64 - 1),
+        )
+    }
+
+    /// `f.floor() as i64` (saturating, NaN to 0) in integer arithmetic.
+    fn floor_i64(f: f32) -> i64 {
+        // Truncation rounds toward zero: below zero that is one too high
+        // unless `f` is whole. Where `f` has a fraction (|f| < 2^23), `t as f32`
+        // is exact; where it is whole and in range, `t as f32 == f`; beyond the
+        // range, `t` is saturated and stays so.
+        let t = f as i64;
+        t.saturating_sub((f < t as f32) as i64)
+    }
+
+    /// `f.ceil() as i64` (saturating, NaN to 0); see [`floor_i64`].
+    fn ceil_i64(f: f32) -> i64 {
+        let t = f as i64;
+        t.saturating_add((f > t as f32) as i64)
+    }
+
+    /// The scalar setup the lane program replaced, kept as its oracle:
+    /// `tri`'s screen vertices, its centre spans, whether it is drawn, and
+    /// whether it is kept (drawn, with a centre in its box on both axes).
+    #[allow(clippy::type_complexity)]
+    fn setup(
+        proj: &Projector,
+        width: u32,
+        height: u32,
+        tri: &Triangle,
+    ) -> ([ScreenVertex; 3], (i64, i64), (i64, i64), bool, bool) {
+        let (a, behind_a) = proj.project_any(tri.v[0]);
+        let (b, behind_b) = proj.project_any(tri.v[1]);
+        let (c, behind_c) = proj.project_any(tri.v[2]);
+        let (lo_x, hi_x) = (a.x.min(b.x).min(c.x), a.x.max(b.x).max(c.x));
+        let (lo_y, hi_y) = (a.y.min(b.y).min(c.y), a.y.max(b.y).max(c.y));
+        let off_screen =
+            (hi_x < 0.0) | (lo_x >= width as f32) | (hi_y < 0.0) | (lo_y >= height as f32);
+        let drawn = !(behind_a | behind_b | behind_c | off_screen);
+        let (xs, ys) = (
+            centre_span(lo_x, hi_x, width),
+            centre_span(lo_y, hi_y, height),
+        );
+        let keep = drawn & (xs.0 <= xs.1) & (ys.0 <= ys.1);
+        ([a, b, c], xs, ys, drawn, keep)
+    }
+
     /// The scan this crate shipped before centre-tight spans: every pixel
     /// of the rounded-out bounding box is tested. Kept verbatim as the
     /// oracle for [`fill_triangle`].
@@ -430,13 +627,20 @@ mod tests {
     /// A screen triangle and viewport drawn for `case`: random, clipped,
     /// off-screen, sub-pixel and sliver triangles, vertices exactly on
     /// pixel centres and pixel edges or one ulp off them, huge and
-    /// non-finite coordinates.
+    /// non-finite coordinates, 1 × 1 boxes with their centre on an edge,
+    /// and slivers at the area threshold.
     fn arbitrary_screen_triangle(case: u32) -> ([ScreenVertex; 3], u32, u32) {
         let mut rng = proptest::TestRng::for_case("raster::arbitrary_screen_triangle", case);
         let mut draw = |n: u32| (rng.next_u64() % n as u64) as u32;
         let (width, height) = (1 + draw(24), 1 + draw(24));
         (screen_triangle(&mut draw, width, height), width, height)
     }
+
+    /// Kinds of [`screen_triangle_of`]: 0 to 5 draw each coordinate on its
+    /// own, [`ON_EDGE`] and [`AT_AREA`] the whole triangle.
+    const KINDS: u32 = 8;
+    const ON_EDGE: u32 = 6;
+    const AT_AREA: u32 = 7;
 
     /// A screen triangle of one of the kinds above, for a `width × height`
     /// viewport, from `draw(n)` (uniform in `0..n`).
@@ -445,46 +649,109 @@ mod tests {
         width: u32,
         height: u32,
     ) -> [ScreenVertex; 3] {
-        let kind = draw(6);
-        let anchor = (draw(width + 8) as f32 - 4.0, draw(height + 8) as f32 - 4.0);
-        let mut coord = |axis: usize| {
-            let span = [width, height][axis];
-            let base = [anchor.0, anchor.1][axis];
-            match kind {
-                // Anywhere around the viewport.
-                0 => draw((span + 16) * 64) as f32 / 64.0 - 8.0,
-                // Sub-pixel: the common case in the pipeline.
-                1 => base + draw(1 << 12) as f32 / (1 << 12) as f32,
-                // On a half-pixel lattice or one ulp to either side of it.
-                2 => {
-                    let v = draw(2 * span + 8) as f32 / 2.0 - 2.0;
-                    match draw(3) {
-                        0 => v,
-                        1 => f32::from_bits(v.to_bits().wrapping_add(1)),
-                        _ => f32::from_bits(v.to_bits().wrapping_sub(1)),
+        let kind = draw(KINDS);
+        screen_triangle_of(kind, draw, width, height)
+    }
+
+    /// A screen triangle of kind `kind`.
+    fn screen_triangle_of(
+        kind: u32,
+        mut draw: impl FnMut(u32) -> u32,
+        width: u32,
+        height: u32,
+    ) -> [ScreenVertex; 3] {
+        let xy = match kind {
+            ON_EDGE => centre_on_edge(&mut draw, width, height),
+            AT_AREA => area_at_threshold(&mut draw, width, height),
+            _ => {
+                let anchor = (draw(width + 8) as f32 - 4.0, draw(height + 8) as f32 - 4.0);
+                let mut coord = |axis: usize| {
+                    let span = [width, height][axis];
+                    let base = [anchor.0, anchor.1][axis];
+                    match kind {
+                        // Anywhere around the viewport.
+                        0 => draw((span + 16) * 64) as f32 / 64.0 - 8.0,
+                        // Sub-pixel: the common case in the pipeline.
+                        1 => base + draw(1 << 12) as f32 / (1 << 12) as f32,
+                        // On a half-pixel lattice or one ulp to either side of it.
+                        2 => {
+                            let v = draw(2 * span + 8) as f32 / 2.0 - 2.0;
+                            match draw(3) {
+                                0 => v,
+                                1 => f32::from_bits(v.to_bits().wrapping_add(1)),
+                                _ => f32::from_bits(v.to_bits().wrapping_sub(1)),
+                            }
+                        }
+                        // Slivers: two axes of freedom collapse to nearly one.
+                        3 => base + draw(3) as f32 * 7.5 + draw(64) as f32 / 4096.0,
+                        // Far larger than the viewport.
+                        4 => (draw(2_000_001) as f32 - 1.0e6) * 3.0,
+                        // Mostly ordinary, now and then not finite.
+                        _ => match draw(6) {
+                            0 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][draw(3) as usize],
+                            _ => draw(span * 8) as f32 / 8.0,
+                        },
                     }
-                }
-                // Slivers: two axes of freedom collapse to nearly one.
-                3 => base + draw(3) as f32 * 7.5 + draw(64) as f32 / 4096.0,
-                // Far larger than the viewport.
-                4 => (draw(2_000_001) as f32 - 1.0e6) * 3.0,
-                // Mostly ordinary, now and then not finite.
-                _ => match draw(6) {
-                    0 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][draw(3) as usize],
-                    _ => draw(span * 8) as f32 / 8.0,
-                },
+                };
+                let mut vertex = || (coord(0), coord(1));
+                [vertex(), vertex(), vertex()]
             }
         };
-        let mut vertex = || ScreenVertex {
-            x: coord(0),
-            y: coord(1),
-            depth: 0.0,
-        };
-        let mut tri = [vertex(), vertex(), vertex()];
-        for v in &mut tri {
-            v.depth = 1.0 + draw(1000) as f32 / 8.0;
-        }
+        xy.map(|(x, y)| ScreenVertex {
+            x,
+            y,
+            depth: 1.0 + draw(1000) as f32 / 8.0,
+        })
+    }
+
+    /// A triangle whose box holds one pixel centre, which lies exactly on
+    /// the edge from its first vertex to its second (the edge function is
+    /// 0 there) or, one time in three each, one ulp to either side; the
+    /// vertices then rotated. Every coordinate is on a 1/64 lattice within
+    /// 1/8 of the centre, so the edge function's products are exact.
+    fn centre_on_edge(
+        draw: &mut impl FnMut(u32) -> u32,
+        width: u32,
+        height: u32,
+    ) -> [(f32, f32); 3] {
+        let (px, py) = (draw(width) as f32 + 0.5, draw(height) as f32 + 0.5);
+        let mut offset = || (draw(17) as f32 - 8.0) / 64.0;
+        let (dx, dy) = (offset(), offset());
+        let c = (px + offset(), py + offset());
+        let ax = f32::from_bits(match draw(3) {
+            0 => (px - dx).to_bits(),
+            1 => (px - dx).to_bits() + 1,
+            _ => (px - dx).to_bits() - 1,
+        });
+        let mut tri = [(ax, py - dy), (px + dx, py + dy), c];
+        tri.rotate_left(draw(3) as usize);
         tri
+    }
+
+    /// A sliver whose box holds one pixel centre, which it covers, with a
+    /// signed doubled area of exactly ±1e-4, the least that [`scan`] draws,
+    /// or one ulp either side: legs of `m / 2^24` along x and `2^-13` along
+    /// y, where `1e-4f32` is `m · 2^-37`, in column 0, or transposed into
+    /// row 0.
+    fn area_at_threshold(
+        draw: &mut impl FnMut(u32) -> u32,
+        width: u32,
+        height: u32,
+    ) -> [(f32, f32); 3] {
+        let leg = (13_743_895 + draw(3) - 1) as f32 / (1 << 24) as f32;
+        let transpose = draw(2) == 1;
+        let row = draw(if transpose { width } else { height }) as f32 + 0.5 - 1.0 / 32768.0;
+        let tri = [(0.0, row), (leg, row), (0.0, row + 1.0 / 8192.0)];
+        let tri = if draw(2) == 0 {
+            tri
+        } else {
+            [tri[0], tri[2], tri[1]]
+        };
+        if transpose {
+            tri.map(|(x, y)| (y, x))
+        } else {
+            tri
+        }
     }
 
     fn scan(
@@ -500,7 +767,8 @@ mod tests {
     /// its centre strictly outside the vertices' closed bounding interval
     /// on some axis (exact arithmetic says such a pixel is outside the
     /// triangle; the reference can only admit it when two rounded edge
-    /// products tie).
+    /// products tie). And it plots exactly what the centre-tight scan did
+    /// before the lane program, libm spans included.
     #[test]
     fn tight_scan_matches_the_rounded_out_reference() {
         let (mut covering, mut empty, mut clipped) = (0, 0, 0);
@@ -510,6 +778,8 @@ mod tests {
             let (got, got_n) = scan(|p| fill_triangle(a, b, c, w, h, p));
             assert_eq!(got_n, got.len() as u64, "case {case}");
             assert_eq!(want_n, want.len() as u64, "case {case}");
+            let tight = scan(|p| fill_triangle_libm(a, b, c, w, h, p));
+            assert_eq!((&got, got_n), (&tight.0, tight.1), "case {case}");
 
             let (lo_x, hi_x) = (a.x.min(b.x).min(c.x), a.x.max(b.x).max(c.x));
             let (lo_y, hi_y) = (a.y.min(b.y).min(c.y), a.y.max(b.y).max(c.y));
@@ -695,17 +965,26 @@ mod tests {
     /// to mostly ordinary depths. Now and then a vertex sits behind or on
     /// the near plane, at the eye, or at a NaN depth, wherever in a block it
     /// falls. Normals vary so that every triangle shades differently.
+    ///
+    /// One batch in three has a camera that unprojects exactly: at 90° and
+    /// a power-of-two height the focal length is a power of two, and so are
+    /// the depths, so a centre built onto an edge stays on it. One batch in
+    /// four alternates a triangle anywhere around the viewport, mostly
+    /// larger than a pixel, with a 1 × 1 box whose centre is on an edge.
     fn arbitrary_batch(case: u32) -> (Camera, Vec<Triangle>) {
         let mut rng = proptest::TestRng::for_case("raster::arbitrary_batch", case);
         let mut draw = |n: u32| (rng.next_u64() % n as u64) as u32;
-        let (width, height) = (1 + draw(24), 1 + draw(24));
+        let exact = draw(3) == 0;
+        let width = 1 + draw(24);
+        let height = if exact { 1 << draw(5) } else { 1 + draw(24) };
         // A near plane at a power of two: a vertex at depth 0.125 lies
         // exactly on it (`10 - 9.875` is exact), and is drawn.
         let camera = Camera {
-            fovy_deg: 20.0 + draw(120) as f32,
+            fovy_deg: if exact { 90.0 } else { 20.0 + draw(120) as f32 },
             near: 0.125,
             ..cam(width, height)
         };
+        let alternate = draw(4) == 0;
         let len = match case % 7 {
             0 => 0,
             1 => 1,
@@ -722,8 +1001,13 @@ mod tests {
             height as f32 / 2.0,
         );
         let tris = (0..len)
-            .map(|_| {
-                let screen = screen_triangle(&mut draw, width, height);
+            .map(|j| {
+                let kind = if alternate {
+                    [0, ON_EDGE][j % 2]
+                } else {
+                    draw(KINDS)
+                };
+                let screen = screen_triangle_of(kind, &mut draw, width, height);
                 let v = screen.map(|s| {
                     let d = match draw(48) {
                         0 => 0.0625,
@@ -731,6 +1015,7 @@ mod tests {
                         2 => 0.0,
                         3 => -3.0,
                         4 => f32::NAN,
+                        _ if exact => [1.0, 2.0, 4.0][draw(3) as usize],
                         _ => s.depth,
                     };
                     vec3((s.x - cx) * d / fxy, (cy - s.y) * d / fxy, 10.0 - d)
@@ -755,6 +1040,7 @@ mod tests {
         let material = Material::default();
         let (mut covering, mut empty, mut clipped) = (0, 0, 0);
         let (mut near_mid_block, mut non_finite) = (0, 0);
+        let (mut on_edge, mut at_area, mut one_after_many) = (0, 0, 0);
         for case in 0..cases {
             let (camera, tris) = arbitrary_batch(case);
             let (w, h) = (camera.width, camera.height);
@@ -763,7 +1049,7 @@ mod tests {
             let mut want: Vec<Plot> = Vec::new();
             let mut want_n = 0;
             let mut got_single: Vec<Plot> = Vec::new();
-            let mut pending_near = false;
+            let (mut pending_near, mut after_many) = (false, false);
             for (i, t) in tris.iter().enumerate() {
                 let before = want.len();
                 let r = raster_triangle_reference(&reference, w, h, &material, t, |x, y, d, c| {
@@ -791,6 +1077,27 @@ mod tests {
                 }
                 near_mid_block += (pending_near && plotted) as u32;
                 pending_near |= t.v.iter().any(|v| reference.project(*v).is_none());
+
+                // A 1 × 1 box with its centre exactly on an edge, or at
+                // exactly the area threshold; and a plotting 1 × 1 box
+                // right after, in its block, a larger box that plots.
+                let (v, xs, ys, _, keep) = setup(&proj, w, h, t);
+                let one = keep && xs.0 == xs.1 && ys.0 == ys.1;
+                if one {
+                    let [a, b, c] = v;
+                    let (px, py) = (xs.0 as f32 + 0.5, ys.0 as f32 + 0.5);
+                    let edge = |a: ScreenVertex, b: ScreenVertex| {
+                        (b.x - a.x) * (py - a.y) - (px - a.x) * (b.y - a.y)
+                    };
+                    on_edge += [edge(a, b), edge(b, c), edge(c, a)].contains(&0.0) as u32;
+                    let area = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
+                    at_area += (area.abs() == 1e-4) as u32;
+                }
+                if i % BLOCK == 0 {
+                    after_many = false;
+                }
+                one_after_many += (after_many && one && plotted) as u32;
+                after_many = keep && !one && plotted;
             }
             assert_eq!(want_n, want.len() as u64, "case {case}");
             assert_eq!(got_single, want, "case {case}: raster_triangle");
@@ -813,6 +1120,75 @@ mod tests {
             "{near_mid_block} near rejects mid-block"
         );
         assert!(non_finite > floor, "{non_finite} triangles are not finite");
+        assert!(
+            on_edge > floor,
+            "{on_edge} 1 × 1 boxes with the centre on an edge"
+        );
+        assert!(
+            at_area > floor / 4,
+            "{at_area} 1 × 1 boxes at the area threshold"
+        );
+        assert!(
+            one_after_many > floor,
+            "{one_after_many} 1 × 1 boxes right after a larger one"
+        );
+    }
+
+    /// The lane program against the scalar setup it replaced, lane by lane
+    /// over the batches of [`arbitrary_batch`]: the same drawn decision;
+    /// for a kept triangle, the same screen vertices bit for bit and the
+    /// same spans; and for a box the lanes take as 1 × 1, the coverage and
+    /// depth [`scan`] finds at its centre.
+    #[test]
+    fn lane_setup_matches_the_scalar_setup() {
+        let cases = if cfg!(debug_assertions) { 700 } else { 14_000 };
+        let mut ones = 0;
+        let mut l = Lanes::<BLOCK>::new();
+        for case in 0..cases {
+            let (camera, tris) = arbitrary_batch(case);
+            let (w, h, proj) = (camera.width, camera.height, camera.projector());
+            for (b, block) in tris.chunks(BLOCK).enumerate() {
+                l.project(&proj, w, h, block);
+                for (i, t) in block.iter().enumerate() {
+                    let at = || format!("case {case}, block {b}, lane {i}");
+                    let (v, xs, ys, drawn, keep) = setup(&proj, w, h, t);
+                    assert_eq!(l.drawn[i], drawn, "{}", at());
+                    if !keep {
+                        assert!(!l.kept[i] || !drawn, "{}", at());
+                        continue;
+                    }
+                    // Bit for bit, but for the sign and payload of a NaN,
+                    // which nothing plotted depends on.
+                    let bits = |f: f32| if f.is_nan() { f32::NAN } else { f }.to_bits();
+                    let lane = [0, 1, 2].map(|k| [l.x[k][i], l.y[k][i], l.z[k][i]].map(bits));
+                    let want = v.map(|s| [s.x, s.y, s.depth].map(bits));
+                    assert_eq!(lane, want, "{}", at());
+                    let spans = (
+                        span(l.first[0][i], l.last[0][i], w),
+                        span(l.first[1][i], l.last[1][i], h),
+                    );
+                    let want = |(first, last): (i64, i64)| [first as u32, last as u32 + 1];
+                    assert_eq!(spans, (want(xs), want(ys)), "{}", at());
+                    // The lanes call a box 1 × 1 only if it is so before the
+                    // viewport clamp too; any other goes to `scan`.
+                    let one = xs.0 == xs.1 && ys.0 == ys.1;
+                    assert!(one || !l.one[i], "{}", at());
+                    if !l.one[i] {
+                        assert!(l.kept[i], "{}", at());
+                        continue;
+                    }
+                    let (xs, ys) = spans;
+                    let mut hit = None;
+                    super::scan(&Setup { v, xs, ys }, |_, _, d| hit = Some(d.to_bits()));
+                    assert_eq!(l.kept[i], hit.is_some(), "{}", at());
+                    if let Some(d) = hit {
+                        assert_eq!(l.depth[i].to_bits(), d, "{}", at());
+                        ones += 1;
+                    }
+                }
+            }
+        }
+        assert!(ones > cases, "{ones} 1 × 1 boxes cover their centre");
     }
 
     /// Every `f32` worth distinguishing: zeros, subnormals, the 2^23 and
@@ -863,47 +1239,74 @@ mod tests {
         );
     }
 
-    /// The integer floor and ceil agree with libm's on every value the
-    /// rounding could go wrong on, and so do the clamped centre spans
-    /// built from them.
+    /// The viewport sides the span rule is checked at: the edges of `u32`,
+    /// of `f32`'s whole numbers and of the viewports in use.
+    const SIDES: [u32; 7] = [0, 1, 24, 512, 1 << 24, (1 << 24) + 1, u32::MAX];
+
+    /// The lane span rule on the box `[lo, hi]` in `0..n`, for every `n` of
+    /// [`SIDES`] and its `end`, against the integer one: the same decision
+    /// and, if kept, the same span, which is one pixel if the lanes call it
+    /// 1 × 1.
+    fn check_spans(lo: f32, hi: f32, ends: &[f32; SIDES.len()]) {
+        let (first, last) = centres(lo, hi);
+        for (n, &end) in SIDES.into_iter().zip(ends) {
+            let want = centre_span(lo, hi, n);
+            let kept = in_view(first, last, end);
+            let at = || {
+                format!(
+                    "[{lo:e}, {hi:e}] ({:#x}, {:#x}), n = {n}",
+                    lo.to_bits(),
+                    hi.to_bits()
+                )
+            };
+            assert_eq!(kept, want.0 <= want.1, "kept: {}", at());
+            if kept {
+                let [a, b] = span(first, last, n);
+                assert_eq!((a as i64, b as i64 - 1), want, "span: {}", at());
+                assert!(first != last || want.0 == want.1, "1 × 1: {}", at());
+            }
+        }
+    }
+
+    /// The lane span rule (whole-`f32` centres, NaN to 0, clamped in
+    /// float) keeps exactly the boxes the integer rule kept, with the same
+    /// spans, on every value the rounding could go wrong on; and the
+    /// integer floor and ceil it is checked against agree with libm's.
     #[test]
-    fn integer_floor_and_ceil_match_libm() {
-        for f in special_floats() {
+    fn lane_span_rule_matches_the_integer_spans() {
+        let ends = SIDES.map(last_index);
+        let specials = special_floats();
+        for &f in &specials {
             check_floor_ceil(f);
-            for n in [0, 1, 24, 512, u32::MAX] {
-                let want = centre_span_libm(f, f, n);
-                assert_eq!(
-                    centre_span(f, f, n),
-                    (*want.start(), *want.end()),
-                    "centre_span({f:e}, n = {n})"
-                );
+        }
+        // Every pair of special values as a box; a sample in debug builds.
+        let stride = if cfg!(debug_assertions) { 37 } else { 1 };
+        for &lo in specials.iter().step_by(stride) {
+            for &hi in &specials {
+                check_spans(lo, hi, &ends);
             }
         }
         // Two ulps either side of every integer up to 2^24 in magnitude
-        // and of every half-integer (there are none from 2^23 on); a
-        // sample of them in debug builds.
+        // and of every half-integer (there are none from 2^23 on), dealt
+        // to four threads; a sample of them in debug builds.
         let stride = if cfg!(debug_assertions) { 4099 } else { 1 };
-        let limit = 1i32 << 24;
-        for k in (-limit..=limit).step_by(stride) {
+        let (limit, threads) = (1i32 << 24, 4);
+        let check = |k: i32| {
             let halves = k.unsigned_abs() < 1 << 23;
-            for base in [k as f32, k as f32 + 0.5]
-                .into_iter()
-                .take(1 + halves as usize)
-            {
-                for d in 0..=2 {
-                    check_floor_ceil(f32::from_bits(base.to_bits().wrapping_add(d)));
-                    check_floor_ceil(f32::from_bits(base.to_bits().wrapping_sub(d)));
+            for base in [k as f32, k as f32 + 0.5].iter().take(1 + halves as usize) {
+                let bits = base.to_bits();
+                let near = (0..=2).flat_map(|d| [bits.wrapping_add(d), bits.wrapping_sub(d)]);
+                for f in near.map(f32::from_bits) {
+                    check_floor_ceil(f);
+                    check_spans(f, f, &ends);
                 }
             }
-        }
-        for k in [-limit, -(1 << 23), -1, 0, 1, 1 << 23, limit] {
-            for base in [k as f32, k as f32 + 0.5] {
-                let want = centre_span_libm(base, base, 1 << 25);
-                assert_eq!(
-                    centre_span(base, base, 1 << 25),
-                    (*want.start(), *want.end())
-                );
+        };
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let ks = (-limit + t * stride..=limit).step_by((stride * threads) as usize);
+                s.spawn(move || ks.for_each(check));
             }
-        }
+        });
     }
 }

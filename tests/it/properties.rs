@@ -123,29 +123,54 @@ proptest! {
 fn fill_triangle_never_plots_outside_viewport() {
     // Deterministic sweep over awkward screen-space triangles.
     use isosurf::camera::ScreenVertex;
+    let sv = |p: (f32, f32)| ScreenVertex {
+        x: p.0,
+        y: p.1,
+        depth: 1.0,
+    };
+    let inside = |w: u32, h: u32| {
+        move |x: u32, y: u32, _| assert!(x < w && y < h, "pixel ({x},{y}) outside {w}x{h}")
+    };
     let cases = [
         [(-10.0, -10.0), (100.0, 5.0), (5.0, 100.0)],
         [(31.5, 31.5), (32.5, 31.5), (32.0, 32.5)],
         [(0.0, 0.0), (64.0, 0.0), (0.0, 64.0)],
         [(-5.0, 70.0), (70.0, -5.0), (70.0, 70.0)],
+        [(-1e30, -1e30), (1e30, -1e30), (0.0, 1e30)],
+        [(f32::NEG_INFINITY, 0.0), (f32::INFINITY, 0.0), (32.0, 64.0)],
+        [(f32::NAN, 32.0), (0.0, 0.0), (64.0, 64.0)],
     ];
     for verts in cases {
-        let sv = |p: (f32, f32)| ScreenVertex {
-            x: p.0,
-            y: p.1,
-            depth: 1.0,
-        };
-        isosurf::fill_triangle(
-            sv(verts[0]),
-            sv(verts[1]),
-            sv(verts[2]),
-            64,
-            64,
-            |x, y, _| {
-                assert!(x < 64 && y < 64, "pixel ({x},{y}) outside 64x64");
-            },
-        );
+        let [a, b, c] = verts.map(sv);
+        isosurf::fill_triangle(a, b, c, 64, 64, inside(64, 64));
     }
+    // Every triangle whose coordinates are drawn from the extremes the
+    // span clamp sees (±1e30, ±∞, NaN) and a few ordinary values, in a
+    // 1-pixel and a 4 × 3 viewport.
+    let values = [
+        -1e30,
+        1e30,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        0.5,
+        2.0,
+    ];
+    let mut plotted = [0u64; 2];
+    for (slot, (w, h)) in [(1, 1), (4, 3)].into_iter().enumerate() {
+        for i in 0..values.len().pow(6) {
+            let mut digits = i;
+            let mut next = || {
+                let v = values[digits % values.len()];
+                digits /= values.len();
+                v
+            };
+            let mut vertex = || sv((next(), next()));
+            let (a, b, c) = (vertex(), vertex(), vertex());
+            plotted[slot] += isosurf::fill_triangle(a, b, c, w, h, inside(w, h));
+        }
+    }
+    assert!(plotted.iter().all(|&n| n > 0), "plotted {plotted:?}");
 }
 
 #[test]
