@@ -10,15 +10,15 @@ use std::sync::Arc;
 use datacutter::FilterCtx;
 use hetsim::{Env, Semaphore};
 use isosurf::{
-    merge_batch, raster_batch, ActivePixelBuffer, Image, Triangle, WinningPixel, ZBuffer,
-    BACKGROUND,
+    merge_batch, raster_batch, ActivePixelBuffer, ExtractStats, Image, Triangle, WinningPixel,
+    ZBuffer, BACKGROUND,
 };
 use parking_lot::Mutex;
 use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
 
 use crate::config::{Algorithm, AppConfig, SharedConfig};
 use crate::payload::{ChunkPayload, RaOut, TriBatch};
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, PoolVec};
 
 /// One chunk the read stage will retrieve, in retrieval order.
 /// `reset_seek` marks reads that must pay the full positioning overhead
@@ -290,20 +290,46 @@ impl ReadStage {
     }
 }
 
+/// Triangles cut into pooled batches of `tri_batch` as the kernel emits
+/// them, so each triangle is written once, into the buffer that ships it.
+/// A full batch waits in `full` until its chunk's extraction is charged;
+/// `open` is the partial batch, carried across chunks.
+#[derive(Default)]
+struct Batcher {
+    open: Option<PoolVec<Triangle>>,
+    full: Vec<PoolVec<Triangle>>,
+}
+
+impl Batcher {
+    #[inline]
+    fn push(&mut self, pool: &BufferPool<Triangle>, tri_batch: usize, t: Triangle) {
+        let open = self.open.get_or_insert_with(|| pool.take(tri_batch));
+        open.buf_mut().push(t);
+        if open.len() == tri_batch {
+            self.full.extend(self.open.take());
+        }
+    }
+
+    fn reset(&mut self) {
+        self.open = None;
+        self.full.clear();
+    }
+}
+
 /// Marching-cubes extraction with fixed-size triangle batching. Outgoing
 /// batches draw from a per-copy [`BufferPool`], so after the first unit
 /// of work the batching loop allocates nothing: consumers dropping a
 /// [`TriBatch`] recycle its buffer back here.
 pub(crate) struct ExtractStage {
     pub cfg: SharedConfig,
-    pending: Vec<Triangle>,
+    batches: Batcher,
     pool: BufferPool<Triangle>,
 }
 
 impl ExtractStage {
     pub fn new(cfg: SharedConfig) -> Self {
         ExtractStage {
-            pending: Vec::new(),
+            batches: Batcher::default(),
             pool: BufferPool::new(),
             cfg,
         }
@@ -311,7 +337,15 @@ impl ExtractStage {
 
     /// Drop any state from a previous unit of work (call from `init`).
     pub fn reset(&mut self) {
-        self.pending.clear();
+        self.batches.reset();
+    }
+
+    /// Extract one chunk straight into the batches.
+    fn extract(&mut self, chunk: &ChunkPayload) -> ExtractStats {
+        let (batches, pool, n) = (&mut self.batches, &self.pool, self.cfg.tri_batch);
+        isosurf::extract_into(&chunk.grid, chunk.origin, self.cfg.iso, |t| {
+            batches.push(pool, n, t)
+        })
     }
 
     /// Extract one chunk, emitting full batches through `sink`.
@@ -321,25 +355,17 @@ impl ExtractStage {
         chunk: ChunkPayload,
         mut sink: impl FnMut(&mut FilterCtx, TriBatch),
     ) {
-        let before = self.pending.len();
-        let stats = isosurf::extract(&chunk.grid, chunk.origin, self.cfg.iso, &mut self.pending);
-        let produced = self.pending.len() - before;
-        ctx.compute(self.cfg.cost.extract_cost(stats.cells, produced as u64));
-        while self.pending.len() >= self.cfg.tri_batch {
-            let mut batch = self.pool.take(self.cfg.tri_batch);
-            batch
-                .buf_mut()
-                .extend(self.pending.drain(..self.cfg.tri_batch));
-            sink(ctx, TriBatch { tris: batch });
+        let stats = self.extract(&chunk);
+        ctx.compute(self.cfg.cost.extract_cost(stats.cells, stats.triangles));
+        for tris in self.batches.full.drain(..) {
+            sink(ctx, TriBatch { tris });
         }
     }
 
     /// Emit any partial batch (call at end-of-work).
     pub fn flush(&mut self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, TriBatch)) {
-        if !self.pending.is_empty() {
-            let mut batch = self.pool.take(self.pending.len());
-            batch.buf_mut().append(&mut self.pending);
-            sink(ctx, TriBatch { tris: batch });
+        if let Some(tris) = self.batches.open.take() {
+            sink(ctx, TriBatch { tris });
         }
     }
 }
@@ -513,83 +539,71 @@ pub(crate) struct RoutedExtractStage {
     pub cfg: SharedConfig,
     proj: isosurf::Projector,
     bands: Vec<(u32, u32)>,
-    pending: Vec<Vec<Triangle>>,
-    scratch: Vec<Triangle>,
+    /// One per band.
+    batches: Vec<Batcher>,
     pool: BufferPool<Triangle>,
 }
 
 impl RoutedExtractStage {
     pub fn new(cfg: SharedConfig, bands: Vec<(u32, u32)>) -> Self {
         let proj = cfg.camera.projector();
-        let pending = bands.iter().map(|_| Vec::new()).collect();
+        let batches = bands.iter().map(|_| Batcher::default()).collect();
         RoutedExtractStage {
             cfg,
             proj,
             bands,
-            pending,
-            scratch: Vec::new(),
+            batches,
             pool: BufferPool::new(),
         }
     }
 
     /// Drop state from a previous unit of work.
     pub fn reset(&mut self) {
-        for p in &mut self.pending {
-            p.clear();
-        }
-        self.scratch.clear();
+        self.batches.iter_mut().for_each(Batcher::reset);
     }
 
-    /// Extract one chunk and route its triangles to the bands their screen
-    /// projection overlaps (a boundary triangle goes to every band it
-    /// touches; each receiving raster stage scissors to its own rows).
+    /// Extract one chunk and route each triangle, as it is emitted, to the
+    /// bands its screen projection overlaps (a boundary triangle goes to
+    /// every band it touches; each receiving raster stage scissors to its
+    /// own rows). Full batches go out band by band.
     pub fn feed(
         &mut self,
         ctx: &mut FilterCtx,
         chunk: ChunkPayload,
         mut sink: impl FnMut(&mut FilterCtx, usize, TriBatch),
     ) {
-        self.scratch.clear();
-        let stats = isosurf::extract(&chunk.grid, chunk.origin, self.cfg.iso, &mut self.scratch);
-        ctx.compute(
-            self.cfg
-                .cost
-                .extract_cost(stats.cells, self.scratch.len() as u64),
-        );
-        let h = self.cfg.camera.height as f32;
-        for t in &self.scratch {
+        let RoutedExtractStage {
+            cfg,
+            proj,
+            bands,
+            batches,
+            pool,
+        } = self;
+        let h = cfg.camera.height as f32;
+        let stats = isosurf::extract_into(&chunk.grid, chunk.origin, cfg.iso, |t| {
             // Screen y-range of the triangle; behind-camera triangles are
             // dropped (the raster filter would reject them anyway).
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            let mut visible = true;
             for v in &t.v {
-                match self.proj.project(*v) {
-                    Some(s) => {
-                        lo = lo.min(s.y);
-                        hi = hi.max(s.y);
-                    }
-                    None => {
-                        visible = false;
-                        break;
-                    }
-                }
+                let Some(s) = proj.project(*v) else {
+                    return;
+                };
+                lo = lo.min(s.y);
+                hi = hi.max(s.y);
             }
-            if !visible || hi < 0.0 || lo >= h {
-                continue;
+            if hi < 0.0 || lo >= h {
+                return;
             }
-            for (i, &(b0, b1)) in self.bands.iter().enumerate() {
+            for (b, &(b0, b1)) in batches.iter_mut().zip(bands.iter()) {
                 if lo < b1 as f32 && hi >= b0 as f32 {
-                    self.pending[i].push(*t);
+                    b.push(pool, cfg.tri_batch, t);
                 }
             }
-        }
-        for i in 0..self.bands.len() {
-            while self.pending[i].len() >= self.cfg.tri_batch {
-                let mut batch = self.pool.take(self.cfg.tri_batch);
-                batch
-                    .buf_mut()
-                    .extend(self.pending[i].drain(..self.cfg.tri_batch));
-                sink(ctx, i, TriBatch { tris: batch });
+        });
+        ctx.compute(cfg.cost.extract_cost(stats.cells, stats.triangles));
+        for (i, b) in batches.iter_mut().enumerate() {
+            for tris in b.full.drain(..) {
+                sink(ctx, i, TriBatch { tris });
             }
         }
     }
@@ -600,11 +614,9 @@ impl RoutedExtractStage {
         ctx: &mut FilterCtx,
         mut sink: impl FnMut(&mut FilterCtx, usize, TriBatch),
     ) {
-        for i in 0..self.bands.len() {
-            if !self.pending[i].is_empty() {
-                let mut batch = self.pool.take(self.pending[i].len());
-                batch.buf_mut().append(&mut self.pending[i]);
-                sink(ctx, i, TriBatch { tris: batch });
+        for (i, b) in self.batches.iter_mut().enumerate() {
+            if let Some(tris) = b.open.take() {
+                sink(ctx, i, TriBatch { tris });
             }
         }
     }
@@ -745,5 +757,88 @@ impl MergeStage {
     /// Extract the final image.
     pub fn image(&self) -> Image {
         self.zb.to_image(BACKGROUND)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetsim::HostId;
+    use volume::{Dataset, Dims};
+
+    /// A ball of radius `r` about the centre of an `n`³ grid at `origin`,
+    /// positive inside (surface at iso 0).
+    fn ball(n: u32, r: f32, origin: (u32, u32, u32)) -> ChunkPayload {
+        let c = (n - 1) as f32 / 2.0;
+        let grid = RectGrid::from_fn(Dims::new(n, n, n), |x, y, z| {
+            let d = |a: u32| (a as f32 - c).powi(2);
+            r - (d(x) + d(y) + d(z)).sqrt()
+        });
+        ChunkPayload { origin, grid }
+    }
+
+    /// `chunks` through `isosurf::extract`, concatenated and cut every `n`.
+    fn cut(chunks: &[ChunkPayload], n: usize) -> Vec<Vec<Triangle>> {
+        let mut all = Vec::new();
+        for c in chunks {
+            isosurf::extract(&c.grid, c.origin, 0.0, &mut all);
+        }
+        all.chunks(n).map(<[Triangle]>::to_vec).collect()
+    }
+
+    /// What `feed` on each chunk and then `flush` ship, in order. Only the
+    /// filter context is left out: `feed` charges it between extracting
+    /// and shipping.
+    fn shipped(stage: &mut ExtractStage, chunks: &[ChunkPayload]) -> Vec<Vec<Triangle>> {
+        let mut out = Vec::new();
+        for c in chunks {
+            let stats = stage.extract(c);
+            assert_eq!(
+                stats,
+                isosurf::extract(&c.grid, c.origin, 0.0, &mut Vec::new())
+            );
+            out.extend(stage.batches.full.drain(..).map(|b| b.to_vec()));
+        }
+        out.extend(stage.batches.open.take().map(|b| b.to_vec()));
+        out
+    }
+
+    #[test]
+    fn extract_batches_are_the_extract_output_cut_every_tri_batch() {
+        // Chunks with and without surface, the second inside everywhere.
+        let chunks = [
+            ball(24, 9.0, (0, 0, 0)),
+            ball(8, 100.0, (30, 0, 0)),
+            ball(12, 3.5, (0, 30, 0)),
+            ball(24, 10.5, (30, 30, 0)),
+            ball(5, 1.2, (60, 0, 0)),
+        ];
+        let total = cut(&chunks, 1).len();
+        assert!(total > 3 * 4096, "{total} triangles");
+        for n in [1, 7, 512, 4096] {
+            let mut cfg = AppConfig::new(
+                Dataset::generate(Dims::new(5, 5, 5), (1, 1, 1), 1, 1),
+                vec![HostId(0)],
+                1,
+                8,
+                8,
+            );
+            cfg.iso = 0.0;
+            cfg.tri_batch = n;
+            let mut stage = ExtractStage::new(Arc::new(cfg));
+            assert_eq!(
+                shipped(&mut stage, &chunks),
+                cut(&chunks, n),
+                "tri_batch {n}"
+            );
+
+            // A unit of work cut short leaves nothing in the next one.
+            for c in &chunks[..2] {
+                stage.extract(c);
+            }
+            stage.reset();
+            let rest = &chunks[2..];
+            assert_eq!(shipped(&mut stage, rest), cut(rest, n), "tri_batch {n}");
+        }
     }
 }

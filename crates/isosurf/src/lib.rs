@@ -43,7 +43,7 @@ pub use active::{
 pub use camera::{Camera, Projector, ScreenVertex};
 pub use image::Image;
 pub use math::{vec3, Mat4, Vec3};
-pub use mc::{extract, ExtractStats, Triangle, TRIANGLE_WIRE_BYTES};
+pub use mc::{extract, extract_into, ExtractStats, Triangle, TRIANGLE_WIRE_BYTES};
 pub use raster::{fill_triangle, raster_batch, raster_triangle};
 pub use render::{render_active_pixel, render_zbuffer, BACKGROUND};
 pub use shade::{shade, species_material, Material};

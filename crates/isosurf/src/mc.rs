@@ -6,11 +6,16 @@
 //! tetrahedra around the main diagonal, uniformly across the grid, and each
 //! tetrahedron is polygonised from its 16-case table. This variant scans
 //! voxels one at a time and processes each voxel independently — the exact
-//! properties the paper's extract filter relies on for pipelining — while
-//! avoiding the 256-entry case tables. The uniform decomposition is
-//! face-consistent between neighbouring cells (and neighbouring *chunks*,
-//! which share a point plane), so surfaces are watertight across chunk
-//! boundaries.
+//! properties the paper's extract filter relies on for pipelining. The
+//! uniform decomposition is face-consistent between neighbouring cells
+//! (and neighbouring *chunks*, which share a point plane), so surfaces are
+//! watertight across chunk boundaries.
+//!
+//! The kernel does not walk the six tetrahedra per cell. The compiler
+//! folds them, for each of the 256 cube cases, into one recipe: the
+//! cell's distinct edge crossings and the triangles that join them. A
+//! crossing cell builds its 8-bit mask once, evaluates each crossing
+//! once, and emits the recipe's triangles in tetrahedron order.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,30 +57,36 @@ const TETS: [[usize; 4]; 6] = [
     [0, 5, 1, 7],
 ];
 
-/// Corner offset of cube corner `i`.
-#[inline]
-fn corner_offset(i: usize) -> (u32, u32, u32) {
-    ((i & 1) as u32, ((i >> 1) & 1) as u32, ((i >> 2) & 1) as u32)
-}
-
 /// Extract the isosurface of `grid` at `iso`, with the grid's point
 /// `(0,0,0)` located at world position `origin` (chunks pass their global
 /// cell origin so surfaces from different chunks line up). Triangles are
 /// appended to `out`; returns scan statistics.
-///
-/// One serial scan: a pipeline extracts many chunks at once by running
-/// many extract-filter copies, not by splitting one chunk.
 pub fn extract(
     grid: &RectGrid,
     origin: (u32, u32, u32),
     iso: f32,
     out: &mut Vec<Triangle>,
 ) -> ExtractStats {
+    extract_into(grid, origin, iso, |t| out.push(t))
+}
+
+/// [`extract`], handing each triangle to `emit` in z, y, x, tetrahedron
+/// order instead of appending it to a vector, so a caller can write it
+/// straight into the buffer that ships it.
+///
+/// One serial scan: a pipeline extracts many chunks at once by running
+/// many extract-filter copies, not by splitting one chunk.
+pub fn extract_into(
+    grid: &RectGrid,
+    origin: (u32, u32, u32),
+    iso: f32,
+    mut emit: impl FnMut(Triangle),
+) -> ExtractStats {
     let d = grid.dims;
     if d.nx < 2 || d.ny < 2 || d.nz < 2 {
         return ExtractStats::default();
     }
-    extract_slab(grid, origin, iso, 0..d.nz - 1, out)
+    extract_slab(grid, origin, iso, 0..d.nz - 1, &mut emit)
 }
 
 /// Which sides of the isovalue a set of samples touches. A NaN touches
@@ -138,7 +149,7 @@ fn extract_slab(
     origin: (u32, u32, u32),
     iso: f32,
     z_range: std::ops::Range<u32>,
-    out: &mut Vec<Triangle>,
+    emit: &mut impl FnMut(Triangle),
 ) -> ExtractStats {
     let (nx, ny) = (grid.dims.nx as usize, grid.dims.ny as usize);
     let plane = |z: u32| &grid.data[z as usize * nx * ny..][..nx * ny];
@@ -153,7 +164,7 @@ fn extract_slab(
     for z in z_range {
         let far = sides_of(plane(z + 1), iso);
         if near.union(far).crosses() {
-            stats.triangles += extract_layer(plane(z), plane(z + 1), nx, origin, z, iso, out);
+            stats.triangles += extract_layer(plane(z), plane(z + 1), nx, origin, z, iso, emit);
         }
         near = far;
     }
@@ -161,7 +172,7 @@ fn extract_slab(
 }
 
 /// Polygonise the layer of cells between point planes `p0` (at `z`) and
-/// `p1` (at `z + 1`), rows of `nx` points each; returns triangles pushed.
+/// `p1` (at `z + 1`), rows of `nx` points each; returns triangles emitted.
 fn extract_layer(
     p0: &[f32],
     p1: &[f32],
@@ -169,7 +180,7 @@ fn extract_layer(
     origin: (u32, u32, u32),
     z: u32,
     iso: f32,
-    out: &mut Vec<Triangle>,
+    emit: &mut impl FnMut(Triangle),
 ) -> u64 {
     let mut triangles = 0;
     let mut rows0 = p0.chunks_exact(nx);
@@ -177,6 +188,7 @@ fn extract_layer(
     let (Some(mut r00), Some(mut r01)) = (rows0.next(), rows1.next()) else {
         return 0;
     };
+    let zs = [(origin.2 + z) as f32, (origin.2 + z + 1) as f32];
     let mut front = sides_of(r00, iso).union(sides_of(r01, iso));
     for (y, (r10, r11)) in rows0.zip(rows1).enumerate() {
         let back = sides_of(r10, iso).union(sides_of(r11, iso));
@@ -184,30 +196,63 @@ fn extract_layer(
             // Corner `i` of cell `x` is `rows[i >> 1][x + (i & 1)]`.
             let rows = [r00, r10, r01, r11];
             let column = |x: usize| sides_of(&rows.map(|r| r[x]), iso);
+            let y = y as u32;
+            let ys = [(origin.1 + y) as f32, (origin.1 + y + 1) as f32];
             let mut left = column(0);
             for x in 0..nx - 1 {
                 let right = column(x + 1);
                 // Quick reject: cell entirely on one side.
                 if left.union(right).crosses() {
-                    let mut corner_val = [0.0f32; 8];
-                    let mut corner_pos = [Vec3::ZERO; 8];
-                    for i in 0..8 {
-                        let (ox, oy, oz) = corner_offset(i);
-                        corner_val[i] = rows[i >> 1][x + (i & 1)];
-                        corner_pos[i] = vec3(
-                            (origin.0 + x as u32 + ox) as f32,
-                            (origin.1 + y as u32 + oy) as f32,
-                            (origin.2 + z + oz) as f32,
-                        );
-                    }
-                    for tet in &TETS {
-                        triangles += polygonise_tet(&corner_pos, &corner_val, tet, iso, out) as u64;
-                    }
+                    let val = std::array::from_fn(|i| rows[i >> 1][x + (i & 1)]);
+                    let xs = [
+                        (origin.0 + x as u32) as f32,
+                        (origin.0 + x as u32 + 1) as f32,
+                    ];
+                    triangles += polygonise_cell(&val, [xs, ys, zs], iso, emit);
                 }
                 left = right;
             }
         }
         (r00, r01, front) = (r10, r11, back);
+    }
+    triangles
+}
+
+/// Polygonise one crossing cell from its corner samples `val` (corner `i`
+/// as in [`TETS`]) and its corner coordinates, two per axis: corner `i`
+/// sits at `(axes[0][i & 1], axes[1][(i >> 1) & 1], axes[2][i >> 2])`.
+/// Returns triangles emitted.
+#[inline]
+fn polygonise_cell(
+    val: &[f32; 8],
+    axes: [[f32; 2]; 3],
+    iso: f32,
+    emit: &mut impl FnMut(Triangle),
+) -> u64 {
+    let mut mask = 0;
+    for (i, &v) in val.iter().enumerate() {
+        mask |= usize::from(v > iso) << i;
+    }
+    let recipe = &RECIPES[mask];
+    let pos = |i: u8| {
+        let i = i as usize;
+        vec3(axes[0][i & 1], axes[1][(i >> 1) & 1], axes[2][(i >> 2) & 1])
+    };
+    let mut at = [Vec3::ZERO; MAX_EDGES];
+    for (p, &[a, b]) in at.iter_mut().zip(recipe.edges()) {
+        *p = edge_point(pos(a), val[a as usize], pos(b), val[b as usize], iso);
+    }
+    let mut triangles = 0;
+    for t in recipe.tris() {
+        let inside = match t.inside {
+            Inside::Corner(a) => pos(a),
+            Inside::Mid(a, b) => (pos(a) + pos(b)) * 0.5,
+            Inside::Centroid(a, b, c) => (pos(a) + pos(b) + pos(c)) / 3.0,
+        };
+        if let Some(tri) = orient(t.e.map(|e| at[e as usize]), inside) {
+            emit(tri);
+            triangles += 1;
+        }
     }
     triangles
 }
@@ -292,81 +337,160 @@ const TET_CASES: [TetCase; 16] = {
     cases
 };
 
-/// Polygonise one tetrahedron; appends 0–2 triangles, returns the count.
-fn polygonise_tet(
-    pos: &[Vec3; 8],
-    val: &[f32; 8],
-    tet: &[usize; 4],
-    iso: f32,
-    out: &mut Vec<Triangle>,
-) -> usize {
-    let p = [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]];
-    let v = [val[tet[0]], val[tet[1]], val[tet[2]], val[tet[3]]];
-    let mut mask = 0usize;
-    for (i, &vi) in v.iter().enumerate() {
-        mask |= usize::from(vi > iso) << i;
+/// Most distinct directed edges one cube case crosses.
+const MAX_EDGES: usize = 20;
+
+/// Most triangles one cube case emits: two for each of the six tets.
+const MAX_TRIS: usize = 12;
+
+/// The point on the inside of a recipe triangle that its normal is
+/// oriented away from, named by cube corners in the order the tet case
+/// lists them (float addition is not associative).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Inside {
+    /// The lone inside corner of a tet with one corner inside.
+    Corner(u8),
+    /// `(a + b) * 0.5`: the two inside corners of a tet with two.
+    Mid(u8, u8),
+    /// `(a + b + c) / 3.0`: the inside corners of a tet with three.
+    Centroid(u8, u8, u8),
+}
+
+/// One triangle of a [`Recipe`]: the edge slots of its three vertices, in
+/// winding order before [`orient`], and its inside reference.
+#[derive(Clone, Copy)]
+struct RecipeTri {
+    e: [u8; 3],
+    inside: Inside,
+}
+
+/// What a cell of one 8-bit cube case emits, folded at compile time from
+/// the six tets' [`TET_CASES`]. `edges` are the distinct directed edges
+/// `(a, b)` the triangles cross, as cube corners in first-use order, each
+/// directed as its tet case gives it so that [`edge_point`] runs the same
+/// arithmetic; `tris` are the triangles in tet order, a quad's two in
+/// order.
+#[derive(Clone, Copy)]
+struct Recipe {
+    ne: u8,
+    nt: u8,
+    edges: [[u8; 2]; MAX_EDGES],
+    tris: [RecipeTri; MAX_TRIS],
+}
+
+impl Recipe {
+    const EMPTY: Recipe = Recipe {
+        ne: 0,
+        nt: 0,
+        edges: [[0; 2]; MAX_EDGES],
+        tris: [RecipeTri {
+            e: [0; 3],
+            inside: Inside::Corner(0),
+        }; MAX_TRIS],
+    };
+
+    fn edges(&self) -> &[[u8; 2]] {
+        &self.edges[..self.ne as usize]
     }
-    let case = &TET_CASES[mask];
-    let [i0, i1, i2, i3] = [
-        case.idx[0] as usize,
-        case.idx[1] as usize,
-        case.idx[2] as usize,
-        case.idx[3] as usize,
-    ];
-    match case.n_in {
-        0 | 4 => 0,
-        1 | 3 => {
-            // One vertex isolated (inside for n_in = 1, outside for 3):
-            // single triangle across the three edges at that vertex.
-            let tri = [
-                edge_point(p[i0], v[i0], p[i1], v[i1], iso),
-                edge_point(p[i0], v[i0], p[i2], v[i2], iso),
-                edge_point(p[i0], v[i0], p[i3], v[i3], iso),
-            ];
-            let inside_ref = if case.n_in == 1 {
-                p[i0]
-            } else {
-                (p[i1] + p[i2] + p[i3]) / 3.0
-            };
-            push_oriented(out, tri, inside_ref) as usize
+
+    fn tris(&self) -> &[RecipeTri] {
+        &self.tris[..self.nt as usize]
+    }
+
+    /// The slot of edge `a → b`, appended if the recipe has none yet.
+    const fn slot(&mut self, a: u8, b: u8) -> u8 {
+        let mut k = 0;
+        while k < self.ne {
+            let e = self.edges[k as usize];
+            if e[0] == a && e[1] == b {
+                return k;
+            }
+            k += 1;
         }
-        2 => {
-            // Two inside / two outside: the crossing is a quad on four
-            // edges; emit two triangles.
-            let q = [
-                edge_point(p[i0], v[i0], p[i2], v[i2], iso),
-                edge_point(p[i0], v[i0], p[i3], v[i3], iso),
-                edge_point(p[i1], v[i1], p[i3], v[i3], iso),
-                edge_point(p[i1], v[i1], p[i2], v[i2], iso),
-            ];
-            let inside_ref = (p[i0] + p[i1]) * 0.5;
-            let mut n = push_oriented(out, [q[0], q[1], q[2]], inside_ref) as usize;
-            n += push_oriented(out, [q[0], q[2], q[3]], inside_ref) as usize;
-            n
-        }
-        _ => unreachable!(),
+        self.edges[k as usize] = [a, b];
+        self.ne += 1;
+        k
+    }
+
+    const fn push(&mut self, e: [u8; 3], inside: Inside) {
+        self.tris[self.nt as usize] = RecipeTri { e, inside };
+        self.nt += 1;
     }
 }
 
-/// Append `tri` with its normal oriented away from `inside_ref` (a point on
-/// the high-value side), flipping winding as needed. Degenerate slivers are
-/// dropped; returns whether a triangle was pushed.
-fn push_oriented(out: &mut Vec<Triangle>, tri: [Vec3; 3], inside_ref: Vec3) -> bool {
+/// The recipe of every cube mask (bit `i` set ⇔ corner `i` is `> iso`,
+/// so a NaN corner is outside).
+static RECIPES: [Recipe; 256] = {
+    let mut recipes = [Recipe::EMPTY; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let r = &mut recipes[mask];
+        let mut t = 0;
+        while t < TETS.len() {
+            let tet = TETS[t];
+            let mut tet_mask = 0;
+            let mut i = 0;
+            while i < 4 {
+                tet_mask |= (mask >> tet[i] & 1) << i;
+                i += 1;
+            }
+            let case = TET_CASES[tet_mask];
+            // The case's vertex order, as cube corners.
+            let c = [
+                tet[case.idx[0] as usize] as u8,
+                tet[case.idx[1] as usize] as u8,
+                tet[case.idx[2] as usize] as u8,
+                tet[case.idx[3] as usize] as u8,
+            ];
+            match case.n_in {
+                1 | 3 => {
+                    let e = [r.slot(c[0], c[1]), r.slot(c[0], c[2]), r.slot(c[0], c[3])];
+                    let inside = if case.n_in == 1 {
+                        Inside::Corner(c[0])
+                    } else {
+                        Inside::Centroid(c[1], c[2], c[3])
+                    };
+                    r.push(e, inside);
+                }
+                2 => {
+                    let q = [
+                        r.slot(c[0], c[2]),
+                        r.slot(c[0], c[3]),
+                        r.slot(c[1], c[3]),
+                        r.slot(c[1], c[2]),
+                    ];
+                    let inside = Inside::Mid(c[0], c[1]);
+                    r.push([q[0], q[1], q[2]], inside);
+                    r.push([q[0], q[2], q[3]], inside);
+                }
+                _ => {}
+            }
+            t += 1;
+        }
+        mask += 1;
+    }
+    recipes
+};
+
+/// `tri` with its normal oriented away from `inside_ref` (a point on the
+/// high-value side), winding flipped as needed; `None` for a degenerate
+/// sliver, which is dropped.
+#[inline]
+fn orient(tri: [Vec3; 3], inside_ref: Vec3) -> Option<Triangle> {
     let n = (tri[1] - tri[0]).cross(tri[2] - tri[0]);
     if n.length() < 1e-12 {
-        return false; // degenerate sliver; drop
+        return None;
     }
     let center = (tri[0] + tri[1] + tri[2]) / 3.0;
     let n = n.normalized();
-    if n.dot(inside_ref - center) > 0.0 {
-        out.push(Triangle {
+    Some(if n.dot(inside_ref - center) > 0.0 {
+        Triangle {
             v: [tri[0], tri[2], tri[1]],
             normal: -n,
-        });
+        }
     } else {
-        out.push(Triangle { v: tri, normal: n });
-    }
-    true
+        Triangle { v: tri, normal: n }
+    })
 }
 
 #[cfg(test)]
@@ -554,6 +678,75 @@ mod tests {
         assert_eq!(stats.cells, 8 * 8 * 8);
     }
 
+    /// Corner offset of cube corner `i`.
+    fn corner_offset(i: usize) -> (u32, u32, u32) {
+        ((i & 1) as u32, ((i >> 1) & 1) as u32, ((i >> 2) & 1) as u32)
+    }
+
+    /// Polygonise one tetrahedron; appends 0–2 triangles, returns the
+    /// count. The kernel shipped this per-tet dispatch before it folded
+    /// the six tets into a cube-case [`Recipe`]; it stays as the oracle.
+    fn polygonise_tet(
+        pos: &[Vec3; 8],
+        val: &[f32; 8],
+        tet: &[usize; 4],
+        iso: f32,
+        out: &mut Vec<Triangle>,
+    ) -> usize {
+        let p = [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]];
+        let v = [val[tet[0]], val[tet[1]], val[tet[2]], val[tet[3]]];
+        let mut mask = 0usize;
+        for (i, &vi) in v.iter().enumerate() {
+            mask |= usize::from(vi > iso) << i;
+        }
+        let case = &TET_CASES[mask];
+        let [i0, i1, i2, i3] = [
+            case.idx[0] as usize,
+            case.idx[1] as usize,
+            case.idx[2] as usize,
+            case.idx[3] as usize,
+        ];
+        match case.n_in {
+            0 | 4 => 0,
+            1 | 3 => {
+                // One vertex isolated (inside for n_in = 1, outside for 3):
+                // single triangle across the three edges at that vertex.
+                let tri = [
+                    edge_point(p[i0], v[i0], p[i1], v[i1], iso),
+                    edge_point(p[i0], v[i0], p[i2], v[i2], iso),
+                    edge_point(p[i0], v[i0], p[i3], v[i3], iso),
+                ];
+                let inside_ref = if case.n_in == 1 {
+                    p[i0]
+                } else {
+                    (p[i1] + p[i2] + p[i3]) / 3.0
+                };
+                push_oriented(out, tri, inside_ref) as usize
+            }
+            2 => {
+                // Two inside / two outside: the crossing is a quad on four
+                // edges; emit two triangles.
+                let q = [
+                    edge_point(p[i0], v[i0], p[i2], v[i2], iso),
+                    edge_point(p[i0], v[i0], p[i3], v[i3], iso),
+                    edge_point(p[i1], v[i1], p[i3], v[i3], iso),
+                    edge_point(p[i1], v[i1], p[i2], v[i2], iso),
+                ];
+                let inside_ref = (p[i0] + p[i1]) * 0.5;
+                let mut n = push_oriented(out, [q[0], q[1], q[2]], inside_ref) as usize;
+                n += push_oriented(out, [q[0], q[2], q[3]], inside_ref) as usize;
+                n
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    /// Append `tri` with its normal oriented away from `inside_ref`; returns
+    /// whether a triangle was pushed.
+    fn push_oriented(out: &mut Vec<Triangle>, tri: [Vec3; 3], inside_ref: Vec3) -> bool {
+        orient(tri, inside_ref).map(|t| out.push(t)).is_some()
+    }
+
     /// The kernel this crate shipped before empty-space skipping: visit
     /// every cell, gather eight corners through `RectGrid::at`, quick-reject
     /// per cell. Kept verbatim as the oracle [`extract_slab`] must match
@@ -598,12 +791,17 @@ mod tests {
         stats
     }
 
-    /// Every float of every triangle as raw bits (`==` would call two
-    /// NaN vertices different, and ±∞ samples do produce them).
+    /// Every float of every triangle as raw bits, each NaN as one
+    /// canonical pattern (`==` would call two NaN vertices different, and
+    /// ±∞ samples do produce them). Rust leaves the sign and payload of a
+    /// NaN that arithmetic makes to the compiler, and two inlined copies of
+    /// one formula may differ there in release builds; every other float
+    /// is compared bit for bit, and NaN-ness by position.
     fn triangle_bits(tris: &[Triangle]) -> Vec<u32> {
+        let bits = |f: f32| if f.is_nan() { f32::NAN } else { f }.to_bits();
         tris.iter()
             .flat_map(|t| t.v.iter().chain([&t.normal]))
-            .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+            .flat_map(|v| [bits(v.x), bits(v.y), bits(v.z)])
             .collect()
     }
 
@@ -669,11 +867,12 @@ mod tests {
     #[test]
     fn slab_kernel_matches_the_visit_every_cell_reference() {
         let (mut with_surface, mut without, mut nan_geometry) = (0, 0, 0);
-        for case in 0..768 {
+        let cases = if cfg!(debug_assertions) { 768 } else { 6144 };
+        for case in 0..cases {
             let (grid, origin, iso, band) = arbitrary_case(case);
             let (mut want, mut got) = (Vec::new(), Vec::new());
             let want_stats = extract_slab_reference(&grid, origin, iso, band.clone(), &mut want);
-            let got_stats = extract_slab(&grid, origin, iso, band, &mut got);
+            let got_stats = extract_slab(&grid, origin, iso, band, &mut |t| got.push(t));
             assert_eq!(got_stats, want_stats, "case {case}");
             assert_eq!(triangle_bits(&got), triangle_bits(&want), "case {case}");
 
@@ -698,6 +897,85 @@ mod tests {
         assert!(with_surface > 200, "{with_surface} cases with a surface");
         assert!(without > 100, "{without} cases without");
         assert!(nan_geometry > 10, "{nan_geometry} cases with NaN geometry");
+    }
+
+    /// The triangles the six per-tet calls make for cube mask `mask`, as
+    /// [`polygonise_tet`] builds them: three directed edges (cube corners)
+    /// and an inside reference each.
+    fn tet_triangles(mask: usize) -> Vec<([[u8; 2]; 3], Inside)> {
+        let mut out = Vec::new();
+        for tet in &TETS {
+            let tet_mask: usize = (0..4).map(|i| (mask >> tet[i] & 1) << i).sum();
+            let case = &TET_CASES[tet_mask];
+            let c = case.idx.map(|k| tet[k as usize] as u8);
+            let isolated = [[c[0], c[1]], [c[0], c[2]], [c[0], c[3]]];
+            let q = [[c[0], c[2]], [c[0], c[3]], [c[1], c[3]], [c[1], c[2]]];
+            match case.n_in {
+                1 => out.push((isolated, Inside::Corner(c[0]))),
+                3 => out.push((isolated, Inside::Centroid(c[1], c[2], c[3]))),
+                2 => {
+                    out.push(([q[0], q[1], q[2]], Inside::Mid(c[0], c[1])));
+                    out.push(([q[0], q[2], q[3]], Inside::Mid(c[0], c[1])));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn recipes_match_the_per_tet_cases() {
+        for (mask, recipe) in RECIPES.iter().enumerate() {
+            let want = tet_triangles(mask);
+            let got: Vec<_> = recipe
+                .tris()
+                .iter()
+                .map(|t| (t.e.map(|e| recipe.edges()[e as usize]), t.inside))
+                .collect();
+            assert_eq!(got, want, "mask {mask:#010b}");
+            // Each edge evaluated once, in first-use order.
+            let mut first_use = Vec::new();
+            for e in want.iter().flat_map(|(e, _)| e) {
+                if !first_use.contains(e) {
+                    first_use.push(*e);
+                }
+            }
+            assert_eq!(recipe.edges(), first_use, "mask {mask:#010b}");
+            assert!(recipe.edges().len() <= 20, "mask {mask:#010b}");
+        }
+
+        // The cell step emits, for every mask, what the six per-tet calls
+        // emit, bit for bit. Samples far below the isovalue put crossings
+        // on the inside corners (`t` rounds to 1), so a triangle's centre
+        // is its inside reference and the orientation test reads 0;
+        // samples far above it put them on the outside corners.
+        let axes = [[7.0, 8.0], [11.0, 12.0], [1000.0, 1001.0]];
+        let pos =
+            std::array::from_fn(|i| vec3(axes[0][i & 1], axes[1][(i >> 1) & 1], axes[2][i >> 2]));
+        for (inside, outside) in [(0.5, -0.25), (1.0, -1.0e9), (1.0e9, -1.0)] {
+            for mask in 0..256 {
+                let val = std::array::from_fn(|i| {
+                    let k = 1.0 + i as f32 / 16.0;
+                    if mask >> i & 1 == 1 {
+                        inside * k
+                    } else {
+                        outside * k
+                    }
+                });
+                let mut want = Vec::new();
+                for tet in &TETS {
+                    polygonise_tet(&pos, &val, tet, 0.0, &mut want);
+                }
+                let mut got = Vec::new();
+                let n = polygonise_cell(&val, axes, 0.0, &mut |t| got.push(t));
+                assert_eq!(n as usize, got.len());
+                assert_eq!(
+                    triangle_bits(&got),
+                    triangle_bits(&want),
+                    "mask {mask:#010b}, samples {inside} / {outside}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Proof that the E → Ra → M hot path reaches a zero-allocation steady
 //! state: after a warm-up unit of work, pumping further work through the
-//! stage logic (pooled triangle batches, recycled WPA flush buffers,
-//! pooled z-buffer bands, serial extraction into a warmed vector)
-//! performs no heap allocation at all, measured by a counting global
-//! allocator.
+//! stage logic (serial extraction straight into pooled triangle batches,
+//! recycled WPA flush buffers, pooled z-buffer bands) performs no heap
+//! allocation at all, measured by a counting global allocator.
 //!
 //! The loop below mirrors what `dcapp`'s stages do per unit of work,
 //! driven through the same public APIs (`BufferPool`, `TriBatch`,
 //! `RaOut`, `ActivePixelBuffer::supply`, `merge_batch`,
-//! `extract`, `raster_batch`); the filter wrappers themselves
+//! `extract_into`, `raster_batch`); the filter wrappers themselves
 //! only add the emulation context, which is not part of the per-buffer
 //! hot path. The extract and raster kernels skip empty space and dead
 //! pixels without per-call scratch, so they sit inside the same proof.
@@ -26,12 +25,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use datacutter::{NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, run_pipeline_exec, Algorithm, BufferPool, Grouping, PipelineSpec, RaOut, TriBatch,
+    clone_config, run_pipeline_exec, Algorithm, BufferPool, Grouping, PipelineSpec, PoolVec, RaOut,
+    TriBatch,
 };
 use integration_tests::{cluster, test_cfg, test_dataset};
 use isosurf::{
-    extract, merge_batch, raster_batch, ActivePixelBuffer, Camera, Material, Projector, Triangle,
-    WinningPixel, ZBuffer,
+    extract_into, merge_batch, raster_batch, ActivePixelBuffer, Camera, Material, Projector,
+    Triangle, WinningPixel, ZBuffer,
 };
 use volume::{ChunkId, Dims, RectGrid};
 
@@ -82,7 +82,9 @@ struct Harness {
     grid: RectGrid,
     proj: Projector,
     material: Material,
-    pending: Vec<Triangle>,
+    /// The extract stage's open batch and its batches waiting to ship.
+    open: Option<PoolVec<Triangle>>,
+    full: Vec<PoolVec<Triangle>>,
     tri_pool: BufferPool<Triangle>,
     wpa_pool: BufferPool<WinningPixel>,
     dpool: BufferPool<f32>,
@@ -113,7 +115,8 @@ impl Harness {
             proj: Camera::framing(grid.dims, IMG, IMG).projector(),
             material: Material::default(),
             grid,
-            pending: Vec::new(),
+            open: None,
+            full: Vec::new(),
             tri_pool: BufferPool::new(),
             wpa_pool: BufferPool::new(),
             dpool: BufferPool::new(),
@@ -132,7 +135,8 @@ fn pass(h: &mut Harness) {
         grid,
         proj,
         material,
-        pending,
+        open,
+        full,
         tri_pool,
         wpa_pool,
         dpool,
@@ -143,13 +147,17 @@ fn pass(h: &mut Harness) {
         src,
     } = h;
 
-    // E: extract into the warmed pending vector, drain into pooled batches.
-    pending.clear();
-    extract(grid, (0, 0, 0), 0.5, pending);
-    while !pending.is_empty() {
-        let n = pending.len().min(BATCH);
-        let mut tris = tri_pool.take(BATCH);
-        tris.buf_mut().extend(pending.drain(..n));
+    // E: extract straight into pooled batches; a full one waits in the
+    // warmed `full` list, and the partial one ships at end-of-work.
+    extract_into(grid, (0, 0, 0), 0.5, |t| {
+        let tris = open.get_or_insert_with(|| tri_pool.take(BATCH));
+        tris.buf_mut().push(t);
+        if tris.len() == BATCH {
+            full.extend(open.take());
+        }
+    });
+    full.extend(open.take());
+    for tris in full.drain(..) {
         let batch = TriBatch { tris };
 
         // Ra (active-pixel): re-arm the WPA with every buffer the merge
@@ -219,7 +227,7 @@ fn steady_state_pipeline_performs_zero_allocations() {
     let _lock = measuring();
     let mut h = Harness::new();
 
-    // Warm-up: grows `pending`, populates every pool, and lets the WPA
+    // Warm-up: grows `full`, populates every pool, and lets the WPA
     // spare-list reach equilibrium (the first passes mint the buffers
     // that circulate forever after).
     for _ in 0..3 {
