@@ -445,8 +445,8 @@ fn silence_sentinel_panics() {
     });
 }
 
-/// Pin glibc malloc's mmap threshold at its documented default (128 KiB),
-/// once per process.
+/// Pin glibc malloc's mmap threshold at its documented default (128 KiB)
+/// and its arena count at one, once per process.
 ///
 /// Every run spawns a fresh thread per filter copy, and glibc hands each
 /// thread one of `8 × cores` malloc arenas. A merge copy's z-buffer and
@@ -461,6 +461,15 @@ fn silence_sentinel_panics() {
 /// resident memory then tracks what is live, whatever the run count. The
 /// price is a page-fault pass over each large buffer when it is first
 /// written, under 1 % of a 512² frame.
+///
+/// Small blocks still scatter: each arena keeps its own free lists and
+/// top chunk, so pooled payloads (24 KB triangle batches, say) freed on
+/// other threads leave each arena holding more than is live. One arena
+/// holds them all. The pin runs at the first [`Run::go`], after set-up:
+/// arenas made before it stay, and a thread that first allocates
+/// afterwards takes one of them instead of making its own. A process
+/// whose set-up ran on one thread has only the main arena by then, so
+/// every filter copy and pooled simulator process shares it.
 fn keep_large_buffers_out_of_thread_arenas() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -469,6 +478,7 @@ fn keep_large_buffers_out_of_thread_arenas() {
             fn mallopt(param: c_int, value: c_int) -> c_int;
         }
         const M_MMAP_THRESHOLD: c_int = -3;
+        const M_ARENA_MAX: c_int = -8;
         static PIN: std::sync::Once = std::sync::Once::new();
         PIN.call_once(|| {
             // SAFETY: `mallopt` takes two integers, locks the allocator
@@ -476,6 +486,7 @@ fn keep_large_buffers_out_of_thread_arenas() {
             // rejected value (return 0) leaves malloc as it was.
             unsafe {
                 mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+                mallopt(M_ARENA_MAX, 1);
             }
         });
     }

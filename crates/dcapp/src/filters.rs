@@ -14,8 +14,8 @@ use parking_lot::Mutex;
 
 use crate::config::{Algorithm, SharedConfig};
 use crate::parts::{
-    split_bands, ExtractStage, MergeStage, RasterStage, ReadStage, RoutedExtractStage,
-    TileMergeStage,
+    received_chunk_crosses, split_bands, ExtractStage, MergeStage, RasterStage, ReadStage,
+    RoutedExtractStage, TileMergeStage,
 };
 use crate::payload::{ChunkPayload, RaOut, TriBatch};
 use crate::tiles::TileSplitter;
@@ -193,7 +193,10 @@ impl Filter for AppFilter {
                 let slab = ctx.buffer_slab();
                 if let Some(e) = extract.as_mut() {
                     let chunk = slab.recycle_ctx::<ChunkPayload>(b, "E filter input");
-                    e.feed(ctx, chunk, tail);
+                    // The fused extract's skip rule, by the chunk's origin.
+                    if received_chunk_crosses(&tail.cfg, ctx, &chunk) {
+                        e.feed(ctx, chunk, tail);
+                    }
                     if per_chunk {
                         e.flush(ctx, tail);
                     }

@@ -85,23 +85,50 @@ impl ReadChunk<'_> {
         }
     }
 
-    /// Cut the chunk for an extract stage fused behind the read, if the
-    /// isosurface can cross it (the dataset's chunk-range index; no
-    /// sample is touched). A chunk it cannot cross is never cut: `ctx`
-    /// is charged the scan that would find no triangle,
-    /// `extract_cost(cells, 0)`, as [`ExtractStage::feed`] would charge
-    /// it. That scan would emit no batch either, so the skip leaves
-    /// virtual time, streams and digests as they were.
+    /// Cut the chunk for an extract stage fused behind the read, if
+    /// the isosurface can cross it ([`crosses_or_charge`]).
     pub fn cut_crossing(self, ctx: &mut FilterCtx) -> Option<ChunkPayload> {
-        let cfg = self.cfg;
-        if cfg
-            .dataset
-            .can_cross(cfg.species, self.timestep, self.info.id, cfg.iso)
-        {
-            return Some(self.cut());
+        crosses_or_charge(self.cfg, ctx, self.timestep, &self.info).then(|| self.cut())
+    }
+}
+
+/// Whether the isosurface can cross chunk `info` at `timestep`, by the
+/// dataset's chunk-range index: no sample is touched. The one skip rule
+/// of every extract stage, fused or split. A chunk it cannot cross need
+/// not be cut or scanned: `ctx` is charged the scan that would find no
+/// triangle, `extract_cost(cells, 0)`, as [`ExtractStage::feed`] would
+/// charge it. That scan would emit no batch either, so the skip leaves
+/// virtual time, streams and digests as they were.
+pub(crate) fn crosses_or_charge(
+    cfg: &AppConfig,
+    ctx: &mut FilterCtx,
+    timestep: u32,
+    info: &ChunkInfo,
+) -> bool {
+    if cfg
+        .dataset
+        .can_cross(cfg.species, timestep, info.id, cfg.iso)
+    {
+        return true;
+    }
+    ctx.compute(cfg.cost.extract_cost(info.point_dims().cells(), 0));
+    false
+}
+
+/// [`crosses_or_charge`] for a chunk a split extract received: the chunk
+/// of this unit of work's timestep whose cells start at the payload's
+/// origin. A payload at no chunk origin is scanned.
+pub(crate) fn received_chunk_crosses(
+    cfg: &AppConfig,
+    ctx: &mut FilterCtx,
+    chunk: &ChunkPayload,
+) -> bool {
+    match cfg.dataset.layout().id_of_origin(chunk.origin) {
+        Some(id) => {
+            let info = cfg.dataset.chunk_info(id);
+            crosses_or_charge(cfg, ctx, cfg.uow_timestep(ctx.uow()), &info)
         }
-        ctx.compute(cfg.cost.extract_cost(self.info.point_dims().cells(), 0));
-        None
+        None => true,
     }
 }
 
@@ -225,7 +252,7 @@ impl ReadStage {
     /// under the sim executor, retrieval is delegated to a read-ahead
     /// helper process and this loop only tallies the bytes it charged.
     pub fn run(&self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, ReadChunk<'_>)) {
-        let timestep = (self.cfg.timestep + ctx.uow()) % volume::TIMESTEPS;
+        let timestep = self.cfg.uow_timestep(ctx.uow());
         let plan = self.plan();
         let cache = self.cfg.chunk_cache().cloned();
         let prefetch = self.spawn_prefetcher(ctx, timestep, &plan, cache.clone());

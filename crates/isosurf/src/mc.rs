@@ -15,7 +15,9 @@
 //! folds them, for each of the 256 cube cases, into one recipe: the
 //! cell's distinct edge crossings and the triangles that join them. A
 //! crossing cell builds its 8-bit mask once, evaluates each crossing
-//! once, and emits the recipe's triangles in tetrahedron order.
+//! once, and emits the recipe's triangles in tetrahedron order. Each
+//! recipe triangle is wound when the table is built, so the kernel never
+//! orients a triangle: its normal is the cross product of its edges.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +30,12 @@ use crate::math::{vec3, Vec3};
 pub struct Triangle {
     /// Vertices in world coordinates.
     pub v: [Vec3; 3],
-    /// Unit normal, oriented away from the "inside" (value > isovalue).
+    /// Unit normal, oriented away from the inside (value > isovalue) by
+    /// the cube case's fixed winding: it is `(v1 − v0) × (v2 − v0)`,
+    /// normalised. Two exceptions: the sign of a zero component is not
+    /// part of the contract, and a triangle too thin for rounding to
+    /// orient may carry the other winding, which the raster re-winds
+    /// anyway (and shading is two-sided).
     pub normal: Vec3,
 }
 
@@ -243,16 +250,18 @@ fn polygonise_cell(
         *p = edge_point(pos(a), val[a as usize], pos(b), val[b as usize], iso);
     }
     let mut triangles = 0;
-    for t in recipe.tris() {
-        let inside = match t.inside {
-            Inside::Corner(a) => pos(a),
-            Inside::Mid(a, b) => (pos(a) + pos(b)) * 0.5,
-            Inside::Centroid(a, b, c) => (pos(a) + pos(b) + pos(c)) / 3.0,
-        };
-        if let Some(tri) = orient(t.e.map(|e| at[e as usize]), inside) {
-            emit(tri);
-            triangles += 1;
+    for e in recipe.tris() {
+        let v = e.map(|e| at[e as usize]);
+        let n = (v[1] - v[0]).cross(v[2] - v[0]);
+        // A sliver too thin to carry a normal is dropped.
+        if n.length() < 1e-12 {
+            continue;
         }
+        emit(Triangle {
+            v,
+            normal: n.normalized(),
+        });
+        triangles += 1;
     }
     triangles
 }
@@ -343,25 +352,16 @@ const MAX_EDGES: usize = 20;
 /// Most triangles one cube case emits: two for each of the six tets.
 const MAX_TRIS: usize = 12;
 
-/// The point on the inside of a recipe triangle that its normal is
-/// oriented away from, named by cube corners in the order the tet case
-/// lists them (float addition is not associative).
+/// The point on the inside of a tet-case triangle, named by cube corners:
+/// the table winds each triangle so that its normal points away from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Inside {
     /// The lone inside corner of a tet with one corner inside.
     Corner(u8),
-    /// `(a + b) * 0.5`: the two inside corners of a tet with two.
+    /// The midpoint of the two inside corners of a tet with two.
     Mid(u8, u8),
-    /// `(a + b + c) / 3.0`: the inside corners of a tet with three.
+    /// The centroid of the inside corners of a tet with three.
     Centroid(u8, u8, u8),
-}
-
-/// One triangle of a [`Recipe`]: the edge slots of its three vertices, in
-/// winding order before [`orient`], and its inside reference.
-#[derive(Clone, Copy)]
-struct RecipeTri {
-    e: [u8; 3],
-    inside: Inside,
 }
 
 /// What a cell of one 8-bit cube case emits, folded at compile time from
@@ -369,13 +369,13 @@ struct RecipeTri {
 /// `(a, b)` the triangles cross, as cube corners in first-use order, each
 /// directed as its tet case gives it so that [`edge_point`] runs the same
 /// arithmetic; `tris` are the triangles in tet order, a quad's two in
-/// order.
+/// order, each three edge slots already wound (see [`Recipe::push`]).
 #[derive(Clone, Copy)]
 struct Recipe {
     ne: u8,
     nt: u8,
     edges: [[u8; 2]; MAX_EDGES],
-    tris: [RecipeTri; MAX_TRIS],
+    tris: [[u8; 3]; MAX_TRIS],
 }
 
 impl Recipe {
@@ -383,17 +383,14 @@ impl Recipe {
         ne: 0,
         nt: 0,
         edges: [[0; 2]; MAX_EDGES],
-        tris: [RecipeTri {
-            e: [0; 3],
-            inside: Inside::Corner(0),
-        }; MAX_TRIS],
+        tris: [[0; 3]; MAX_TRIS],
     };
 
     fn edges(&self) -> &[[u8; 2]] {
         &self.edges[..self.ne as usize]
     }
 
-    fn tris(&self) -> &[RecipeTri] {
+    fn tris(&self) -> &[[u8; 3]] {
         &self.tris[..self.nt as usize]
     }
 
@@ -412,10 +409,73 @@ impl Recipe {
         k
     }
 
+    /// Append the triangle on edge slots `e`, wound so that its normal
+    /// `(v1 − v0) × (v2 − v0)` points away from `inside`: `e[1]` and `e[2]`
+    /// swap when the normal of the tet order points towards it. The sign
+    /// of `n · (inside − centre)` is fixed by the tet case for every edge
+    /// parameter in `(0, 1)` (one corner inside: `−t₀t₁t₂·D`, with `D` the
+    /// tet's signed volume; three: `D·((t₁t₂ + t₁t₃ + t₂t₃)/3 − t₁t₂t₃)`;
+    /// the quads by the `winding_is_fixed_by_the_cube_case` test), so it
+    /// is taken at the edge midpoints, in whole numbers.
     const fn push(&mut self, e: [u8; 3], inside: Inside) {
-        self.tris[self.nt as usize] = RecipeTri { e, inside };
+        let m = [
+            self.midpoint(e[0]),
+            self.midpoint(e[1]),
+            self.midpoint(e[2]),
+        ];
+        let inside = match inside {
+            Inside::Corner(a) => corner6(a),
+            Inside::Mid(a, b) => mean(corner6(a), corner6(b), [0; 3], 2),
+            Inside::Centroid(a, b, c) => mean(corner6(a), corner6(b), corner6(c), 3),
+        };
+        let n = cross(sub(m[1], m[0]), sub(m[2], m[0]));
+        let towards = dot(n, sub(inside, mean(m[0], m[1], m[2], 3)));
+        assert!(
+            towards != 0,
+            "a recipe triangle the midpoints cannot orient"
+        );
+        self.tris[self.nt as usize] = if towards > 0 { [e[0], e[2], e[1]] } else { e };
         self.nt += 1;
     }
+
+    /// The midpoint of the edge in slot `k`, scaled as [`corner6`].
+    const fn midpoint(&self, k: u8) -> [i64; 3] {
+        let [a, b] = self.edges[k as usize];
+        mean(corner6(a), corner6(b), [0; 3], 2)
+    }
+}
+
+/// Cube corner `i` with its coordinates scaled by 6, so that every edge
+/// midpoint, triangle centre and [`Inside`] point is whole.
+const fn corner6(i: u8) -> [i64; 3] {
+    [
+        6 * (i & 1) as i64,
+        6 * (i >> 1 & 1) as i64,
+        6 * (i >> 2 & 1) as i64,
+    ]
+}
+
+/// `(a + b + c) / n`, asserted exact.
+const fn mean(a: [i64; 3], b: [i64; 3], c: [i64; 3], n: i64) -> [i64; 3] {
+    let s = [a[0] + b[0] + c[0], a[1] + b[1] + c[1], a[2] + b[2] + c[2]];
+    assert!(s[0] % n == 0 && s[1] % n == 0 && s[2] % n == 0);
+    [s[0] / n, s[1] / n, s[2] / n]
+}
+
+const fn sub(a: [i64; 3], b: [i64; 3]) -> [i64; 3] {
+    [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+}
+
+const fn cross(a: [i64; 3], b: [i64; 3]) -> [i64; 3] {
+    [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+}
+
+const fn dot(a: [i64; 3], b: [i64; 3]) -> i64 {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
 /// The recipe of every cube mask (bit `i` set ⇔ corner `i` is `> iso`,
@@ -472,30 +532,15 @@ static RECIPES: [Recipe; 256] = {
     recipes
 };
 
-/// `tri` with its normal oriented away from `inside_ref` (a point on the
-/// high-value side), winding flipped as needed; `None` for a degenerate
-/// sliver, which is dropped.
-#[inline]
-fn orient(tri: [Vec3; 3], inside_ref: Vec3) -> Option<Triangle> {
-    let n = (tri[1] - tri[0]).cross(tri[2] - tri[0]);
-    if n.length() < 1e-12 {
-        return None;
-    }
-    let center = (tri[0] + tri[1] + tri[2]) / 3.0;
-    let n = n.normalized();
-    Some(if n.dot(inside_ref - center) > 0.0 {
-        Triangle {
-            v: [tri[0], tri[2], tri[1]],
-            normal: -n,
-        }
-    } else {
-        Triangle { v: tri, normal: n }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::active::{ActivePixelBuffer, WinningPixel};
+    use crate::camera::Camera;
+    use crate::raster::raster_batch;
+    use crate::render::raster_into_zbuffer;
+    use crate::shade::Material;
+    use crate::zbuf::ZBuffer;
     use volume::{Dims, RectGrid};
 
     /// A sphere field: value = R - |p - c| (positive inside).
@@ -683,6 +728,106 @@ mod tests {
         ((i & 1) as u32, ((i >> 1) & 1) as u32, ((i >> 2) & 1) as u32)
     }
 
+    /// How the oracle orients a triangle.
+    #[derive(Clone, Copy)]
+    enum Wind {
+        /// Away from the inside reference, tested at run time on the
+        /// triangle as interpolated: what the kernel did before the case
+        /// table was wound.
+        RunTime,
+        /// As the cube case fixes it: tested in `f64` at the edge
+        /// midpoints, the normal then taken from the wound order.
+        Fixed,
+    }
+
+    type D3 = [f64; 3];
+
+    fn d3(v: Vec3) -> D3 {
+        [v.x as f64, v.y as f64, v.z as f64]
+    }
+
+    fn mean_d3(points: &[D3]) -> D3 {
+        let n = points.len() as f64;
+        std::array::from_fn(|k| points.iter().map(|p| p[k]).sum::<f64>() / n)
+    }
+
+    /// The normal `(v1 − v0) × (v2 − v0)` of `v`, and its dot product with
+    /// `inside − centre`: positive when it points towards `inside`.
+    fn towards(v: [D3; 3], inside: D3) -> (D3, f64) {
+        let sub = |a: D3, b: D3| -> D3 { std::array::from_fn(|k| a[k] - b[k]) };
+        let (a, b) = (sub(v[1], v[0]), sub(v[2], v[0]));
+        let n = [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ];
+        let r = sub(inside, mean_d3(&v));
+        (n, n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
+    }
+
+    /// `tri` with its normal oriented away from `inside_ref` (a point on the
+    /// high-value side), winding flipped as needed; `None` for a degenerate
+    /// sliver, which is dropped. The kernel's orientation step before the
+    /// case table was wound.
+    fn orient(tri: [Vec3; 3], inside_ref: Vec3) -> Option<Triangle> {
+        let n = (tri[1] - tri[0]).cross(tri[2] - tri[0]);
+        if n.length() < 1e-12 {
+            return None;
+        }
+        let center = (tri[0] + tri[1] + tri[2]) / 3.0;
+        let n = n.normalized();
+        Some(if n.dot(inside_ref - center) > 0.0 {
+            Triangle {
+                v: [tri[0], tri[2], tri[1]],
+                normal: -n,
+            }
+        } else {
+            Triangle { v: tri, normal: n }
+        })
+    }
+
+    /// Append the triangle `tri`, interpolated on the directed edges
+    /// `edges`, oriented by `wind` away from the mean of the `inside`
+    /// corners; returns whether a triangle was pushed.
+    fn push_oriented(
+        out: &mut Vec<Triangle>,
+        tri: [Vec3; 3],
+        edges: [[Vec3; 2]; 3],
+        inside: &[Vec3],
+        wind: Wind,
+    ) -> bool {
+        let t = match wind {
+            Wind::RunTime => {
+                let inside_ref = match *inside {
+                    [a] => a,
+                    [a, b] => (a + b) * 0.5,
+                    [a, b, c] => (a + b + c) / 3.0,
+                    _ => unreachable!(),
+                };
+                orient(tri, inside_ref)
+            }
+            Wind::Fixed => {
+                let mid = edges.map(|[a, b]| mean_d3(&[d3(a), d3(b)]));
+                let inside = mean_d3(&inside.iter().map(|&p| d3(p)).collect::<Vec<_>>());
+                let v = if towards(mid, inside).1 > 0.0 {
+                    [tri[0], tri[2], tri[1]]
+                } else {
+                    tri
+                };
+                let n = (v[1] - v[0]).cross(v[2] - v[0]);
+                if n.length() < 1e-12 {
+                    None
+                } else {
+                    Some(Triangle {
+                        v,
+                        normal: n.normalized(),
+                    })
+                }
+            }
+        };
+        t.map(|t| out.push(t)).is_some()
+    }
+
     /// Polygonise one tetrahedron; appends 0–2 triangles, returns the
     /// count. The kernel shipped this per-tet dispatch before it folded
     /// the six tets into a cube-case [`Recipe`]; it stays as the oracle.
@@ -691,6 +836,7 @@ mod tests {
         val: &[f32; 8],
         tet: &[usize; 4],
         iso: f32,
+        wind: Wind,
         out: &mut Vec<Triangle>,
     ) -> usize {
         let p = [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]];
@@ -706,56 +852,53 @@ mod tests {
             case.idx[2] as usize,
             case.idx[3] as usize,
         ];
+        let edge = |a: usize, b: usize| edge_point(p[a], v[a], p[b], v[b], iso);
         match case.n_in {
             0 | 4 => 0,
             1 | 3 => {
                 // One vertex isolated (inside for n_in = 1, outside for 3):
                 // single triangle across the three edges at that vertex.
-                let tri = [
-                    edge_point(p[i0], v[i0], p[i1], v[i1], iso),
-                    edge_point(p[i0], v[i0], p[i2], v[i2], iso),
-                    edge_point(p[i0], v[i0], p[i3], v[i3], iso),
-                ];
-                let inside_ref = if case.n_in == 1 {
-                    p[i0]
+                let tri = [edge(i0, i1), edge(i0, i2), edge(i0, i3)];
+                let edges = [[p[i0], p[i1]], [p[i0], p[i2]], [p[i0], p[i3]]];
+                let inside: &[Vec3] = if case.n_in == 1 {
+                    &[p[i0]]
                 } else {
-                    (p[i1] + p[i2] + p[i3]) / 3.0
+                    &[p[i1], p[i2], p[i3]]
                 };
-                push_oriented(out, tri, inside_ref) as usize
+                push_oriented(out, tri, edges, inside, wind) as usize
             }
             2 => {
                 // Two inside / two outside: the crossing is a quad on four
                 // edges; emit two triangles.
-                let q = [
-                    edge_point(p[i0], v[i0], p[i2], v[i2], iso),
-                    edge_point(p[i0], v[i0], p[i3], v[i3], iso),
-                    edge_point(p[i1], v[i1], p[i3], v[i3], iso),
-                    edge_point(p[i1], v[i1], p[i2], v[i2], iso),
+                let q = [edge(i0, i2), edge(i0, i3), edge(i1, i3), edge(i1, i2)];
+                let qe = [
+                    [p[i0], p[i2]],
+                    [p[i0], p[i3]],
+                    [p[i1], p[i3]],
+                    [p[i1], p[i2]],
                 ];
-                let inside_ref = (p[i0] + p[i1]) * 0.5;
-                let mut n = push_oriented(out, [q[0], q[1], q[2]], inside_ref) as usize;
-                n += push_oriented(out, [q[0], q[2], q[3]], inside_ref) as usize;
+                let inside = [p[i0], p[i1]];
+                let mut n = 0;
+                for k in [[0, 1, 2], [0, 2, 3]] {
+                    n += push_oriented(out, k.map(|k| q[k]), k.map(|k| qe[k]), &inside, wind)
+                        as usize;
+                }
                 n
             }
             _ => unreachable!(),
         }
     }
 
-    /// Append `tri` with its normal oriented away from `inside_ref`; returns
-    /// whether a triangle was pushed.
-    fn push_oriented(out: &mut Vec<Triangle>, tri: [Vec3; 3], inside_ref: Vec3) -> bool {
-        orient(tri, inside_ref).map(|t| out.push(t)).is_some()
-    }
-
     /// The kernel this crate shipped before empty-space skipping: visit
     /// every cell, gather eight corners through `RectGrid::at`, quick-reject
-    /// per cell. Kept verbatim as the oracle [`extract_slab`] must match
-    /// bit for bit.
+    /// per cell, polygonise each tet, orient by `wind`. The oracle
+    /// [`extract_slab`] must match bit for bit under [`Wind::Fixed`].
     fn extract_slab_reference(
         grid: &RectGrid,
         origin: (u32, u32, u32),
         iso: f32,
         z_range: std::ops::Range<u32>,
+        wind: Wind,
         out: &mut Vec<Triangle>,
     ) -> ExtractStats {
         let d = grid.dims;
@@ -783,7 +926,7 @@ mod tests {
                     }
                     for tet in &TETS {
                         stats.triangles +=
-                            polygonise_tet(&corner_pos, &corner_val, tet, iso, out) as u64;
+                            polygonise_tet(&corner_pos, &corner_val, tet, iso, wind, out) as u64;
                     }
                 }
             }
@@ -805,12 +948,15 @@ mod tests {
             .collect()
     }
 
+    /// A grid, its origin, an isovalue and a z-band of cells.
+    type Case = (RectGrid, (u32, u32, u32), f32, std::ops::Range<u32>);
+
     /// A grid, isovalue, origin and z-band drawn for `case`, weighted
     /// towards what the skip hierarchy could get wrong: non-finite samples,
     /// samples equal to the isovalue, constant fields, a lone sample on the
     /// other side, surfaces confined to a few layers or rows, rows longer
     /// and shorter than a vector, and bands that start mid-grid.
-    fn arbitrary_case(case: u32) -> (RectGrid, (u32, u32, u32), f32, std::ops::Range<u32>) {
+    fn arbitrary_case(case: u32) -> Case {
         let mut rng = proptest::TestRng::for_case("mc::arbitrary_case", case);
         let mut draw = |n: u32| (rng.next_u64() % n as u64) as u32;
         let dims = Dims::new(2 + draw(18), 2 + draw(7), 2 + draw(7));
@@ -871,7 +1017,8 @@ mod tests {
         for case in 0..cases {
             let (grid, origin, iso, band) = arbitrary_case(case);
             let (mut want, mut got) = (Vec::new(), Vec::new());
-            let want_stats = extract_slab_reference(&grid, origin, iso, band.clone(), &mut want);
+            let want_stats =
+                extract_slab_reference(&grid, origin, iso, band.clone(), Wind::Fixed, &mut want);
             let got_stats = extract_slab(&grid, origin, iso, band, &mut |t| got.push(t));
             assert_eq!(got_stats, want_stats, "case {case}");
             assert_eq!(triangle_bits(&got), triangle_bits(&want), "case {case}");
@@ -879,8 +1026,9 @@ mod tests {
             // The public entry point routes the whole grid through the
             // same kernel.
             let (mut whole, mut public) = (Vec::new(), Vec::new());
+            let all = 0..grid.dims.nz - 1;
             let whole_stats =
-                extract_slab_reference(&grid, origin, iso, 0..grid.dims.nz - 1, &mut whole);
+                extract_slab_reference(&grid, origin, iso, all, Wind::Fixed, &mut whole);
             let public_stats = extract(&grid, origin, iso, &mut public);
             assert_eq!(public_stats, whole_stats, "case {case}");
             assert_eq!(triangle_bits(&public), triangle_bits(&whole), "case {case}");
@@ -900,8 +1048,8 @@ mod tests {
     }
 
     /// The triangles the six per-tet calls make for cube mask `mask`, as
-    /// [`polygonise_tet`] builds them: three directed edges (cube corners)
-    /// and an inside reference each.
+    /// [`polygonise_tet`] builds them before it orients them: three
+    /// directed edges (cube corners) and an inside reference each.
     fn tet_triangles(mask: usize) -> Vec<([[u8; 2]; 3], Inside)> {
         let mut out = Vec::new();
         for tet in &TETS {
@@ -923,19 +1071,45 @@ mod tests {
         out
     }
 
+    /// Cube corner `i` of the unit cube.
+    fn corner(i: u8) -> D3 {
+        [(i & 1) as f64, (i >> 1 & 1) as f64, (i >> 2 & 1) as f64]
+    }
+
+    /// The point of the unit cube an [`Inside`] names.
+    fn inside_point(inside: Inside) -> D3 {
+        match inside {
+            Inside::Corner(a) => corner(a),
+            Inside::Mid(a, b) => mean_d3(&[corner(a), corner(b)]),
+            Inside::Centroid(a, b, c) => mean_d3(&[corner(a), corner(b), corner(c)]),
+        }
+    }
+
     #[test]
     fn recipes_match_the_per_tet_cases() {
         for (mask, recipe) in RECIPES.iter().enumerate() {
-            let want = tet_triangles(mask);
+            let tets = tet_triangles(mask);
+            // The tet triangles, wound as [`Wind::Fixed`] winds them.
+            let want: Vec<_> = tets
+                .iter()
+                .map(|&(e, inside)| {
+                    let mid = e.map(|[a, b]| mean_d3(&[corner(a), corner(b)]));
+                    if towards(mid, inside_point(inside)).1 > 0.0 {
+                        [e[0], e[2], e[1]]
+                    } else {
+                        e
+                    }
+                })
+                .collect();
             let got: Vec<_> = recipe
                 .tris()
                 .iter()
-                .map(|t| (t.e.map(|e| recipe.edges()[e as usize]), t.inside))
+                .map(|e| e.map(|e| recipe.edges()[e as usize]))
                 .collect();
             assert_eq!(got, want, "mask {mask:#010b}");
             // Each edge evaluated once, in first-use order.
             let mut first_use = Vec::new();
-            for e in want.iter().flat_map(|(e, _)| e) {
+            for e in tets.iter().flat_map(|(e, _)| e) {
                 if !first_use.contains(e) {
                     first_use.push(*e);
                 }
@@ -945,10 +1119,10 @@ mod tests {
         }
 
         // The cell step emits, for every mask, what the six per-tet calls
-        // emit, bit for bit. Samples far below the isovalue put crossings
-        // on the inside corners (`t` rounds to 1), so a triangle's centre
-        // is its inside reference and the orientation test reads 0;
-        // samples far above it put them on the outside corners.
+        // emit under the fixed winding, bit for bit. Samples far below the
+        // isovalue put crossings on the inside corners (`t` rounds to 0 or
+        // 1), where slivers collapse and are dropped; samples far above it
+        // put them on the outside corners.
         let axes = [[7.0, 8.0], [11.0, 12.0], [1000.0, 1001.0]];
         let pos =
             std::array::from_fn(|i| vec3(axes[0][i & 1], axes[1][(i >> 1) & 1], axes[2][i >> 2]));
@@ -964,7 +1138,7 @@ mod tests {
                 });
                 let mut want = Vec::new();
                 for tet in &TETS {
-                    polygonise_tet(&pos, &val, tet, 0.0, &mut want);
+                    polygonise_tet(&pos, &val, tet, 0.0, Wind::Fixed, &mut want);
                 }
                 let mut got = Vec::new();
                 let n = polygonise_cell(&val, axes, 0.0, &mut |t| got.push(t));
@@ -976,6 +1150,151 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The table's winding is the run-time test's answer: for every cube
+    /// case and recipe triangle, at edge parameters drawn in `(0, 1]` (each
+    /// edge its own, the ends `1` and `2⁻²⁰` drawn often), the old
+    /// orientation test evaluated in `f64` finds the wound normal pointing
+    /// away from the inside reference, whenever the triangle is not too
+    /// thin to carry a normal.
+    #[test]
+    fn winding_is_fixed_by_the_cube_case() {
+        let rounds = if cfg!(debug_assertions) { 256 } else { 4096 };
+        let mut rng = proptest::TestRng::for_case("mc::winding_is_fixed", 0);
+        let (mut checked, mut thin) = (0u64, 0u64);
+        for (mask, recipe) in RECIPES.iter().enumerate() {
+            let tets = tet_triangles(mask);
+            assert_eq!(recipe.tris().len(), tets.len(), "mask {mask:#010b}");
+            for _ in 0..rounds {
+                let at: Vec<D3> = recipe
+                    .edges()
+                    .iter()
+                    .map(|&[a, b]| {
+                        let t = match rng.next_u64() % 8 {
+                            0 => 1.0,
+                            1 => 2f64.powi(-20),
+                            _ => ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64,
+                        };
+                        let (a, b) = (corner(a), corner(b));
+                        std::array::from_fn(|k| a[k] + t * (b[k] - a[k]))
+                    })
+                    .collect();
+                for (k, (e, &(_, inside))) in recipe.tris().iter().zip(&tets).enumerate() {
+                    let (n, towards) = towards(e.map(|e| at[e as usize]), inside_point(inside));
+                    if (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt() < 1e-12 {
+                        thin += 1;
+                        continue;
+                    }
+                    checked += 1;
+                    // The test flips a triangle whose normal points
+                    // towards the inside; a tie (all three crossings on
+                    // the inside corners of a tet with three) keeps it.
+                    assert!(
+                        towards <= 0.0,
+                        "mask {mask:#010b}, triangle {k}: n · (inside − centre) = {towards:e}"
+                    );
+                }
+            }
+        }
+        assert!(checked > 50 * thin, "{checked} checked, {thin} too thin");
+    }
+
+    /// A camera framing `dims` points placed at `origin`, from the
+    /// standard direction or the opposite one.
+    fn camera_on(dims: Dims, origin: (u32, u32, u32), behind: bool) -> Camera {
+        let mut c = Camera::framing(dims, 96, 72);
+        let o = vec3(origin.0 as f32, origin.1 as f32, origin.2 as f32);
+        if behind {
+            c.eye = c.target * 2.0 - c.eye;
+        }
+        c.eye = c.eye + o;
+        c.target = c.target + o;
+        c
+    }
+
+    /// What `tris` become on `camera`'s image: [`raster_batch`]'s plot
+    /// stream (x, y, depth bits, rgb, in order), the z-buffer it fills and
+    /// the active-pixel batches it flushes.
+    #[allow(clippy::type_complexity)]
+    fn raster_outputs(
+        tris: &[Triangle],
+        camera: &Camera,
+    ) -> (
+        Vec<(u32, u32, u32, [u8; 3])>,
+        Vec<(u32, [u8; 3])>,
+        Vec<Vec<WinningPixel>>,
+    ) {
+        let (material, proj) = (Material::default(), camera.projector());
+        let (w, h) = (camera.width, camera.height);
+        let mut stream = Vec::new();
+        raster_batch(&proj, w, h, &material, tris, |x, y, d, rgb| {
+            stream.push((x, y, d.to_bits(), rgb))
+        });
+        let mut zb = ZBuffer::new(w, h);
+        raster_into_zbuffer(tris, camera, &material, &mut zb);
+        let zb = zb.depth.iter().map(|d| d.to_bits()).zip(zb.color).collect();
+        let (mut ap, mut wpa) = (ActivePixelBuffer::new(w, 7), Vec::new());
+        raster_batch(&proj, w, h, &material, tris, |x, y, d, rgb| {
+            ap.plot(x, y, d, rgb, &mut |b| wpa.push(b))
+        });
+        ap.force_flush(&mut |b| wpa.push(b));
+        (stream, zb, wpa)
+    }
+
+    /// Winding is invisible: the kernel's triangles and the run-time
+    /// oriented oracle's rasterise to the same plot stream, z-buffer and
+    /// active-pixel batches, on the slab oracle's cases, sphere fields and
+    /// small ParSSim fields, seen from two opposite sides.
+    #[test]
+    fn winding_never_reaches_a_pixel() {
+        use volume::{ParSSim, SimParams};
+        let mut fields: Vec<Case> = Vec::new();
+        let cases = if cfg!(debug_assertions) { 256 } else { 2048 };
+        fields.extend((0..cases).map(arbitrary_case));
+        for (n, r) in [(17, 5.0), (25, 7.77), (33, 11.3)] {
+            fields.push((sphere_grid(n, r), (0, 0, 0), 0.0, 0..n - 1));
+        }
+        for seed in 1..=2 {
+            let sim = ParSSim::new(SimParams::new(Dims::new(17, 13, 15), seed));
+            for species in 0..volume::SPECIES_COUNT {
+                let field = sim.field(species, 3);
+                let mut sorted = field.data.clone();
+                sorted.sort_by(f32::total_cmp);
+                let iso = sorted[sorted.len() / 2];
+                let band = 0..field.dims.nz - 1;
+                fields.push((field, (0, 0, 0), iso, band));
+            }
+        }
+        let (mut rewound, mut pixels) = (0, 0);
+        for (i, (grid, origin, iso, band)) in fields.iter().enumerate() {
+            let (mut kernel, mut oracle) = (Vec::new(), Vec::new());
+            extract_slab(grid, *origin, *iso, band.clone(), &mut |t| kernel.push(t));
+            extract_slab_reference(
+                grid,
+                *origin,
+                *iso,
+                band.clone(),
+                Wind::RunTime,
+                &mut oracle,
+            );
+            assert_eq!(kernel.len(), oracle.len(), "field {i}");
+            rewound += kernel
+                .iter()
+                .zip(&oracle)
+                .filter(|(k, o)| triangle_bits(&[**k])[..9] != triangle_bits(&[**o])[..9])
+                .count();
+            for behind in [false, true] {
+                let camera = camera_on(grid.dims, *origin, behind);
+                let want = raster_outputs(&oracle, &camera);
+                assert_eq!(raster_outputs(&kernel, &camera), want, "field {i}");
+                pixels += want.0.len();
+            }
+        }
+        // Ties and slivers (samples at the isovalue put crossings on
+        // corners) are where the two windings part.
+        assert!(rewound > 100, "{rewound} triangles wound otherwise");
+        assert!(pixels > 50_000, "{pixels} pixels plotted");
     }
 
     #[test]

@@ -86,6 +86,17 @@ impl ChunkLayout {
         ChunkId((coord.2 * self.chunks.1 + coord.1) * self.chunks.0 + coord.0)
     }
 
+    /// The chunk whose first owned cell is `cell_origin`, if one is:
+    /// the inverse of [`ChunkInfo::cell_origin`].
+    pub fn id_of_origin(&self, cell_origin: (u32, u32, u32)) -> Option<ChunkId> {
+        let g = self.grid;
+        Some(self.id_at((
+            part_at(g.nx - 1, self.chunks.0, cell_origin.0)?,
+            part_at(g.ny - 1, self.chunks.1, cell_origin.1)?,
+            part_at(g.nz - 1, self.chunks.2, cell_origin.2)?,
+        )))
+    }
+
     /// Full description of chunk `id`.
     pub fn info(&self, id: ChunkId) -> ChunkInfo {
         assert!(id.0 < self.count(), "chunk id out of range");
@@ -226,6 +237,20 @@ fn axis_range(cells: u32, parts: u32, idx: u32) -> (u32, u32) {
     (origin, extent)
 }
 
+/// The part of [`axis_range`]'s split that starts at cell `origin`, if
+/// one does.
+fn part_at(cells: u32, parts: u32, origin: u32) -> Option<u32> {
+    let (base, rem) = (cells / parts, cells % parts);
+    // The first `rem` parts hold `base + 1` cells, the rest `base`.
+    let long = rem * (base + 1);
+    let idx = if origin < long {
+        origin / (base + 1)
+    } else {
+        rem + (origin - long) / base
+    };
+    (idx < parts && axis_range(cells, parts, idx).0 == origin).then_some(idx)
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
@@ -258,6 +283,30 @@ mod tests {
             assert_eq!(l.id_at(l.coord(id)), id);
         }
         assert_eq!(l.count(), 24);
+    }
+
+    #[test]
+    fn id_of_origin_inverts_cell_origin_on_uneven_layouts() {
+        for (grid, chunks) in [
+            (Dims::new(17, 17, 17), (2, 3, 4)),
+            (Dims::new(9, 14, 30), (3, 5, 7)),
+            (Dims::new(2, 3, 12), (1, 2, 11)),
+            (Dims::new(61, 40, 33), (12, 7, 5)),
+        ] {
+            let l = ChunkLayout::new(grid, chunks);
+            let origins: std::collections::HashMap<_, _> =
+                l.all().iter().map(|i| (i.cell_origin, i.id)).collect();
+            // Every cell of the grid and one past it: a chunk's origin
+            // maps to it, any other cell to none.
+            for z in 0..grid.nz {
+                for y in 0..grid.ny {
+                    for x in 0..grid.nx {
+                        let o = (x, y, z);
+                        assert_eq!(l.id_of_origin(o), origins.get(&o).copied(), "{o:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

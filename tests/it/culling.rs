@@ -8,18 +8,21 @@
 //!   skipped scan is charged, on grids with NaN, ±∞, samples equal to
 //!   the isovalue, constant fields and uneven chunk splits;
 //! - the pins: every fused grouping under every writer policy renders
-//!   and measures exactly what it did when it cut every chunk.
+//!   and measures exactly what it did when it cut every chunk, and the
+//!   split `E` filter, which finds each chunk it receives by its origin
+//!   and skips by the same rule, exactly what it did when it scanned
+//!   every chunk.
 //!
 //! Release builds run the oracle at a high case count.
 
 use datacutter::{NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, reference_image, run_pipeline, run_pipeline_exec, Algorithm, Grouping,
-    PipelineResult, PipelineSpec, SharedConfig,
+    clone_config, reference_image, run_pipeline, run_pipeline_exec, run_pipeline_uows, Algorithm,
+    Grouping, PipelineResult, PipelineSpec, SharedConfig,
 };
 use hetsim::presets::rogue_blue_mix;
 use hetsim::{splitmix64, HostId, Topology};
-use integration_tests::{image_digest, metrics_digest, test_cfg, test_dataset};
+use integration_tests::{image_digest, metrics_digest, report_digest, test_cfg, test_dataset};
 use proptest::prelude::*;
 use volume::{can_cross, ChunkId, ChunkLayout, Dataset, Dims, RectGrid};
 
@@ -135,10 +138,15 @@ fn setting() -> (Topology, Vec<HostId>, HostId) {
     (topo, hosts, blues[0])
 }
 
-/// The three fused groupings that read and extract in one filter.
+/// The three fused groupings that read and extract in one filter, and
+/// the four-stage line whose lone `E` copy extracts what `R` ships.
 fn spec(grouping: &str, policy: &str, hosts: &[HostId], merge: HostId) -> PipelineSpec {
     let raster = Placement::one_per_host(hosts);
     let grouping = match grouping {
+        "R-E" => Grouping::FourStage {
+            extract: Placement::on_host(hosts[1], 1),
+            raster,
+        },
         "RE" => Grouping::RERaSplit { raster },
         "REp" => Grouping::ImagePartitioned { raster },
         "RERa" => Grouping::RERaM,
@@ -201,6 +209,11 @@ const PINNED: &[(&str, &str, u64)] = &[
 /// `RE` under DD through the chunk cache and read-ahead, same capture.
 const PINNED_CACHED: u64 = 0x23c7822adf257324;
 
+/// `(policy, metrics digest)` of `R-E-Ra-M` over three units of work in
+/// one simulation (timesteps 3, 4 and 5), captured on the tree whose split
+/// extract scanned every chunk it received (commit 47c73f0).
+const PINNED_SPLIT: &[(&str, u64)] = &[("rr", 0x5b0a4125742956f6), ("dd", 0x556907446fe1e6fd)];
+
 #[test]
 fn the_pinned_configuration_skips_most_chunks_but_not_all() {
     let (_, hosts, _) = setting();
@@ -224,6 +237,23 @@ fn fused_groupings_match_the_digests_of_cutting_every_chunk() {
         let r = run(grouping, policy, &cfg);
         assert_eq!(image_digest(&r.image), IMAGE, "{grouping}/{policy}: pixels");
         assert_eq!(metrics_digest(&r), metrics, "{grouping}/{policy}: metrics");
+    }
+}
+
+#[test]
+fn split_extract_matches_the_digests_of_scanning_every_chunk() {
+    let (topo, hosts, merge) = setting();
+    let cfg = config(&hosts);
+    for &(policy, metrics) in PINNED_SPLIT {
+        let s = spec("R-E", policy, &hosts, merge);
+        let r = run_pipeline_uows(&topo, &cfg, &s, 3).expect("split run failed");
+        for (k, image) in r.images.iter().enumerate() {
+            let mut c = clone_config(&cfg);
+            c.timestep += k as u32;
+            let want = reference_image(&std::sync::Arc::new(c));
+            assert_eq!(image.diff_pixels(&want), 0, "{policy}: unit of work {k}");
+        }
+        assert_eq!(report_digest(&r.report), metrics, "{policy}: metrics");
     }
 }
 

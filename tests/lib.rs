@@ -125,8 +125,12 @@ pub fn stream_totals_digest(r: &PipelineResult) -> u64 {
 /// event count, per-copy counters (the byte meters), per-stream copy-set
 /// counters, UOW boundaries and fault tallies.
 pub fn metrics_digest(r: &PipelineResult) -> u64 {
+    report_digest(&r.report)
+}
+
+/// [`metrics_digest`] of a bare report, such as a multi-UOW run's.
+pub fn report_digest(rep: &datacutter::RunReport) -> u64 {
     let mut h = Fnv::new();
-    let rep = &r.report;
     h.u64(rep.elapsed.as_nanos());
     h.u64(rep.events);
     for b in &rep.uow_boundaries {
