@@ -158,8 +158,23 @@ pub fn run_pipeline_uows(
     spec: &PipelineSpec,
     uows: u32,
 ) -> Result<MultiUowResult, RunError> {
+    run_pipeline_uows_exec(topo, cfg, spec, uows, datacutter::SimExecutor::new())
+}
+
+/// [`run_pipeline_uows`] on an explicit execution substrate, as
+/// [`run_pipeline_exec`] is to [`run_pipeline`].
+pub fn run_pipeline_uows_exec(
+    topo: &Topology,
+    cfg: &SharedConfig,
+    spec: &PipelineSpec,
+    uows: u32,
+    exec: impl Into<ExecutorChoice>,
+) -> Result<MultiUowResult, RunError> {
     let Pipeline { graph, image, .. } = build_pipeline(cfg, spec);
-    let report = configured_run(graph, cfg, None).uows(uows).go(topo)?;
+    let report = configured_run(graph, cfg, None)
+        .executor(exec)
+        .uows(uows)
+        .go(topo)?;
     let images = deposited(&image, &report, uows)?;
     let uow_elapsed = report.uow_elapsed();
     Ok(MultiUowResult {

@@ -176,9 +176,11 @@ impl Filter for AppFilter {
                         e.feed(ctx, chunk, tail);
                     }
                 }
+                // The split `R` ships a chunk the isosurface cannot cross
+                // as a header, declaring the chunk's wire size.
                 None => {
-                    let chunk = chunk.cut();
-                    ship(ctx, To::Policy, chunk.wire_bytes(), chunk);
+                    let (wire, chunk) = chunk.shipped();
+                    ship(ctx, To::Policy, wire, chunk);
                 }
             });
         } else {
@@ -194,7 +196,7 @@ impl Filter for AppFilter {
                 if let Some(e) = extract.as_mut() {
                     let chunk = slab.recycle_ctx::<ChunkPayload>(b, "E filter input");
                     // The fused extract's skip rule, by the chunk's origin.
-                    if received_chunk_crosses(&tail.cfg, ctx, &chunk) {
+                    if received_chunk_crosses(&tail.cfg, ctx, &chunk)? {
                         e.feed(ctx, chunk, tail);
                     }
                     if per_chunk {
@@ -321,5 +323,78 @@ fn ship<T: Any + Send + Clone + SpillCodec>(ctx: &mut FilterCtx, to: To, wire: u
         To::Policy => ctx.write(0, buf),
         To::CopySet(set) => ctx.write_to(0, set, buf),
         To::Tile(tile) => ctx.write_tile(0, tile as u64, buf),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AppConfig;
+    use datacutter::{
+        ExecutorChoice, GraphBuilder, NativeExecutor, Placement, Run, RunError, SimExecutor,
+        WritePolicy,
+    };
+    use volume::{ChunkId, Dataset, Dims};
+
+    /// A read filter that ships every chunk as a header declaring the
+    /// chunk's size, crossing or not: a split `R` that skips wrongly.
+    struct HeadersOnly(SharedConfig);
+
+    impl Filter for HeadersOnly {
+        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            let ds = &self.0.dataset;
+            for id in (0..ds.layout().count()).map(ChunkId) {
+                let header = ChunkPayload::header(ds.chunk_info(id).cell_origin);
+                ship(ctx, To::Policy, ds.chunk_bytes(id), header);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn extract_refuses_a_header_the_surface_can_cross() {
+        let (topo, hosts) = hetsim::presets::rogue_cluster(1);
+        let mut cfg = AppConfig::new(
+            Dataset::generate(Dims::new(17, 17, 17), (2, 2, 2), 4, 7),
+            hosts.clone(),
+            1,
+            32,
+            32,
+        );
+        let field = cfg.dataset.field(0, 0);
+        let (lo, hi) = field
+            .data
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        cfg.iso = (lo + hi) / 2.0;
+        let cfg: SharedConfig = Arc::new(cfg);
+        assert!((0..8).any(|i| cfg.dataset.can_cross(0, 0, ChunkId(i), cfg.iso)));
+
+        let execs: [ExecutorChoice; 2] = [SimExecutor::new().into(), NativeExecutor::new().into()];
+        for exec in execs {
+            let mut g = GraphBuilder::new();
+            let read_cfg = cfg.clone();
+            let r = g.add_filter("R", Placement::on_host(hosts[0], 1), move |_| {
+                HeadersOnly(read_cfg.clone())
+            });
+            let (era_cfg, slot) = (cfg.clone(), ImageSlot::default());
+            let e = g.add_filter("ERaM", Placement::on_host(hosts[0], 1), move |info| {
+                let stages = [Stage::Extract, Stage::Raster, Stage::Merge];
+                AppFilter::new(&era_cfg, &stages, Algorithm::ZBuffer, info, &slot)
+            });
+            g.connect(r, e, WritePolicy::RoundRobin);
+            match Run::new(g.build()).executor(exec).go(&topo) {
+                Err(RunError::Filter {
+                    filter, message, ..
+                }) => {
+                    assert_eq!(filter, "ERaM");
+                    assert!(message.contains("header"), "{message}");
+                }
+                Err(e) => panic!("the run failed otherwise: {e:?}"),
+                Ok(_) => panic!("a header the surface can cross was drawn as nothing"),
+            }
+        }
     }
 }

@@ -35,8 +35,8 @@ mod parts;
 pub use config::{Algorithm, AppConfig, ConfigError, CostModel, SharedConfig};
 pub use experiment::{
     avg_elapsed_secs, clone_config, reference_image, run_pipeline, run_pipeline_exec,
-    run_pipeline_faulted, run_pipeline_faulted_exec, run_pipeline_uows, run_timesteps,
-    MultiUowResult, PipelineResult,
+    run_pipeline_faulted, run_pipeline_faulted_exec, run_pipeline_uows, run_pipeline_uows_exec,
+    run_timesteps, MultiUowResult, PipelineResult,
 };
 pub use filters::ImageSlot;
 pub use payload::{ChunkPayload, RaOut, TriBatch};

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use datacutter::FilterCtx;
+use datacutter::{FilterCtx, FilterError};
 use hetsim::{Env, Semaphore};
 use isosurf::{
     merge_batch, raster_batch, ActivePixelBuffer, ExtractStats, Image, Triangle, WinningPixel,
@@ -57,10 +57,10 @@ impl Drop for Prefetch {
 }
 
 /// One chunk the read stage has retrieved and charged for, not yet cut
-/// out of its timestep. A fused extract cuts it only if the isosurface
-/// can cross it ([`cut_crossing`](Self::cut_crossing)); the split `R`
-/// filter [cuts](Self::cut) every chunk, since the stage downstream
-/// decides.
+/// out of its timestep. It is cut only if the isosurface can cross it:
+/// otherwise a fused extract skips it
+/// ([`cut_crossing`](Self::cut_crossing)) and the split `R` filter ships
+/// it as a header ([`shipped`](Self::shipped)).
 pub(crate) struct ReadChunk<'a> {
     cfg: &'a AppConfig,
     timestep: u32,
@@ -90,6 +90,27 @@ impl ReadChunk<'_> {
     pub fn cut_crossing(self, ctx: &mut FilterCtx) -> Option<ChunkPayload> {
         crosses_or_charge(self.cfg, ctx, self.timestep, &self.info).then(|| self.cut())
     }
+
+    /// The chunk as the split `R` filter ships it, with the wire size it
+    /// declares: [cut](Self::cut) if the isosurface can cross it,
+    /// otherwise a [header](ChunkPayload::header) at its origin, which
+    /// the split extract drops unscanned by the same rule
+    /// ([`received_chunk_crosses`]). Both declare the chunk's full size,
+    /// `Dataset::chunk_bytes` (= `cut().wire_bytes()`), so every modelled
+    /// transfer, stream total and memory-budget charge is the cut
+    /// chunk's; only what is held, spilled and checksummed shrinks.
+    pub fn shipped(self) -> (u64, ChunkPayload) {
+        let (cfg, id) = (self.cfg, self.info.id);
+        let wire = cfg.dataset.chunk_bytes(id);
+        if cfg
+            .dataset
+            .can_cross(cfg.species, self.timestep, id, cfg.iso)
+        {
+            (wire, self.cut())
+        } else {
+            (wire, ChunkPayload::header(self.info.cell_origin))
+        }
+    }
 }
 
 /// Whether the isosurface can cross chunk `info` at `timestep`, by the
@@ -117,19 +138,30 @@ pub(crate) fn crosses_or_charge(
 
 /// [`crosses_or_charge`] for a chunk a split extract received: the chunk
 /// of this unit of work's timestep whose cells start at the payload's
-/// origin. A payload at no chunk origin is scanned.
+/// origin. A payload at no chunk origin is scanned. A header that would
+/// be scanned is an error: its samples were never shipped, and scanning
+/// it would draw nothing where the surface is.
 pub(crate) fn received_chunk_crosses(
     cfg: &AppConfig,
     ctx: &mut FilterCtx,
     chunk: &ChunkPayload,
-) -> bool {
-    match cfg.dataset.layout().id_of_origin(chunk.origin) {
+) -> Result<bool, FilterError> {
+    let crosses = match cfg.dataset.layout().id_of_origin(chunk.origin) {
         Some(id) => {
             let info = cfg.dataset.chunk_info(id);
             crosses_or_charge(cfg, ctx, cfg.uow_timestep(ctx.uow()), &info)
         }
         None => true,
+    };
+    if crosses && chunk.is_header() {
+        return Err(FilterError(format!(
+            "extract received a header at cell origin {:?} that the isosurface \
+             can cross in unit of work {}",
+            chunk.origin,
+            ctx.uow()
+        )));
     }
+    Ok(crosses)
 }
 
 /// Reads this storage node's declustered chunks off its local disks.
@@ -828,6 +860,65 @@ mod tests {
         }
         out.extend(stage.batches.open.take().map(|b| b.to_vec()));
         out
+    }
+
+    /// The split `R` filter's `(declared wire, payload)` for every chunk
+    /// of four uneven layouts, at several isovalues and at two timesteps
+    /// neither of which is the config's: the cut chunk when the surface
+    /// can cross it (by the range of its cut samples), otherwise a header
+    /// at its origin declaring the same size.
+    #[test]
+    fn split_read_ships_a_header_for_each_chunk_the_surface_cannot_cross() {
+        let (mut headers, mut cut) = (0, 0);
+        for (grid, chunks) in [
+            (Dims::new(17, 17, 17), (2, 3, 4)),
+            (Dims::new(9, 14, 30), (3, 5, 7)),
+            (Dims::new(2, 3, 12), (1, 2, 11)),
+            (Dims::new(61, 40, 33), (12, 7, 5)),
+        ] {
+            let dataset = Dataset::generate(grid, chunks, 4, 5);
+            for iso in [0.05, 0.2, 0.35, 0.5, 0.65, 0.8] {
+                let mut cfg = AppConfig::new(dataset.clone(), vec![HostId(0)], 1, 8, 8);
+                cfg.iso = iso;
+                cfg.timestep = 1;
+                for timestep in [3, 7] {
+                    for id in (0..dataset.layout().count()).map(ChunkId) {
+                        let read = || ReadChunk {
+                            cfg: &cfg,
+                            timestep,
+                            info: dataset.chunk_info(id),
+                            grid: None,
+                        };
+                        let (wire, got) = read().shipped();
+                        let want = read().cut();
+                        let range = want
+                            .grid
+                            .data
+                            .iter()
+                            .filter(|v| !v.is_nan())
+                            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+                                (lo.min(v), hi.max(v))
+                            });
+                        let at = format!("{grid:?}/{chunks:?} iso {iso} t {timestep} {id:?}");
+                        assert_eq!(wire, want.wire_bytes(), "{at}");
+                        assert_eq!(got.origin, want.origin, "{at}");
+                        if volume::can_cross(range, iso) {
+                            cut += 1;
+                            assert_eq!(got.grid.dims, want.grid.dims, "{at}");
+                            let bits = |p: &ChunkPayload| -> Vec<u32> {
+                                p.grid.data.iter().map(|v| v.to_bits()).collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{at}");
+                        } else {
+                            headers += 1;
+                            assert!(got.is_header(), "{at}");
+                            assert_eq!(got.grid.dims.points(), 0, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(headers > 0 && cut > 0, "{headers} headers, {cut} cut");
     }
 
     #[test]

@@ -11,7 +11,8 @@ use volume::{Dims, RectGrid};
 
 use crate::pool::PoolVec;
 
-/// R → E payload: one sub-volume of voxel data.
+/// R → E payload: one sub-volume of voxel data, or a
+/// [header](Self::header) standing for one the isosurface cannot cross.
 ///
 /// `Clone` and [`SpillCodec`] (here and on the other payloads) are what
 /// [`BufferSlab::make`](datacutter::BufferSlab::make) asks of every
@@ -27,9 +28,28 @@ pub struct ChunkPayload {
 }
 
 impl ChunkPayload {
-    /// Bytes this chunk occupies on the wire (header + f32 payload).
+    /// Bytes this chunk occupies on the wire (12-byte origin + f32
+    /// payload). A [header](Self::header) carries only the origin, but
+    /// the split `R` filter declares the full size of the chunk it
+    /// stands for.
     pub fn wire_bytes(&self) -> u64 {
         12 + self.grid.dims.byte_size()
+    }
+
+    /// A chunk shipped without its samples: its origin and a 0-point
+    /// grid. The split `R` filter ships a chunk the isosurface cannot
+    /// cross this way, and the split extract drops it unscanned.
+    pub fn header(origin: (u32, u32, u32)) -> Self {
+        ChunkPayload {
+            origin,
+            ..ChunkPayload::default()
+        }
+    }
+
+    /// Whether this payload is a [header](Self::header): it holds no
+    /// sample.
+    pub fn is_header(&self) -> bool {
+        self.grid.data.is_empty()
     }
 }
 

@@ -9,20 +9,24 @@
 //!   the isovalue, constant fields and uneven chunk splits;
 //! - the pins: every fused grouping under every writer policy renders
 //!   and measures exactly what it did when it cut every chunk, and the
-//!   split `E` filter, which finds each chunk it receives by its origin
-//!   and skips by the same rule, exactly what it did when it scanned
-//!   every chunk.
+//!   split groupings (`R-E`, `R-ERa`) exactly what they did when `R` cut
+//!   and `E` scanned every chunk: `R` now ships a chunk the surface
+//!   cannot cross as a header declaring the chunk's wire size, and `E`
+//!   finds each chunk it receives by its origin and skips by the same
+//!   rule — unbudgeted, on both executors, and under a memory budget
+//!   that spills headers and chunks alike.
 //!
 //! Release builds run the oracle at a high case count.
 
-use datacutter::{NativeExecutor, Placement, WritePolicy};
+use datacutter::{ExecutorChoice, NativeExecutor, Placement, SimExecutor, WritePolicy};
 use dcapp::{
-    clone_config, reference_image, run_pipeline, run_pipeline_exec, run_pipeline_uows, Algorithm,
-    Grouping, PipelineResult, PipelineSpec, SharedConfig,
+    clone_config, reference_image, run_pipeline, run_pipeline_exec, run_pipeline_uows,
+    run_pipeline_uows_exec, Algorithm, Grouping, PipelineResult, PipelineSpec, SharedConfig,
 };
 use hetsim::presets::rogue_blue_mix;
 use hetsim::{splitmix64, HostId, Topology};
 use integration_tests::{image_digest, metrics_digest, report_digest, test_cfg, test_dataset};
+use isosurf::Image;
 use proptest::prelude::*;
 use volume::{can_cross, ChunkId, ChunkLayout, Dataset, Dims, RectGrid};
 
@@ -138,8 +142,9 @@ fn setting() -> (Topology, Vec<HostId>, HostId) {
     (topo, hosts, blues[0])
 }
 
-/// The three fused groupings that read and extract in one filter, and
-/// the four-stage line whose lone `E` copy extracts what `R` ships.
+/// The three fused groupings that read and extract in one filter, the
+/// four-stage line whose lone `E` copy extracts what `R` ships, and the
+/// `R-ERa` line whose `ERa` copies, one per host, extract and raster it.
 fn spec(grouping: &str, policy: &str, hosts: &[HostId], merge: HostId) -> PipelineSpec {
     let raster = Placement::one_per_host(hosts);
     let grouping = match grouping {
@@ -147,6 +152,7 @@ fn spec(grouping: &str, policy: &str, hosts: &[HostId], merge: HostId) -> Pipeli
             extract: Placement::on_host(hosts[1], 1),
             raster,
         },
+        "R-ERa" => Grouping::REraSplit { era: raster },
         "RE" => Grouping::RERaSplit { raster },
         "REp" => Grouping::ImagePartitioned { raster },
         "RERa" => Grouping::RERaM,
@@ -209,10 +215,40 @@ const PINNED: &[(&str, &str, u64)] = &[
 /// `RE` under DD through the chunk cache and read-ahead, same capture.
 const PINNED_CACHED: u64 = 0x23c7822adf257324;
 
-/// `(policy, metrics digest)` of `R-E-Ra-M` over three units of work in
-/// one simulation (timesteps 3, 4 and 5), captured on the tree whose split
-/// extract scanned every chunk it received (commit 47c73f0).
-const PINNED_SPLIT: &[(&str, u64)] = &[("rr", 0x5b0a4125742956f6), ("dd", 0x556907446fe1e6fd)];
+/// `(grouping, policy, metrics digest)` of the split groupings over three
+/// units of work in one simulation (timesteps 3, 4 and 5). `R-E` was
+/// captured on the tree whose split extract scanned every chunk it
+/// received (commit 47c73f0), `R-ERa` on the tree whose split `R` cut
+/// every chunk (commit 8945152).
+const PINNED_SPLIT: &[(&str, &str, u64)] = &[
+    ("R-E", "rr", 0x5b0a4125742956f6),
+    ("R-E", "dd", 0x556907446fe1e6fd),
+    ("R-ERa", "rr", 0x0a97747bcb105020),
+    ("R-ERa", "dd", 0x4234aced7755de4c),
+];
+
+/// The units of work every split-grouping run renders.
+const UOWS: u32 = 3;
+
+/// `cfg` under a memory budget of 1/16 of a timestep's bytes.
+fn budgeted(cfg: &SharedConfig) -> SharedConfig {
+    let mut c = clone_config(cfg);
+    c.memory_budget_bytes = c.dataset.timestep_bytes() / 16;
+    c.validate().expect("budgeted config validates");
+    std::sync::Arc::new(c)
+}
+
+/// Each image of a run of [`UOWS`] units of work is the reference image
+/// of its timestep.
+fn assert_every_timestep(label: &str, cfg: &SharedConfig, images: &[Image]) {
+    assert_eq!(images.len(), UOWS as usize, "{label}: one image a unit");
+    for (k, image) in images.iter().enumerate() {
+        let mut c = clone_config(cfg);
+        c.timestep += k as u32;
+        let want = reference_image(&std::sync::Arc::new(c));
+        assert_eq!(image.diff_pixels(&want), 0, "{label}: unit of work {k}");
+    }
+}
 
 #[test]
 fn the_pinned_configuration_skips_most_chunks_but_not_all() {
@@ -244,16 +280,57 @@ fn fused_groupings_match_the_digests_of_cutting_every_chunk() {
 fn split_extract_matches_the_digests_of_scanning_every_chunk() {
     let (topo, hosts, merge) = setting();
     let cfg = config(&hosts);
-    for &(policy, metrics) in PINNED_SPLIT {
-        let s = spec("R-E", policy, &hosts, merge);
-        let r = run_pipeline_uows(&topo, &cfg, &s, 3).expect("split run failed");
-        for (k, image) in r.images.iter().enumerate() {
-            let mut c = clone_config(&cfg);
-            c.timestep += k as u32;
-            let want = reference_image(&std::sync::Arc::new(c));
-            assert_eq!(image.diff_pixels(&want), 0, "{policy}: unit of work {k}");
+    for &(grouping, policy, metrics) in PINNED_SPLIT {
+        let label = format!("{grouping}/{policy}");
+        let s = spec(grouping, policy, &hosts, merge);
+        let r = run_pipeline_uows(&topo, &cfg, &s, UOWS).expect("split run failed");
+        assert_every_timestep(&label, &cfg, &r.images);
+        assert_eq!(report_digest(&r.report), metrics, "{label}: metrics");
+    }
+}
+
+#[test]
+fn native_split_groupings_render_every_timestep() {
+    let (topo, hosts, merge) = setting();
+    let cfg = config(&hosts);
+    for grouping in ["R-E", "R-ERa"] {
+        for policy in ["rr", "dd"] {
+            let s = spec(grouping, policy, &hosts, merge);
+            let r = run_pipeline_uows_exec(&topo, &cfg, &s, UOWS, NativeExecutor::new())
+                .expect("native split run failed");
+            assert_every_timestep(&format!("native {grouping}/{policy}"), &cfg, &r.images);
         }
-        assert_eq!(report_digest(&r.report), metrics, "{policy}: metrics");
+    }
+}
+
+/// `R-E-Ra-M` under a 1/16-timestep budget on both executors: headers
+/// and cut chunks queue, spill and fault back alike, and every image is
+/// the unbudgeted run's.
+#[test]
+fn budgeted_split_extract_draws_the_unbudgeted_images() {
+    let (topo, hosts, merge) = setting();
+    let cfg = config(&hosts);
+    let s = spec("R-E", "dd", &hosts, merge);
+    let free = run_pipeline_uows(&topo, &cfg, &s, UOWS).expect("unbudgeted split run failed");
+    let tight = budgeted(&cfg);
+    let execs: [(&str, ExecutorChoice); 2] = [
+        ("sim", SimExecutor::new().into()),
+        ("native", NativeExecutor::new().into()),
+    ];
+    for (label, exec) in execs {
+        let r = run_pipeline_uows_exec(&topo, &tight, &s, UOWS, exec)
+            .expect("budgeted split run failed");
+        let ooc = r.report.ooc;
+        assert!(ooc.spills > 0, "{label}: a 1/16 budget must force spills");
+        assert_eq!(
+            ooc.spills, ooc.faults,
+            "{label}: each spill faults back once"
+        );
+        assert_eq!(ooc.spill_bytes, ooc.fault_bytes, "{label}");
+        assert_eq!(r.images.len(), free.images.len(), "{label}");
+        for (k, (got, want)) in r.images.iter().zip(&free.images).enumerate() {
+            assert_eq!(got.diff_pixels(want), 0, "{label}: unit of work {k}");
+        }
     }
 }
 

@@ -682,6 +682,36 @@ proptest! {
         );
     }
 
+    /// A header chunk (an origin and no sample: what the split `R` ships
+    /// for a chunk the isosurface cannot cross) spills sealed through the
+    /// ring and faults back bit for bit, and any single bit flip in its
+    /// frame is detected.
+    #[test]
+    fn header_chunk_spills_round_trip_and_detect_any_single_bit_flip(
+        origin in (any::<u32>(), any::<u32>(), any::<u32>()),
+        flip_sel in any::<u64>(),
+    ) {
+        let p = ChunkPayload::header(origin);
+        let frame = sealed(&p);
+        let ring = SpillRing::create().expect("spill ring");
+        let ticket = ring.spill(&frame).expect("spill");
+        let back = ring.fault(ticket).expect("fault");
+        prop_assert_eq!(&back, &frame, "the ring changed the sealed frame");
+        let q = ChunkPayload::spill_decode(open_frame(&back).expect("untampered frame opens"))
+            .expect("decode");
+        prop_assert_eq!(q.origin, origin);
+        prop_assert_eq!(q.grid.dims, p.grid.dims);
+        prop_assert!(q.is_header());
+        let bit = flip_sel % (frame.len() as u64 * 8);
+        let mut bad = frame.clone();
+        bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+        prop_assert!(
+            open_frame(&bad).is_err(),
+            "flip of bit {} in a {}-byte header frame went undetected",
+            bit, frame.len()
+        );
+    }
+
     /// Any single bit flip in a sealed `TriBatch` frame is detected —
     /// including the empty batch, whose sealed frame is trailer-only.
     #[test]

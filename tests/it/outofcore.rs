@@ -225,6 +225,10 @@ fn disk_events(topo: &Topology) -> (u64, u64) {
 /// Each spill is one disk-model write and each fault-in one read on top
 /// of the 128 chunk reads. ROADMAP item 8 ("spill less") is accepted
 /// against these numbers: it must move `spills` below 94 and say why.
+/// `spill_bytes` was 1 850 296 while the split `R` cut every chunk; it
+/// ships a chunk the surface cannot cross as a header declaring the
+/// chunk's size, so the ledger spills as often and each header spills
+/// 24 bytes of encoding and its trailer instead of the samples.
 #[test]
 fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
     let (topo, hosts) = cluster(4);
@@ -253,7 +257,7 @@ fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
     assert_spilled("small/dd", &tight);
     assert_eq!(tight.image.diff_pixels(&free.image), 0);
     assert_eq!(tight.report.ooc.spills, 94);
-    assert_eq!(tight.report.ooc.spill_bytes, 1_850_296);
+    assert_eq!(tight.report.ooc.spill_bytes, 474_656);
     assert_eq!((tight_reads, tight_writes), (128 + 94, 94));
 }
 

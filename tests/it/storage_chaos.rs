@@ -208,8 +208,10 @@ fn transient_disk_errors_heal_on_native() {
 /// `ablation_faults` storage arm: `small_dataset` on two Blue nodes,
 /// extract on two Rogue nodes, Z-buffer raster and merge on Blue, DD,
 /// 512×512, 1/16 budget. `checksum_spills = false` drops the 8-byte
-/// trailer from each of the 134 frames and nothing else: same spills,
-/// same pixels.
+/// trailer from each of the 131 frames and nothing else: same spills,
+/// same pixels. (134 frames and 4 658 801 bytes while the split `R` cut
+/// every chunk: a header spills short, so the disk model's spill writes
+/// end sooner and DD, which reacts to that clock, routes differently.)
 #[test]
 fn unsealed_spills_save_exactly_the_trailer_never_bits() {
     let (topo, rogues, blues) = hetsim::presets::rogue_blue_mix(2);
@@ -229,10 +231,10 @@ fn unsealed_spills_save_exactly_the_trailer_never_bits() {
     let with = run_pipeline(&topo, &sealed, &spec).expect("sealed run");
     let without = run_pipeline(&topo, &unsealed, &spec).expect("unsealed run");
     assert_eq!(without.image.diff_pixels(&with.image), 0);
-    assert_eq!(with.report.ooc.spills, 134);
-    assert_eq!(without.report.ooc.spills, 134);
-    assert_eq!(with.report.ooc.spill_bytes, 4_658_801);
-    assert_eq!(without.report.ooc.spill_bytes, 4_658_801 - 8 * 134);
+    assert_eq!(with.report.ooc.spills, 131);
+    assert_eq!(without.report.ooc.spills, 131);
+    assert_eq!(with.report.ooc.spill_bytes, 3_335_369);
+    assert_eq!(without.report.ooc.spill_bytes, 3_335_369 - 8 * 131);
 }
 
 /// A write-error window that outlives the retry budget *and* the one
