@@ -15,6 +15,7 @@
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -132,12 +133,7 @@ pub struct SpillRing {
 impl SpillRing {
     /// Create the backing file (unlinked at birth) in the OS temp dir.
     pub fn create() -> io::Result<Arc<SpillRing>> {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "dc_spill_{}_{:x}.ring",
-            std::process::id(),
-            &*Box::new(0u8) as *const u8 as usize
-        ));
+        let path = ring_path();
         let file = File::options()
             .read(true)
             .write(true)
@@ -193,17 +189,16 @@ impl SpillRing {
         }
     }
 
-    /// Park `bytes` in the ring, returning the redeemable ticket.
+    /// Park `bytes` in the ring, returning the redeemable ticket. A frame
+    /// longer than a ticket can record (`u32::MAX` bytes) is refused with
+    /// [`io::ErrorKind::InvalidInput`] before anything is allocated.
     pub fn spill(&self, bytes: &[u8]) -> io::Result<SpillTicket> {
-        let offset = self.alloc(bytes.len() as u64);
+        let len = ticket_len(bytes.len())?;
+        let offset = self.alloc(len as u64);
         self.file.write_all_at(bytes, offset)?;
         self.spills.fetch_add(1, Ordering::Relaxed);
-        self.spill_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(SpillTicket {
-            offset,
-            len: bytes.len() as u32,
-        })
+        self.spill_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        Ok(SpillTicket { offset, len })
     }
 
     /// Read a parked payload back and free its slot.
@@ -247,6 +242,29 @@ impl SpillRing {
     pub fn frontier_bytes(&self) -> u64 {
         self.st.lock().frontier
     }
+}
+
+/// A temp-dir path no other ring of this process has taken: the pid and
+/// a process-wide sequence number, so rings created at the same moment
+/// on different threads never collide.
+fn ring_path() -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "dc_spill_{}_{}.ring",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// A frame length as a ticket records it, or `InvalidInput` when it does
+/// not fit.
+fn ticket_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("spill frame of {len} bytes exceeds a ticket's u32 length"),
+        )
+    })
 }
 
 impl std::fmt::Debug for SpillRing {
@@ -299,11 +317,19 @@ impl StreamOoc {
     }
 
     /// Charge `bytes` of a newly queued payload; returns `true` when the
-    /// stream is now over its share and the payload should spill.
+    /// payload should spill: the stream already holds a resident payload
+    /// *and* would now be over its share.
+    ///
+    /// The first payload into an empty stream stays whatever its size —
+    /// a consumer must hold one payload to make progress, so a stream's
+    /// floor is one payload and its residency is bounded by
+    /// `max(share, largest payload)`. The test reads `before` from the
+    /// same atomic `fetch_add` that charges, so of several producers
+    /// racing into an empty stream exactly one sees it empty.
     pub fn charge(&self, bytes: u64) -> bool {
         self.ledger.grant(bytes);
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        now > self.share
+        let before = self.resident.fetch_add(bytes, Ordering::Relaxed);
+        before > 0 && before + bytes > self.share
     }
 
     /// Release `bytes` (payload consumed, spilled out, or dropped).
@@ -315,8 +341,8 @@ impl StreamOoc {
     /// Give back what a queue payload dropped unread holds: its spill
     /// slot, or else its budget charge.
     pub(crate) fn drop_unread(&self, buf: &mut crate::buffer::DataBuffer) {
-        if !buf.discard_spilled() && buf.take_budget_charged() {
-            self.discharge(buf.wire_bytes());
+        if !buf.discard_spilled() {
+            self.discharge(buf.take_budget_charged());
         }
     }
 
@@ -417,6 +443,52 @@ mod tests {
         s.discharge(60);
         assert_eq!(s.resident(), 0);
         assert_eq!(ledger.granted() - ledger.released(), ledger.resident());
+    }
+
+    #[test]
+    fn ticket_len_refuses_frames_past_u32() {
+        assert_eq!(ticket_len(0).unwrap(), 0);
+        assert_eq!(ticket_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = ticket_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn rings_created_concurrently_all_succeed() {
+        let paths: std::collections::HashSet<PathBuf> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| (0..16).map(|_| ring_path()).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(paths.len(), 8 * 16, "every ring gets its own name");
+        let rings: Vec<Arc<SpillRing>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..16)
+                            .map(|_| SpillRing::create().unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(rings.len(), 8 * 16);
+        for (i, ring) in rings.iter().enumerate() {
+            let t = ring.spill(&[i as u8; 4]).unwrap();
+            assert_eq!(
+                ring.fault(t).unwrap(),
+                vec![i as u8; 4],
+                "rings are distinct files"
+            );
+        }
     }
 
     #[test]

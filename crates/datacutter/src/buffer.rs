@@ -30,11 +30,17 @@ pub const EOW_WIRE_BYTES: u64 = 32;
 ///
 /// The encoding is private to the spill path (it never crosses hosts or
 /// versions), so implementations are free to pick the cheapest flat
-/// representation; the only requirement is `decode(encode(x)) == x` at
-/// the bit level — the framework's property tests check exactly that.
+/// representation; the requirements are `decode(encode(x)) == x` at
+/// the bit level and a `spill_len` that is exactly the encoding's
+/// length — the framework's property tests check both.
 pub trait SpillCodec {
+    /// The exact number of bytes [`spill_encode`](Self::spill_encode)
+    /// appends. It is what the payload holds as far as the memory budget
+    /// is concerned: the ledger charges it, and the spill frame is
+    /// allocated to it up front.
+    fn spill_len(&self) -> usize;
     /// Append this payload's encoded bytes to `out` (which arrives
-    /// cleared but with its capacity intact).
+    /// empty, with room for `spill_len()` bytes and a checksum trailer).
     fn spill_encode(&self, out: &mut Vec<u8>);
     /// Rebuild a payload from `spill_encode`'s output.
     fn spill_decode(bytes: &[u8]) -> Option<Self>
@@ -43,6 +49,9 @@ pub trait SpillCodec {
 }
 
 impl SpillCodec for Vec<u8> {
+    fn spill_len(&self) -> usize {
+        self.len()
+    }
     fn spill_encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self);
     }
@@ -52,6 +61,9 @@ impl SpillCodec for Vec<u8> {
 }
 
 impl SpillCodec for String {
+    fn spill_len(&self) -> usize {
+        self.len()
+    }
     fn spill_encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_bytes());
     }
@@ -64,6 +76,9 @@ impl SpillCodec for String {
 macro_rules! int_spill_codec {
     ($($t:ty),*) => {$(
         impl SpillCodec for $t {
+            fn spill_len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
             fn spill_encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
@@ -83,6 +98,8 @@ int_spill_codec!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize)
 struct PayloadFns {
     /// Clone the payload into a slab-recycled box.
     replicate: fn(&(dyn Any + Send), &BufferSlab, u64) -> DataBuffer,
+    /// The payload's spill length (`SpillCodec::spill_len`).
+    spill_len: fn(&(dyn Any + Send)) -> usize,
     /// Append the payload's spill bytes.
     encode: fn(&(dyn Any + Send), &mut Vec<u8>),
     /// Rebuild a buffer from ring bytes (box supplied by the slab), or
@@ -99,6 +116,9 @@ impl PayloadFns {
         ) -> DataBuffer {
             slab.make(resident::<T>(payload).clone(), wire_bytes)
         }
+        fn spill_len<T: Any + SpillCodec>(payload: &(dyn Any + Send)) -> usize {
+            resident::<T>(payload).spill_len()
+        }
         fn encode<T: Any + SpillCodec>(payload: &(dyn Any + Send), out: &mut Vec<u8>) {
             resident::<T>(payload).spill_encode(out);
         }
@@ -111,6 +131,7 @@ impl PayloadFns {
         }
         PayloadFns {
             replicate: replicate::<T>,
+            spill_len: spill_len::<T>,
             encode: encode::<T>,
             decode: decode::<T>,
         }
@@ -118,9 +139,9 @@ impl PayloadFns {
 }
 
 /// The erased payload as the type its fn table was made for. The runtime
-/// replicates and encodes only resident payloads (a filter never holds a
-/// parked one, and retention holds replicas that are never parked), so
-/// the downcast always succeeds.
+/// replicates, sizes and encodes only resident payloads (a filter never
+/// holds a parked one, and retention holds replicas that are never
+/// parked), so the downcast always succeeds.
 fn resident<T: Any>(payload: &(dyn Any + Send)) -> &T {
     payload
         .downcast_ref()
@@ -153,14 +174,14 @@ pub struct DataBuffer {
     type_name: &'static str,
     /// How to replicate, encode and decode the payload's type.
     fns: PayloadFns,
-    /// True while the stream's budget ledger holds an outstanding charge
-    /// for this resident payload — set by the write-side out-of-core step
-    /// and consumed by exactly one matching discharge on the read side.
-    /// Deliberately `false` on retention replicas and faulted-in rebuilds
-    /// (fresh buffers from [`DataBuffer::replicate`] / the spill decode
-    /// path), which were never charged: a redelivered replica must not be
-    /// discharged, or the ledger underflows.
-    budget_charged: bool,
+    /// The bytes the stream's budget ledger holds charged for this
+    /// resident payload — set by the write-side out-of-core step and
+    /// given back, exactly that amount, by one matching discharge on the
+    /// read side. Deliberately 0 on retention replicas and faulted-in
+    /// rebuilds (fresh buffers from [`DataBuffer::replicate`] / the spill
+    /// decode path), which were never charged: a redelivered replica must
+    /// not be discharged, or the ledger underflows.
+    budget_charged: u64,
 }
 
 impl DataBuffer {
@@ -188,17 +209,17 @@ impl DataBuffer {
             wire_bytes,
             type_name: std::any::type_name::<T>(),
             fns: PayloadFns::of::<T>(),
-            budget_charged: false,
+            budget_charged: 0,
         }
     }
 
-    /// Mark the stream-budget charge banked for this resident payload.
-    pub(crate) fn set_budget_charged(&mut self) {
-        self.budget_charged = true;
+    /// Record the stream-budget charge banked for this resident payload.
+    pub(crate) fn set_budget_charged(&mut self, bytes: u64) {
+        self.budget_charged = bytes;
     }
 
-    /// Take the outstanding-charge mark; true at most once per charge.
-    pub(crate) fn take_budget_charged(&mut self) -> bool {
+    /// Take the outstanding charge; non-zero at most once per charge.
+    pub(crate) fn take_budget_charged(&mut self) -> u64 {
         std::mem::take(&mut self.budget_charged)
     }
 
@@ -252,12 +273,20 @@ impl DataBuffer {
         self.payload.is::<SpilledPayload>()
     }
 
+    /// Bytes the resident payload's spill encoding takes
+    /// ([`SpillCodec::spill_len`]): what the memory budget charges it.
+    pub(crate) fn spill_len(&self) -> usize {
+        (self.fns.spill_len)(self.payload.as_ref())
+    }
+
     /// The resident payload's spill frame: the codec's encoding, sealed
-    /// with the checksum trailer when `checksum` is set. Encoding is
-    /// separated from the ring write so the storage ladder can retry a
-    /// failing write against the same frame without re-encoding.
+    /// with the checksum trailer when `checksum` is set, built in one
+    /// allocation. Encoding is separated from the ring write so the
+    /// storage ladder can retry a failing write against the same frame
+    /// without re-encoding.
     pub(crate) fn spill_frame(&self, checksum: bool) -> Vec<u8> {
-        let mut bytes = Vec::new();
+        let len = self.spill_len();
+        let mut bytes = Vec::with_capacity(len + if checksum { 8 } else { 0 });
         (self.fns.encode)(self.payload.as_ref(), &mut bytes);
         if checksum {
             crate::storage::seal_frame(&mut bytes);
@@ -666,6 +695,17 @@ mod tests {
         );
         assert!(!c.is_spilled(), "lost payload is tombstoned, not parked");
         assert!(!c.discard_spilled(), "discard after loss is inert");
+    }
+
+    #[test]
+    fn spill_frames_are_built_in_one_allocation() {
+        let slab = BufferSlab::new();
+        let b = slab.make(vec![5u8; 20_000], 20_000);
+        for (checksum, len) in [(false, 20_000), (true, 20_008)] {
+            let frame = b.spill_frame(checksum);
+            assert_eq!(frame.len(), len);
+            assert_eq!(frame.capacity(), len, "sized up front, never grown");
+        }
     }
 
     #[test]

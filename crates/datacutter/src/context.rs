@@ -313,7 +313,9 @@ impl FilterCtx {
     }
 
     /// Write-side out-of-core step for one outgoing buffer: charge the
-    /// stream's budget share and, when the stream is over it, park the
+    /// stream's budget share the bytes the payload holds (its
+    /// `spill_len`, not its declared wire size) and, when the stream
+    /// already holds a payload and would go over its share, park the
     /// payload in the spill ring — *after* the retention stamp (the
     /// recovery replica is taken from the in-memory payload) and
     /// *before* the outbox send. The spill write is charged to this
@@ -332,13 +334,13 @@ impl FilterCtx {
         let Some(ooc) = self.outputs[port].ooc.clone() else {
             return (0, SimDuration::ZERO);
         };
-        let bytes = buf.wire_bytes();
-        if !ooc.charge(bytes) {
+        let held = buf.spill_len() as u64;
+        if !ooc.charge(held) {
             // Staying resident: the charge rides with the buffer until the
-            // consumer claims it. The mark keeps charge/discharge paired —
-            // redelivered retention replicas (never charged) carry no mark and
+            // consumer claims it, which gives back exactly this amount —
+            // redelivered retention replicas (never charged) carry none and
             // must never be discharged.
-            buf.set_budget_charged();
+            buf.set_budget_charged(held);
             return (0, SimDuration::ZERO);
         }
         let storage = ooc.storage.clone();
@@ -373,7 +375,7 @@ impl FilterCtx {
                     // The in-memory payload box drops here — that drop is
                     // the residency release the budget manager banks on.
                     buf.park(ring, ticket);
-                    ooc.discharge(bytes);
+                    ooc.discharge(held);
                     let n = frame.len() as u64;
                     self.charge_spill_disk(n, true, &storage);
                     return (n, self.env.now() - t0);
@@ -400,7 +402,7 @@ impl FilterCtx {
                     // tallied, and the run continues — degraded in memory
                     // headroom, identical in bits.
                     storage.note_spill_denied(host, self.env.now(), &err.to_string());
-                    buf.set_budget_charged();
+                    buf.set_budget_charged(held);
                     return (0, self.env.now() - t0);
                 }
             }
@@ -428,9 +430,7 @@ impl FilterCtx {
             return true;
         };
         if !buf.is_spilled() {
-            if buf.take_budget_charged() {
-                ooc.discharge(buf.wire_bytes());
-            }
+            ooc.discharge(buf.take_budget_charged());
             return true;
         }
         let storage = ooc.storage.clone();

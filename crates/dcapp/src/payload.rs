@@ -182,8 +182,11 @@ impl Rd<'_> {
 }
 
 impl SpillCodec for ChunkPayload {
+    fn spill_len(&self) -> usize {
+        24 + self.grid.data.len() * 4
+    }
+
     fn spill_encode(&self, out: &mut Vec<u8>) {
-        out.reserve(24 + self.grid.data.len() * 4);
         put_u32(out, self.origin.0);
         put_u32(out, self.origin.1);
         put_u32(out, self.origin.2);
@@ -243,6 +246,10 @@ fn triangle_from_record(rec: &[u8; TRIANGLE_RECORD]) -> Triangle {
 }
 
 impl SpillCodec for TriBatch {
+    fn spill_len(&self) -> usize {
+        self.tris.len() * TRIANGLE_RECORD
+    }
+
     fn spill_encode(&self, out: &mut Vec<u8>) {
         put_records(out, &self.tris, triangle_record);
     }
@@ -279,6 +286,13 @@ fn wpa_from_record(r: &[u8; WPA_RECORD]) -> WinningPixel {
 }
 
 impl SpillCodec for RaOut {
+    fn spill_len(&self) -> usize {
+        match self {
+            RaOut::Band { depth, color, .. } => 13 + depth.len() * 4 + color.len() * 3,
+            RaOut::Wpa(batch) => 5 + batch.len() * WPA_RECORD,
+        }
+    }
+
     fn spill_encode(&self, out: &mut Vec<u8>) {
         match self {
             RaOut::Band {
@@ -287,7 +301,6 @@ impl SpillCodec for RaOut {
                 depth,
                 color,
             } => {
-                out.reserve(13 + depth.len() * 4 + color.len() * 3);
                 out.push(RAOUT_BAND_TAG);
                 put_u32(out, *y0);
                 put_u32(out, *width);
@@ -296,7 +309,6 @@ impl SpillCodec for RaOut {
                 out.extend_from_slice(color.as_flattened());
             }
             RaOut::Wpa(batch) => {
-                out.reserve(5 + batch.len() * WPA_RECORD);
                 out.push(RAOUT_WPA_TAG);
                 put_u32(out, batch.len() as u32);
                 put_records(out, batch, wpa_record);
@@ -608,8 +620,9 @@ mod tests {
     }
 
     /// The bulk encoder appends exactly the oracle's bytes — into an empty
-    /// `Vec` and after a prefix — and decoding them gives back a payload
-    /// that encodes to the same bytes (so every bit survived).
+    /// `Vec` and after a prefix — `spill_len` is their length, and
+    /// decoding them gives back a payload that encodes to the same bytes
+    /// (so every bit survived).
     fn check_against_oracle<T: SpillCodec>(
         payload: &T,
         oracle: fn(&T, &mut Vec<u8>),
@@ -619,6 +632,11 @@ mod tests {
         let mut got = Vec::new();
         payload.spill_encode(&mut got);
         prop_assert_eq!(&got, &want, "into an empty Vec");
+        prop_assert_eq!(
+            payload.spill_len(),
+            want.len(),
+            "spill_len is the encoding's length"
+        );
         let mut prefixed = vec![0xA5, 0x5A, 0xFF];
         payload.spill_encode(&mut prefixed);
         prop_assert_eq!(&prefixed[..3], &[0xA5, 0x5A, 0xFF], "prefix kept");

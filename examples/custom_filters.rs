@@ -53,6 +53,9 @@ impl Filter for DocSource {
 struct Partial(Vec<(String, u64)>);
 
 impl SpillCodec for Partial {
+    fn spill_len(&self) -> usize {
+        self.0.iter().map(|(w, _)| 12 + w.len()).sum()
+    }
     fn spill_encode(&self, out: &mut Vec<u8>) {
         for (w, n) in &self.0 {
             out.extend_from_slice(&(w.len() as u32).to_le_bytes());
@@ -162,4 +165,26 @@ fn main() {
     assert_eq!(counts[0], ("the".to_string(), 30)); // 10 of each doc, one "the" per doc
     println!("\ntwo transparent WordCount copies processed disjoint document subsets;");
     println!("the combine filter made the result independent of the copy count.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partial_spill_len_is_what_spill_encode_writes() {
+        for p in [
+            Partial(Vec::new()),
+            Partial(vec![(String::new(), 0)]),
+            Partial(vec![
+                ("the".into(), 30),
+                ("fox".into(), 1),
+                ("über".into(), 2),
+            ]),
+        ] {
+            let mut out = Vec::new();
+            p.spill_encode(&mut out);
+            assert_eq!(p.spill_len(), out.len());
+        }
+    }
 }

@@ -333,6 +333,9 @@ use volume::{decode_chunk, encode_chunk, CacheKey, ChunkCache, ChunkId, Dims, Re
 struct Hit(Option<Arc<RectGrid>>);
 
 impl SpillCodec for Hit {
+    fn spill_len(&self) -> usize {
+        self.0.as_ref().map_or(0, |g| 12 + g.data.len() * 4)
+    }
     fn spill_encode(&self, out: &mut Vec<u8>) {
         if let Some(g) = &self.0 {
             out.extend_from_slice(&encode_chunk(g));
@@ -343,6 +346,20 @@ impl SpillCodec for Hit {
             return Some(Hit(None));
         }
         Some(Hit(Some(Arc::new(decode_chunk(bytes)?))))
+    }
+}
+
+#[test]
+fn hit_spill_len_is_what_spill_encode_writes() {
+    let _alone = measuring();
+    for hit in [
+        Hit(None),
+        Hit(Some(Arc::new(RectGrid::filled(Dims::new(0, 0, 0), 0.0)))),
+        Hit(Some(Arc::new(RectGrid::filled(Dims::new(3, 2, 5), 1.5)))),
+    ] {
+        let mut out = Vec::new();
+        hit.spill_encode(&mut out);
+        assert_eq!(hit.spill_len(), out.len());
     }
 }
 

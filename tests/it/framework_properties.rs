@@ -530,8 +530,9 @@ proptest! {
     /// Ledger conservation: for any interleaving of charges and
     /// discharges, `granted − released == resident` on the run-wide
     /// ledger, the stream's resident count matches its outstanding
-    /// payloads exactly, and the spill verdict flips precisely when the
-    /// stream crosses its share.
+    /// payloads exactly, and a payload spills precisely when its stream
+    /// already holds one and would cross its share — the first payload
+    /// into an empty stream is kept whatever its size.
     #[test]
     fn memory_budget_conserves_bytes(
         share in 1u64..10_000,
@@ -542,10 +543,22 @@ proptest! {
         let mut outstanding: Vec<u64> = Vec::new();
         for (is_charge, bytes) in ops {
             if is_charge || outstanding.is_empty() {
+                let before: u64 = outstanding.iter().sum();
                 let over = stream.charge(bytes);
                 outstanding.push(bytes);
-                let resident: u64 = outstanding.iter().sum();
-                prop_assert_eq!(over, resident > share, "spill verdict disagrees with share");
+                prop_assert_eq!(
+                    over,
+                    before > 0 && before + bytes > share,
+                    "spill verdict disagrees with the one-payload floor over the share"
+                );
+                if before == 0 {
+                    prop_assert!(
+                        !over,
+                        "the first payload into an empty stream is kept: {} bytes, share {}",
+                        bytes,
+                        share
+                    );
+                }
             } else {
                 let bytes = outstanding.pop().expect("non-empty");
                 stream.discharge(bytes);
@@ -784,5 +797,98 @@ proptest! {
         let ra = sealed(&ra_out(band, entries, &mut s));
         let re = sealed(&RaOut::spill_decode(open_frame(&ra).expect("open")).expect("decode"));
         prop_assert_eq!(&re, &ra, "raout frame drifted across a re-spill");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `SpillCodec::spill_len` is what the budget ledger charges and what the
+// spill frame is allocated to, so it must be exactly the length
+// `spill_encode` appends — for every codec in the workspace, on its edge
+// cases too (headers, empty batches, both `RaOut` arms).
+
+/// `Ok` when `p.spill_len()` is the number of bytes `p.spill_encode`
+/// appends (after a prefix, so a codec that counts what `out` already
+/// held is caught too).
+fn spill_len_matches<T: SpillCodec>(p: &T) -> Result<(), String> {
+    let mut out = vec![0xA5u8; 3];
+    p.spill_encode(&mut out);
+    let wrote = out.len() - 3;
+    if p.spill_len() == wrote {
+        Ok(())
+    } else {
+        Err(format!(
+            "spill_len says {} bytes, spill_encode wrote {wrote}",
+            p.spill_len()
+        ))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn spill_len_is_what_spill_encode_writes(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ints in (any::<u8>(), any::<u16>(), any::<u32>(), any::<u64>()),
+        dims in (0u32..4, 0u32..4, 0u32..4),
+        ntris in 0usize..5,
+        band in any::<bool>(),
+        entries in 0usize..8,
+        bit_seed in any::<u64>(),
+    ) {
+        let mut s = bit_seed | 1;
+        let text: String = bytes.iter().map(|&b| char::from(b'a' + b % 26)).collect();
+        spill_len_matches(&bytes)?;
+        spill_len_matches(&text)?;
+        spill_len_matches(&ints.0)?;
+        spill_len_matches(&ints.1)?;
+        spill_len_matches(&ints.2)?;
+        spill_len_matches(&ints.3)?;
+        spill_len_matches(&(ints.3 as i64))?;
+        spill_len_matches(&(ints.3 as u128))?;
+        spill_len_matches(&(ints.3 as isize))?;
+        spill_len_matches(&(ints.3 as usize))?;
+        spill_len_matches(&ChunkPayload::header((ints.2, 1, 2)))?;
+        spill_len_matches(&ChunkPayload::default())?;
+        spill_len_matches(&chunk_payload(Dims::new(dims.0, dims.1, dims.2), &mut s))?;
+        spill_len_matches(&tri_batch(ntris, &mut s))?;
+        spill_len_matches(&TriBatch::default())?;
+        spill_len_matches(&ra_out(band, entries, &mut s))?;
+        spill_len_matches(&ra_out(!band, entries, &mut s))?;
+        spill_len_matches(&RaOut::default())?;
+    }
+}
+
+/// A codec whose `spill_len` is off by one — what the check above exists
+/// to catch.
+#[derive(Clone)]
+struct OffByOne(ChunkPayload, isize);
+
+impl SpillCodec for OffByOne {
+    fn spill_len(&self) -> usize {
+        self.0.spill_len().wrapping_add_signed(self.1)
+    }
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        self.0.spill_encode(out);
+    }
+    fn spill_decode(bytes: &[u8]) -> Option<Self> {
+        Some(OffByOne(ChunkPayload::spill_decode(bytes)?, 0))
+    }
+}
+
+#[test]
+fn an_off_by_one_spill_len_is_caught() {
+    let mut s = 7;
+    for p in [
+        ChunkPayload::header((4, 5, 6)),
+        chunk_payload(Dims::new(2, 3, 2), &mut s),
+    ] {
+        assert!(spill_len_matches(&OffByOne(p.clone(), 0)).is_ok());
+        for off in [-1, 1] {
+            assert!(
+                spill_len_matches(&OffByOne(p.clone(), off)).is_err(),
+                "a spill_len off by {off} went unnoticed"
+            );
+        }
     }
 }

@@ -14,15 +14,17 @@
 
 use std::sync::Arc;
 
+use datacutter::SpillCodec;
 use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, run_pipeline, run_pipeline_exec, run_pipeline_faulted, Algorithm, Grouping,
-    PipelineSpec, SharedConfig,
+    clone_config, run_pipeline, run_pipeline_exec, run_pipeline_faulted, Algorithm, ChunkPayload,
+    Grouping, PipelineSpec, SharedConfig,
 };
 use hetsim::{FaultPlan, HostId, SimDuration, SimTime, Topology};
 use integration_tests::{
     cluster, image_digest, small_dataset, stream_totals_digest, test_cfg, test_dataset,
 };
+use volume::ChunkId;
 
 /// `cfg` with an in-flight budget of `1/denom` of one timestep's bytes.
 fn budgeted(cfg: &SharedConfig, denom: u64) -> SharedConfig {
@@ -223,12 +225,10 @@ fn disk_events(topo: &Topology) -> (u64, u64) {
 /// under DD over `small_dataset` on four hosts (extract on host 1, raster
 /// and merge on host 0) at 64×64. Virtual time makes every counter exact.
 /// Each spill is one disk-model write and each fault-in one read on top
-/// of the 128 chunk reads. ROADMAP item 8 ("spill less") is accepted
-/// against these numbers: it must move `spills` below 94 and say why.
-/// `spill_bytes` was 1 850 296 while the split `R` cut every chunk; it
-/// ships a chunk the surface cannot cross as a header declaring the
-/// chunk's size, so the ledger spills as often and each header spills
-/// 24 bytes of encoding and its trailer instead of the samples.
+/// of the 128 chunk reads. The ledger charges the bytes a payload holds
+/// (a header's 24, not its chunk's declared size) and keeps one payload
+/// resident per stream, so no header spills: the 13 spills are whole
+/// cut chunks, 19 684-byte sealed frames each.
 #[test]
 fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
     let (topo, hosts) = cluster(4);
@@ -256,9 +256,100 @@ fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
     let (tight, tight_reads, tight_writes) = run(&budgeted(&cfg, 16));
     assert_spilled("small/dd", &tight);
     assert_eq!(tight.image.diff_pixels(&free.image), 0);
-    assert_eq!(tight.report.ooc.spills, 94);
-    assert_eq!(tight.report.ooc.spill_bytes, 474_656);
-    assert_eq!((tight_reads, tight_writes), (128 + 94, 94));
+    assert_eq!(tight.report.ooc.spills, 13);
+    assert_eq!(tight.report.ooc.spill_bytes, 255_892);
+    assert_eq!((tight_reads, tight_writes), (128 + 13, 13));
+}
+
+/// The ledger charges a payload the bytes it holds: a header (an origin
+/// and no sample) costs its 24 encoded bytes, not the ~4.2 KB its chunk
+/// declares on the wire. Split `R-E-Ra-M` under a 1/8-timestep budget
+/// puts each stream's share (a third of the budget) between one cut
+/// chunk plus every header of the unit of work and two cut chunks. So on
+/// either executor a header never spills, while a cut chunk arriving
+/// behind a resident one still does (on the simulator always, natively
+/// when the schedule queues two). Charged at its declared size, a header
+/// behind a resident chunk would spill too. `R` is the only
+/// producer on `R→E`, and its copy's disk bytes over the unbudgeted run's
+/// are what it spilled: whole sealed chunk frames, with no 32-byte header
+/// frame among them.
+#[test]
+fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
+    let (topo, hosts) = cluster(5);
+    let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
+    let tight = budgeted(&cfg, 8);
+    let spec = four_stage(&hosts, WritePolicy::demand_driven());
+    let ds = &cfg.dataset;
+    let chunks: Vec<ChunkId> = (0..ds.layout().count()).map(ChunkId).collect();
+    let held = |id: ChunkId| -> u64 {
+        let grid = ds.read_chunk(cfg.species, cfg.timestep, id);
+        ChunkPayload {
+            origin: (0, 0, 0),
+            grid,
+        }
+        .spill_len() as u64
+    };
+    let header = ChunkPayload::header((0, 0, 0)).spill_len() as u64;
+    let chunk = held(ChunkId(0));
+    assert!(chunks.iter().all(|&id| held(id) == chunk), "uniform chunks");
+    let free = run_pipeline(&topo, &cfg, &spec).expect("unbudgeted sim run");
+    assert_eq!(free.report.ooc.spills, 0, "unbudgeted never spills");
+    let share = tight.memory_budget_bytes / free.report.streams.len() as u64;
+    assert!(
+        chunk + chunks.len() as u64 * header <= share && share < 2 * chunk,
+        "the share holds one cut chunk and every header, not two cut chunks: {share}"
+    );
+    let crossing = chunks
+        .iter()
+        .filter(|&&id| ds.can_cross(cfg.species, cfg.timestep, id, cfg.iso))
+        .count() as u64;
+    assert!(
+        crossing > 0 && crossing < chunks.len() as u64,
+        "R ships both kinds"
+    );
+    // Sealed frames carry an 8-byte trailer. Every header of the run
+    // together spills less than one chunk frame, so any header frame
+    // leaves a remainder.
+    let chunk_frame = chunk + 8;
+    assert!(chunks.len() as u64 * (header + 8) < chunk_frame);
+
+    let read_disk = |r: &dcapp::PipelineResult| -> u64 {
+        r.report
+            .copies
+            .iter()
+            .filter(|c| c.filter_name == "R")
+            .map(|c| c.counters.disk_bytes)
+            .sum()
+    };
+    let reads = read_disk(&free);
+    for (label, r) in [
+        (
+            "sim",
+            run_pipeline(&topo, &tight, &spec).expect("budgeted sim run"),
+        ),
+        (
+            "native",
+            run_pipeline_exec(&topo, &tight, &spec, NativeExecutor::new())
+                .expect("budgeted native run"),
+        ),
+    ] {
+        assert_spilled(label, &r);
+        assert_eq!(r.image.diff_pixels(&free.image), 0, "{label}: pixels");
+        let spilled = read_disk(&r) - reads;
+        assert_eq!(
+            spilled % chunk_frame,
+            0,
+            "{label}: R spilled {spilled} bytes, which is not whole {chunk_frame}-byte chunk frames: a header spilled"
+        );
+        // Whether two cut chunks ever queue together on native threads
+        // is the schedule's to say; the simulator's schedule is fixed.
+        let cut = spilled / chunk_frame;
+        let least = u64::from(label == "sim");
+        assert!(
+            (least..=crossing).contains(&cut),
+            "{label}: R spilled {cut} cut chunks of {crossing}"
+        );
+    }
 }
 
 /// The warm-cache acceptance bar: a second pass over the same selection

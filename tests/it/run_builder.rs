@@ -13,6 +13,19 @@ use hetsim::{
 use integration_tests::{at_least_once, cluster};
 use parking_lot::Mutex;
 
+/// A buffer holding the 1 024 bytes it declares, `v` in the first eight.
+fn block(v: u64) -> DataBuffer {
+    let mut bytes = vec![0u8; 1024];
+    bytes[..8].copy_from_slice(&v.to_le_bytes());
+    DataBuffer::new(bytes, 1024)
+}
+
+/// The value a [`block`] carries.
+fn value(b: DataBuffer) -> u64 {
+    let bytes = b.downcast::<Vec<u8>>();
+    u64::from_le_bytes(bytes[..8].try_into().expect("a block holds 1 024 bytes"))
+}
+
 struct Src {
     n: u64,
 }
@@ -20,7 +33,7 @@ impl Filter for Src {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         for i in 0..self.n {
             ctx.compute(SimDuration::from_millis(2));
-            ctx.write(0, DataBuffer::new(i, 1024));
+            ctx.write(0, block(i));
         }
         Ok(())
     }
@@ -30,9 +43,9 @@ struct Work;
 impl Filter for Work {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         while let Some(b) = ctx.read(0) {
-            let v = b.downcast::<u64>();
+            let v = value(b);
             ctx.compute(SimDuration::from_millis(6));
-            ctx.write(0, DataBuffer::new(v, 1024));
+            ctx.write(0, block(v));
         }
         Ok(())
     }
@@ -44,7 +57,7 @@ struct Snk {
 impl Filter for Snk {
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
         while let Some(b) = ctx.read(0) {
-            self.out.lock().push(b.downcast::<u64>());
+            self.out.lock().push(value(b));
         }
         Ok(())
     }
@@ -155,10 +168,11 @@ fn placement_on_a_missing_host_is_a_structured_error_on_both_executors() {
     }
 }
 
-/// `Run::memory_budget` reaches every payload: the relay of plain `u64`
-/// buffers under a budget far below its traffic parks buffers in the
-/// spill ring, faults each one back in, and sums what the unbudgeted run
-/// sums.
+/// `Run::memory_budget` reaches every payload: the relay of plain
+/// `Vec<u8>` blocks under a budget far below its traffic parks buffers
+/// in the spill ring, faults each one back in, and sums what the
+/// unbudgeted run sums. The ledger charges what a payload holds, so the
+/// blocks hold the 1 024 bytes they declare.
 #[test]
 fn memory_budget_spills_plain_payloads() {
     let (topo, hosts) = cluster(3);
