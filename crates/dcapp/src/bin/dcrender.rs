@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Run with `--help` for the full flag list. `--plan` lets the automatic
-//! planner pick grouping/placement/policy instead.
+//! planner pick grouping/policy/merge host instead: it simulates every
+//! candidate and keeps the fastest.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -65,7 +66,8 @@ USAGE: dcrender [FLAGS]
   --storage-retries N retry budget per storage op before degrading
                       (default 8, max 64)
   --out PATH       output PPM path (default render.ppm)
-  --plan           let the planner choose grouping/placement/policy
+  --plan           let the planner choose grouping/policy/merge host by
+                   simulating every candidate (--verbose lists them)
   --verbose        print per-copy metrics and host utilization
   --help           this text";
 
@@ -208,8 +210,16 @@ fn main() {
     let cfg = Arc::new(cfg);
 
     let spec = if args.plan {
-        let plan = dcapp::plan(&topo, &cfg, &hosts);
+        let plan = dcapp::plan(&topo, &cfg, &hosts).unwrap_or_else(|e| {
+            eprintln!("dcrender: planning failed: {e}");
+            exit(1);
+        });
         println!("planner: {}", plan.rationale);
+        if args.verbose {
+            for (label, secs) in &plan.candidates {
+                println!("  {label:>28}: {secs:.3} s simulated");
+            }
+        }
         plan.spec
     } else {
         let everywhere = Placement::one_per_host(&hosts);

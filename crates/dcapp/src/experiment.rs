@@ -711,10 +711,15 @@ mod tests {
         );
     }
 
+    /// Budgets of one chunk, 1/64 of a chunk and one byte, under RR and
+    /// DD on both executors: each stream keeps one payload resident
+    /// whatever its share, so every run renders the unbudgeted image and
+    /// conserves its spills. Spill counts are asserted on the simulator
+    /// only: native ones depend on the schedule.
     #[test]
     fn budgeted_run_spills_and_stays_bit_identical() {
         let (topo, cfg) = small_setup(2, 96);
-        let s = spec(
+        let mut s = spec(
             &topo,
             &cfg,
             Grouping::FourStage {
@@ -725,24 +730,38 @@ mod tests {
         );
         let free = run_pipeline(&topo, &cfg, &s).unwrap();
         assert_eq!(free.report.ooc.spills, 0, "unbudgeted runs never spill");
-        let mut c = clone_config(&cfg);
-        c.memory_budget_bytes = c.dataset.chunk_bytes(volume::ChunkId(0));
-        c.validate().expect("one-chunk budget validates");
-        let c: SharedConfig = Arc::new(c);
-        let tight = run_pipeline(&topo, &c, &s).unwrap();
-        assert_eq!(tight.image.diff_pixels(&free.image), 0);
-        let ooc = tight.report.ooc;
-        assert!(ooc.spills > 0, "a one-chunk budget must force spills");
-        assert_eq!(ooc.spills, ooc.faults, "every spilled buffer re-faults");
-        assert_eq!(ooc.spill_bytes, ooc.fault_bytes);
-        assert_eq!(
-            ooc.resident_bytes(),
-            0,
-            "ledger drains when the run completes: granted {} released {}",
-            ooc.granted_bytes,
-            ooc.released_bytes
-        );
-        assert_eq!(ooc.memory_budget_bytes, c.memory_budget_bytes);
+        let one_chunk = cfg.dataset.chunk_bytes(volume::ChunkId(0));
+        for budget in [one_chunk, one_chunk / 64, 1] {
+            let mut c = clone_config(&cfg);
+            c.memory_budget_bytes = budget;
+            c.validate().expect("any budget validates");
+            let c: SharedConfig = Arc::new(c);
+            for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
+                s.policy = policy;
+                for sim in [true, false] {
+                    let label = format!("budget {budget} {} sim={sim}", policy.label());
+                    let tight = if sim {
+                        run_pipeline(&topo, &c, &s)
+                    } else {
+                        run_pipeline_exec(&topo, &c, &s, datacutter::NativeExecutor::new())
+                    }
+                    .unwrap();
+                    assert_eq!(tight.image.diff_pixels(&free.image), 0, "{label}");
+                    let ooc = tight.report.ooc;
+                    assert!(!sim || ooc.spills > 0, "{label}: must force spills");
+                    assert_eq!(ooc.spills, ooc.faults, "{label}: every spill re-faults");
+                    assert_eq!(ooc.spill_bytes, ooc.fault_bytes, "{label}");
+                    assert_eq!(
+                        ooc.resident_bytes(),
+                        0,
+                        "{label}: ledger drains when the run completes: granted {} released {}",
+                        ooc.granted_bytes,
+                        ooc.released_bytes
+                    );
+                    assert_eq!(ooc.memory_budget_bytes, budget, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

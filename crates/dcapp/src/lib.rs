@@ -41,6 +41,6 @@ pub use experiment::{
 pub use filters::ImageSlot;
 pub use payload::{ChunkPayload, RaOut, TriBatch};
 pub use pipeline::{build_pipeline, try_build_pipeline, Grouping, Pipeline, PipelineSpec};
-pub use planner::{estimate_work, plan, Plan, WorkEstimate};
+pub use planner::{plan, Plan};
 pub use pool::{BufferPool, PoolVec};
 pub use tiles::TileSplitter;

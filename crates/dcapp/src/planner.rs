@@ -1,334 +1,140 @@
-//! Automatic configuration: choosing the filter grouping, compute
-//! placement, transparent-copy counts, and writer policy for a given
-//! cluster and dataset.
+//! Automatic configuration: choosing the filter grouping, writer policy
+//! and merge host for a given cluster and dataset.
 //!
-//! The paper leaves these three decisions to the application developer and
+//! The paper leaves these decisions to the application developer and
 //! notes (footnote 1) that the authors "are in the process of examining
 //! various mechanisms to automate some of these steps". This module is
-//! that mechanism: it probes the dataset to estimate per-stage work and
-//! stream volumes, evaluates an analytic makespan model for each candidate
-//! configuration, and returns the winner with a human-readable rationale.
-//!
-//! The model is deliberately coarse — it exists to make *qualitative*
-//! choices (fuse or split? weight the big node? pay for acks?), which the
-//! test suite validates against actual pipeline runs.
+//! that mechanism, and its cost model is the simulator's: [`plan`] runs
+//! every candidate once on [`SimExecutor`](datacutter::SimExecutor),
+//! charged by the same [`CostModel`](crate::CostModel) as any experiment,
+//! and returns the one with the least simulated elapsed time. The paper's
+//! §6 guidance (demand driven on a heterogeneous fast network, the
+//! grouping that moves little data) is asserted of the simulated
+//! outcomes in the tests below, not written as rules.
 
-use datacutter::{Placement, WritePolicy};
+use std::sync::Arc;
+
+use datacutter::{Placement, RunError, WritePolicy};
 use hetsim::{HostId, Topology};
-use volume::ChunkId;
 
 use crate::config::{Algorithm, SharedConfig};
+use crate::experiment::{clone_config, run_pipeline};
 use crate::pipeline::{Grouping, PipelineSpec};
 
-/// Estimated per-unit-of-work totals, from probing the dataset.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkEstimate {
-    /// Cells to scan.
-    pub cells: u64,
-    /// Estimated triangles the isovalue produces.
-    pub triangles: u64,
-    /// Estimated pixels generated at the configured image size.
-    pub pixels: u64,
-    /// Total chunk bytes retrieved.
-    pub chunk_bytes: u64,
-    /// Total triangle bytes on the extract→raster stream.
-    pub tri_bytes: u64,
-}
-
-/// How many chunks the probe extracts (spread across the id range).
-///
-/// Triangle density is spatially clustered (plumes), so a sparse strided
-/// sample has high variance: 6 probes landed ~4x over the true count on
-/// some seeds. 16 keeps the probe cheap (~12% of the dataset) while
-/// bounding the scaling error well inside the model's 3x tolerance.
-const PROBE_CHUNKS: u32 = 16;
-
-/// Merge copy sets the tile-composite upgrade spreads the fold over (one
-/// set per host, on the most capable hosts; fewer when fewer exist).
+/// Merge copy sets of the tile-composite candidate: one set per host, on
+/// the first compute hosts in the caller's order (fewer when fewer exist).
 const TILE_MERGE_SETS: usize = 4;
 
-/// Probe the dataset: extract a few representative chunks and scale.
-pub fn estimate_work(cfg: &SharedConfig) -> WorkEstimate {
-    let selected: Vec<ChunkId> = {
-        let mut v: Vec<ChunkId> = cfg.selected_chunks().iter().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    let n = selected.len() as u64;
-    if n == 0 {
-        return WorkEstimate {
-            cells: 0,
-            triangles: 0,
-            pixels: 0,
-            chunk_bytes: 0,
-            tri_bytes: 0,
-        };
-    }
-    let stride = (n as usize / PROBE_CHUNKS as usize).max(1);
-    let mut probe_tris = 0u64;
-    let mut probe_pixels = 0u64;
-    let mut probed = 0u64;
-    let proj = cfg.camera.projector();
-    let (w, h) = (cfg.camera.width, cfg.camera.height);
-    for &chunk in selected.iter().step_by(stride) {
-        probed += 1;
-        if !cfg
-            .dataset
-            .can_cross(cfg.species, cfg.timestep, chunk, cfg.iso)
-        {
-            // The surface misses the chunk: no triangle, no pixel.
-            continue;
-        }
-        let info = cfg.dataset.chunk_info(chunk);
-        let grid = cfg.dataset.read_chunk(cfg.species, cfg.timestep, chunk);
-        let mut tris = Vec::new();
-        isosurf::extract(&grid, info.cell_origin, cfg.iso, &mut tris);
-        probe_tris += tris.len() as u64;
-        probe_pixels += isosurf::raster_batch(&proj, w, h, &cfg.material, &tris, |_, _, _, _| {});
-    }
-    let scale = n as f64 / probed.max(1) as f64;
-    let cells: u64 = selected
-        .iter()
-        .map(|&c| {
-            let e = cfg.dataset.chunk_info(c).cell_extent;
-            e.0 as u64 * e.1 as u64 * e.2 as u64
-        })
-        .sum();
-    let chunk_bytes: u64 = selected.iter().map(|&c| cfg.dataset.chunk_bytes(c)).sum();
-    let triangles = (probe_tris as f64 * scale) as u64;
-    WorkEstimate {
-        cells,
-        triangles,
-        pixels: (probe_pixels as f64 * scale) as u64,
-        chunk_bytes,
-        tri_bytes: triangles * isosurf::TRIANGLE_WIRE_BYTES,
-        // probe_cells unused beyond scaling sanity; cells computed exactly.
-    }
-}
-
-/// A planned configuration with the model's reasoning.
+/// A planned configuration and the sweep that chose it.
 pub struct Plan {
     /// The chosen pipeline.
     pub spec: PipelineSpec,
-    /// Estimated makespan (model seconds) of the chosen configuration.
+    /// Simulated elapsed seconds of the chosen pipeline.
     pub estimate_secs: f64,
-    /// All evaluated candidates: `(label, estimated seconds)`.
+    /// Every candidate in enumeration order: `(label, simulated seconds)`.
     pub candidates: Vec<(String, f64)>,
-    /// Why the winner won.
+    /// The pick and the size of the sweep, in one line.
     pub rationale: String,
 }
 
-/// Effective compute capacity of `host` in reference-cores (cores × speed,
-/// derated by background jobs).
-fn capacity(topo: &Topology, host: HostId) -> f64 {
-    let cpu = &topo.host(host).cpu;
-    let cores = cpu.cores() as f64;
-    let bg = cpu.bg_jobs() as f64;
-    // Background jobs take their share of the cores.
-    cpu.speed() * cores * (cores / (cores + bg)).min(1.0)
-}
-
-/// Seconds to move `bytes` from every storage host to the compute hosts,
-/// approximated by the worst storage→compute path.
-fn transfer_secs(topo: &Topology, from: &[HostId], to: &[HostId], bytes: u64) -> f64 {
-    let mut worst = 0.0f64;
-    for &f in from {
-        for &t in to {
-            worst = worst.max(topo.path_cost_per_byte(f, t));
-        }
-    }
-    bytes as f64 * worst
-}
-
-/// Choose grouping, compute placement, copy counts, and policy for
-/// rendering `cfg` on `topo`, with data on `cfg.storage_hosts` and
-/// `compute_hosts` available for the raster stage (may overlap storage).
-pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Plan {
-    assert!(!compute_hosts.is_empty());
-    let est = estimate_work(cfg);
-    let cost = &cfg.cost;
-    let read_w = cost.read_cost(est.chunk_bytes).as_secs_f64();
-    let extract_w = cost.extract_cost(est.cells, est.triangles).as_secs_f64();
-    let raster_w = cost.raster_cost(est.triangles, est.pixels).as_secs_f64();
-
-    let storage = &cfg.storage_hosts;
-    let storage_cap: f64 = storage.iter().map(|&h| capacity(topo, h)).sum();
-    // One raster copy per core on each compute host.
-    let compute_placement = Placement {
+/// Every configuration [`plan`] weighs, in enumeration order: grouping
+/// (`RERa-M`, `RE-Ra-M`, `R-ERa-M`, `RE-Ra-Mt-A`), then policy (RR, WRR,
+/// DD), then merge host. The split groupings run one copy per core on
+/// each compute host.
+fn candidates(topo: &Topology, compute_hosts: &[HostId]) -> Vec<PipelineSpec> {
+    let per_core = Placement {
         per_host: compute_hosts
             .iter()
             .map(|&h| (h, topo.host(h).cpu.cores()))
             .collect(),
     };
-    let compute_cap: f64 = compute_hosts.iter().map(|&h| capacity(topo, h)).sum();
-
-    // Disk time, overlapped with compute but a floor on the read stage.
-    let disk_secs: f64 = {
-        let per_node = est.chunk_bytes as f64 / storage.len() as f64;
-        let bw = topo.host(storage[0]).disks[0].clone();
-        let _ = bw;
-        per_node / 25.0e6 // representative disk bandwidth
-    };
-
-    // Makespan models (coarse): pipeline stages overlap, so the makespan
-    // is roughly the max stage time plus the data movement that cannot
-    // hide behind it.
-    let mut candidates: Vec<(String, Grouping, f64)> = Vec::new();
-
-    // RERa-M: everything on the storage nodes, single-threaded per node.
-    let rera_secs = {
-        let per_node_cap: f64 = storage
-            .iter()
-            .map(|&h| {
-                let cpu = &topo.host(h).cpu;
-                let bg = cpu.bg_jobs() as f64;
-                let cores = cpu.cores() as f64;
-                cpu.speed() * (cores / (cores + bg)).min(1.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        // One copy per node: per-node work limited by single-copy speed.
-        let work = (read_w + extract_w + raster_w) / storage.len() as f64;
-        (work / per_node_cap).max(disk_secs)
-    };
-    candidates.push(("RERa-M".into(), Grouping::RERaM, rera_secs));
-
-    // RE-Ra-M: extract pinned to storage, raster spread over compute.
-    let re_ra_secs = {
-        let extract_secs = extract_w / storage_cap.max(1e-9);
-        let raster_secs = raster_w / compute_cap.max(1e-9);
-        let move_secs = transfer_secs(topo, storage, compute_hosts, est.tri_bytes);
-        extract_secs.max(raster_secs).max(disk_secs) + move_secs.min(extract_secs + raster_secs)
-    };
-    candidates.push((
-        "RE-Ra-M".into(),
+    let tile_hosts = &compute_hosts[..compute_hosts.len().min(TILE_MERGE_SETS)];
+    let groupings = [
+        Grouping::RERaM,
         Grouping::RERaSplit {
-            raster: compute_placement.clone(),
+            raster: per_core.clone(),
         },
-        re_ra_secs,
-    ));
-
-    // R-ERa-M: both extract and raster on compute, chunks move.
-    let r_era_secs = {
-        let compute_secs = (extract_w + raster_w) / compute_cap.max(1e-9);
-        let move_secs = transfer_secs(topo, storage, compute_hosts, est.chunk_bytes);
-        compute_secs.max(disk_secs) + move_secs.min(compute_secs)
-    };
-    candidates.push((
-        "R-ERa-M".into(),
         Grouping::REraSplit {
-            era: compute_placement.clone(),
+            era: per_core.clone(),
         },
-        r_era_secs,
-    ));
-
-    // The cheapest candidate; the first of equals.
-    let (label, mut grouping, secs) = candidates
-        .iter()
-        .fold(&candidates[0], |best, c| {
-            if c.2.total_cmp(&best.2).is_lt() {
-                c
-            } else {
-                best
+        Grouping::TileComposite {
+            raster: per_core,
+            merge: Placement::one_per_host(tile_hosts),
+        },
+    ];
+    let policies = [
+        WritePolicy::RoundRobin,
+        WritePolicy::WeightedRoundRobin,
+        WritePolicy::demand_driven(),
+    ];
+    let mut specs = Vec::new();
+    for grouping in &groupings {
+        for policy in policies {
+            for &merge_host in compute_hosts {
+                specs.push(PipelineSpec {
+                    grouping: grouping.clone(),
+                    algorithm: Algorithm::ActivePixel,
+                    policy,
+                    merge_host,
+                });
             }
-        })
-        .clone();
-
-    // Policy, per the paper's §6 guidance: demand driven wins "when the
-    // bandwidth of the interconnect is reasonably high and the system load
-    // dynamically changes"; acknowledgments are too expensive over a very
-    // slow network; with static conditions and uneven copy counts the
-    // zero-overhead weighted round robin suffices.
-    let caps: Vec<f64> = compute_hosts.iter().map(|&h| capacity(topo, h)).collect();
-    let cap_min = caps.iter().cloned().fold(f64::INFINITY, f64::min);
-    let cap_max = caps.iter().cloned().fold(0.0f64, f64::max);
-    let heterogeneous = cap_max > cap_min * 1.3;
-    let dynamic_load = compute_hosts
-        .iter()
-        .chain(storage.iter())
-        .any(|&h| topo.host(h).cpu.bg_jobs() > 0);
-    let slowest_path = storage
-        .iter()
-        .flat_map(|&f| {
-            compute_hosts
-                .iter()
-                .map(move |&t| topo.path_cost_per_byte(f, t))
-        })
-        .fold(0.0f64, f64::max);
-    let very_slow_network = slowest_path > 1.0 / 5.0e6; // < 5 MB/s
-    let uneven_copies = {
-        let c: Vec<u32> = compute_placement.per_host.iter().map(|&(_, n)| n).collect();
-        c.iter().max() != c.iter().min()
-    };
-    let policy = if dynamic_load && !very_slow_network {
-        WritePolicy::demand_driven()
-    } else if uneven_copies {
-        WritePolicy::WeightedRoundRobin
-    } else if heterogeneous && !very_slow_network {
-        WritePolicy::demand_driven()
-    } else {
-        WritePolicy::RoundRobin
-    };
-
-    // Merge goes to the most capable compute host; the last of equals.
-    let merge_host = compute_hosts.iter().fold(compute_hosts[0], |best, &h| {
-        if capacity(topo, h).total_cmp(&capacity(topo, best)).is_ge() {
-            h
-        } else {
-            best
-        }
-    });
-
-    // Tile-composite upgrade: with a single merge copy every depth entry
-    // funnels through one host, so once that fold is a material fraction
-    // of the modeled makespan the merge stage serializes the graph. Split
-    // it into a tile-owned merge group (one copy set per host, tiles
-    // routed by tile-hash) when there are hosts to spread over.
-    let merge_secs = cost.merge_cost(est.pixels).as_secs_f64() / capacity(topo, merge_host);
-    let mut tile_note = String::new();
-    if compute_hosts.len() >= 2 && merge_secs > 0.25 * secs {
-        if let Grouping::RERaSplit { raster } = &grouping {
-            let mut by_cap = compute_hosts.to_vec();
-            by_cap.sort_by(|&a, &b| capacity(topo, b).total_cmp(&capacity(topo, a)));
-            by_cap.truncate(TILE_MERGE_SETS);
-            grouping = Grouping::TileComposite {
-                raster: raster.clone(),
-                merge: Placement::one_per_host(&by_cap),
-            };
-            tile_note = format!(
-                "; merge fold ≈{merge_secs:.2}s would serialize — split into a \
-                 tile-hash merge group over {} hosts",
-                by_cap.len()
-            );
         }
     }
+    specs
+}
 
+/// A candidate's row in [`Plan::candidates`], e.g. `RE-Ra-M + DD merge@h2`.
+fn label(spec: &PipelineSpec) -> String {
+    format!(
+        "{} + {} merge@h{}",
+        spec.grouping.label(),
+        spec.policy.label(),
+        spec.merge_host.0
+    )
+}
+
+/// Choose grouping, policy and merge host for rendering `cfg` on `topo`,
+/// with data on `cfg.storage_hosts` and `compute_hosts` available for the
+/// raster stage (they may overlap storage): simulate every candidate and
+/// keep the fastest, the first in enumeration order of equals.
+///
+/// Fails with [`RunError::Unsupported`] when `compute_hosts` is empty,
+/// and with a candidate's own error when one cannot run.
+pub fn plan(
+    topo: &Topology,
+    cfg: &SharedConfig,
+    compute_hosts: &[HostId],
+) -> Result<Plan, RunError> {
+    if compute_hosts.is_empty() {
+        return Err(RunError::Unsupported {
+            what: "planning needs at least one compute host".into(),
+        });
+    }
+    let mut specs = candidates(topo, compute_hosts);
+    let mut table = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        // A fresh config per run: a chunk cache or selected-chunk set
+        // warmed by one candidate must not favour the next.
+        let fresh = Arc::new(clone_config(cfg));
+        let secs = run_pipeline(topo, &fresh, spec)?.elapsed.as_secs_f64();
+        table.push((label(spec), secs));
+    }
+    // The fastest; `min_by` keeps the first of equals.
+    let pick = (0..table.len())
+        .min_by(|&a, &b| table[a].1.total_cmp(&table[b].1))
+        .unwrap_or(0);
+    let secs = table[pick].1;
     let rationale = format!(
-        "est. work: read {read_w:.2}s extract {extract_w:.2}s raster {raster_w:.2}s; \
-         volumes: chunks {:.1}MB tris {:.1}MB; chose {label} ({secs:.2}s model) with {} \
-         ({} copies over {} hosts){}{tile_note}",
-        est.chunk_bytes as f64 / 1e6,
-        est.tri_bytes as f64 / 1e6,
-        policy.label(),
-        compute_placement.total_copies(),
-        compute_hosts.len(),
-        if heterogeneous {
-            "; cluster is heterogeneous"
-        } else {
-            ""
-        },
+        "{}: {secs:.3} s simulated, the least of {} candidates",
+        table[pick].0,
+        table.len()
     );
-
-    Plan {
-        spec: PipelineSpec {
-            grouping,
-            algorithm: Algorithm::ActivePixel,
-            policy,
-            merge_host,
-        },
+    Ok(Plan {
+        spec: specs.swap_remove(pick),
         estimate_secs: secs,
-        candidates: candidates.into_iter().map(|(l, _, s)| (l, s)).collect(),
+        candidates: table,
         rationale,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -336,8 +142,8 @@ pub fn plan(topo: &Topology, cfg: &SharedConfig, compute_hosts: &[HostId]) -> Pl
 mod tests {
     use super::*;
     use crate::config::AppConfig;
+    use crate::experiment::reference_image;
     use hetsim::presets::{red_with_deathstar, rogue_blue_mix, rogue_cluster};
-    use std::sync::Arc;
     use volume::{Dataset, Dims};
 
     fn dataset() -> Dataset {
@@ -350,46 +156,70 @@ mod tests {
         Arc::new(c)
     }
 
-    #[test]
-    fn estimate_is_in_the_right_ballpark() {
-        let (_, hosts) = rogue_cluster(2);
-        let cfg = cfg_for(hosts, 256);
-        let est = estimate_work(&cfg);
-        // Exact triangle count for comparison.
-        let field = cfg.dataset.field(0, 0);
-        let mut tris = Vec::new();
-        isosurf::extract(&field, (0, 0, 0), cfg.iso, &mut tris);
-        let exact = tris.len() as u64;
-        assert!(
-            est.triangles > exact / 3 && est.triangles < exact * 3,
-            "estimate {} vs exact {exact}",
-            est.triangles
-        );
-        assert_eq!(est.cells, cfg.dataset.layout().grid.cells());
-        assert!(est.chunk_bytes > 0 && est.pixels > 0);
+    /// The least simulated seconds over the planner's grid, swept here
+    /// with `run_pipeline` alone, independently of [`candidates`].
+    fn swept_best(topo: &Topology, cfg: &SharedConfig, compute: &[HostId]) -> f64 {
+        let per_core = Placement {
+            per_host: compute
+                .iter()
+                .map(|&h| (h, topo.host(h).cpu.cores()))
+                .collect(),
+        };
+        let tile_hosts: Vec<HostId> = compute.iter().copied().take(4).collect();
+        let mut best = f64::INFINITY;
+        for grouping in [
+            Grouping::RERaM,
+            Grouping::RERaSplit {
+                raster: per_core.clone(),
+            },
+            Grouping::REraSplit {
+                era: per_core.clone(),
+            },
+            Grouping::TileComposite {
+                raster: per_core.clone(),
+                merge: Placement::one_per_host(&tile_hosts),
+            },
+        ] {
+            for policy in [
+                WritePolicy::RoundRobin,
+                WritePolicy::WeightedRoundRobin,
+                WritePolicy::demand_driven(),
+            ] {
+                for &merge_host in compute {
+                    let spec = PipelineSpec {
+                        grouping: grouping.clone(),
+                        algorithm: Algorithm::ActivePixel,
+                        policy,
+                        merge_host,
+                    };
+                    let fresh = Arc::new(clone_config(cfg));
+                    let r = run_pipeline(topo, &fresh, &spec).unwrap();
+                    best = best.min(r.elapsed.as_secs_f64());
+                }
+            }
+        }
+        best
     }
 
-    /// The probe skips a chunk the surface cannot cross instead of
-    /// extracting it; the estimates are the ones a probe that extracted
-    /// every probed chunk gave (pinned from it).
-    #[test]
-    fn probe_skips_missed_chunks_with_unchanged_estimates() {
-        let (_, hosts) = rogue_cluster(2);
-        for (iso, triangles, pixels) in [(0.3, 13136, 3952), (0.5, 3072, 808), (0.7, 0, 0)] {
-            let mut c = AppConfig::new(dataset(), hosts.clone(), 2, 256, 256);
-            c.iso = iso;
-            let cfg: SharedConfig = Arc::new(c);
-            let missed = (0..cfg.dataset.layout().count())
-                .filter(|&i| !cfg.dataset.can_cross(0, 0, ChunkId(i), iso))
-                .count();
-            assert!(missed > 0, "iso {iso}: no chunk to skip");
-            let est = estimate_work(&cfg);
-            assert_eq!(
-                (est.triangles, est.pixels),
-                (triangles, pixels),
-                "iso {iso}"
-            );
-        }
+    /// The plan's pick is the simulated best of the grid, and it renders
+    /// the sequential reference.
+    fn assert_simulated_best(topo: &Topology, cfg: &SharedConfig, compute: &[HostId]) -> Plan {
+        let p = plan(topo, cfg, compute).unwrap();
+        assert_eq!(p.candidates.len(), 12 * compute.len());
+        assert_eq!(
+            p.estimate_secs,
+            swept_best(topo, cfg, compute),
+            "{}",
+            p.rationale
+        );
+        let r = crate::run_pipeline(topo, cfg, &p.spec).unwrap();
+        assert_eq!(
+            r.image.diff_pixels(&reference_image(cfg)),
+            0,
+            "{}",
+            p.rationale
+        );
+        p
     }
 
     #[test]
@@ -402,20 +232,21 @@ mod tests {
         let mut hosts = rogues.clone();
         hosts.extend(&blues);
         let cfg = cfg_for(hosts.clone(), 256);
-        let plan = plan(&topo, &cfg, &hosts);
+        let plan = plan(&topo, &cfg, &hosts).unwrap();
         assert_eq!(plan.spec.policy.label(), "DD", "{}", plan.rationale);
     }
 
+    /// Table 5's two-Red setting: the paper finds WRR best there because
+    /// acks are costly over the compute node's Fast Ethernet uplink, but
+    /// the simulator's best moves chunks to the compute node (R-ERa-M).
     #[test]
-    fn planner_avoids_dd_on_slow_network_with_weighted_copies() {
+    fn planner_takes_simulated_best_over_slow_uplink() {
         let (topo, reds, ds) = red_with_deathstar(2);
         let cfg = cfg_for(reds.clone(), 256);
         let mut compute = reds.clone();
         compute.push(ds);
-        let plan = plan(&topo, &cfg, &compute);
-        // Deathstar is behind Fast Ethernet: acks are expensive; copies
-        // are uneven (8 cores vs 2) so WRR is the call.
-        assert_eq!(plan.spec.policy.label(), "WRR", "{}", plan.rationale);
+        let p = assert_simulated_best(&topo, &cfg, &compute);
+        assert_eq!(p.spec.grouping.label(), "R-ERa-M", "{}", p.rationale);
     }
 
     #[test]
@@ -424,25 +255,20 @@ mod tests {
         // beat R-ERa-M (chunks outweigh triangles here).
         let (topo, hosts) = rogue_cluster(4);
         let cfg = cfg_for(hosts.clone(), 256);
-        let p = plan(&topo, &cfg, &hosts);
+        let p = plan(&topo, &cfg, &hosts).unwrap();
         assert_ne!(p.spec.grouping.label(), "R-ERa-M", "{}", p.rationale);
     }
 
+    /// A merge made costly enough to dominate: the tile group is one
+    /// candidate among the rest, picked only if the simulator says so.
     #[test]
-    fn planner_upgrades_serializing_merge_to_tile_group() {
+    fn planner_takes_simulated_best_under_heavy_merge() {
         let (topo, hosts) = rogue_cluster(4);
         let mut c = AppConfig::new(dataset(), hosts.clone(), 2, 128, 128);
         c.iso = 0.5;
-        // Make the single-sink fold dominate the makespan model.
         c.cost.merge_per_entry = 1.0e-3;
         let cfg: SharedConfig = Arc::new(c);
-        let p = plan(&topo, &cfg, &hosts);
-        assert_eq!(p.spec.grouping.label(), "RE-Ra-Mt-A", "{}", p.rationale);
-        if let Grouping::TileComposite { merge, .. } = &p.spec.grouping {
-            assert_eq!(merge.per_host.len(), TILE_MERGE_SETS);
-        }
-        let r = crate::run_pipeline(&topo, &cfg, &p.spec).unwrap();
-        assert_eq!(r.image.diff_pixels(&crate::reference_image(&cfg)), 0);
+        assert_simulated_best(&topo, &cfg, &hosts);
     }
 
     #[test]
@@ -450,7 +276,7 @@ mod tests {
         // The default cost model's merge is cheap: no upgrade.
         let (topo, hosts) = rogue_cluster(4);
         let cfg = cfg_for(hosts.clone(), 256);
-        let p = plan(&topo, &cfg, &hosts);
+        let p = plan(&topo, &cfg, &hosts).unwrap();
         assert_ne!(p.spec.grouping.label(), "RE-Ra-Mt-A", "{}", p.rationale);
     }
 
@@ -458,38 +284,37 @@ mod tests {
     fn planned_configuration_actually_runs_and_is_competitive() {
         let (topo, hosts) = rogue_cluster(4);
         let cfg = cfg_for(hosts.clone(), 256);
-        let p = plan(&topo, &cfg, &hosts);
-        let planned = crate::run_pipeline(&topo, &cfg, &p.spec).unwrap();
-        assert_eq!(planned.image.diff_pixels(&crate::reference_image(&cfg)), 0);
+        assert_simulated_best(&topo, &cfg, &hosts);
+    }
 
-        // Compare against a brute-force sweep of the standard choices: the
-        // planner must land within 1.5x of the best.
-        let mut best = f64::INFINITY;
-        for grouping in [
-            Grouping::RERaM,
-            Grouping::RERaSplit {
-                raster: Placement::one_per_host(&hosts),
-            },
-            Grouping::REraSplit {
-                era: Placement::one_per_host(&hosts),
-            },
-        ] {
-            for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
-                let spec = PipelineSpec {
-                    grouping: grouping.clone(),
-                    algorithm: Algorithm::ActivePixel,
-                    policy,
-                    merge_host: hosts[0],
-                };
-                let r = crate::run_pipeline(&topo, &cfg, &spec).unwrap();
-                best = best.min(r.elapsed.as_secs_f64());
-            }
+    #[test]
+    fn planner_takes_simulated_best_on_loaded_heterogeneous_mix() {
+        let (topo, rogues, blues) = rogue_blue_mix(2);
+        for &h in &rogues {
+            topo.host(h).cpu.set_bg_jobs(8);
         }
-        let planned_secs = planned.elapsed.as_secs_f64();
-        assert!(
-            planned_secs <= best * 1.5,
-            "planned {planned_secs:.3}s vs best {best:.3}s — {}",
-            p.rationale
-        );
+        let mut hosts = rogues.clone();
+        hosts.extend(&blues);
+        assert_simulated_best(&topo, &cfg_for(hosts.clone(), 256), &hosts);
+    }
+
+    /// `dcrender --plan` with no other flag: 64³ cells, 512² pixels.
+    #[test]
+    fn planner_takes_simulated_best_on_dcrender_defaults() {
+        let (topo, hosts) = rogue_cluster(4);
+        let ds = Dataset::generate(Dims::new(65, 65, 65), (4, 4, 4), 64, 42);
+        let mut c = AppConfig::new(ds, hosts.clone(), 2, 512, 512);
+        c.iso = 0.5;
+        assert_simulated_best(&topo, &Arc::new(c), &hosts);
+    }
+
+    #[test]
+    fn planning_without_compute_hosts_is_unsupported() {
+        let (topo, hosts) = rogue_cluster(2);
+        let cfg = cfg_for(hosts, 64);
+        assert!(matches!(
+            plan(&topo, &cfg, &[]),
+            Err(RunError::Unsupported { .. })
+        ));
     }
 }

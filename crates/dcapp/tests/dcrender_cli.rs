@@ -79,3 +79,22 @@ fn executor_tasked_is_an_alias_of_native() {
     assert!(!native.is_empty());
     assert_eq!(render("tasked"), native);
 }
+
+/// `--plan` simulates the candidates, says what it chose and renders it.
+#[test]
+fn plan_renders_the_planned_configuration() {
+    let path = std::env::temp_dir().join(format!("dcrender-cli-{}-plan.ppm", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
+        .args(["--plan", "--grid", "16", "--image", "64"])
+        .arg("--out")
+        .arg(&path)
+        .output()
+        .expect("dcrender starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("planner: "), "{stdout}");
+    let bytes = std::fs::read(&path).expect("image written");
+    let _ = std::fs::remove_file(&path);
+    assert!(bytes.starts_with(b"P6"), "a PPM");
+}

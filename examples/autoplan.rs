@@ -1,6 +1,6 @@
-//! Automatic configuration: let the planner probe the dataset, model the
-//! candidate configurations, and pick the grouping/placement/policy — then
-//! check its choice against a brute-force sweep.
+//! Automatic configuration: let the planner simulate every candidate
+//! grouping × policy × merge host on a loaded heterogeneous cluster, pick
+//! the fastest, then run the pick and check its image.
 //!
 //! ```text
 //! cargo run --release -p examples --bin autoplan
@@ -8,8 +8,7 @@
 
 use std::sync::Arc;
 
-use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::AppConfig;
 use hetsim::presets::rogue_blue_mix;
 use volume::{Dataset, Dims};
 
@@ -27,55 +26,24 @@ fn main() {
     cfg.iso = 0.5;
     let cfg = Arc::new(cfg);
 
-    let plan = dcapp::plan(&topo, &cfg, &hosts);
-    println!("planner: {}", plan.rationale);
-    println!("model estimates per configuration:");
+    let plan = dcapp::plan(&topo, &cfg, &hosts).expect("plan");
+    println!("simulated seconds per candidate:");
     for (label, secs) in &plan.candidates {
-        println!("  {label:>8}: {secs:.2}s (model)");
+        println!("  {label:>28}: {secs:.3}s");
     }
+    println!("planner: {}", plan.rationale);
 
     let planned = dcapp::run_pipeline(&topo, &cfg, &plan.spec).expect("run");
     println!(
-        "\nplanned  [{} + {}]: {:.3}s measured",
+        "planned [{} + {}]: {:.3}s measured",
         plan.spec.grouping.label(),
         plan.spec.policy.label(),
         planned.elapsed.as_secs_f64()
     );
-
-    // Brute force for comparison.
-    let mut best = (String::new(), f64::INFINITY);
-    for grouping in [
-        Grouping::RERaM,
-        Grouping::RERaSplit {
-            raster: Placement::one_per_host(&hosts),
-        },
-        Grouping::REraSplit {
-            era: Placement::one_per_host(&hosts),
-        },
-    ] {
-        for policy in [
-            WritePolicy::RoundRobin,
-            WritePolicy::WeightedRoundRobin,
-            WritePolicy::demand_driven(),
-        ] {
-            let spec = PipelineSpec {
-                grouping: grouping.clone(),
-                algorithm: Algorithm::ActivePixel,
-                policy,
-                merge_host: blues[0],
-            };
-            let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
-            let label = format!("{} + {}", spec.grouping.label(), policy.label());
-            println!("  sweep  [{label}]: {:.3}s", r.elapsed.as_secs_f64());
-            if r.elapsed.as_secs_f64() < best.1 {
-                best = (label, r.elapsed.as_secs_f64());
-            }
-        }
-    }
-    println!(
-        "\nbest of sweep: [{}] {:.3}s — planner landed within {:.0}%",
-        best.0,
-        best.1,
-        (planned.elapsed.as_secs_f64() / best.1 - 1.0) * 100.0
+    assert_eq!(
+        planned.image.diff_pixels(&dcapp::reference_image(&cfg)),
+        0,
+        "planned == sequential"
     );
+    println!("image matches the sequential reference");
 }
