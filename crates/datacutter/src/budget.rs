@@ -317,19 +317,23 @@ impl StreamOoc {
     }
 
     /// Charge `bytes` of a newly queued payload; returns `true` when the
-    /// payload should spill: the stream already holds a resident payload
-    /// *and* would now be over its share.
+    /// payload should spill: the stream already holds a resident payload,
+    /// would now be over its share, *and* the payload is larger than the
+    /// [stub](crate::SPILL_STUB_BYTES) spilling it would leave behind.
     ///
     /// The first payload into an empty stream stays whatever its size —
     /// a consumer must hold one payload to make progress, so a stream's
-    /// floor is one payload and its residency is bounded by
-    /// `max(share, largest payload)`. The test reads `before` from the
-    /// same atomic `fetch_add` that charges, so of several producers
-    /// racing into an empty stream exactly one sees it empty.
+    /// floor is one payload. A payload no larger than the stub stays too:
+    /// spilling it would free nothing and cost a write and a read. So a
+    /// stream's residency is bounded by `max(share, largest payload)`
+    /// plus [`SPILL_STUB_BYTES`](crate::SPILL_STUB_BYTES) per queued
+    /// payload at or under it. The test reads `before` from the same
+    /// atomic `fetch_add` that charges, so of several producers racing
+    /// into an empty stream exactly one sees it empty.
     pub fn charge(&self, bytes: u64) -> bool {
         self.ledger.grant(bytes);
         let before = self.resident.fetch_add(bytes, Ordering::Relaxed);
-        before > 0 && before + bytes > self.share
+        before > 0 && before + bytes > self.share && bytes > crate::SPILL_STUB_BYTES
     }
 
     /// Release `bytes` (payload consumed, spilled out, or dropped).
@@ -437,8 +441,13 @@ mod tests {
         let s = StreamOoc::new(ledger.clone(), storage, 100);
         assert!(!s.charge(60), "under share");
         assert!(s.charge(60), "over share");
-        assert_eq!(s.resident(), 120);
-        assert_eq!(ledger.resident(), 120);
+        let stub = crate::SPILL_STUB_BYTES;
+        assert!(!s.charge(stub), "over share, but no larger than its stub");
+        assert!(s.charge(stub + 1), "over share and larger than its stub");
+        assert_eq!(s.resident(), 121 + 2 * stub);
+        assert_eq!(ledger.resident(), 121 + 2 * stub);
+        s.discharge(stub);
+        s.discharge(stub + 1);
         s.discharge(60);
         s.discharge(60);
         assert_eq!(s.resident(), 0);

@@ -148,6 +148,11 @@ fn resident<T: Any>(payload: &(dyn Any + Send)) -> &T {
         .unwrap_or_else(|| unreachable!("a buffer's fn table applies only to its resident payload"))
 }
 
+/// Bytes of the stub a spilled payload leaves in its buffer's box. A
+/// payload whose spill encoding is no larger frees no memory by spilling,
+/// so [`StreamOoc::charge`](crate::StreamOoc::charge) keeps it resident.
+pub const SPILL_STUB_BYTES: u64 = std::mem::size_of::<SpilledPayload>() as u64;
+
 /// Placeholder payload installed while the real one is parked in the
 /// spill ring.
 struct SpilledPayload {

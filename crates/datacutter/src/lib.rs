@@ -87,7 +87,9 @@ pub mod runtime;
 pub mod storage;
 
 pub use budget::{MemoryBudget, SpillRing, SpillTicket, StreamOoc};
-pub use buffer::{BufferSlab, DataBuffer, SpillCodec, ACK_WIRE_BYTES, BUFFER_OVERHEAD_BYTES};
+pub use buffer::{
+    BufferSlab, DataBuffer, SpillCodec, ACK_WIRE_BYTES, BUFFER_OVERHEAD_BYTES, SPILL_STUB_BYTES,
+};
 pub use context::FilterCtx;
 pub use fault::{backoff_delay, FaultOptions, RestartEvent, RunError, SupervisorPolicy};
 pub use filter::{CopyInfo, Filter, FilterError, FilterFactory};

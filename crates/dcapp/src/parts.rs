@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
 
 use crate::config::{Algorithm, AppConfig, SharedConfig};
-use crate::payload::{ChunkPayload, RaOut, TriBatch};
+use crate::payload::{BandPools, ChunkPayload, RaOut, TriBatch};
 use crate::pool::{BufferPool, PoolVec};
 
 /// One chunk the read stage will retrieve, in retrieval order.
@@ -435,12 +435,16 @@ impl ExtractStage {
 /// image-replication).
 pub(crate) enum RasterStage {
     Zb {
-        zb: ZBuffer,
+        /// Allocated on the first plot: a copy that draws nothing in a
+        /// unit of work never holds one.
+        zb: Option<ZBuffer>,
+        /// Rows `[lo, hi)` holding every pixel plotted so far; empty
+        /// (`lo >= hi`) while nothing is.
+        drawn: (u32, u32),
         proj: isosurf::Projector,
         scissor: Option<(u32, u32)>,
         /// Band buffers for end-of-work shipping, recycled by the merge.
-        dpool: BufferPool<f32>,
-        cpool: BufferPool<[u8; 3]>,
+        pools: BandPools,
     },
     Ap {
         ap: ActivePixelBuffer,
@@ -459,11 +463,11 @@ impl RasterStage {
         let proj = cfg.camera.projector();
         match alg {
             Algorithm::ZBuffer => RasterStage::Zb {
-                zb: ZBuffer::new(cfg.camera.width, cfg.camera.height),
+                zb: None,
+                drawn: (u32::MAX, 0),
                 proj,
                 scissor,
-                dpool: BufferPool::new(),
-                cpool: BufferPool::new(),
+                pools: BandPools::default(),
             },
             Algorithm::ActivePixel => RasterStage::Ap {
                 ap: ActivePixelBuffer::new(cfg.camera.width, cfg.wpa_capacity),
@@ -487,13 +491,19 @@ impl RasterStage {
         let (w, h) = (cfg.camera.width, cfg.camera.height);
         match self {
             RasterStage::Zb {
-                zb, proj, scissor, ..
+                zb,
+                drawn,
+                proj,
+                scissor,
+                ..
             } => {
                 let band = scissor.unwrap_or((0, h));
                 let pixels =
                     raster_batch(proj, w, h, &cfg.material, &batch.tris, |x, y, d, rgb| {
                         if y >= band.0 && y < band.1 {
-                            zb.plot(x, y, d, rgb);
+                            zb.get_or_insert_with(|| ZBuffer::new(w, h))
+                                .plot(x, y, d, rgb);
+                            *drawn = (drawn.0.min(y), drawn.1.max(y + 1));
                         }
                     });
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
@@ -528,8 +538,9 @@ impl RasterStage {
     }
 
     /// End-of-work: the z-buffer variant now ships its whole buffer in
-    /// fixed-size bands (the synchronization point the paper describes);
-    /// the active-pixel variant flushes its partial WPA.
+    /// fixed-size bands (the synchronization point the paper describes),
+    /// each declaring all its rows and holding only those it drew; the
+    /// active-pixel variant flushes its partial WPA.
     pub fn finish(
         &mut self,
         cfg: &SharedConfig,
@@ -539,44 +550,38 @@ impl RasterStage {
         match self {
             RasterStage::Zb {
                 zb,
+                drawn,
                 scissor,
-                dpool,
-                cpool,
+                pools,
                 ..
             } => {
                 // Only this stage's owned rows travel to the merge — the
                 // whole image under replication, just the band under
-                // partitioning. Band buffers are pooled: the merge dropping
-                // a band returns both vectors here for the next timestep.
-                let (owned_lo, owned_hi) = scissor.unwrap_or((0, zb.height));
+                // partitioning — and of each band only the rows inside
+                // `drawn`: every other row is empty. Band buffers are
+                // pooled: the merge dropping a band returns both vectors.
+                let (owned_lo, owned_hi) = scissor.unwrap_or((0, cfg.camera.height));
                 let rows = cfg.band_rows();
-                let w = zb.width;
+                let w = cfg.camera.width;
                 let mut y0 = owned_lo;
                 while y0 < owned_hi {
                     let n = rows.min(owned_hi - y0);
-                    let a = (y0 * w) as usize;
-                    let b = ((y0 + n) * w) as usize;
-                    let mut depth = dpool.take(b - a);
-                    depth.buf_mut().extend_from_slice(&zb.depth[a..b]);
-                    let mut color = cpool.take(b - a);
-                    color.buf_mut().extend_from_slice(&zb.color[a..b]);
-                    if y0 + n == owned_hi {
-                        // Every row is copied out: free the z-buffer before
-                        // the last send, which on the native executor may
-                        // block on a full merge queue — a copy waiting
-                        // there must not also hold a buffer it is done
-                        // with. `init` allocates a fresh one per UOW.
-                        *zb = ZBuffer::new(0, 0);
+                    let band = match zb {
+                        Some(z) => {
+                            let span = drawn.0 as usize * w as usize..drawn.1 as usize * w as usize;
+                            pools.band((y0, n), w, drawn.0, &z.depth[span.clone()], &z.color[span])
+                        }
+                        None => pools.band((y0, n), w, y0, &[], &[]),
+                    };
+                    if y0 + n >= drawn.1 {
+                        // Every drawn row is copied out: free the z-buffer
+                        // before the next send, which on the native
+                        // executor may block on a full merge queue — a copy
+                        // waiting there must not also hold a buffer it is
+                        // done with.
+                        *zb = None;
                     }
-                    sink(
-                        ctx,
-                        RaOut::Band {
-                            y0,
-                            width: w,
-                            depth,
-                            color,
-                        },
-                    );
+                    sink(ctx, band);
                     y0 += n;
                 }
             }
@@ -738,10 +743,17 @@ impl TileMergeStage {
         }
         match out {
             RaOut::Band {
-                y0, depth, color, ..
+                y0,
+                held_y0,
+                depth,
+                color,
+                ..
             } => {
+                // Even a header fragment opens its tile, which then ships
+                // at end of work: the merge sends what it would have sent
+                // had every row been held.
                 let (zb, lo) = self.tile_mut(crate::tiles::tile_of_row(y0, self.tile_rows));
-                isosurf::merge_rows(zb, y0 - lo, &depth, &color);
+                isosurf::merge_rows(zb, held_y0 - lo, &depth, &color);
             }
             RaOut::Wpa(batch) => {
                 let tile = crate::tiles::tile_of_row(batch[0].y as u32, self.tile_rows);
@@ -765,6 +777,8 @@ impl TileMergeStage {
                     ctx,
                     RaOut::Band {
                         y0: lo,
+                        rows: zb.height,
+                        held_y0: lo,
                         width: zb.width,
                         depth: zb.depth.into(),
                         color: zb.color.into(),
@@ -794,18 +808,20 @@ impl MergeStage {
         }
     }
 
-    /// Fold one partial result.
+    /// Fold one partial result: the rows a band holds, charged as every
+    /// row it declares.
     pub fn feed(&mut self, ctx: &mut FilterCtx, out: RaOut) {
         let entries = out.merge_entries();
         match out {
             RaOut::Band {
-                y0,
+                held_y0,
                 width,
                 depth,
                 color,
+                ..
             } => {
                 debug_assert_eq!(width, self.zb.width);
-                isosurf::merge_rows(&mut self.zb, y0, &depth, &color);
+                isosurf::merge_rows(&mut self.zb, held_y0, &depth, &color);
             }
             RaOut::Wpa(batch) => merge_batch(&mut self.zb, &batch),
         }

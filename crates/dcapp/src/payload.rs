@@ -9,7 +9,7 @@ use isosurf::{
 };
 use volume::{Dims, RectGrid};
 
-use crate::pool::PoolVec;
+use crate::pool::{BufferPool, PoolVec};
 
 /// R → E payload: one sub-volume of voxel data, or a
 /// [header](Self::header) standing for one the isosurface cannot cross.
@@ -87,15 +87,23 @@ impl TriBatch {
 #[derive(Clone)]
 pub enum RaOut {
     /// A horizontal band of a dense z-buffer (z-buffer algorithm; sent
-    /// only after end-of-work).
+    /// only after end-of-work). A band declares the rows it covers, and
+    /// its wire size and merge charge are theirs, but it holds only the
+    /// rows its raster copy drew: every other row is empty, and folding
+    /// an empty row changes nothing. A *header band* holds no row.
     Band {
-        /// First row of the band.
+        /// First row the band covers.
         y0: u32,
+        /// Rows the band covers, `[y0, y0 + rows)`.
+        rows: u32,
+        /// First row held: `depth` and `color` hold rows from here on,
+        /// inside the covered ones.
+        held_y0: u32,
         /// Band width (= image width).
         width: u32,
-        /// Per-pixel depth, row-major within the band.
+        /// Per-pixel depth of the held rows, row-major.
         depth: PoolVec<f32>,
-        /// Per-pixel color.
+        /// Per-pixel color of the held rows.
         color: PoolVec<[u8; 3]>,
     },
     /// A batch of winning pixels (active-pixel algorithm; streamed
@@ -112,19 +120,63 @@ impl Default for RaOut {
 }
 
 impl RaOut {
-    /// Wire size of this message.
+    /// Wire size of this message: a band's covers every row it declares.
     pub fn wire_bytes(&self) -> u64 {
         match self {
-            RaOut::Band { depth, .. } => depth.len() as u64 * ZBUF_ENTRY_WIRE_BYTES,
+            RaOut::Band { .. } => self.merge_entries() * ZBUF_ENTRY_WIRE_BYTES,
             RaOut::Wpa(v) => v.len() as u64 * WPA_ENTRY_WIRE_BYTES,
         }
     }
 
-    /// Number of depth entries the merge filter will fold.
+    /// Number of depth entries the merge filter is charged for folding:
+    /// a band's are those of every row it declares.
     pub fn merge_entries(&self) -> u64 {
         match self {
-            RaOut::Band { depth, .. } => depth.len() as u64,
+            RaOut::Band { rows, width, .. } => *rows as u64 * *width as u64,
             RaOut::Wpa(v) => v.len() as u64,
+        }
+    }
+}
+
+/// Pooled buffers for the z-buffer bands a stage ships: the consumer
+/// dropping a band returns both its vectors here.
+#[derive(Default)]
+pub(crate) struct BandPools {
+    depth: BufferPool<f32>,
+    color: BufferPool<[u8; 3]>,
+}
+
+impl BandPools {
+    /// The band of `width` covering rows `[y0, y0 + rows)`, holding those
+    /// rows of `depth`/`color` (row-major rows from `src_y0`) that it
+    /// covers: a header band when it covers none of them.
+    pub fn band(
+        &self,
+        (y0, rows): (u32, u32),
+        width: u32,
+        src_y0: u32,
+        depth: &[f32],
+        color: &[[u8; 3]],
+    ) -> RaOut {
+        let w = width as usize;
+        let src_end = src_y0 as usize + depth.len() / w.max(1);
+        let (lo, hi) = (y0.max(src_y0) as usize, src_end.min((y0 + rows) as usize));
+        let (mut held, mut d, mut c) = (y0, PoolVec::default(), PoolVec::default());
+        if lo < hi {
+            let span = (lo - src_y0 as usize) * w..(hi - src_y0 as usize) * w;
+            held = lo as u32;
+            d = self.depth.take(span.len());
+            d.buf_mut().extend_from_slice(&depth[span.clone()]);
+            c = self.color.take(span.len());
+            c.buf_mut().extend_from_slice(&color[span]);
+        }
+        RaOut::Band {
+            y0,
+            rows,
+            held_y0: held,
+            width,
+            depth: d,
+            color: c,
         }
     }
 }
@@ -288,7 +340,7 @@ fn wpa_from_record(r: &[u8; WPA_RECORD]) -> WinningPixel {
 impl SpillCodec for RaOut {
     fn spill_len(&self) -> usize {
         match self {
-            RaOut::Band { depth, color, .. } => 13 + depth.len() * 4 + color.len() * 3,
+            RaOut::Band { depth, color, .. } => 21 + depth.len() * 4 + color.len() * 3,
             RaOut::Wpa(batch) => 5 + batch.len() * WPA_RECORD,
         }
     }
@@ -297,14 +349,16 @@ impl SpillCodec for RaOut {
         match self {
             RaOut::Band {
                 y0,
+                rows,
+                held_y0,
                 width,
                 depth,
                 color,
             } => {
                 out.push(RAOUT_BAND_TAG);
-                put_u32(out, *y0);
-                put_u32(out, *width);
-                put_u32(out, depth.len() as u32);
+                for v in [*y0, *rows, *held_y0, *width, depth.len() as u32] {
+                    put_u32(out, v);
+                }
                 put_records(out, depth, |d| d.to_le_bytes());
                 out.extend_from_slice(color.as_flattened());
             }
@@ -321,11 +375,12 @@ impl SpillCodec for RaOut {
         let mut r = Rd(rest);
         let decoded = match tag {
             RAOUT_BAND_TAG => {
-                let y0 = r.u32()?;
-                let width = r.u32()?;
+                let (y0, rows, held_y0, width) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
                 let n = r.u32()? as usize;
                 RaOut::Band {
                     y0,
+                    rows,
+                    held_y0,
                     width,
                     depth: r.take_records(n, |b| f32::from_le_bytes(*b))?.into(),
                     color: r.take_records(n, |rgb: &[u8; 3]| *rgb)?.into(),
@@ -364,16 +419,25 @@ mod tests {
         assert_eq!(b.wire_bytes(), 0);
     }
 
+    /// A band of `width` covering `rows` rows from `y0` that holds
+    /// `held` rows from `held_y0`, each entry distinct.
+    fn band(y0: u32, rows: u32, held_y0: u32, held: u32, width: u32) -> RaOut {
+        let n = (held * width) as usize;
+        RaOut::Band {
+            y0,
+            rows,
+            held_y0,
+            width,
+            depth: (0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>().into(),
+            color: (0..n).map(|i| [i as u8, 1, 2]).collect::<Vec<_>>().into(),
+        }
+    }
+
     #[test]
     fn raout_sizes() {
-        let band = RaOut::Band {
-            y0: 0,
-            width: 4,
-            depth: vec![0.0; 8].into(),
-            color: vec![[0; 3]; 8].into(),
-        };
-        assert_eq!(band.wire_bytes(), 8 * ZBUF_ENTRY_WIRE_BYTES);
-        assert_eq!(band.merge_entries(), 8);
+        let full = band(0, 2, 0, 2, 4);
+        assert_eq!(full.wire_bytes(), 8 * ZBUF_ENTRY_WIRE_BYTES);
+        assert_eq!(full.merge_entries(), 8);
         let wpa = RaOut::Wpa(
             vec![
                 WinningPixel {
@@ -433,19 +497,39 @@ mod tests {
         assert_eq!(c.tris[0].normal.z, 1.0);
     }
 
+    /// A band that holds fewer rows than it declares, or none, is sized
+    /// and charged as the full band: only what it holds shrinks.
+    #[test]
+    fn a_trimmed_or_header_band_declares_the_full_band() {
+        let full = band(16, 16, 16, 16, 64);
+        for b in [band(16, 16, 21, 3, 64), band(16, 16, 16, 0, 64)] {
+            assert_eq!(b.wire_bytes(), full.wire_bytes());
+            assert_eq!(b.merge_entries(), full.merge_entries());
+            assert!(b.spill_len() < full.spill_len());
+        }
+        assert_eq!(band(16, 16, 16, 0, 64).spill_len(), 21, "a header band");
+    }
+
     #[test]
     fn raout_spill_round_trips_both_variants() {
         let band = RaOut::Band {
-            y0: 9,
+            y0: 8,
+            rows: 4,
+            held_y0: 9,
             width: 4,
             depth: vec![0.5, 1.0, f32::INFINITY, 2.0].into(),
             color: vec![[1, 2, 3], [4, 5, 6], [7, 8, 9], [0, 0, 0]].into(),
         };
         match round_trip(&band) {
             RaOut::Band {
-                y0, depth, color, ..
+                y0,
+                rows,
+                held_y0,
+                depth,
+                color,
+                ..
             } => {
-                assert_eq!(y0, 9);
+                assert_eq!((y0, rows, held_y0), (8, 4, 9));
                 assert_eq!(depth[2], f32::INFINITY);
                 assert_eq!(color[1], [4, 5, 6]);
             }
@@ -509,17 +593,11 @@ mod tests {
             "overflowing dims"
         );
 
-        let mut band = Vec::new();
-        RaOut::Band {
-            y0: 0,
-            width: 4,
-            depth: vec![0.5; 8].into(),
-            color: vec![[1, 2, 3]; 8].into(),
-        }
-        .spill_encode(&mut band);
+        let mut band_frame = Vec::new();
+        band(0, 4, 1, 2, 4).spill_encode(&mut band_frame);
         let mut wpa = Vec::new();
         RaOut::Wpa(vec![wpa_from_record(&[7; WPA_RECORD]); 8].into()).spill_encode(&mut wpa);
-        for (frame, count_at) in [(&band, 9), (&wpa, 1)] {
+        for (frame, count_at) in [(&band_frame, 17), (&wpa, 1)] {
             for claimed in [u32::MAX, 0x8000_0008, 9, 7] {
                 let mut bad = frame.clone();
                 bad[count_at..count_at + 4].copy_from_slice(&claimed.to_le_bytes());
@@ -532,10 +610,11 @@ mod tests {
         }
     }
 
-    // The per-element encoders the bulk ones replaced, kept verbatim as
-    // the byte-for-byte oracle: frame bytes and lengths feed the simulated
+    // The per-element encoders the bulk ones replaced, kept as the
+    // byte-for-byte oracle (the band's header has since gained its
+    // covered and held rows): frame bytes and lengths feed the simulated
     // disk charge, the spill counters and the seeded corrupt-bit index, so
-    // the new encoders may not move one of them.
+    // the bulk encoders may not move one of them.
 
     fn put_f32(out: &mut Vec<u8>, v: f32) {
         out.extend_from_slice(&v.to_le_bytes());
@@ -569,12 +648,16 @@ mod tests {
         match r {
             RaOut::Band {
                 y0,
+                rows,
+                held_y0,
                 width,
                 depth,
                 color,
             } => {
                 out.push(RAOUT_BAND_TAG);
                 put_u32(out, *y0);
+                put_u32(out, *rows);
+                put_u32(out, *held_y0);
                 put_u32(out, *width);
                 put_u32(out, depth.len() as u32);
                 out.reserve(depth.len() * 7);
@@ -687,13 +770,15 @@ mod tests {
         #[test]
         fn raout_codec_matches_the_per_element_oracle(
             band in any::<bool>(),
-            header in (any::<u32>(), any::<u32>()),
+            header in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
             bits in prop::collection::vec(any::<u64>(), 0..9),
         ) {
             let r = if band {
                 RaOut::Band {
                     y0: header.0,
-                    width: header.1,
+                    rows: header.1,
+                    held_y0: header.2,
+                    width: header.3,
                     depth: bits.iter().map(|&b| float(b)).collect::<Vec<_>>().into(),
                     color: bits
                         .iter()

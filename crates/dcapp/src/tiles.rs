@@ -15,7 +15,7 @@
 
 use isosurf::WinningPixel;
 
-use crate::payload::RaOut;
+use crate::payload::{BandPools, RaOut};
 use crate::pool::BufferPool;
 
 /// Rows per tile for a `tile_size` knob over an image of `height` rows,
@@ -51,8 +51,7 @@ pub struct TileSplitter {
     /// performs no container allocation in steady state.
     slots: Vec<Option<crate::pool::PoolVec<WinningPixel>>>,
     wpool: BufferPool<WinningPixel>,
-    dpool: BufferPool<f32>,
-    cpool: BufferPool<[u8; 3]>,
+    bands: BandPools,
 }
 
 impl TileSplitter {
@@ -62,8 +61,7 @@ impl TileSplitter {
             tile_rows: tile_rows.max(1),
             slots: (0..n_tiles).map(|_| None).collect(),
             wpool: BufferPool::new(),
-            dpool: BufferPool::new(),
-            cpool: BufferPool::new(),
+            bands: BandPools::default(),
         }
     }
 
@@ -77,23 +75,18 @@ impl TileSplitter {
         match out {
             RaOut::Band {
                 y0,
+                rows,
+                held_y0,
                 width,
-                depth,
-                color,
+                ref depth,
+                ref color,
             } => {
-                let rows = depth.len() as u32 / width.max(1);
+                // Cut over the rows the band declares: a tile it covers
+                // but holds no row of gets a header fragment.
                 let first = tile_of_row(y0, tr);
                 let last = tile_of_row(y0 + rows.saturating_sub(1), tr);
                 if first == last {
-                    sink(
-                        first,
-                        RaOut::Band {
-                            y0,
-                            width,
-                            depth,
-                            color,
-                        },
-                    );
+                    sink(first, out);
                     return;
                 }
                 let mut y = y0;
@@ -101,20 +94,9 @@ impl TileSplitter {
                 while y < end {
                     let tile = tile_of_row(y, tr);
                     let next = ((tile + 1) * tr).min(end);
-                    let a = ((y - y0) * width) as usize;
-                    let b = ((next - y0) * width) as usize;
-                    let mut d = self.dpool.take(b - a);
-                    d.buf_mut().extend_from_slice(&depth[a..b]);
-                    let mut c = self.cpool.take(b - a);
-                    c.buf_mut().extend_from_slice(&color[a..b]);
                     sink(
                         tile,
-                        RaOut::Band {
-                            y0: y,
-                            width,
-                            depth: d,
-                            color: c,
-                        },
+                        self.bands.band((y, next - y), width, held_y0, depth, color),
                     );
                     y = next;
                 }
@@ -176,6 +158,8 @@ mod tests {
         s.split(
             RaOut::Band {
                 y0: 8,
+                rows: 2,
+                held_y0: 8,
                 width: 4,
                 depth: vec![1.0; 8].into(),
                 color: vec![[1; 3]; 8].into(),
@@ -193,25 +177,95 @@ mod tests {
         let depth: Vec<f32> = (0..12).map(|i| i as f32).collect();
         let color: Vec<[u8; 3]> = (0..12).map(|i| [i as u8; 3]).collect();
         let mut got = Vec::new();
-        s.split(
-            RaOut::Band {
-                y0: 6,
-                width: 2,
-                depth: depth.into(),
-                color: color.into(),
-            },
-            |t, r| {
-                if let RaOut::Band { y0, depth, .. } = r {
-                    got.push((t, y0, depth.to_vec()));
-                }
-            },
-        );
+        s.split(band(6, 6, 6, depth, color), |t, r| got.push(fragment(t, r)));
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0], (1, 6, vec![0.0, 1.0, 2.0, 3.0]));
+        assert_eq!(got[0], (1, (6, 2, 6), vec![0.0, 1.0, 2.0, 3.0]));
         assert_eq!(
             got[1],
-            (2, 8, vec![4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
+            (2, (8, 4, 8), vec![4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
         );
+    }
+
+    /// A band of width 2 covering `rows` rows from `y0` and holding the
+    /// rows of `depth` (colors `color`) from `held_y0`.
+    fn band(y0: u32, rows: u32, held_y0: u32, depth: Vec<f32>, color: Vec<[u8; 3]>) -> RaOut {
+        RaOut::Band {
+            y0,
+            rows,
+            held_y0,
+            width: 2,
+            depth: depth.into(),
+            color: color.into(),
+        }
+    }
+
+    /// `(tile, (y0, rows, held_y0), depths)` of a band fragment; its
+    /// wire size and merge charge are checked against its covered rows.
+    fn fragment(tile: u32, r: RaOut) -> (u32, (u32, u32, u32), Vec<f32>) {
+        let (wire, entries) = (r.wire_bytes(), r.merge_entries());
+        let RaOut::Band {
+            y0,
+            rows,
+            held_y0,
+            width,
+            depth,
+            color,
+        } = r
+        else {
+            panic!("a band split into a WPA batch");
+        };
+        assert_eq!(entries, (rows * width) as u64);
+        assert_eq!(wire, entries * isosurf::ZBUF_ENTRY_WIRE_BYTES);
+        assert_eq!(depth.len(), color.len());
+        (tile, (y0, rows, held_y0), depth.to_vec())
+    }
+
+    /// A band covering rows 2..14 over 4-row tiles that holds only rows
+    /// 5..7: the fragment of each covered tile declares its rows, holds
+    /// the drawn ones it covers, and a tile it holds none of (rows 8..14)
+    /// gets a header fragment.
+    #[test]
+    fn trimmed_band_splits_over_its_declared_rows() {
+        let mut s = TileSplitter::new(4, 4);
+        let depth: Vec<f32> = (0..4).map(|i| i as f32).collect();
+        let color: Vec<[u8; 3]> = (0..4).map(|i| [i as u8; 3]).collect();
+        let mut got = Vec::new();
+        s.split(band(2, 12, 5, depth, color), |t, r| {
+            got.push(fragment(t, r))
+        });
+        assert_eq!(
+            got,
+            vec![
+                (0, (2, 2, 2), vec![]),
+                (1, (4, 4, 5), vec![0.0, 1.0, 2.0, 3.0]),
+                (2, (8, 4, 8), vec![]),
+                (3, (12, 2, 12), vec![]),
+            ]
+        );
+    }
+
+    /// A header band (no row held) splits into one header fragment per
+    /// tile it covers; one inside a single tile passes through.
+    #[test]
+    fn header_band_splits_into_header_fragments() {
+        let mut s = TileSplitter::new(4, 3);
+        let mut got = Vec::new();
+        s.split(band(3, 6, 3, vec![], vec![]), |t, r| {
+            got.push(fragment(t, r))
+        });
+        assert_eq!(
+            got,
+            vec![
+                (0, (3, 1, 3), vec![]),
+                (1, (4, 4, 4), vec![]),
+                (2, (8, 1, 8), vec![])
+            ]
+        );
+        got.clear();
+        s.split(band(4, 4, 4, vec![], vec![]), |t, r| {
+            got.push(fragment(t, r))
+        });
+        assert_eq!(got, vec![(1, (4, 4, 4), vec![])]);
     }
 
     #[test]

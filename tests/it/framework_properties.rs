@@ -531,8 +531,9 @@ proptest! {
     /// discharges, `granted − released == resident` on the run-wide
     /// ledger, the stream's resident count matches its outstanding
     /// payloads exactly, and a payload spills precisely when its stream
-    /// already holds one and would cross its share — the first payload
-    /// into an empty stream is kept whatever its size.
+    /// already holds one, would cross its share, and is larger than the
+    /// stub spilling it would leave — the first payload into an empty
+    /// stream is kept whatever its size.
     #[test]
     fn memory_budget_conserves_bytes(
         share in 1u64..10_000,
@@ -548,7 +549,7 @@ proptest! {
                 outstanding.push(bytes);
                 prop_assert_eq!(
                     over,
-                    before > 0 && before + bytes > share,
+                    before > 0 && before + bytes > share && bytes > datacutter::SPILL_STUB_BYTES,
                     "spill verdict disagrees with the one-payload floor over the share"
                 );
                 if before == 0 {
@@ -630,11 +631,16 @@ fn tri_batch(ntris: usize, bit_seed: &mut u64) -> TriBatch {
     TriBatch { tris: tris.into() }
 }
 
-/// A raster-output payload in either variant.
+/// A raster-output payload in either variant. The band holds one row
+/// of `entries` of the up to four it covers.
 fn ra_out(band: bool, entries: usize, bit_seed: &mut u64) -> RaOut {
     if band {
+        let y0 = (scramble(bit_seed) % 97) as u32;
+        let rows = 1 + (scramble(bit_seed) % 4) as u32;
         RaOut::Band {
-            y0: (scramble(bit_seed) % 97) as u32,
+            y0,
+            rows,
+            held_y0: y0 + (scramble(bit_seed) % rows as u64) as u32,
             width: entries as u32,
             depth: (0..entries)
                 .map(|_| f32::from_bits(scramble(bit_seed) as u32))
@@ -722,6 +728,60 @@ proptest! {
             open_frame(&bad).is_err(),
             "flip of bit {} in a {}-byte header frame went undetected",
             bit, frame.len()
+        );
+    }
+
+    /// A z-buffer band that holds fewer rows than it covers — a trimmed
+    /// band, or a header band holding none — spills sealed through the
+    /// ring and faults back bit for bit, still declaring every row it
+    /// covers, and any single bit flip in its frame is detected.
+    #[test]
+    fn trimmed_and_header_bands_spill_round_trip_and_detect_any_single_bit_flip(
+        y0 in 0u32..1000,
+        rows in 1u32..6,
+        width in 1u32..6,
+        held in (0u32..6, 0u32..6),
+        bit_seed in any::<u64>(),
+        flip_sel in any::<u64>(),
+    ) {
+        let held_rows = held.0 % rows;
+        let held_y0 = y0 + held.1 % (rows - held_rows + 1);
+        let mut s = bit_seed | 1;
+        let n = (held_rows * width) as usize;
+        let full = ra_out(true, (rows * width) as usize, &mut s);
+        let RaOut::Band { depth, color, .. } = full else { unreachable!() };
+        let band = RaOut::Band {
+            y0,
+            rows,
+            held_y0,
+            width,
+            depth: depth[..n].to_vec().into(),
+            color: color[..n].to_vec().into(),
+        };
+        let frame = sealed(&band);
+        let ring = SpillRing::create().expect("spill ring");
+        let ticket = ring.spill(&frame).expect("spill");
+        let back = ring.fault(ticket).expect("fault");
+        prop_assert_eq!(&back, &frame, "the ring changed the sealed frame");
+        let q = RaOut::spill_decode(open_frame(&back).expect("untampered frame opens"))
+            .expect("decode");
+        prop_assert_eq!(q.wire_bytes(), (rows * width) as u64 * isosurf::ZBUF_ENTRY_WIRE_BYTES);
+        prop_assert_eq!(q.merge_entries(), band.merge_entries());
+        let RaOut::Band { y0: qy0, rows: qrows, held_y0: qheld, width: qw, depth: qd, color: qc } = q
+        else {
+            panic!("band decoded as a WPA batch");
+        };
+        prop_assert_eq!((qy0, qrows, qheld, qw), (y0, rows, held_y0, width));
+        let bits = |d: &[f32]| d.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&qd), bits(&depth[..n]));
+        prop_assert_eq!(&qc[..], &color[..n]);
+        let bit = flip_sel % (frame.len() as u64 * 8);
+        let mut bad = frame.clone();
+        bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+        prop_assert!(
+            open_frame(&bad).is_err(),
+            "flip of bit {} in a {}-byte band frame holding {} of {} rows went undetected",
+            bit, frame.len(), held_rows, rows
         );
     }
 

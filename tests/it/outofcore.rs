@@ -269,15 +269,18 @@ fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
 /// either executor a header never spills, while a cut chunk arriving
 /// behind a resident one still does (on the simulator always, natively
 /// when the schedule queues two). Charged at its declared size, a header
-/// behind a resident chunk would spill too. `R` is the only
-/// producer on `R→E`, and its copy's disk bytes over the unbudgeted run's
-/// are what it spilled: whole sealed chunk frames, with no 32-byte header
-/// frame among them.
+/// behind a resident chunk would spill too. Under a 1/16-timestep budget
+/// or one of 1/64 chunk the share is below one chunk, so a header queued
+/// behind the floor's resident chunk is over it; it stays resident
+/// because its 24 bytes are no more than the stub spilling it would
+/// leave ([`datacutter::SPILL_STUB_BYTES`]). `R` is the only producer on
+/// `R→E`, and its copy's disk bytes over the unbudgeted run's are what it
+/// spilled: whole sealed chunk frames, with no 32-byte header frame among
+/// them.
 #[test]
 fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
-    let tight = budgeted(&cfg, 8);
     let spec = four_stage(&hosts, WritePolicy::demand_driven());
     let ds = &cfg.dataset;
     let chunks: Vec<ChunkId> = (0..ds.layout().count()).map(ChunkId).collect();
@@ -292,13 +295,30 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
     let header = ChunkPayload::header((0, 0, 0)).spill_len() as u64;
     let chunk = held(ChunkId(0));
     assert!(chunks.iter().all(|&id| held(id) == chunk), "uniform chunks");
+    assert!(
+        header <= datacutter::SPILL_STUB_BYTES,
+        "a header is no larger than its stub"
+    );
     let free = run_pipeline(&topo, &cfg, &spec).expect("unbudgeted sim run");
     assert_eq!(free.report.ooc.spills, 0, "unbudgeted never spills");
-    let share = tight.memory_budget_bytes / free.report.streams.len() as u64;
+    let share = |c: &SharedConfig| c.memory_budget_bytes / free.report.streams.len() as u64;
+    let eighth = budgeted(&cfg, 8);
     assert!(
-        chunk + chunks.len() as u64 * header <= share && share < 2 * chunk,
-        "the share holds one cut chunk and every header, not two cut chunks: {share}"
+        chunk + chunks.len() as u64 * header <= share(&eighth) && share(&eighth) < 2 * chunk,
+        "the share holds one cut chunk and every header, not two cut chunks: {}",
+        share(&eighth)
     );
+    let mut tiny = clone_config(&cfg);
+    tiny.memory_budget_bytes = ds.chunk_bytes(ChunkId(0)) / 64;
+    let tiny: SharedConfig = Arc::new(tiny);
+    let arms = [
+        ("1/8", eighth),
+        ("1/16", budgeted(&cfg, 16)),
+        ("chunk/64", tiny),
+    ];
+    for (arm, c) in &arms[1..] {
+        assert!(share(c) < chunk, "{arm}: the share is below one chunk");
+    }
     let crossing = chunks
         .iter()
         .filter(|&&id| ds.can_cross(cfg.species, cfg.timestep, id, cfg.iso))
@@ -322,17 +342,19 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
             .sum()
     };
     let reads = read_disk(&free);
-    for (label, r) in [
-        (
-            "sim",
-            run_pipeline(&topo, &tight, &spec).expect("budgeted sim run"),
-        ),
-        (
-            "native",
-            run_pipeline_exec(&topo, &tight, &spec, NativeExecutor::new())
-                .expect("budgeted native run"),
-        ),
-    ] {
+    for ((arm, tight), sim) in arms.iter().flat_map(|a| [(a, true), (a, false)]) {
+        let (label, r) = if sim {
+            (
+                "sim",
+                run_pipeline(&topo, tight, &spec).expect("budgeted sim run"),
+            )
+        } else {
+            let exec = NativeExecutor::new();
+            let r = run_pipeline_exec(&topo, tight, &spec, exec).expect("budgeted native run");
+            ("native", r)
+        };
+        let label = format!("{arm} {label}");
+        let label = label.as_str();
         assert_spilled(label, &r);
         assert_eq!(r.image.diff_pixels(&free.image), 0, "{label}: pixels");
         let spilled = read_disk(&r) - reads;
@@ -344,7 +366,7 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
         // Whether two cut chunks ever queue together on native threads
         // is the schedule's to say; the simulator's schedule is fixed.
         let cut = spilled / chunk_frame;
-        let least = u64::from(label == "sim");
+        let least = u64::from(sim);
         assert!(
             (least..=crossing).contains(&cut),
             "{label}: R spilled {cut} cut chunks of {crossing}"

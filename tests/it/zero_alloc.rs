@@ -199,18 +199,21 @@ fn pass(h: &mut Harness) {
         color.buf_mut().extend_from_slice(&src.color[a..b]);
         let out = RaOut::Band {
             y0: y0 as u32,
+            rows: 16,
+            held_y0: y0 as u32,
             width: IMG,
             depth,
             color,
         };
         if let RaOut::Band {
-            y0,
+            held_y0,
             width,
             depth,
             color,
+            ..
         } = out
         {
-            let base = (y0 * width) as usize;
+            let base = (held_y0 * width) as usize;
             for (i, (&d, &c)) in depth.iter().zip(color.iter()).enumerate() {
                 if d < zb.depth[base + i] {
                     zb.depth[base + i] = d;
