@@ -787,9 +787,10 @@ impl FilterCtx {
 
     /// Write `buf` to output `port` addressed to a *specific* consumer
     /// copy set (by its copy-set index), bypassing the stream's writer
-    /// policy. Used for content-based routing — e.g. image-partitioned
-    /// rendering, where a triangle must go to the raster copy set owning
-    /// its screen region. No demand-driven acknowledgment is generated.
+    /// policy. Used for content-based routing — e.g. by
+    /// [`write_tile`](Self::write_tile), where a fragment must go to the
+    /// merge copy set owning its tile. No demand-driven acknowledgment is
+    /// generated.
     pub fn write_to(&mut self, port: usize, copyset_idx: usize, buf: DataBuffer) {
         self.beat();
         let t0 = self.env.now();

@@ -51,7 +51,7 @@ USAGE: dcrender [FLAGS]
   --species N      chemical species 0..3 (default 0)
   --timestep N     stored timestep 0..9 (default 0)
   --seed N         dataset seed (default 42)
-  --grouping G     rera-m | re-ra-m | r-era-m | part (default re-ra-m)
+  --grouping G     rera-m | re-ra-m | r-era-m | re-ra-mt-a (default re-ra-m)
   --policy P       rr | wrr | dd (default dd)
   --algorithm A    zb | ap (default ap)
   --executor E     sim | native (default sim; tasked = native)
@@ -228,11 +228,11 @@ fn main() {
                 "rera-m" => Grouping::RERaM,
                 "re-ra-m" => Grouping::RERaSplit { raster: everywhere },
                 "r-era-m" => Grouping::REraSplit { era: everywhere },
-                "part" => Grouping::ImagePartitioned { raster: everywhere },
-                g => {
-                    eprintln!("unknown grouping {g}");
-                    exit(2);
-                }
+                "re-ra-mt-a" => Grouping::TileComposite {
+                    raster: everywhere.clone(),
+                    merge: everywhere,
+                },
+                g => usage_error(format_args!("--grouping: unknown grouping '{g}'")),
             },
             algorithm: match args.algorithm.as_str() {
                 "zb" => Algorithm::ZBuffer,

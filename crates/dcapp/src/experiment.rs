@@ -465,57 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn image_partitioned_matches_reference_both_algorithms() {
-        let (topo, cfg) = small_setup(3, 96);
-        for alg in [Algorithm::ZBuffer, Algorithm::ActivePixel] {
-            let s = spec(
-                &topo,
-                &cfg,
-                Grouping::ImagePartitioned {
-                    raster: Placement::one_per_host(&cfg.storage_hosts),
-                },
-                alg,
-            );
-            let r = run_pipeline(&topo, &cfg, &s).unwrap();
-            assert_eq!(
-                r.image.diff_pixels(&reference_image(&cfg)),
-                0,
-                "partitioned {alg:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn image_partitioned_zbuffer_ships_one_image_total() {
-        // The point of partitioning for the z-buffer algorithm: merge
-        // volume is one image's worth in total, instead of one per copy.
-        let (topo, cfg) = small_setup(4, 128);
-        let replicated = spec(
-            &topo,
-            &cfg,
-            Grouping::RERaSplit {
-                raster: Placement::one_per_host(&cfg.storage_hosts),
-            },
-            Algorithm::ZBuffer,
-        );
-        let partitioned = spec(
-            &topo,
-            &cfg,
-            Grouping::ImagePartitioned {
-                raster: Placement::one_per_host(&cfg.storage_hosts),
-            },
-            Algorithm::ZBuffer,
-        );
-        let rr = run_pipeline(&topo, &cfg, &replicated).unwrap();
-        let rp = run_pipeline(&topo, &cfg, &partitioned).unwrap();
-        let vol_replicated = rr.report.stream(rr.to_merge).total_bytes();
-        let vol_partitioned = rp.report.stream(rp.to_merge).total_bytes();
-        // 4 copies x full image vs 1 x full image.
-        assert_eq!(vol_replicated, 4 * vol_partitioned);
-        assert_eq!(rp.image.diff_pixels(&rr.image), 0);
-    }
-
-    #[test]
     fn tile_composite_matches_reference_both_algorithms() {
         let (topo, cfg) = small_setup(3, 96);
         for alg in [Algorithm::ZBuffer, Algorithm::ActivePixel] {

@@ -14,8 +14,7 @@ use parking_lot::Mutex;
 
 use crate::config::{Algorithm, SharedConfig};
 use crate::parts::{
-    received_chunk_crosses, split_bands, ExtractStage, MergeStage, RasterStage, ReadStage,
-    RoutedExtractStage, TileMergeStage,
+    received_chunk_crosses, ExtractStage, MergeStage, RasterStage, ReadStage, TileMergeStage,
 };
 use crate::payload::{ChunkPayload, RaOut, TriBatch};
 use crate::tiles::TileSplitter;
@@ -33,14 +32,8 @@ pub(crate) enum Stage {
     Read,
     /// Marching-cubes extraction into triangle batches.
     Extract,
-    /// Extraction that sends each triangle to the raster copy set owning
-    /// its image band, one band per set of this many (the
-    /// image-partitioned configuration, the paper's §6 future work).
-    ExtractToBands(usize),
     /// Raster the whole image (image replication, the paper's default).
     Raster,
-    /// Raster only band `i` of the image in copy set `i`.
-    RasterBand,
     /// Raster the whole image, cutting the output at tile boundaries for
     /// the merge copy set owning each tile.
     RasterTiles,
@@ -48,12 +41,6 @@ pub(crate) enum Stage {
     MergeTiles,
     /// Composite the final image into the pipeline's [`ImageSlot`].
     Merge,
-}
-
-/// A copy's extract stage.
-enum Extract {
-    Plain(ExtractStage),
-    Routed(RoutedExtractStage),
 }
 
 /// A copy's merge accumulator for one unit of work.
@@ -65,7 +52,7 @@ enum Merge {
 /// One copy of the application filter.
 pub(crate) struct AppFilter {
     read: Option<ReadStage>,
-    extract: Option<Extract>,
+    extract: Option<ExtractStage>,
     tail: Tail,
 }
 
@@ -77,8 +64,6 @@ struct Tail {
     alg: Algorithm,
     /// Whether a raster stage is fused here.
     rasters: bool,
-    /// The image rows the raster stage owns, when not all of them.
-    scissor: Option<(u32, u32)>,
     tiles: Option<TileSplitter>,
     /// The merge stage fused here, if any.
     merges: Option<Stage>,
@@ -101,14 +86,12 @@ impl AppFilter {
             cfg: cfg.clone(),
             alg,
             rasters: false,
-            scissor: None,
             tiles: None,
             merges: None,
             slot: slot.clone(),
             raster: None,
             merge: None,
         };
-        let bands = |n| split_bands(cfg.camera.height, n);
         for &stage in stages {
             match stage {
                 Stage::Read => {
@@ -117,18 +100,9 @@ impl AppFilter {
                         node_index: info.copy_index,
                     })
                 }
-                Stage::Extract => extract = Some(Extract::Plain(ExtractStage::new(cfg.clone()))),
-                Stage::ExtractToBands(n) => {
-                    extract = Some(Extract::Routed(RoutedExtractStage::new(
-                        cfg.clone(),
-                        bands(n),
-                    )))
-                }
-                Stage::Raster | Stage::RasterBand | Stage::RasterTiles => {
+                Stage::Extract => extract = Some(ExtractStage::new(cfg.clone())),
+                Stage::Raster | Stage::RasterTiles => {
                     tail.rasters = true;
-                    if stage == Stage::RasterBand {
-                        tail.scissor = bands(info.total_copysets).get(info.copyset_index).copied();
-                    }
                     if stage == Stage::RasterTiles {
                         tail.tiles = Some(TileSplitter::new(cfg.tile_rows(), cfg.n_tiles()));
                     }
@@ -146,15 +120,11 @@ impl AppFilter {
 
 impl Filter for AppFilter {
     fn init(&mut self, _ctx: &mut FilterCtx) {
-        match &mut self.extract {
-            Some(Extract::Plain(e)) => e.reset(),
-            Some(Extract::Routed(e)) => e.reset(),
-            None => {}
+        if let Some(e) = &mut self.extract {
+            e.reset();
         }
         let t = &mut self.tail;
-        t.raster = t
-            .rasters
-            .then(|| RasterStage::new(t.alg, &t.cfg, t.scissor));
+        t.raster = t.rasters.then(|| RasterStage::new(t.alg, &t.cfg));
         t.merge = t.merges.map(|m| match m {
             Stage::MergeTiles => Merge::Tiles(TileMergeStage::new(t.cfg.clone())),
             _ => Merge::Image(MergeStage::new(t.cfg.clone())),
@@ -173,7 +143,7 @@ impl Filter for AppFilter {
                 // cannot cross.
                 Some(e) => {
                     if let Some(chunk) = chunk.cut_crossing(ctx) {
-                        e.feed(ctx, chunk, tail);
+                        e.feed(ctx, chunk, |ctx, b| tail.tris(ctx, b));
                     }
                 }
                 // The split `R` ships a chunk the isosurface cannot cross
@@ -197,14 +167,14 @@ impl Filter for AppFilter {
                     let chunk = slab.recycle_ctx::<ChunkPayload>(b, "E filter input");
                     // The fused extract's skip rule, by the chunk's origin.
                     if received_chunk_crosses(&tail.cfg, ctx, &chunk)? {
-                        e.feed(ctx, chunk, tail);
+                        e.feed(ctx, chunk, |ctx, b| tail.tris(ctx, b));
                     }
                     if per_chunk {
-                        e.flush(ctx, tail);
+                        e.flush(ctx, |ctx, b| tail.tris(ctx, b));
                     }
                 } else if tail.rasters {
                     let batch = slab.recycle_ctx::<TriBatch>(b, "Ra filter input");
-                    tail.tris(ctx, None, batch);
+                    tail.tris(ctx, batch);
                 } else {
                     let out = slab.recycle_ctx::<RaOut>(b, "M filter input");
                     raout(&mut tail.tiles, &mut tail.merge, ctx, out);
@@ -213,7 +183,7 @@ impl Filter for AppFilter {
         }
         // End-of-work: each stage flushes into the next.
         if let Some(e) = extract {
-            e.flush(ctx, tail);
+            e.flush(ctx, |ctx, b| tail.tris(ctx, b));
         }
         tail.finish(ctx);
         Ok(())
@@ -228,26 +198,9 @@ impl Filter for AppFilter {
     }
 }
 
-impl Extract {
-    fn feed(&mut self, ctx: &mut FilterCtx, chunk: ChunkPayload, tail: &mut Tail) {
-        match self {
-            Extract::Plain(e) => e.feed(ctx, chunk, |ctx, b| tail.tris(ctx, None, b)),
-            Extract::Routed(e) => e.feed(ctx, chunk, |ctx, set, b| tail.tris(ctx, Some(set), b)),
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut FilterCtx, tail: &mut Tail) {
-        match self {
-            Extract::Plain(e) => e.flush(ctx, |ctx, b| tail.tris(ctx, None, b)),
-            Extract::Routed(e) => e.flush(ctx, |ctx, set, b| tail.tris(ctx, Some(set), b)),
-        }
-    }
-}
-
 impl Tail {
-    /// Raster a triangle batch here, or ship it (to copy set `set` when
-    /// the extract routes by band; the stream's policy is then nominal).
-    fn tris(&mut self, ctx: &mut FilterCtx, set: Option<usize>, b: TriBatch) {
+    /// Raster a triangle batch here, or ship it.
+    fn tris(&mut self, ctx: &mut FilterCtx, b: TriBatch) {
         let Tail {
             cfg,
             raster,
@@ -257,7 +210,7 @@ impl Tail {
         } = self;
         match raster {
             Some(r) => r.feed(cfg, ctx, b, |ctx, out| raout(tiles, merge, ctx, out)),
-            None => ship(ctx, set.map_or(To::Policy, To::CopySet), b.wire_bytes(), b),
+            None => ship(ctx, To::Policy, b.wire_bytes(), b),
         }
     }
 
@@ -304,8 +257,6 @@ fn raout(
 enum To {
     /// Where the stream's writer policy picks.
     Policy,
-    /// To this consumer copy set.
-    CopySet(usize),
     /// To the copy set owning this tile (a tile-hash stream).
     Tile(u32),
 }
@@ -321,7 +272,6 @@ fn ship<T: Any + Send + Clone + SpillCodec>(ctx: &mut FilterCtx, to: To, wire: u
     let buf = ctx.buffer_slab().make(payload, wire);
     match to {
         To::Policy => ctx.write(0, buf),
-        To::CopySet(set) => ctx.write_to(0, set, buf),
         To::Tile(tile) => ctx.write_tile(0, tile as u64, buf),
     }
 }

@@ -1,5 +1,5 @@
-//! The stages the application filter composes: read, extract (plain or
-//! band-routed), raster and merge (tile or final). Each stage charges its
+//! The stages the application filter composes: read, extract, raster and
+//! merge (tile or final). Each stage charges its
 //! compute cost to the host CPU via the filter context; fusing stages is
 //! then literally function composition, which is how the paper's grouped
 //! configurations behave.
@@ -429,10 +429,7 @@ impl ExtractStage {
     }
 }
 
-/// Hidden-surface removal: dense z-buffer or sparse active-pixel. An
-/// optional scissor restricts the stage to a horizontal band of the image
-/// (image-partitioned rendering, the paper's §6 alternative to
-/// image-replication).
+/// Hidden-surface removal: dense z-buffer or sparse active-pixel.
 pub(crate) enum RasterStage {
     Zb {
         /// Allocated on the first plot: a copy that draws nothing in a
@@ -442,14 +439,12 @@ pub(crate) enum RasterStage {
         /// (`lo >= hi`) while nothing is.
         drawn: (u32, u32),
         proj: isosurf::Projector,
-        scissor: Option<(u32, u32)>,
         /// Band buffers for end-of-work shipping, recycled by the merge.
         pools: BandPools,
     },
     Ap {
         ap: ActivePixelBuffer,
         proj: isosurf::Projector,
-        scissor: Option<(u32, u32)>,
         /// WPA batch buffers: recycled ones are re-supplied to `ap` before
         /// each feed, so steady-state flushes allocate nothing.
         pool: BufferPool<WinningPixel>,
@@ -457,22 +452,19 @@ pub(crate) enum RasterStage {
 }
 
 impl RasterStage {
-    /// A stage that owns image rows `[scissor.0, scissor.1)`, or the
-    /// whole image without a scissor.
-    pub fn new(alg: Algorithm, cfg: &SharedConfig, scissor: Option<(u32, u32)>) -> Self {
+    /// A stage rastering the whole image.
+    pub fn new(alg: Algorithm, cfg: &SharedConfig) -> Self {
         let proj = cfg.camera.projector();
         match alg {
             Algorithm::ZBuffer => RasterStage::Zb {
                 zb: None,
                 drawn: (u32::MAX, 0),
                 proj,
-                scissor,
                 pools: BandPools::default(),
             },
             Algorithm::ActivePixel => RasterStage::Ap {
                 ap: ActivePixelBuffer::new(cfg.camera.width, cfg.wpa_capacity),
                 proj,
-                scissor,
                 pool: BufferPool::new(),
             },
         }
@@ -491,43 +483,28 @@ impl RasterStage {
         let (w, h) = (cfg.camera.width, cfg.camera.height);
         match self {
             RasterStage::Zb {
-                zb,
-                drawn,
-                proj,
-                scissor,
-                ..
+                zb, drawn, proj, ..
             } => {
-                let band = scissor.unwrap_or((0, h));
                 let pixels =
                     raster_batch(proj, w, h, &cfg.material, &batch.tris, |x, y, d, rgb| {
-                        if y >= band.0 && y < band.1 {
-                            zb.get_or_insert_with(|| ZBuffer::new(w, h))
-                                .plot(x, y, d, rgb);
-                            *drawn = (drawn.0.min(y), drawn.1.max(y + 1));
-                        }
+                        zb.get_or_insert_with(|| ZBuffer::new(w, h))
+                            .plot(x, y, d, rgb);
+                        *drawn = (drawn.0.min(y), drawn.1.max(y + 1));
                     });
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
             }
-            RasterStage::Ap {
-                ap,
-                proj,
-                scissor,
-                pool,
-            } => {
+            RasterStage::Ap { ap, proj, pool } => {
                 // Re-arm the active-pixel buffer with every batch buffer the
                 // merge has recycled since the last feed: flushes then reuse
                 // them instead of allocating.
                 while let Some(v) = pool.try_take_raw() {
                     ap.supply(v);
                 }
-                let band = scissor.unwrap_or((0, h));
                 let mut flushed: Vec<Vec<WinningPixel>> = Vec::new();
                 let mut on_flush = |b: Vec<WinningPixel>| flushed.push(b);
                 let pixels =
                     raster_batch(proj, w, h, &cfg.material, &batch.tris, |x, y, d, rgb| {
-                        if y >= band.0 && y < band.1 {
-                            ap.plot(x, y, d, rgb, &mut on_flush);
-                        }
+                        ap.plot(x, y, d, rgb, &mut on_flush);
                     });
                 ctx.compute(cfg.cost.raster_cost(batch.tris.len() as u64, pixels));
                 for b in flushed {
@@ -549,23 +526,17 @@ impl RasterStage {
     ) {
         match self {
             RasterStage::Zb {
-                zb,
-                drawn,
-                scissor,
-                pools,
-                ..
+                zb, drawn, pools, ..
             } => {
-                // Only this stage's owned rows travel to the merge — the
-                // whole image under replication, just the band under
-                // partitioning — and of each band only the rows inside
-                // `drawn`: every other row is empty. Band buffers are
-                // pooled: the merge dropping a band returns both vectors.
-                let (owned_lo, owned_hi) = scissor.unwrap_or((0, cfg.camera.height));
-                let rows = cfg.band_rows();
+                // The whole image travels to the merge, and of each band
+                // only the rows inside `drawn`: every other row is empty.
+                // Band buffers are pooled: the merge dropping a band
+                // returns both vectors.
+                let (rows, h) = (cfg.band_rows(), cfg.camera.height);
                 let w = cfg.camera.width;
-                let mut y0 = owned_lo;
-                while y0 < owned_hi {
-                    let n = rows.min(owned_hi - y0);
+                let mut y0 = 0;
+                while y0 < h {
+                    let n = rows.min(h - y0);
                     let band = match zb {
                         Some(z) => {
                             let span = drawn.0 as usize * w as usize..drawn.1 as usize * w as usize;
@@ -594,111 +565,6 @@ impl RasterStage {
             }
         }
     }
-}
-
-/// Extraction with screen-space routing: triangles are batched per image
-/// band and handed to `sink(ctx, band_index, batch)`, for the
-/// image-partitioned configuration where each raster copy set owns a band.
-pub(crate) struct RoutedExtractStage {
-    pub cfg: SharedConfig,
-    proj: isosurf::Projector,
-    bands: Vec<(u32, u32)>,
-    /// One per band.
-    batches: Vec<Batcher>,
-    pool: BufferPool<Triangle>,
-}
-
-impl RoutedExtractStage {
-    pub fn new(cfg: SharedConfig, bands: Vec<(u32, u32)>) -> Self {
-        let proj = cfg.camera.projector();
-        let batches = bands.iter().map(|_| Batcher::default()).collect();
-        RoutedExtractStage {
-            cfg,
-            proj,
-            bands,
-            batches,
-            pool: BufferPool::new(),
-        }
-    }
-
-    /// Drop state from a previous unit of work.
-    pub fn reset(&mut self) {
-        self.batches.iter_mut().for_each(Batcher::reset);
-    }
-
-    /// Extract one chunk and route each triangle, as it is emitted, to the
-    /// bands its screen projection overlaps (a boundary triangle goes to
-    /// every band it touches; each receiving raster stage scissors to its
-    /// own rows). Full batches go out band by band.
-    pub fn feed(
-        &mut self,
-        ctx: &mut FilterCtx,
-        chunk: ChunkPayload,
-        mut sink: impl FnMut(&mut FilterCtx, usize, TriBatch),
-    ) {
-        let RoutedExtractStage {
-            cfg,
-            proj,
-            bands,
-            batches,
-            pool,
-        } = self;
-        let h = cfg.camera.height as f32;
-        let stats = isosurf::extract_into(&chunk.grid, chunk.origin, cfg.iso, |t| {
-            // Screen y-range of the triangle; behind-camera triangles are
-            // dropped (the raster filter would reject them anyway).
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for v in &t.v {
-                let Some(s) = proj.project(*v) else {
-                    return;
-                };
-                lo = lo.min(s.y);
-                hi = hi.max(s.y);
-            }
-            if hi < 0.0 || lo >= h {
-                return;
-            }
-            for (b, &(b0, b1)) in batches.iter_mut().zip(bands.iter()) {
-                if lo < b1 as f32 && hi >= b0 as f32 {
-                    b.push(pool, cfg.tri_batch, t);
-                }
-            }
-        });
-        ctx.compute(cfg.cost.extract_cost(stats.cells, stats.triangles));
-        for (i, b) in batches.iter_mut().enumerate() {
-            for tris in b.full.drain(..) {
-                sink(ctx, i, TriBatch { tris });
-            }
-        }
-    }
-
-    /// Emit all partial batches (call at end-of-work).
-    pub fn flush(
-        &mut self,
-        ctx: &mut FilterCtx,
-        mut sink: impl FnMut(&mut FilterCtx, usize, TriBatch),
-    ) {
-        for (i, b) in self.batches.iter_mut().enumerate() {
-            if let Some(tris) = b.open.take() {
-                sink(ctx, i, TriBatch { tris });
-            }
-        }
-    }
-}
-
-/// Split `height` rows into `n` equal horizontal bands.
-pub(crate) fn split_bands(height: u32, n: usize) -> Vec<(u32, u32)> {
-    assert!(n >= 1 && height as usize >= n);
-    let n32 = n as u32;
-    (0..n32)
-        .map(|i| {
-            let base = height / n32;
-            let rem = height % n32;
-            let extent = base + if i < rem { 1 } else { 0 };
-            let origin = i * base + i.min(rem);
-            (origin, origin + extent)
-        })
-        .collect()
 }
 
 /// One merge copy's accumulator in the tile-composite group: a small

@@ -32,29 +32,24 @@ pub enum Grouping {
         /// Placement of the extract+raster copies.
         era: Placement,
     },
-    /// `RE–Ra–Mt–A`: **tile-owned compositing** — the merge becomes a
-    /// parallel filter group. The image is cut into fixed row-strip tiles
+    /// `RE–Ra–Mt–A`: **tile-owned compositing**, the answer to the merge
+    /// bottleneck the paper names in §6 — the merge becomes a parallel
+    /// filter group. The image is cut into fixed row-strip tiles
     /// (`cfg.tile_size`); raster copies split every partial result at tile
     /// boundaries and tile-hash-route each fragment to the merge copy set
     /// owning its tile; each merge copy composites only its tiles; a
     /// lightweight assembler (`A`, on `merge_host`) stitches the finished
     /// tiles after end-of-work. Bit-identical to the single-sink merge —
     /// the fold is the same commutative depth test over disjoint regions.
+    /// Unlike a sort-first partition of the screen among the raster
+    /// copies, it leaves the raster load to the writer policy, so demand
+    /// driven routing still balances it over loaded hosts.
     TileComposite {
         /// Placement of the raster copies.
         raster: Placement,
         /// Placement of the merge group; each *host* is one copy set
         /// owning the tiles congruent to its set index.
         merge: Placement,
-    },
-    /// `RE–Ra–M` with **image partitioning** (the paper's §6 alternative):
-    /// each raster copy set owns one horizontal band of the screen;
-    /// triangle batches are routed to the owning set, so the merge filter
-    /// only concatenates disjoint regions instead of depth-resolving
-    /// overlaps. Sensitive to screen-space load imbalance.
-    ImagePartitioned {
-        /// Placement of the raster copies; each *host* owns one band.
-        raster: Placement,
     },
 }
 
@@ -66,7 +61,6 @@ impl Grouping {
             Grouping::RERaM => "RERa-M",
             Grouping::RERaSplit { .. } => "RE-Ra-M",
             Grouping::REraSplit { .. } => "R-ERa-M",
-            Grouping::ImagePartitioned { .. } => "RE-Ra-M/part",
             Grouping::TileComposite { .. } => "RE-Ra-Mt-A",
         }
     }
@@ -147,15 +141,6 @@ pub fn try_build_pipeline(
             ("Ra", raster.clone(), vec![Raster]),
             ("M", merge_at, vec![Merge]),
         ],
-        Grouping::ImagePartitioned { raster } => vec![
-            (
-                "REp",
-                storage,
-                vec![Read, ExtractToBands(raster.per_host.len())],
-            ),
-            ("Ra", raster.clone(), vec![RasterBand]),
-            ("M", merge_at, vec![Merge]),
-        ],
         Grouping::TileComposite { raster, merge } => vec![
             ("RE", storage, vec![Read, Extract]),
             ("Ra", raster.clone(), vec![RasterTiles]),
@@ -173,9 +158,7 @@ pub fn try_build_pipeline(
     let (mut filters, mut to_raster, mut to_merge) = (Vec::new(), None, None);
     let mut prev: Option<(FilterId, bool)> = None;
     for (name, placement, stages) in rows {
-        let rasters = stages
-            .iter()
-            .any(|s| matches!(s, Raster | RasterBand | RasterTiles));
+        let rasters = stages.iter().any(|s| matches!(s, Raster | RasterTiles));
         let merges = stages.iter().any(|s| matches!(s, MergeTiles | Merge));
         let tile_merge = stages.contains(&MergeTiles);
         let (cfg, alg, slot) = (cfg.clone(), spec.algorithm, image.clone());

@@ -5,7 +5,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -36,6 +36,12 @@ fn bad_arguments_are_usage_errors_not_panics() {
         ),
         // The pooled executor's size flag went with the executor.
         (&["--workers", "1"], "dcrender: unknown flag --workers"),
+        // Sort-first image partitioning went for the tile-owned merge
+        // group (this command used to panic in its band split).
+        (
+            &["--grouping", "part", "--nodes", "8", "--image", "4"],
+            "dcrender: --grouping: unknown grouping 'part'",
+        ),
     ];
     for (args, expected) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
@@ -78,6 +84,35 @@ fn executor_tasked_is_an_alias_of_native() {
     let native = render("native");
     assert!(!native.is_empty());
     assert_eq!(render("tasked"), native);
+}
+
+/// The tile-owned merge group with more merge copy sets (8) than tiles
+/// (one 4-row tile) renders, and the native run writes the simulator's
+/// bytes. (`dcapp`'s own tests hold such runs to the sequential
+/// reference.)
+#[test]
+fn tile_group_with_more_merge_sets_than_tiles_renders() {
+    let render = |executor: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "dcrender-cli-{}-mt-a-{executor}.ppm",
+            std::process::id()
+        ));
+        let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
+            .args(["--grouping", "re-ra-mt-a", "--nodes", "8", "--image", "4"])
+            .args(["--grid", "16", "--executor", executor])
+            .arg("--out")
+            .arg(&path)
+            .output()
+            .expect("dcrender starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{executor}: {stderr}");
+        let bytes = std::fs::read(&path).expect("image written");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let sim = render("sim");
+    assert!(sim.starts_with(b"P6\n4 4\n"), "a 4x4 PPM");
+    assert_eq!(render("native"), sim);
 }
 
 /// `--plan` simulates the candidates, says what it chose and renders it.

@@ -142,7 +142,7 @@ fn setting() -> (Topology, Vec<HostId>, HostId) {
     (topo, hosts, blues[0])
 }
 
-/// The three fused groupings that read and extract in one filter, the
+/// The two fused groupings that read and extract in one filter, the
 /// four-stage line whose lone `E` copy extracts what `R` ships, and the
 /// `R-ERa` line whose `ERa` copies, one per host, extract and raster it.
 fn spec(grouping: &str, policy: &str, hosts: &[HostId], merge: HostId) -> PipelineSpec {
@@ -154,7 +154,6 @@ fn spec(grouping: &str, policy: &str, hosts: &[HostId], merge: HostId) -> Pipeli
         },
         "R-ERa" => Grouping::REraSplit { era: raster },
         "RE" => Grouping::RERaSplit { raster },
-        "REp" => Grouping::ImagePartitioned { raster },
         "RERa" => Grouping::RERaM,
         _ => unreachable!("unknown grouping {grouping}"),
     };
@@ -204,9 +203,6 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("RE", "rr", 0xcfc4baf5cbf465fa),
     ("RE", "wrr", 0xcfc4baf5cbf465fa),
     ("RE", "dd", 0x9b71c2ef90c9aab3),
-    ("REp", "rr", 0x4793b994072cbaf2),
-    ("REp", "wrr", 0x4793b994072cbaf2),
-    ("REp", "dd", 0x4be4625eaaae9915),
     ("RERa", "rr", 0xed050f277432a5bc),
     ("RERa", "wrr", 0xed050f277432a5bc),
     ("RERa", "dd", 0x98ca44e979f7835a),
@@ -346,7 +342,7 @@ fn cached_read_ahead_matches_the_digests_of_cutting_every_chunk() {
 fn native_fused_groupings_render_the_pinned_image() {
     let (topo, hosts, merge) = setting();
     let cfg = config(&hosts);
-    for grouping in ["RE", "REp", "RERa"] {
+    for grouping in ["RE", "RERa"] {
         for policy in ["rr", "dd"] {
             let s = spec(grouping, policy, &hosts, merge);
             let r = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new())
