@@ -6,7 +6,7 @@
 
 use bench::{make_cfg, small_dataset, Table};
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_cluster;
 use volume::FilePlacement;
 
@@ -30,7 +30,7 @@ fn main() {
             policy: WritePolicy::RoundRobin,
             merge_host: hosts[3],
         };
-        dcapp::run_pipeline(&topo, &cfg, &spec).expect("run failed")
+        Render::new(&cfg, &spec).go(&topo).expect("run failed")
     };
 
     let zb = run(Algorithm::ZBuffer);

@@ -7,7 +7,7 @@
 
 use bench::{make_cfg, small_dataset, Table};
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_cluster;
 use volume::FilePlacement;
 
@@ -36,7 +36,7 @@ fn main() {
             policy: WritePolicy::RoundRobin,
             merge_host: hosts[3],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run failed");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run failed");
         let works: Vec<f64> = r
             .filters
             .iter()

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dcapp::{AppConfig, PipelineResult, PipelineSpec, SharedConfig};
+use dcapp::{AppConfig, PipelineResult, PipelineSpec, Render, SharedConfig};
 use hetsim::{HostId, Topology};
 use volume::Dataset;
 
@@ -37,7 +37,8 @@ pub fn make_cfg(
     Arc::new(cfg)
 }
 
-/// Run the DataCutter pipeline over the scale's timesteps and return the
+/// Run the DataCutter pipeline once per timestep of the scale (a fresh
+/// run each, as the paper clears caches between runs) and return the
 /// average elapsed seconds (plus the per-timestep results).
 pub fn dc_avg(
     topo: &Topology,
@@ -45,9 +46,17 @@ pub fn dc_avg(
     spec: &PipelineSpec,
     scale: ExperimentScale,
 ) -> (f64, Vec<PipelineResult>) {
-    let results =
-        dcapp::run_timesteps(topo, cfg, spec, 0..scale.timesteps).expect("pipeline run failed");
-    (dcapp::avg_elapsed_secs(&results), results)
+    let results: Vec<PipelineResult> = (0..scale.timesteps)
+        .map(|t| {
+            let mut c = dcapp::clone_config(cfg);
+            c.timestep = t;
+            Render::new(&Arc::new(c), spec)
+                .go(topo)
+                .expect("pipeline run failed")
+        })
+        .collect();
+    let total: f64 = results.iter().map(|r| r.elapsed.as_secs_f64()).sum();
+    (total / results.len().max(1) as f64, results)
 }
 
 /// Run the ADR baseline over the scale's timesteps; average elapsed

@@ -10,6 +10,7 @@
 //! planner pick grouping/policy/merge host instead: it simulates every
 //! candidate and keeps the fastest.
 
+use std::io::Write;
 use std::process::exit;
 use std::sync::Arc;
 
@@ -17,6 +18,26 @@ use datacutter::{ExecutorChoice, NativeExecutor, Placement, SimExecutor, WritePo
 use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
 use hetsim::presets::rogue_cluster;
 use volume::{Dataset, Dims};
+
+/// Write one line to stdout. When stdout is closed (the reader of a pipe
+/// went away) the program ends quietly with status 0; any other write
+/// error is reported and exits 1.
+fn say(line: std::fmt::Arguments) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("dcrender: cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `println!` through [`say`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
 
 struct Args {
     nodes: usize,
@@ -125,7 +146,7 @@ fn parse_args() -> Args {
             "--plan" => a.plan = true,
             "--verbose" => a.verbose = true,
             "--help" | "-h" => {
-                println!("{HELP}");
+                say!("{HELP}");
                 exit(0);
             }
             other => usage_error(format_args!("unknown flag {other}")),
@@ -176,6 +197,20 @@ fn ranged<T: std::str::FromStr>(argv: &[String], i: &mut usize, ok: impl Fn(&T) 
     n
 }
 
+/// Seeded transient disk errors on every host's spill ring for the whole
+/// run window; the storage ladder retries through them, so the image stays
+/// bit-identical to a fault-free run.
+fn storage_chaos(seed: u64, hosts: &[hetsim::HostId]) -> datacutter::FaultOptions {
+    let window = hetsim::SimDuration::from_secs(3600);
+    let mut chaos = hetsim::FaultPlan::new().storage_seed(seed);
+    for &h in hosts {
+        for kind in [hetsim::DiskFaultKind::Write, hetsim::DiskFaultKind::Read] {
+            chaos = chaos.disk_error(h, hetsim::SimTime::ZERO, window, 0.2, kind);
+        }
+    }
+    datacutter::FaultOptions::new(chaos)
+}
+
 fn main() {
     let args = parse_args();
     let (topo, hosts) = rogue_cluster(args.nodes);
@@ -214,10 +249,10 @@ fn main() {
             eprintln!("dcrender: planning failed: {e}");
             exit(1);
         });
-        println!("planner: {}", plan.rationale);
+        say!("planner: {}", plan.rationale);
         if args.verbose {
             for (label, secs) in &plan.candidates {
-                println!("  {label:>28}: {secs:.3} s simulated");
+                say!("  {label:>28}: {secs:.3} s simulated");
             }
         }
         plan.spec
@@ -260,7 +295,7 @@ fn main() {
         exit(2);
     }
 
-    println!(
+    say!(
         "rendering {}^3 cells at {}x{} on {} nodes: {} + {} + {} [{}]",
         args.grid,
         args.image,
@@ -271,44 +306,16 @@ fn main() {
         spec.algorithm.label(),
         args.executor
     );
-    let r = if let Some(seed) = args.storage_faults {
-        // Seeded transient disk errors on every host's spill ring for the
-        // whole run window; the storage ladder retries through them, so the
-        // image stays bit-identical to a fault-free run.
-        let window = hetsim::SimDuration::from_secs(3600);
-        let mut chaos = hetsim::FaultPlan::new().storage_seed(seed);
-        for &h in &hosts {
-            chaos = chaos
-                .disk_error(
-                    h,
-                    hetsim::SimTime::ZERO,
-                    window,
-                    0.2,
-                    hetsim::DiskFaultKind::Write,
-                )
-                .disk_error(
-                    h,
-                    hetsim::SimTime::ZERO,
-                    window,
-                    0.2,
-                    hetsim::DiskFaultKind::Read,
-                );
-        }
-        dcapp::run_pipeline_faulted_exec(
-            &topo,
-            &cfg,
-            &spec,
-            datacutter::FaultOptions::new(chaos),
-            exec,
-        )
-    } else {
-        dcapp::run_pipeline_exec(&topo, &cfg, &spec, exec)
-    }
-    .unwrap_or_else(|e| {
+    let render = dcapp::Render::new(&cfg, &spec).executor(exec);
+    let render = match args.storage_faults {
+        Some(seed) => render.faults(storage_chaos(seed, &hosts)),
+        None => render,
+    };
+    let r = render.go(&topo).unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
         exit(1);
     });
-    println!(
+    say!(
         "done in {:.3} {} seconds ({} engine events, {} surface pixels)",
         r.elapsed.as_secs_f64(),
         if args.executor == "sim" {
@@ -317,21 +324,25 @@ fn main() {
             "wall-clock"
         },
         r.report.events,
-        r.image.coverage(isosurf::BACKGROUND)
+        r.image().coverage(isosurf::BACKGROUND)
     );
     if cfg.memory_budget_bytes > 0 {
         let ooc = r.report.ooc;
-        println!(
+        say!(
             "out-of-core: budget {} B, {} spills ({} B), {} faults ({} B)",
-            ooc.memory_budget_bytes, ooc.spills, ooc.spill_bytes, ooc.faults, ooc.fault_bytes
+            ooc.memory_budget_bytes,
+            ooc.spills,
+            ooc.spill_bytes,
+            ooc.faults,
+            ooc.fault_bytes
         );
     }
     if args.storage_faults.is_some() {
-        println!("{}", r.report.faults);
+        say!("{}", r.report.faults);
     }
     if let Some(cache) = cfg.chunk_cache() {
         let s = cache.stats();
-        println!(
+        say!(
             "chunk cache: {}/{} lookups hit ({:.0}%), {} B resident of {} B",
             s.hits,
             s.lookups(),
@@ -342,7 +353,7 @@ fn main() {
     }
     if args.verbose {
         for c in &r.report.copies {
-            println!(
+            say!(
                 "  {:>6} #{} @h{:<2} in {:>5} out {:>5} work {:>8.4}s stall {:>8.4}s",
                 c.filter_name,
                 c.copy_index,
@@ -354,12 +365,12 @@ fn main() {
             );
         }
         for u in topo.utilization(r.elapsed) {
-            println!("  {u}");
+            say!("  {u}");
         }
     }
-    r.image.save_ppm(&args.out).unwrap_or_else(|e| {
+    r.image().save_ppm(&args.out).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
         exit(1);
     });
-    println!("wrote {}", args.out);
+    say!("wrote {}", args.out);
 }

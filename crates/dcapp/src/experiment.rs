@@ -1,22 +1,25 @@
 //! Running pipelines and validating their output.
 
-use datacutter::{AppGraph, ExecutorChoice, FaultOptions, Run, RunError, RunReport};
+use datacutter::{ExecutorChoice, FaultOptions, Run, RunError, RunReport};
 use hetsim::{SimDuration, Topology};
 use isosurf::Image;
 
-use crate::config::{AppConfig, SharedConfig};
+use crate::config::SharedConfig;
 use crate::filters::ImageSlot;
 use crate::pipeline::{build_pipeline, Pipeline, PipelineSpec};
 
-/// Outcome of one pipeline run (one unit of work = one timestep rendered).
+/// Outcome of one run: one rendered image per unit of work (consecutive
+/// timesteps from `cfg.timestep`), cumulative metrics and the handles of
+/// the graph that rendered them. Per-UOW times are
+/// [`RunReport::uow_elapsed`].
 pub struct PipelineResult {
-    /// End-to-end virtual time.
+    /// End-to-end time (virtual under the simulator, wall-clock natively).
     pub elapsed: SimDuration,
-    /// Framework metrics.
+    /// Framework metrics, cumulative over every unit of work.
     pub report: RunReport,
-    /// The rendered image.
-    pub image: Image,
-    /// The stream ids of interest (copied from the pipeline handles).
+    /// One rendered image per unit of work, in order.
+    pub images: Vec<Image>,
+    /// The stream feeding the raster stage, if the grouping has one.
     pub to_raster: Option<datacutter::StreamId>,
     /// Stream into the merge filter.
     pub to_merge: datacutter::StreamId,
@@ -24,67 +27,117 @@ pub struct PipelineResult {
     pub filters: Vec<datacutter::FilterId>,
 }
 
-/// Build and run `spec` once on `topo`.
-pub fn run_pipeline(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-) -> Result<PipelineResult, RunError> {
-    run_pipeline_exec(topo, cfg, spec, datacutter::SimExecutor::new())
-}
-
-/// Build and run `spec` once on `topo` on an explicit execution substrate:
-/// pass a [`datacutter::SimExecutor`] for the deterministic virtual-time
-/// run or a [`datacutter::NativeExecutor`] to execute the same pipeline on
-/// real OS threads. The rendered image is bit-identical on both (merging
-/// is order-independent); only the timing/metrics semantics differ.
-pub fn run_pipeline_exec(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    exec: impl Into<ExecutorChoice>,
-) -> Result<PipelineResult, RunError> {
-    run_once(topo, cfg, spec, None, exec.into())
-}
-
-/// The [`Run`] every entry point below starts from: `graph` under the
-/// out-of-core knobs of `cfg`, with `faults` injected when given.
-fn configured_run(graph: AppGraph, cfg: &AppConfig, faults: Option<FaultOptions>) -> Run {
-    let run = Run::new(graph)
-        .memory_budget(cfg.memory_budget_bytes)
-        .storage_retries(cfg.storage_retry_budget)
-        .checksum_spills(cfg.checksum_spills);
-    match faults {
-        Some(opts) => run.faults(opts),
-        None => run,
+impl PipelineResult {
+    /// The first unit of work's image (the only one of a one-UOW run).
+    pub fn image(&self) -> &Image {
+        &self.images[0]
     }
 }
 
-/// One single-UOW run of `spec` and its one deposited image.
-fn run_once(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    faults: Option<FaultOptions>,
-    exec: ExecutorChoice,
-) -> Result<PipelineResult, RunError> {
-    let Pipeline {
-        graph,
-        image,
-        to_raster,
-        to_merge,
-        filters,
-    } = build_pipeline(cfg, spec);
-    let report = configured_run(graph, cfg, faults).executor(exec).go(topo)?;
-    let image = deposited(&image, &report, 1)?.swap_remove(0);
-    Ok(PipelineResult {
-        elapsed: report.elapsed,
-        report,
-        image,
-        to_raster,
-        to_merge,
-        filters,
-    })
+/// One run of a [`PipelineSpec`] over an [`AppConfig`](crate::AppConfig):
+/// the application's counterpart of [`datacutter::Run`]. The config's
+/// out-of-core knobs (`memory_budget_bytes`, `storage_retry_budget`,
+/// `checksum_spills`) are forwarded to the run; the executor, a fault plan
+/// and the number of units of work are set here.
+///
+/// Defaults: one unit of work, the virtual-time
+/// [`SimExecutor`](datacutter::SimExecutor), no faults.
+///
+/// ```no_run
+/// # fn demo(topo: &hetsim::Topology, cfg: &dcapp::SharedConfig, spec: &dcapp::PipelineSpec)
+/// #     -> Result<(), datacutter::RunError> {
+/// let r = dcapp::Render::new(cfg, spec)
+///     .executor(datacutter::NativeExecutor::new())
+///     .uows(3)
+///     .go(topo)?;
+/// assert_eq!(r.images.len(), 3);
+/// # Ok(()) }
+/// ```
+pub struct Render {
+    run: Run,
+    uows: u32,
+    image: ImageSlot,
+    to_raster: Option<datacutter::StreamId>,
+    to_merge: datacutter::StreamId,
+    filters: Vec<datacutter::FilterId>,
+}
+
+impl Render {
+    /// Build the graph of `spec` over `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// As [`build_pipeline`], on a config that fails
+    /// [`AppConfig::validate_for`](crate::AppConfig::validate_for).
+    pub fn new(cfg: &SharedConfig, spec: &PipelineSpec) -> Self {
+        let Pipeline {
+            graph,
+            image,
+            to_raster,
+            to_merge,
+            filters,
+        } = build_pipeline(cfg, spec);
+        Render {
+            run: Run::new(graph)
+                .memory_budget(cfg.memory_budget_bytes)
+                .storage_retries(cfg.storage_retry_budget)
+                .checksum_spills(cfg.checksum_spills),
+            uows: 1,
+            image,
+            to_raster,
+            to_merge,
+            filters,
+        }
+    }
+
+    /// Run on an explicit substrate: a [`datacutter::SimExecutor`] for the
+    /// deterministic virtual-time run or a [`datacutter::NativeExecutor`]
+    /// for real OS threads. The images are bit-identical on both (merging
+    /// is order-independent); only the timing semantics differ.
+    pub fn executor(mut self, exec: impl Into<ExecutorChoice>) -> Self {
+        self.run = self.run.executor(exec);
+        self
+    }
+
+    /// Run under a fault plan: hosts crash, stall or lose messages per
+    /// `opts`, and the runtime's recovery machinery (liveness timeouts,
+    /// writer eviction, retention and redelivery) keeps the pipeline
+    /// going. Every payload is retained until its consumer settles it, so
+    /// a crash of an extract, raster or merge host that leaves a surviving
+    /// copy set completes with `lost == 0` under every writer policy; only
+    /// a crash that leaves no live consumer tallies losses in
+    /// `report.faults`. A crash of the merge host leaves no image and
+    /// fails the run with [`RunError::NoSurvivingConsumers`]. On the
+    /// native executor the plan's times are wall-clock nanoseconds since
+    /// run start.
+    pub fn faults(mut self, opts: FaultOptions) -> Self {
+        self.run = self.run.faults(opts);
+        self
+    }
+
+    /// Render `n` consecutive units of work in one run: filter copies stay
+    /// resident and cycle through `init` → `process` → `finalize` per UOW,
+    /// rendering timesteps `cfg.timestep`, `cfg.timestep + 1`, … — the
+    /// paper's consecutive-timesteps workload. `go` rejects `n == 0`.
+    pub fn uows(mut self, n: u32) -> Self {
+        self.run = self.run.uows(n);
+        self.uows = n;
+        self
+    }
+
+    /// Execute on `topo`.
+    pub fn go(self, topo: &Topology) -> Result<PipelineResult, RunError> {
+        let report = self.run.go(topo)?;
+        let images = deposited(&self.image, &report, self.uows)?;
+        Ok(PipelineResult {
+            elapsed: report.elapsed,
+            report,
+            images,
+            to_raster: self.to_raster,
+            to_merge: self.to_merge,
+            filters: self.filters,
+        })
+    }
 }
 
 /// The images a run deposited, one per unit of work. A crash of the merge
@@ -101,114 +154,6 @@ fn deposited(image: &ImageSlot, report: &RunReport, uows: u32) -> Result<Vec<Ima
             .last()
             .map_or_else(String::new, |s| s.stream_name.clone()),
     })
-}
-
-/// Build and run `spec` once on `topo` under a fault plan: hosts crash,
-/// stall, or lose messages per `opts`, and the runtime's recovery
-/// machinery (liveness timeouts, writer eviction, retention and
-/// redelivery) keeps the pipeline going. Every payload is retained until
-/// its consumer settles it, so a crash of an extract, raster or merge host that leaves
-/// a surviving copy set completes with `lost == 0` under every writer
-/// policy; only a crash that leaves no live consumer tallies losses in
-/// `report.faults`. A crash of the merge host leaves no image, and fails
-/// the run with [`RunError::NoSurvivingConsumers`].
-pub fn run_pipeline_faulted(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    opts: FaultOptions,
-) -> Result<PipelineResult, RunError> {
-    run_pipeline_faulted_exec(topo, cfg, spec, opts, datacutter::SimExecutor::new())
-}
-
-/// [`run_pipeline_faulted`] on an explicit execution substrate: the same
-/// fault plan drives either the deterministic virtual-time run or a
-/// wall-clock chaos run on real OS threads
-/// ([`datacutter::NativeExecutor`]). On the native substrate the plan's
-/// times are wall-clock nanoseconds since run start, so crash/stall
-/// instants should be scaled to real pipeline durations.
-pub fn run_pipeline_faulted_exec(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    opts: FaultOptions,
-    exec: impl Into<ExecutorChoice>,
-) -> Result<PipelineResult, RunError> {
-    run_once(topo, cfg, spec, Some(opts), exec.into())
-}
-
-/// Result of a multi-UOW run: one image per unit of work (consecutive
-/// timesteps), cumulative metrics, and per-UOW elapsed times.
-pub struct MultiUowResult {
-    /// Framework metrics (cumulative over all UOWs).
-    pub report: RunReport,
-    /// One rendered image per UOW, in order.
-    pub images: Vec<isosurf::Image>,
-    /// Per-UOW elapsed virtual time.
-    pub uow_elapsed: Vec<SimDuration>,
-}
-
-/// Run `uows` consecutive units of work in a **single** simulation: filter
-/// copies stay resident and cycle through `init` → `process` → `finalize`
-/// per UOW, rendering timesteps `cfg.timestep`, `cfg.timestep + 1`, ... —
-/// the paper's "five consecutive timesteps" workload as one run.
-pub fn run_pipeline_uows(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    uows: u32,
-) -> Result<MultiUowResult, RunError> {
-    run_pipeline_uows_exec(topo, cfg, spec, uows, datacutter::SimExecutor::new())
-}
-
-/// [`run_pipeline_uows`] on an explicit execution substrate, as
-/// [`run_pipeline_exec`] is to [`run_pipeline`].
-pub fn run_pipeline_uows_exec(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    uows: u32,
-    exec: impl Into<ExecutorChoice>,
-) -> Result<MultiUowResult, RunError> {
-    let Pipeline { graph, image, .. } = build_pipeline(cfg, spec);
-    let report = configured_run(graph, cfg, None)
-        .executor(exec)
-        .uows(uows)
-        .go(topo)?;
-    let images = deposited(&image, &report, uows)?;
-    let uow_elapsed = report.uow_elapsed();
-    Ok(MultiUowResult {
-        report,
-        images,
-        uow_elapsed,
-    })
-}
-
-/// Run `spec` for `timesteps` consecutive timesteps (fresh simulation per
-/// timestep, as the paper clears caches between runs) and return the
-/// per-timestep results. The config's `timestep` field is overridden.
-pub fn run_timesteps(
-    topo: &Topology,
-    cfg: &SharedConfig,
-    spec: &PipelineSpec,
-    timesteps: std::ops::Range<u32>,
-) -> Result<Vec<PipelineResult>, RunError> {
-    let mut out = Vec::new();
-    for t in timesteps {
-        let mut c = clone_config(cfg);
-        c.timestep = t;
-        let c: SharedConfig = std::sync::Arc::new(c);
-        out.push(run_pipeline(topo, &c, spec)?);
-    }
-    Ok(out)
-}
-
-/// Average elapsed time of a result set, in seconds.
-pub fn avg_elapsed_secs(results: &[PipelineResult]) -> f64 {
-    if results.is_empty() {
-        return 0.0;
-    }
-    results.iter().map(|r| r.elapsed.as_secs_f64()).sum::<f64>() / results.len() as f64
 }
 
 /// The sequential reference image for `cfg` (single-node ground truth).
@@ -293,9 +238,9 @@ mod tests {
     fn rera_m_matches_reference() {
         let (topo, cfg) = small_setup(2, 96);
         let s = spec(&topo, &cfg, Grouping::RERaM, Algorithm::ActivePixel);
-        let r = run_pipeline(&topo, &cfg, &s).unwrap();
+        let r = Render::new(&cfg, &s).go(&topo).unwrap();
         let reference = reference_image(&cfg);
-        assert_eq!(r.image.diff_pixels(&reference), 0);
+        assert_eq!(r.image().diff_pixels(&reference), 0);
         assert!(r.elapsed > SimDuration::ZERO);
     }
 
@@ -311,9 +256,9 @@ mod tests {
                 },
                 alg,
             );
-            let r = run_pipeline(&topo, &cfg, &s).unwrap();
+            let r = Render::new(&cfg, &s).go(&topo).unwrap();
             let reference = reference_image(&cfg);
-            assert_eq!(r.image.diff_pixels(&reference), 0, "algorithm {alg:?}");
+            assert_eq!(r.image().diff_pixels(&reference), 0, "algorithm {alg:?}");
         }
     }
 
@@ -328,8 +273,8 @@ mod tests {
             },
             Algorithm::ActivePixel,
         );
-        let r = run_pipeline(&topo, &cfg, &s).unwrap();
-        assert_eq!(r.image.diff_pixels(&reference_image(&cfg)), 0);
+        let r = Render::new(&cfg, &s).go(&topo).unwrap();
+        assert_eq!(r.image().diff_pixels(&reference_image(&cfg)), 0);
     }
 
     #[test]
@@ -353,8 +298,8 @@ mod tests {
         let c: SharedConfig = Arc::new(c);
         let mut s2 = s;
         s2.merge_host = hosts[3];
-        let r = run_pipeline(&topo, &c, &s2).unwrap();
-        assert_eq!(r.image.diff_pixels(&reference_image(&c)), 0);
+        let r = Render::new(&c, &s2).go(&topo).unwrap();
+        assert_eq!(r.image().diff_pixels(&reference_image(&c)), 0);
         // Four filters + merge stream wiring present.
         assert_eq!(r.filters.len(), 4);
         assert!(r.to_raster.is_some());
@@ -376,9 +321,9 @@ mod tests {
                 },
                 Algorithm::ActivePixel,
             );
-            let r = run_pipeline(&topo, &cfg, &s).unwrap();
+            let r = Render::new(&cfg, &s).go(&topo).unwrap();
             assert_eq!(
-                r.image.diff_pixels(&reference_image(&cfg)),
+                r.image().diff_pixels(&reference_image(&cfg)),
                 0,
                 "copies per host = {copies}"
             );
@@ -400,8 +345,12 @@ mod tests {
                 alg,
             )
         };
-        let zb = run_pipeline(&topo, &cfg, &mk(Algorithm::ZBuffer)).unwrap();
-        let ap = run_pipeline(&topo, &cfg, &mk(Algorithm::ActivePixel)).unwrap();
+        let zb = Render::new(&cfg, &mk(Algorithm::ZBuffer))
+            .go(&topo)
+            .unwrap();
+        let ap = Render::new(&cfg, &mk(Algorithm::ActivePixel))
+            .go(&topo)
+            .unwrap();
         let zb_bytes = zb.report.stream(zb.to_merge).total_bytes();
         let ap_bytes = ap.report.stream(ap.to_merge).total_bytes();
         assert!(zb_bytes > ap_bytes, "zb {zb_bytes} vs ap {ap_bytes}");
@@ -425,12 +374,12 @@ mod tests {
             },
             Algorithm::ActivePixel,
         );
-        let full = run_pipeline(&topo, &cfg, &s).unwrap();
-        let part = run_pipeline(&topo, &cfg_q, &s).unwrap();
+        let full = Render::new(&cfg, &s).go(&topo).unwrap();
+        let part = Render::new(&cfg_q, &s).go(&topo).unwrap();
         // Matches the chunk-granular query reference exactly.
-        assert_eq!(part.image.diff_pixels(&reference_image(&cfg_q)), 0);
+        assert_eq!(part.image().diff_pixels(&reference_image(&cfg_q)), 0);
         // Different from the full rendering, and cheaper.
-        assert!(part.image.diff_pixels(&full.image) > 0);
+        assert!(part.image().diff_pixels(full.image()) > 0);
         let full_disk: u64 = full
             .report
             .copies
@@ -460,8 +409,8 @@ mod tests {
         });
         let cfg_q: SharedConfig = Arc::new(c);
         let s = spec(&topo, &cfg_q, Grouping::RERaM, Algorithm::ZBuffer);
-        let r = run_pipeline(&topo, &cfg_q, &s).unwrap();
-        assert_eq!(r.image.coverage(isosurf::BACKGROUND), 0);
+        let r = Render::new(&cfg_q, &s).go(&topo).unwrap();
+        assert_eq!(r.image().coverage(isosurf::BACKGROUND), 0);
     }
 
     #[test]
@@ -477,8 +426,8 @@ mod tests {
                 },
                 alg,
             );
-            let r = run_pipeline(&topo, &cfg, &s).unwrap();
-            assert_eq!(r.image.diff_pixels(&reference_image(&cfg)), 0, "{alg:?}");
+            let r = Render::new(&cfg, &s).go(&topo).unwrap();
+            assert_eq!(r.image().diff_pixels(&reference_image(&cfg)), 0, "{alg:?}");
             assert_eq!(r.filters.len(), 4, "RE, Ra, Mt, A");
         }
     }
@@ -506,9 +455,9 @@ mod tests {
                 },
                 alg,
             );
-            let rs = run_pipeline(&topo, &cfg, &serial).unwrap();
-            let rt = run_pipeline(&topo, &cfg, &tiled).unwrap();
-            assert_eq!(rt.image.diff_pixels(&rs.image), 0, "{alg:?}");
+            let rs = Render::new(&cfg, &serial).go(&topo).unwrap();
+            let rt = Render::new(&cfg, &tiled).go(&topo).unwrap();
+            assert_eq!(rt.image().diff_pixels(rs.image()), 0, "{alg:?}");
         }
     }
 
@@ -530,9 +479,9 @@ mod tests {
                 },
                 Algorithm::ActivePixel,
             );
-            let r = run_pipeline(&topo, &c, &s).unwrap();
+            let r = Render::new(&c, &s).go(&topo).unwrap();
             assert_eq!(
-                r.image.diff_pixels(&reference_image(&c)),
+                r.image().diff_pixels(&reference_image(&c)),
                 0,
                 "tile_size={tile_size}"
             );
@@ -553,7 +502,7 @@ mod tests {
             },
             Algorithm::ZBuffer,
         );
-        let multi = run_pipeline_uows(&topo, &cfg, &s, 2).unwrap();
+        let multi = Render::new(&cfg, &s).uows(2).go(&topo).unwrap();
         let mut c = clone_config(&cfg);
         c.timestep = 1;
         let reference = reference_image(&Arc::new(c));
@@ -571,9 +520,10 @@ mod tests {
             },
             Algorithm::ActivePixel,
         );
-        let multi = run_pipeline_uows(&topo, &cfg, &s, 3).unwrap();
+        let multi = Render::new(&cfg, &s).uows(3).go(&topo).unwrap();
         assert_eq!(multi.images.len(), 3);
-        assert_eq!(multi.uow_elapsed.len(), 3);
+        let uow_elapsed = multi.report.uow_elapsed();
+        assert_eq!(uow_elapsed.len(), 3);
         for (t, img) in multi.images.iter().enumerate() {
             let mut c = clone_config(&cfg);
             c.timestep = t as u32;
@@ -582,7 +532,7 @@ mod tests {
         }
         // Consecutive cycles should take comparable time (same pipeline,
         // evolving field).
-        let times: Vec<f64> = multi.uow_elapsed.iter().map(|d| d.as_secs_f64()).collect();
+        let times: Vec<f64> = uow_elapsed.iter().map(|d| d.as_secs_f64()).collect();
         let max = times.iter().cloned().fold(0.0, f64::max);
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min < 2.0, "per-UOW times wildly uneven: {times:?}");
@@ -601,7 +551,7 @@ mod tests {
             },
             Algorithm::ZBuffer,
         );
-        let multi = run_pipeline_uows(&topo, &cfg, &s, 2).unwrap();
+        let multi = Render::new(&cfg, &s).uows(2).go(&topo).unwrap();
         let mut c = clone_config(&cfg);
         c.timestep = 1;
         let reference = reference_image(&Arc::new(c));
@@ -619,10 +569,10 @@ mod tests {
         c.cache_capacity = 1 << 30;
         let c: SharedConfig = Arc::new(c);
         let s = spec(&topo, &c, Grouping::RERaM, Algorithm::ActivePixel);
-        let cold = run_pipeline(&topo, &c, &s).unwrap();
-        let warm = run_pipeline(&topo, &c, &s).unwrap();
-        assert_eq!(warm.image.diff_pixels(&cold.image), 0);
-        assert_eq!(cold.image.diff_pixels(&reference_image(&c)), 0);
+        let cold = Render::new(&c, &s).go(&topo).unwrap();
+        let warm = Render::new(&c, &s).go(&topo).unwrap();
+        assert_eq!(warm.image().diff_pixels(cold.image()), 0);
+        assert_eq!(cold.image().diff_pixels(&reference_image(&c)), 0);
         assert!(total_disk_bytes(&cold) > 0, "cold run reads from disk");
         assert_eq!(
             total_disk_bytes(&warm),
@@ -640,12 +590,12 @@ mod tests {
     fn prefetched_run_matches_reference_and_disk_tally() {
         let (topo, cfg) = small_setup(2, 96);
         let s = spec(&topo, &cfg, Grouping::RERaM, Algorithm::ActivePixel);
-        let plain = run_pipeline(&topo, &cfg, &s).unwrap();
+        let plain = Render::new(&cfg, &s).go(&topo).unwrap();
         let mut c = clone_config(&cfg);
         c.prefetch_depth = 4;
         let c: SharedConfig = Arc::new(c);
-        let pre = run_pipeline(&topo, &c, &s).unwrap();
-        assert_eq!(pre.image.diff_pixels(&plain.image), 0);
+        let pre = Render::new(&c, &s).go(&topo).unwrap();
+        assert_eq!(pre.image().diff_pixels(plain.image()), 0);
         assert_eq!(
             total_disk_bytes(&pre),
             total_disk_bytes(&plain),
@@ -677,7 +627,7 @@ mod tests {
             },
             Algorithm::ActivePixel,
         );
-        let free = run_pipeline(&topo, &cfg, &s).unwrap();
+        let free = Render::new(&cfg, &s).go(&topo).unwrap();
         assert_eq!(free.report.ooc.spills, 0, "unbudgeted runs never spill");
         let one_chunk = cfg.dataset.chunk_bytes(volume::ChunkId(0));
         for budget in [one_chunk, one_chunk / 64, 1] {
@@ -689,13 +639,12 @@ mod tests {
                 s.policy = policy;
                 for sim in [true, false] {
                     let label = format!("budget {budget} {} sim={sim}", policy.label());
-                    let tight = if sim {
-                        run_pipeline(&topo, &c, &s)
-                    } else {
-                        run_pipeline_exec(&topo, &c, &s, datacutter::NativeExecutor::new())
-                    }
-                    .unwrap();
-                    assert_eq!(tight.image.diff_pixels(&free.image), 0, "{label}");
+                    let exec: ExecutorChoice = match sim {
+                        true => datacutter::SimExecutor::new().into(),
+                        false => datacutter::NativeExecutor::new().into(),
+                    };
+                    let tight = Render::new(&c, &s).executor(exec).go(&topo).unwrap();
+                    assert_eq!(tight.image().diff_pixels(free.image()), 0, "{label}");
                     let ooc = tight.report.ooc;
                     assert!(!sim || ooc.spills > 0, "{label}: must force spills");
                     assert_eq!(ooc.spills, ooc.faults, "{label}: every spill re-faults");
@@ -713,15 +662,62 @@ mod tests {
         }
     }
 
+    /// Every executor × fault plan × units-of-work combination goes
+    /// through `Render` with the config's memory budget forwarded; the
+    /// faulted multi-UOW cells had no entry point before it.
+    #[test]
+    fn render_runs_every_executor_fault_and_uow_combination() {
+        let (topo, cfg) = small_setup(2, 96);
+        let mut c = clone_config(&cfg);
+        c.memory_budget_bytes = c.dataset.chunk_bytes(volume::ChunkId(0));
+        let cfg: SharedConfig = Arc::new(c);
+        let s = spec(
+            &topo,
+            &cfg,
+            Grouping::RERaSplit {
+                raster: Placement::one_per_host(&cfg.storage_hosts),
+            },
+            Algorithm::ActivePixel,
+        );
+        for native in [false, true] {
+            for drops in [false, true] {
+                for uows in [1, 3] {
+                    let label = format!("native {native}, drops {drops}, {uows} UOWs");
+                    let mut render = Render::new(&cfg, &s).uows(uows);
+                    if native {
+                        render = render.executor(datacutter::NativeExecutor::new());
+                    }
+                    if drops {
+                        let plan = hetsim::FaultPlan::new().drop_messages(0xD00D, 0.08);
+                        render = render.faults(FaultOptions::new(plan));
+                    }
+                    let r = render.go(&topo).unwrap();
+                    assert_eq!(r.report.events == 0, native, "{label}: the executor ran");
+                    let ooc = r.report.ooc;
+                    assert_eq!(ooc.memory_budget_bytes, cfg.memory_budget_bytes, "{label}");
+                    let f = &r.report.faults;
+                    assert!(!drops || f.retransmits > 0, "{label}: {f:?}");
+                    assert_eq!(r.images.len(), uows as usize, "{label}");
+                    for (k, img) in r.images.iter().enumerate() {
+                        let mut c = clone_config(&cfg);
+                        c.timestep = k as u32;
+                        let reference = reference_image(&Arc::new(c));
+                        assert_eq!(img.diff_pixels(&reference), 0, "{label}: UOW {k}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn timestep_sweep_produces_distinct_images() {
         let (topo, cfg) = small_setup(2, 96);
         let s = spec(&topo, &cfg, Grouping::RERaM, Algorithm::ActivePixel);
-        let results = run_timesteps(&topo, &cfg, &s, 0..3).unwrap();
-        assert_eq!(results.len(), 3);
-        assert!(avg_elapsed_secs(&results) > 0.0);
+        let r = Render::new(&cfg, &s).uows(3).go(&topo).unwrap();
+        assert_eq!(r.images.len(), 3);
+        assert!(r.elapsed > SimDuration::ZERO);
         assert!(
-            results[0].image.diff_pixels(&results[2].image) > 0,
+            r.images[0].diff_pixels(&r.images[2]) > 0,
             "fields evolve over time"
         );
     }

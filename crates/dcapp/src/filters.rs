@@ -43,7 +43,7 @@ pub(crate) enum Stage {
     Merge,
 }
 
-/// A copy's merge accumulator for one unit of work.
+/// A copy's merge accumulator.
 enum Merge {
     Tiles(TileMergeStage),
     Image(MergeStage),
@@ -57,16 +57,11 @@ pub(crate) struct AppFilter {
 }
 
 /// The stages after extract in one copy. The raster and merge
-/// accumulators are allocated in `init`, per the paper, and released in
-/// `finalize`.
+/// accumulators are built with the copy and reset in `init`, so the
+/// buffers one unit of work pooled serve the next.
 struct Tail {
     cfg: SharedConfig,
-    alg: Algorithm,
-    /// Whether a raster stage is fused here.
-    rasters: bool,
     tiles: Option<TileSplitter>,
-    /// The merge stage fused here, if any.
-    merges: Option<Stage>,
     slot: ImageSlot,
     raster: Option<RasterStage>,
     merge: Option<Merge>,
@@ -84,10 +79,7 @@ impl AppFilter {
         let (mut read, mut extract) = (None, None);
         let mut tail = Tail {
             cfg: cfg.clone(),
-            alg,
-            rasters: false,
             tiles: None,
-            merges: None,
             slot: slot.clone(),
             raster: None,
             merge: None,
@@ -101,13 +93,15 @@ impl AppFilter {
                     })
                 }
                 Stage::Extract => extract = Some(ExtractStage::new(cfg.clone())),
-                Stage::Raster | Stage::RasterTiles => {
-                    tail.rasters = true;
-                    if stage == Stage::RasterTiles {
-                        tail.tiles = Some(TileSplitter::new(cfg.tile_rows(), cfg.n_tiles()));
-                    }
+                Stage::Raster => tail.raster = Some(RasterStage::new(alg, cfg)),
+                Stage::RasterTiles => {
+                    tail.raster = Some(RasterStage::new(alg, cfg));
+                    tail.tiles = Some(TileSplitter::new(cfg.tile_rows(), cfg.n_tiles()));
                 }
-                Stage::MergeTiles | Stage::Merge => tail.merges = Some(stage),
+                Stage::MergeTiles => {
+                    tail.merge = Some(Merge::Tiles(TileMergeStage::new(cfg.clone())))
+                }
+                Stage::Merge => tail.merge = Some(Merge::Image(MergeStage::new(cfg.clone()))),
             }
         }
         AppFilter {
@@ -124,11 +118,14 @@ impl Filter for AppFilter {
             e.reset();
         }
         let t = &mut self.tail;
-        t.raster = t.rasters.then(|| RasterStage::new(t.alg, &t.cfg));
-        t.merge = t.merges.map(|m| match m {
-            Stage::MergeTiles => Merge::Tiles(TileMergeStage::new(t.cfg.clone())),
-            _ => Merge::Image(MergeStage::new(t.cfg.clone())),
-        });
+        if let Some(r) = &mut t.raster {
+            r.reset();
+        }
+        // A tile merge shipped every tile it opened at its last end of
+        // work; the final merge starts on an empty image.
+        if let Some(Merge::Image(m)) = &mut t.merge {
+            m.reset();
+        }
     }
 
     fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
@@ -160,7 +157,7 @@ impl Filter for AppFilter {
             // emitted everything its consumed chunks produce, and a chunk
             // that comes back from retention is merely drawn twice, which
             // the z-buffer absorbs. A fused `ERa` does not flush per chunk.
-            let per_chunk = extract.is_some() && !tail.rasters && ctx.fail_stop_active();
+            let per_chunk = extract.is_some() && tail.raster.is_none() && ctx.fail_stop_active();
             while let Some(b) = ctx.read(0) {
                 let slab = ctx.buffer_slab();
                 if let Some(e) = extract.as_mut() {
@@ -172,7 +169,7 @@ impl Filter for AppFilter {
                     if per_chunk {
                         e.flush(ctx, |ctx, b| tail.tris(ctx, b));
                     }
-                } else if tail.rasters {
+                } else if tail.raster.is_some() {
                     let batch = slab.recycle_ctx::<TriBatch>(b, "Ra filter input");
                     tail.tris(ctx, batch);
                 } else {
@@ -190,9 +187,8 @@ impl Filter for AppFilter {
     }
 
     fn finalize(&mut self, _ctx: &mut FilterCtx) {
-        let t = &mut self.tail;
-        t.raster = None;
-        if let Some(Merge::Image(m)) = t.merge.take() {
+        let t = &self.tail;
+        if let Some(Merge::Image(m)) = &t.merge {
             t.slot.lock().push(m.image());
         }
     }

@@ -11,7 +11,7 @@ use datacutter::{FilterCtx, FilterError};
 use hetsim::{Env, Semaphore};
 use isosurf::{
     merge_batch, raster_batch, ActivePixelBuffer, ExtractStats, Image, Triangle, WinningPixel,
-    ZBuffer, BACKGROUND,
+    ZBuffer, BACKGROUND, EMPTY_DEPTH,
 };
 use parking_lot::Mutex;
 use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
@@ -470,6 +470,16 @@ impl RasterStage {
         }
     }
 
+    /// Start a unit of work with nothing drawn. The pools, the
+    /// active-pixel buffer and its spare batches stay: they are what later
+    /// units of work reuse. The last [`finish`](Self::finish) freed the
+    /// z-buffer and flushed the active-pixel buffer.
+    pub fn reset(&mut self) {
+        if let RasterStage::Zb { drawn, .. } = self {
+            *drawn = (u32::MAX, 0);
+        }
+    }
+
     /// Rasterize one triangle batch. Under the active-pixel algorithm,
     /// filled WPA batches flow out through `sink` immediately; under the
     /// z-buffer algorithm nothing is emitted until [`finish`](Self::finish).
@@ -578,8 +588,6 @@ pub(crate) struct TileMergeStage {
     pub cfg: SharedConfig,
     tile_rows: u32,
     tiles: Vec<Option<ZBuffer>>,
-    /// Depth entries folded (metrics).
-    pub entries: u64,
 }
 
 impl TileMergeStage {
@@ -590,7 +598,6 @@ impl TileMergeStage {
             cfg,
             tile_rows,
             tiles: (0..n).map(|_| None).collect(),
-            entries: 0,
         }
     }
 
@@ -627,7 +634,6 @@ impl TileMergeStage {
                 isosurf::merge_batch_offset(zb, lo, &batch);
             }
         }
-        self.entries += entries;
         ctx.compute(self.cfg.cost.merge_cost(entries));
     }
 
@@ -660,8 +666,8 @@ impl TileMergeStage {
 pub(crate) struct MergeStage {
     pub cfg: SharedConfig,
     zb: ZBuffer,
-    /// Depth entries folded (metrics).
-    pub entries: u64,
+    /// Whether a fold wrote to `zb` since it was last cleared.
+    folded: bool,
 }
 
 impl MergeStage {
@@ -670,7 +676,18 @@ impl MergeStage {
         MergeStage {
             cfg,
             zb,
-            entries: 0,
+            folded: false,
+        }
+    }
+
+    /// Start a unit of work on an empty image, in the buffer the last one
+    /// used. Only depths are cleared: a color is read only where its depth
+    /// is set, and every fold sets the two together. A plane no fold wrote
+    /// to is left as it is: clearing a fresh one would touch every page of
+    /// it for nothing.
+    pub fn reset(&mut self) {
+        if std::mem::take(&mut self.folded) {
+            self.zb.depth.fill(EMPTY_DEPTH);
         }
     }
 
@@ -691,7 +708,7 @@ impl MergeStage {
             }
             RaOut::Wpa(batch) => merge_batch(&mut self.zb, &batch),
         }
-        self.entries += entries;
+        self.folded = true;
         ctx.compute(self.cfg.cost.merge_cost(entries));
     }
 

@@ -18,7 +18,7 @@ use datacutter::{Placement, RunError, WritePolicy};
 use hetsim::{HostId, Topology};
 
 use crate::config::{Algorithm, SharedConfig};
-use crate::experiment::{clone_config, run_pipeline};
+use crate::experiment::{clone_config, Render};
 use crate::pipeline::{Grouping, PipelineSpec};
 
 /// Merge copy sets of the tile-composite candidate: one set per host, on
@@ -122,7 +122,7 @@ pub fn plan(
         // A fresh config per run: a chunk cache or selected-chunk set
         // warmed by one candidate must not favour the next.
         let fresh = Arc::new(clone_config(cfg));
-        let secs = run_pipeline(topo, &fresh, spec)?.elapsed.as_secs_f64();
+        let secs = Render::new(&fresh, spec).go(topo)?.elapsed.as_secs_f64();
         table.push((label(spec), secs));
     }
     // The fastest; `min_by` keeps the first of equals.
@@ -163,7 +163,7 @@ mod tests {
     }
 
     /// The least simulated seconds over the planner's grid, swept here
-    /// with `run_pipeline` alone, independently of [`candidates`], and
+    /// with `Render` alone, independently of [`candidates`], and
     /// with `RERa-M` under WRR too, which the planner skips as RR's twin.
     fn swept_best(topo: &Topology, cfg: &SharedConfig, compute: &[HostId]) -> f64 {
         let per_core = Placement {
@@ -200,7 +200,7 @@ mod tests {
                         merge_host,
                     };
                     let fresh = Arc::new(clone_config(cfg));
-                    let r = run_pipeline(topo, &fresh, &spec).unwrap();
+                    let r = Render::new(&fresh, &spec).go(topo).unwrap();
                     best = best.min(r.elapsed.as_secs_f64());
                 }
             }
@@ -219,9 +219,9 @@ mod tests {
             "{}",
             p.rationale
         );
-        let r = crate::run_pipeline(topo, cfg, &p.spec).unwrap();
+        let r = crate::Render::new(cfg, &p.spec).go(topo).unwrap();
         assert_eq!(
-            r.image.diff_pixels(&reference_image(cfg)),
+            r.image().diff_pixels(&reference_image(cfg)),
             0,
             "{}",
             p.rationale

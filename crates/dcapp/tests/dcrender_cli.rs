@@ -1,5 +1,6 @@
 //! `dcrender` rejects a bad command line with a usage error and exit
-//! status 2 — never a panic (status 101).
+//! status 2, and stops on a closed stdout with status 0 — never a panic
+//! (status 101).
 
 use std::process::Command;
 
@@ -132,4 +133,48 @@ fn plan_renders_the_planned_configuration() {
     let bytes = std::fs::read(&path).expect("image written");
     let _ = std::fs::remove_file(&path);
     assert!(bytes.starts_with(b"P6"), "a PPM");
+}
+
+/// A stdout whose reader is gone (`dcrender | true`) ends the program
+/// quietly: status 0, nothing on stderr. Any other stdout error is one
+/// line and status 1. Both the render's first line and the planner's
+/// table meet the closed pipe.
+#[test]
+fn closed_stdout_ends_quietly_and_other_write_errors_exit_1() {
+    let path = std::env::temp_dir().join(format!("dcrender-cli-{}-pipe.ppm", std::process::id()));
+    let small = ["--grid", "16", "--image", "32"];
+    for plan in [&[][..], &["--plan", "--verbose"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
+            .args(small)
+            .args(plan)
+            .arg("--out")
+            .arg(&path)
+            .stdout(writer)
+            .output()
+            .expect("dcrender starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{plan:?}: {stderr}");
+        assert!(stderr.is_empty(), "{plan:?}: {stderr}");
+    }
+    let full = std::fs::File::options()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens");
+    let out = Command::new(env!("CARGO_BIN_EXE_dcrender"))
+        .args(small)
+        .arg("--out")
+        .arg(&path)
+        .stdout(full)
+        .output()
+        .expect("dcrender starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("dcrender: cannot write to stdout: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
 }

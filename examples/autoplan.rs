@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use dcapp::AppConfig;
+use dcapp::{AppConfig, Render};
 use hetsim::presets::rogue_blue_mix;
 use volume::{Dataset, Dims};
 
@@ -33,7 +33,7 @@ fn main() {
     }
     println!("planner: {}", plan.rationale);
 
-    let planned = dcapp::run_pipeline(&topo, &cfg, &plan.spec).expect("run");
+    let planned = Render::new(&cfg, &plan.spec).go(&topo).expect("run");
     println!(
         "planned [{} + {}]: {:.3}s measured",
         plan.spec.grouping.label(),
@@ -41,7 +41,7 @@ fn main() {
         planned.elapsed.as_secs_f64()
     );
     assert_eq!(
-        planned.image.diff_pixels(&dcapp::reference_image(&cfg)),
+        planned.image().diff_pixels(&dcapp::reference_image(&cfg)),
         0,
         "planned == sequential"
     );

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_blue_mix;
 use volume::{Dataset, Dims};
 
@@ -38,7 +38,7 @@ fn main() {
                 policy,
                 merge_host: blues[0],
             };
-            let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+            let r = Render::new(&cfg, &spec).go(&topo).expect("run");
             let stream = r.to_raster.expect("raster stream");
             let per_set: Vec<String> = r
                 .report

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_cluster;
 use volume::{Dataset, Dims};
 
@@ -37,7 +37,7 @@ fn main() {
     };
 
     // 4. Run one unit of work (one timestep).
-    let result = dcapp::run_pipeline(&topo, &cfg, &spec).expect("pipeline run");
+    let result = Render::new(&cfg, &spec).go(&topo).expect("pipeline run");
 
     println!(
         "rendered {}x{} image in {:.3} virtual seconds ({} engine events)",
@@ -63,12 +63,12 @@ fn main() {
     // 5. Check against the sequential reference renderer and save.
     let reference = dcapp::reference_image(&cfg);
     assert_eq!(
-        result.image.diff_pixels(&reference),
+        result.image().diff_pixels(&reference),
         0,
         "distributed == sequential"
     );
     let path = examples::out_dir().join("quickstart.ppm");
-    result.image.save_ppm(&path).expect("write image");
+    result.image().save_ppm(&path).expect("write image");
     println!(
         "image matches the sequential reference; saved to {}",
         path.display()

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_cluster;
 use volume::{CellRange, Dataset, Dims};
 
@@ -49,15 +49,15 @@ fn main() {
             policy: WritePolicy::demand_driven(),
             merge_host: hosts[0],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run");
         let disk: u64 = r.report.copies.iter().map(|c| c.counters.disk_bytes).sum();
         let path = dir.join(format!("roi_{}.ppm", name.replace(' ', "_")));
-        r.image.save_ppm(&path).expect("write");
+        r.image().save_ppm(&path).expect("write");
         println!(
             "{name:>12}: {:>7.3}s, {:>5.2} MB read, {:>6} surface pixels -> {}",
             r.elapsed.as_secs_f64(),
             disk as f64 / 1e6,
-            r.image.coverage(isosurf::BACKGROUND),
+            r.image().coverage(isosurf::BACKGROUND),
             path.display()
         );
     }

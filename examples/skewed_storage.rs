@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_blue_mix;
 use volume::{Dataset, Dims, FilePlacement};
 
@@ -35,7 +35,7 @@ fn main() {
                 policy: WritePolicy::demand_driven(),
                 merge_host: blues[0],
             };
-            let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+            let r = Render::new(&cfg, &spec).go(&topo).expect("run");
             println!("  {:>8}: {:>7.3}s", grouping_label, r.elapsed.as_secs_f64());
         }
     }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec};
+use dcapp::{Algorithm, AppConfig, Grouping, PipelineSpec, Render};
 use hetsim::presets::rogue_cluster;
 use volume::{Dataset, Dims, TIMESTEPS};
 
@@ -33,9 +33,13 @@ fn main() {
     // All ten timesteps as consecutive units of work in ONE run: filter
     // copies stay resident, re-running their init/process/finalize cycle
     // per timestep.
-    let multi = dcapp::run_pipeline_uows(&topo, &cfg, &spec, TIMESTEPS).expect("run");
+    let multi = Render::new(&cfg, &spec)
+        .uows(TIMESTEPS)
+        .go(&topo)
+        .expect("run");
+    let uow_elapsed = multi.report.uow_elapsed();
     let dir = examples::out_dir();
-    for (t, (img, dt)) in multi.images.iter().zip(&multi.uow_elapsed).enumerate() {
+    for (t, (img, dt)) in multi.images.iter().zip(&uow_elapsed).enumerate() {
         let path = dir.join(format!("movie_{t:02}.ppm"));
         img.save_ppm(&path).expect("write frame");
         println!(
@@ -45,12 +49,7 @@ fn main() {
             path.display()
         );
     }
-    let avg = multi
-        .uow_elapsed
-        .iter()
-        .map(|d| d.as_secs_f64())
-        .sum::<f64>()
-        / multi.uow_elapsed.len() as f64;
+    let avg = uow_elapsed.iter().map(|d| d.as_secs_f64()).sum::<f64>() / uow_elapsed.len() as f64;
     println!(
         "\naverage per-timestep render time: {avg:.3}s ({} engine events total)",
         multi.report.events

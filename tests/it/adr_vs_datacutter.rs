@@ -2,7 +2,7 @@
 //! relative performance behaviours Figures 4–5 rest on.
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use integration_tests::{cluster, test_cfg, test_dataset};
 
 fn dc_spec(hosts: &[hetsim::HostId], alg: Algorithm) -> PipelineSpec {
@@ -22,8 +22,10 @@ fn adr_and_datacutter_render_identical_images() {
         let (topo, hosts) = cluster(nodes);
         let cfg = test_cfg(test_dataset(20), hosts.clone(), 96);
         let a = adr::run_adr(&topo, &cfg).unwrap();
-        let d = dcapp::run_pipeline(&topo, &cfg, &dc_spec(&hosts, Algorithm::ActivePixel)).unwrap();
-        assert_eq!(a.image.diff_pixels(&d.image), 0, "{nodes} nodes");
+        let d = Render::new(&cfg, &dc_spec(&hosts, Algorithm::ActivePixel))
+            .go(&topo)
+            .unwrap();
+        assert_eq!(a.image.diff_pixels(d.image()), 0, "{nodes} nodes");
     }
 }
 
@@ -53,7 +55,8 @@ fn datacutter_degrades_less_than_adr_under_load() {
         }
         let cfg = test_cfg(test_dataset(22), hosts.clone(), 256);
         let a = adr::run_adr(&topo, &cfg).unwrap().elapsed.as_secs_f64();
-        let d = dcapp::run_pipeline(&topo, &cfg, &dc_spec(&hosts, Algorithm::ActivePixel))
+        let d = Render::new(&cfg, &dc_spec(&hosts, Algorithm::ActivePixel))
+            .go(&topo)
             .unwrap()
             .elapsed
             .as_secs_f64();
@@ -76,8 +79,12 @@ fn zbuffer_pipeline_stalls_more_than_active_pixel() {
     // image).
     let (topo, hosts) = cluster(6);
     let cfg = test_cfg(test_dataset(23), hosts.clone(), 512);
-    let zb = dcapp::run_pipeline(&topo, &cfg, &dc_spec(&hosts, Algorithm::ZBuffer)).unwrap();
-    let ap = dcapp::run_pipeline(&topo, &cfg, &dc_spec(&hosts, Algorithm::ActivePixel)).unwrap();
+    let zb = Render::new(&cfg, &dc_spec(&hosts, Algorithm::ZBuffer))
+        .go(&topo)
+        .unwrap();
+    let ap = Render::new(&cfg, &dc_spec(&hosts, Algorithm::ActivePixel))
+        .go(&topo)
+        .unwrap();
     assert!(
         ap.elapsed < zb.elapsed,
         "AP ({}) should beat ZB ({}) at 6 nodes / 512²",
@@ -106,7 +113,7 @@ fn adr_overlap_beats_serial_read_single_node() {
         policy: WritePolicy::RoundRobin,
         merge_host: hosts[0],
     };
-    let d = dcapp::run_pipeline(&topo, &cfg, &spec).unwrap();
+    let d = Render::new(&cfg, &spec).go(&topo).unwrap();
     assert!(
         a.elapsed <= d.elapsed,
         "ADR ({}) should not lose to serial RERa-M ({}) on one node",

@@ -13,11 +13,10 @@
 //! To recapture after an intentional behavior change:
 //! `cargo test -q -p integration-tests --test compositing_identity -- --ignored --nocapture`
 
-use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
-use dcapp::{
-    reference_image, run_pipeline, run_pipeline_exec, run_pipeline_faulted,
-    run_pipeline_faulted_exec, Algorithm, Grouping, PipelineResult, PipelineSpec,
+use datacutter::{
+    ExecutorChoice, FaultOptions, NativeExecutor, Placement, SimExecutor, WritePolicy,
 };
+use dcapp::{reference_image, Algorithm, Grouping, PipelineResult, PipelineSpec, Render};
 use hetsim::presets::rogue_blue_mix;
 use hetsim::{FaultPlan, HostId, SimDuration, SimTime, Topology};
 use integration_tests::{image_digest, metrics_digest, test_cfg, test_dataset};
@@ -64,43 +63,28 @@ fn setting() -> (Topology, Vec<HostId>, Vec<HostId>) {
     (topo, hosts, blues)
 }
 
-fn run_policy(policy: WritePolicy) -> PipelineResult {
+/// One run of the tiled setting under `policy` on `exec`. With `crash =
+/// Some((at_ms, timeout_ms))` the second Rogue (an RE + Ra host; the merge
+/// group on the Blues survives intact) dies `at_ms` in, under a liveness
+/// timeout of `timeout_ms`: the serial suite's faulted-DD scenario. A
+/// crash at 0 kills copies that never ran, so the surviving work set is
+/// timing-independent and the image is comparable across substrates.
+fn run(
+    policy: WritePolicy,
+    exec: impl Into<ExecutorChoice>,
+    crash: Option<(u64, u64)>,
+) -> PipelineResult {
     let (topo, hosts, blues) = setting();
     let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
     let s = tiled_spec(&hosts, &blues, policy);
-    run_pipeline(&topo, &cfg, &s).expect("tiled fig5 run failed")
-}
-
-fn run_policy_native(policy: WritePolicy) -> PipelineResult {
-    let (topo, hosts, blues) = setting();
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
-    let s = tiled_spec(&hosts, &blues, policy);
-    run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).expect("native tiled run failed")
-}
-
-/// The serial suite's faulted-DD scenario transplanted onto the tiled
-/// pipeline: kill the second Rogue (an RE + Ra host; the merge group on
-/// the Blues survives intact) 40 virtual ms in, under demand-driven
-/// routing with a 10 ms liveness timeout.
-fn run_faulted() -> PipelineResult {
-    let (topo, hosts, blues) = setting();
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
-    let s = tiled_spec(&hosts, &blues, WritePolicy::demand_driven());
-    let plan = FaultPlan::new().crash_host(hosts[1], SimTime::ZERO + SimDuration::from_millis(40));
-    let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(10));
-    run_pipeline_faulted(&topo, &cfg, &s, opts).expect("faulted tiled run failed")
-}
-
-/// Faulted-DD with the crash at t=0: the dead host's copies never run, so
-/// the surviving work set is timing-independent and the rendered image is
-/// comparable across the virtual-time and wall-clock substrates.
-fn run_faulted_t0(exec: impl Into<datacutter::ExecutorChoice>) -> PipelineResult {
-    let (topo, hosts, blues) = setting();
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
-    let s = tiled_spec(&hosts, &blues, WritePolicy::demand_driven());
-    let plan = FaultPlan::new().crash_host(hosts[1], SimTime::ZERO);
-    let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2));
-    run_pipeline_faulted_exec(&topo, &cfg, &s, opts, exec).expect("t0-faulted tiled run failed")
+    let mut render = Render::new(&cfg, &s).executor(exec);
+    if let Some((at_ms, timeout_ms)) = crash {
+        let at = SimTime::ZERO + SimDuration::from_millis(at_ms);
+        let plan = FaultPlan::new().crash_host(hosts[1], at);
+        let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(timeout_ms));
+        render = render.faults(opts);
+    }
+    render.go(&topo).expect("tiled fig5 run failed")
 }
 
 /// `(label, image digest, sim metrics digest)` for the tiled pipeline.
@@ -126,7 +110,7 @@ fn pinned(label: &str) -> (u64, u64) {
 fn check(label: &str, r: &PipelineResult) {
     let (want_img, want_met) = pinned(label);
     assert_eq!(
-        image_digest(&r.image),
+        image_digest(r.image()),
         want_img,
         "{label}: tiled pixels diverged from the pinned digest"
     );
@@ -139,14 +123,14 @@ fn check(label: &str, r: &PipelineResult) {
 
 #[test]
 fn tiled_round_robin_matches_serial_image_digest() {
-    let r = run_policy(WritePolicy::RoundRobin);
+    let r = run(WritePolicy::RoundRobin, SimExecutor::new(), None);
     assert_eq!(pinned("rr").0, SERIAL_IMAGE);
     check("rr", &r);
 }
 
 #[test]
 fn tiled_weighted_round_robin_matches_serial_image_digest() {
-    let r = run_policy(WritePolicy::WeightedRoundRobin);
+    let r = run(WritePolicy::WeightedRoundRobin, SimExecutor::new(), None);
     assert_eq!(pinned("wrr").0, SERIAL_IMAGE);
     check("wrr", &r);
 }
@@ -155,17 +139,21 @@ fn tiled_weighted_round_robin_matches_serial_image_digest() {
 fn tiled_demand_driven_matches_serial_image_digest() {
     // DD additionally matches the sequential reference (sanity that the
     // shared pin pins a *correct* image, not a stable wrong one).
-    let r = run_policy(WritePolicy::demand_driven());
+    let r = run(WritePolicy::demand_driven(), SimExecutor::new(), None);
     let (_, hosts, _) = setting();
     let cfg = test_cfg(test_dataset(7), hosts, 96);
-    assert_eq!(r.image.diff_pixels(&reference_image(&cfg)), 0);
+    assert_eq!(r.image().diff_pixels(&reference_image(&cfg)), 0);
     assert_eq!(pinned("dd").0, SERIAL_IMAGE);
     check("dd", &r);
 }
 
 #[test]
 fn tiled_faulted_demand_driven_matches_pinned_digests() {
-    let r = run_faulted();
+    let r = run(
+        WritePolicy::demand_driven(),
+        SimExecutor::new(),
+        Some((40, 10)),
+    );
     assert!(
         r.report.faults.copies_killed > 0,
         "the fault plan must actually kill copies"
@@ -184,9 +172,9 @@ fn native_tiled_runs_match_sim_image_digests() {
         WritePolicy::WeightedRoundRobin,
         WritePolicy::demand_driven(),
     ] {
-        let r = run_policy_native(policy);
+        let r = run(policy, NativeExecutor::new(), None);
         assert_eq!(
-            image_digest(&r.image),
+            image_digest(r.image()),
             SERIAL_IMAGE,
             "{policy:?}: native tiled pixels diverged from the serial pin"
         );
@@ -198,8 +186,16 @@ fn native_tiled_runs_match_sim_image_digests() {
 /// must reproduce the sim run bit-for-bit — the serial faulted image.
 #[test]
 fn native_tiled_faulted_dd_matches_sim_pixels() {
-    let sim = run_faulted_t0(datacutter::SimExecutor::new());
-    let nat = run_faulted_t0(NativeExecutor::new());
+    let sim = run(
+        WritePolicy::demand_driven(),
+        SimExecutor::new(),
+        Some((0, 2)),
+    );
+    let nat = run(
+        WritePolicy::demand_driven(),
+        NativeExecutor::new(),
+        Some((0, 2)),
+    );
     for (label, r) in [("sim", &sim), ("native", &nat)] {
         let f = &r.report.faults;
         assert_eq!(
@@ -210,7 +206,7 @@ fn native_tiled_faulted_dd_matches_sim_pixels() {
     }
     for (label, r) in [("sim", &sim), ("native", &nat)] {
         assert_eq!(
-            image_digest(&r.image),
+            image_digest(r.image()),
             SERIAL_FAULTED_IMAGE,
             "{label}: the faulted tiled run must lose the serial run's pixels, no more"
         );
@@ -222,15 +218,28 @@ fn native_tiled_faulted_dd_matches_sim_pixels() {
 #[ignore = "manual recapture helper"]
 fn print_digests() {
     let rows: Vec<(&str, PipelineResult)> = vec![
-        ("rr", run_policy(WritePolicy::RoundRobin)),
-        ("wrr", run_policy(WritePolicy::WeightedRoundRobin)),
-        ("dd", run_policy(WritePolicy::demand_driven())),
-        ("dd_fault", run_faulted()),
+        ("rr", run(WritePolicy::RoundRobin, SimExecutor::new(), None)),
+        (
+            "wrr",
+            run(WritePolicy::WeightedRoundRobin, SimExecutor::new(), None),
+        ),
+        (
+            "dd",
+            run(WritePolicy::demand_driven(), SimExecutor::new(), None),
+        ),
+        (
+            "dd_fault",
+            run(
+                WritePolicy::demand_driven(),
+                SimExecutor::new(),
+                Some((40, 10)),
+            ),
+        ),
     ];
     for (label, r) in &rows {
         println!(
             "    (\"{label}\", {:#018x}, {:#018x}),",
-            image_digest(&r.image),
+            image_digest(r.image()),
             metrics_digest(r)
         );
     }

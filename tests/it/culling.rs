@@ -20,12 +20,12 @@
 
 use datacutter::{ExecutorChoice, NativeExecutor, Placement, SimExecutor, WritePolicy};
 use dcapp::{
-    clone_config, reference_image, run_pipeline, run_pipeline_exec, run_pipeline_uows,
-    run_pipeline_uows_exec, Algorithm, Grouping, PipelineResult, PipelineSpec, SharedConfig,
+    clone_config, reference_image, Algorithm, Grouping, PipelineResult, PipelineSpec, Render,
+    SharedConfig,
 };
 use hetsim::presets::rogue_blue_mix;
 use hetsim::{splitmix64, HostId, Topology};
-use integration_tests::{image_digest, metrics_digest, report_digest, test_cfg, test_dataset};
+use integration_tests::{image_digest, metrics_digest, test_cfg, test_dataset};
 use isosurf::Image;
 use proptest::prelude::*;
 use volume::{can_cross, ChunkId, ChunkLayout, Dataset, Dims, RectGrid};
@@ -191,7 +191,9 @@ fn cached(cfg: &SharedConfig) -> SharedConfig {
 
 fn run(grouping: &str, policy: &str, cfg: &SharedConfig) -> PipelineResult {
     let (topo, hosts, merge) = setting();
-    run_pipeline(&topo, cfg, &spec(grouping, policy, &hosts, merge)).expect("fused run failed")
+    Render::new(cfg, &spec(grouping, policy, &hosts, merge))
+        .go(&topo)
+        .expect("fused run failed")
 }
 
 /// The one image every arm renders: `reference_image(&config(..))`.
@@ -267,7 +269,11 @@ fn fused_groupings_match_the_digests_of_cutting_every_chunk() {
     let cfg = config(&hosts);
     for &(grouping, policy, metrics) in PINNED {
         let r = run(grouping, policy, &cfg);
-        assert_eq!(image_digest(&r.image), IMAGE, "{grouping}/{policy}: pixels");
+        assert_eq!(
+            image_digest(r.image()),
+            IMAGE,
+            "{grouping}/{policy}: pixels"
+        );
         assert_eq!(metrics_digest(&r), metrics, "{grouping}/{policy}: metrics");
     }
 }
@@ -279,9 +285,12 @@ fn split_extract_matches_the_digests_of_scanning_every_chunk() {
     for &(grouping, policy, metrics) in PINNED_SPLIT {
         let label = format!("{grouping}/{policy}");
         let s = spec(grouping, policy, &hosts, merge);
-        let r = run_pipeline_uows(&topo, &cfg, &s, UOWS).expect("split run failed");
+        let r = Render::new(&cfg, &s)
+            .uows(UOWS)
+            .go(&topo)
+            .expect("split run failed");
         assert_every_timestep(&label, &cfg, &r.images);
-        assert_eq!(report_digest(&r.report), metrics, "{label}: metrics");
+        assert_eq!(metrics_digest(&r), metrics, "{label}: metrics");
     }
 }
 
@@ -292,7 +301,10 @@ fn native_split_groupings_render_every_timestep() {
     for grouping in ["R-E", "R-ERa"] {
         for policy in ["rr", "dd"] {
             let s = spec(grouping, policy, &hosts, merge);
-            let r = run_pipeline_uows_exec(&topo, &cfg, &s, UOWS, NativeExecutor::new())
+            let r = Render::new(&cfg, &s)
+                .executor(NativeExecutor::new())
+                .uows(UOWS)
+                .go(&topo)
                 .expect("native split run failed");
             assert_every_timestep(&format!("native {grouping}/{policy}"), &cfg, &r.images);
         }
@@ -307,14 +319,20 @@ fn budgeted_split_extract_draws_the_unbudgeted_images() {
     let (topo, hosts, merge) = setting();
     let cfg = config(&hosts);
     let s = spec("R-E", "dd", &hosts, merge);
-    let free = run_pipeline_uows(&topo, &cfg, &s, UOWS).expect("unbudgeted split run failed");
+    let free = Render::new(&cfg, &s)
+        .uows(UOWS)
+        .go(&topo)
+        .expect("unbudgeted split run failed");
     let tight = budgeted(&cfg);
     let execs: [(&str, ExecutorChoice); 2] = [
         ("sim", SimExecutor::new().into()),
         ("native", NativeExecutor::new().into()),
     ];
     for (label, exec) in execs {
-        let r = run_pipeline_uows_exec(&topo, &tight, &s, UOWS, exec)
+        let r = Render::new(&tight, &s)
+            .executor(exec)
+            .uows(UOWS)
+            .go(&topo)
             .expect("budgeted split run failed");
         let ooc = r.report.ooc;
         assert!(ooc.spills > 0, "{label}: a 1/16 budget must force spills");
@@ -334,7 +352,7 @@ fn budgeted_split_extract_draws_the_unbudgeted_images() {
 fn cached_read_ahead_matches_the_digests_of_cutting_every_chunk() {
     let (_, hosts, _) = setting();
     let r = run("RE", "dd", &cached(&config(&hosts)));
-    assert_eq!(image_digest(&r.image), IMAGE);
+    assert_eq!(image_digest(r.image()), IMAGE);
     assert_eq!(metrics_digest(&r), PINNED_CACHED);
 }
 
@@ -345,9 +363,11 @@ fn native_fused_groupings_render_the_pinned_image() {
     for grouping in ["RE", "RERa"] {
         for policy in ["rr", "dd"] {
             let s = spec(grouping, policy, &hosts, merge);
-            let r = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new())
+            let r = Render::new(&cfg, &s)
+                .executor(NativeExecutor::new())
+                .go(&topo)
                 .expect("native fused run failed");
-            assert_eq!(image_digest(&r.image), IMAGE, "native {grouping}/{policy}");
+            assert_eq!(image_digest(r.image()), IMAGE, "native {grouping}/{policy}");
         }
     }
 }

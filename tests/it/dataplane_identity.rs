@@ -11,11 +11,8 @@
 //! To recapture after an intentional behavior change:
 //! `cargo test -q -p integration-tests --test dataplane_identity -- --ignored --nocapture`
 
-use datacutter::{FaultOptions, WritePolicy};
-use dcapp::{
-    reference_image, run_pipeline, run_pipeline_faulted, Algorithm, Grouping, PipelineResult,
-    PipelineSpec,
-};
+use datacutter::{ExecutorChoice, FaultOptions, NativeExecutor, SimExecutor, WritePolicy};
+use dcapp::{reference_image, Algorithm, Grouping, PipelineResult, PipelineSpec, Render};
 use hetsim::presets::rogue_blue_mix;
 use hetsim::{FaultPlan, HostId, SimDuration, SimTime, Topology};
 use integration_tests::{image_digest, metrics_digest, test_cfg, test_dataset};
@@ -41,24 +38,22 @@ fn fig5_spec(hosts: &[HostId], policy: WritePolicy, merge: HostId) -> PipelineSp
     }
 }
 
-fn run_policy(policy: WritePolicy) -> PipelineResult {
+/// One fig5 run under `policy` on `exec`; with `crash`, the second Rogue
+/// dies 40 virtual ms in under a 10 ms liveness timeout.
+fn run(policy: WritePolicy, exec: impl Into<ExecutorChoice>, crash: bool) -> PipelineResult {
     let (topo, rogues, blues) = fig5_setting();
     let mut hosts = rogues.clone();
     hosts.extend(&blues);
     let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
     let s = fig5_spec(&hosts, policy, blues[0]);
-    run_pipeline(&topo, &cfg, &s).expect("fig5 run failed")
-}
-
-fn run_faulted() -> PipelineResult {
-    let (topo, rogues, blues) = fig5_setting();
-    let mut hosts = rogues.clone();
-    hosts.extend(&blues);
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
-    let s = fig5_spec(&hosts, WritePolicy::demand_driven(), blues[0]);
-    let plan = FaultPlan::new().crash_host(rogues[1], SimTime::ZERO + SimDuration::from_millis(40));
-    let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(10));
-    run_pipeline_faulted(&topo, &cfg, &s, opts).expect("faulted fig5 run failed")
+    let mut render = Render::new(&cfg, &s).executor(exec);
+    if crash {
+        let at = SimTime::ZERO + SimDuration::from_millis(40);
+        let plan = FaultPlan::new().crash_host(rogues[1], at);
+        render =
+            render.faults(FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(10)));
+    }
+    render.go(&topo).expect("fig5 run failed")
 }
 
 /// `(label, image digest, metrics digest)` captured on the pre-fast-path
@@ -84,7 +79,7 @@ fn pinned(label: &str) -> (u64, u64) {
 fn check(label: &str, r: &PipelineResult) {
     let (want_img, want_met) = pinned(label);
     assert_eq!(
-        image_digest(&r.image),
+        image_digest(r.image()),
         want_img,
         "{label}: pixels diverged from the pinned pre-fast-path run"
     );
@@ -97,13 +92,13 @@ fn check(label: &str, r: &PipelineResult) {
 
 #[test]
 fn round_robin_matches_pinned_digests() {
-    let r = run_policy(WritePolicy::RoundRobin);
+    let r = run(WritePolicy::RoundRobin, SimExecutor::new(), false);
     check("rr", &r);
 }
 
 #[test]
 fn weighted_round_robin_matches_pinned_digests() {
-    let r = run_policy(WritePolicy::WeightedRoundRobin);
+    let r = run(WritePolicy::WeightedRoundRobin, SimExecutor::new(), false);
     check("wrr", &r);
 }
 
@@ -111,19 +106,18 @@ fn weighted_round_robin_matches_pinned_digests() {
 fn demand_driven_matches_pinned_digests() {
     // DD additionally matches the sequential reference (sanity that the
     // pinned digest pins a *correct* image, not a stable wrong one).
-    let r = run_policy(WritePolicy::demand_driven());
-    let (topo, rogues, blues) = fig5_setting();
-    let _ = topo;
+    let r = run(WritePolicy::demand_driven(), SimExecutor::new(), false);
+    let (_, rogues, blues) = fig5_setting();
     let mut hosts = rogues;
     hosts.extend(&blues);
     let cfg = test_cfg(test_dataset(7), hosts, 96);
-    assert_eq!(r.image.diff_pixels(&reference_image(&cfg)), 0);
+    assert_eq!(r.image().diff_pixels(&reference_image(&cfg)), 0);
     check("dd", &r);
 }
 
 #[test]
 fn demand_driven_fault_run_matches_pinned_digests() {
-    let r = run_faulted();
+    let r = run(WritePolicy::demand_driven(), SimExecutor::new(), true);
     assert!(
         r.report.faults.copies_killed > 0,
         "the fault plan must actually kill copies"
@@ -139,21 +133,15 @@ fn demand_driven_fault_run_matches_pinned_digests() {
 /// the virtual timeline — are covered by the sim tests above.
 #[test]
 fn thread_parking_native_runs_match_pinned_image_digests() {
-    let (topo, rogues, blues) = fig5_setting();
-    let mut hosts = rogues.clone();
-    hosts.extend(&blues);
-    let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
     for (label, policy) in [
         ("rr", WritePolicy::RoundRobin),
         ("wrr", WritePolicy::WeightedRoundRobin),
         ("dd", WritePolicy::demand_driven()),
     ] {
-        let s = fig5_spec(&hosts, policy, blues[0]);
-        let r = dcapp::run_pipeline_exec(&topo, &cfg, &s, datacutter::NativeExecutor::new())
-            .expect("fig5 native run failed");
+        let r = run(policy, NativeExecutor::new(), false);
         let (want_img, _) = pinned(label);
         assert_eq!(
-            image_digest(&r.image),
+            image_digest(r.image()),
             want_img,
             "{label}: thread-parking native pixels diverged from the pinned digest"
         );
@@ -165,15 +153,27 @@ fn thread_parking_native_runs_match_pinned_image_digests() {
 #[ignore = "manual recapture helper"]
 fn print_digests() {
     let rows: Vec<(&str, PipelineResult)> = vec![
-        ("rr", run_policy(WritePolicy::RoundRobin)),
-        ("wrr", run_policy(WritePolicy::WeightedRoundRobin)),
-        ("dd", run_policy(WritePolicy::demand_driven())),
-        ("dd_fault", run_faulted()),
+        (
+            "rr",
+            run(WritePolicy::RoundRobin, SimExecutor::new(), false),
+        ),
+        (
+            "wrr",
+            run(WritePolicy::WeightedRoundRobin, SimExecutor::new(), false),
+        ),
+        (
+            "dd",
+            run(WritePolicy::demand_driven(), SimExecutor::new(), false),
+        ),
+        (
+            "dd_fault",
+            run(WritePolicy::demand_driven(), SimExecutor::new(), true),
+        ),
     ];
     for (label, r) in &rows {
         println!(
             "    (\"{label}\", {:#018x}, {:#018x}),",
-            image_digest(&r.image),
+            image_digest(r.image()),
             metrics_digest(r)
         );
     }

@@ -3,7 +3,7 @@
 //! timeline, the same metrics, and the same image.
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use integration_tests::{cluster, test_cfg, test_dataset};
 
 fn run_once(policy: WritePolicy, bg: u32) -> (u64, u64, Vec<u64>, isosurf::Image) {
@@ -20,7 +20,7 @@ fn run_once(policy: WritePolicy, bg: u32) -> (u64, u64, Vec<u64>, isosurf::Image
         policy,
         merge_host: hosts[0],
     };
-    let r = dcapp::run_pipeline(&topo, &cfg, &spec).unwrap();
+    let mut r = Render::new(&cfg, &spec).go(&topo).unwrap();
     let copyset_counts = r
         .report
         .stream(r.to_raster.unwrap())
@@ -32,7 +32,7 @@ fn run_once(policy: WritePolicy, bg: u32) -> (u64, u64, Vec<u64>, isosurf::Image
         r.elapsed.as_nanos(),
         r.report.events,
         copyset_counts,
-        r.image,
+        r.images.swap_remove(0),
     )
 }
 
@@ -81,7 +81,8 @@ fn different_seeds_change_the_timeline() {
             policy: WritePolicy::RoundRobin,
             merge_host: hosts[0],
         };
-        dcapp::run_pipeline(&topo, &cfg, &spec)
+        Render::new(&cfg, &spec)
+            .go(&topo)
             .unwrap()
             .elapsed
             .as_nanos()

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::SimDuration;
 use integration_tests::{cluster, test_cfg, test_dataset};
 use parking_lot::Mutex;
@@ -39,9 +39,9 @@ fn dd_adapts_when_load_arrives_mid_run() {
         // Saboteur process: we cannot spawn into the pipeline's internal
         // simulation, so flip the load between UOWs via two separate runs
         // instead: warm (no load) then loaded, comparing distributions.
-        let r_unloaded = dcapp::run_pipeline(&topo, &cfg, &spec).unwrap();
+        let r_unloaded = Render::new(&cfg, &spec).go(&topo).unwrap();
         topo.host(hosts[0]).cpu.set_bg_jobs(16);
-        let r_loaded = dcapp::run_pipeline(&topo, &cfg, &spec).unwrap();
+        let r_loaded = Render::new(&cfg, &spec).go(&topo).unwrap();
         let share = |r: &dcapp::PipelineResult| {
             let s = r.report.stream(r.to_raster.unwrap());
             let h0 = s.copysets[0].1.buffers_received as f64;
@@ -172,7 +172,7 @@ fn multi_uow_run_absorbs_alternating_load() {
         policy: WritePolicy::demand_driven(),
         merge_host: hosts[0],
     };
-    let multi = dcapp::run_pipeline_uows(&topo, &cfg, &spec, 3).unwrap();
+    let multi = Render::new(&cfg, &spec).uows(3).go(&topo).unwrap();
     for (t, img) in multi.images.iter().enumerate() {
         let mut c = dcapp::clone_config(&cfg);
         c.timestep = t as u32;

@@ -13,9 +13,7 @@
 //! batch, so only pixels are comparable there — see `native_executor`.)
 
 use datacutter::{NativeExecutor, Placement, SimExecutor, WritePolicy};
-use dcapp::{
-    reference_image, run_pipeline_exec, Algorithm, Grouping, PipelineResult, PipelineSpec,
-};
+use dcapp::{reference_image, Algorithm, Grouping, PipelineResult, PipelineSpec, Render};
 use integration_tests::{cluster, image_digest, stream_totals_digest, test_cfg, test_dataset};
 
 /// Transparent copies of the raster stage per host: 4 hosts × 1024 =
@@ -72,17 +70,21 @@ fn assert_substrate_identity(
     spec: &PipelineSpec,
     reference: &isosurf::Image,
 ) {
-    let sim = run_pipeline_exec(topo, cfg, spec, SimExecutor::new())
+    let sim = Render::new(cfg, spec)
+        .executor(SimExecutor::new())
+        .go(topo)
         .unwrap_or_else(|e| panic!("{label}: sim run failed: {e}"));
-    let nat = run_pipeline_exec(topo, cfg, spec, NativeExecutor::new())
+    let nat = Render::new(cfg, spec)
+        .executor(NativeExecutor::new())
+        .go(topo)
         .unwrap_or_else(|e| panic!("{label}: native run failed: {e}"));
 
     assert_eq!(
-        sim.image.diff_pixels(reference),
+        sim.image().diff_pixels(reference),
         0,
         "{label}: sim diverged from reference"
     );
-    let digests = |r: &PipelineResult| (image_digest(&r.image), stream_totals_digest(r));
+    let digests = |r: &PipelineResult| (image_digest(r.image()), stream_totals_digest(r));
     let (si, st) = digests(&sim);
     let (ni, nt) = digests(&nat);
     assert_eq!(si, ni, "{label}: native image digest diverged from sim");

@@ -15,7 +15,7 @@ use datacutter::{
     FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor, Placement, Run,
     RunError, SimExecutor, SupervisorPolicy, WritePolicy,
 };
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{cluster, test_cfg, test_dataset};
 
@@ -40,13 +40,15 @@ fn dd_crash_mid_uow_replays_to_bit_identical_output() {
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     assert!(clean.report.faults.injected.is_empty());
 
     // Kill one extract host while the R->E stream is busy.
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.25);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+    let faulted = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("faulted run must still complete");
 
     let f = &faulted.report.faults;
@@ -62,7 +64,7 @@ fn dd_crash_mid_uow_replays_to_bit_identical_output() {
     assert_eq!(f.buffers_lost, 0, "redelivery loses nothing: {f:?}");
     assert!(!f.degraded, "nothing lost, so not degraded: {f:?}");
     assert_eq!(
-        faulted.image.diff_pixels(&clean.image),
+        faulted.image().diff_pixels(clean.image()),
         0,
         "replayed run must render the exact fault-free image"
     );
@@ -78,12 +80,14 @@ fn rr_crash_completes_degraded_with_losses_accounted() {
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::RoundRobin);
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     // Early crash: the raster/merge tail dominates total elapsed, so only
     // an early failure lands while the R->E stream is still busy.
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+    let faulted = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("run must complete");
 
     let f = &faulted.report.faults;
@@ -92,7 +96,7 @@ fn rr_crash_completes_degraded_with_losses_accounted() {
     assert_eq!(f.buffers_lost, 0, "{f:?}");
     assert_eq!(f.bytes_lost, 0, "{f:?}");
     assert!(!f.degraded, "{f:?}");
-    assert_eq!(faulted.image.diff_pixels(&clean.image), 0);
+    assert_eq!(faulted.image().diff_pixels(clean.image()), 0);
 }
 
 /// With degraded completion disallowed, a crash that leaves no surviving
@@ -110,11 +114,11 @@ fn rr_crash_fails_fast_when_degraded_mode_disallowed() {
         ..spec(&hosts, WritePolicy::RoundRobin)
     };
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
     let opts = FaultOptions::new(plan).allow_degraded(false);
-    match dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts) {
+    match Render::new(&cfg, &spec).faults(opts).go(&topo) {
         Err(RunError::NoSurvivingConsumers { stream }) => {
             assert!(!stream.is_empty());
         }
@@ -144,15 +148,17 @@ fn prefetched_read_dies_with_its_storage_host() {
         let mut cfg = dcapp::clone_config(&base);
         cfg.prefetch_depth = depth;
         let cfg = Arc::new(cfg);
-        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+        let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
         let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
         let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
-        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+        let faulted = Render::new(&cfg, &spec)
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
             .expect("run completes without the dead node's remaining chunks");
         let f = &faulted.report.faults;
         assert_eq!(f.copies_killed, 1, "depth {depth}: {f:?}");
         assert!(
-            faulted.image.diff_pixels(&clean.image) > 0,
+            faulted.image().diff_pixels(clean.image()) > 0,
             "depth {depth}: the chunks the dead copy never read are missing"
         );
     }
@@ -168,13 +174,13 @@ fn merge_host_crash_is_a_structured_error_on_both_executors() {
     let spec = spec(&hosts, WritePolicy::demand_driven());
     let opts = || FaultOptions::new(FaultPlan::new().crash_host(hosts[4], SimTime::ZERO));
     let runs = [
-        (
-            "sim",
-            dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts()),
-        ),
+        ("sim", Render::new(&cfg, &spec).faults(opts()).go(&topo)),
         (
             "native",
-            dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts(), NativeExecutor::new()),
+            Render::new(&cfg, &spec)
+                .executor(NativeExecutor::new())
+                .faults(opts())
+                .go(&topo),
         ),
     ];
     for (label, run) in runs {
@@ -194,15 +200,16 @@ fn empty_plan_is_bit_identical_to_unfaulted_runtime() {
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
-    let nofault =
-        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(FaultPlan::new()))
-            .expect("run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("run");
+    let nofault = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(FaultPlan::new()))
+        .go(&topo)
+        .expect("run");
     assert_eq!(
         nofault.elapsed, clean.elapsed,
         "empty plan must not perturb time"
     );
-    assert_eq!(nofault.image.diff_pixels(&clean.image), 0);
+    assert_eq!(nofault.image().diff_pixels(clean.image()), 0);
     assert_eq!(nofault.report.faults.copies_killed, 0);
 }
 
@@ -212,15 +219,17 @@ fn stall_delays_but_preserves_output() {
     let cfg = test_cfg(test_dataset(13), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("run");
     // Freeze the single raster copy: it is on the critical path, so the
     // whole window must show up in the elapsed time.
     let at = SimTime::ZERO + clean.elapsed.mul_f64(0.2);
     let plan = FaultPlan::new().stall_host(hosts[3], at, SimDuration::from_millis(200));
-    let stalled = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+    let stalled = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("stalled run");
     assert_eq!(
-        stalled.image.diff_pixels(&clean.image),
+        stalled.image().diff_pixels(clean.image()),
         0,
         "a stall loses no state"
     );
@@ -234,9 +243,11 @@ fn message_drops_force_retransmits_but_preserve_output() {
     let cfg = test_cfg(test_dataset(17), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("run");
     let plan = FaultPlan::new().drop_messages(0xD00D, 0.08);
-    let lossy = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+    let lossy = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("lossy run");
     let f = &lossy.report.faults;
     assert!(
@@ -247,7 +258,7 @@ fn message_drops_force_retransmits_but_preserve_output() {
         f.buffers_lost, 0,
         "drops retransmit, they do not lose: {f:?}"
     );
-    assert_eq!(lossy.image.diff_pixels(&clean.image), 0);
+    assert_eq!(lossy.image().diff_pixels(clean.image()), 0);
 }
 
 // ---- tile-composite merge-group crashes -----------------------------------
@@ -326,7 +337,7 @@ fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     // The crash must land while the Ra->Mt stream is busy: early enough
     // that the merge copies are still working through their queues (the
     // assembly fold dominates the tail of the run), late enough that
@@ -334,7 +345,9 @@ fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(10));
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+    let faulted = Render::new(&cfg, &spec)
+        .faults(opts)
+        .go(&topo)
         .expect("run must survive a dead merge copy");
 
     let f = &faulted.report.faults;
@@ -342,7 +355,7 @@ fn tiled_merge_copy_crash_recovers_with_exact_conservation() {
     assert!(f.buffers_redelivered > 0, "retention redelivers: {f:?}");
     assert_eq!(f.buffers_lost, 0, "{f:?}");
     assert!(!f.degraded, "{f:?}");
-    assert_eq!(faulted.image.diff_pixels(&clean.image), 0);
+    assert_eq!(faulted.image().diff_pixels(clean.image()), 0);
     assert_tile_stream_conservation(&faulted, false);
 }
 
@@ -357,14 +370,11 @@ fn native_tiled_merge_copy_crash_conserves_fragments() {
     let spec = tiled_spec(&hosts);
 
     let plan = FaultPlan::new().crash_host(hosts[3], SimTime::ZERO);
-    let faulted = dcapp::run_pipeline_faulted_exec(
-        &topo,
-        &cfg,
-        &spec,
-        FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2)),
-        NativeExecutor::new(),
-    )
-    .expect("native run must survive a dead merge copy");
+    let faulted = Render::new(&cfg, &spec)
+        .executor(NativeExecutor::new())
+        .faults(FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2)))
+        .go(&topo)
+        .expect("native run must survive a dead merge copy");
 
     let f = &faulted.report.faults;
     assert_eq!(f.copies_killed, 1, "only the host-3 Mt copy dies: {f:?}");
@@ -397,25 +407,19 @@ fn native_dd_crash_matches_sim_loss_accounting_and_pixels() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
 
     let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
-    let sim = dcapp::run_pipeline_faulted_exec(
-        &topo,
-        &cfg,
-        &spec,
-        FaultOptions::new(plan.clone()).liveness_timeout(ms(2)),
-        SimExecutor::new(),
-    )
-    .expect("sim faulted run");
-    let nat = dcapp::run_pipeline_faulted_exec(
-        &topo,
-        &cfg,
-        &spec,
-        FaultOptions::new(plan).liveness_timeout(ms(2)),
-        NativeExecutor::new(),
-    )
-    .expect("native faulted run must still complete");
+    let sim = Render::new(&cfg, &spec)
+        .executor(SimExecutor::new())
+        .faults(FaultOptions::new(plan.clone()).liveness_timeout(ms(2)))
+        .go(&topo)
+        .expect("sim faulted run");
+    let nat = Render::new(&cfg, &spec)
+        .executor(NativeExecutor::new())
+        .faults(FaultOptions::new(plan).liveness_timeout(ms(2)))
+        .go(&topo)
+        .expect("native faulted run must still complete");
 
     for (label, f) in [("sim", &sim.report.faults), ("native", &nat.report.faults)] {
         assert_eq!(
@@ -425,9 +429,9 @@ fn native_dd_crash_matches_sim_loss_accounting_and_pixels() {
         assert_eq!(f.buffers_lost, 0, "{label}: recovery loses nothing: {f:?}");
         assert!(!f.degraded, "{label}: nothing lost, not degraded: {f:?}");
     }
-    assert_eq!(sim.image.diff_pixels(&clean.image), 0);
+    assert_eq!(sim.image().diff_pixels(clean.image()), 0);
     assert_eq!(
-        nat.image.diff_pixels(&sim.image),
+        nat.image().diff_pixels(sim.image()),
         0,
         "native chaos run must render the sim run's exact pixels"
     );
@@ -441,20 +445,19 @@ fn native_drops_and_delays_preserve_output() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(17), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
-    let clean =
-        dcapp::run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new()).expect("clean run");
+    let clean = Render::new(&cfg, &spec)
+        .executor(NativeExecutor::new())
+        .go(&topo)
+        .expect("clean run");
 
     let chaos = FaultPlan::new()
         .drop_messages(0xD00D, 0.08)
         .delay_messages(0xD1A7, 0.10, us(200));
-    let lossy = dcapp::run_pipeline_faulted_exec(
-        &topo,
-        &cfg,
-        &spec,
-        FaultOptions::new(chaos).liveness_timeout(ms(2)),
-        NativeExecutor::new(),
-    )
-    .expect("lossy native run");
+    let lossy = Render::new(&cfg, &spec)
+        .executor(NativeExecutor::new())
+        .faults(FaultOptions::new(chaos).liveness_timeout(ms(2)))
+        .go(&topo)
+        .expect("lossy native run");
     let f = &lossy.report.faults;
     assert!(f.retransmits > 0, "8% drops must hit something: {f:?}");
     assert!(
@@ -465,7 +468,7 @@ fn native_drops_and_delays_preserve_output() {
         f.buffers_lost, 0,
         "drops retransmit, they do not lose: {f:?}"
     );
-    assert_eq!(lossy.image.diff_pixels(&clean.image), 0);
+    assert_eq!(lossy.image().diff_pixels(clean.image()), 0);
 }
 
 // ---- supervised restarts (panic containment) ------------------------------
@@ -824,18 +827,20 @@ fn lossless_mid_run_crash_redelivers_from_retention_only() {
     // guaranteed to hold salvageable originals when it dies.
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
-    let faulted =
-        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
+    let faulted = Render::new(&cfg, &spec)
+        .faults(opts)
+        .go(&topo)
+        .expect("lossless run completes");
     let f = &faulted.report.faults;
     assert!(f.buffers_redelivered > 0, "retention redelivers: {f}");
     assert_eq!(f.buffers_lost, 0, "{f}");
     assert!(!f.degraded, "{f}");
     assert_eq!(
-        faulted.image.diff_pixels(&clean.image),
+        faulted.image().diff_pixels(clean.image()),
         0,
         "redelivery must render the fault-free pixels"
     );

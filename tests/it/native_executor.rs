@@ -12,10 +12,7 @@ use datacutter::{
     DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor,
     Placement, Run, RunError, SimExecutor, WritePolicy,
 };
-use dcapp::{
-    reference_image, run_pipeline_exec, run_pipeline_faulted_exec, Algorithm, Grouping,
-    PipelineSpec,
-};
+use dcapp::{reference_image, Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{cluster, test_cfg, test_dataset};
 use parking_lot::Mutex;
@@ -47,22 +44,28 @@ fn sim_and_native_render_identical_images_all_policies() {
     ] {
         for alg in [Algorithm::ZBuffer, Algorithm::ActivePixel] {
             let s = spec(&hosts, policy, alg);
-            let sim = run_pipeline_exec(&topo, &cfg, &s, SimExecutor::new()).unwrap();
-            let nat = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap();
+            let sim = Render::new(&cfg, &s)
+                .executor(SimExecutor::new())
+                .go(&topo)
+                .unwrap();
+            let nat = Render::new(&cfg, &s)
+                .executor(NativeExecutor::new())
+                .go(&topo)
+                .unwrap();
             assert_eq!(
-                sim.image.diff_pixels(&reference),
+                sim.image().diff_pixels(&reference),
                 0,
                 "sim image diverged from reference ({} {alg:?})",
                 policy.label()
             );
             assert_eq!(
-                nat.image.diff_pixels(&reference),
+                nat.image().diff_pixels(&reference),
                 0,
                 "native image diverged from reference ({} {alg:?})",
                 policy.label()
             );
             assert_eq!(
-                nat.image.diff_pixels(&sim.image),
+                nat.image().diff_pixels(sim.image()),
                 0,
                 "native vs sim pixels differ ({} {alg:?})",
                 policy.label()
@@ -94,9 +97,12 @@ fn native_stress_many_copies() {
         merge_host: hosts[0],
     };
     for round in 0..3 {
-        let r = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap();
+        let r = Render::new(&cfg, &s)
+            .executor(NativeExecutor::new())
+            .go(&topo)
+            .unwrap();
         assert_eq!(
-            r.image.diff_pixels(&reference),
+            r.image().diff_pixels(&reference),
             0,
             "stress round {round} diverged"
         );
@@ -244,20 +250,20 @@ fn native_degrade_window_stalls_cross_host_writes() {
     let (topo, hosts) = cluster(3);
     let cfg = test_cfg(test_dataset(7), hosts.clone(), 96);
     let s = spec(&hosts, WritePolicy::demand_driven(), Algorithm::ZBuffer);
-    let clean = run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap();
+    let clean = Render::new(&cfg, &s)
+        .executor(NativeExecutor::new())
+        .go(&topo)
+        .unwrap();
     // The merge host's NIC runs at half speed for the whole run: every
     // band a remote raster copy ships to it crosses the degraded NIC.
     let plan =
         FaultPlan::new().degrade_nic(hosts[0], SimTime::ZERO, SimDuration::from_secs(600), 0.5);
     let slow = within(120, move || {
-        run_pipeline_faulted_exec(
-            &topo,
-            &cfg,
-            &s,
-            FaultOptions::new(plan),
-            NativeExecutor::new(),
-        )
-        .unwrap()
+        Render::new(&cfg, &s)
+            .executor(NativeExecutor::new())
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
+            .unwrap()
     });
     let f = &slow.report.faults;
     assert!(
@@ -265,7 +271,7 @@ fn native_degrade_window_stalls_cross_host_writes() {
         "cross-host writes must stall: {f:?}"
     );
     assert_eq!(f.buffers_lost, 0, "a stall is not a loss: {f:?}");
-    assert_eq!(slow.image.diff_pixels(&clean.image), 0);
+    assert_eq!(slow.image().diff_pixels(clean.image()), 0);
 }
 
 /// Demand-driven with one buffer of window per consumer copy into
@@ -282,9 +288,15 @@ fn native_dd_window_of_one_is_credited_by_the_reader() {
         WritePolicy::DemandDriven { window_per_copy: 1 },
         Algorithm::ActivePixel,
     );
-    let sim = run_pipeline_exec(&topo, &cfg, &s, SimExecutor::new()).unwrap();
+    let sim = Render::new(&cfg, &s)
+        .executor(SimExecutor::new())
+        .go(&topo)
+        .unwrap();
     let nat = within(120, move || {
-        run_pipeline_exec(&topo, &cfg, &s, NativeExecutor::new()).unwrap()
+        Render::new(&cfg, &s)
+            .executor(NativeExecutor::new())
+            .go(&topo)
+            .unwrap()
     });
-    assert_eq!(nat.image.diff_pixels(&sim.image), 0);
+    assert_eq!(nat.image().diff_pixels(sim.image()), 0);
 }

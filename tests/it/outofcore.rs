@@ -16,13 +16,10 @@ use std::sync::Arc;
 
 use datacutter::SpillCodec;
 use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
-use dcapp::{
-    clone_config, run_pipeline, run_pipeline_exec, run_pipeline_faulted, Algorithm, ChunkPayload,
-    Grouping, PipelineSpec, SharedConfig,
-};
+use dcapp::{clone_config, Algorithm, ChunkPayload, Grouping, PipelineSpec, Render, SharedConfig};
 use hetsim::{FaultPlan, HostId, SimDuration, SimTime, Topology};
 use integration_tests::{
-    cluster, image_digest, small_dataset, stream_totals_digest, test_cfg, test_dataset,
+    cluster, executor, image_digest, small_dataset, stream_totals_digest, test_cfg, test_dataset,
 };
 use volume::ChunkId;
 
@@ -107,16 +104,20 @@ fn budget_1_16_is_bit_identical_on_sim_all_policies() {
         ("tile-hash", false, tiled(&hosts)),
     ];
     for (label, exact_totals, spec) in &specs {
-        let free = run_pipeline(&topo, &cfg, spec).expect("unbudgeted sim run");
+        let free = Render::new(&cfg, spec)
+            .go(&topo)
+            .expect("unbudgeted sim run");
         assert_eq!(
             free.report.ooc.spills, 0,
             "{label}: unbudgeted never spills"
         );
         let tight_cfg = budgeted(&cfg, 16);
-        let tight = run_pipeline(&topo, &tight_cfg, spec).expect("budgeted sim run");
+        let tight = Render::new(&tight_cfg, spec)
+            .go(&topo)
+            .expect("budgeted sim run");
         assert_spilled(&format!("sim/{label}"), &tight);
         assert_eq!(
-            tight.image.diff_pixels(&free.image),
+            tight.image().diff_pixels(free.image()),
             0,
             "{label}: a memory budget may cost time, never bits"
         );
@@ -141,14 +142,18 @@ fn budget_1_16_is_bit_identical_on_native() {
         ("dd", four_stage(&hosts, WritePolicy::demand_driven())),
         ("tile-hash", tiled(&hosts)),
     ] {
-        let free = run_pipeline(&topo, &cfg, &spec).expect("unbudgeted sim run");
-        let want = image_digest(&free.image);
+        let free = Render::new(&cfg, &spec)
+            .go(&topo)
+            .expect("unbudgeted sim run");
+        let want = image_digest(free.image());
         let tight_cfg = budgeted(&cfg, 16);
-        let native = run_pipeline_exec(&topo, &tight_cfg, &spec, NativeExecutor::new())
+        let native = Render::new(&tight_cfg, &spec)
+            .executor(NativeExecutor::new())
+            .go(&topo)
             .expect("budgeted native run");
         assert_spilled(&format!("native/{label}"), &native);
         assert_eq!(
-            image_digest(&native.image),
+            image_digest(native.image()),
             want,
             "native/{label}: budgeted wall-clock pixels diverged"
         );
@@ -165,13 +170,17 @@ fn assert_budgeted_crash_recovers(denom: u64, policy: WritePolicy, frac: f64) {
     let tight_cfg = budgeted(&cfg, denom);
     let label = format!("1/{denom} {} @ {frac}", policy.label());
     let spec = four_stage(&hosts, policy);
-    let clean = run_pipeline(&topo, &tight_cfg, &spec).expect("budgeted fault-free run");
+    let clean = Render::new(&tight_cfg, &spec)
+        .go(&topo)
+        .expect("budgeted fault-free run");
     assert_spilled(&format!("clean/{label}"), &clean);
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(SimDuration::from_millis(2));
-    let faulted =
-        run_pipeline_faulted(&topo, &tight_cfg, &spec, opts).expect("budgeted crash run completes");
+    let faulted = Render::new(&tight_cfg, &spec)
+        .faults(opts)
+        .go(&topo)
+        .expect("budgeted crash run completes");
     let f = &faulted.report.faults;
     assert!(f.copies_killed >= 1, "{label}: victim must die");
     assert_eq!(f.buffers_lost, 0, "{label}: recovery loses nothing");
@@ -186,7 +195,7 @@ fn assert_budgeted_crash_recovers(denom: u64, policy: WritePolicy, frac: f64) {
         "{label}: released originals give their budget charge back"
     );
     assert_eq!(
-        faulted.image.diff_pixels(&clean.image),
+        faulted.image().diff_pixels(clean.image()),
         0,
         "{label}: recovered budgeted image must be bit-identical"
     );
@@ -244,7 +253,7 @@ fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
     };
     let run = |cfg: &SharedConfig| {
         let (reads, writes) = disk_events(&topo);
-        let r = run_pipeline(&topo, cfg, &spec).expect("sim run");
+        let r = Render::new(cfg, &spec).go(&topo).expect("sim run");
         let (reads_after, writes_after) = disk_events(&topo);
         (r, reads_after - reads, writes_after - writes)
     };
@@ -255,7 +264,7 @@ fn budget_1_16_spill_counters_are_pinned_on_small_dataset() {
 
     let (tight, tight_reads, tight_writes) = run(&budgeted(&cfg, 16));
     assert_spilled("small/dd", &tight);
-    assert_eq!(tight.image.diff_pixels(&free.image), 0);
+    assert_eq!(tight.image().diff_pixels(free.image()), 0);
     assert_eq!(tight.report.ooc.spills, 13);
     assert_eq!(tight.report.ooc.spill_bytes, 255_892);
     assert_eq!((tight_reads, tight_writes), (128 + 13, 13));
@@ -299,7 +308,9 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
         header <= datacutter::SPILL_STUB_BYTES,
         "a header is no larger than its stub"
     );
-    let free = run_pipeline(&topo, &cfg, &spec).expect("unbudgeted sim run");
+    let free = Render::new(&cfg, &spec)
+        .go(&topo)
+        .expect("unbudgeted sim run");
     assert_eq!(free.report.ooc.spills, 0, "unbudgeted never spills");
     let share = |c: &SharedConfig| c.memory_budget_bytes / free.report.streams.len() as u64;
     let eighth = budgeted(&cfg, 8);
@@ -342,21 +353,15 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
             .sum()
     };
     let reads = read_disk(&free);
-    for ((arm, tight), sim) in arms.iter().flat_map(|a| [(a, true), (a, false)]) {
-        let (label, r) = if sim {
-            (
-                "sim",
-                run_pipeline(&topo, tight, &spec).expect("budgeted sim run"),
-            )
-        } else {
-            let exec = NativeExecutor::new();
-            let r = run_pipeline_exec(&topo, tight, &spec, exec).expect("budgeted native run");
-            ("native", r)
-        };
-        let label = format!("{arm} {label}");
+    for ((arm, tight), sub) in arms.iter().flat_map(|a| [(a, "sim"), (a, "native")]) {
+        let r = Render::new(tight, &spec)
+            .executor(executor(sub))
+            .go(&topo)
+            .expect("budgeted run");
+        let label = format!("{arm} {sub}");
         let label = label.as_str();
         assert_spilled(label, &r);
-        assert_eq!(r.image.diff_pixels(&free.image), 0, "{label}: pixels");
+        assert_eq!(r.image().diff_pixels(free.image()), 0, "{label}: pixels");
         let spilled = read_disk(&r) - reads;
         assert_eq!(
             spilled % chunk_frame,
@@ -366,7 +371,7 @@ fn split_read_spills_cut_chunks_and_never_headers_on_both_executors() {
         // Whether two cut chunks ever queue together on native threads
         // is the schedule's to say; the simulator's schedule is fixed.
         let cut = spilled / chunk_frame;
-        let least = u64::from(sim);
+        let least = u64::from(sub == "sim");
         assert!(
             (least..=crossing).contains(&cut),
             "{label}: R spilled {cut} cut chunks of {crossing}"
@@ -388,14 +393,14 @@ fn warm_cache_at_least_halves_disk_read_events() {
     let spec = four_stage(&hosts, WritePolicy::demand_driven());
 
     let before = disk_events(&topo).0;
-    let cold = run_pipeline(&topo, &c, &spec).expect("cold run");
+    let cold = Render::new(&c, &spec).go(&topo).expect("cold run");
     let cold_reads = disk_events(&topo).0 - before;
 
     let before = disk_events(&topo).0;
-    let warm = run_pipeline(&topo, &c, &spec).expect("warm run");
+    let warm = Render::new(&c, &spec).go(&topo).expect("warm run");
     let warm_reads = disk_events(&topo).0 - before;
 
-    assert_eq!(warm.image.diff_pixels(&cold.image), 0);
+    assert_eq!(warm.image().diff_pixels(cold.image()), 0);
     assert!(cold_reads > 0, "cold run must read from the disk model");
     assert!(
         warm_reads * 2 <= cold_reads,

@@ -4,7 +4,7 @@
 //! algorithm, and copy count must produce the exact reference image.
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use integration_tests::{cluster, test_cfg, test_dataset};
 
 fn all_groupings(hosts: &[hetsim::HostId]) -> Vec<Grouping> {
@@ -37,9 +37,9 @@ fn every_grouping_policy_algorithm_matches_reference() {
                     policy,
                     merge_host: hosts[0],
                 };
-                let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+                let r = Render::new(&cfg, &spec).go(&topo).expect("run");
                 assert_eq!(
-                    r.image.diff_pixels(&reference),
+                    r.image().diff_pixels(&reference),
                     0,
                     "{} {} {}",
                     spec.grouping.label(),
@@ -67,8 +67,8 @@ fn copy_count_does_not_change_output() {
             policy: WritePolicy::demand_driven(),
             merge_host: hosts[1],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
-        assert_eq!(r.image.diff_pixels(&reference), 0, "copies = {copies}");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run");
+        assert_eq!(r.image().diff_pixels(&reference), 0, "copies = {copies}");
     }
 }
 
@@ -90,9 +90,9 @@ fn buffer_sizing_does_not_change_output() {
             policy: WritePolicy::demand_driven(),
             merge_host: hosts[0],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run");
         assert_eq!(
-            r.image.diff_pixels(&reference),
+            r.image().diff_pixels(&reference),
             0,
             "tri_batch={tri_batch} wpa={wpa}"
         );
@@ -116,9 +116,9 @@ fn band_sizing_does_not_change_output() {
             policy: WritePolicy::RoundRobin,
             merge_host: hosts[0],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run");
         assert_eq!(
-            r.image.diff_pixels(&reference),
+            r.image().diff_pixels(&reference),
             0,
             "band_bytes={band_bytes}"
         );
@@ -141,9 +141,9 @@ fn species_and_timesteps_render_consistently() {
             policy: WritePolicy::RoundRobin,
             merge_host: hosts[0],
         };
-        let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
+        let r = Render::new(&cfg, &spec).go(&topo).expect("run");
         assert_eq!(
-            r.image.diff_pixels(&dcapp::reference_image(&cfg)),
+            r.image().diff_pixels(&dcapp::reference_image(&cfg)),
             0,
             "species {species}"
         );

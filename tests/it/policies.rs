@@ -1,7 +1,7 @@
 //! End-to-end behaviour of the writer policies on the full application.
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use integration_tests::{cluster, test_cfg, test_dataset};
 
 fn spec(hosts: &[hetsim::HostId], policy: WritePolicy) -> PipelineSpec {
@@ -19,7 +19,9 @@ fn spec(hosts: &[hetsim::HostId], policy: WritePolicy) -> PipelineSpec {
 fn rr_spreads_buffers_evenly() {
     let (topo, hosts) = cluster(4);
     let cfg = test_cfg(test_dataset(10), hosts.clone(), 96);
-    let r = dcapp::run_pipeline(&topo, &cfg, &spec(&hosts, WritePolicy::RoundRobin)).unwrap();
+    let r = Render::new(&cfg, &spec(&hosts, WritePolicy::RoundRobin))
+        .go(&topo)
+        .unwrap();
     let s = r.report.stream(r.to_raster.unwrap());
     let counts: Vec<u64> = s.copysets.iter().map(|(_, c)| c.buffers_received).collect();
     let max = *counts.iter().max().unwrap();
@@ -48,7 +50,7 @@ fn wrr_weights_proportionally_to_copies() {
         policy: WritePolicy::WeightedRoundRobin,
         merge_host: hosts[0],
     };
-    let r = dcapp::run_pipeline(&topo, &cfg, &s).unwrap();
+    let r = Render::new(&cfg, &s).go(&topo).unwrap();
     let st = r.report.stream(r.to_raster.unwrap());
     let c0 = st.copysets[0].1.buffers_received as f64;
     let c1 = st.copysets[1].1.buffers_received as f64;
@@ -65,7 +67,9 @@ fn dd_starves_a_crippled_host() {
     // Host 3 is buried under background jobs.
     topo.host(hosts[3]).cpu.set_bg_jobs(32);
     let cfg = test_cfg(test_dataset(12), hosts.clone(), 192);
-    let r = dcapp::run_pipeline(&topo, &cfg, &spec(&hosts, WritePolicy::demand_driven())).unwrap();
+    let r = Render::new(&cfg, &spec(&hosts, WritePolicy::demand_driven()))
+        .go(&topo)
+        .unwrap();
     let s = r.report.stream(r.to_raster.unwrap());
     let counts: Vec<u64> = s.copysets.iter().map(|(_, c)| c.buffers_received).collect();
     let healthy_avg = counts[..3].iter().sum::<u64>() as f64 / 3.0;
@@ -83,7 +87,8 @@ fn dd_beats_rr_under_heterogeneous_load() {
             topo.host(h).cpu.set_bg_jobs(8);
         }
         let cfg = test_cfg(test_dataset(13), hosts.clone(), 192);
-        dcapp::run_pipeline(&topo, &cfg, &spec(&hosts, policy))
+        Render::new(&cfg, &spec(&hosts, policy))
+            .go(&topo)
             .unwrap()
             .elapsed
     };
@@ -108,7 +113,8 @@ fn policies_agree_when_cluster_is_uniform_and_unloaded() {
         WritePolicy::demand_driven(),
     ] {
         times.push(
-            dcapp::run_pipeline(&topo, &cfg, &spec(&hosts, policy))
+            Render::new(&cfg, &spec(&hosts, policy))
+                .go(&topo)
                 .unwrap()
                 .elapsed
                 .as_secs_f64(),

@@ -25,14 +25,12 @@
 
 use std::sync::Arc;
 
-use datacutter::{
-    FaultOptions, NativeExecutor, Placement, SimExecutor, SupervisorPolicy, WritePolicy,
-};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use datacutter::{FaultOptions, Placement, SupervisorPolicy, WritePolicy};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{
-    cluster, metrics_digest, recovery_digest, small_dataset, stream_totals_digest, test_cfg,
-    test_dataset,
+    cluster, executor, metrics_digest, recovery_digest, small_dataset, stream_totals_digest,
+    test_cfg, test_dataset,
 };
 
 fn ms(n: u64) -> SimDuration {
@@ -110,7 +108,7 @@ fn assert_lossless(
         );
     }
     assert_eq!(
-        faulted.image.diff_pixels(&clean.image),
+        faulted.image().diff_pixels(clean.image()),
         0,
         "{label}: recovered image must be bit-identical to fault-free"
     );
@@ -144,29 +142,19 @@ fn lossless_dead_start_crash_bit_identical_all_policies_both_substrates() {
         let plan = || FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
         let opts = || FaultOptions::new(plan()).liveness_timeout(ms(2));
 
-        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free sim run");
-        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts())
-            .expect("lossless sim run completes");
-        assert_lossless(
-            &format!("sim/{}", policy.label()),
-            &clean,
-            &faulted,
-            true,
-            false,
-        );
-
-        let clean_nat = dcapp::run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new())
-            .expect("fault-free native run");
-        let faulted_nat =
-            dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts(), NativeExecutor::new())
-                .expect("lossless native run completes");
-        assert_lossless(
-            &format!("native/{}", policy.label()),
-            &clean_nat,
-            &faulted_nat,
-            true,
-            false,
-        );
+        for sub in ["sim", "native"] {
+            let clean = Render::new(&cfg, &spec)
+                .executor(executor(sub))
+                .go(&topo)
+                .expect("fault-free run");
+            let faulted = Render::new(&cfg, &spec)
+                .executor(executor(sub))
+                .faults(opts())
+                .go(&topo)
+                .expect("lossless run completes");
+            let label = format!("{sub}/{}", policy.label());
+            assert_lossless(&label, &clean, &faulted, true, false);
+        }
     }
 }
 
@@ -182,17 +170,18 @@ fn lossless_dead_start_tile_hash_merge_crash_both_substrates() {
     let plan = || FaultPlan::new().crash_host(hosts[3], SimTime::ZERO);
     let opts = || FaultOptions::new(plan()).liveness_timeout(ms(2));
 
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free sim run");
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts())
-        .expect("lossless tiled sim run completes");
-    assert_lossless("sim/tile-hash", &clean, &faulted, true, true);
-
-    let clean_nat = dcapp::run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new())
-        .expect("fault-free native run");
-    let faulted_nat =
-        dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts(), NativeExecutor::new())
-            .expect("lossless tiled native run completes");
-    assert_lossless("native/tile-hash", &clean_nat, &faulted_nat, true, true);
+    for sub in ["sim", "native"] {
+        let clean = Render::new(&cfg, &spec)
+            .executor(executor(sub))
+            .go(&topo)
+            .expect("fault-free run");
+        let faulted = Render::new(&cfg, &spec)
+            .executor(executor(sub))
+            .faults(opts())
+            .go(&topo)
+            .expect("lossless tiled run completes");
+        assert_lossless(&format!("{sub}/tile-hash"), &clean, &faulted, true, true);
+    }
 }
 
 /// Mid-run crashes per policy (simulator, where the crash instant is
@@ -208,11 +197,13 @@ fn lossless_mid_run_crash_renders_identical_image_per_policy() {
         WritePolicy::demand_driven(),
     ] {
         let spec = spec(&hosts, policy);
-        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+        let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
         let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.25);
         let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
         let opts = FaultOptions::new(plan).liveness_timeout(ms(2));
-        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+        let faulted = Render::new(&cfg, &spec)
+            .faults(opts)
+            .go(&topo)
             .expect("lossless mid-run crash completes");
         assert_lossless(
             &format!("sim-midrun/{}", policy.label()),
@@ -232,11 +223,13 @@ fn lossless_mid_run_tile_merge_crash_rebuilds_dead_tiles() {
     let (topo, hosts) = cluster(5);
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.12);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+    let faulted = Render::new(&cfg, &spec)
+        .faults(opts)
+        .go(&topo)
         .expect("lossless tiled mid-run crash completes");
     assert_lossless("sim-midrun/tile-hash", &clean, &faulted, false, false);
 }
@@ -272,11 +265,13 @@ fn early_extract_crash_on_skewed_storage_recovered_and_degraded_arms() {
             policy,
             merge_host: blues[0],
         };
-        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("clean run");
-        assert_eq!(clean.image.diff_pixels(&reference), 0, "{label}: clean");
+        let clean = Render::new(&cfg, &spec).go(&topo).expect("clean run");
+        assert_eq!(clean.image().diff_pixels(&reference), 0, "{label}: clean");
         let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
         let plan = FaultPlan::new().crash_host(rogues[1], crash_at);
-        let recovered = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(plan))
+        let recovered = Render::new(&cfg, &spec)
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
             .expect("recovered run");
         assert_eq!(recovered.report.faults.copies_killed, 1, "{label}");
         assert_lossless(&format!("skewed/{label}"), &clean, &recovered, false, false);
@@ -292,12 +287,14 @@ fn crash_after_survivor_ends(frac: f64) {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(79), vec![hosts[0]], 64);
     let spec = spec(&hosts, WritePolicy::RoundRobin);
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
     let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(ms(2));
-    let faulted =
-        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("lossless run completes");
+    let faulted = Render::new(&cfg, &spec)
+        .faults(opts)
+        .go(&topo)
+        .expect("lossless run completes");
     assert_lossless(&format!("seed 79 @ {frac}"), &clean, &faulted, false, false);
 }
 
@@ -342,7 +339,7 @@ fn supervised_cascade_retargets_through_a_second_death() {
         (WritePolicy::RoundRobin, 0.3, 0.5),
     ] {
         let spec = three_extract_spec(&hosts, policy);
-        let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+        let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
         let at = |frac: f64| SimTime::ZERO + clean.elapsed.mul_f64(frac);
         let plan = FaultPlan::new()
             .crash_host(hosts[1], at(first))
@@ -350,7 +347,9 @@ fn supervised_cascade_retargets_through_a_second_death() {
         let opts = FaultOptions::new(plan)
             .supervised(SupervisorPolicy::new())
             .liveness_timeout(ms(2));
-        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+        let faulted = Render::new(&cfg, &spec)
+            .faults(opts)
+            .go(&topo)
             .expect("supervised lossless cascade completes");
         let label = format!("cascade/{}", policy.label());
         assert_lossless(&label, &clean, &faulted, false, false);
@@ -379,14 +378,16 @@ fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
     let (topo, hosts) = cluster(6);
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = three_extract_spec(&hosts, WritePolicy::RoundRobin);
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     for (at_us, recovered) in [(250_000, true), (361_700, true), (362_100, false)] {
         let crash_at = SimTime::ZERO + SimDuration::from_micros(at_us);
         let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
         let opts = FaultOptions::new(plan)
             .supervised(SupervisorPolicy::new())
             .liveness_timeout(ms(2));
-        let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+        let faulted = Render::new(&cfg, &spec)
+            .faults(opts)
+            .go(&topo)
             .expect("supervised lossless run completes");
         let f = &faulted.report.faults;
         let label = format!("crash at {at_us} us");
@@ -394,7 +395,7 @@ fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
         if recovered {
             assert_lossless(&label, &clean, &faulted, false, false);
         } else {
-            let diff = faulted.image.diff_pixels(&clean.image);
+            let diff = faulted.image().diff_pixels(clean.image());
             assert!(diff == 0 || f.buffers_lost > 0, "{label}: {diff} px: {f}");
             assert_eq!(f.degraded, f.buffers_lost > 0, "{label}: {f}");
         }
@@ -411,22 +412,23 @@ fn replicas_of_a_unit_of_work_already_left_are_not_mixed_into_the_next() {
     let (topo, hosts) = cluster(6);
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = three_extract_spec(&hosts, WritePolicy::RoundRobin);
-    let clean = dcapp::run_pipeline_uows(&topo, &cfg, &spec, 2).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec)
+        .uows(2)
+        .go(&topo)
+        .expect("fault-free run");
     let plan =
         FaultPlan::new().crash_host(hosts[3], SimTime::ZERO + SimDuration::from_micros(362_100));
     let opts = FaultOptions::new(plan)
         .supervised(SupervisorPolicy::new())
         .liveness_timeout(ms(2));
-    let pipeline = dcapp::build_pipeline(&cfg, &spec);
-    let report = datacutter::Run::new(pipeline.graph)
-        .uows(2)
+    let faulted = Render::new(&cfg, &spec)
         .faults(opts)
+        .uows(2)
         .go(&topo)
         .expect("two-UOW run completes");
-    let images = std::mem::take(&mut *pipeline.image.lock());
-    let f = &report.faults;
+    let f = &faulted.report.faults;
     assert_eq!(f.copies_killed, 1, "{f}");
-    for (uow, (got, want)) in images.iter().zip(&clean.images).enumerate() {
+    for (uow, (got, want)) in faulted.images.iter().zip(&clean.images).enumerate() {
         assert_eq!(got.diff_pixels(want), 0, "UOW {uow}: {f}");
     }
     assert_eq!(f.degraded, f.buffers_lost > 0, "{f}");
@@ -444,15 +446,18 @@ fn retention_overflow_never_loses_pixels_silently() {
     let (topo, hosts) = cluster(5);
     let cfg = tiled_fault_cfg(&hosts);
     let spec = tiled_spec(&hosts);
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.18);
     let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
     let opts = FaultOptions::new(plan).liveness_timeout(ms(10));
-    let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts).expect("run completes");
+    let faulted = Render::new(&cfg, &spec)
+        .faults(opts)
+        .go(&topo)
+        .expect("run completes");
     let f = &faulted.report.faults;
     assert_eq!(f.copies_killed, 1, "{f}");
     assert_eq!(f.buffers_lost, 0, "{f}");
-    assert_eq!(faulted.image.diff_pixels(&clean.image), 0, "{f}");
+    assert_eq!(faulted.image().diff_pixels(clean.image()), 0, "{f}");
     assert!(f.buffers_redelivered > 2, "more than two retained: {f}");
 }
 
@@ -489,19 +494,19 @@ mod recovery_props {
                 WritePolicy::demand_driven(),
             ][policy_idx];
             let spec = spec(&hosts, policy);
-            let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+            let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
             let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(frac);
             let plan = FaultPlan::new().crash_host(hosts[victim], crash_at);
             let opts =
                 FaultOptions::new(plan).liveness_timeout(ms(2));
-            let faulted = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, opts)
+            let faulted = Render::new(&cfg, &spec).faults(opts).go(&topo)
                 .expect("lossless run completes");
             let f = &faulted.report.faults;
             prop_assert_eq!(f.buffers_lost, 0, "lossless loses nothing: {}", f);
             prop_assert_eq!(f.bytes_lost, 0, "{}", f);
             prop_assert!(!f.degraded, "{}", f);
             prop_assert_eq!(
-                faulted.image.diff_pixels(&clean.image),
+                faulted.image().diff_pixels(clean.image()),
                 0,
                 "recovered image must match fault-free pixels"
             );
@@ -523,11 +528,12 @@ fn lossless_empty_plan_is_quiet_and_correct() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     let spec = spec(&hosts, WritePolicy::demand_driven());
-    let clean = dcapp::run_pipeline(&topo, &cfg, &spec).expect("fault-free run");
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
 
-    let empty =
-        dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(FaultPlan::new()))
-            .expect("empty-plan run");
+    let empty = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(FaultPlan::new()))
+        .go(&topo)
+        .expect("empty-plan run");
     assert_eq!(
         metrics_digest(&empty),
         metrics_digest(&clean),
@@ -536,14 +542,16 @@ fn lossless_empty_plan_is_quiet_and_correct() {
     let chaos = FaultPlan::new()
         .drop_messages(0xD00D, 0.08)
         .delay_messages(0xD1A7, 0.10, ms(1));
-    let lossy = dcapp::run_pipeline_faulted(&topo, &cfg, &spec, FaultOptions::new(chaos))
+    let lossy = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(chaos))
+        .go(&topo)
         .expect("drop/delay run");
     assert!(
         lossy.report.faults.retransmits > 0,
         "{}",
         lossy.report.faults
     );
-    assert_eq!(lossy.image.diff_pixels(&clean.image), 0);
+    assert_eq!(lossy.image().diff_pixels(clean.image()), 0);
     assert_eq!(
         metrics_digest(&lossy),
         DROP_DELAY_METRICS,
@@ -552,13 +560,13 @@ fn lossless_empty_plan_is_quiet_and_correct() {
 
     for exec in ["sim", "native"] {
         let opts = FaultOptions::new(FaultPlan::new()).supervised(SupervisorPolicy::new());
-        let r = match exec {
-            "sim" => dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts, SimExecutor::new()),
-            _ => dcapp::run_pipeline_faulted_exec(&topo, &cfg, &spec, opts, NativeExecutor::new()),
-        }
-        .expect("supervised no-fault run");
+        let r = Render::new(&cfg, &spec)
+            .executor(executor(exec))
+            .faults(opts)
+            .go(&topo)
+            .expect("supervised no-fault run");
         let f = &r.report.faults;
-        assert_eq!(r.image.diff_pixels(&clean.image), 0, "{exec}");
+        assert_eq!(r.image().diff_pixels(clean.image()), 0, "{exec}");
         assert_eq!(f.buffers_redelivered, 0, "{exec}: {f}");
         assert_eq!(f.buffers_lost, 0, "{exec}: {f}");
         assert!(!f.degraded, "{exec}: {f}");

@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use datacutter::{FaultOptions, NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, run_pipeline, run_pipeline_faulted, run_pipeline_faulted_exec, Algorithm,
-    Grouping, PipelineResult, PipelineSpec, SharedConfig,
+    clone_config, Algorithm, Grouping, PipelineResult, PipelineSpec, Render, SharedConfig,
 };
 use hetsim::{DiskFaultKind, FaultPlan, HostId, SimDuration, SimTime};
 use integration_tests::{cluster, image_digest, small_dataset, test_cfg, test_dataset};
@@ -146,7 +145,9 @@ fn transient_disk_errors_heal_to_bit_identical_on_sim() {
         ("tile-hash", tiled(&hosts)),
     ];
     for (label, spec) in &specs {
-        let clean = run_pipeline(&topo, &tight, spec).expect("budgeted fault-free run");
+        let clean = Render::new(&tight, spec)
+            .go(&topo)
+            .expect("budgeted fault-free run");
         assert!(clean.report.ooc.spills > 0, "{label}: budget must spill");
         // The tile-hash arm spills 11 times at 1/16 and at every tighter
         // budget `validate` accepts (each stream keeps one payload, and
@@ -154,7 +155,9 @@ fn transient_disk_errors_heal_to_bit_identical_on_sim() {
         // operations draws an error under seed 0xC4A05. Under this seed
         // every arm's plan fires.
         let plan = transient_plan(&hosts, 0xC4A06, 0.25);
-        let chaos = run_pipeline_faulted(&topo, &tight, spec, FaultOptions::new(plan))
+        let chaos = Render::new(&tight, spec)
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
             .expect("transient chaos run completes");
         let f = &chaos.report.faults;
         assert!(
@@ -166,7 +169,7 @@ fn transient_disk_errors_heal_to_bit_identical_on_sim() {
         assert_eq!(f.buffers_lost, 0, "{label}: transient faults lose nothing");
         assert!(!f.degraded, "{label}: healed is not degraded: {f:?}");
         assert_eq!(
-            chaos.image.diff_pixels(&clean.image),
+            chaos.image().diff_pixels(clean.image()),
             0,
             "{label}: retried spill traffic may cost time, never bits"
         );
@@ -192,8 +195,10 @@ fn transient_disk_errors_heal_on_native() {
         ("dd", four_stage(&hosts, WritePolicy::demand_driven())),
         ("tile-hash", tiled(&hosts)),
     ] {
-        let clean = run_pipeline(&topo, &tight, &spec).expect("budgeted sim reference");
-        let want = image_digest(&clean.image);
+        let clean = Render::new(&tight, &spec)
+            .go(&topo)
+            .expect("budgeted sim reference");
+        let want = image_digest(clean.image());
         let plan = transient_plan(&hosts, 0x24A5, 0.2);
         let fails_first_write =
             |h| plan.should_fail_disk(h, DiskFaultKind::Write, SimTime::ZERO, 0, 0);
@@ -201,19 +206,16 @@ fn transient_disk_errors_heal_on_native() {
             hosts.iter().all(|&h| fails_first_write(h)),
             "the plan fails the first spill write on every host"
         );
-        let native = run_pipeline_faulted_exec(
-            &topo,
-            &tight,
-            &spec,
-            FaultOptions::new(plan),
-            NativeExecutor::new(),
-        )
-        .expect("native chaos run completes");
+        let native = Render::new(&tight, &spec)
+            .executor(NativeExecutor::new())
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
+            .expect("native chaos run completes");
         let f = &native.report.faults;
         assert!(f.disk_errors_injected > 0, "native/{label}: {f:?}");
         assert_eq!(f.buffers_lost, 0, "native/{label}: {f:?}");
         assert_eq!(
-            image_digest(&native.image),
+            image_digest(native.image()),
             want,
             "native/{label}: chaos pixels diverged"
         );
@@ -243,9 +245,11 @@ fn unsealed_spills_save_exactly_the_trailer_never_bits() {
         policy: WritePolicy::demand_driven(),
         merge_host: blues[0],
     };
-    let with = run_pipeline(&topo, &sealed, &spec).expect("sealed run");
-    let without = run_pipeline(&topo, &unsealed, &spec).expect("unsealed run");
-    assert_eq!(without.image.diff_pixels(&with.image), 0);
+    let with = Render::new(&sealed, &spec).go(&topo).expect("sealed run");
+    let without = Render::new(&unsealed, &spec)
+        .go(&topo)
+        .expect("unsealed run");
+    assert_eq!(without.image().diff_pixels(with.image()), 0);
     assert_eq!(with.report.ooc.spills, 56);
     assert_eq!(without.report.ooc.spills, 56);
     assert_eq!(with.report.ooc.spill_bytes, 1_296_972);
@@ -265,10 +269,14 @@ fn persistent_write_errors_deny_spills_never_bits() {
         ("dd", four_stage(&hosts, WritePolicy::demand_driven())),
         ("tile-hash", tiled(&hosts)),
     ] {
-        let clean = run_pipeline(&topo, &tight, &spec).expect("budgeted fault-free run");
+        let clean = Render::new(&tight, &spec)
+            .go(&topo)
+            .expect("budgeted fault-free run");
         assert!(clean.report.ooc.spills > 0, "{label}: budget must spill");
         let plan = persistent_plan(&hosts, 0xDEAD, DiskFaultKind::Write);
-        let denied = run_pipeline_faulted(&topo, &tight, &spec, FaultOptions::new(plan))
+        let denied = Render::new(&tight, &spec)
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
             .expect("write-denied run completes");
         let f = &denied.report.faults;
         assert!(f.spills_denied > 0, "{label}: denials tallied: {f:?}");
@@ -284,7 +292,7 @@ fn persistent_write_errors_deny_spills_never_bits() {
             "{label}: over-budget charges still drain on consumption"
         );
         assert_eq!(
-            denied.image.diff_pixels(&clean.image),
+            denied.image().diff_pixels(clean.image()),
             0,
             "{label}: graceful degradation costs headroom, never bits"
         );
@@ -305,10 +313,14 @@ fn corrupt_reads_are_detected_and_loss_accounted() {
         ("dd", four_stage(&hosts, WritePolicy::demand_driven())),
         ("tile-hash", tiled(&hosts)),
     ] {
-        let clean = run_pipeline(&topo, &tight, &spec).expect("budgeted fault-free run");
+        let clean = Render::new(&tight, &spec)
+            .go(&topo)
+            .expect("budgeted fault-free run");
         assert!(clean.report.ooc.spills > 0, "{label}: budget must spill");
         let plan = corruption_plan(&hosts, 0xB17);
-        let hurt = run_pipeline_faulted(&topo, &tight, &spec, FaultOptions::new(plan))
+        let hurt = Render::new(&tight, &spec)
+            .faults(FaultOptions::new(plan))
+            .go(&topo)
             .expect("corrupted run completes degraded, never aborts");
         let f = &hurt.report.faults;
         assert!(
@@ -335,7 +347,9 @@ fn unreadable_spills_fall_back_to_loss_accounting() {
     let tight = budgeted(&cfg, 16);
     let spec = four_stage(&hosts, WritePolicy::demand_driven());
     let plan = persistent_plan(&hosts, 0x0BAD, DiskFaultKind::Read);
-    let hurt = run_pipeline_faulted(&topo, &tight, &spec, FaultOptions::new(plan))
+    let hurt = Render::new(&tight, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("unreadable-spill run completes degraded, never aborts");
     let f = &hurt.report.faults;
     assert!(f.disk_errors_injected > 0, "{f:?}");
@@ -358,13 +372,17 @@ fn degraded_disk_costs_time_never_bits() {
     let cfg = test_cfg(test_dataset(11), vec![hosts[0]], 96);
     let tight = budgeted(&cfg, 16);
     let spec = four_stage(&hosts, WritePolicy::RoundRobin);
-    let clean = run_pipeline(&topo, &tight, &spec).expect("budgeted fault-free run");
+    let clean = Render::new(&tight, &spec)
+        .go(&topo)
+        .expect("budgeted fault-free run");
     assert!(clean.report.ooc.spills > 0, "budget must spill");
     let mut plan = FaultPlan::new();
     for &h in &hosts {
         plan = plan.degrade_disk(h, SimTime::ZERO, whole_run(), 0.25);
     }
-    let slow = run_pipeline_faulted(&topo, &tight, &spec, FaultOptions::new(plan))
+    let slow = Render::new(&tight, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
         .expect("degraded-disk run completes");
     let f = &slow.report.faults;
     assert_eq!(f.buffers_lost, 0, "{f:?}");
@@ -377,7 +395,7 @@ fn degraded_disk_costs_time_never_bits() {
         slow.elapsed
     );
     assert_eq!(
-        slow.image.diff_pixels(&clean.image),
+        slow.image().diff_pixels(clean.image()),
         0,
         "disk derating may cost time, never bits"
     );

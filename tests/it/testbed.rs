@@ -2,7 +2,7 @@
 //! clusters, cross-cluster streams, and the compute-node placement.
 
 use datacutter::{Placement, WritePolicy};
-use dcapp::{Algorithm, Grouping, PipelineSpec};
+use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::presets::{red_with_deathstar, umd_testbed};
 use integration_tests::{test_cfg, test_dataset};
 
@@ -21,8 +21,8 @@ fn pipeline_spans_all_four_clusters() {
         policy: WritePolicy::demand_driven(),
         merge_host: tb.deathstar.1,
     };
-    let r = dcapp::run_pipeline(&tb.topology, &cfg, &spec).expect("run");
-    assert_eq!(r.image.diff_pixels(&dcapp::reference_image(&cfg)), 0);
+    let r = Render::new(&cfg, &spec).go(&tb.topology).expect("run");
+    assert_eq!(r.image().diff_pixels(&dcapp::reference_image(&cfg)), 0);
     // Traffic crossed into Blue and Deathstar.
     assert!(
         tb.topology.nic_bytes(tb.blue.1[0]).1 > 0,
@@ -48,8 +48,8 @@ fn eight_way_node_runs_seven_copies() {
         policy: WritePolicy::WeightedRoundRobin,
         merge_host: ds,
     };
-    let r = dcapp::run_pipeline(&topo, &cfg, &spec).expect("run");
-    assert_eq!(r.image.diff_pixels(&dcapp::reference_image(&cfg)), 0);
+    let r = Render::new(&cfg, &spec).go(&topo).expect("run");
+    assert_eq!(r.image().diff_pixels(&dcapp::reference_image(&cfg)), 0);
     // All 9 raster copies exist; the deathstar set received the weighted
     // majority of buffers.
     let s = r.report.stream(r.to_raster.unwrap());
@@ -108,7 +108,7 @@ fn slow_uplink_hurts_remote_placement() {
             policy: WritePolicy::RoundRobin,
             merge_host: h0,
         };
-        dcapp::run_pipeline(&topo, &cfg, &spec).unwrap().elapsed
+        Render::new(&cfg, &spec).go(&topo).unwrap().elapsed
     };
     let local = elapsed(false);
     let remote = elapsed(true);
@@ -129,7 +129,7 @@ fn background_load_only_dilates_loaded_hosts() {
         policy: WritePolicy::RoundRobin,
         merge_host: hosts[1],
     };
-    let r = dcapp::run_pipeline(&topo, &cfg, &spec).unwrap();
+    let r = Render::new(&cfg, &spec).go(&topo).unwrap();
     // Copy on the loaded host took much longer per unit of work.
     let copies = r.report.copies_of(r.filters[0]);
     let loaded = copies.iter().find(|c| c.host == hosts[0]).unwrap();

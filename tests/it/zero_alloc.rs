@@ -12,9 +12,11 @@
 //! hot path. The extract and raster kernels skip empty space and dead
 //! pixels without per-call scratch, so they sit inside the same proof.
 //!
-//! A second proof rides along: a fused read+extract run whose isovalue
+//! Two more proofs ride along: a fused read+extract run whose isovalue
 //! misses every chunk allocates no chunk grid, because the read stage
-//! asks the dataset's chunk-range index before it cuts.
+//! asks the dataset's chunk-range index before it cuts; and a run's later
+//! units of work take their band, WPA and merge buffers from what the
+//! earlier ones pooled, because a copy keeps its stages across them.
 //!
 //! The counters are process-wide and libtest runs tests on parallel
 //! threads, so every test here holds one lock for its whole body, as
@@ -22,11 +24,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use datacutter::{NativeExecutor, Placement, WritePolicy};
 use dcapp::{
-    clone_config, run_pipeline_exec, Algorithm, BufferPool, Grouping, PipelineSpec, PoolVec, RaOut,
-    TriBatch,
+    clone_config, reference_image, Algorithm, AppConfig, BufferPool, Grouping, PipelineSpec,
+    PoolVec, RaOut, Render, TriBatch,
 };
 use integration_tests::{cluster, test_cfg, test_dataset};
 use isosurf::{
@@ -38,15 +41,29 @@ use volume::{ChunkId, Dims, RectGrid};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Allocations of exactly `WATCH` bytes (`0` watches nothing).
-static WATCH: AtomicUsize = AtomicUsize::new(0);
-static WATCHED: AtomicU64 = AtomicU64::new(0);
+/// `WATCHED[i]` counts allocations of exactly `WATCH[i]` bytes (`0`
+/// watches nothing).
+static WATCH: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+static WATCHED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 fn count(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    if size == WATCH.load(Ordering::Relaxed) {
-        WATCHED.fetch_add(1, Ordering::Relaxed);
+    for (watch, watched) in WATCH.iter().zip(&WATCHED) {
+        if size == watch.load(Ordering::Relaxed) {
+            watched.fetch_add(1, Ordering::Relaxed);
+        }
     }
+}
+
+/// Allocations of each of `sizes` bytes while `f` runs.
+fn watching(sizes: [usize; 3], f: impl FnOnce()) -> [u64; 3] {
+    for i in 0..3 {
+        WATCHED[i].store(0, Ordering::Relaxed);
+        WATCH[i].store(sizes[i], Ordering::Relaxed);
+    }
+    f();
+    WATCH.iter().for_each(|w| w.store(0, Ordering::Relaxed));
+    std::array::from_fn(|i| WATCHED[i].load(Ordering::Relaxed))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -275,7 +292,7 @@ fn chunk_grids_allocated(iso: f32) -> u64 {
     );
     // Generate the field (and its index) outside the measured window.
     let _ = c.dataset.field(c.species, c.timestep);
-    let cfg = std::sync::Arc::new(c);
+    let cfg = Arc::new(c);
     let spec = PipelineSpec {
         grouping: Grouping::RERaSplit {
             raster: Placement::one_per_host(&hosts),
@@ -284,11 +301,12 @@ fn chunk_grids_allocated(iso: f32) -> u64 {
         policy: WritePolicy::demand_driven(),
         merge_host: hosts[0],
     };
-    WATCHED.store(0, Ordering::Relaxed);
-    WATCH.store(bytes as usize, Ordering::Relaxed);
-    run_pipeline_exec(&topo, &cfg, &spec, NativeExecutor::new()).expect("fused run failed");
-    WATCH.store(0, Ordering::Relaxed);
-    WATCHED.load(Ordering::Relaxed)
+    watching([bytes as usize, 0, 0], || {
+        Render::new(&cfg, &spec)
+            .executor(NativeExecutor::new())
+            .go(&topo)
+            .expect("fused run failed");
+    })[0]
 }
 
 #[test]
@@ -303,4 +321,98 @@ fn fused_read_extract_cuts_no_chunk_the_isovalue_misses() {
     assert!(chunk_grids_allocated(0.5) >= crossing);
     // Concentrations are bounded by 6: nothing lies above 100.
     assert_eq!(chunk_grids_allocated(100.0), 0, "a missed chunk was cut");
+}
+
+/// Image size of the stage-reuse runs: width and height differ and are
+/// odd, so each watched size below names one buffer.
+const REUSE_W: u32 = 97;
+const REUSE_H: u32 = 61;
+const REUSE_WPA: usize = 101;
+const REUSE_UOWS: u32 = 5;
+
+/// Allocations of `[a full-image depth plane, a one-row band's depth, a
+/// WPA batch]` in a simulated `RE–Ra–M` run of `uows` units of work from
+/// `timestep`, with one raster copy and one-row z-buffer bands. Every
+/// image is checked against its reference.
+fn stage_buffers_allocated(alg: Algorithm, timestep: u32, uows: u32) -> [u64; 3] {
+    let (topo, hosts) = cluster(2);
+    let mut c = AppConfig::new(test_dataset(7), vec![hosts[0]], 2, REUSE_W, REUSE_H);
+    c.iso = 0.5;
+    c.timestep = timestep;
+    c.zb_band_bytes = 1;
+    c.wpa_capacity = REUSE_WPA;
+    let cfg = Arc::new(c);
+    assert_eq!(cfg.band_rows(), 1);
+    let spec = PipelineSpec {
+        grouping: Grouping::RERaSplit {
+            raster: Placement::on_host(hosts[1], 1),
+        },
+        algorithm: alg,
+        policy: WritePolicy::RoundRobin,
+        merge_host: hosts[0],
+    };
+    let w = REUSE_W as usize;
+    let sizes = [
+        w * REUSE_H as usize * size_of::<f32>(),
+        w * size_of::<f32>(),
+        REUSE_WPA * size_of::<WinningPixel>(),
+    ];
+    let mut images = Vec::new();
+    let counts = watching(sizes, || {
+        images = Render::new(&cfg, &spec)
+            .uows(uows)
+            .go(&topo)
+            .expect("run failed")
+            .images;
+    });
+    for (k, img) in images.iter().enumerate() {
+        let mut c = clone_config(&cfg);
+        c.timestep = timestep + k as u32;
+        let label = format!("{alg:?} timestep {}", c.timestep);
+        assert_eq!(
+            img.diff_pixels(&reference_image(&Arc::new(c))),
+            0,
+            "{label}"
+        );
+        assert!(
+            img.coverage(isosurf::BACKGROUND) > 0,
+            "{label}: drew nothing"
+        );
+    }
+    counts
+}
+
+/// A copy builds its raster and merge stages once and resets them in
+/// `init`, so a run's later units of work take their band, WPA and merge
+/// buffers from what the earlier ones pooled: the merge's image plane is
+/// allocated once, and the run allocates no more bands or WPA batches
+/// than its hungriest unit of work needs alone (rebuilding the stages
+/// every unit of work allocates the sum). The z-buffer raster still frees
+/// its own plane before its last band send, so that one is allocated
+/// once per unit of work.
+#[test]
+fn later_units_of_work_reuse_the_buffers_the_first_pooled() {
+    let _lock = measuring();
+    for alg in [Algorithm::ZBuffer, Algorithm::ActivePixel] {
+        let run = stage_buffers_allocated(alg, 0, REUSE_UOWS);
+        let alone: Vec<[u64; 3]> = (0..REUSE_UOWS)
+            .map(|t| stage_buffers_allocated(alg, t, 1))
+            .collect();
+        let planes = match alg {
+            Algorithm::ZBuffer => 1 + REUSE_UOWS as u64,
+            Algorithm::ActivePixel => 1,
+        };
+        assert_eq!(run[0], planes, "{alg:?}: image planes ({alone:?} alone)");
+        let (pooled, what) = match alg {
+            Algorithm::ZBuffer => (1, "bands"),
+            Algorithm::ActivePixel => (2, "WPA batches"),
+        };
+        let most = alone.iter().map(|c| c[pooled]).max().unwrap_or(0);
+        assert!(most > 0, "{alg:?}: no {what} allocated");
+        assert!(
+            run[pooled] <= most,
+            "{alg:?}: {} {what} over {REUSE_UOWS} units of work, {most} alone ({alone:?})",
+            run[pooled]
+        );
+    }
 }

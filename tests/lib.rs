@@ -15,6 +15,15 @@ pub fn test_dataset(seed: u64) -> Dataset {
 /// one), for the tests that pin those bins' deterministic counters.
 pub use bench::small_dataset;
 
+/// A fresh executor of the substrate named `sub`: `"native"` or the
+/// virtual-time simulator.
+pub fn executor(sub: &str) -> datacutter::ExecutorChoice {
+    match sub {
+        "native" => datacutter::NativeExecutor::new().into(),
+        _ => datacutter::SimExecutor::new().into(),
+    }
+}
+
 /// Standard test configuration over the given hosts.
 pub fn test_cfg(dataset: Dataset, hosts: Vec<HostId>, image: u32) -> SharedConfig {
     let mut cfg = AppConfig::new(dataset, hosts, 2, image, image);
@@ -95,7 +104,7 @@ pub fn image_digest(img: &isosurf::Image) -> u64 {
 /// delivery schedule.
 pub fn recovery_digest(r: &PipelineResult) -> u64 {
     let mut h = Fnv::new();
-    h.u64(image_digest(&r.image));
+    h.u64(image_digest(r.image()));
     h.u64(r.report.faults.buffers_lost);
     h.u64(r.report.faults.bytes_lost);
     h.u64(r.report.faults.degraded as u64);
@@ -125,11 +134,7 @@ pub fn stream_totals_digest(r: &PipelineResult) -> u64 {
 /// event count, per-copy counters (the byte meters), per-stream copy-set
 /// counters, UOW boundaries and fault tallies.
 pub fn metrics_digest(r: &PipelineResult) -> u64 {
-    report_digest(&r.report)
-}
-
-/// [`metrics_digest`] of a bare report, such as a multi-UOW run's.
-pub fn report_digest(rep: &datacutter::RunReport) -> u64 {
+    let rep = &r.report;
     let mut h = Fnv::new();
     h.u64(rep.elapsed.as_nanos());
     h.u64(rep.events);
