@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use hetsim::{DeadlineRecv, Env, HostId, SimDuration, SimTime, Topology};
+use hetsim::{DeadlineRecv, HostId, SimDuration, SimTime, Topology};
 use parking_lot::Mutex;
 
 use crate::budget::StreamOoc;
@@ -102,7 +102,6 @@ pub struct FilterCtx {
     pub(crate) inputs: Vec<InputPort>,
     pub(crate) outputs: Vec<OutputPort>,
     pub(crate) metrics: CopyCell,
-    pub(crate) trace: Option<(hetsim::Trace, String)>,
     /// Fault control block when a plan is active (`None` ⇒ fault-free
     /// fast path, bit-identical to the pre-fault runtime).
     pub(crate) faults: Option<Arc<FaultCtl>>,
@@ -563,13 +562,6 @@ impl FilterCtx {
         self.env.now()
     }
 
-    /// The simulation environment, when this copy runs on the virtual-time
-    /// executor (for advanced filters spawning helper processes). `None`
-    /// under the native executor, where there is no simulation to drive.
-    pub fn sim_env(&self) -> Option<&Env> {
-        self.env.sim()
-    }
-
     /// Number of input streams (read ports).
     pub fn input_count(&self) -> usize {
         self.inputs.len()
@@ -621,12 +613,6 @@ impl FilterCtx {
             let waiting = self.inputs[port].eow_taken;
             self.check_killed();
             self.beat();
-            let span = self.trace.as_ref().map(|(t, who)| {
-                (
-                    t.clone(),
-                    t.begin_at(self.env.now(), "read-wait", who.clone()),
-                )
-            });
             let t0 = self.env.now();
             let liveness = self
                 .faults
@@ -667,9 +653,6 @@ impl FilterCtx {
                     DeadlineRecv::Closed => None,
                     DeadlineRecv::TimedOut => {
                         self.metrics.lock().read_wait += self.env.now() - t0;
-                        if let Some((t, s)) = span {
-                            t.end_at(self.env.now(), s);
-                        }
                         self.check_killed();
                         if !waiting {
                             self.try_fire_gate(port);
@@ -680,14 +663,7 @@ impl FilterCtx {
             } else {
                 self.inputs[port].rx.recv(&self.env)
             };
-            let waited = self.env.now() - t0;
-            {
-                let mut m = self.metrics.lock();
-                m.read_wait += waited;
-            }
-            if let Some((t, s)) = span {
-                t.end_at(self.env.now(), s);
-            }
+            self.metrics.lock().read_wait += self.env.now() - t0;
             match got {
                 Some(Envelope::Data { mut buf, ack, prov }) => {
                     if let Some(ack) = ack {
@@ -873,12 +849,6 @@ impl FilterCtx {
     pub fn compute(&mut self, work: SimDuration) {
         self.beat();
         self.stall_if_frozen();
-        let span = self.trace.as_ref().map(|(t, who)| {
-            (
-                t.clone(),
-                t.begin_at(self.env.now(), "compute", who.clone()),
-            )
-        });
         let t0 = self.env.now();
         if let ExecEnv::Sim(e) = &self.env {
             self.topo.host(self.info.host).cpu.compute(e, work);
@@ -888,9 +858,6 @@ impl FilterCtx {
             let mut m = self.metrics.lock();
             m.work += work;
             m.compute_elapsed += elapsed;
-        }
-        if let Some((t, s)) = span {
-            t.end_at(self.env.now(), s);
         }
     }
 
@@ -925,22 +892,5 @@ impl FilterCtx {
         let mut m = self.metrics.lock();
         m.disk_bytes += bytes;
         m.disk_elapsed += elapsed;
-    }
-
-    /// Record `bytes` of disk traffic performed on this copy's behalf by
-    /// a helper process that charged the disk model itself (e.g. a
-    /// read-ahead prefetcher spawned on the simulation clock): tallies
-    /// the copy's disk byte counter without touching the disk model or
-    /// blocking the copy. Like [`disk_read`](Self::disk_read), this is
-    /// where a source copy on a crashed host dies.
-    pub fn note_disk_bytes(&mut self, bytes: u64) {
-        self.check_killed();
-        let mut m = self.metrics.lock();
-        m.disk_bytes += bytes;
-    }
-
-    /// The cluster topology (placement-aware filters may inspect it).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 }

@@ -77,8 +77,6 @@ pub(crate) struct StreamSpec {
     pub from: FilterId,
     pub to: FilterId,
     pub policy: WritePolicy,
-    /// Queue capacity (buffers) of each consumer copy set.
-    pub queue_capacity: usize,
 }
 
 /// A complete application graph ready to run.
@@ -126,7 +124,8 @@ impl AppGraph {
     }
 }
 
-/// Default consumer copy-set queue capacity, in buffers.
+/// Queue capacity of every stream, in buffers per consumer copy: a copy
+/// set of `n` copies queues up to `n` times this many.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 4;
 
 /// Builder for [`AppGraph`].
@@ -165,21 +164,9 @@ impl GraphBuilder {
         id
     }
 
-    /// Connect `from` → `to` with the given writer policy and the default
-    /// queue capacity.
+    /// Connect `from` → `to` with the given writer policy. Each consumer
+    /// copy queues up to [`DEFAULT_QUEUE_CAPACITY`] buffers.
     pub fn connect(&mut self, from: FilterId, to: FilterId, policy: WritePolicy) -> StreamId {
-        self.connect_with_capacity(from, to, policy, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// Connect with an explicit consumer queue capacity (buffers per copy
-    /// set).
-    pub fn connect_with_capacity(
-        &mut self,
-        from: FilterId,
-        to: FilterId,
-        policy: WritePolicy,
-        queue_capacity: usize,
-    ) -> StreamId {
         assert!(
             (from.0 as usize) < self.filters.len(),
             "unknown producer filter"
@@ -189,7 +176,6 @@ impl GraphBuilder {
             "unknown consumer filter"
         );
         assert!(from != to, "a stream cannot connect a filter to itself");
-        assert!(queue_capacity >= 1);
         let id = StreamId(self.streams.len() as u32);
         let name = format!(
             "{}->{}",
@@ -200,7 +186,6 @@ impl GraphBuilder {
             from,
             to,
             policy,
-            queue_capacity,
         });
         id
     }

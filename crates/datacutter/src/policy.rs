@@ -382,17 +382,17 @@ impl DemandState {
                 return i;
             }
             match env {
-                ExecEnv::Sim(sim_env) => {
-                    st.waiters.push(sim_env.pid());
+                ExecEnv::Sim(sim) => {
+                    st.waiters.push(sim.pid());
                     drop(st);
                     match self.faults.as_ref().filter(|c| c.crashes_possible()) {
                         // Timed block so we re-probe liveness: an ack may
                         // never come from a consumer set that died with our
                         // credit outstanding.
                         Some(ctl) => {
-                            sim_env.block_until(sim_env.now() + ctl.timeout);
+                            sim.block_until(sim.now() + ctl.timeout);
                         }
-                        None => sim_env.block(),
+                        None => sim.block(),
                     }
                 }
                 ExecEnv::Native(_) => {

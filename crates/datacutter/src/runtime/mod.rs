@@ -21,7 +21,7 @@
 //! ```ignore
 //! let report = Run::new(graph)
 //!     .uows(3)
-//!     .trace(trace)
+//!     .faults(opts)
 //!     .go(&topo)?;
 //! ```
 //!
@@ -80,15 +80,13 @@ impl Default for Tuning {
 type SetupFn = Box<dyn FnOnce(&mut Simulation)>;
 
 /// Builder for one pipeline run: one composable entry point — every
-/// option can be combined (e.g. trace + faults + custom setup in the same
-/// run).
+/// option can be combined (e.g. faults + custom setup in the same run).
 ///
-/// Defaults: one unit of work, the virtual-time [`SimExecutor`], no trace,
-/// no faults and no memory budget.
+/// Defaults: one unit of work, the virtual-time [`SimExecutor`], no
+/// faults and no memory budget.
 pub struct Run {
     graph: AppGraph,
     uows: u32,
-    trace: Option<hetsim::Trace>,
     faults: Option<FaultOptions>,
     setup: Option<SetupFn>,
     executor: ExecutorChoice,
@@ -101,7 +99,6 @@ impl Run {
         Run {
             graph,
             uows: 1,
-            trace: None,
             faults: None,
             setup: None,
             executor: ExecutorChoice::Sim(SimExecutor::new()),
@@ -118,14 +115,6 @@ impl Run {
     /// `n == 0` with [`RunError::Unsupported`].
     pub fn uows(mut self, n: u32) -> Self {
         self.uows = n;
-        self
-    }
-
-    /// Record per-copy compute and read-wait spans into `trace` for
-    /// timeline inspection. Works on both substrates (wall-clock spans
-    /// under the native executor).
-    pub fn trace(mut self, trace: hetsim::Trace) -> Self {
-        self.trace = Some(trace);
         self
     }
 
@@ -269,7 +258,6 @@ impl Run {
             topo,
             Arc::new(self.graph),
             self.uows,
-            self.trace,
             fault_ctl,
             self.tuning,
         )
@@ -282,7 +270,6 @@ fn drive(
     topo: &Topology,
     graph: Arc<AppGraph>,
     uows: u32,
-    trace: Option<hetsim::Trace>,
     fault_ctl: Option<Arc<FaultCtl>>,
     tuning: Tuning,
 ) -> Result<RunReport, RunError> {
@@ -314,7 +301,6 @@ fn drive(
         topo,
         &graph,
         uows,
-        trace,
         fault_ctl.clone(),
         error_cell.clone(),
         &tuning,

@@ -59,7 +59,7 @@ use crate::fault::{
     FaultCtl, KilledMarker, RestartEvent, RunError, ABORT_MSG,
 };
 use crate::filter::CopyInfo;
-use crate::graph::{AppGraph, FilterId};
+use crate::graph::{AppGraph, FilterId, DEFAULT_QUEUE_CAPACITY};
 use crate::metrics::{CopyCell, CopyCounters, CopySetCell};
 use crate::policy::{CopySetInfo, WriterState};
 use crate::storage::StorageCtl;
@@ -121,7 +121,6 @@ pub(crate) fn build(
     topo: &Topology,
     graph: &Arc<AppGraph>,
     uows: u32,
-    trace: Option<hetsim::Trace>,
     fault_ctl: Option<Arc<FaultCtl>>,
     error_cell: ErrorCell,
     tuning: &Tuning,
@@ -229,7 +228,7 @@ pub(crate) fn build(
             first_copy += copies as usize;
             // Room for data plus the UowDone tokens injected at the end of
             // each cycle.
-            let cap = spec.queue_capacity * copies as usize + copies as usize;
+            let cap = DEFAULT_QUEUE_CAPACITY * copies as usize + copies as usize;
             let (tx, rx) = exec.channel::<Envelope>(cap.max(1));
             data_txs.push(tx);
             data_rxs.push(rx);
@@ -407,7 +406,6 @@ pub(crate) fn build(
                 let barrier2 = barrier.clone();
                 let barrier_out = barrier.clone();
                 let boundaries2 = uow_boundaries.clone();
-                let trace2 = trace.clone().map(|t| (t, copy_name.clone()));
                 let fname = fspec.name.clone();
                 let copy_ctl = fault_ctl.clone();
                 let kill_ctl = fault_ctl.clone();
@@ -443,7 +441,6 @@ pub(crate) fn build(
                                 inputs,
                                 outputs,
                                 metrics: cell,
-                                trace: trace2,
                                 faults: copy_ctl,
                                 my_death,
                                 slab: copy_slab,
@@ -746,7 +743,6 @@ mod tests {
             &topo,
             Arc::new(g.build()),
             1,
-            None,
             faults,
             Tuning::default(),
         )

@@ -48,12 +48,11 @@ struct Args {
     timestep: u32,
     seed: u64,
     grouping: String,
-    policy: String,
-    algorithm: String,
+    policy: WritePolicy,
+    algorithm: Algorithm,
     executor: &'static str,
     memory_budget: u64,
     cache_capacity: u64,
-    prefetch_depth: u32,
     storage_faults: Option<u64>,
     storage_retries: Option<u32>,
     out: String,
@@ -79,8 +78,6 @@ USAGE: dcrender [FLAGS]
   --memory-budget B   in-flight stream-buffer byte budget; over-budget
                       streams spill to a temp-file ring, 0 = off (default 0)
   --cache-capacity B  shared decoded-chunk cache bytes, 0 = off (default 0)
-  --prefetch-depth N  read-ahead chunks in flight, sim executor only,
-                      0 = off (default 0)
   --storage-faults S  inject seeded transient disk errors into the spill
                       ring (seed S); the run retries/degrades through the
                       storage ladder and prints its fault report
@@ -102,12 +99,11 @@ fn parse_args() -> Args {
         timestep: 0,
         seed: 42,
         grouping: "re-ra-m".into(),
-        policy: "dd".into(),
-        algorithm: "ap".into(),
+        policy: WritePolicy::demand_driven(),
+        algorithm: Algorithm::ActivePixel,
         executor: "sim",
         memory_budget: 0,
         cache_capacity: 0,
-        prefetch_depth: 0,
         storage_faults: None,
         storage_retries: None,
         out: "render.ppm".into(),
@@ -126,8 +122,21 @@ fn parse_args() -> Args {
             "--timestep" => a.timestep = ranged(&argv, &mut i, |n| *n < volume::TIMESTEPS),
             "--seed" => a.seed = number(&argv, &mut i),
             "--grouping" => a.grouping = value(&argv, &mut i).into(),
-            "--policy" => a.policy = value(&argv, &mut i).into(),
-            "--algorithm" => a.algorithm = value(&argv, &mut i).into(),
+            "--policy" => {
+                a.policy = match value(&argv, &mut i) {
+                    "rr" => WritePolicy::RoundRobin,
+                    "wrr" => WritePolicy::WeightedRoundRobin,
+                    "dd" => WritePolicy::demand_driven(),
+                    p => usage_error(format_args!("--policy: unknown policy '{p}'")),
+                }
+            }
+            "--algorithm" => {
+                a.algorithm = match value(&argv, &mut i) {
+                    "zb" => Algorithm::ZBuffer,
+                    "ap" => Algorithm::ActivePixel,
+                    x => usage_error(format_args!("--algorithm: unknown algorithm '{x}'")),
+                }
+            }
             "--executor" => {
                 a.executor = match value(&argv, &mut i) {
                     "sim" => "sim",
@@ -139,7 +148,6 @@ fn parse_args() -> Args {
             }
             "--memory-budget" => a.memory_budget = number(&argv, &mut i),
             "--cache-capacity" => a.cache_capacity = number(&argv, &mut i),
-            "--prefetch-depth" => a.prefetch_depth = number(&argv, &mut i),
             "--storage-faults" => a.storage_faults = Some(number(&argv, &mut i)),
             "--storage-retries" => a.storage_retries = Some(number(&argv, &mut i)),
             "--out" => a.out = value(&argv, &mut i).into(),
@@ -234,7 +242,6 @@ fn main() {
     };
     cfg.memory_budget_bytes = args.memory_budget;
     cfg.cache_capacity = args.cache_capacity;
-    cfg.prefetch_depth = args.prefetch_depth;
     if let Some(budget) = args.storage_retries {
         cfg.storage_retry_budget = budget;
     }
@@ -269,23 +276,8 @@ fn main() {
                 },
                 g => usage_error(format_args!("--grouping: unknown grouping '{g}'")),
             },
-            algorithm: match args.algorithm.as_str() {
-                "zb" => Algorithm::ZBuffer,
-                "ap" => Algorithm::ActivePixel,
-                x => {
-                    eprintln!("unknown algorithm {x}");
-                    exit(2);
-                }
-            },
-            policy: match args.policy.as_str() {
-                "rr" => WritePolicy::RoundRobin,
-                "wrr" => WritePolicy::WeightedRoundRobin,
-                "dd" => WritePolicy::demand_driven(),
-                p => {
-                    eprintln!("unknown policy {p}");
-                    exit(2);
-                }
-            },
+            algorithm: args.algorithm,
+            policy: args.policy,
             merge_host: hosts[0],
         }
     };

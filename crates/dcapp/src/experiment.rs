@@ -4,9 +4,9 @@ use datacutter::{ExecutorChoice, FaultOptions, Run, RunError, RunReport};
 use hetsim::{SimDuration, Topology};
 use isosurf::Image;
 
-use crate::config::SharedConfig;
+use crate::config::{ConfigError, SharedConfig};
 use crate::filters::ImageSlot;
-use crate::pipeline::{build_pipeline, Pipeline, PipelineSpec};
+use crate::pipeline::{try_build_pipeline, Pipeline, PipelineSpec};
 
 /// Outcome of one run: one rendered image per unit of work (consecutive
 /// timesteps from `cfg.timestep`), cumulative metrics and the handles of
@@ -41,7 +41,9 @@ impl PipelineResult {
 /// and the number of units of work are set here.
 ///
 /// Defaults: one unit of work, the virtual-time
-/// [`SimExecutor`](datacutter::SimExecutor), no faults.
+/// [`SimExecutor`](datacutter::SimExecutor), no faults. A config that
+/// fails [`AppConfig::validate_for`](crate::AppConfig::validate_for)
+/// builds no graph, and `go` returns [`RunError::Unsupported`].
 ///
 /// ```no_run
 /// # fn demo(topo: &hetsim::Topology, cfg: &dcapp::SharedConfig, spec: &dcapp::PipelineSpec)
@@ -54,8 +56,14 @@ impl PipelineResult {
 /// # Ok(()) }
 /// ```
 pub struct Render {
-    run: Run,
+    /// The run of the built graph, or why the config built none.
+    built: Result<Built, ConfigError>,
     uows: u32,
+}
+
+/// A [`Render`]'s run and the handles of the graph it runs.
+struct Built {
+    run: Run,
     image: ImageSlot,
     to_raster: Option<datacutter::StreamId>,
     to_merge: datacutter::StreamId,
@@ -64,39 +72,43 @@ pub struct Render {
 
 impl Render {
     /// Build the graph of `spec` over `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// As [`build_pipeline`], on a config that fails
-    /// [`AppConfig::validate_for`](crate::AppConfig::validate_for).
     pub fn new(cfg: &SharedConfig, spec: &PipelineSpec) -> Self {
-        let Pipeline {
-            graph,
-            image,
-            to_raster,
-            to_merge,
-            filters,
-        } = build_pipeline(cfg, spec);
-        Render {
-            run: Run::new(graph)
-                .memory_budget(cfg.memory_budget_bytes)
-                .storage_retries(cfg.storage_retry_budget)
-                .checksum_spills(cfg.checksum_spills),
-            uows: 1,
-            image,
-            to_raster,
-            to_merge,
-            filters,
-        }
+        let built = try_build_pipeline(cfg, spec).map(
+            |Pipeline {
+                 graph,
+                 image,
+                 to_raster,
+                 to_merge,
+                 filters,
+             }| Built {
+                run: Run::new(graph)
+                    .memory_budget(cfg.memory_budget_bytes)
+                    .storage_retries(cfg.storage_retry_budget)
+                    .checksum_spills(cfg.checksum_spills),
+                image,
+                to_raster,
+                to_merge,
+                filters,
+            },
+        );
+        Render { built, uows: 1 }
+    }
+
+    /// Apply a [`Run`] option, if the graph was built.
+    fn with_run(mut self, option: impl FnOnce(Run) -> Run) -> Self {
+        self.built = self.built.map(|mut b| {
+            b.run = option(b.run);
+            b
+        });
+        self
     }
 
     /// Run on an explicit substrate: a [`datacutter::SimExecutor`] for the
     /// deterministic virtual-time run or a [`datacutter::NativeExecutor`]
     /// for real OS threads. The images are bit-identical on both (merging
     /// is order-independent); only the timing semantics differ.
-    pub fn executor(mut self, exec: impl Into<ExecutorChoice>) -> Self {
-        self.run = self.run.executor(exec);
-        self
+    pub fn executor(self, exec: impl Into<ExecutorChoice>) -> Self {
+        self.with_run(|run| run.executor(exec))
     }
 
     /// Run under a fault plan: hosts crash, stall or lose messages per
@@ -110,9 +122,8 @@ impl Render {
     /// fails the run with [`RunError::NoSurvivingConsumers`]. On the
     /// native executor the plan's times are wall-clock nanoseconds since
     /// run start.
-    pub fn faults(mut self, opts: FaultOptions) -> Self {
-        self.run = self.run.faults(opts);
-        self
+    pub fn faults(self, opts: FaultOptions) -> Self {
+        self.with_run(|run| run.faults(opts))
     }
 
     /// Render `n` consecutive units of work in one run: filter copies stay
@@ -120,22 +131,25 @@ impl Render {
     /// rendering timesteps `cfg.timestep`, `cfg.timestep + 1`, … — the
     /// paper's consecutive-timesteps workload. `go` rejects `n == 0`.
     pub fn uows(mut self, n: u32) -> Self {
-        self.run = self.run.uows(n);
         self.uows = n;
-        self
+        self.with_run(|run| run.uows(n))
     }
 
-    /// Execute on `topo`.
+    /// Execute on `topo`. A config that built no graph is
+    /// [`RunError::Unsupported`], naming the knob it failed on.
     pub fn go(self, topo: &Topology) -> Result<PipelineResult, RunError> {
-        let report = self.run.go(topo)?;
-        let images = deposited(&self.image, &report, self.uows)?;
+        let b = self.built.map_err(|e| RunError::Unsupported {
+            what: e.to_string(),
+        })?;
+        let report = b.run.go(topo)?;
+        let images = deposited(&b.image, &report, self.uows)?;
         Ok(PipelineResult {
             elapsed: report.elapsed,
             report,
             images,
-            to_raster: self.to_raster,
-            to_merge: self.to_merge,
-            filters: self.filters,
+            to_raster: b.to_raster,
+            to_merge: b.to_merge,
+            filters: b.filters,
         })
     }
 }
@@ -198,7 +212,6 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         storage_retry_budget: cfg.storage_retry_budget,
         checksum_spills: cfg.checksum_spills,
         cache_capacity: cfg.cache_capacity,
-        prefetch_depth: cfg.prefetch_depth,
         placement: cfg.placement.clone(),
         storage_hosts: cfg.storage_hosts.clone(),
         selected_cache: std::sync::OnceLock::new(),
@@ -242,6 +255,27 @@ mod tests {
         let reference = reference_image(&cfg);
         assert_eq!(r.image().diff_pixels(&reference), 0);
         assert!(r.elapsed > SimDuration::ZERO);
+    }
+
+    /// A config that fails validation builds no graph: `Render::new` does
+    /// not panic, and `go` reports the knob as a structured error through
+    /// every builder option.
+    #[test]
+    fn invalid_config_is_an_error_from_go_not_a_panic() {
+        let (topo, cfg) = small_setup(2, 96);
+        let mut c = clone_config(&cfg);
+        c.tri_batch = 0;
+        let c: SharedConfig = Arc::new(c);
+        let s = spec(&topo, &c, Grouping::RERaM, Algorithm::ActivePixel);
+        let run = Render::new(&c, &s)
+            .executor(datacutter::NativeExecutor::new())
+            .uows(2)
+            .go(&topo);
+        match run {
+            Err(RunError::Unsupported { what }) => assert!(what.contains("tri_batch"), "{what}"),
+            Err(other) => panic!("expected Unsupported, got {other}"),
+            Ok(_) => panic!("a zero-triangle batch must not run"),
+        }
     }
 
     #[test]
@@ -584,30 +618,6 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, stats.lookups());
         assert!(stats.hits >= 8, "second pass hits every chunk");
         assert!(stats.resident_bytes <= stats.capacity_bytes);
-    }
-
-    #[test]
-    fn prefetched_run_matches_reference_and_disk_tally() {
-        let (topo, cfg) = small_setup(2, 96);
-        let s = spec(&topo, &cfg, Grouping::RERaM, Algorithm::ActivePixel);
-        let plain = Render::new(&cfg, &s).go(&topo).unwrap();
-        let mut c = clone_config(&cfg);
-        c.prefetch_depth = 4;
-        let c: SharedConfig = Arc::new(c);
-        let pre = Render::new(&c, &s).go(&topo).unwrap();
-        assert_eq!(pre.image().diff_pixels(plain.image()), 0);
-        assert_eq!(
-            total_disk_bytes(&pre),
-            total_disk_bytes(&plain),
-            "read-ahead moves the same bytes, just earlier"
-        );
-        assert!(
-            pre.elapsed <= plain.elapsed,
-            "overlapping retrieval with compute must not slow the run: \
-             {:?} vs {:?}",
-            pre.elapsed,
-            plain.elapsed
-        );
     }
 
     /// Budgets of one chunk, 1/64 of a chunk and one byte, under RR and

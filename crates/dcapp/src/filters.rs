@@ -16,7 +16,7 @@ use crate::config::{Algorithm, SharedConfig};
 use crate::parts::{
     received_chunk_crosses, ExtractStage, MergeStage, RasterStage, ReadStage, TileMergeStage,
 };
-use crate::payload::{ChunkPayload, RaOut, TriBatch};
+use crate::payload::{BandPools, ChunkPayload, RaOut, TriBatch};
 use crate::tiles::TileSplitter;
 
 /// Shared slot the merge filter deposits final images into (one per unit
@@ -68,13 +68,16 @@ struct Tail {
 }
 
 impl AppFilter {
-    /// Copy `info` of a filter holding `stages`.
+    /// Copy `info` of a filter holding `stages`. A raster stage ships its
+    /// z-buffer bands from `bands`, the pools every copy of the filter
+    /// shares.
     pub fn new(
         cfg: &SharedConfig,
         stages: &[Stage],
         alg: Algorithm,
         info: CopyInfo,
         slot: &ImageSlot,
+        bands: &BandPools,
     ) -> Self {
         let (mut read, mut extract) = (None, None);
         let mut tail = Tail {
@@ -93,9 +96,9 @@ impl AppFilter {
                     })
                 }
                 Stage::Extract => extract = Some(ExtractStage::new(cfg.clone())),
-                Stage::Raster => tail.raster = Some(RasterStage::new(alg, cfg)),
+                Stage::Raster => tail.raster = Some(RasterStage::new(alg, cfg, bands)),
                 Stage::RasterTiles => {
-                    tail.raster = Some(RasterStage::new(alg, cfg));
+                    tail.raster = Some(RasterStage::new(alg, cfg, bands));
                     tail.tiles = Some(TileSplitter::new(cfg.tile_rows(), cfg.n_tiles()));
                 }
                 Stage::MergeTiles => {
@@ -325,10 +328,10 @@ mod tests {
             let r = g.add_filter("R", Placement::on_host(hosts[0], 1), move |_| {
                 HeadersOnly(read_cfg.clone())
             });
-            let (era_cfg, slot) = (cfg.clone(), ImageSlot::default());
+            let (era_cfg, slot, bands) = (cfg.clone(), ImageSlot::default(), BandPools::default());
             let e = g.add_filter("ERaM", Placement::on_host(hosts[0], 1), move |info| {
                 let stages = [Stage::Extract, Stage::Raster, Stage::Merge];
-                AppFilter::new(&era_cfg, &stages, Algorithm::ZBuffer, info, &slot)
+                AppFilter::new(&era_cfg, &stages, Algorithm::ZBuffer, info, &slot, &bands)
             });
             g.connect(r, e, WritePolicy::RoundRobin);
             match Run::new(g.build()).executor(exec).go(&topo) {

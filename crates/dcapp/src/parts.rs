@@ -4,17 +4,14 @@
 //! then literally function composition, which is how the paper's grouped
 //! configurations behave.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use datacutter::{FilterCtx, FilterError};
-use hetsim::{Env, Semaphore};
 use isosurf::{
     merge_batch, raster_batch, ActivePixelBuffer, ExtractStats, Image, Triangle, WinningPixel,
     ZBuffer, BACKGROUND, EMPTY_DEPTH,
 };
-use parking_lot::Mutex;
-use volume::{CacheKey, ChunkCache, ChunkId, ChunkInfo, RectGrid};
+use volume::{CacheKey, ChunkId, ChunkInfo, RectGrid};
 
 use crate::config::{Algorithm, AppConfig, SharedConfig};
 use crate::payload::{BandPools, ChunkPayload, RaOut, TriBatch};
@@ -24,36 +21,11 @@ use crate::pool::{BufferPool, PoolVec};
 /// `reset_seek` marks reads that must pay the full positioning overhead
 /// regardless of what came before: the first chunk of a file, or a chunk
 /// following a query-skipped neighbour.
-#[derive(Clone, Copy)]
 struct PlanEntry {
     chunk: ChunkId,
     disk: u32,
     bytes: u64,
     reset_seek: bool,
-}
-
-/// One completed read-ahead fetch: the bytes it charged to the disk
-/// model and (when a cache is wired) the decoded grid.
-type Fetched = (u64, Option<Arc<RectGrid>>);
-
-/// Handshake between the read loop and its read-ahead helper process:
-/// `slots` bounds how far ahead the helper runs (`prefetch_depth`
-/// chunks), `ready` signals completed fetches, and `queue` carries what
-/// each fetch charged and (when a cache is wired) the decoded grid. The
-/// read loop holds the only strong reference to `queue`, so when the loop
-/// ends or its copy dies, dropping this frees a slot and the helper,
-/// finding the queue gone, ends too.
-struct Prefetch {
-    env: Env,
-    slots: Semaphore,
-    ready: Semaphore,
-    queue: Arc<Mutex<VecDeque<Fetched>>>,
-}
-
-impl Drop for Prefetch {
-    fn drop(&mut self) {
-        self.slots.release(&self.env);
-    }
 }
 
 /// One chunk the read stage has retrieved and charged for, not yet cut
@@ -197,79 +169,6 @@ impl ReadStage {
         out
     }
 
-    /// Spawn the read-ahead helper on the simulation clock, when the
-    /// config asks for one and this copy runs under the sim executor.
-    /// The helper walks the plan up to `prefetch_depth` chunks ahead of
-    /// the main loop, charging the disk model (and filling the chunk
-    /// cache) so retrieval overlaps the main loop's compute.
-    fn spawn_prefetcher(
-        &self,
-        ctx: &FilterCtx,
-        timestep: u32,
-        plan: &[PlanEntry],
-        cache: Option<Arc<ChunkCache>>,
-    ) -> Option<Prefetch> {
-        if self.cfg.prefetch_depth == 0 || plan.is_empty() {
-            return None;
-        }
-        let env = ctx.sim_env()?;
-        let disks = ctx.topology().host(ctx.host()).disks.clone();
-        if disks.is_empty() {
-            return None;
-        }
-        let pf = Prefetch {
-            env: env.clone(),
-            slots: Semaphore::new(self.cfg.prefetch_depth as u64),
-            ready: Semaphore::new(0),
-            queue: Arc::new(Mutex::new(VecDeque::new())),
-        };
-        let (slots, ready) = (pf.slots.clone(), pf.ready.clone());
-        let queue = Arc::downgrade(&pf.queue);
-        let cfg = self.cfg.clone();
-        let plan = plan.to_vec();
-        env.spawn(format!("prefetch:{}", self.node_index), move |env: Env| {
-            let mut head_on_track = false;
-            for e in &plan {
-                slots.acquire(&env);
-                let Some(queue) = queue.upgrade() else {
-                    return;
-                };
-                let key = CacheKey {
-                    species: cfg.species,
-                    timestep,
-                    chunk: e.chunk,
-                };
-                let record = match cache.as_ref().and_then(|c| c.get(key)) {
-                    Some(grid) => {
-                        // Cache hit: no disk op, so the head has not
-                        // advanced and the next miss pays a full seek.
-                        head_on_track = false;
-                        (0, Some(grid))
-                    }
-                    None => {
-                        let d = &disks[e.disk as usize % disks.len()];
-                        if head_on_track && !e.reset_seek {
-                            d.read_seq(&env, e.bytes);
-                        } else {
-                            d.read(&env, e.bytes);
-                        }
-                        head_on_track = true;
-                        let got = cache.as_ref().map(|c| {
-                            let grid =
-                                Arc::new(cfg.dataset.read_chunk(cfg.species, timestep, e.chunk));
-                            c.insert(key, grid.clone());
-                            grid
-                        });
-                        (e.bytes, got)
-                    }
-                };
-                queue.lock().push_back(record);
-                ready.release(&env);
-            }
-        });
-        Some(pf)
-    }
-
     /// Stream every local chunk through `sink`, charging disk + CPU; the
     /// sink decides whether to [cut](ReadChunk::cut) it.
     /// Chunks within a file are read sequentially (Hilbert order), so only
@@ -280,60 +179,42 @@ impl ReadStage {
     ///
     /// A configured [`ChunkCache`](crate::config::AppConfig::chunk_cache)
     /// is consulted per chunk: hits skip the disk entirely (the next miss
-    /// re-seeks), misses read and populate. With `prefetch_depth > 0`
-    /// under the sim executor, retrieval is delegated to a read-ahead
-    /// helper process and this loop only tallies the bytes it charged.
+    /// re-seeks), misses read and populate.
     pub fn run(&self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, ReadChunk<'_>)) {
         let timestep = self.cfg.uow_timestep(ctx.uow());
         let plan = self.plan();
         let cache = self.cfg.chunk_cache().cloned();
-        let prefetch = self.spawn_prefetcher(ctx, timestep, &plan, cache.clone());
         let mut head_on_track = false;
         for e in &plan {
-            let grid = match &prefetch {
-                Some(pf) => {
-                    pf.ready.acquire(&pf.env);
-                    // One record per planned chunk: `ready` counts them.
-                    let (charged, got) = pf.queue.lock().pop_front().unwrap_or_default();
-                    pf.slots.release(&pf.env);
-                    if charged > 0 {
-                        ctx.note_disk_bytes(charged);
-                    }
+            let key = CacheKey {
+                species: self.cfg.species,
+                timestep,
+                chunk: e.chunk,
+            };
+            let grid = match cache.as_ref().and_then(|c| c.get(key)) {
+                Some(grid) => {
+                    // Cache hit: no disk traffic; the head did not
+                    // advance, so the next miss pays a full seek.
+                    head_on_track = false;
                     ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                    got
+                    Some(grid)
                 }
                 None => {
-                    let key = CacheKey {
-                        species: self.cfg.species,
-                        timestep,
-                        chunk: e.chunk,
-                    };
-                    match cache.as_ref().and_then(|c| c.get(key)) {
-                        Some(grid) => {
-                            // Cache hit: no disk traffic; the head did not
-                            // advance, so the next miss pays a full seek.
-                            head_on_track = false;
-                            ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                            Some(grid)
-                        }
-                        None => {
-                            ctx.disk_read(e.disk as usize, e.bytes, head_on_track && !e.reset_seek);
-                            head_on_track = true;
-                            ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                            // A cache miss materialises the chunk whether
-                            // or not the sink cuts it: the cache holds
-                            // chunks, not verdicts.
-                            cache.as_ref().map(|c| {
-                                let grid = Arc::new(self.cfg.dataset.read_chunk(
-                                    self.cfg.species,
-                                    timestep,
-                                    e.chunk,
-                                ));
-                                c.insert(key, grid.clone());
-                                grid
-                            })
-                        }
-                    }
+                    ctx.disk_read(e.disk as usize, e.bytes, head_on_track && !e.reset_seek);
+                    head_on_track = true;
+                    ctx.compute(self.cfg.cost.read_cost(e.bytes));
+                    // A cache miss materialises the chunk whether or not
+                    // the sink cuts it: the cache holds chunks, not
+                    // verdicts.
+                    cache.as_ref().map(|c| {
+                        let grid = Arc::new(self.cfg.dataset.read_chunk(
+                            self.cfg.species,
+                            timestep,
+                            e.chunk,
+                        ));
+                        c.insert(key, grid.clone());
+                        grid
+                    })
                 }
             };
             sink(
@@ -439,7 +320,8 @@ pub(crate) enum RasterStage {
         /// (`lo >= hi`) while nothing is.
         drawn: (u32, u32),
         proj: isosurf::Projector,
-        /// Band buffers for end-of-work shipping, recycled by the merge.
+        /// Band buffers for end-of-work shipping, recycled by the merge;
+        /// shared by every copy of the filter.
         pools: BandPools,
     },
     Ap {
@@ -452,15 +334,16 @@ pub(crate) enum RasterStage {
 }
 
 impl RasterStage {
-    /// A stage rastering the whole image.
-    pub fn new(alg: Algorithm, cfg: &SharedConfig) -> Self {
+    /// A stage rastering the whole image, shipping z-buffer bands from
+    /// `bands`.
+    pub fn new(alg: Algorithm, cfg: &SharedConfig, bands: &BandPools) -> Self {
         let proj = cfg.camera.projector();
         match alg {
             Algorithm::ZBuffer => RasterStage::Zb {
                 zb: None,
                 drawn: (u32::MAX, 0),
                 proj,
-                pools: BandPools::default(),
+                pools: bands.clone(),
             },
             Algorithm::ActivePixel => RasterStage::Ap {
                 ap: ActivePixelBuffer::new(cfg.camera.width, cfg.wpa_capacity),

@@ -139,8 +139,9 @@ impl RaOut {
 }
 
 /// Pooled buffers for the z-buffer bands a stage ships: the consumer
-/// dropping a band returns both its vectors here.
-#[derive(Default)]
+/// dropping a band returns both its vectors here. Cloning shares the
+/// pools.
+#[derive(Clone, Default)]
 pub(crate) struct BandPools {
     depth: BufferPool<f32>,
     color: BufferPool<[u8; 3]>,

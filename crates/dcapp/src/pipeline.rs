@@ -7,6 +7,7 @@ use hetsim::HostId;
 
 use crate::config::{Algorithm, ConfigError, SharedConfig};
 use crate::filters::{AppFilter, ImageSlot, Stage::*};
+use crate::payload::BandPools;
 
 /// How the application is decomposed into filters.
 #[derive(Debug, Clone)]
@@ -162,8 +163,9 @@ pub fn try_build_pipeline(
         let merges = stages.iter().any(|s| matches!(s, MergeTiles | Merge));
         let tile_merge = stages.contains(&MergeTiles);
         let (cfg, alg, slot) = (cfg.clone(), spec.algorithm, image.clone());
+        let bands = BandPools::default();
         let id = g.add_filter(name, placement, move |info| {
-            AppFilter::new(&cfg, &stages, alg, info, &slot)
+            AppFilter::new(&cfg, &stages, alg, info, &slot, &bands)
         });
         if let Some((from, after_tile_merge)) = prev {
             // The stream into a tile merge is structurally tile-hash:

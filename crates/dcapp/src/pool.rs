@@ -12,7 +12,9 @@
 //!
 //! Pools are keyed per stage *copy* (each copy constructs its own), so
 //! there is no cross-copy contention beyond the producer/consumer
-//! hand-off itself.
+//! hand-off itself. The z-buffer band pools are the exception: every copy
+//! of a raster filter ships its end-of-work bands from one shared pair,
+//! so a copy that is done with its bands leaves them to its siblings.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -6,7 +6,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -35,8 +35,22 @@ fn bad_arguments_are_usage_errors_not_panics() {
             &["--executor", "threads"],
             "dcrender: --executor: unknown executor 'threads'",
         ),
-        // The pooled executor's size flag went with the executor.
+        // Parsed with the other flags, before the dataset is generated.
+        (
+            &["--algorithm", "foo"],
+            "dcrender: --algorithm: unknown algorithm 'foo'",
+        ),
+        (
+            &["--policy", "foo"],
+            "dcrender: --policy: unknown policy 'foo'",
+        ),
+        // The pooled executor's size flag went with the executor, and the
+        // simulator-only read-ahead depth with the read-ahead helper.
         (&["--workers", "1"], "dcrender: unknown flag --workers"),
+        (
+            &["--prefetch-depth", "1"],
+            "dcrender: unknown flag --prefetch-depth",
+        ),
         // Sort-first image partitioning went for the tile-owned merge
         // group (this command used to panic in its band split).
         (

@@ -31,7 +31,6 @@ pub mod resources;
 pub mod sync;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use engine::{Env, ProcessId, RunStats, SimError, Simulation, Step, Waker};
 pub use fault::{splitmix64, DiskFaultKind, FaultPlan};
@@ -43,4 +42,3 @@ pub use topology::{
     ClusterId, ClusterSpec, Host, HostId, HostSpec, HostUtilization, Topology, TopologyBuilder,
     Transfer,
 };
-pub use trace::{Span, Trace};

@@ -127,13 +127,11 @@ fn rr_crash_fails_fast_when_degraded_mode_disallowed() {
     }
 }
 
-/// A read-ahead source copy dies with its storage host just like one
-/// that reads its own disk: under `prefetch_depth > 0` the read loop sees
-/// its death at the same per-chunk point. The crash lands while the
-/// helper process is still mid-plan, and the helper ends with its copy:
-/// one left parked on its slots would deadlock the simulation.
+/// A source copy dies with its storage host: the read loop sees its
+/// death at the next chunk, the run completes, and the chunks the dead
+/// copy never read are missing from the image.
 #[test]
-fn prefetched_read_dies_with_its_storage_host() {
+fn source_copy_dies_with_its_storage_host() {
     let (topo, hosts) = cluster(4);
     let spec = PipelineSpec {
         grouping: Grouping::RERaSplit {
@@ -143,25 +141,20 @@ fn prefetched_read_dies_with_its_storage_host() {
         policy: WritePolicy::demand_driven(),
         merge_host: hosts[3],
     };
-    let base = test_cfg(test_dataset(7), vec![hosts[0], hosts[1]], 96);
-    for depth in [0, 4] {
-        let mut cfg = dcapp::clone_config(&base);
-        cfg.prefetch_depth = depth;
-        let cfg = Arc::new(cfg);
-        let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
-        let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
-        let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
-        let faulted = Render::new(&cfg, &spec)
-            .faults(FaultOptions::new(plan))
-            .go(&topo)
-            .expect("run completes without the dead node's remaining chunks");
-        let f = &faulted.report.faults;
-        assert_eq!(f.copies_killed, 1, "depth {depth}: {f:?}");
-        assert!(
-            faulted.image().diff_pixels(clean.image()) > 0,
-            "depth {depth}: the chunks the dead copy never read are missing"
-        );
-    }
+    let cfg = test_cfg(test_dataset(7), vec![hosts[0], hosts[1]], 96);
+    let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
+    let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.05);
+    let plan = FaultPlan::new().crash_host(hosts[1], crash_at);
+    let faulted = Render::new(&cfg, &spec)
+        .faults(FaultOptions::new(plan))
+        .go(&topo)
+        .expect("run completes without the dead node's remaining chunks");
+    let f = &faulted.report.faults;
+    assert_eq!(f.copies_killed, 1, "{f:?}");
+    assert!(
+        faulted.image().diff_pixels(clean.image()) > 0,
+        "the chunks the dead copy never read are missing"
+    );
 }
 
 /// A crash of the merge host kills the merge's only copy, so the run

@@ -1,5 +1,5 @@
-//! The [`datacutter::Run`] builder: option composition (trace + faults +
-//! setup in one run), and the configurations `Run::go` rejects up front.
+//! The [`datacutter::Run`] builder: option composition (faults + setup in
+//! one run), and the configurations `Run::go` rejects up front.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use datacutter::{
     NativeExecutor, Placement, Run, RunError, SimExecutor, WritePolicy,
 };
 use hetsim::{
-    spawn_load_generator, FaultPlan, HostId, LoadProfile, SimDuration, SimTime, Topology, Trace,
+    spawn_load_generator, FaultPlan, HostId, LoadProfile, SimDuration, SimTime, Topology,
 };
 use integration_tests::{at_least_once, cluster};
 use parking_lot::Mutex;
@@ -86,18 +86,16 @@ fn workload(
     (g.build(), out)
 }
 
-/// One run combining a trace, an injected host crash, AND a custom setup
-/// hook (a mid-run CPU storm).
+/// One run combining an injected host crash and a custom setup hook (a
+/// mid-run CPU storm).
 #[test]
-fn trace_faults_and_setup_combine_in_one_run() {
+fn faults_and_setup_combine_in_one_run() {
     let (topo, hosts) = cluster(3);
     let (graph, out) = workload(&topo, &hosts, 40);
-    let trace = Trace::new();
     let crash_at = SimTime::ZERO + SimDuration::from_millis(40);
     let plan = FaultPlan::new().crash_host(hosts[2], crash_at);
     let storm_cpu = topo.host(hosts[1]).cpu.clone();
     let report = Run::new(graph)
-        .trace(trace.clone())
         .faults(FaultOptions::new(plan))
         .setup(move |sim| {
             let profile = LoadProfile {
@@ -116,11 +114,6 @@ fn trace_faults_and_setup_combine_in_one_run() {
     assert!(!f.injected.is_empty());
     assert!(f.copies_killed >= 1, "{f:?}");
     at_least_once(out.lock().clone(), 40, f).unwrap();
-    // And the trace saw the copies working.
-    let busy = trace.busy_by_label();
-    let labels: Vec<&str> = busy.iter().map(|(l, _)| l.as_str()).collect();
-    assert!(labels.contains(&"compute"), "{labels:?}");
-    assert!(labels.contains(&"read-wait"), "{labels:?}");
 }
 
 /// Both executors, fresh.

@@ -446,37 +446,6 @@ fn fan_in_filter_reads_two_ports() {
 }
 
 #[test]
-fn traced_run_records_compute_and_wait_spans() {
-    let topo = flat_topology(2);
-    let out: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut g = GraphBuilder::new();
-    let src = g.add_filter("src", Placement::on_host(HostId(0), 1), |_| Source { n: 5 });
-    let dbl = g.add_filter("dbl", Placement::on_host(HostId(1), 1), |_| Doubler {
-        work: SimDuration::from_millis(2),
-    });
-    let out2 = out.clone();
-    let snk = g.add_filter("snk", Placement::on_host(HostId(0), 1), move |_| Collect {
-        out: out2.clone(),
-    });
-    g.connect(src, dbl, WritePolicy::RoundRobin);
-    g.connect(dbl, snk, WritePolicy::RoundRobin);
-    let trace = hetsim::Trace::new();
-    Run::new(g.build()).trace(trace.clone()).go(&topo).unwrap();
-    let busy = trace.busy_by_label();
-    let labels: Vec<&str> = busy.iter().map(|(l, _)| l.as_str()).collect();
-    assert!(labels.contains(&"compute"), "{labels:?}");
-    assert!(labels.contains(&"read-wait"), "{labels:?}");
-    // Doubler computed 5 x 2ms; source 5 x 1ms.
-    let compute = busy.iter().find(|(l, _)| l == "compute").unwrap().1;
-    assert!(compute.as_nanos() >= 15_000_000, "compute total {compute}");
-    // Spans carry the copy identity.
-    assert!(trace
-        .timeline()
-        .iter()
-        .any(|s| s.detail.starts_with("dbl#0")));
-}
-
-#[test]
 fn write_to_targets_specific_copysets() {
     let topo = flat_topology(3);
     let out: Arc<Mutex<Vec<(hetsim::HostId, u32)>>> = Arc::new(Mutex::new(Vec::new()));
