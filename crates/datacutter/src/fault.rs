@@ -182,6 +182,10 @@ impl From<SimError> for RunError {
     }
 }
 
+/// Seed of the restart backoff's jitter (see
+/// [`SupervisorPolicy::restart_backoff`]).
+const BACKOFF_SEED: u64 = 0x5EED_CAFE;
+
 /// Restart policy for supervised filter copies (native fault tolerance).
 ///
 /// A filter copy whose callback panics under supervision is re-instantiated
@@ -199,8 +203,6 @@ pub struct SupervisorPolicy {
     pub backoff_base: SimDuration,
     /// Upper bound on the backoff envelope.
     pub backoff_cap: SimDuration,
-    /// Seed for the deterministic backoff jitter.
-    pub backoff_seed: u64,
     /// Period of the supervisor's heartbeat scan.
     pub heartbeat_interval: SimDuration,
     /// Declare a copy dead when its heartbeat has been silent this long
@@ -215,7 +217,6 @@ impl Default for SupervisorPolicy {
             max_restarts: 2,
             backoff_base: SimDuration::from_millis(1),
             backoff_cap: SimDuration::from_millis(100),
-            backoff_seed: 0x5EED_CAFE,
             heartbeat_interval: SimDuration::from_millis(10),
             wedge_timeout: None,
         }
@@ -242,12 +243,6 @@ impl SupervisorPolicy {
         self
     }
 
-    /// Override the backoff jitter seed.
-    pub fn backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
-        self
-    }
-
     /// Override the supervisor's heartbeat scan period.
     pub fn heartbeat_interval(mut self, interval: SimDuration) -> Self {
         self.heartbeat_interval = interval;
@@ -262,14 +257,14 @@ impl SupervisorPolicy {
     }
 
     /// The backoff before restart attempt `attempt` (0-based) of the copy
-    /// identified by `copy_key`. Delegates to [`backoff_delay`]; a pure
-    /// function of the policy and its arguments, so restart schedules are
-    /// deterministic per seed.
+    /// identified by `copy_key`. Delegates to [`backoff_delay`] with a
+    /// fixed jitter seed; a pure function of the policy and its
+    /// arguments, so restart schedules replay exactly.
     pub fn restart_backoff(&self, copy_key: u64, attempt: u32) -> SimDuration {
         backoff_delay(
             self.backoff_base,
             self.backoff_cap,
-            self.backoff_seed,
+            BACKOFF_SEED,
             copy_key,
             attempt,
         )

@@ -52,7 +52,6 @@ struct Args {
     algorithm: Algorithm,
     executor: &'static str,
     memory_budget: u64,
-    cache_capacity: u64,
     storage_faults: Option<u64>,
     storage_retries: Option<u32>,
     out: String,
@@ -77,7 +76,6 @@ USAGE: dcrender [FLAGS]
   --executor E     sim | native (default sim; tasked = native)
   --memory-budget B   in-flight stream-buffer byte budget; over-budget
                       streams spill to a temp-file ring, 0 = off (default 0)
-  --cache-capacity B  shared decoded-chunk cache bytes, 0 = off (default 0)
   --storage-faults S  inject seeded transient disk errors into the spill
                       ring (seed S); the run retries/degrades through the
                       storage ladder and prints its fault report
@@ -103,7 +101,6 @@ fn parse_args() -> Args {
         algorithm: Algorithm::ActivePixel,
         executor: "sim",
         memory_budget: 0,
-        cache_capacity: 0,
         storage_faults: None,
         storage_retries: None,
         out: "render.ppm".into(),
@@ -147,7 +144,6 @@ fn parse_args() -> Args {
                 }
             }
             "--memory-budget" => a.memory_budget = number(&argv, &mut i),
-            "--cache-capacity" => a.cache_capacity = number(&argv, &mut i),
             "--storage-faults" => a.storage_faults = Some(number(&argv, &mut i)),
             "--storage-retries" => a.storage_retries = Some(number(&argv, &mut i)),
             "--out" => a.out = value(&argv, &mut i).into(),
@@ -241,7 +237,6 @@ fn main() {
         _ => NativeExecutor::new().into(),
     };
     cfg.memory_budget_bytes = args.memory_budget;
-    cfg.cache_capacity = args.cache_capacity;
     if let Some(budget) = args.storage_retries {
         cfg.storage_retry_budget = budget;
     }
@@ -331,17 +326,6 @@ fn main() {
     }
     if args.storage_faults.is_some() {
         say!("{}", r.report.faults);
-    }
-    if let Some(cache) = cfg.chunk_cache() {
-        let s = cache.stats();
-        say!(
-            "chunk cache: {}/{} lookups hit ({:.0}%), {} B resident of {} B",
-            s.hits,
-            s.lookups(),
-            s.hit_rate() * 100.0,
-            s.resident_bytes,
-            s.capacity_bytes
-        );
     }
     if args.verbose {
         for c in &r.report.copies {

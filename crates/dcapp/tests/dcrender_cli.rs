@@ -6,7 +6,7 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors_not_panics() {
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["--grid", "abc"], "dcrender: --grid: invalid value 'abc'"),
         (
             &["--iso", "0.5.1"],
@@ -44,12 +44,17 @@ fn bad_arguments_are_usage_errors_not_panics() {
             &["--policy", "foo"],
             "dcrender: --policy: unknown policy 'foo'",
         ),
-        // The pooled executor's size flag went with the executor, and the
-        // simulator-only read-ahead depth with the read-ahead helper.
+        // The pooled executor's size flag went with the executor, the
+        // simulator-only read-ahead depth with the read-ahead helper, and
+        // the chunk-cache size with the read path's chunk cache.
         (&["--workers", "1"], "dcrender: unknown flag --workers"),
         (
             &["--prefetch-depth", "1"],
             "dcrender: unknown flag --prefetch-depth",
+        ),
+        (
+            &["--cache-capacity", "1"],
+            "dcrender: unknown flag --cache-capacity",
         ),
         // Sort-first image partitioning went for the tile-owned merge
         // group (this command used to panic in its band split).

@@ -1,8 +1,8 @@
-//! Run-wide shared chunk cache with CLOCK eviction.
+//! Decoded-chunk cache with CLOCK eviction.
 //!
-//! Declustered chunks touched by overlapping ROI / tile ranges — and by
-//! repeated queries against one resident dataset — should be read from
-//! disk **once**. The cache holds decoded chunk grids behind `Arc`s keyed
+//! Declustered chunks touched by overlapping ROI / tile ranges of a
+//! file-backed source ([`DiskStore`](crate::DiskStore)) should be read and
+//! decoded **once**. The cache holds decoded chunk grids behind `Arc`s keyed
 //! by `(species, timestep, chunk)`, bounded by a byte capacity, and evicts
 //! with the CLOCK (second-chance) policy: an approximation of LRU that
 //! needs no per-access list surgery, just a referenced bit flipped on hit
@@ -11,8 +11,9 @@
 //! A hit hands back an `Arc` clone — zero data copies, zero allocations —
 //! which is what lets a warm-cache delivery path stay allocation-free
 //! (see the counting-allocator proof in the framework's test suite). The
-//! cache is `Sync`; one instance is shared by every reader copy of a run
-//! (and, eventually, by every query of the multi-tenant service).
+//! cache is `Sync`, so one instance can serve every reader copy of a run.
+//! The application's in-memory read path does not use it: it cuts chunks
+//! from a resident field, where a cache would only hold a second copy.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -172,12 +172,6 @@ impl Dataset {
         });
         f(r)
     }
-
-    /// Drop resident fields and their chunk ranges (tests exercising
-    /// regeneration determinism).
-    pub fn clear_cache(&self) {
-        self.inner.cache.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -233,29 +227,6 @@ mod tests {
         let id = ChunkId(0);
         let encoded = encode_chunk(&ds.read_chunk(0, 0, id));
         assert_eq!(ds.chunk_bytes(id), encoded.len() as u64);
-    }
-
-    #[test]
-    fn cache_is_stable_across_clear() {
-        let ds = tiny();
-        let a = ds.read_chunk(0, 1, ChunkId(3));
-        let field = ds.field(0, 1);
-        let ranges: Vec<_> = (0..8).map(|i| ds.chunk_range(0, 1, ChunkId(i))).collect();
-        ds.clear_cache();
-        assert!(
-            !Arc::ptr_eq(&field, &ds.field(0, 1)),
-            "clear_cache kept the field resident"
-        );
-        ds.clear_cache();
-        // The index went with the field: asking for a range regenerates
-        // both, and they agree with the chunks cut afterwards.
-        for (i, &range) in ranges.iter().enumerate() {
-            let id = ChunkId(i as u32);
-            assert_eq!(ds.chunk_range(0, 1, id), range);
-            assert_eq!(ds.read_chunk(0, 1, id).value_range(), range);
-        }
-        let b = ds.read_chunk(0, 1, ChunkId(3));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -180,13 +180,6 @@ fn config(hosts: &[HostId]) -> SharedConfig {
     std::sync::Arc::new(c)
 }
 
-/// A copy of `cfg` whose read filters go through a chunk cache.
-fn cached(cfg: &SharedConfig) -> SharedConfig {
-    let mut c = clone_config(cfg);
-    c.cache_capacity = 64 << 20;
-    std::sync::Arc::new(c)
-}
-
 fn run(grouping: &str, policy: &str, cfg: &SharedConfig) -> PipelineResult {
     let (topo, hosts, merge) = setting();
     Render::new(cfg, &spec(grouping, policy, &hosts, merge))
@@ -207,13 +200,6 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("RERa", "wrr", 0xed050f277432a5bc),
     ("RERa", "dd", 0x98ca44e979f7835a),
 ];
-
-/// `RE` under DD through the chunk cache. Re-pinned when the simulator-only
-/// read-ahead helper was deleted: the digest of this arm with the cache
-/// and no read-ahead, captured on the tree that still had the helper
-/// (commit e37be57). A first pass through an empty cache misses every
-/// chunk, so it equals the uncached `("RE", "dd")` row of [`PINNED`].
-const PINNED_CACHED: u64 = 0x9b71c2ef90c9aab3;
 
 /// `(grouping, policy, metrics digest)` of the split groupings over three
 /// units of work in one simulation (timesteps 3, 4 and 5). `R-E` was
@@ -348,14 +334,6 @@ fn budgeted_split_extract_draws_the_unbudgeted_images() {
             assert_eq!(got.diff_pixels(want), 0, "{label}: unit of work {k}");
         }
     }
-}
-
-#[test]
-fn cached_read_ahead_matches_the_digests_of_cutting_every_chunk() {
-    let (_, hosts, _) = setting();
-    let r = run("RE", "dd", &cached(&config(&hosts)));
-    assert_eq!(image_digest(r.image()), IMAGE);
-    assert_eq!(metrics_digest(&r), PINNED_CACHED);
 }
 
 #[test]
