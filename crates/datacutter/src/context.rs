@@ -6,7 +6,6 @@
 //! thread — but cost-charging operations (`compute`, `disk_read`) only
 //! tally metrics, since there is no emulated hardware to occupy.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use hetsim::{DeadlineRecv, HostId, SimDuration, SimTime, Topology};
@@ -14,7 +13,7 @@ use parking_lot::Mutex;
 
 use crate::budget::StreamOoc;
 use crate::buffer::DataBuffer;
-use crate::fault::{abort_run, raise_killed, CopyHealth, ErrorCell, FaultCtl, RunError};
+use crate::fault::{abort_run, raise_killed, ErrorCell, FaultCtl, RunError};
 use crate::filter::CopyInfo;
 use crate::metrics::CopyCell;
 use crate::policy::{AckHandle, WriterState};
@@ -36,22 +35,13 @@ pub(crate) struct InputPort {
     /// (see [`FilterCtx::read`]).
     pub peer_gates: Vec<Arc<Mutex<UowGate>>>,
     pub copyset_counters: crate::metrics::CopySetCell,
-    /// The stream's retention, settled with this copy's journal and
-    /// re-fetched from after a supervised restart (`None` ⇒ no copy can
-    /// die, no recovery bookkeeping on the read path).
+    /// The stream's retention, settled with this copy's journal (`None`
+    /// ⇒ no copy can die, no recovery bookkeeping on the read path).
     pub retention: Option<Arc<StreamRetention>>,
-    /// Provenances this copy consumed in the current UOW. Settled at
-    /// clean end-of-work; harvested by
-    /// [`FilterCtx::prepare_restart_replay`] when the copy restarts
-    /// mid-UOW instead.
+    /// Provenances this copy consumed in the current UOW, settled at
+    /// end-of-work. A copy that dies first leaves them retained for its
+    /// set's reaper to retarget.
     pub journal: Vec<Provenance>,
-    /// Replicas re-fetched for a restarted incarnation, served by `read`
-    /// before the shared queue (bypassing queue capacity, so a rebuild
-    /// can never deadlock on a full channel).
-    pub replay: VecDeque<(Provenance, DataBuffer)>,
-    /// The crashed incarnation had already consumed this UOW's
-    /// end-of-work token; re-signal end-of-work once `replay` drains.
-    pub replay_done: bool,
     /// This copy consumed its end-of-work token this UOW and keeps reading
     /// redelivered buffers until its peers finish.
     pub eow_taken: bool,
@@ -114,13 +104,6 @@ pub struct FilterCtx {
     pub(crate) name: Arc<str>,
     /// Shared cell for the run's first structured error.
     pub(crate) errors: ErrorCell,
-    /// Heartbeat record scanned by the supervisor (supervised runs only).
-    pub(crate) health: Option<Arc<CopyHealth>>,
-    /// Per-port latch: `true` once `read` returned end-of-work for the
-    /// current UOW. Keeps a supervised restart of the same UOW from
-    /// blocking on a port whose (single) `UowDone` token it already
-    /// consumed before panicking. Reset by [`begin_uow`](Self::begin_uow).
-    pub(crate) port_done: Vec<bool>,
 }
 
 impl FilterCtx {
@@ -135,30 +118,14 @@ impl FilterCtx {
         }
     }
 
-    /// Record a heartbeat (supervised runs; no-op otherwise).
-    fn beat(&self) {
-        if let Some(h) = &self.health {
-            h.beat(self.env.now());
-        }
-    }
-
-    /// Enter unit of work `uow`: advances the cycle counter and re-arms the
-    /// per-port end-of-work latches. Called by the copy loop at each cycle
-    /// start — and *not* on a supervised restart of the same UOW, so
-    /// already-consumed `UowDone` tokens stay consumed.
+    /// Enter unit of work `uow`: advances the cycle counter and re-arms
+    /// the per-port survivor waits. Called by the copy loop at each cycle
+    /// start.
     pub(crate) fn begin_uow(&mut self, uow: u32) {
-        // Drop stale restart replicas: they belong to the finished UOW.
         for input in &mut self.inputs {
-            while let Some((_, buf)) = input.replay.pop_front() {
-                self.slab.repool(buf);
-            }
-            input.replay_done = false;
             input.eow_taken = false;
         }
         self.uow = uow;
-        for d in self.port_done.iter_mut() {
-            *d = false;
-        }
     }
 
     /// Leave the current unit of work (the filter's `finalize` returned):
@@ -205,38 +172,6 @@ impl FilterCtx {
         }
     }
 
-    /// Rebuild a supervised restart's lost input state: the crashed
-    /// incarnation's journaled (consumed-but-unflushed) buffers are
-    /// re-fetched from the stream's retention and queued on the port's
-    /// local replay line so the fresh filter instance consumes them
-    /// before the shared queue. A journaled entry is unsettled, so its
-    /// replica is still retained.
-    pub(crate) fn prepare_restart_replay(&mut self) {
-        let Some(ctl) = self.faults.clone() else {
-            return;
-        };
-        let (mut refetched, mut refetched_bytes) = (0u64, 0u64);
-        for (i, input) in self.inputs.iter_mut().enumerate() {
-            let Some(retention) = input.retention.as_ref() else {
-                continue;
-            };
-            for p in std::mem::take(&mut input.journal) {
-                if let Some(buf) = retention.fetch(p.copy, p.seq) {
-                    refetched += 1;
-                    refetched_bytes += buf.wire_bytes();
-                    input.replay.push_back((p, buf));
-                }
-            }
-            if self.port_done[i] {
-                self.port_done[i] = false;
-                input.replay_done = true;
-            }
-        }
-        let mut t = ctl.tallies.lock();
-        t.buffers_redelivered += refetched;
-        t.bytes_redelivered += refetched_bytes;
-    }
-
     /// Release every copy of `port`'s set — one `UowDone` each — once the
     /// whole producer side is done (dead producers counted done).
     /// Otherwise the next liveness probe retries. What a dead peer set's
@@ -266,9 +201,8 @@ impl FilterCtx {
             .all(|g| g.lock().finished(self.uow, ctl, now))
     }
 
-    /// End-of-work on `port` is final: latch it and settle the journal.
+    /// End-of-work on `port` is final: settle the journal.
     fn finish_port(&mut self, port: usize) -> Option<DataBuffer> {
-        self.port_done[port] = true;
         self.settle_port(port);
         None
     }
@@ -585,34 +519,9 @@ impl FilterCtx {
     /// dies dies at its next read like any other:
     /// its journal is still retained, so its set's reaper retargets it.
     pub fn read(&mut self, port: usize) -> Option<DataBuffer> {
-        if let Some((p, buf)) = self.inputs[port].replay.pop_front() {
-            // Restart rebuild: serve the re-fetched replicas of the
-            // crashed incarnation's consumed buffers before touching the
-            // shared queue. Re-journal each one — it is being processed
-            // again, and its replica must be settled (or re-fetched on a
-            // second crash) like any first delivery. Deliberately not
-            // counted in stream/copy metrics: the original delivery was
-            // already counted by this copy.
-            self.inputs[port].journal.push(p);
-            return Some(buf);
-        }
-        if self.inputs[port].replay_done {
-            // The crashed incarnation had consumed this UOW's (single)
-            // end-of-work token before dying; now that the rebuild has
-            // drained, re-signal end-of-work from the latch.
-            self.inputs[port].replay_done = false;
-            return self.finish_port(port);
-        }
-        if self.port_done[port] {
-            // A restarted copy re-reading a port whose end-of-work it
-            // already consumed this UOW: the token is gone, so answer
-            // from the latch instead of blocking on an empty queue.
-            return None;
-        }
         loop {
             let waiting = self.inputs[port].eow_taken;
             self.check_killed();
-            self.beat();
             let t0 = self.env.now();
             let liveness = self
                 .faults
@@ -750,7 +659,6 @@ impl FilterCtx {
     /// can never restore. Letting the in-flight unit flush keeps a
     /// demand-driven run bit-identical after recovery.
     pub fn write(&mut self, port: usize, buf: DataBuffer) {
-        self.beat();
         let t0 = self.env.now();
         let out = &mut self.outputs[port];
         let idx = out.writer.select(&self.env);
@@ -768,7 +676,6 @@ impl FilterCtx {
     /// merge copy set owning its tile. No demand-driven acknowledgment is
     /// generated.
     pub fn write_to(&mut self, port: usize, copyset_idx: usize, buf: DataBuffer) {
-        self.beat();
         let t0 = self.env.now();
         self.send_data(port, copyset_idx, None, buf, t0);
     }
@@ -847,7 +754,6 @@ impl FilterCtx {
     /// background jobs). On the native executor there is no emulated CPU
     /// to occupy: the call only tallies the work in the copy's metrics.
     pub fn compute(&mut self, work: SimDuration) {
-        self.beat();
         self.stall_if_frozen();
         let t0 = self.env.now();
         if let ExecEnv::Sim(e) = &self.env {
@@ -871,7 +777,6 @@ impl FilterCtx {
         // is observed here — before new data is produced, never between
         // a dequeue and the flush of its results.
         self.check_killed();
-        self.beat();
         self.stall_if_frozen();
         let host = self.topo.host(self.info.host);
         assert!(

@@ -86,16 +86,6 @@ pub struct AppGraph {
 }
 
 impl AppGraph {
-    /// Number of filters.
-    pub fn filter_count(&self) -> usize {
-        self.filters.len()
-    }
-
-    /// Number of streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Name of filter `id`.
     pub fn filter_name(&self, id: FilterId) -> &str {
         &self.filters[id.0 as usize].name
@@ -224,8 +214,6 @@ mod tests {
         );
         let s = g.connect(a, b, WritePolicy::RoundRobin);
         let graph = g.build();
-        assert_eq!(graph.filter_count(), 2);
-        assert_eq!(graph.stream_count(), 1);
         assert_eq!(graph.inputs_of(b), vec![s]);
         assert_eq!(graph.outputs_of(a), vec![s]);
         assert_eq!(graph.inputs_of(a), Vec::<StreamId>::new());

@@ -70,7 +70,7 @@
 
 #![warn(missing_docs)]
 // The whole crate hosts the delivery path and the panic-containment and
-// supervision machinery it runs under; an `unwrap`/`expect` anywhere here
+// recovery machinery it runs under; an `unwrap`/`expect` anywhere here
 // is an uncontained panic path, so the banned-method list in the
 // workspace `clippy.toml` is an error (test modules opt out).
 #![deny(clippy::disallowed_methods)]
@@ -91,7 +91,7 @@ pub use buffer::{
     BufferSlab, DataBuffer, SpillCodec, ACK_WIRE_BYTES, BUFFER_OVERHEAD_BYTES, SPILL_STUB_BYTES,
 };
 pub use context::FilterCtx;
-pub use fault::{backoff_delay, FaultOptions, RestartEvent, RunError, SupervisorPolicy};
+pub use fault::{FaultOptions, RunError};
 pub use filter::{CopyInfo, Filter, FilterError, FilterFactory};
 pub use graph::{AppGraph, FilterId, GraphBuilder, Placement, StreamId, DEFAULT_QUEUE_CAPACITY};
 pub use hetsim::DiskFaultKind;
@@ -99,5 +99,6 @@ pub use metrics::{CopyCounters, CopyReport, FaultReport, OocReport, RunReport, S
 pub use policy::{CopySetInfo, DemandState, WritePolicy};
 pub use runtime::{ExecutorChoice, NativeExecutor, Run, SimExecutor, TaskedExecutor};
 pub use storage::{
-    open_frame, seal_frame, StorageCtl, StorageError, StorageEvent, DEFAULT_STORAGE_RETRY_BUDGET,
+    backoff_delay, open_frame, seal_frame, StorageCtl, StorageError, StorageEvent,
+    DEFAULT_STORAGE_RETRY_BUDGET,
 };

@@ -105,20 +105,13 @@ pub struct FaultReport {
     pub bytes_lost: u64,
     /// Message transmissions repeated because of injected drops.
     pub retransmits: u64,
-    /// Supervised in-place restarts of panicked filter copies.
-    pub restarts: u64,
-    /// Copies the supervisor declared dead for missing heartbeats.
-    pub copies_wedged: u64,
     /// Messages held back by injected per-message delays.
     pub messages_delayed: u64,
-    /// Retained replicas redelivered after a crash (to a surviving copy
-    /// set or a restarted copy).
+    /// Retained replicas redelivered after a crash to a surviving copy
+    /// set.
     pub buffers_redelivered: u64,
     /// Payload bytes redelivered.
     pub bytes_redelivered: u64,
-    /// Per-copy restart/backoff timeline of supervised restarts, in the
-    /// order they were contained.
-    pub restart_events: Vec<crate::fault::RestartEvent>,
     /// Disk read/write errors the storage fault plan injected into the
     /// spill plane (each consumed one ladder attempt).
     pub disk_errors_injected: u64,
@@ -134,30 +127,25 @@ pub struct FaultReport {
     /// Timeline of notable storage-plane events (ring re-creations,
     /// denials, detected corruptions), bounded per run.
     pub storage_events: Vec<crate::storage::StorageEvent>,
-    /// `true` when the run completed with partial output (buffers lost
-    /// or copies wedged).
+    /// `true` when the run completed with partial output (buffers lost).
     pub degraded: bool,
 }
 
 impl std::fmt::Display for FaultReport {
     /// Human-readable digest for chaos-job logs: injected faults, repair
-    /// tallies, and the per-copy restart/backoff timeline.
+    /// tallies, and the storage-event timeline.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let storage_active = self.disk_errors_injected
             + self.storage_retries
             + self.spills_denied
             + self.corruptions_detected
             > 0;
-        if self.injected.is_empty()
-            && self.restarts == 0
-            && self.copies_killed == 0
-            && !storage_active
-        {
+        if self.injected.is_empty() && self.copies_killed == 0 && !storage_active {
             return write!(f, "faults: none injected, none observed");
         }
         writeln!(f, "faults injected:")?;
         if self.injected.is_empty() {
-            writeln!(f, "  (none scheduled; supervision only)")?;
+            writeln!(f, "  (none scheduled)")?;
         }
         for d in &self.injected {
             writeln!(f, "  {d}")?;
@@ -171,11 +159,7 @@ impl std::fmt::Display for FaultReport {
                 "complete"
             }
         )?;
-        writeln!(
-            f,
-            "  killed {} copies, wedged {}, restarted {}",
-            self.copies_killed, self.copies_wedged, self.restarts
-        )?;
+        writeln!(f, "  killed {} copies", self.copies_killed)?;
         writeln!(
             f,
             "  redelivered {} buffers ({} B)",
@@ -186,7 +170,7 @@ impl std::fmt::Display for FaultReport {
             "  lost {} buffers ({} B), {} retransmits, {} delayed",
             self.buffers_lost, self.bytes_lost, self.retransmits, self.messages_delayed
         )?;
-        writeln!(
+        write!(
             f,
             "  storage: {} disk errors injected, {} retries, {} spills denied, {} corruptions detected",
             self.disk_errors_injected,
@@ -195,31 +179,13 @@ impl std::fmt::Display for FaultReport {
             self.corruptions_detected
         )?;
         for e in &self.storage_events {
-            writeln!(
+            write!(
                 f,
-                "  {:>9.3}s  host{}: {}",
+                "\n  {:>9.3}s  host{}: {}",
                 e.at.as_secs_f64(),
                 e.host.0,
                 e.detail
             )?;
-        }
-        if self.restart_events.is_empty() {
-            write!(f, "restart timeline: empty")?;
-        } else {
-            write!(f, "restart timeline:")?;
-            for e in &self.restart_events {
-                write!(
-                    f,
-                    "\n  {:>9.3}s  {}[{}]@host{} uow {}: restart attempt {} after {:.3}s backoff",
-                    e.at.as_secs_f64(),
-                    e.filter,
-                    e.copy,
-                    e.host.0,
-                    e.uow,
-                    e.attempt,
-                    e.backoff.as_secs_f64(),
-                )?;
-            }
         }
         Ok(())
     }

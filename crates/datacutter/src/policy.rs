@@ -188,7 +188,7 @@ impl WriterState {
                     for _ in 0..n {
                         let idx = schedule[*pos];
                         *pos = (*pos + 1) % n;
-                        if !ctl.set_detectably_dead(&sets[idx], now) {
+                        if !ctl.evictable(sets[idx].host, now) {
                             return idx;
                         }
                     }
@@ -230,7 +230,7 @@ impl WriterState {
             let now = env.now();
             for k in 0..n {
                 let idx = (owner + k) % n;
-                if !ctl.set_detectably_dead(&sets[idx], now) {
+                if !ctl.evictable(sets[idx].host, now) {
                     return idx;
                 }
             }
@@ -344,7 +344,7 @@ impl DemandState {
                     sets, dead_scratch, ..
                 } = &mut *st;
                 dead_scratch.clear();
-                dead_scratch.extend(sets.iter().map(|s| ctl.set_detectably_dead(s, now)));
+                dead_scratch.extend(sets.iter().map(|s| ctl.evictable(s.host, now)));
                 if dead_scratch.iter().all(|&d| d) {
                     // No surviving consumer set. Route to the least-unacked
                     // set regardless of its window; the buffer is lost.
@@ -409,8 +409,8 @@ impl DemandState {
                     match self.faults.as_ref().filter(|c| c.crashes_possible()) {
                         // Timed wait for the same reason as the sim path
                         // above: the ack releasing our credit may never
-                        // arrive from a consumer set that died (or is
-                        // declared dead by the supervisor) while holding it.
+                        // arrive from a consumer set that died while
+                        // holding it.
                         Some(ctl) => {
                             let _timed_out = self.credit.wait_for(
                                 &mut st,

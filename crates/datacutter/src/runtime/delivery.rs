@@ -24,7 +24,7 @@ use hetsim::{HostId, SimDuration, Step, Topology, Transfer};
 use super::exec::{poll_charge, ChanRx, ChanTx, ExecEnv, ExecutorChoice};
 use super::retain::{Provenance, StreamRetention};
 use crate::buffer::{DataBuffer, ACK_WIRE_BYTES, EOW_WIRE_BYTES};
-use crate::fault::{CopyHealth, FaultCtl};
+use crate::fault::FaultCtl;
 use crate::metrics::FaultReport;
 use crate::policy::{AckHandle, CopySetInfo};
 
@@ -183,10 +183,6 @@ pub(crate) struct Delivery {
     pub faults: Option<Arc<FaultCtl>>,
     /// Data messages delivered so far (0 when wired).
     pub seq: u64,
-    /// The writing copy's heartbeat when it delivers in its own thread
-    /// under supervision, so waiting out a retransmit or a stall does not
-    /// read as a wedge; `None` for a sender handler.
-    pub health: Option<Arc<CopyHealth>>,
 }
 
 /// One message on its way through [`Delivery::poll`]: what is left of it
@@ -376,18 +372,13 @@ impl Delivery {
 
     /// Deliver `msg` in the calling copy's own thread (the native path):
     /// every fault-plan sleep is paid here, as a blocking socket send
-    /// would pay it, with a heartbeat after each.
+    /// would pay it.
     pub fn deliver(&mut self, env: &ExecEnv, msg: OutMsg) -> Result<(), Closed> {
         let mut flight = self.launch(msg);
         loop {
             match self.poll(env, &mut flight)? {
                 Step::Done => return Ok(()),
-                Step::Delay(d) => {
-                    env.delay(d);
-                    if let Some(h) = &self.health {
-                        h.beat(env.now());
-                    }
-                }
+                Step::Delay(d) => env.delay(d),
                 Step::Wait => env.expect_sim().block(),
             }
         }

@@ -7,29 +7,15 @@
 use hetsim::{HostId, SimTime};
 
 use crate::fault::FaultCtl;
-use crate::graph::FilterId;
 use crate::policy::CopySetInfo;
-
-/// Identity of one producer copy feeding a gate: enough to ask the fault
-/// control block whether that specific copy is dead (scheduled host crash
-/// *or* a supervised death declaration).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProducerRef {
-    /// Host the producer copy runs on.
-    pub host: HostId,
-    /// The producing filter.
-    pub filter: FilterId,
-    /// Global (per-filter) copy index.
-    pub copy: usize,
-}
 
 /// Per-copy-set end-of-work accounting: when markers from all producer
 /// copies have been seen for the current UOW — or the missing producers
 /// are provably dead under the active fault plan — each consumer copy in
 /// the set gets one `UowDone`.
 pub(crate) struct UowGate {
-    /// Producer copies feeding this gate, in copy-index order.
-    producers: Vec<ProducerRef>,
+    /// Host of each producer copy feeding this gate, in copy-index order.
+    producers: Vec<HostId>,
     /// The consumer copy set (each copy gets one `UowDone` per cycle).
     pub set: CopySetInfo,
     /// Which producer copies' markers have been seen this cycle.
@@ -45,7 +31,7 @@ pub(crate) struct UowGate {
 }
 
 impl UowGate {
-    pub fn new(producers: Vec<ProducerRef>, set: CopySetInfo) -> Self {
+    pub fn new(producers: Vec<HostId>, set: CopySetInfo) -> Self {
         let n = producers.len();
         UowGate {
             producers,
@@ -80,49 +66,42 @@ impl UowGate {
     }
 
     /// True once this (peer) set can no longer have buffers of `uow`
-    /// redelivered from it: its reaper drained it past `uow`, or some copy
-    /// lives and every live one consumed its end-of-work. A wholly dead
-    /// set counts only once salvaged, even if its copies had consumed
-    /// their end-of-work: its last copy may have died before reading what
-    /// was queued for it, or while waiting with its journal unsettled.
+    /// redelivered from it: its reaper drained it past `uow`, or it lives
+    /// and every copy consumed its end-of-work. A dead set counts only
+    /// once salvaged, even if its copies had consumed their end-of-work:
+    /// a copy may have died before reading what was queued for it, or
+    /// while waiting with its journal unsettled.
     pub fn finished(&self, uow: u32, ctl: &FaultCtl, now: SimTime) -> bool {
-        let copies = 0..self.ended.len();
-        self.salvaged > uow
-            || (copies.clone().any(|k| !self.dead(k, ctl, now))
-                && !copies.into_iter().any(|k| self.pending(k, uow, ctl, now)))
+        self.salvaged > uow || (!self.dead(ctl, now) && self.ended.iter().all(|&e| e > uow))
     }
 
-    /// True while a live copy of the set other than `copy` has not yet
-    /// consumed its end-of-work for `uow`: its token is still queued.
+    /// True while the set lives and a copy of it other than `copy` has not
+    /// yet consumed its end-of-work for `uow`: its token is still queued.
     pub fn sibling_pending(&self, copy: usize, uow: u32, ctl: &FaultCtl, now: SimTime) -> bool {
-        (0..self.ended.len())
-            .any(|k| self.set.first_copy + k != copy && self.pending(k, uow, ctl, now))
+        !self.dead(ctl, now)
+            && (0..self.ended.len())
+                .any(|k| self.set.first_copy + k != copy && self.ended[k] <= uow)
     }
 
-    /// Copy `k` of the set lives and has not consumed its end-of-work.
-    fn pending(&self, k: usize, uow: u32, ctl: &FaultCtl, now: SimTime) -> bool {
-        self.ended[k] <= uow && !self.dead(k, ctl, now)
-    }
-
-    fn dead(&self, k: usize, ctl: &FaultCtl, now: SimTime) -> bool {
-        ctl.copy_dead(self.set.filter, self.set.first_copy + k, self.set.host, now)
+    /// The set's copies share its host, so they die together.
+    fn dead(&self, ctl: &FaultCtl, now: SimTime) -> bool {
+        ctl.plan.is_dead(self.set.host, now)
     }
 
     /// Fire if every producer copy has either delivered its marker for the
-    /// cycle matching `uow` or is dead under `faults` at time `now` (by
-    /// scheduled crash or dynamic declaration). The cycle guard keeps a
+    /// cycle matching `uow` or its host has crashed under `faults` by
+    /// `now`. The cycle guard keeps a
     /// consumer that has already finished `uow` from double-firing on late
     /// liveness probes.
     pub fn try_fire(&mut self, uow: u32, faults: Option<&FaultCtl>, now: SimTime) -> Option<u32> {
         if self.cycle != uow {
             return None;
         }
-        let complete = self.eow_seen.iter().enumerate().all(|(i, &seen)| {
-            seen || faults.is_some_and(|c| {
-                let p = &self.producers[i];
-                c.copy_dead(p.filter, p.copy, p.host, now)
-            })
-        });
+        let complete = self
+            .eow_seen
+            .iter()
+            .zip(&self.producers)
+            .all(|(&seen, &host)| seen || faults.is_some_and(|c| c.plan.is_dead(host, now)));
         if !complete {
             return None;
         }

@@ -21,12 +21,12 @@ use hetsim::{
 };
 
 use super::native::{
-    native_barrier, native_channel, Abandoner, CancelScope, NativeBarrier, NativeEnv,
-    NativeExecutor, NativeRx, NativeTx,
+    native_barrier, native_channel, CancelScope, NativeBarrier, NativeEnv, NativeExecutor,
+    NativeRx, NativeTx,
 };
 
 /// The per-process execution environment handed to every runtime process
-/// (filter copies, reapers, the supervisor, sender and courier handlers). A
+/// (filter copies, reapers, sender and courier handlers). A
 /// concrete enum over the two substrates so the filter-facing context
 /// stays non-generic.
 #[derive(Clone)]
@@ -391,16 +391,6 @@ impl ExecutorChoice {
         match self {
             ExecutorChoice::Sim(_) => None,
             ExecutorChoice::Native(e) => Some(e.cancel.clone()),
-        }
-    }
-
-    /// A handle that declares a wedged process abandoned, so the run does
-    /// not wait for it at the end. Native only: cooperative processes have
-    /// no preemption problem.
-    pub(crate) fn abandoner(&self) -> Option<Abandoner> {
-        match self {
-            ExecutorChoice::Sim(_) => None,
-            ExecutorChoice::Native(e) => Some(e.abandoner()),
         }
     }
 

@@ -13,8 +13,7 @@
 //! * `eow` — end-of-work gates (UOW cycle separation),
 //! * `reaper` — dead-set salvage: retargeting retained replicas to a
 //!   survivor and releasing the queued originals,
-//! * `retain` — producer-side retention rings (runs whose copies can die),
-//! * `supervisor` — wedge detection and eviction for supervised runs.
+//! * `retain` — producer-side retention rings (runs whose copies can die).
 //!
 //! Runs are configured with the [`Run`] builder:
 //!
@@ -38,7 +37,6 @@ pub(crate) mod native;
 pub(crate) mod reaper;
 pub(crate) mod retain;
 pub(crate) mod spawn;
-pub(crate) mod supervisor;
 
 use std::sync::Arc;
 
@@ -135,13 +133,12 @@ impl Run {
     /// stall are all paid by the writing copy, as a blocking socket send
     /// would be.
     ///
-    /// When copies can die (a crash in the plan, or supervision) every
-    /// stream retains its buffers until consumers settle them,
-    /// and retained replicas are redelivered after crashes and supervised
-    /// restarts — a crashed-and-recovered run reports `buffers_lost == 0`
-    /// and produces output identical to a fault-free run. A replica still
-    /// retained when the run ends (no live consumer was left) is counted
-    /// lost. Without crashes nothing is retained.
+    /// When copies can die (a crash in the plan) every stream retains its
+    /// buffers until consumers settle them, and retained replicas are
+    /// redelivered after crashes — a crashed-and-recovered run reports
+    /// `buffers_lost == 0` and produces output identical to a fault-free
+    /// run. A replica still retained when the run ends (no live consumer
+    /// was left) is counted lost. Without crashes nothing is retained.
     ///
     /// Two caveats on the reported `elapsed` under a plan with crashes: a
     /// crash scheduled after the pipeline naturally finishes extends the
@@ -238,9 +235,9 @@ impl Run {
         keep_large_buffers_out_of_thread_arenas();
         let fault_ctl: Option<Arc<FaultCtl>> = self.faults.as_ref().map(FaultCtl::new);
         let mut exec = self.executor;
-        // Natively, crashes, stalls, drops, delays, degradation windows and
-        // supervision are the same time-indexed queries, consulted by the
-        // runtime machinery on wall-clock time (degradation is emulated by
+        // Natively, crashes, stalls, drops, delays and degradation windows
+        // are the same time-indexed queries, consulted by the runtime
+        // machinery on wall-clock time (degradation is emulated by
         // writer-side stalls — see `delivery::Delivery::deliver`).
         if let ExecutorChoice::Sim(sim) = &mut exec {
             if let Some(setup) = self.setup {
@@ -363,7 +360,7 @@ fn drive(
         Some(ctl) => {
             let mut f = ctl.tallies.lock().clone();
             f.injected = ctl.plan.describe();
-            f.degraded = f.buffers_lost > 0 || f.copies_wedged > 0;
+            f.degraded = f.buffers_lost > 0;
             f
         }
         None => FaultReport::default(),
@@ -411,7 +408,7 @@ fn drive(
 /// abort after a structured [`RunError`] was recorded (mapped back to
 /// the cell's contents) — plus any panic raised inside a filter-callback
 /// containment scope, which the copy wrapper converts to a structured
-/// error or a supervised restart. Real panics elsewhere still reach the
+/// error. Real panics elsewhere still reach the
 /// previous hook untouched.
 fn silence_sentinel_panics() {
     static INSTALL: std::sync::Once = std::sync::Once::new();

@@ -1,5 +1,5 @@
-//! The wall-clock executor: every runtime process (filter copy, reaper,
-//! supervisor) becomes a real OS thread, communicating over bounded
+//! The wall-clock executor: every runtime process (filter copy, reaper)
+//! becomes a real OS thread, communicating over bounded
 //! mutex/condvar channels with the same blocking semantics as the
 //! simulation's cooperative channels. A filter copy is the only thread the
 //! runtime spawns for it: with no modelled wire to overlap, it delivers its
@@ -20,14 +20,13 @@
 //! waits return) so every thread can unwind and join.
 //!
 //! Blocking is a `parking_lot::Condvar` at every edge — the channel's
-//! not-full/not-empty sides, the barrier, the run-completion ledger (and
-//! `policy.rs`'s demand-driven credit window) — and a delay is an OS
-//! sleep. This is the only wall-clock substrate: a
+//! not-full/not-empty sides and the barrier (and `policy.rs`'s
+//! demand-driven credit window) — and a delay is an OS sleep. This is the only wall-clock substrate: a
 //! pooled executor that multiplexed the same copies over an admission
 //! scheduler was removed because it bought nothing measurable over
 //! thread-per-copy up to 4 096 copies (DESIGN.md §14).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -413,45 +412,9 @@ impl NativeBarrier {
 
 // ---- executor ------------------------------------------------------------
 
-/// Completion ledger of one native run: which spawned threads have
-/// finished, and which have been declared abandoned (wedged — presumed
-/// never to finish). The executor's `run` waits until every thread is one
-/// or the other, joins the finished and detaches the abandoned.
-struct RunWaiters {
-    st: Mutex<RunWaitState>,
-    cv: Condvar,
-}
-
-struct RunWaitState {
-    /// Per-thread finished flags, indexed by spawn order. Sized by `run`.
-    done: Vec<bool>,
-    /// Threads not yet finished. Lets a completing thread decide in O(1)
-    /// whether the run's waiter could be releasable: with no abandonment
-    /// in play only the *last* completion notifies, instead of every one
-    /// of thousands of finishing threads waking the waiter to re-scan.
-    remaining: usize,
-    /// Thread names declared abandoned via [`Abandoner::abandon`].
-    abandoned: HashSet<String>,
-}
-
-/// A handle on a native run's completion ledger, held by the supervisor.
-pub(crate) struct Abandoner(Arc<RunWaiters>);
-
-impl Abandoner {
-    /// Declare the thread spawned under `name` abandoned: it is presumed
-    /// wedged and will never finish, so the run detaches it instead of
-    /// waiting for it.
-    pub(crate) fn abandon(&self, name: &str) {
-        let mut st = self.0.st.lock();
-        st.abandoned.insert(name.to_string());
-        drop(st);
-        self.0.cv.notify_all();
-    }
-}
-
 /// The wall-clock executor: runs each registered process on its own OS
-/// thread, with per-process panic containment, a completion/abandonment
-/// ledger, and join-or-detach teardown. Spawning is deferred to the run
+/// thread, with per-process panic containment, and joins every thread it
+/// started. Spawning is deferred to the run
 /// so wiring happens before any thread starts (mirroring the simulation,
 /// where nothing runs until `Simulation::run`).
 pub struct NativeExecutor {
@@ -459,7 +422,6 @@ pub struct NativeExecutor {
     /// The run's cancellation scope; every channel and barrier built for
     /// the run registers with it.
     pub(super) cancel: Arc<CancelScope>,
-    waiters: Arc<RunWaiters>,
     /// Registered processes, started by [`run`](Self::run).
     pub(super) pending: Vec<(String, SpawnBody)>,
     first_panic: Arc<Mutex<Option<(String, String)>>>,
@@ -484,23 +446,11 @@ impl NativeExecutor {
         NativeExecutor {
             start: Instant::now(),
             cancel: CancelScope::new(),
-            waiters: Arc::new(RunWaiters {
-                st: Mutex::new(RunWaitState {
-                    done: Vec::new(),
-                    remaining: 0,
-                    abandoned: HashSet::new(),
-                }),
-                cv: Condvar::new(),
-            }),
             pending: Vec::new(),
             first_panic: Arc::new(Mutex::new(None)),
             #[cfg(test)]
             refuse_spawn_at: None,
         }
-    }
-
-    pub(super) fn abandoner(&self) -> Abandoner {
-        Abandoner(self.waiters.clone())
     }
 
     fn spawn_refused(&self, _index: usize) -> bool {
@@ -518,24 +468,15 @@ impl Default for NativeExecutor {
 }
 
 impl NativeExecutor {
-    /// Start a thread per registered process and wait until each has
-    /// finished or been abandoned.
+    /// Start a thread per registered process and join each, in spawn
+    /// order.
     pub(super) fn run(&mut self) -> Result<ExecStats, SimError> {
         let env = NativeEnv { start: self.start };
-        let processes = self.pending.len();
-        let waiters = self.waiters.clone();
-        {
-            let mut st = waiters.st.lock();
-            st.done = vec![false; processes];
-            st.remaining = processes;
-        }
-        let mut handles = Vec::with_capacity(processes);
-        let mut names = Vec::with_capacity(processes);
+        let mut handles = Vec::with_capacity(self.pending.len());
         for (index, (name, body)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
             let cancel = self.cancel.clone();
             let first_panic = self.first_panic.clone();
             let thread_name = name.clone();
-            let w = waiters.clone();
             let process = move || {
                 let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
                     body(ExecEnv::Native(env));
@@ -549,18 +490,6 @@ impl NativeExecutor {
                     first_panic.lock().get_or_insert((thread_name, message));
                     cancel.cancel();
                 }
-                let mut st = w.st.lock();
-                st.done[index] = true;
-                st.remaining -= 1;
-                // Only a completion that can release the run's waiter
-                // notifies: the last one, or any at all once a thread has
-                // been abandoned (the waiter's predicate then depends on
-                // the abandoned set, which it must re-scan itself).
-                let releasable = st.remaining == 0 || !st.abandoned.is_empty();
-                drop(st);
-                if releasable {
-                    w.cv.notify_all();
-                }
             };
             let spawned = if self.spawn_refused(index) {
                 Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
@@ -570,48 +499,23 @@ impl NativeExecutor {
                     .spawn(process)
             };
             match spawned {
-                Ok(h) => {
-                    handles.push(h);
-                    names.push(name);
-                }
+                Ok(h) => handles.push(h),
                 Err(e) => {
                     // The OS refused a thread (`EAGAIN` at thousands of
                     // copies): fail the run, not the process. Cancel so
                     // the threads already started fall through their
-                    // blocking calls, and strike the processes that never
-                    // started off the ledger so the last started thread's
-                    // completion still releases the wait below.
+                    // blocking calls and can be joined below.
                     let message = format!("spawn native executor thread: {e}");
                     self.first_panic.lock().get_or_insert((name, message));
                     self.cancel.cancel();
-                    waiters.st.lock().remaining -= processes - index;
                     break;
                 }
             }
         }
-        // Wait until every thread has either finished or been declared
-        // abandoned (wedged) by the supervisor; then join the finished and
-        // detach the abandoned (their detached threads die with the
-        // process, or whenever their blocking call finally returns).
-        {
-            let mut st = waiters.st.lock();
-            loop {
-                let pending = names
-                    .iter()
-                    .enumerate()
-                    .any(|(i, n)| !st.done[i] && !st.abandoned.contains(n));
-                if !pending {
-                    break;
-                }
-                waiters.cv.wait(&mut st);
-            }
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            let finished = waiters.st.lock().done[i];
-            if finished {
-                let _ = h.join();
-            }
-            // Not finished ⇒ abandoned: dropping the handle detaches it.
+        for h in handles {
+            // Every body runs under `catch_unwind`, so a join never
+            // carries a panic.
+            let _ = h.join();
         }
         let end_time = env.now();
         if let Some((process, message)) = self.first_panic.lock().take() {

@@ -8,19 +8,10 @@
 //! Whatever no survivor settles is still retained when the run ends, and
 //! the end-of-run sweep counts it lost then.
 //!
-//! Under a pure fault *plan* the doomed sets are known upfront, so spawn
-//! wires one reaper per scheduled death — the original (bit-identical)
-//! configuration. Under *supervision* any copy can die at runtime
-//! (restart budget exhausted, wedge detection), so every set gets a
-//! reaper. Either way the reaper probes the fault control block's merged
-//! death oracle each tick. Once the run's shutdown flag rises (every copy
-//! finished or died) a supervised reaper drains whatever is stranded in
-//! its queue — no consumer remains, so it retargets nothing — and exits;
-//! it must *not* simply wait for emptiness, because a wedged peer's
-//! reaper may send buffers into a set that already completed the cycle
-//! before the wedge was even detected.
+//! The doomed sets are known upfront — those whose host the plan
+//! crashes — so spawn wires one reaper per scheduled death, and its
+//! survivors are the sets with no scheduled death.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hetsim::{DeadlineRecv, HostId, Topology};
@@ -36,21 +27,17 @@ use crate::buffer::DataBuffer;
 use crate::fault::FaultCtl;
 use crate::policy::{AckHandle, CopySetInfo};
 
-/// Salvages the copy-set queue of a doomed (or potentially doomed) copy
-/// set: waits without consuming until the set dies, then drains the queue
-/// for the rest of the run (see the module docs for what it does with
-/// each buffer).
+/// Salvages the copy-set queue of a doomed copy set: waits without
+/// consuming until the set dies, then drains the queue for the rest of
+/// the run (see the module docs for what it does with each buffer).
 pub(crate) struct Reaper {
     pub ctl: Arc<FaultCtl>,
     pub rx: ChanRx<Envelope>,
-    /// Redelivery targets: `(copyset_idx, sender)`. Under a pure plan this
-    /// lists every set with *no* scheduled death — holding senders keeps a
-    /// channel open, so the reaper must not hold one to its own queue (it
-    /// would never see it close) nor to another doomed set's (two reapers
-    /// would keep each other alive). Under supervision every other set is
-    /// listed (deaths aren't known upfront); the keep-alive problem is
-    /// solved by the shutdown flag instead, and dead targets are skipped
-    /// at redelivery time.
+    /// Redelivery targets: `(copyset_idx, sender)` of every set with *no*
+    /// scheduled death. Holding senders keeps a channel open, so the
+    /// reaper must not hold one to its own queue (it would never see it
+    /// close) nor to another doomed set's (two reapers would keep each
+    /// other alive).
     pub survivors: Vec<(usize, ChanTx<Envelope>)>,
     pub sets: Vec<CopySetInfo>,
     /// This reaper's own copy set (`sets[own_idx]`), for the death oracle.
@@ -61,18 +48,12 @@ pub(crate) struct Reaper {
     /// when no more buffers for a given UOW can arrive from it.
     pub gate: Arc<Mutex<UowGate>>,
     pub uows: u32,
-    /// Set once every filter copy of the run has finished or died;
-    /// supervised reapers use it as their drain-and-exit signal, since
-    /// cross-held survivor senders keep their channels from ever closing.
-    /// `None` under a pure plan.
-    pub shutdown: Option<Arc<AtomicBool>>,
-    /// The native run's cancellation scope (`None` on the simulator and
-    /// before the native transport hands one out). The supervisor flips
-    /// it as a last resort after abandoning a wedged thread; a waiting
-    /// reaper must observe it rather than sleep forever.
+    /// The native run's cancellation scope (`None` on the simulator). The
+    /// executor flips it when a run aborts; a waiting reaper must observe
+    /// it rather than sleep until a death that may lie past the run's end.
     pub cancel: Option<Arc<CancelScope>>,
     /// The stream's retention, whose entries for the dead set the reaper
-    /// retargets to one deterministic survivor (next alive set in index
+    /// retargets to one deterministic survivor (the next survivor in index
     /// order, matching the tile-hash writer's fall-through).
     pub retention: Arc<StreamRetention>,
     /// Host of each producer copy, indexed by copy (for charging replica
@@ -84,46 +65,29 @@ pub(crate) struct Reaper {
 }
 
 impl Reaper {
-    fn shutdown_requested(&self) -> bool {
-        self.shutdown
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Acquire))
-    }
-
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
-    pub fn run(mut self, env: ExecEnv) {
+    pub fn run(self, env: ExecEnv) {
         let tick = self.ctl.timeout;
+        let death = self.ctl.plan.host_death(self.sets[self.own_idx].host);
         // Phase 1: wait for the death without consuming anything the live
         // consumers should get; exit early if the stream drains and closes
-        // first (death scheduled past the end of the run, or a supervised
-        // set that never dies). Shutdown also ends the wait: every copy
-        // has finished or died, so nothing this queue holds — or still
-        // receives — will ever be consumed, and phase 2 releases it (the
-        // sweep counts what stays retained) instead of insisting on
-        // emptiness (a wedged peer's reaper may have redelivered buffers
-        // here *after* this live set already completed the cycle).
+        // first (death scheduled past the end of the run).
         loop {
             if self.cancelled() {
                 return;
             }
             let now = env.now();
-            let death = self.ctl.set_death(&self.sets[self.own_idx]);
-            if let Some(t) = death {
-                if now >= t {
-                    break;
-                }
+            if death.is_some_and(|t| now >= t) {
+                break;
             }
             if self.rx.is_drained() {
                 // Nothing can arrive any more: whatever the set was sent,
                 // its copies consumed.
                 self.gate.lock().salvaged = self.uows;
                 return;
-            }
-            if self.shutdown_requested() {
-                break;
             }
             let tick_end = now + tick;
             let next = match death {
@@ -133,22 +97,12 @@ impl Reaper {
             env.delay(next - now);
         }
         // Phase 2: the set's consumers are dead (they stop dequeuing at
-        // the death instant) or the whole run has retired; everything
-        // still in — or still arriving on — this queue is ours to
-        // salvage, until every producer-side sender hangs up (pure plan)
-        // or the run shuts down (supervision). No cancellation check in
-        // this loop: on a cancelled scope `recv_deadline` keeps yielding
-        // queued items and reports `Closed` once empty, so the drain
-        // always completes.
+        // the death instant); everything still in — or still arriving on —
+        // this queue is ours to salvage, until every producer-side sender
+        // hangs up. No cancellation check in this loop: on a cancelled
+        // scope `recv_deadline` keeps yielding queued items and reports
+        // `Closed` once empty, so the drain always completes.
         loop {
-            if self.shutdown_requested() {
-                // The run is over. Release the cross-held survivor
-                // senders — peer reapers' queues can then close, and the
-                // cross-hold cycle cannot keep two drained reapers alive —
-                // and stop redelivering: with every copy retired, a replica
-                // has no consumer, and the sweep counts it lost.
-                self.survivors.clear();
-            }
             // Retarget before the gate can advance: a live peer keeps
             // reading until this gate is salvaged past its UOW, so the
             // replicas sent here are always consumed.
@@ -160,11 +114,7 @@ impl Reaper {
                     self.gate.lock().salvaged = self.uows;
                     return;
                 }
-                DeadlineRecv::TimedOut => {
-                    if self.shutdown_requested() && self.rx.is_empty() {
-                        return;
-                    }
-                }
+                DeadlineRecv::TimedOut => {}
                 DeadlineRecv::Item(envelope) => self.salvage(&env, envelope),
             }
         }
@@ -188,23 +138,19 @@ impl Reaper {
         g.salvaged = g.cycle();
     }
 
-    /// The deterministic target for redelivery: the next currently-alive
-    /// survivor in index order after this dead set — the
-    /// same fall-through order the tile-hash writer probes, so forwarded
-    /// tiles land where post-death writes already go.
-    fn forward_target(&self, env: &ExecEnv) -> Option<(usize, &ChanTx<Envelope>)> {
-        let now = env.now();
+    /// The deterministic target for redelivery: the next survivor in index
+    /// order after this dead set — the same fall-through order the
+    /// tile-hash writer probes, so forwarded tiles land where post-death
+    /// writes already go. Survivors have no scheduled death, so the
+    /// first one found is alive.
+    fn forward_target(&self) -> Option<(usize, &ChanTx<Envelope>)> {
         let n = self.sets.len();
-        for k in 1..n {
-            let idx = (self.own_idx + k) % n;
-            if self.ctl.set_dead(&self.sets[idx], now) {
-                continue;
-            }
-            if let Some((_, tx)) = self.survivors.iter().find(|&&(i, _)| i == idx) {
-                return Some((idx, tx));
-            }
-        }
-        None
+        (1..n).map(|k| (self.own_idx + k) % n).find_map(|idx| {
+            self.survivors
+                .iter()
+                .find(|&&(i, _)| i == idx)
+                .map(|(_, tx)| (idx, tx))
+        })
     }
 
     /// Retarget the retention entries addressed to this dead set to the
@@ -216,7 +162,7 @@ impl Reaper {
     /// survivor, or a send that fails, the entries stay retained and the
     /// end-of-run sweep counts them lost.
     fn retarget(&self, env: &ExecEnv) {
-        let Some(target) = self.forward_target(env) else {
+        let Some(target) = self.forward_target() else {
             return;
         };
         for (p, buf) in self.retention.retarget(self.own_idx, target.0) {

@@ -17,11 +17,9 @@
 //! Recovery moves entries without removing them. When a consumer set dies
 //! its reaper [retargets](StreamRetention::retarget) the set's entries to
 //! a survivor and sends it a replica of each; the entry stays until that
-//! survivor settles it, so a second death retargets it again. A queued
-//! original is released, since its replica travels instead. A supervised
-//! restart [fetches](StreamRetention::fetch) replicas of the crashed
-//! incarnation's journal. Either way a provenance is processed again,
-//! never suppressed: every rendering fold is idempotent under duplicated
+//! survivor settles it. A queued original is released, since its replica
+//! travels instead. A retargeted provenance is processed again, never
+//! suppressed: every rendering fold is idempotent under duplicated
 //! identical inputs.
 
 use std::collections::VecDeque;
@@ -64,8 +62,7 @@ struct Ring {
 /// Retention state of one stream: a ring per producer copy plus the
 /// shared slab and tallies. Shared (`Arc`) between the producer copies'
 /// output ports (stamp), the consumer sets' couriers (settle), the reapers
-/// (retarget on set death), restarted copies (fetch for re-injection) and
-/// the run's harvest (sweep).
+/// (retarget on set death) and the run's harvest (sweep).
 pub(crate) struct StreamRetention {
     rings: Vec<Mutex<Ring>>,
     slab: BufferSlab,
@@ -102,15 +99,6 @@ impl StreamRetention {
             uow,
             seq,
         }
-    }
-
-    /// Replicate the retained entry `(copy, seq)` for re-injection into a
-    /// restarted consumer. The entry stays retained (a second fault may
-    /// need it again); `None` when it was already settled.
-    pub fn fetch(&self, copy: u32, seq: u64) -> Option<DataBuffer> {
-        let ring = self.rings[copy as usize].lock();
-        let entry = ring.entries.iter().find(|e| e.seq == seq)?;
-        Some(entry.buf.replicate(&self.slab))
     }
 
     /// The consumer set the retained entry `p` is addressed to; `None` once
@@ -217,17 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_keeps_the_entry_retained() {
-        let r = retention();
-        let slab = BufferSlab::new();
-        r.stamp(0, 0, 0, &buf(&slab, 7));
-        let first = r.fetch(0, 0).expect("retained");
-        assert_eq!(first.downcast::<u64>(), 7);
-        let second = r.fetch(0, 0).expect("still retained after fetch");
-        assert_eq!(second.downcast::<u64>(), 7);
-    }
-
-    #[test]
     fn retarget_moves_only_that_sets_entries_and_keeps_them() {
         let r = retention();
         let slab = BufferSlab::new();
@@ -247,7 +224,7 @@ mod tests {
         assert_eq!(r.addressee(p(0, 1)), Some(2));
         assert_eq!(r.addressee(p(0, 0)), Some(0));
         assert!(r.retarget(1, 2).is_empty(), "set 1 no longer owns them");
-        // A second death moves them on; set 0's entry never moves.
+        // Retargeting again moves them on; set 0's entry never moves.
         assert_eq!(r.retarget(2, 0).len(), 2);
         assert_eq!(r.retarget(0, 2).len(), 3);
         r.settle(&[p(0, 1)]);

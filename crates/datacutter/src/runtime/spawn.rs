@@ -13,50 +13,34 @@
 //! creation); then reapers; then per filter copy: one sender per output
 //! port followed by the copy itself — so simulation runs stay bit-for-bit
 //! identical; senders and couriers are handlers, registered in those same
-//! slots. Supervision (opt-in) only adds reapers in the per-stream slot
-//! and the supervisor last, so plan-only runs are untouched (the tests
+//! slots. Only sets whose host the plan crashes get a reaper (the tests
 //! below pin the sequence).
 //!
-//! ## Panic containment and supervised restarts
+//! ## Panic containment
 //!
 //! Every filter callback runs under `catch_unwind` inside a containment
-//! scope. The two runtime sentinels pass through untouched (the
-//! [`KilledMarker`] of a scheduled host crash, handled by the copy's
-//! outer wrapper; the abort sentinel of a recorded [`RunError`]). A
-//! *real* panic out of user filter code is converted:
-//!
-//! * unsupervised — the run aborts with [`RunError::FilterPanic`]; the
-//!   process never crashes;
-//! * supervised with restart budget left — the copy waits out a seeded,
-//!   jittered exponential backoff, re-instantiates its filter from the
-//!   graph's factory **on the same thread** (its channel endpoints cannot
-//!   be re-created) and resumes the current unit of work from the
-//!   remaining queue contents;
-//! * supervised, budget exhausted — the copy is declared dead in the
-//!   merged death oracle and takes the regular crash path (its set's
-//!   reaper retargets what it retained), or aborts the run when degraded
-//!   completion is disallowed.
+//! scope, one attempt per unit of work. The two runtime sentinels pass
+//! through untouched (the [`KilledMarker`] of a scheduled host crash,
+//! handled by the copy's outer wrapper; the abort sentinel of a recorded
+//! [`RunError`]). A *real* panic out of user filter code aborts the run
+//! with [`RunError::FilterPanic`]; the process never crashes.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use hetsim::{HostId, SimTime, Topology};
 use parking_lot::Mutex;
 
 use super::delivery::{self, CourierMsg, Delivery, Envelope, OutMsg};
-use super::eow::{ProducerRef, UowGate};
+use super::eow::UowGate;
 use super::exec::{ChanRx, ChanTx, ExecEnv, ExecutorChoice};
 use super::reaper::Reaper;
 use super::retain::StreamRetention;
-use super::supervisor::{copy_retired, CopyRecord, Supervisor};
 use super::Tuning;
 use crate::budget::{MemoryBudget, StreamOoc};
 use crate::context::{FilterCtx, InputPort, Outbox, OutputPort};
 use crate::fault::{
-    abort_run, contain_scope, panic_message, raise_killed, CopyHealth, CopyState, ErrorCell,
-    FaultCtl, KilledMarker, RestartEvent, RunError, ABORT_MSG,
+    abort_run, contain_scope, panic_message, ErrorCell, FaultCtl, KilledMarker, RunError, ABORT_MSG,
 };
 use crate::filter::CopyInfo;
 use crate::graph::{AppGraph, FilterId, DEFAULT_QUEUE_CAPACITY};
@@ -92,27 +76,6 @@ pub(crate) struct RunWiring {
     pub retention: Vec<(String, Arc<StreamRetention>)>,
 }
 
-/// Retire a finished-or-dead copy from the supervised liveness
-/// accounting. The health-state transition is the arbiter against the
-/// supervisor's wedge scan: whoever moves the state out of `Running`
-/// owns the live-copy decrement, so a wedge declaration racing a
-/// late-finishing thread can never double-account. No-op on
-/// unsupervised runs (no health record).
-fn retire(
-    health: &Option<Arc<CopyHealth>>,
-    live: &Option<Arc<AtomicUsize>>,
-    shutdown: &Option<Arc<AtomicBool>>,
-    state: CopyState,
-) {
-    let Some(h) = health else { return };
-    if !h.try_transition(CopyState::Running, state) {
-        return;
-    }
-    if let (Some(l), Some(s)) = (live, shutdown) {
-        copy_retired(l, s);
-    }
-}
-
 /// Wire `graph` onto `exec` and register every runtime process. Nothing
 /// runs until the driver calls [`ExecutorChoice::run`].
 #[allow(clippy::too_many_arguments)] // one-call crate-internal wiring entry point
@@ -134,22 +97,12 @@ pub(crate) fn build(
         .map(|f| f.placement.total_copies())
         .sum();
 
-    // Supervised-run shared state: the shutdown flag releases the
-    // always-on reapers and the supervisor once the live-copy count hits
-    // zero (every copy finished or died).
-    let supervised = fault_ctl.as_ref().is_some_and(|c| c.supervisor.is_some());
-    let shutdown: Option<Arc<AtomicBool>> = supervised.then(|| Arc::new(AtomicBool::new(false)));
-    let live: Option<Arc<AtomicUsize>> =
-        supervised.then(|| Arc::new(AtomicUsize::new(all_copies as usize)));
-    let mut records: Vec<CopyRecord> = Vec::new();
-    // A copy set can die when its host is on the crash plan or the run is
-    // supervised (any copy may exhaust its restart budget). Exactly these
+    // A copy set can die when its host is on the crash plan. Exactly these
     // sets get a reaper, and live peer sets watch exactly these.
     let can_die = |set: &CopySetInfo| {
         fault_ctl
             .as_ref()
-            .filter(|c| c.crashes_possible())
-            .is_some_and(|c| supervised || c.plan.host_death(set.host).is_some())
+            .is_some_and(|c| c.plan.host_death(set.host).is_some())
     };
 
     // ---- per-stream wiring ------------------------------------------------
@@ -181,31 +134,21 @@ pub(crate) fn build(
     let mut streams_rt: Vec<StreamRt> = Vec::with_capacity(graph.streams.len());
     for spec in &graph.streams {
         let consumer = &graph.filters[spec.to.0 as usize];
-        // Producer copy references in copy-index order: the end-of-work
-        // gate tracks markers per producer copy so dead producers can be
-        // excused (by host crash or dynamic death) without under- or
-        // over-counting.
-        let producers: Vec<ProducerRef> = {
-            let mut v = Vec::new();
-            for &(h, n) in &graph.filters[spec.from.0 as usize].placement.per_host {
-                for _ in 0..n {
-                    let copy = v.len();
-                    v.push(ProducerRef {
-                        host: h,
-                        filter: spec.from,
-                        copy,
-                    });
-                }
-            }
-            v
-        };
-        let producer_hosts: Vec<HostId> = producers.iter().map(|p| p.host).collect();
+        // Producer copy hosts in copy-index order: the end-of-work gate
+        // tracks markers per producer copy so dead producers can be
+        // excused without under- or over-counting.
+        let producer_hosts: Vec<HostId> = graph.filters[spec.from.0 as usize]
+            .placement
+            .per_host
+            .iter()
+            .flat_map(|&(h, n)| std::iter::repeat_n(h, n as usize))
+            .collect();
         let retention = fault_ctl
             .as_ref()
             .filter(|c| c.crashes_possible())
             .map(|ctl| {
                 Arc::new(StreamRetention::new(
-                    producers.len(),
+                    producer_hosts.len(),
                     slab.clone(),
                     ctl.clone(),
                 ))
@@ -232,7 +175,10 @@ pub(crate) fn build(
             let (tx, rx) = exec.channel::<Envelope>(cap.max(1));
             data_txs.push(tx);
             data_rxs.push(rx);
-            gates.push(Arc::new(Mutex::new(UowGate::new(producers.clone(), set))));
+            gates.push(Arc::new(Mutex::new(UowGate::new(
+                producer_hosts.clone(),
+                set,
+            ))));
             let courier_tx = relays.then(|| {
                 let (tx, rx) = exec.channel::<CourierMsg>(COURIER_CAPACITY);
                 delivery::spawn_courier(
@@ -252,15 +198,10 @@ pub(crate) fn build(
         let stream_ooc = ooc
             .as_ref()
             .map(|(ledger, storage)| StreamOoc::new(ledger.clone(), storage.clone(), stream_share));
-        // Reapers. Under a pure plan: one per copy set whose host is
-        // scheduled to crash, holding senders only to sets with no
-        // scheduled death (exactly the original, bit-identical wiring).
-        // Under supervision: one per set — any set can die at runtime —
-        // holding senders to every *other* set, with the death time
-        // probed from the merged oracle and the shutdown flag as the
-        // exit signal. Either way the reaper's receiver clone keeps the
-        // dead queue open so buffers sent before writers notice the
-        // death are salvaged, not dropped.
+        // Reapers: one per copy set whose host is scheduled to crash,
+        // holding senders only to sets with no scheduled death. The
+        // reaper's receiver clone keeps the dead queue open so buffers
+        // sent before writers notice the death are salvaged, not dropped.
         if let (Some(ctl), Some(retention)) = (fault_ctl.as_ref(), retention.as_ref()) {
             for (set_idx, set) in sets.iter().enumerate() {
                 if !can_die(set) {
@@ -269,7 +210,7 @@ pub(crate) fn build(
                 let survivors = sets
                     .iter()
                     .enumerate()
-                    .filter(|&(i, s)| i != set_idx && (supervised || !can_die(s)))
+                    .filter(|&(_, s)| !can_die(s))
                     .map(|(i, _)| (i, data_txs[i].clone()))
                     .collect();
                 let reaper = Reaper {
@@ -281,7 +222,6 @@ pub(crate) fn build(
                     topo: topo.clone(),
                     gate: gates[set_idx].clone(),
                     uows,
-                    shutdown: shutdown.clone(),
                     cancel: cancel.clone(),
                     retention: retention.clone(),
                     producer_hosts: producer_hosts.clone(),
@@ -322,8 +262,6 @@ pub(crate) fn build(
                 let cell: CopyCell = Arc::new(Mutex::new(CopyCounters::default()));
                 copy_cells.push((fid, fspec.name.clone(), copy_index, host, cell.clone()));
                 let copy_name = format!("{}#{}@h{}", fspec.name, copy_index, host.0);
-                let health: Option<Arc<CopyHealth>> =
-                    supervised.then(|| Arc::new(CopyHealth::new()));
 
                 // Input ports: this copy shares its host's copy-set queue.
                 let mut inputs = Vec::new();
@@ -344,8 +282,6 @@ pub(crate) fn build(
                         copyset_counters: rt.cells[set_idx].clone(),
                         retention: rt.retention.clone(),
                         journal: Vec::new(),
-                        replay: VecDeque::new(),
-                        replay_done: false,
                         eow_taken: false,
                         ooc: rt.ooc.clone(),
                     });
@@ -367,17 +303,13 @@ pub(crate) fn build(
                         topo: topo.clone(),
                         faults: fault_ctl.clone(),
                         seq: 0,
-                        health: None,
                     };
                     let outbox = if relays {
                         let (tx, rx) = exec.channel::<OutMsg>(OUTBOX_CAPACITY);
                         delivery.spawn_sender(exec, &spec.name, rx);
                         Outbox::Sender(tx)
                     } else {
-                        Outbox::Inline(Delivery {
-                            health: health.clone(),
-                            ..delivery
-                        })
+                        Outbox::Inline(delivery)
                     };
                     outputs.push(OutputPort {
                         writer: WriterState::for_run(
@@ -409,30 +341,15 @@ pub(crate) fn build(
                 let fname = fspec.name.clone();
                 let copy_ctl = fault_ctl.clone();
                 let kill_ctl = fault_ctl.clone();
-                let restart_ctl = fault_ctl.clone();
                 let copy_errors = error_cell.clone();
                 let my_death = fault_ctl.as_ref().and_then(|c| c.plan.host_death(host));
                 let copy_slab = slab.clone();
-                let policy = fault_ctl.as_ref().and_then(|c| c.supervisor);
-                if let Some(h) = &health {
-                    records.push(CopyRecord {
-                        filter: fid,
-                        copy: copy_index,
-                        thread: copy_name.clone(),
-                        health: h.clone(),
-                    });
-                }
-                let health_ctx = health.clone();
-                let health_out = health;
-                let live_out = live.clone();
-                let shutdown_out = shutdown.clone();
                 exec.spawn(
                     copy_name,
                     Box::new(move |env: ExecEnv| {
                         let env_out = env.clone();
                         let body = AssertUnwindSafe(move || {
                             let mut filter = (graph2.filters[fid.0 as usize].factory)(info);
-                            let n_inputs = inputs.len();
                             let mut ctx = FilterCtx {
                                 env,
                                 topo: topo2,
@@ -446,122 +363,55 @@ pub(crate) fn build(
                                 slab: copy_slab,
                                 name: Arc::from(fname.as_str()),
                                 errors: copy_errors.clone(),
-                                health: health_ctx,
-                                port_done: vec![false; n_inputs],
                             };
-                            if let Some(h) = &ctx.health {
-                                h.beat(ctx.env.now());
-                            }
-                            let copy_key = ((fid.0 as u64) << 32) | info.copy_index as u64;
-                            let mut restarts_used = 0u32;
                             for uow in 0..uows {
                                 ctx.begin_uow(uow);
-                                loop {
-                                    // One attempt at this unit of work:
-                                    // every filter callback inside a
-                                    // containment scope.
-                                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(
-                                        || -> Result<(), String> {
-                                            let _contain = contain_scope();
-                                            filter.init(&mut ctx);
-                                            filter.process(&mut ctx).map_err(|e| e.to_string())?;
-                                            filter.finalize(&mut ctx);
-                                            Ok(())
+                                // One attempt at this unit of work: every
+                                // filter callback inside a containment
+                                // scope.
+                                let attempt = std::panic::catch_unwind(AssertUnwindSafe(
+                                    || -> Result<(), String> {
+                                        let _contain = contain_scope();
+                                        filter.init(&mut ctx);
+                                        filter.process(&mut ctx).map_err(|e| e.to_string())?;
+                                        filter.finalize(&mut ctx);
+                                        Ok(())
+                                    },
+                                ));
+                                match attempt {
+                                    Ok(Ok(())) => {}
+                                    Ok(Err(message)) => abort_run(
+                                        &copy_errors,
+                                        RunError::Filter {
+                                            filter: fname.clone(),
+                                            copy: info.copy_index,
+                                            host,
+                                            uow,
+                                            message,
                                         },
-                                    ));
-                                    match attempt {
-                                        Ok(Ok(())) => break,
-                                        Ok(Err(message)) => abort_run(
+                                    ),
+                                    Err(payload) => {
+                                        if payload.is::<KilledMarker>()
+                                            || payload
+                                                .downcast_ref::<String>()
+                                                .is_some_and(|s| s == ABORT_MSG)
+                                        {
+                                            // Runtime sentinels pass through:
+                                            // the kill to the outer wrapper's
+                                            // death bookkeeping, the abort to
+                                            // the driver.
+                                            std::panic::resume_unwind(payload);
+                                        }
+                                        abort_run(
                                             &copy_errors,
-                                            RunError::Filter {
+                                            RunError::FilterPanic {
                                                 filter: fname.clone(),
                                                 copy: info.copy_index,
                                                 host,
                                                 uow,
-                                                message,
+                                                message: panic_message(payload.as_ref()),
                                             },
-                                        ),
-                                        Err(payload) => {
-                                            if payload.is::<KilledMarker>()
-                                                || payload
-                                                    .downcast_ref::<String>()
-                                                    .is_some_and(|s| s == ABORT_MSG)
-                                            {
-                                                // Runtime sentinels pass
-                                                // through: the kill to the
-                                                // outer wrapper's death
-                                                // bookkeeping, the abort to
-                                                // the driver.
-                                                std::panic::resume_unwind(payload);
-                                            }
-                                            let message = panic_message(payload.as_ref());
-                                            match policy {
-                                                Some(p) if restarts_used < p.max_restarts => {
-                                                    restarts_used += 1;
-                                                    let backoff = p.restart_backoff(
-                                                        copy_key,
-                                                        restarts_used - 1,
-                                                    );
-                                                    if let Some(ctl) = &restart_ctl {
-                                                        let mut t = ctl.tallies.lock();
-                                                        t.restarts += 1;
-                                                        t.restart_events.push(RestartEvent {
-                                                            filter: fname.clone(),
-                                                            copy: info.copy_index,
-                                                            host,
-                                                            uow,
-                                                            attempt: restarts_used,
-                                                            backoff,
-                                                            at: ctx.env.now(),
-                                                        });
-                                                    }
-                                                    // Seeded jittered
-                                                    // exponential backoff,
-                                                    // then a fresh filter
-                                                    // instance resumes this
-                                                    // UOW from the remaining
-                                                    // queue contents — plus
-                                                    // the crashed
-                                                    // incarnation's journaled
-                                                    // inputs re-fetched from
-                                                    // retention.
-                                                    ctx.env.delay(backoff);
-                                                    ctx.prepare_restart_replay();
-                                                    filter = (graph2.filters[fid.0 as usize]
-                                                        .factory)(
-                                                        info
-                                                    );
-                                                }
-                                                Some(_)
-                                                    if restart_ctl
-                                                        .as_ref()
-                                                        .is_some_and(|c| c.allow_degraded) =>
-                                                {
-                                                    // Budget exhausted:
-                                                    // declare the copy dead
-                                                    // and take the regular
-                                                    // crash path.
-                                                    if let Some(ctl) = &restart_ctl {
-                                                        ctl.register_copy_death(
-                                                            fid,
-                                                            info.copy_index,
-                                                            ctx.env.now(),
-                                                        );
-                                                    }
-                                                    raise_killed();
-                                                }
-                                                _ => abort_run(
-                                                    &copy_errors,
-                                                    RunError::FilterPanic {
-                                                        filter: fname.clone(),
-                                                        copy: info.copy_index,
-                                                        host,
-                                                        uow,
-                                                        message,
-                                                    },
-                                                ),
-                                            }
-                                        }
+                                        )
                                     }
                                 }
                                 ctx.end_uow();
@@ -576,52 +426,22 @@ pub(crate) fn build(
                                 }
                             }
                         });
-                        match std::panic::catch_unwind(body) {
-                            Ok(()) => {
-                                retire(&health_out, &live_out, &shutdown_out, CopyState::Done)
+                        if let Err(payload) = std::panic::catch_unwind(body) {
+                            if !payload.is::<KilledMarker>() {
+                                std::panic::resume_unwind(payload);
                             }
-                            Err(payload) => {
-                                if payload.is::<KilledMarker>() {
-                                    // This copy died (host crash or restart
-                                    // budget exhausted). Tally the death and
-                                    // withdraw from the inter-UOW barrier so
-                                    // the surviving copies are not stranded.
-                                    if let Some(ctl) = &kill_ctl {
-                                        ctl.tallies.lock().copies_killed += 1;
-                                    }
-                                    barrier_out.leave(&env_out);
-                                    retire(&health_out, &live_out, &shutdown_out, CopyState::Dead);
-                                } else {
-                                    std::panic::resume_unwind(payload);
-                                }
+                            // This copy's host crashed. Tally the death and
+                            // withdraw from the inter-UOW barrier so the
+                            // surviving copies are not stranded.
+                            if let Some(ctl) = &kill_ctl {
+                                ctl.tallies.lock().copies_killed += 1;
                             }
+                            barrier_out.leave(&env_out);
                         }
                     }),
                 );
                 copy_index += 1;
             }
-        }
-    }
-
-    // ---- supervisor (supervised runs only; spawned last) ------------------
-    if let Some(ctl) = fault_ctl.as_ref() {
-        if let (Some(policy), Some(shutdown), Some(live)) =
-            (ctl.supervisor, shutdown.clone(), live.clone())
-        {
-            let sup = Supervisor {
-                ctl: ctl.clone(),
-                policy,
-                records,
-                barrier: barrier.clone(),
-                shutdown,
-                live,
-                abandoner: exec.abandoner(),
-                cancel: cancel.clone(),
-            };
-            exec.spawn(
-                "supervisor".to_string(),
-                Box::new(move |env: ExecEnv| sup.run(env)),
-            );
         }
     }
 
@@ -668,8 +488,7 @@ mod tests {
     };
     use crate::fault::FaultCtl;
     use crate::{
-        FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, SupervisorPolicy,
-        WritePolicy,
+        FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, WritePolicy,
     };
 
     /// One registration: the process name, and whether it was a handler.
@@ -711,8 +530,7 @@ mod tests {
     }
 
     /// `src` (h0) → `mid` (two copies on h1, one on h2) → `snk` (h0), both
-    /// streams demand-driven. Under `crash`, h2 dies at t = 0 and the run
-    /// is supervised. Returns the registered processes (read from this
+    /// streams demand-driven. Under `crash`, h2 dies at t = 0. Returns the registered processes (read from this
     /// thread's registration log) and the sorted items the sink received.
     fn register(exec: impl Into<ExecutorChoice>, crash: bool) -> (Vec<Spawned>, Vec<u32>) {
         silence_sentinel_panics();
@@ -735,7 +553,7 @@ mod tests {
         g.connect(mid, snk, WritePolicy::demand_driven());
         let faults = crash.then(|| {
             let plan = FaultPlan::new().crash_host(hosts[2], SimTime::ZERO);
-            FaultCtl::new(&FaultOptions::new(plan).supervised(SupervisorPolicy::new()))
+            FaultCtl::new(&FaultOptions::new(plan))
         });
         SPAWN_LOG.with_borrow_mut(Vec::clear);
         drive(
@@ -776,19 +594,15 @@ mod tests {
         assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());
     }
 
+    /// Only the set on the crashed host gets a reaper: `src->mid@h2`. The
+    /// sets on h1 and h0 have no scheduled death, so neither gets one.
     #[test]
-    fn native_lossless_crash_run_spawns_copies_reapers_and_supervisor() {
+    fn native_crash_run_spawns_the_doomed_sets_reaper_then_copies() {
         let (spawned, got) = register(NativeExecutor::new(), true);
-        let reapers = [
-            "reaper:src->mid@h1",
-            "reaper:src->mid@h2",
-            "reaper:mid->snk@h0",
-        ];
-        let want: Vec<&str> = reapers
+        let want: Vec<&str> = ["reaper:src->mid@h2"]
             .iter()
             .chain(&COPIES)
             .copied()
-            .chain(["supervisor"])
             .collect();
         assert_eq!(names(&spawned), want);
         assert!(handlers(&spawned).is_empty());
@@ -798,7 +612,7 @@ mod tests {
     /// Spawn order is load-bearing on the simulator (it fixes process ids
     /// and so event order): couriers per copy set with each stream's
     /// channels, that stream's reapers, then per copy its senders and the
-    /// copy itself, the supervisor last. Pinned literally. The senders and
+    /// copy itself. Pinned literally. The senders and
     /// couriers are handlers, registered in the slots their threads had;
     /// everything else is a thread.
     #[test]
@@ -834,16 +648,14 @@ mod tests {
 
         let (spawned, got) = register(SimExecutor::new(), true);
         assert_eq!(handlers(&spawned), relays(&spawned));
-        assert_eq!((spawned.len(), handlers(&spawned).len()), (16, 7));
+        assert_eq!((spawned.len(), handlers(&spawned).len()), (13, 7));
         assert_eq!(
             names(&spawned),
             [
                 "courier:src->mid@h1",
                 "courier:src->mid@h2",
-                "reaper:src->mid@h1",
                 "reaper:src->mid@h2",
                 "courier:mid->snk@h0",
-                "reaper:mid->snk@h0",
                 "sender:src->mid#0@h0",
                 "src#0@h0",
                 "sender:mid->snk#0@h1",
@@ -853,7 +665,6 @@ mod tests {
                 "sender:mid->snk#2@h2",
                 "mid#2@h2",
                 "snk#0@h0",
-                "supervisor",
             ]
         );
         assert_eq!(got, (0..ITEMS).collect::<Vec<_>>());

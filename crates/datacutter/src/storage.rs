@@ -35,11 +35,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hetsim::{DiskFaultKind, FaultPlan, HostId, SimDuration, SimTime};
+use hetsim::{splitmix64, DiskFaultKind, FaultPlan, HostId, SimDuration, SimTime};
 use parking_lot::Mutex;
 
 use crate::budget::SpillRing;
-use crate::fault::backoff_delay;
 
 /// Default bounded retry budget for transient storage errors (spill
 /// writes and fault-in reads). Retries are cheap — a seeded backoff in
@@ -53,6 +52,33 @@ pub const STORAGE_BACKOFF_BASE: SimDuration = SimDuration::from_micros(50);
 
 /// Cap of the storage-retry backoff envelope.
 pub const STORAGE_BACKOFF_CAP: SimDuration = SimDuration::from_millis(5);
+
+/// Seeded, jittered exponential backoff of the storage retry ladder:
+/// attempt `attempt` (0-based) waits `min(base · 2^attempt, cap)` scaled
+/// by a deterministic jitter in [0.5, 1.0) drawn from `(seed, key,
+/// attempt)`. Pure — identical inputs always produce the identical delay,
+/// so retry schedules replay exactly per seed.
+pub fn backoff_delay(
+    base: SimDuration,
+    cap: SimDuration,
+    seed: u64,
+    key: u64,
+    attempt: u32,
+) -> SimDuration {
+    let base_ns = base.as_nanos().max(1);
+    let cap_ns = cap.as_nanos().max(base_ns);
+    let exp_ns = base_ns
+        .checked_shl(attempt.min(63))
+        .unwrap_or(u64::MAX)
+        .min(cap_ns);
+    let h = splitmix64(
+        seed ^ splitmix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ splitmix64(attempt as u64),
+    );
+    // Jitter in [0.5, 1.0): decorrelates retry herds without ever
+    // shrinking the envelope below half.
+    let jitter = 0.5 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
+    SimDuration::from_nanos((exp_ns as f64 * jitter) as u64)
+}
 
 /// Bound on the retained storage-event timeline (first events win; the
 /// overflow is counted, not stored).
@@ -642,6 +668,29 @@ mod tests {
             0
         ));
         assert_eq!(ctl.disk_errors_injected(), 1);
+    }
+
+    #[test]
+    fn backoff_is_deterministic_and_capped() {
+        let ms = SimDuration::from_millis;
+        let a: Vec<_> = (0..8)
+            .map(|k| backoff_delay(ms(1), ms(20), 42, 7, k))
+            .collect();
+        let b: Vec<_> = (0..8)
+            .map(|k| backoff_delay(ms(1), ms(20), 42, 7, k))
+            .collect();
+        assert_eq!(a, b, "same inputs, same schedule");
+        for (k, d) in a.iter().enumerate() {
+            let envelope = ms(1).as_nanos() << k.min(63);
+            let cap = ms(20).as_nanos().min(envelope);
+            assert!(d.as_nanos() <= cap, "attempt {k} over envelope");
+            assert!(d.as_nanos() >= cap / 2, "attempt {k} under half envelope");
+        }
+        // A different seed decorrelates the jitter.
+        let c: Vec<_> = (0..8)
+            .map(|k| backoff_delay(ms(1), ms(20), 43, 7, k))
+            .collect();
+        assert_ne!(a, c);
     }
 
     #[test]

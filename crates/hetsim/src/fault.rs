@@ -241,13 +241,6 @@ impl FaultPlan {
         self.host_death(host).is_some_and(|at| now >= at)
     }
 
-    /// True once `host` has been dead for at least `timeout` — the point at
-    /// which a remote failure detector based on an idle-timeout of that
-    /// length may conclude the host is gone.
-    pub fn detectably_dead(&self, host: HostId, now: SimTime, timeout: SimDuration) -> bool {
-        self.host_death(host).is_some_and(|at| now >= at + timeout)
-    }
-
     /// If `now` falls inside a stall window of `host`, the window's end.
     pub fn stall_end(&self, host: HostId, now: SimTime) -> Option<SimTime> {
         self.stalls
@@ -495,8 +488,8 @@ impl FaultPlan {
 }
 
 /// splitmix64 finalizer: a cheap, well-mixed 64-bit hash. Every seeded
-/// verdict of a [`FaultPlan`] and the runtime's restart-backoff jitter
-/// draw from it.
+/// verdict of a [`FaultPlan`] and the runtime's storage-retry backoff
+/// jitter draw from it.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -522,8 +515,6 @@ mod tests {
         assert_eq!(plan.host_death(HostId(0)), None);
         assert!(!plan.is_dead(HostId(1), t(49)));
         assert!(plan.is_dead(HostId(1), t(50)));
-        assert!(!plan.detectably_dead(HostId(1), t(59), SimDuration::from_millis(10)));
-        assert!(plan.detectably_dead(HostId(1), t(60), SimDuration::from_millis(10)));
         assert!(plan.has_crashes());
         assert!(!plan.is_empty());
     }

@@ -176,14 +176,15 @@ fn demand_driven_delivery_steady_state_is_allocation_free() {
 
 // ---- crash-plan retention ------------------------------------------------
 
-/// [`run_once`] over `uows` units of work of `n` buffers each, under
-/// supervision, so retention is armed: every buffer is stamped with a
-/// provenance, a replica is cloned into the ring, the consumer journals
-/// the sequence number, and its end-of-work settles the journal, which
-/// recycles the replicas into the slab pool.
-fn run_supervised(policy: WritePolicy, n: u32, uows: u32) -> (u64, u64) {
-    use datacutter::{FaultOptions, SupervisorPolicy};
-    use hetsim::FaultPlan;
+/// [`run_once`] over `uows` units of work of `n` buffers each, with the
+/// sink's host scheduled to crash an hour after the run ends, so retention
+/// is armed: every buffer is stamped with a provenance, a replica is
+/// cloned into the ring, the consumer journals the sequence number, and
+/// its end-of-work settles the journal, which recycles the replicas into
+/// the slab pool.
+fn run_retained(policy: WritePolicy, n: u32, uows: u32) -> (u64, u64) {
+    use datacutter::FaultOptions;
+    use hetsim::{FaultPlan, SimTime};
     let (topo, hosts) = topology();
     let sum: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
     let sum2 = sum.clone();
@@ -193,12 +194,14 @@ fn run_supervised(policy: WritePolicy, n: u32, uows: u32) -> (u64, u64) {
         sum: sum2.clone(),
     });
     g.connect(src, sink, policy);
+    let after_the_run = SimTime::ZERO + SimDuration::from_secs(3600);
+    let plan = FaultPlan::new().crash_host(hosts[1], after_the_run);
     let before = ALLOCS.load(Ordering::Relaxed);
     Run::new(g.build())
         .uows(uows)
-        .faults(FaultOptions::new(FaultPlan::new()).supervised(SupervisorPolicy::new()))
+        .faults(FaultOptions::new(plan))
         .go(&topo)
-        .expect("supervised pipeline run failed");
+        .expect("retained pipeline run failed");
     let after = ALLOCS.load(Ordering::Relaxed);
     let got = *sum.lock();
     (after - before, got)
@@ -215,10 +218,10 @@ fn lossless_retention_steady_state_is_allocation_free() {
     const N: u32 = 2000;
     const K: u32 = 2;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
-        let _ = run_supervised(policy, N, K);
+        let _ = run_retained(policy, N, K);
 
-        let (k_allocs, k_sum) = run_supervised(policy, N, K);
-        let (more_allocs, more_sum) = run_supervised(policy, N, K + 1);
+        let (k_allocs, k_sum) = run_retained(policy, N, K);
+        let (more_allocs, more_sum) = run_retained(policy, N, K + 1);
         assert_eq!(k_sum, expected_sum(N));
         assert_eq!(more_sum, expected_sum(N));
 

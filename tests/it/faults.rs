@@ -8,12 +8,11 @@
 //! completes *degraded* and accounts for every lost buffer, or fails when
 //! degraded completion is disallowed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use datacutter::{
     FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, NativeExecutor, Placement, Run,
-    RunError, SimExecutor, SupervisorPolicy, WritePolicy,
+    RunError, SimExecutor, WritePolicy,
 };
 use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::{FaultPlan, SimDuration, SimTime};
@@ -464,284 +463,46 @@ fn native_drops_and_delays_preserve_output() {
     assert_eq!(lossy.image().diff_pixels(clean.image()), 0);
 }
 
-// ---- supervised restarts (panic containment) ------------------------------
-
-/// A small src -> sink graph where one sink copy can be poisoned to panic
-/// or wedge; `seen` counts every buffer a sink copy actually consumed.
-struct ChaosGraph {
-    graph: datacutter::AppGraph,
-    seen: Arc<AtomicU64>,
-    /// The poisoned copy's accumulated payload sum, published when its
-    /// (possibly restarted) incarnation drains the stream — the probe
-    /// for "did replay rebuild the exact pre-crash state".
-    sum: Arc<AtomicU64>,
-}
+// ---- panic containment ------------------------------------------------------
 
 const CHAOS_BUFFERS: u32 = 64;
 
-/// What the poisoned sink copy does.
-#[derive(Clone, Copy, PartialEq)]
-enum PoisonMode {
-    /// Panic on the first `process` call (before consuming anything),
-    /// then behave.
-    PanicOnce,
-    /// Panic on every `process` call.
-    PanicAlways,
-    /// Block without heartbeats (a real `std::thread::sleep`).
-    Wedge,
-    /// Consume this many buffers into filter state, then panic once —
-    /// the consumed prefix's effects die with the incarnation, so only
-    /// a journal replay can rebuild them.
-    PanicAfter(u32),
-}
-
-/// `sink_hosts.len()` single-copy sink sets. `poison` marks the global
-/// sink copy index that misbehaves; what it does is decided by `mode`.
-fn chaos_graph(
+/// A small src -> sink graph whose only sink copy panics in `process`.
+fn panicking_sink_graph(
     src_host: hetsim::HostId,
-    sink_hosts: &[hetsim::HostId],
-    poison: usize,
-    mode: PoisonMode,
-) -> ChaosGraph {
-    let sets: Vec<_> = sink_hosts.iter().map(|&h| (h, 1)).collect();
-    chaos_graph_sets(src_host, &sets, poison, mode)
-}
-
-/// [`chaos_graph`] with `(host, copies)` sink sets.
-fn chaos_graph_sets(
-    src_host: hetsim::HostId,
-    sink_sets: &[(hetsim::HostId, u32)],
-    poison: usize,
-    mode: PoisonMode,
-) -> ChaosGraph {
+    sink_host: hetsim::HostId,
+) -> datacutter::AppGraph {
     struct Src;
     impl Filter for Src {
         fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
             for i in 0..CHAOS_BUFFERS {
-                // A run whose copies can die retains replicas; without
-                // one nothing is retained.
                 let b = ctx.buffer_slab().make(i, 256);
                 ctx.write(0, b);
             }
             Ok(())
         }
     }
-    struct Sink {
-        poisoned: bool,
-        mode: PoisonMode,
-        armed: Arc<AtomicBool>,
-        seen: Arc<AtomicU64>,
-        sum: Arc<AtomicU64>,
-    }
+    struct Sink;
     impl Filter for Sink {
-        fn process(&mut self, ctx: &mut FilterCtx) -> Result<(), FilterError> {
-            if self.poisoned {
-                match self.mode {
-                    PoisonMode::PanicOnce => {
-                        if self.armed.swap(false, Ordering::SeqCst) {
-                            panic!("injected chaos panic");
-                        }
-                    }
-                    PoisonMode::PanicAlways => panic!("injected chaos panic"),
-                    PoisonMode::Wedge => {
-                        std::thread::sleep(std::time::Duration::from_secs(5));
-                        return Ok(());
-                    }
-                    PoisonMode::PanicAfter(_) => {}
-                }
-            }
-            // Accumulate in *local* state so a panic genuinely destroys
-            // the partial sum; the poisoned copy publishes it only after
-            // draining the stream.
-            let mut local = 0u64;
-            let mut consumed = 0u32;
-            while let Some(b) = ctx.read(0) {
-                local += b.downcast::<u32>() as u64;
-                self.seen.fetch_add(1, Ordering::SeqCst);
-                consumed += 1;
-                if let (true, PoisonMode::PanicAfter(k)) = (self.poisoned, self.mode) {
-                    if consumed == k && self.armed.swap(false, Ordering::SeqCst) {
-                        panic!("injected chaos panic");
-                    }
-                }
-            }
-            if self.poisoned {
-                self.sum.store(local, Ordering::SeqCst);
-            }
-            Ok(())
+        fn process(&mut self, _ctx: &mut FilterCtx) -> Result<(), FilterError> {
+            panic!("injected chaos panic");
         }
     }
-    let seen: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
-    let sum: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
-    let armed = Arc::new(AtomicBool::new(true));
     let mut g = GraphBuilder::new();
     let s = g.add_filter("src", Placement::on_host(src_host, 1), |_| Src);
-    let seen2 = seen.clone();
-    let sum2 = sum.clone();
-    let k = g.add_filter(
-        "snk",
-        Placement {
-            per_host: sink_sets.to_vec(),
-        },
-        move |info| Sink {
-            poisoned: info.copy_index == poison,
-            mode,
-            armed: armed.clone(),
-            seen: seen2.clone(),
-            sum: sum2.clone(),
-        },
-    );
+    let k = g.add_filter("snk", Placement::on_host(sink_host, 1), |_| Sink);
     g.connect(s, k, WritePolicy::demand_driven());
-    ChaosGraph {
-        graph: g.build(),
-        seen,
-        sum,
-    }
+    g.build()
 }
 
-/// Panic containment with a restart budget: the poisoned copy panics once
-/// mid-run, the supervisor machinery restarts it in place after the
-/// seeded backoff, and the run completes with zero loss — the panic never
-/// aborts the process and never shows up as a raw `ProcessPanic`.
-#[test]
-fn native_supervised_panic_restarts_and_completes() {
-    let (topo, hosts) = cluster(2);
-    let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicOnce);
-    let policy = SupervisorPolicy::new()
-        .max_restarts(2)
-        .backoff(us(50), ms(1));
-    let report = Run::new(cg.graph)
-        .executor(NativeExecutor::new())
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .supervised(policy)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("supervised run completes");
-    let f = &report.faults;
-    assert_eq!(f.restarts, 1, "{f:?}");
-    assert_eq!(f.copies_killed, 0, "restart rescued the copy: {f:?}");
-    assert_eq!(f.buffers_lost, 0, "{f:?}");
-    assert!(!f.degraded, "{f:?}");
-    assert_eq!(
-        cg.seen.load(Ordering::SeqCst),
-        CHAOS_BUFFERS as u64,
-        "the restarted copy resumes the unit of work and consumes everything"
-    );
-}
-
-/// The same supervised-restart machinery on the deterministic substrate:
-/// two identical runs replay the identical restart schedule and virtual
-/// timeline (backoff is a pure function of the policy seed).
-#[test]
-fn supervised_restart_is_deterministic_on_sim() {
-    let (topo, hosts) = cluster(2);
-    let run = || {
-        let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicOnce);
-        let policy = SupervisorPolicy::new()
-            .max_restarts(2)
-            .backoff(ms(1), ms(10));
-        let report = Run::new(cg.graph)
-            .faults(FaultOptions::new(FaultPlan::new()).supervised(policy))
-            .go(&topo)
-            .expect("supervised sim run completes");
-        (
-            report.elapsed,
-            report.faults.restarts,
-            cg.seen.load(Ordering::SeqCst),
-        )
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "supervised sim runs must be bit-identical");
-    assert_eq!(a.1, 1, "one restart");
-    assert_eq!(a.2, CHAOS_BUFFERS as u64);
-}
-
-/// Restart budget exhausted: the poisoned copy panics until its budget
-/// runs out, is declared dead in the merged death oracle, and the run
-/// completes via the regular crash path — its set's retained buffers
-/// redelivered to the surviving sink set, nothing lost.
-#[test]
-fn native_restart_budget_exhausted_dies_and_replays_to_survivor() {
-    let (topo, hosts) = cluster(3);
-    let cg = chaos_graph(hosts[0], &[hosts[1], hosts[2]], 1, PoisonMode::PanicAlways);
-    let policy = SupervisorPolicy::new()
-        .max_restarts(1)
-        .backoff(us(50), ms(1));
-    let report = Run::new(cg.graph)
-        .executor(NativeExecutor::new())
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .supervised(policy)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("degraded-capable run completes");
-    let f = &report.faults;
-    assert_eq!(f.restarts, 1, "budget consumed: {f:?}");
-    assert_eq!(f.copies_killed, 1, "budget exhausted => dead: {f:?}");
-    assert_eq!(f.buffers_lost, 0, "redelivery salvages the dead set: {f:?}");
-    assert_eq!(
-        cg.seen.load(Ordering::SeqCst),
-        CHAOS_BUFFERS as u64,
-        "the surviving sink set consumes every buffer"
-    );
-}
-
-/// Wall-clock wedge detection: a copy that blocks without heartbeats is
-/// declared dead by the supervisor, evicted from the barrier, and its
-/// thread abandoned — the run completes in bounded time instead of
-/// hanging for the sleeper's five seconds. It is reported degraded (a
-/// copy wedged), but the survivor waits for the wedged set's reaper, so
-/// the buffers stranded in its window come back from retention.
-#[test]
-fn native_wedge_detection_completes_degraded() {
-    let (topo, hosts) = cluster(3);
-    let cg = chaos_graph(hosts[0], &[hosts[1], hosts[2]], 1, PoisonMode::Wedge);
-    let policy = SupervisorPolicy::new()
-        .heartbeat_interval(ms(2))
-        .wedge_timeout(ms(20));
-    let report = Run::new(cg.graph)
-        .executor(NativeExecutor::new())
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .supervised(policy)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("wedged run completes degraded");
-    let f = &report.faults;
-    assert_eq!(f.copies_wedged, 1, "{f:?}");
-    assert!(f.degraded, "a wedged copy marks the run degraded: {f:?}");
-    assert!(
-        f.buffers_redelivered > 0,
-        "the wedged window strands: {f:?}"
-    );
-    assert_eq!(f.buffers_lost, 0, "{f:?}");
-    let seen = cg.seen.load(Ordering::SeqCst);
-    assert_eq!(
-        seen, CHAOS_BUFFERS as u64,
-        "the wedged copy consumed nothing, the survivor everything: {f:?}"
-    );
-    assert!(
-        report.elapsed < SimDuration::from_secs(2),
-        "the run must not wait out the sleeper: {:?}",
-        report.elapsed
-    );
-}
-
-/// Unsupervised panic containment: with no fault options at all, a
-/// panicking filter copy surfaces as a structured `FilterPanic` — on both
-/// substrates — instead of crashing the process or leaking a raw
-/// `ProcessPanic`.
+/// Panic containment: with no fault options at all, a panicking filter
+/// copy surfaces as a structured `FilterPanic` — on both substrates —
+/// instead of crashing the process or leaking a raw `ProcessPanic`.
 #[test]
 fn filter_panic_is_contained_as_structured_error() {
     let (topo, hosts) = cluster(2);
     for native in [false, true] {
-        let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicAlways);
-        let mut run = Run::new(cg.graph);
+        let mut run = Run::new(panicking_sink_graph(hosts[0], hosts[1]));
         if native {
             run = run.executor(NativeExecutor::new());
         }
@@ -758,54 +519,6 @@ fn filter_panic_is_contained_as_structured_error() {
 }
 
 // ---- retention and redelivery: directed scenarios -------------------------
-
-/// Replay after restart: the poisoned sink consumes a prefix into filter
-/// state and panics — the state dies with the incarnation. The restarted
-/// copy re-fetches the journaled prefix from the producer's retention ring and rebuilds the exact
-/// accumulator before draining the rest, on both substrates.
-#[test]
-fn lossless_restart_replays_journal_and_rebuilds_state() {
-    const K: u32 = 24;
-    let (topo, hosts) = cluster(2);
-    for native in [false, true] {
-        let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicAfter(K));
-        let policy = SupervisorPolicy::new()
-            .max_restarts(2)
-            .backoff(ms(1), ms(10));
-        let mut run = Run::new(cg.graph);
-        if native {
-            run = run.executor(NativeExecutor::new());
-        }
-        let report = run
-            .faults(
-                FaultOptions::new(FaultPlan::new())
-                    .supervised(policy)
-                    .liveness_timeout(ms(2)),
-            )
-            .go(&topo)
-            .expect("supervised lossless run completes");
-        let f = &report.faults;
-        assert_eq!(f.restarts, 1, "native={native}: {f}");
-        assert_eq!(f.copies_killed, 0, "restart rescued the copy: {f}");
-        assert_eq!(
-            f.buffers_redelivered, K as u64,
-            "native={native}: the journaled prefix is re-fetched: {f}"
-        );
-        assert_eq!(f.buffers_lost, 0, "native={native}: {f}");
-        assert!(!f.degraded, "native={native}: {f}");
-        let expect: u64 = (0..CHAOS_BUFFERS as u64).sum();
-        assert_eq!(
-            cg.sum.load(Ordering::SeqCst),
-            expect,
-            "native={native}: the restarted copy rebuilds the exact sum"
-        );
-        assert_eq!(
-            cg.seen.load(Ordering::SeqCst),
-            (CHAOS_BUFFERS + K) as u64,
-            "native={native}: prefix consumed twice, remainder once"
-        );
-    }
-}
 
 /// One route back: a mid-run crash of a merge copy whose queue holds
 /// originals. The reaper releases those originals and redelivers the
@@ -839,85 +552,6 @@ fn lossless_mid_run_crash_redelivers_from_retention_only() {
     );
 }
 
-/// Partial set death: one copy of a two-copy sink set panics past its
-/// restart budget while its sibling and a second sink set live on. The
-/// surviving sibling consumes its own end-of-work and keeps reading while
-/// it waits for the other set; the dead copy's token is still queued, and
-/// the sibling must drop it rather than hand it round forever. Both
-/// substrates finish with every buffer consumed and nothing lost.
-#[test]
-fn lossless_partial_set_death_drops_the_dead_copys_token() {
-    let (topo, hosts) = cluster(3);
-    for native in [false, true] {
-        let cg = chaos_graph_sets(
-            hosts[0],
-            &[(hosts[1], 2), (hosts[2], 1)],
-            1,
-            PoisonMode::PanicAlways,
-        );
-        let policy = SupervisorPolicy::new()
-            .max_restarts(1)
-            .backoff(us(50), ms(1));
-        let mut run = Run::new(cg.graph);
-        if native {
-            run = run.executor(NativeExecutor::new());
-        }
-        let report = run
-            .faults(
-                FaultOptions::new(FaultPlan::new())
-                    .supervised(policy)
-                    .liveness_timeout(ms(2)),
-            )
-            .go(&topo)
-            .expect("a partially dead set still finishes");
-        let f = &report.faults;
-        assert_eq!(f.copies_killed, 1, "native={native}: {f}");
-        assert_eq!(f.buffers_lost, 0, "native={native}: {f}");
-        assert!(!f.degraded, "native={native}: {f}");
-        assert_eq!(
-            cg.seen.load(Ordering::SeqCst),
-            CHAOS_BUFFERS as u64,
-            "native={native}: the live copies consume every buffer"
-        );
-        assert!(
-            report.elapsed < SimDuration::from_secs(2),
-            "native={native}: {:?}",
-            report.elapsed
-        );
-    }
-}
-
-/// Budget-exhausted fallback: when the only consumer set panics past its
-/// restart budget, retention has no survivor to redeliver to — the run
-/// completes degraded, with every retained buffer counted lost, instead
-/// of hanging or erroring.
-#[test]
-fn lossless_budget_exhausted_falls_back_to_degraded_completion() {
-    let (topo, hosts) = cluster(2);
-    let cg = chaos_graph(hosts[0], &[hosts[1]], 0, PoisonMode::PanicAlways);
-    let policy = SupervisorPolicy::new()
-        .max_restarts(1)
-        .backoff(us(50), ms(1));
-    let report = Run::new(cg.graph)
-        .faults(
-            FaultOptions::new(FaultPlan::new())
-                .supervised(policy)
-                .liveness_timeout(ms(2)),
-        )
-        .go(&topo)
-        .expect("the run degrades rather than hangs when no survivor remains");
-    let f = &report.faults;
-    assert_eq!(f.restarts, 1, "budget consumed: {f}");
-    assert_eq!(f.copies_killed, 1, "budget exhausted => dead: {f}");
-    assert!(f.buffers_lost > 0, "no survivor to redeliver to: {f}");
-    assert!(f.degraded, "{f}");
-    assert_eq!(
-        cg.seen.load(Ordering::SeqCst),
-        0,
-        "the poisoned copy never consumed anything"
-    );
-}
-
 // ---- backoff schedule properties -----------------------------------------
 
 mod backoff_props {
@@ -925,23 +559,23 @@ mod backoff_props {
     use proptest::prelude::*;
 
     proptest! {
-        /// The supervised restart backoff is a pure function of
-        /// (policy, copy, attempt): identical inputs replay the identical
+        /// The storage retry backoff is a pure function of
+        /// (seed, key, attempt): identical inputs replay the identical
         /// schedule, every delay stays inside the jittered exponential
         /// envelope `[env/2, env]` with `env = min(base << attempt, cap)`,
         /// and different seeds actually decorrelate the jitter.
         #[test]
         fn backoff_schedule_is_deterministic_and_bounded(
             seed in any::<u64>(),
-            copy_key in any::<u64>(),
+            key in any::<u64>(),
             base_ms in 1u64..50,
             cap_ms in 50u64..500,
             attempt in 0u32..16,
         ) {
             let base = SimDuration::from_millis(base_ms);
             let cap = SimDuration::from_millis(cap_ms);
-            let a = datacutter::backoff_delay(base, cap, seed, copy_key, attempt);
-            let b = datacutter::backoff_delay(base, cap, seed, copy_key, attempt);
+            let a = datacutter::backoff_delay(base, cap, seed, key, attempt);
+            let b = datacutter::backoff_delay(base, cap, seed, key, attempt);
             prop_assert_eq!(a, b, "same inputs, same delay");
 
             let envelope = base
@@ -953,18 +587,18 @@ mod backoff_props {
             prop_assert!(a.as_nanos() <= envelope, "jitter ceiling: {a:?} vs {envelope}");
         }
 
-        /// Whole-schedule determinism per seed: the first eight attempts of
-        /// a copy replay exactly; perturbing the seed changes at least one
-        /// delay (the schedule really is seed-driven).
+        /// Whole-schedule determinism per seed: the first eight retries of
+        /// a storage operation replay exactly; perturbing the seed changes
+        /// at least one delay (the schedule really is seed-driven).
         #[test]
         fn backoff_schedules_replay_per_seed(
             seed in any::<u64>(),
-            copy_key in any::<u64>(),
+            key in any::<u64>(),
         ) {
             let base = SimDuration::from_millis(1);
             let cap = SimDuration::from_millis(100);
             let schedule = |s: u64| -> Vec<SimDuration> {
-                (0..8).map(|k| datacutter::backoff_delay(base, cap, s, copy_key, k)).collect()
+                (0..8).map(|k| datacutter::backoff_delay(base, cap, s, key, k)).collect()
             };
             prop_assert_eq!(schedule(seed), schedule(seed));
             // A different seed must change the schedule.

@@ -2,8 +2,7 @@
 //!
 //! Under any plan whose copies can die, producers retain every
 //! sent-but-unsettled replicable buffer in slab-pooled retention rings,
-//! and a dead set's reaper (or a restarted copy) redelivers retained
-//! replicas, so a seeded crash plan that leaves a surviving consumer set
+//! and a dead set's reaper redelivers retained replicas, so a seeded crash plan that leaves a surviving consumer set
 //! completes with `lost == 0` and an image bit-identical to the
 //! fault-free run under *every* writer policy, on both the virtual-time
 //! simulator and the native executor. There is no mode to select.
@@ -25,7 +24,7 @@
 
 use std::sync::Arc;
 
-use datacutter::{FaultOptions, Placement, SupervisorPolicy, WritePolicy};
+use datacutter::{FaultOptions, Placement, WritePolicy};
 use dcapp::{Algorithm, Grouping, PipelineSpec, Render};
 use hetsim::{FaultPlan, SimDuration, SimTime};
 use integration_tests::{
@@ -325,51 +324,36 @@ fn three_extract_spec(hosts: &[hetsim::HostId], policy: WritePolicy) -> Pipeline
     }
 }
 
-/// A cascade under supervision: three extract copies on `cluster(6)`,
-/// two of which die one after the other. The first victim's retained
-/// buffers are retargeted to the next live set in index order — the
-/// second victim — so they come back only if its reaper retargets them
-/// again instead of dropping them.
-#[test]
-fn supervised_cascade_retargets_through_a_second_death() {
-    let (topo, hosts) = cluster(6);
-    let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
-    for (policy, first, second) in [
-        (WritePolicy::demand_driven(), 0.2, 0.4),
-        (WritePolicy::RoundRobin, 0.3, 0.5),
-    ] {
-        let spec = three_extract_spec(&hosts, policy);
-        let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
-        let at = |frac: f64| SimTime::ZERO + clean.elapsed.mul_f64(frac);
-        let plan = FaultPlan::new()
-            .crash_host(hosts[1], at(first))
-            .crash_host(hosts[2], at(second));
-        let opts = FaultOptions::new(plan)
-            .supervised(SupervisorPolicy::new())
-            .liveness_timeout(ms(2));
-        let faulted = Render::new(&cfg, &spec)
-            .faults(opts)
-            .go(&topo)
-            .expect("supervised lossless cascade completes");
-        let label = format!("cascade/{}", policy.label());
-        assert_lossless(&label, &clean, &faulted, false, false);
-    }
+/// A crash plan on which every extract copy of [`three_extract_spec`]
+/// waits for a peer: `hosts[1]` is scheduled to crash an hour after the
+/// run ends and `hosts[3]` at `at_us`. A copy keeps reading after its
+/// end-of-work until every peer set that can die has ended, so the copies
+/// on `hosts[1]` and `hosts[3]` watch each other and the one on
+/// `hosts[2]`, the only set with no scheduled death, watches both. Its
+/// set is the one a dead set's reaper retargets to.
+fn waiting_crash_plan(hosts: &[hetsim::HostId], at_us: u64) -> FaultOptions {
+    let plan = FaultPlan::new()
+        .crash_host(hosts[1], SimTime::ZERO + SimDuration::from_secs(3600))
+        .crash_host(hosts[3], SimTime::ZERO + SimDuration::from_micros(at_us));
+    FaultOptions::new(plan).liveness_timeout(ms(3))
 }
 
-/// A waiting copy's host crashes. Under supervision every extract copy
-/// keeps reading after its end-of-work until the others have ended. On
-/// `cluster(6)` the copy on `hosts[3]` takes its token at 190.5 ms, the
-/// one on `hosts[2]` at 306.6 ms and the one on `hosts[1]` at 362.0 ms,
-/// which releases all three. Each arm crashes `hosts[3]` inside that wait:
+/// A waiting copy's host crashes. Under [`waiting_crash_plan`] the copy
+/// on `hosts[3]` takes its token at 190.5 ms, the one on `hosts[2]` at
+/// 306.6 ms and the one on `hosts[1]` at 362.0 ms, which releases all
+/// three; each polls every 3 ms, so `hosts[2]`'s copy leaves at 363.6 ms
+/// and `hosts[3]`'s at 364.5 ms. Each arm crashes `hosts[3]` inside its
+/// wait:
 ///
 /// - at 250 ms its reads still return redelivered data, so it must die at
 ///   the next one instead of flushing output past its death, and its
-///   journal is retargeted to a waiting set;
-/// - at 361.7 ms every copy has ended, but the others must still wait for
-///   its reaper, or they finish before its journal reaches them;
-/// - at 362.1 ms `hosts[1]`'s copy has already left, so the retargeted
+///   journal is retargeted to the working set on `hosts[2]`;
+/// - at 361.7 ms every other copy but `hosts[1]`'s has ended, and the
+///   waiting `hosts[2]` copy must still wait for its reaper, or it
+///   finishes before the journal reaches it;
+/// - at 364.0 ms `hosts[2]`'s copy has already left, so the retargeted
 ///   journal lands where nobody reads it and is counted lost. A blocking
-///   send into that full queue would hang the reaper, and the run.
+///   send into that queue would hang the reaper, and the run.
 ///
 /// Only the first two arms can recover; the third must finish with an
 /// honest ledger.
@@ -379,16 +363,11 @@ fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = three_extract_spec(&hosts, WritePolicy::RoundRobin);
     let clean = Render::new(&cfg, &spec).go(&topo).expect("fault-free run");
-    for (at_us, recovered) in [(250_000, true), (361_700, true), (362_100, false)] {
-        let crash_at = SimTime::ZERO + SimDuration::from_micros(at_us);
-        let plan = FaultPlan::new().crash_host(hosts[3], crash_at);
-        let opts = FaultOptions::new(plan)
-            .supervised(SupervisorPolicy::new())
-            .liveness_timeout(ms(2));
+    for (at_us, recovered) in [(250_000, true), (361_700, true), (364_000, false)] {
         let faulted = Render::new(&cfg, &spec)
-            .faults(opts)
+            .faults(waiting_crash_plan(&hosts, at_us))
             .go(&topo)
-            .expect("supervised lossless run completes");
+            .expect("lossless run completes");
         let f = &faulted.report.faults;
         let label = format!("crash at {at_us} us");
         assert_eq!(f.copies_killed, 1, "{label}: {f}");
@@ -402,7 +381,7 @@ fn copy_whose_host_crashes_while_it_waits_dies_and_is_retargeted() {
     }
 }
 
-/// The last arm above over two units of work: the copy on `hosts[1]` has
+/// The last arm above over two units of work: the copy on `hosts[2]` has
 /// left UOW 0 when `hosts[3]` dies, and reads the retargeted journal in
 /// UOW 1. Those replicas carry UOW 0, so it drops them instead of drawing
 /// timestep 0's triangles into timestep 1's image; they stay retained and
@@ -416,13 +395,8 @@ fn replicas_of_a_unit_of_work_already_left_are_not_mixed_into_the_next() {
         .uows(2)
         .go(&topo)
         .expect("fault-free run");
-    let plan =
-        FaultPlan::new().crash_host(hosts[3], SimTime::ZERO + SimDuration::from_micros(362_100));
-    let opts = FaultOptions::new(plan)
-        .supervised(SupervisorPolicy::new())
-        .liveness_timeout(ms(2));
     let faulted = Render::new(&cfg, &spec)
-        .faults(opts)
+        .faults(waiting_crash_plan(&hosts, 364_000))
         .uows(2)
         .go(&topo)
         .expect("two-UOW run completes");
@@ -519,9 +493,7 @@ mod recovery_props {
 /// drop/delay-only plan stamp nothing: on the simulator a stamp would add
 /// settle traffic to the ack couriers, so the empty plan's metrics match
 /// the fault-free run's and the drop/delay plan's match a digest pinned on
-/// a runtime that never retained without a crash. A supervised empty plan
-/// does retain (a copy may exhaust its restart budget), and stays quiet:
-/// nothing is redelivered or lost.
+/// a runtime that never retained without a crash.
 #[test]
 fn lossless_empty_plan_is_quiet_and_correct() {
     const DROP_DELAY_METRICS: u64 = 0x9eb1_2cb8_311f_750a;
@@ -557,18 +529,4 @@ fn lossless_empty_plan_is_quiet_and_correct() {
         DROP_DELAY_METRICS,
         "drop/delay plan stamped"
     );
-
-    for exec in ["sim", "native"] {
-        let opts = FaultOptions::new(FaultPlan::new()).supervised(SupervisorPolicy::new());
-        let r = Render::new(&cfg, &spec)
-            .executor(executor(exec))
-            .faults(opts)
-            .go(&topo)
-            .expect("supervised no-fault run");
-        let f = &r.report.faults;
-        assert_eq!(r.image().diff_pixels(clean.image()), 0, "{exec}");
-        assert_eq!(f.buffers_redelivered, 0, "{exec}: {f}");
-        assert_eq!(f.buffers_lost, 0, "{exec}: {f}");
-        assert!(!f.degraded, "{exec}: {f}");
-    }
 }
